@@ -13,6 +13,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/util/table.h"
 
@@ -30,20 +31,19 @@ int main() {
 
   // The alpha axis as a sweep grid; the four analytic columns are evaluated
   // per cell on the shared worker pool.
-  StorageSimConfig base_config;
-  base_config.replica_count = 2;
-  base_config.params = base;
-  SweepSpec spec(base_config);
+  SweepSpec spec(ScenarioBuilder()
+                     .Replicas(2, SpecFromParams(base).ScrubWith(ScrubPolicy::None()))
+                     .Correlation(base.alpha)
+                     .Build());
   spec.AddAxis("alpha");
   for (double alpha : {1.0, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 2.4e-6}) {
-    spec.AddPoint(Table::FmtSci(alpha, 1), alpha, [alpha](StorageSimConfig& config) {
-      config.params = WithCorrelation(config.params, alpha);
-    });
+    spec.AddPoint(Table::FmtSci(alpha, 1), alpha,
+                  [alpha](Scenario& scenario) { scenario.alpha = alpha; });
   }
 
   const std::vector<std::vector<std::string>> rows =
-      SweepRunner().Map(spec, [](const SweepSpec::Cell& cell) {
-        const FaultParams& p = cell.config.params;
+      SweepRunner().Map(spec, [&base](const SweepSpec::Cell& cell) {
+        const FaultParams p = WithCorrelation(base, cell.value("alpha"));
         const Duration eq10 = MttdlLatentDominant(p);
         const Duration choice = MttdlPaperChoice(p);
         const auto ctmc = MirroredMttdl(p, RateConvention::kPhysical);

@@ -19,6 +19,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sim/simulator.h"
 #include "src/storage/replicated_system.h"
 #include "src/util/random.h"
@@ -183,24 +184,22 @@ void BM_EventCancellation(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCancellation);
 
-StorageSimConfig MirroredConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mrv = Duration::Hours(2.0);
-  config.params.mrl = Duration::Hours(2.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(40.0));
-  return config;
+Scenario MirroredScenario() {
+  return ScenarioBuilder()
+      .Replicas(2, ReplicaSpec()
+                       .FaultTimes(Duration::Hours(2000.0), Duration::Hours(400.0))
+                       .RepairTimes(Duration::Hours(2.0), Duration::Hours(2.0))
+                       .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(40.0))))
+      .Build();
 }
 
 // Fresh construction per trial: what RunToLossOrHorizon costs.
 void BM_MirroredTrialToLoss(benchmark::State& state) {
-  const StorageSimConfig config = MirroredConfig();
+  const Scenario scenario = MirroredScenario();
   uint64_t seed = 0;
   for (auto _ : state) {
     const RunOutcome outcome =
-        RunToLossOrHorizon(config, seed++, Duration::Years(1e9));
+        RunToLossOrHorizon(scenario, seed++, Duration::Years(1e9));
     benchmark::DoNotOptimize(outcome.loss_time);
   }
   state.SetItemsProcessed(state.iterations());
@@ -211,7 +210,7 @@ BENCHMARK(BM_MirroredTrialToLoss);
 // asserts the steady-state trial loop stays allocation-free outside the
 // RunOutcome it returns.
 void BM_MirroredTrialToLossReused(benchmark::State& state) {
-  TrialRunner runner(MirroredConfig());
+  TrialRunner runner(MirroredScenario());
   uint64_t seed = 0;
   for (int i = 0; i < 64; ++i) {  // warm-up: grow engine buffers
     (void)runner.Run(seed++, Duration::Years(1e9));
@@ -232,18 +231,18 @@ void BM_MirroredTrialToLossReused(benchmark::State& state) {
 BENCHMARK(BM_MirroredTrialToLossReused);
 
 void BM_McLossProbability1kTrials(benchmark::State& state) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = ApplyScrubPolicy(FaultParams::PaperCheetahExample(),
-                                   ScrubPolicy::PeriodicPerYear(3.0));
-  config.scrub = ScrubPolicy::PeriodicPerYear(3.0);
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(2, SpecFromParams(FaultParams::PaperCheetahExample())
+                           .ScrubWith(ScrubPolicy::PeriodicPerYear(3.0)))
+          .Build();
   McConfig mc;
   mc.trials = 1000;
   mc.threads = 1;
   for (auto _ : state) {
     mc.seed++;
     const LossProbabilityEstimate estimate =
-        EstimateLossProbability(config, Duration::Years(50.0), mc);
+        EstimateLossProbability(scenario, Duration::Years(50.0), mc);
     benchmark::DoNotOptimize(estimate.losses);
   }
   state.SetItemsProcessed(state.iterations() * mc.trials);
@@ -302,15 +301,13 @@ BENCHMARK(BM_RngCounterMixDraws);
 // per-trial baseline (the CI acceptance gate wants >= 1.5x).
 // ---------------------------------------------------------------------------
 
-StorageSimConfig ArchivalConfig() {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.params.mv = Duration::Hours(5e7);
-  config.params.ml = Duration::Hours(2e7);
-  config.params.mrv = Duration::Hours(10.0);
-  config.params.mrl = Duration::Hours(10.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(2e6));
-  return config;
+Scenario ArchivalScenario() {
+  return ScenarioBuilder()
+      .Replicas(3, ReplicaSpec()
+                       .FaultTimes(Duration::Hours(5e7), Duration::Hours(2e7))
+                       .RepairTimes(Duration::Hours(10.0), Duration::Hours(10.0))
+                       .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(2e6))))
+      .Build();
 }
 
 constexpr uint64_t kArchivalKey = 41;
@@ -319,7 +316,7 @@ const Duration kArchivalMission = Duration::Years(5.0);
 // Baseline: one engine run per trial, per-trial xoshiro reseed — the path
 // every pre-kCounterV1 seed mode takes for mission-loss estimands.
 void BM_MissionTrialsPerTrialBaseline(benchmark::State& state) {
-  TrialRunner runner(ArchivalConfig());
+  TrialRunner runner(ArchivalScenario());
   uint64_t trial = 0;
   int64_t losses = 0;
   for (auto _ : state) {
@@ -335,7 +332,7 @@ BENCHMARK(BM_MissionTrialsPerTrialBaseline);
 // Batched kernel: one prefilter pass per 256-trial block, engine runs only
 // for trials the prefilter cannot prove censored. One iteration = one block.
 void BM_MissionTrialsBatchedCounterKernel(benchmark::State& state) {
-  TrialRunner runner(ArchivalConfig());
+  TrialRunner runner(ArchivalScenario());
   uint8_t skip[kTrialPrefilterMaxBlock];
   int64_t begin = 0;
   int64_t losses = 0;
@@ -366,7 +363,7 @@ BENCHMARK(BM_MissionTrialsBatchedCounterKernel);
 // warm-up block has grown the engine's buffers, prefilter + engine replay of
 // a block must never touch the heap.
 void BM_BatchedCounterKernelSteadyStateAllocs(benchmark::State& state) {
-  TrialRunner runner(ArchivalConfig());
+  TrialRunner runner(ArchivalScenario());
   uint8_t skip[kTrialPrefilterMaxBlock];
   const auto run_block = [&](int64_t begin) {
     const bool prefiltered = runner.PrefilterCensoredBlock(

@@ -14,6 +14,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/util/table.h"
 
@@ -38,18 +39,18 @@ void PrintComparison(const char* title, const FaultParams& p) {
   };
   SweepSpec spec;
   for (const Scheme& scheme : schemes) {
-    StorageSimConfig config;
-    config.replica_count = scheme.n;
-    config.required_intact = scheme.m;
-    config.params = p;
-    spec.AddCell(scheme.name, config);
+    spec.AddCell(scheme.name,
+                 ScenarioBuilder()
+                     .Replicas(scheme.n, SpecFromParams(p).ScrubWith(ScrubPolicy::None()))
+                     .RequiredIntact(scheme.m)
+                     .Correlation(p.alpha)
+                     .Build());
   }
   const std::vector<std::vector<std::string>> rows =
-      SweepRunner().Map(spec, [](const SweepSpec::Cell& cell) {
-        const int n = cell.config.replica_count;
-        const int m = cell.config.required_intact;
-        const ReplicatedChainBuilder chain(cell.config.params, n,
-                                           RateConvention::kPhysical, m);
+      SweepRunner().Map(spec, [&schemes, &p](const SweepSpec::Cell& cell) {
+        const int n = schemes[cell.index].n;
+        const int m = schemes[cell.index].m;
+        const ReplicatedChainBuilder chain(p, n, RateConvention::kPhysical, m);
         const auto mttdl = chain.Mttdl();
         const double loss = LossProbability(*mttdl, Duration::Years(50.0));
         char overhead[16];

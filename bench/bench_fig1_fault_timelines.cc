@@ -17,34 +17,32 @@
 namespace longstore {
 namespace {
 
-StorageSimConfig DemoConfig(ScrubPolicy scrub) {
-  StorageSimConfig config;
-  config.replica_count = 2;
+Scenario DemoScenario(ScrubPolicy scrub) {
   // Compressed timescales so a 12-year window shows several complete fault
   // lifecycles; latent faults outnumber visible ones as in §5.4, and repair
   // is slow enough to be visible as an interval in a 96-column lane.
-  config.params.mv = Duration::Years(3.0);
-  config.params.ml = Duration::Years(1.5);
-  config.params.mrv = Duration::Days(20.0);
-  config.params.mrl = Duration::Days(20.0);
-  config.scrub = scrub;
-  config.repair_distribution = StorageSimConfig::RepairDistribution::kDeterministic;
-  return config;
+  return ScenarioBuilder()
+      .Replicas(2, ReplicaSpec()
+                       .FaultTimes(Duration::Years(3.0), Duration::Years(1.5))
+                       .RepairTimes(Duration::Days(20.0), Duration::Days(20.0))
+                       .DeterministicRepair()
+                       .ScrubWith(scrub))
+      .Build();
 }
 
-void RunAndRender(const char* title, const StorageSimConfig& config, uint64_t seed,
+void RunAndRender(const char* title, const Scenario& scenario, uint64_t seed,
                   Duration horizon) {
   Simulator sim;
   Rng rng(seed);
   TraceRecorder trace(true);
-  ReplicatedStorageSystem system(&sim, &rng, config, &trace);
+  ReplicatedStorageSystem system(&sim, &rng, scenario, &trace);
   system.Start();
   sim.RunUntil(horizon);
 
   std::printf("--- %s ---\n", title);
-  std::printf("%s\n", RenderTimeline(trace.events(), config.replica_count, horizon,
-                                     96)
-                          .c_str());
+  std::printf("%s\n",
+              RenderTimeline(trace.events(), scenario.replica_count(), horizon, 96)
+                  .c_str());
   const SimMetrics& m = system.metrics();
   std::printf("visible faults: %lld   latent faults: %lld   detections: %lld   "
               "repairs: %lld   data loss: %s\n\n",
@@ -67,12 +65,12 @@ int main() {
 
   RunAndRender("with scrubbing (periodic audit every 3 months; latent faults are "
                "detected mid-lane and repaired)",
-               DemoConfig(ScrubPolicy::Periodic(Duration::Years(0.25))),
+               DemoScenario(ScrubPolicy::Periodic(Duration::Years(0.25))),
                /*seed=*/2024, horizon);
 
   RunAndRender("without scrubbing (latent faults persist as '~' until a second "
                "fault ends the run)",
-               DemoConfig(ScrubPolicy::None()), /*seed=*/2024, horizon);
+               DemoScenario(ScrubPolicy::None()), /*seed=*/2024, horizon);
 
   std::printf("Reading: 'V' opens a repair interval '=' immediately; 'L' opens a "
               "silent interval '~'\nthat becomes '=' only at 'D' (audit detection). "

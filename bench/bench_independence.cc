@@ -19,6 +19,7 @@
 
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/threats/independence.h"
 #include "src/util/table.h"
@@ -31,16 +32,16 @@ constexpr int64_t kFarmWindows = 40;
 void TalagalaFarm() {
   std::printf("Part 1: Talagala-style disk farm (368 drives, 8 shared power "
               "circuits, 6 months)\n");
-  StorageSimConfig config;
-  config.replica_count = 368;
   // Per-machine restart interarrival (the study logged *machine restarts*,
   // which include OS and dependency failures, not just drive deaths): about
-  // 0.8 intrinsic restarts per machine per 6 months.
-  config.params.mv = Duration::Hours(5400.0);
-  config.params.ml = Duration::Hours(3.0e6);  // media bit rot: rare at this scale
-  config.params.mrv = Duration::Hours(12.0);
-  config.params.mrl = Duration::Hours(12.0);
-  config.scrub = ScrubPolicy::Periodic(Duration::Days(30.0));
+  // 0.8 intrinsic restarts per machine per 6 months. Media bit rot is rare
+  // at this scale.
+  ScenarioBuilder farm_builder;
+  farm_builder.Replicas(368,
+                        ReplicaSpec()
+                            .FaultTimes(Duration::Hours(5400.0), Duration::Hours(3.0e6))
+                            .RepairTimes(Duration::Hours(12.0), Duration::Hours(12.0))
+                            .ScrubEvery(Duration::Days(30.0)));
   // Eight power circuits of 46 machines each; an outage restarts about half
   // of its circuit.
   for (int circuit = 0; circuit < 8; ++circuit) {
@@ -52,7 +53,7 @@ void TalagalaFarm() {
     }
     source.hit_probability = 0.5;
     source.visible_fraction = 1.0;
-    config.common_mode.push_back(std::move(source));
+    farm_builder.CommonMode(std::move(source));
   }
 
   // One cell, 40 trials of one six-month window each; the estimand's loss
@@ -64,7 +65,8 @@ void TalagalaFarm() {
   options.mc.trials = kFarmWindows;
   options.mc.seed = 4242;
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
-  const SweepResult result = SweepRunner().Run(SweepSpec(config), options);
+  const SweepResult result =
+      SweepRunner().Run(SweepSpec(farm_builder.Build()), options);
   const SimMetrics& total = result.cells.front().loss->aggregate_metrics;
 
   const double windows = static_cast<double>(kFarmWindows);
@@ -106,13 +108,13 @@ void Deployments() {
   // deployments batched as one sweep.
   SweepSpec spec;
   for (const Deployment& deployment : deployments) {
-    StorageSimConfig sim;
-    sim.replica_count = 3;
-    sim.params = hardware;
-    sim.params.alpha = 1.0;
-    sim.scrub = ScrubPolicy::PeriodicPerYear(12.0);
-    sim.common_mode = BuildCommonModeSources(deployment.profiles, risk);
-    spec.AddCell(deployment.name, std::move(sim));
+    ScenarioBuilder sim;
+    sim.Replicas(3,
+                 SpecFromParams(hardware).ScrubWith(ScrubPolicy::PeriodicPerYear(12.0)));
+    for (CommonModeSource& source : BuildCommonModeSources(deployment.profiles, risk)) {
+      sim.CommonMode(std::move(source));
+    }
+    spec.AddCell(deployment.name, sim.Build());
   }
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kLossProbability;

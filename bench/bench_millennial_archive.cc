@@ -25,6 +25,7 @@
 
 #include "src/model/replica_ctmc.h"
 #include "src/rare/rare_event.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/util/json.h"
 #include "src/util/table.h"
@@ -39,12 +40,10 @@ constexpr int64_t kTrials = 20000;
 // Paper §5.4 hardware: Cheetah MV = 1.4e6 h, latent faults five times as
 // frequent, 20-minute rebuilds, correlation 0.2. Exponential audits so the
 // CTMC detection rate matches the simulator exactly.
-StorageSimConfig BaseConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = FaultParams::PaperCheetahExample();
-  config.params.alpha = 0.2;
-  return config;
+FaultParams BaseParams() {
+  FaultParams params = FaultParams::PaperCheetahExample();
+  params.alpha = 0.2;
+  return params;
 }
 
 struct ScrubPoint {
@@ -75,23 +74,34 @@ int main() {
   const ScrubPoint points[] = {
       {"monthly", 12.0}, {"weekly", 52.0}, {"daily", 365.0}, {"6-hourly", 1460.0}};
 
-  SweepSpec spec(BaseConfig());
+  const FaultParams base = BaseParams();
+  SweepSpec spec(ScenarioBuilder()
+                     .Replicas(2, SpecFromParams(base))
+                     .Correlation(base.alpha)
+                     .Build());
   spec.AddAxis("scrub");
+  std::vector<FaultParams> cell_params;  // each cell's CTMC parameters
   for (const ScrubPoint& point : points) {
-    spec.AddPoint(point.label, point.per_year, [point](StorageSimConfig& c) {
-      const Duration mean_interval = Duration::Years(1.0 / point.per_year);
-      c.scrub = ScrubPolicy::Exponential(mean_interval);
-      c.params.mdl = mean_interval;  // keep the CTMC's detection rate in sync
+    const Duration mean_interval = Duration::Years(1.0 / point.per_year);
+    FaultParams params = base;
+    params.mdl = mean_interval;  // keep the CTMC's detection rate in sync
+    cell_params.push_back(params);
+    spec.AddPoint(point.label, point.per_year, [mean_interval](Scenario& scenario) {
+      for (ReplicaSpec& replica : scenario.replicas) {
+        replica.scrub = ScrubPolicy::Exponential(mean_interval);
+      }
     });
   }
 
   // Exact ground truth for every cell, solved concurrently on the pool.
   SweepRunner runner;
-  const std::vector<double> exact = runner.Map(spec, [](const SweepSpec::Cell& cell) {
-    const auto p = MirroredLossProbability(
-        cell.config.params, Duration::Years(kMissionYears), RateConvention::kPhysical);
-    return p.value_or(0.0);
-  });
+  const std::vector<double> exact =
+      runner.Map(spec, [&cell_params](const SweepSpec::Cell& cell) {
+        const auto p = MirroredLossProbability(cell_params[cell.index],
+                                               Duration::Years(kMissionYears),
+                                               RateConvention::kPhysical);
+        return p.value_or(0.0);
+      });
 
   McConfig mc;
   mc.trials = kTrials;
@@ -106,7 +116,7 @@ int main() {
   // cell — the grid is homogeneous enough that the tuned tilt transfers.
   std::vector<SweepSpec::Cell> cells = spec.BuildCells();
   IsOptions is_options;
-  const FaultBias bias = TuneFaultBias(cells.front().config,
+  const FaultBias bias = TuneFaultBias(cells.front().scenario,
                                        Duration::Years(kMissionYears), mc, is_options);
   std::printf("tuned bias: theta_v=%g theta_l=%g tilt=%g force=%g\n\n",
               bias.theta_visible, bias.theta_latent, bias.tilt_probability,

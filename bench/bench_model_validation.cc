@@ -16,6 +16,7 @@
 
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/util/table.h"
 
@@ -69,11 +70,10 @@ int main() {
 
   SweepSpec spec;
   for (const ValidationCase& scenario : scenarios) {
-    StorageSimConfig config;
-    config.replica_count = 2;
-    config.params = scenario.params;
-    config.scrub = ScrubPolicy::Exponential(scenario.params.mdl);
-    spec.AddCell(scenario.name, std::move(config));
+    spec.AddCell(scenario.name, ScenarioBuilder()
+                                    .Replicas(2, SpecFromParams(scenario.params))
+                                    .Correlation(scenario.params.alpha)
+                                    .Build());
   }
 
   SweepOptions options;
@@ -85,8 +85,8 @@ int main() {
   SweepRunner runner;
   const SweepResult mc_result = runner.Run(spec, options);
   const std::vector<AnalyticRow> analytic =
-      runner.Map(spec, [](const SweepSpec::Cell& cell) {
-        const FaultParams& p = cell.config.params;
+      runner.Map(spec, [&scenarios](const SweepSpec::Cell& cell) {
+        const FaultParams& p = scenarios[cell.index].params;
         AnalyticRow row;
         row.paper_choice_hours = MttdlPaperChoice(p).hours();
         row.eq8_hours = MttdlClosedForm(p).hours();

@@ -14,6 +14,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/util/table.h"
 
@@ -34,17 +35,25 @@ int main() {
   // One factor axis; each cell evaluates both single-axis scalings on the
   // shared worker pool (the growth ratios need the previous row, so they are
   // derived sequentially from the mapped values afterwards).
-  StorageSimConfig base_config;
-  base_config.replica_count = 2;
-  base_config.params = base;
-  // The cell config carries the MV scaling; the Map callback derives the ML
-  // variant from the same factor.
-  SweepSpec scale_spec(base_config);
+  const Scenario base_scenario =
+      ScenarioBuilder()
+          .Replicas(2, SpecFromParams(base).ScrubWith(ScrubPolicy::None()))
+          .Correlation(base.alpha)
+          .Build();
+  // A point mutation giving every replica `params`' fault times.
+  const auto scaled_to = [](const FaultParams& params) {
+    return [params](Scenario& scenario) {
+      for (ReplicaSpec& replica : scenario.replicas) {
+        replica.FaultTimes(params.mv, params.ml);
+      }
+    };
+  };
+  // The cell carries the MV scaling; the Map callback recomputes it and
+  // derives the ML variant from the same factor.
+  SweepSpec scale_spec(base_scenario);
   scale_spec.AddAxis("factor f");
   for (double f : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-    scale_spec.AddPoint(Table::Fmt(f, 2), f, [&base, f](StorageSimConfig& config) {
-      config.params = ScaleFaultTimes(base, f, 1.0);
-    });
+    scale_spec.AddPoint(Table::Fmt(f, 2), f, scaled_to(ScaleFaultTimes(base, f, 1.0)));
   }
   struct ScaledPair {
     std::string label;
@@ -54,7 +63,8 @@ int main() {
   const std::vector<ScaledPair> scaled =
       SweepRunner().Map(scale_spec, [&base](const SweepSpec::Cell& cell) {
         const double f = cell.value("factor f");
-        return ScaledPair{cell.label, MttdlClosedForm(cell.config.params).years(),
+        return ScaledPair{cell.label,
+                          MttdlClosedForm(ScaleFaultTimes(base, f, 1.0)).years(),
                           MttdlClosedForm(ScaleFaultTimes(base, 1.0, f)).years()};
       });
 
@@ -79,12 +89,11 @@ int main() {
   std::printf("Part 2: anti-correlated trade MV' = f*MV, ML' = ML/f (e.g. media or\n"
               "controller choices that trade silent corruption for whole-drive "
               "failures)\n");
-  SweepSpec trade_spec(base_config);
+  SweepSpec trade_spec(base_scenario);
   trade_spec.AddAxis("f (visible bias)");
   for (double f : {0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
-    trade_spec.AddPoint(Table::Fmt(f, 3), f, [&base, f](StorageSimConfig& config) {
-      config.params = ScaleFaultTimes(base, f, 1.0 / f);
-    });
+    trade_spec.AddPoint(Table::Fmt(f, 3), f,
+                        scaled_to(ScaleFaultTimes(base, f, 1.0 / f)));
   }
   struct TradeRow {
     double f = 0.0;
@@ -92,11 +101,12 @@ int main() {
     std::vector<std::string> cells;
   };
   const std::vector<TradeRow> trade_rows =
-      SweepRunner().Map(trade_spec, [](const SweepSpec::Cell& cell) {
-        const FaultParams& p = cell.config.params;
+      SweepRunner().Map(trade_spec, [&base](const SweepSpec::Cell& cell) {
+        const double f = cell.value("f (visible bias)");
+        const FaultParams p = ScaleFaultTimes(base, f, 1.0 / f);
         const Duration eq8 = MttdlClosedForm(p);
         const auto ctmc = MirroredMttdl(p, RateConvention::kPhysical);
-        return TradeRow{cell.value("f (visible bias)"),
+        return TradeRow{f,
                         eq8.years(),
                         {cell.label, Table::FmtSci(p.mv.hours(), 1) + " h",
                          Table::FmtSci(p.ml.hours(), 1) + " h",

@@ -15,6 +15,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/util/table.h"
 
@@ -53,14 +54,16 @@ int main() {
 
   SweepSpec spec;
   for (const Row& row : rows) {
-    StorageSimConfig config;
-    config.replica_count = 2;
-    config.params = row.params;
-    spec.AddCell(row.name, std::move(config));
+    spec.AddCell(row.name, ScenarioBuilder()
+                               .Replicas(2, SpecFromParams(row.params)
+                                                .ScrubWith(ScrubPolicy::None()))
+                               .Correlation(row.params.alpha)
+                               .Build());
   }
   const std::vector<double> ctmc_years =
-      SweepRunner().Map(spec, [](const SweepSpec::Cell& cell) {
-        return MirroredMttdl(cell.config.params, RateConvention::kPhysical)->years();
+      SweepRunner().Map(spec, [&rows](const SweepSpec::Cell& cell) {
+        return MirroredMttdl(rows[cell.index].params, RateConvention::kPhysical)
+            ->years();
       });
 
   Table table({"configuration", "equation", "MTTDL", "P(loss in 50 y)",

@@ -28,10 +28,9 @@ int main() {
                             "on the pinned rare-loss config")
                         .c_str());
 
-  const StorageSimConfig config = PinnedRareLossConfig();
   const Duration mission = Duration::Years(1.0);
-  const auto exact =
-      MirroredLossProbability(config.params, mission, RateConvention::kPhysical);
+  const auto exact = MirroredLossProbability(PinnedRareLossParams(), mission,
+                                             RateConvention::kPhysical);
   if (!exact.has_value()) {
     std::fprintf(stderr, "FAIL: CTMC has no loss probability for the pinned config\n");
     return 1;
@@ -48,7 +47,7 @@ int main() {
 
   const auto start = std::chrono::steady_clock::now();
   const IsLossProbabilityEstimate is =
-      EstimateLossProbabilityIS(config, mission, mc, options);
+      EstimateLossProbabilityIS(PinnedRareLossScenario(), mission, mc, options);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 

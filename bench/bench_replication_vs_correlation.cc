@@ -15,6 +15,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/util/table.h"
 
@@ -29,27 +30,28 @@ constexpr double kAlphas[] = {1.0, 0.1, 0.01, 0.001};
 void PrintGrid(const char* title, const FaultParams& base,
                RateConvention convention, bool show_eq12) {
   std::printf("--- %s ---\n", title);
-  StorageSimConfig base_config;
-  base_config.params = base;
-  base_config.convention = convention;
-  SweepSpec spec(base_config);
+  SweepSpec spec(ScenarioBuilder()
+                     .Replicas(2, SpecFromParams(base).ScrubWith(ScrubPolicy::None()))
+                     .Correlation(base.alpha)
+                     .Convention(convention)
+                     .Build());
   spec.AddAxis("replicas");
   for (int r = 1; r <= 6; ++r) {
-    spec.AddPoint(std::to_string(r), static_cast<double>(r),
-                  [r](StorageSimConfig& config) { config.replica_count = r; });
+    spec.AddPoint(std::to_string(r), static_cast<double>(r), [r](Scenario& scenario) {
+      const ReplicaSpec replica = scenario.replicas.front();
+      scenario.replicas.assign(static_cast<size_t>(r), replica);
+    });
   }
   spec.AddAxis("alpha");
   for (double alpha : kAlphas) {
     spec.AddPoint("alpha=" + Table::Fmt(alpha, 3), alpha,
-                  [alpha](StorageSimConfig& config) {
-                    config.params = WithCorrelation(config.params, alpha);
-                  });
+                  [alpha](Scenario& scenario) { scenario.alpha = alpha; });
   }
 
   const std::vector<std::string> grid_cells =
       SweepRunner().Map(spec, [&](const SweepSpec::Cell& cell) -> std::string {
-        const FaultParams& p = cell.config.params;
-        const int r = cell.config.replica_count;
+        const FaultParams p = WithCorrelation(base, cell.value("alpha"));
+        const int r = cell.scenario.replica_count();
         const ReplicatedChainBuilder chain(p, r, convention);
         const auto mttdl = chain.Mttdl();
         auto fmt_years = [](const Duration& d) -> std::string {

@@ -18,14 +18,21 @@
 namespace longstore {
 namespace {
 
-StorageSimConfig BaseConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mrv = Duration::Hours(2.0);
-  config.params.mrl = Duration::Hours(2.0);
-  return config;
+Scenario BaseScenario() {
+  return ScenarioBuilder()
+      .Replicas(2, ReplicaSpec()
+                       .FaultTimes(Duration::Hours(2000.0), Duration::Hours(400.0))
+                       .RepairTimes(Duration::Hours(2.0), Duration::Hours(2.0)))
+      .Build();
+}
+
+// Every replica audits under `policy`.
+SweepSpec::ScenarioMutation ScrubAll(ScrubPolicy policy) {
+  return [policy](Scenario& scenario) {
+    for (ReplicaSpec& replica : scenario.replicas) {
+      replica.scrub = policy;
+    }
+  };
 }
 
 }  // namespace
@@ -41,15 +48,11 @@ int main() {
               "(time-compressed mirror)\n");
   // Both audit shapes run as one sweep (kSharedRoot: seed 151 names the same
   // trial streams for each policy, the pre-sweep convention).
-  SweepSpec shape_spec(BaseConfig());
+  SweepSpec shape_spec(BaseScenario());
   shape_spec.AddAxis("audit policy")
-      .AddPoint("poisson", 0.0,
-                [](StorageSimConfig& config) {
-                  config.scrub = ScrubPolicy::Exponential(Duration::Hours(40.0));
-                })
-      .AddPoint("periodic", 1.0, [](StorageSimConfig& config) {
-        config.scrub = ScrubPolicy::Periodic(Duration::Hours(80.0));  // same mean
-      });
+      .AddPoint("poisson", 0.0, ScrubAll(ScrubPolicy::Exponential(Duration::Hours(40.0))))
+      // The same mean detection latency as the Poisson audits.
+      .AddPoint("periodic", 1.0, ScrubAll(ScrubPolicy::Periodic(Duration::Hours(80.0))));
   SweepOptions shape_options;
   shape_options.estimand = SweepOptions::Estimand::kMttdl;
   shape_options.mc.trials = 8000;
@@ -73,23 +76,23 @@ int main() {
 
   std::printf("Part 2: staggered vs aligned scrub phases under a corruption worm\n");
   // Three replicas, the worm silently corrupts replicas 0 and 1 together.
-  auto worm_config = [](bool staggered) {
-    StorageSimConfig config;
-    config.replica_count = 3;
-    config.params.mv = Duration::Hours(1e9);
-    config.params.ml = Duration::Hours(3000.0);
-    config.params.mrv = Duration::Hours(2.0);
-    config.params.mrl = Duration::Hours(2.0);
-    config.scrub = ScrubPolicy::Periodic(Duration::Hours(240.0));
-    config.scrub_staggered = staggered;
-    config.common_mode.push_back(CommonModeSource{
-        "corruption worm", Rate::PerHour(1.0 / 20000.0), {0, 1}, 1.0,
-        /*visible_fraction=*/0.0});
-    return config;
+  auto worm_scenario = [](bool staggered) {
+    ScenarioBuilder builder;
+    builder
+        .Replicas(3, ReplicaSpec()
+                         .FaultTimes(Duration::Hours(1e9), Duration::Hours(3000.0))
+                         .RepairTimes(Duration::Hours(2.0), Duration::Hours(2.0))
+                         .ScrubEvery(Duration::Hours(240.0)))
+        .CommonMode(CommonModeSource{"corruption worm", Rate::PerHour(1.0 / 20000.0),
+                                     {0, 1}, 1.0, /*visible_fraction=*/0.0});
+    if (!staggered) {
+      builder.AlignedScrubs();
+    }
+    return builder.Build();
   };
   SweepSpec worm_spec;
-  worm_spec.AddCell("staggered", worm_config(true));
-  worm_spec.AddCell("aligned", worm_config(false));
+  worm_spec.AddCell("staggered", worm_scenario(true));
+  worm_spec.AddCell("aligned", worm_scenario(false));
   SweepOptions worm_options;
   worm_options.estimand = SweepOptions::Estimand::kLossProbability;
   worm_options.mission = Duration::Years(20.0);

@@ -31,6 +31,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
 #include "src/util/table.h"
@@ -45,12 +46,10 @@ struct Case {
   double paper_loss_50y;
 };
 
-StorageSimConfig SimConfigFor(const FaultParams& p) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = p;
-  config.scrub = p.mdl.is_infinite() ? ScrubPolicy::None() : ScrubPolicy::Exponential(p.mdl);
-  return config;
+// A mirrored pair with `p`'s fault and repair times; MDL is realized as
+// exponential scrubs (none when infinite).
+Scenario SimScenarioFor(const FaultParams& p) {
+  return ScenarioBuilder().Replicas(2, SpecFromParams(p)).Correlation(p.alpha).Build();
 }
 
 std::string McCell(const SweepCellResult& cell) {
@@ -171,7 +170,7 @@ int main(int argc, char** argv) {
   spec.AddAxis("configuration");
   for (const Case& c : cases) {
     spec.AddPoint(c.name, 0.0,
-                  [&c](StorageSimConfig& config) { config = SimConfigFor(c.params); });
+                  [&c](Scenario& scenario) { scenario = SimScenarioFor(c.params); });
   }
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kMttdl;

@@ -26,24 +26,24 @@ constexpr int64_t kTrialsPerCell = 20000;
 constexpr uint64_t kSeed = 2024;
 
 SweepSpec PerfGrid() {
-  StorageSimConfig base;
-  base.replica_count = 2;
-  base.params.mv = Duration::Hours(2000.0);
-  base.params.ml = Duration::Hours(400.0);
-  base.params.mrv = Duration::Hours(2.0);
-  base.params.mrl = Duration::Hours(2.0);
-  SweepSpec spec(base);
+  const ReplicaSpec replica =
+      ReplicaSpec()
+          .FaultTimes(Duration::Hours(2000.0), Duration::Hours(400.0))
+          .RepairTimes(Duration::Hours(2.0), Duration::Hours(2.0));
+  SweepSpec spec(ScenarioBuilder().Replicas(2, replica).Build());
   spec.AddAxis("scrub");
   for (double hours : {20.0, 40.0, 80.0, 160.0}) {
     spec.AddPoint("scrub=" + Table::Fmt(hours, 0) + "h", hours,
-                  [hours](StorageSimConfig& config) {
-                    config.scrub = ScrubPolicy::Exponential(Duration::Hours(hours));
+                  [hours](Scenario& scenario) {
+                    for (ReplicaSpec& replica : scenario.replicas) {
+                      replica.scrub = ScrubPolicy::Exponential(Duration::Hours(hours));
+                    }
                   });
   }
   spec.AddAxis("alpha");
   for (double alpha : {1.0, 0.5, 0.2, 0.1}) {
     spec.AddPoint("alpha=" + Table::Fmt(alpha, 1), alpha,
-                  [alpha](StorageSimConfig& config) { config.params.alpha = alpha; });
+                  [alpha](Scenario& scenario) { scenario.alpha = alpha; });
   }
   return spec;
 }
@@ -57,7 +57,7 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 // dynamic trial counter, per-worker partial accumulators merged in worker
 // order. Reproduced here so the trajectory of the orchestration layer stays
 // measurable after the original was replaced.
-double LegacySpawnJoinMttdl(const StorageSimConfig& config, int64_t trials,
+double LegacySpawnJoinMttdl(const Scenario& scenario, int64_t trials,
                             uint64_t seed, int threads) {
   struct Partial {
     RunningStats loss_years;
@@ -68,7 +68,7 @@ double LegacySpawnJoinMttdl(const StorageSimConfig& config, int64_t trials,
   workers.reserve(static_cast<size_t>(threads));
   for (int w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
-      TrialRunner runner(config, ConfigValidation::kPreValidated);
+      TrialRunner runner(scenario, ConfigValidation::kPreValidated);
       Partial& partial = partials[static_cast<size_t>(w)];
       while (true) {
         const int64_t t = next.fetch_add(1, std::memory_order_relaxed);
@@ -136,7 +136,7 @@ int main() {
     // AddCell with the batch's label: same label -> same derived cell seed,
     // so the two executors run exactly the same trials.
     SweepSpec one;
-    one.AddCell(cell.label, cell.config);
+    one.AddCell(cell.label, cell.scenario);
     sequential.push_back(*SweepRunner().Run(one, options).cells.front().mttdl);
   }
   const double sequential_seconds = Seconds(sequential_start);
@@ -146,7 +146,7 @@ int main() {
   std::vector<double> legacy_means;
   legacy_means.reserve(cells.size());
   for (const SweepSpec::Cell& cell : cells) {
-    legacy_means.push_back(LegacySpawnJoinMttdl(cell.config, kTrialsPerCell,
+    legacy_means.push_back(LegacySpawnJoinMttdl(cell.scenario, kTrialsPerCell,
                                                 kSeed, threads));
   }
   const double legacy_seconds = Seconds(legacy_start);

@@ -11,6 +11,7 @@
 
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/threats/independence.h"
 #include "src/threats/threat_catalog.h"
@@ -19,15 +20,18 @@
 namespace longstore {
 namespace {
 
-StorageSimConfig CommonModeConfig(const std::vector<ReplicaProfile>& profiles,
-                                  const FaultParams& hardware) {
-  StorageSimConfig config;
-  config.replica_count = static_cast<int>(profiles.size());
-  config.params = hardware;
-  config.params.alpha = 1.0;  // correlation comes from common-mode events here
-  config.scrub = ScrubPolicy::PeriodicPerYear(12.0);
-  config.common_mode = BuildCommonModeSources(profiles, SharedRiskRates::Defaults());
-  return config;
+// Correlation comes from common-mode events here, so alpha stays 1.
+Scenario CommonModeScenario(const std::vector<ReplicaProfile>& profiles,
+                            const FaultParams& hardware) {
+  ScenarioBuilder builder;
+  const ReplicaSpec replica =
+      SpecFromParams(hardware).ScrubWith(ScrubPolicy::PeriodicPerYear(12.0));
+  builder.Replicas(static_cast<int>(profiles.size()), replica);
+  for (CommonModeSource& source :
+       BuildCommonModeSources(profiles, SharedRiskRates::Defaults())) {
+    builder.CommonMode(std::move(source));
+  }
+  return builder.Build();
 }
 
 }  // namespace
@@ -63,7 +67,7 @@ int main() {
   auto add_step = [&](const std::string& name) {
     const double alpha = std::max(MinPairwiseAlpha(profiles, factors), 1e-9);
     steps.push_back(Step{name, alpha});
-    spec.AddCell(name, CommonModeConfig(profiles, hardware));
+    spec.AddCell(name, CommonModeScenario(profiles, hardware));
   };
 
   add_step("everything shared (one room, one admin, one batch)");

@@ -11,6 +11,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/util/table.h"
 
 int main() {
@@ -43,15 +44,15 @@ int main() {
   std::printf("exact CTMC : MTTDL = %s, P(loss in 50 y) = %s\n",
               exact->ToString().c_str(), Table::FmtPercent(*loss50).c_str());
 
-  // 5. Monte Carlo: simulate the archive to data loss, many times.
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = params;
-  config.scrub = scrub;
+  // 5. Monte Carlo: simulate the archive to data loss, many times. The
+  //    simulator runs a Scenario: one ReplicaSpec per replica, here two
+  //    copies with the pair's fault and repair times, audited by `scrub`.
+  const Scenario scenario =
+      ScenarioBuilder().Replicas(2, SpecFromParams(params).ScrubWith(scrub)).Build();
   McConfig mc;
   mc.trials = 3000;
   mc.seed = 42;
-  const MttdlEstimate estimate = EstimateMttdl(config, mc);
+  const MttdlEstimate estimate = EstimateMttdl(scenario, mc);
   std::printf("simulation : MTTDL = %.0f y  (95%% CI [%.0f, %.0f], %lld trials)\n",
               estimate.mean_years(), estimate.ci_years.lo, estimate.ci_years.hi,
               static_cast<long long>(estimate.loss_time_years.count()));

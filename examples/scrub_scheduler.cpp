@@ -10,6 +10,7 @@
 
 #include "src/drives/drive_specs.h"
 #include "src/drives/offline_media.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 #include "src/util/table.h"
 
@@ -42,10 +43,10 @@ int main() {
   SweepSpec spec;
   spec.AddAxis("strategy");
   for (const Strategy& strategy : strategies) {
-    spec.AddPoint(strategy.name, 0.0, [&drive, &strategy](StorageSimConfig& config) {
-      config.replica_count = 3;
-      config.params = OnlineReplicaParams(drive, strategy.policy, 5.0);
-      config.scrub = strategy.policy;
+    spec.AddPoint(strategy.name, 0.0, [&drive, &strategy](Scenario& scenario) {
+      const FaultParams params = OnlineReplicaParams(drive, strategy.policy, 5.0);
+      scenario.replicas.assign(3, SpecFromParams(params).ScrubWith(strategy.policy));
+      scenario.alpha = params.alpha;
     });
   }
   SweepOptions options;

@@ -155,7 +155,7 @@ int main() {
   // so each replica carries the union of every threat the fleet faces, and
   // the organizational failure — a two-at-once event — has no choice but to
   // become an independent per-replica visible process at its event rate.
-  // This is exactly the homogenization StorageSimConfig used to force.
+  // This is exactly the homogenization a one-FaultParams description forces.
   const auto org_as_rate = contribution(
       ThreatClass::kOrganizationalFault, Duration::Years(30.0),
       Duration::Infinite(), Duration::Infinite(), Duration::Days(30.0));

@@ -638,8 +638,7 @@ FleetReport FleetSupervisor::RunAdaptive(std::vector<std::string> axis_names,
   }
 
   // Plan with a single shard: validates cells and options exactly as Run
-  // would, canonicalizes the cells (legacy view cleared), and yields the
-  // content-derived sweep identity. The per-round partition is re-derived
+  // would and yields the content-derived sweep identity. The per-round partition is re-derived
   // below from each cell's convergence state.
   const ShardPlan plan(std::move(axis_names), sweep_options, std::move(cells), 1);
   ShardSpec base = plan.shards().front();

@@ -3,15 +3,11 @@
 // directly so trial k draws from the stream DeriveSeed(seed, k) — exactly
 // the contract the header documents. The per-call thread spawn/join that
 // used to live here is gone; parallelism, deterministic block aggregation,
-// and adaptive stopping are all the sweep engine's. Scenario and legacy
-// StorageSimConfig overloads differ only in which SweepSpec constructor
-// they hit; homogeneous scenarios and their legacy configs produce
-// bit-identical estimates.
+// and adaptive stopping are all the sweep engine's.
 
 #include "src/mc/monte_carlo.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "src/sweep/sweep.h"
 
@@ -25,33 +21,32 @@ SweepOptions BaseOptions(const McConfig& mc) {
   return options;
 }
 
-MttdlEstimate MttdlImpl(SweepSpec spec, const McConfig& mc) {
+}  // namespace
+
+MttdlEstimate EstimateMttdl(const Scenario& scenario, const McConfig& mc) {
   SweepOptions options = BaseOptions(mc);
   options.estimand = SweepOptions::Estimand::kMttdl;
-  const SweepResult result = SweepRunner().Run(spec, options);
-  return *result.cells.front().mttdl;
+  return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().mttdl;
 }
 
-LossProbabilityEstimate LossImpl(SweepSpec spec, Duration mission,
-                                 const McConfig& mc) {
+LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
+                                                Duration mission, const McConfig& mc) {
   SweepOptions options = BaseOptions(mc);
   options.estimand = SweepOptions::Estimand::kLossProbability;
   options.mission = mission;
-  const SweepResult result = SweepRunner().Run(spec, options);
-  return *result.cells.front().loss;
+  return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().loss;
 }
 
-CensoredMttdlEstimate CensoredImpl(SweepSpec spec, Duration window,
-                                   const McConfig& mc) {
+CensoredMttdlEstimate EstimateMttdlCensored(const Scenario& scenario, Duration window,
+                                            const McConfig& mc) {
   SweepOptions options = BaseOptions(mc);
   options.estimand = SweepOptions::Estimand::kCensoredMttdl;
   options.window = window;
-  const SweepResult result = SweepRunner().Run(spec, options);
-  return *result.cells.front().censored;
+  return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().censored;
 }
 
-MttdlEstimate ToPrecisionImpl(SweepSpec spec, const McConfig& mc,
-                              double relative_precision, int64_t max_trials) {
+MttdlEstimate EstimateMttdlToPrecision(const Scenario& scenario, McConfig mc,
+                                       double relative_precision, int64_t max_trials) {
   if (!(relative_precision > 0.0)) {
     throw std::invalid_argument("relative_precision must be positive");
   }
@@ -60,48 +55,7 @@ MttdlEstimate ToPrecisionImpl(SweepSpec spec, const McConfig& mc,
   options.adaptive = true;
   options.relative_precision = relative_precision;
   options.max_trials = max_trials;  // validated (positive) by SweepRunner::Run
-  const SweepResult result = SweepRunner().Run(spec, options);
-  return *result.cells.front().mttdl;
-}
-
-}  // namespace
-
-MttdlEstimate EstimateMttdl(const Scenario& scenario, const McConfig& mc) {
-  return MttdlImpl(SweepSpec(scenario), mc);
-}
-
-MttdlEstimate EstimateMttdl(const StorageSimConfig& config, const McConfig& mc) {
-  return MttdlImpl(SweepSpec(config), mc);
-}
-
-LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
-                                                Duration mission, const McConfig& mc) {
-  return LossImpl(SweepSpec(scenario), mission, mc);
-}
-
-LossProbabilityEstimate EstimateLossProbability(const StorageSimConfig& config,
-                                                Duration mission, const McConfig& mc) {
-  return LossImpl(SweepSpec(config), mission, mc);
-}
-
-CensoredMttdlEstimate EstimateMttdlCensored(const Scenario& scenario, Duration window,
-                                            const McConfig& mc) {
-  return CensoredImpl(SweepSpec(scenario), window, mc);
-}
-
-CensoredMttdlEstimate EstimateMttdlCensored(const StorageSimConfig& config,
-                                            Duration window, const McConfig& mc) {
-  return CensoredImpl(SweepSpec(config), window, mc);
-}
-
-MttdlEstimate EstimateMttdlToPrecision(const Scenario& scenario, McConfig mc,
-                                       double relative_precision, int64_t max_trials) {
-  return ToPrecisionImpl(SweepSpec(scenario), mc, relative_precision, max_trials);
-}
-
-MttdlEstimate EstimateMttdlToPrecision(const StorageSimConfig& config, McConfig mc,
-                                       double relative_precision, int64_t max_trials) {
-  return ToPrecisionImpl(SweepSpec(config), mc, relative_precision, max_trials);
+  return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().mttdl;
 }
 
 }  // namespace longstore

@@ -57,17 +57,12 @@ struct LossProbabilityEstimate {
 };
 
 // Simulates each trial to data loss (or the safety cap) and averages. Every
-// estimator takes either a Scenario (heterogeneous fleets welcome) or a
-// legacy StorageSimConfig (converted through Scenario::FromLegacy,
-// bit-identical).
+// estimator takes a Scenario; heterogeneous fleets are welcome.
 MttdlEstimate EstimateMttdl(const Scenario& scenario, const McConfig& mc);
-MttdlEstimate EstimateMttdl(const StorageSimConfig& config, const McConfig& mc);
 
 // Simulates each trial over `mission` and counts losses (paper eq 1's
 // empirical counterpart, e.g. "probability of data loss in 50 years").
 LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
-                                                Duration mission, const McConfig& mc);
-LossProbabilityEstimate EstimateLossProbability(const StorageSimConfig& config,
                                                 Duration mission, const McConfig& mc);
 
 // Runs trials in geometrically growing rounds (mc.trials, then x4 per
@@ -77,8 +72,6 @@ LossProbabilityEstimate EstimateLossProbability(const StorageSimConfig& config,
 // simply extends), so reaching precision p costs exactly the trials the
 // final estimate is built from — not a fresh restart per round.
 MttdlEstimate EstimateMttdlToPrecision(const Scenario& scenario, McConfig mc,
-                                       double relative_precision, int64_t max_trials);
-MttdlEstimate EstimateMttdlToPrecision(const StorageSimConfig& config, McConfig mc,
                                        double relative_precision, int64_t max_trials);
 
 // Censored (type-I) MTTDL estimation: every trial runs for at most `window`
@@ -101,8 +94,6 @@ struct CensoredMttdlEstimate {
 };
 
 CensoredMttdlEstimate EstimateMttdlCensored(const Scenario& scenario,
-                                            Duration window, const McConfig& mc);
-CensoredMttdlEstimate EstimateMttdlCensored(const StorageSimConfig& config,
                                             Duration window, const McConfig& mc);
 
 }  // namespace longstore

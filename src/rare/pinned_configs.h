@@ -9,20 +9,27 @@
 #ifndef LONGSTORE_SRC_RARE_PINNED_CONFIGS_H_
 #define LONGSTORE_SRC_RARE_PINNED_CONFIGS_H_
 
-#include "src/storage/config.h"
+#include "src/model/fault_params.h"
+#include "src/scenario/media.h"
+#include "src/scenario/scenario.h"
 
 namespace longstore {
 
-inline StorageSimConfig PinnedRareLossConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(1.0e6);
-  config.params.ml = Duration::Hours(5.0e5);
-  config.params.mrv = Duration::Hours(2.0);
-  config.params.mrl = Duration::Hours(2.0);
-  config.params.mdl = Duration::Hours(20.0);
-  config.scrub = ScrubPolicy::Exponential(config.params.mdl);
-  return config;
+// The fault parameters the exact CTMC solves.
+inline FaultParams PinnedRareLossParams() {
+  FaultParams params;
+  params.mv = Duration::Hours(1.0e6);
+  params.ml = Duration::Hours(5.0e5);
+  params.mrv = Duration::Hours(2.0);
+  params.mrl = Duration::Hours(2.0);
+  params.mdl = Duration::Hours(20.0);
+  return params;
+}
+
+// The simulated mirrored pair: MDL realized as exponential scrubs, the
+// detection process the CTMC models exactly.
+inline Scenario PinnedRareLossScenario() {
+  return ScenarioBuilder().Replicas(2, SpecFromParams(PinnedRareLossParams())).Build();
 }
 
 }  // namespace longstore

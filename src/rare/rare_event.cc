@@ -137,17 +137,4 @@ IsLossProbabilityEstimate EstimateLossProbabilityIS(const Scenario& scenario,
   return result;
 }
 
-FaultBias TuneFaultBias(const StorageSimConfig& config, Duration mission,
-                        const McConfig& mc, const IsOptions& options,
-                        std::vector<PilotPoint>* pilot_out) {
-  return TuneFaultBias(Scenario::FromLegacy(config), mission, mc, options, pilot_out);
-}
-
-IsLossProbabilityEstimate EstimateLossProbabilityIS(const StorageSimConfig& config,
-                                                    Duration mission,
-                                                    const McConfig& mc,
-                                                    const IsOptions& options) {
-  return EstimateLossProbabilityIS(Scenario::FromLegacy(config), mission, mc, options);
-}
-
 }  // namespace longstore

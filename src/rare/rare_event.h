@@ -73,12 +73,8 @@ struct IsLossProbabilityEstimate {
 // losses (largest tilt on ties) when none has enough. Deterministic in
 // mc.seed. If `pilot_out` is non-null it receives every candidate's pilot
 // diagnostics. Heterogeneous fleets tilt the latent hazard if any replica
-// has latent faults. The StorageSimConfig overload converts through
-// Scenario::FromLegacy (bit-identical pilots for homogeneous fleets).
+// has latent faults.
 FaultBias TuneFaultBias(const Scenario& scenario, Duration mission,
-                        const McConfig& mc, const IsOptions& options = {},
-                        std::vector<PilotPoint>* pilot_out = nullptr);
-FaultBias TuneFaultBias(const StorageSimConfig& config, Duration mission,
                         const McConfig& mc, const IsOptions& options = {},
                         std::vector<PilotPoint>* pilot_out = nullptr);
 
@@ -88,10 +84,6 @@ FaultBias TuneFaultBias(const StorageSimConfig& config, Duration mission,
 // estimate. With the identity bias this reproduces the unbiased estimator's
 // trial outcomes bit for bit.
 IsLossProbabilityEstimate EstimateLossProbabilityIS(const Scenario& scenario,
-                                                    Duration mission,
-                                                    const McConfig& mc,
-                                                    const IsOptions& options = {});
-IsLossProbabilityEstimate EstimateLossProbabilityIS(const StorageSimConfig& config,
                                                     Duration mission,
                                                     const McConfig& mc,
                                                     const IsOptions& options = {});

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/storage/config.h"
-
 namespace longstore {
 
 // --- ReplicaSpec -----------------------------------------------------------
@@ -192,146 +190,6 @@ bool Scenario::IsHomogeneous() const {
     }
   }
   return true;
-}
-
-Scenario Scenario::FromLegacy(const StorageSimConfig& config) {
-  Scenario scenario;
-  scenario.required_intact = config.required_intact;
-  scenario.alpha = config.params.alpha;
-  scenario.convention = config.convention;
-  scenario.scrub_staggered = config.scrub_staggered;
-  scenario.record_scrub_passes = config.record_scrub_passes;
-  scenario.visible_fault_surfaces_latent = config.visible_fault_surfaces_latent;
-  scenario.common_mode = config.common_mode;
-
-  const bool weibull =
-      config.fault_distribution == StorageSimConfig::FaultDistribution::kWeibull;
-  ReplicaSpec base;
-  base.fault_distribution =
-      weibull ? FaultDistribution::kWeibull : FaultDistribution::kExponential;
-  base.mv = config.params.mv;
-  base.ml = config.params.ml;
-  // The legacy engine ignores the shape on exponential fleets; canonicalize
-  // so behaviorally identical configs get identical scenario identities.
-  base.weibull_shape = weibull ? config.weibull_shape : 1.0;
-  base.repair_distribution =
-      config.repair_distribution == StorageSimConfig::RepairDistribution::kDeterministic
-          ? RepairDistribution::kDeterministic
-          : RepairDistribution::kExponential;
-  base.mrv = config.params.mrv;
-  base.mrl = config.params.mrl;
-  base.scrub = config.scrub;
-  base.scrub_phase_hours = -1.0;  // automatic, matching the legacy stagger
-
-  const int count = config.replica_count;
-  // The conversion must stay total even on configs that would fail
-  // Validate() (sweep specs convert cells before the runner's validation
-  // pass reports the clean error): only consume the age vector when it is
-  // well-formed, and never index past it.
-  const bool ages_usable =
-      weibull && static_cast<int>(config.initial_age_hours.size()) == count;
-  scenario.replicas.reserve(count > 0 ? static_cast<size_t>(count) : 0);
-  for (int i = 0; i < count; ++i) {
-    ReplicaSpec spec = base;
-    // Ages only exist for Weibull clocks (the legacy engine ignored them on
-    // exponential fleets; dropping them here is behavior-preserving).
-    if (ages_usable) {
-      spec.initial_age_hours = config.initial_age_hours[static_cast<size_t>(i)];
-    }
-    scenario.replicas.push_back(std::move(spec));
-  }
-  return scenario;
-}
-
-StorageSimConfig Scenario::ToLegacy() const {
-  auto reject = [](int replica, const std::string& why) {
-    throw std::invalid_argument("Scenario::ToLegacy: replica " +
-                                std::to_string(replica) + ": " + why);
-  };
-  if (replicas.empty()) {
-    throw std::invalid_argument("Scenario::ToLegacy: the scenario has no replicas");
-  }
-  // The contract is FromLegacy(ToLegacy(s)) == s, canonical-JSON-exactly.
-  // StorageSimConfig can express one spec shared by the fleet plus a
-  // per-replica initial-age vector; everything else per-replica — and every
-  // field FromLegacy normalizes away — must already be in canonical form.
-  const ReplicaSpec& first = replicas[0];
-  const bool weibull = first.fault_distribution == FaultDistribution::kWeibull;
-  bool any_age = false;
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    const ReplicaSpec& spec = replicas[i];
-    const int index = static_cast<int>(i);
-    if (spec.media != "replica") {
-      reject(index, "media label \"" + spec.media +
-                        "\" is not representable in StorageSimConfig "
-                        "(FromLegacy labels every replica \"replica\")");
-    }
-    // Only the canonical automatic marker round-trips: FromLegacy always
-    // emits -1.0, so an explicit phase (>= 0) *and* any other negative
-    // spelling would come back different.
-    if (spec.scrub_phase_hours != -1.0) {
-      reject(index,
-             spec.scrub_phase_hours >= 0.0
-                 ? "an explicit scrub phase is not representable in "
-                   "StorageSimConfig (the flat config only expresses the "
-                   "automatic stagger)"
-                 : "a non-canonical automatic scrub phase cannot round-trip "
-                   "(FromLegacy spells automatic as -1)");
-    }
-    if (spec.fault_distribution == FaultDistribution::kExponential) {
-      if (spec.weibull_shape != 1.0) {
-        reject(index,
-               "weibull_shape on an exponential replica cannot round-trip "
-               "(FromLegacy canonicalizes it to 1)");
-      }
-      if (spec.initial_age_hours != 0.0) {
-        reject(index,
-               "an initial age on an exponential replica cannot round-trip "
-               "(FromLegacy drops ages on exponential fleets)");
-      }
-    }
-    any_age = any_age || spec.initial_age_hours != 0.0;
-    // Per-replica ages are the one heterogeneity the flat config carries;
-    // compare everything else field-wise against replica 0.
-    ReplicaSpec lhs = spec;
-    ReplicaSpec rhs = first;
-    lhs.initial_age_hours = 0.0;
-    rhs.initial_age_hours = 0.0;
-    if (!(lhs == rhs)) {
-      reject(index,
-             "differs from replica 0 beyond its initial age; StorageSimConfig "
-             "only describes homogeneous fleets");
-    }
-  }
-
-  StorageSimConfig config;
-  config.replica_count = replica_count();
-  config.required_intact = required_intact;
-  config.params.mv = first.mv;
-  config.params.ml = first.ml;
-  config.params.mrv = first.mrv;
-  config.params.mrl = first.mrl;
-  // FromLegacy ignores mdl (detection is the scrub policy); emit the
-  // policy's analytic latency so legacy closed-form call sites that read
-  // params.mdl see a value consistent with the simulated detection process.
-  config.params.mdl = first.scrub.MeanDetectionLatency();
-  config.params.alpha = alpha;
-  config.scrub = first.scrub;
-  config.repair_distribution = first.repair_distribution;
-  config.fault_distribution = first.fault_distribution;
-  config.weibull_shape = first.weibull_shape;
-  config.convention = convention;
-  config.scrub_staggered = scrub_staggered;
-  config.record_scrub_passes = record_scrub_passes;
-  config.visible_fault_surfaces_latent = visible_fault_surfaces_latent;
-  config.common_mode = common_mode;
-  if (weibull && any_age) {
-    config.initial_age_hours.reserve(replicas.size());
-    for (const ReplicaSpec& spec : replicas) {
-      config.initial_age_hours.push_back(spec.initial_age_hours);
-    }
-  }
-  return config;
 }
 
 // --- ScenarioBuilder -------------------------------------------------------

@@ -17,10 +17,10 @@
 // The paper's §4–§6 argument is that real archives are *not* fleets of
 // identical, independent units: they mix media (disk + tape), ages (batch
 // vs rolling procurement), scrub cadences and administrative domains.
-// StorageSimConfig could only describe a homogeneous fleet; Scenario makes
-// the heterogeneous ones first-class. StorageSimConfig remains as a thin
-// legacy layer: Scenario::FromLegacy(config) is bit-identical to the
-// pre-Scenario engine for every homogeneous configuration.
+// Scenario makes those heterogeneous fleets first-class, and it is the only
+// system description: a homogeneous fleet is simply N copies of one
+// ReplicaSpec (ScenarioBuilder::Replicas; SpecFromParams in media.h turns a
+// FaultParams into one).
 //
 // Scenarios are serializable (ToJson / FromJson round-trips exactly) and
 // carry a canonical identity hash (CanonicalHash), so sweep shards and
@@ -45,8 +45,6 @@ namespace longstore {
 namespace json {
 struct Value;  // parsed JSON tree (src/util/json.h)
 }
-
-struct StorageSimConfig;  // legacy flat config (src/storage/config.h)
 
 // How a replica's fault clocks are distributed.
 enum class FaultDistribution {
@@ -130,7 +128,7 @@ struct ReplicaSpec {
 
 // A complete, self-describing system description: per-replica specs plus
 // shared structure. Plain aggregate — build directly, via ScenarioBuilder,
-// via Scenario::FromLegacy, or via Scenario::FromJson.
+// or via Scenario::FromJson.
 struct Scenario {
   std::vector<ReplicaSpec> replicas;
 
@@ -176,27 +174,8 @@ struct Scenario {
   // common-mode membership, ...). Returns an error message, or nullopt.
   std::optional<std::string> Validate() const;
 
-  // True when every replica spec is identical (media label included) — the
-  // regime the legacy flat config could express.
+  // True when every replica spec is identical (media label included).
   bool IsHomogeneous() const;
-
-  // Converts a legacy flat config. Homogeneous by construction; running the
-  // result is bit-identical to running the config on the pre-Scenario
-  // engine. Normalizes fields the legacy engine ignored (initial ages on
-  // exponential fleets, Weibull shape on exponential fleets) so equal
-  // behavior implies equal canonical identity. Does not validate.
-  static Scenario FromLegacy(const StorageSimConfig& config);
-
-  // The inverse direction, for round-tripping old tooling: a flat config
-  // whose FromLegacy image is *identical* to this scenario (canonical JSON
-  // equality, hence equal CanonicalHash and trial streams). Throws
-  // std::invalid_argument naming the obstacle when no such config exists —
-  // heterogeneous replicas (per-replica initial ages excepted; the flat
-  // config carries those), an explicit scrub phase, or a non-default media
-  // label, none of which StorageSimConfig can express. params.mdl, which
-  // FromLegacy ignores, is set to the scrub policy's analytic mean
-  // detection latency so legacy closed-form call sites stay consistent.
-  StorageSimConfig ToLegacy() const;
 
   // --- serialization & identity (scenario_json.cc) ------------------------
 

@@ -51,10 +51,6 @@ json::ChecksummedDocument OpenServiceDocument(std::string_view text,
                                               const std::string& source) {
   const json::ChecksummedDocument doc =
       json::OpenChecksummedDocument(text, kServiceVersionKey, context, source);
-  if (!doc.checksummed) {
-    json::Fail(context, "not a checksummed service document" +
-                            (source.empty() ? "" : " (" + source + ")"));
-  }
   if (doc.version != kServiceProtocolVersion) {
     json::Fail(context, "protocol version " + std::to_string(doc.version) +
                             " is not the supported version " +

@@ -170,54 +170,26 @@ void AppendHeaderJson(std::string& out, int shard_index, int shard_count,
   json::AppendUint64Hex(out, sweep_id);
 }
 
-// Opens the (possibly enveloped) document, enforcing the version rules:
-// version 2 must arrive checksummed, version 1 must not, anything else is
-// foreign. Returns the verified body to parse.
-json::ChecksummedDocument OpenShardDocument(std::string_view text,
-                                            const std::string& context,
-                                            const std::string& source) {
-  const auto fail = [&](const std::string& what) {
-    json::Fail(context, source.empty() ? what : "[" + source + "] " + what);
-  };
+// Verifies the envelope and its version (this build's, or the compatible
+// subset) and returns the body to parse.
+std::string_view OpenShardDocument(std::string_view text, const std::string& context,
+                                   const std::string& source) {
   const json::ChecksummedDocument doc =
       json::OpenChecksummedDocument(text, "shard_version", context, source);
-  if (doc.checksummed && doc.version != kShardProtocolVersion &&
-      doc.version != kShardCompatVersion) {
+  if (doc.version != kShardProtocolVersion && doc.version != kShardCompatVersion) {
     // Version 2 is a strict subset of version 3 (no ranges, no fragments),
     // so in-flight version-2 documents keep parsing.
-    fail("unsupported shard_version " + std::to_string(doc.version) +
-         " in a checksummed envelope (this build speaks " +
-         std::to_string(kShardProtocolVersion) + " and accepts " +
-         std::to_string(kShardCompatVersion) + ")");
+    const std::string what =
+        "unsupported shard_version " + std::to_string(doc.version) +
+        " in a checksummed envelope (this build speaks " +
+        std::to_string(kShardProtocolVersion) + " and accepts " +
+        std::to_string(kShardCompatVersion) + ")";
+    json::Fail(context, source.empty() ? what : "[" + source + "] " + what);
   }
-  return doc;
+  return doc.body;
 }
 
-// Reads the body header. For an unchecksummed (legacy) body the version key
-// still lives inside the body and must say kShardLegacyVersion; a flat
-// document claiming version 2 is refused outright — accepting it would make
-// the integrity layer optional in exactly the silent-corruption cases it
-// exists for.
-ShardHeader ReadHeader(json::ObjectReader& reader,
-                       const json::ChecksummedDocument& doc,
-                       const std::string& context, const std::string& source) {
-  const auto fail = [&](const std::string& what) {
-    json::Fail(context, source.empty() ? what : "[" + source + "] " + what);
-  };
-  if (!doc.checksummed) {
-    const int version = reader.GetInt("shard_version");
-    if (version == kShardProtocolVersion || version == kShardCompatVersion) {
-      fail("shard_version " + std::to_string(version) +
-           " documents must arrive in the checksummed envelope; refusing an "
-           "unverifiable document");
-    }
-    if (version != kShardLegacyVersion) {
-      fail("unsupported shard_version " + std::to_string(version) +
-           " (this build speaks " + std::to_string(kShardProtocolVersion) +
-           "; version " + std::to_string(kShardLegacyVersion) +
-           " still accepted unchecksummed)");
-    }
-  }
+ShardHeader ReadHeader(json::ObjectReader& reader, const std::string& context) {
   ShardHeader header;
   header.shard_count = reader.GetInt("shard_count");
   if (header.shard_count < 1) {
@@ -233,14 +205,12 @@ ShardHeader ReadHeader(json::ObjectReader& reader,
     json::Fail(context, "total_cells must be >= 1");
   }
   header.total_cells = static_cast<size_t>(total);
-  if (doc.checksummed) {
-    header.sweep_id = reader.GetUint64Hex("sweep_id");
-  }
+  header.sweep_id = reader.GetUint64Hex("sweep_id");
   return header;
 }
 
 // Re-throws a schema/parse error with the source document named, unless the
-// message already names it (OpenShardDocument and ReadHeader tag their own).
+// message already names it (OpenShardDocument tags its own).
 // Keeps json::IntegrityError's type intact for the retryable/fatal split.
 [[noreturn]] void RethrowTagged(const std::string& source) {
   try {
@@ -421,11 +391,10 @@ ShardSpec ShardSpec::FromJson(std::string_view text, const std::string& source) 
 
 ShardSpec ShardSpec::FromJsonUntagged(std::string_view text,
                                       const std::string& source) {
-  const json::ChecksummedDocument doc =
-      OpenShardDocument(text, kSpecContext, source);
-  const json::Value root = json::Parse(doc.body, kSpecContext);
+  const json::Value root =
+      json::Parse(OpenShardDocument(text, kSpecContext, source), kSpecContext);
   json::ObjectReader reader(root, "shard", kSpecContext);
-  const ShardHeader header = ReadHeader(reader, doc, kSpecContext, source);
+  const ShardHeader header = ReadHeader(reader, kSpecContext);
 
   ShardSpec shard;
   shard.shard_index = header.shard_index;
@@ -527,12 +496,7 @@ ShardPlan::ShardPlan(std::vector<std::string> axis_names,
     shard.options.mc.threads = 0;
   }
   for (size_t i = 0; i < cells.size(); ++i) {
-    SweepSpec::Cell& cell = cells[i];
-    // The shard document is scenario-native: the legacy flat view (if any)
-    // has already been converted, bit-identically, by BuildCells.
-    cell.config = StorageSimConfig{};
-    cell.from_legacy = false;
-    shards_[i % static_cast<size_t>(shard_count)].cells.push_back(std::move(cell));
+    shards_[i % static_cast<size_t>(shard_count)].cells.push_back(std::move(cells[i]));
   }
 }
 
@@ -697,11 +661,10 @@ ShardResult ShardResult::FromJson(std::string_view text, const std::string& sour
 
 ShardResult ShardResult::FromJsonUntagged(std::string_view text,
                                           const std::string& source) {
-  const json::ChecksummedDocument doc =
-      OpenShardDocument(text, kResultContext, source);
-  const json::Value root = json::Parse(doc.body, kResultContext);
+  const json::Value root =
+      json::Parse(OpenShardDocument(text, kResultContext, source), kResultContext);
   json::ObjectReader reader(root, "shard result", kResultContext);
-  const ShardHeader header = ReadHeader(reader, doc, kResultContext, source);
+  const ShardHeader header = ReadHeader(reader, kResultContext);
 
   ShardResult result;
   result.shard_index = header.shard_index;
@@ -857,17 +820,12 @@ void ShardMerger::Add(ShardResult result, const std::string& source) {
       fail(who + " claims " + std::to_string(result.total_cells) +
            " total cells, " + first + " " + std::to_string(header_.total_cells));
     }
-    if (result.sweep_id != 0 && header_.sweep_id != 0) {
-      // Version-2 documents prove membership by sweep identity; shard_count
-      // is provenance only (a fleet driver that re-partitions failed shards
-      // legitimately emits documents with differing counts).
-      if (result.sweep_id != header_.sweep_id) {
-        fail(who + " belongs to a different sweep than " + first +
-             " (sweep_id mismatch)");
-      }
-    } else if (result.shard_count != header_.shard_count) {
-      fail(who + " claims " + std::to_string(result.shard_count) +
-           " shards, " + first + " " + std::to_string(header_.shard_count));
+    // Documents prove membership by sweep identity; shard_count is
+    // provenance only (a fleet driver that re-partitions failed shards
+    // legitimately emits documents with differing counts).
+    if (result.sweep_id != header_.sweep_id) {
+      fail(who + " belongs to a different sweep than " + first +
+           " (sweep_id mismatch)");
     }
     if (result.axis_names != header_.axis_names) {
       fail(who + " has a different axis list than " + first);

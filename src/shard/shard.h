@@ -55,12 +55,10 @@ namespace longstore {
 // failing a single test. Version 2 added the checksum envelope and the
 // sweep_id; version 3 added optional trial-range cells (specs) and cell
 // fragments (results) for kCounterV1 sweeps. Version-2 documents are a
-// strict subset of version 3 and stay accepted checksummed; version-1
-// documents (unchecksummed, no sweep_id) are still accepted for one release
-// so in-flight shard files survive the upgrade.
+// strict subset of version 3 and stay accepted. Every document must arrive
+// in the checksummed envelope; an unchecksummed one is rejected.
 inline constexpr int kShardProtocolVersion = 3;
 inline constexpr int kShardCompatVersion = 2;
-inline constexpr int kShardLegacyVersion = 1;
 
 // Identity of the *whole* sweep a shard belongs to: FNV-1a over the sweep's
 // canonical description (options, axes, and every cell's index, label and
@@ -95,12 +93,11 @@ struct ShardSpec {
   // Cell count of the *full* sweep; the merger uses it to prove
   // completeness before finalizing.
   size_t total_cells = 0;
-  // ComputeSweepId of the full sweep; 0 on documents parsed from the
-  // version-1 wire format (which predates it).
+  // ComputeSweepId of the full sweep.
   uint64_t sweep_id = 0;
   std::vector<std::string> axis_names;
   SweepOptions options;
-  std::vector<SweepSpec::Cell> cells;  // scenario-native; from_legacy unset
+  std::vector<SweepSpec::Cell> cells;
   // Per-cell trial ranges, parallel to `cells`. Empty (the common case, and
   // every pre-version-3 document) means each cell is owned whole.
   std::vector<ShardCellRange> ranges;
@@ -173,8 +170,7 @@ struct ShardResult {
   int shard_index = 0;
   int shard_count = 1;
   size_t total_cells = 0;
-  // Echoed verbatim from the shard spec the worker executed; 0 for
-  // version-1 documents.
+  // Echoed verbatim from the shard spec the worker executed.
   uint64_t sweep_id = 0;
   SweepOptions::Estimand estimand = SweepOptions::Estimand::kMttdl;
   double confidence = 0.95;
@@ -210,11 +206,10 @@ ShardResult RunShard(const ShardSpec& shard, WorkerPool* pool = nullptr);
 class ShardMerger {
  public:
   // Validates against the first-added result's header: estimand,
-  // confidence, axes, total_cells, and sweep identity. Version-2 results
-  // must agree on sweep_id (shard_count is provenance only — a supervisor
-  // that re-partitions failed shards legitimately produces documents with
-  // differing counts); when either side is a version-1 document with no
-  // sweep_id, the legacy equal-shard-count rule applies instead. Throws
+  // confidence, axes, total_cells, and sweep identity. Results must agree
+  // on sweep_id (shard_count is provenance only — a supervisor that
+  // re-partitions failed shards legitimately produces documents with
+  // differing counts). Throws
   // std::invalid_argument on any mismatch or duplicated cell index, naming
   // the offending shard index and source file in every message. `source`
   // (e.g. the file the result was read from) may be empty.

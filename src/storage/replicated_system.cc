@@ -8,77 +8,6 @@
 
 namespace longstore {
 
-std::optional<std::string> StorageSimConfig::Validate() const {
-  if (replica_count < 1) {
-    return "replica_count must be >= 1";
-  }
-  if (required_intact < 1 || required_intact > replica_count) {
-    return "required_intact must lie in [1, replica_count]";
-  }
-  if (!initial_age_hours.empty()) {
-    if (static_cast<int>(initial_age_hours.size()) != replica_count) {
-      return "initial_age_hours must have replica_count entries (or be empty)";
-    }
-    for (double age : initial_age_hours) {
-      if (!(age >= 0.0) || !std::isfinite(age)) {
-        return "initial ages must be finite and non-negative";
-      }
-    }
-  }
-  if (auto error = params.Validate()) {
-    return error;
-  }
-  if (fault_distribution == FaultDistribution::kWeibull) {
-    if (!(weibull_shape > 0.0) || std::isinf(weibull_shape)) {
-      return "weibull_shape must be finite and positive";
-    }
-    if (params.alpha < 1.0) {
-      return "hazard-multiplier correlation (alpha < 1) requires exponential faults; "
-             "Weibull fault clocks are age-based and cannot be rescaled memorylessly";
-    }
-    if (convention == RateConvention::kPaper) {
-      return "Weibull faults are only supported under the physical convention";
-    }
-  }
-  if (convention == RateConvention::kPaper) {
-    if (scrub.kind == ScrubPolicy::Kind::kPeriodic) {
-      return "the paper rate convention pairs with memoryless detection; use an "
-             "exponential or on-access scrub policy (or the physical convention)";
-    }
-    if (!common_mode.empty()) {
-      return "common-mode sources are only supported under the physical convention";
-    }
-  }
-  if (scrub.kind != ScrubPolicy::Kind::kNone &&
-      (!(scrub.interval.hours() > 0.0) || scrub.interval.is_infinite())) {
-    // An infinite interval would feed NaN into the periodic tick arithmetic
-    // and "never" into ScheduleAfter (which requires finite times).
-    return "scrub interval must be finite and positive";
-  }
-  if (record_scrub_passes && scrub.kind != ScrubPolicy::Kind::kPeriodic) {
-    return "record_scrub_passes requires a periodic scrub policy";
-  }
-  for (const CommonModeSource& source : common_mode) {
-    if (!(source.event_rate.per_hour() > 0.0) ||
-        std::isinf(source.event_rate.per_hour())) {
-      // An infinite rate means a zero mean interval: the source would fire
-      // an unbounded event storm at time zero.
-      return "common-mode source '" + source.name +
-             "' needs a positive, finite event rate";
-    }
-    if (source.hit_probability < 0.0 || source.hit_probability > 1.0 ||
-        source.visible_fraction < 0.0 || source.visible_fraction > 1.0) {
-      return "common-mode source '" + source.name + "' probabilities must lie in [0, 1]";
-    }
-    for (int member : source.members) {
-      if (member < 0 || member >= replica_count) {
-        return "common-mode source '" + source.name + "' has an out-of-range member";
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 ReplicatedStorageSystem::ReplicatedStorageSystem(Simulator* sim, Rng* rng,
                                                  Scenario scenario,
                                                  TraceRecorder* trace,
@@ -109,27 +38,6 @@ ReplicatedStorageSystem::ReplicatedStorageSystem(Simulator* sim, Rng* rng,
   InitializeState();
   BuildInitialDrawPlan();
 }
-
-ReplicatedStorageSystem::ReplicatedStorageSystem(Simulator* sim, Rng* rng,
-                                                 StorageSimConfig config,
-                                                 TraceRecorder* trace,
-                                                 ConfigValidation validation)
-    : ReplicatedStorageSystem(sim, rng,
-                              [&config, validation]() {
-                                if (validation == ConfigValidation::kValidate) {
-                                  if (auto error = config.Validate()) {
-                                    throw std::invalid_argument("StorageSimConfig: " +
-                                                                *error);
-                                  }
-                                }
-                                return Scenario::FromLegacy(config);
-                              }(),
-                              trace,
-                              // A valid legacy config converts to a valid
-                              // scenario; skip re-validating the conversion.
-                              validation == ConfigValidation::kValidate
-                                  ? ConfigValidation::kPreValidated
-                                  : validation) {}
 
 void ReplicatedStorageSystem::ResolveSpecs() {
   resolved_.resize(static_cast<size_t>(replica_count_));
@@ -790,21 +698,10 @@ void ReplicatedStorageSystem::RecordTraceImpl(TraceEventKind kind, int replica,
 TrialRunner::TrialRunner(const Scenario& scenario, ConfigValidation validation)
     : rng_(0), system_(&sim_, &rng_, scenario, /*trace=*/nullptr, validation) {}
 
-TrialRunner::TrialRunner(const StorageSimConfig& config, ConfigValidation validation)
-    : rng_(0), system_(&sim_, &rng_, config, /*trace=*/nullptr, validation) {}
-
 TrialRunner::TrialRunner(const Scenario& scenario, ConfigValidation validation,
                          const FaultBias& bias)
     : rng_(0),
       system_(&sim_, &rng_, scenario, /*trace=*/nullptr, validation),
-      sampler_(std::make_unique<BiasedFaultSampler>(bias)) {
-  system_.set_fault_sampler(sampler_.get());
-}
-
-TrialRunner::TrialRunner(const StorageSimConfig& config, ConfigValidation validation,
-                         const FaultBias& bias)
-    : rng_(0),
-      system_(&sim_, &rng_, config, /*trace=*/nullptr, validation),
       sampler_(std::make_unique<BiasedFaultSampler>(bias)) {
   system_.set_fault_sampler(sampler_.get());
 }
@@ -916,12 +813,6 @@ bool TrialRunner::PrefilterCensoredBlock(uint64_t key, int64_t begin_trial,
 RunOutcome RunToLossOrHorizon(const Scenario& scenario, uint64_t seed,
                               Duration horizon) {
   TrialRunner runner(scenario);
-  return runner.Run(seed, horizon);
-}
-
-RunOutcome RunToLossOrHorizon(const StorageSimConfig& config, uint64_t seed,
-                              Duration horizon) {
-  TrialRunner runner(config);
   return runner.Run(seed, horizon);
 }
 

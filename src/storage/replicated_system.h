@@ -8,9 +8,7 @@
 // scrub cadences, repair processes and initial ages. At construction the
 // specs are resolved into flat per-replica parameter arrays; the event loop
 // reads only those arrays and never allocates (see src/sim/README.md for
-// the reuse contract). The legacy homogeneous StorageSimConfig is accepted
-// through Scenario::FromLegacy and runs bit-identically to the pre-Scenario
-// engine.
+// the reuse contract).
 //
 // Data loss (the paper's "double-fault" generalized to r replicas) occurs the
 // moment no intact replica remains — whether or not the outstanding faults
@@ -27,7 +25,6 @@
 #include "src/scenario/scenario.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
-#include "src/storage/config.h"
 #include "src/storage/metrics.h"
 #include "src/util/random.h"
 
@@ -51,9 +48,9 @@ enum class ReplicaState {
 inline constexpr int kTrialPrefilterMaxBlock = 256;
 
 // Whether the constructor re-validates the scenario. Callers that already
-// ran Scenario::Validate() / StorageSimConfig::Validate() (the Monte Carlo
-// drivers validate once per estimate) pass kPreValidated to skip the
-// per-construction throw path; a debug build still cross-checks.
+// ran Scenario::Validate() (the Monte Carlo drivers validate once per
+// estimate) pass kPreValidated to skip the per-construction throw path; a
+// debug build still cross-checks.
 enum class ConfigValidation { kValidate, kPreValidated };
 
 class ReplicatedStorageSystem : public SimClient {
@@ -61,13 +58,6 @@ class ReplicatedStorageSystem : public SimClient {
   // `sim`, `rng` and `trace` must outlive the system. `trace` may be null.
   // Attaches itself as `sim`'s client: one system per simulator.
   ReplicatedStorageSystem(Simulator* sim, Rng* rng, Scenario scenario,
-                          TraceRecorder* trace = nullptr,
-                          ConfigValidation validation = ConfigValidation::kValidate);
-
-  // Legacy flat-config front end: converts via Scenario::FromLegacy.
-  // Homogeneous by construction and bit-identical to the pre-Scenario
-  // engine.
-  ReplicatedStorageSystem(Simulator* sim, Rng* rng, StorageSimConfig config,
                           TraceRecorder* trace = nullptr,
                           ConfigValidation validation = ConfigValidation::kValidate);
 
@@ -289,16 +279,12 @@ class TrialRunner {
  public:
   explicit TrialRunner(const Scenario& scenario,
                        ConfigValidation validation = ConfigValidation::kValidate);
-  explicit TrialRunner(const StorageSimConfig& config,
-                       ConfigValidation validation = ConfigValidation::kValidate);
 
   // Importance-sampling variants: fault-time draws are tilted by `bias` and
   // each outcome carries the trial's exact log-likelihood ratio
   // (RunOutcome::log_weight). The forcing window is the horizon passed to
   // Run(). An identity bias reproduces the unbiased runner bit for bit.
   TrialRunner(const Scenario& scenario, ConfigValidation validation,
-              const FaultBias& bias);
-  TrialRunner(const StorageSimConfig& config, ConfigValidation validation,
               const FaultBias& bias);
 
   // Self-referential (the system holds pointers to the simulator and rng).
@@ -341,8 +327,6 @@ class TrialRunner {
 
 // Runs a fresh system until data loss or `horizon`, whichever comes first.
 RunOutcome RunToLossOrHorizon(const Scenario& scenario, uint64_t seed,
-                              Duration horizon);
-RunOutcome RunToLossOrHorizon(const StorageSimConfig& config, uint64_t seed,
                               Duration horizon);
 
 }  // namespace longstore

@@ -156,11 +156,9 @@ std::string JsonNumber(double v) {
 
 // --- SweepSpec -------------------------------------------------------------
 
-SweepSpec::SweepSpec(Scenario base)
-    : base_scenario_(std::move(base)), legacy_base_(false) {}
+SweepSpec::SweepSpec() { base_scenario_.replicas.resize(2); }
 
-SweepSpec::SweepSpec(StorageSimConfig base)
-    : base_config_(std::move(base)), legacy_base_(true) {}
+SweepSpec::SweepSpec(Scenario base) : base_scenario_(std::move(base)) {}
 
 SweepSpec& SweepSpec::AddAxis(std::string name) {
   if (!explicit_cells_.empty()) {
@@ -177,18 +175,7 @@ SweepSpec& SweepSpec::AddPoint(std::string label, double value, ScenarioMutation
   if (!apply) {
     throw std::invalid_argument("SweepSpec: AddPoint requires a mutation");
   }
-  axes_.back().points.push_back(Point{std::move(label), value, std::move(apply), {}});
-  return *this;
-}
-
-SweepSpec& SweepSpec::AddPoint(std::string label, double value, ConfigMutation apply) {
-  if (axes_.empty()) {
-    throw std::invalid_argument("SweepSpec: AddPoint before any AddAxis");
-  }
-  if (!apply) {
-    throw std::invalid_argument("SweepSpec: AddPoint requires a mutation");
-  }
-  axes_.back().points.push_back(Point{std::move(label), value, {}, std::move(apply)});
+  axes_.back().points.push_back(Point{std::move(label), value, std::move(apply)});
   return *this;
 }
 
@@ -196,24 +183,7 @@ SweepSpec& SweepSpec::AddCell(std::string label, Scenario scenario) {
   if (!axes_.empty()) {
     throw std::invalid_argument("SweepSpec: cannot mix axes and explicit cells");
   }
-  ExplicitCell cell;
-  cell.label = std::move(label);
-  cell.scenario = std::move(scenario);
-  cell.from_legacy = false;
-  explicit_cells_.push_back(std::move(cell));
-  return *this;
-}
-
-SweepSpec& SweepSpec::AddCell(std::string label, StorageSimConfig config) {
-  if (!axes_.empty()) {
-    throw std::invalid_argument("SweepSpec: cannot mix axes and explicit cells");
-  }
-  ExplicitCell cell;
-  cell.label = std::move(label);
-  cell.scenario = Scenario::FromLegacy(config);
-  cell.config = std::move(config);
-  cell.from_legacy = true;
-  explicit_cells_.push_back(std::move(cell));
+  explicit_cells_.push_back(ExplicitCell{std::move(label), std::move(scenario)});
   return *this;
 }
 
@@ -255,8 +225,6 @@ std::vector<SweepSpec::Cell> SweepSpec::BuildCells() const {
       cell.index = cells.size();
       cell.label = explicit_cell.label;
       cell.scenario = explicit_cell.scenario;
-      cell.config = explicit_cell.config;
-      cell.from_legacy = explicit_cell.from_legacy;
       cells.push_back(std::move(cell));
     }
     return cells;
@@ -273,42 +241,15 @@ std::vector<SweepSpec::Cell> SweepSpec::BuildCells() const {
   for (size_t n = 0; n < total; ++n) {
     Cell cell;
     cell.index = n;
-    // A cell drafts in the base's representation and converts to Scenario
-    // at the first Scenario mutation (or at the end): legacy mutations keep
-    // operating on the flat config so their cells stay bit-identical to the
-    // pre-Scenario engine, and the conversion is one-way.
-    bool converted = !legacy_base_;
-    cell.config = base_config_;
-    if (converted) {
-      cell.scenario = base_scenario_;
-    }
+    cell.scenario = base_scenario_;
     for (size_t a = 0; a < axes_.size(); ++a) {
       const Point& point = axes_[a].points[indices[a]];
-      if (point.legacy_apply) {
-        if (converted) {
-          throw std::invalid_argument(
-              "SweepSpec: point '" + point.label +
-              "' is a legacy StorageSimConfig mutation ordered after a Scenario "
-              "mutation (or on a Scenario base); the legacy->Scenario conversion "
-              "is one-way — order legacy points first or migrate the axis");
-        }
-        point.legacy_apply(cell.config);
-      } else {
-        if (!converted) {
-          cell.scenario = Scenario::FromLegacy(cell.config);
-          converted = true;
-        }
-        point.apply(cell.scenario);
-      }
+      point.apply(cell.scenario);
       cell.coordinates.push_back(SweepCoordinate{axes_[a].name, point.label, point.value});
       if (!cell.label.empty()) {
         cell.label += ", ";
       }
       cell.label += point.label;
-    }
-    if (!converted) {
-      cell.scenario = Scenario::FromLegacy(cell.config);
-      cell.from_legacy = true;
     }
     cells.push_back(std::move(cell));
     for (size_t a = axes_.size(); a-- > 0;) {
@@ -430,15 +371,7 @@ void ValidateSweepOptions(const SweepOptions& options) {
 
 void ValidateSweepCells(const std::vector<SweepSpec::Cell>& cells) {
   for (const SweepSpec::Cell& cell : cells) {
-    if (cell.from_legacy) {
-      // The one-cell estimator wrappers produce an unlabelled legacy cell;
-      // keep their message identical to a direct config validation failure.
-      if (auto error = cell.config.Validate()) {
-        throw std::invalid_argument(
-            "StorageSimConfig: " + *error +
-            (cell.label.empty() ? "" : " (cell '" + cell.label + "')"));
-      }
-    } else if (auto error = cell.scenario.Validate()) {
+    if (auto error = cell.scenario.Validate()) {
       throw std::invalid_argument(
           "Scenario: " + *error +
           (cell.label.empty() ? "" : " (cell '" + cell.label + "')"));

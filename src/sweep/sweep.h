@@ -12,11 +12,7 @@
 //
 // Cells are Scenarios (src/scenario/scenario.h), so an axis may mutate any
 // replica's field — replica 2's scrub cadence, the tape replica's audit
-// rate, one batch's initial age — not just global knobs. Legacy
-// StorageSimConfig bases, cells and mutations are still accepted (converted
-// through Scenario::FromLegacy, bit-identical for homogeneous fleets); a
-// spec may apply legacy mutations first and Scenario mutations after, but
-// not a legacy mutation after a Scenario one (the conversion is one-way).
+// rate, one batch's initial age — not just global knobs.
 //
 // Determinism contract (see src/sweep/README.md):
 //   * trial t of a cell uses the stream DeriveSeed(cell_seed, t) — except in
@@ -52,7 +48,6 @@
 #include "src/mc/monte_carlo.h"
 #include "src/rare/biased_sampler.h"
 #include "src/scenario/scenario.h"
-#include "src/storage/config.h"
 #include "src/sweep/accumulator.h"
 #include "src/sweep/worker_pool.h"
 #include "src/util/table.h"
@@ -96,25 +91,20 @@ struct SweepCoordinate {
 // explicit cells has exactly one cell: the base.
 class SweepSpec {
  public:
-  // Scenario mutations are the native axis vocabulary; legacy ConfigMutation
-  // points are still accepted on legacy-based specs (overload resolution
-  // picks the right one from the lambda's parameter type).
   using ScenarioMutation = std::function<void(Scenario&)>;
-  using ConfigMutation = std::function<void(StorageSimConfig&)>;
 
+  // The default base is a mirrored pair of default ReplicaSpecs; axes that
+  // mutate it usually replace the replicas outright.
+  SweepSpec();
   explicit SweepSpec(Scenario base);
-  explicit SweepSpec(StorageSimConfig base = {});
 
   // Starts a new axis; subsequent AddPoint calls attach to it.
   SweepSpec& AddAxis(std::string name);
 
   // Adds a point to the most recently added axis. `apply` mutates the cell
-  // under construction; `value` is the point's numeric coordinate (used by
-  // emitters and Cell::value()). A Scenario mutation may touch any
-  // replica's field; a legacy mutation requires that no Scenario mutation
-  // ran before it on the same cell (BuildCells enforces this).
+  // under construction and may touch any replica's field; `value` is the
+  // point's numeric coordinate (used by emitters and Cell::value()).
   SweepSpec& AddPoint(std::string label, double value, ScenarioMutation apply);
-  SweepSpec& AddPoint(std::string label, double value, ConfigMutation apply);
 
   // Adds a fully-formed cell (for grids that are not a Cartesian product,
   // e.g. a hand-picked list of erasure-code geometries or heterogeneous
@@ -122,7 +112,6 @@ class SweepSpec {
   // kPerCellDerived mode: distinct labels get independent trial streams,
   // duplicated labels share one.
   SweepSpec& AddCell(std::string label, Scenario scenario);
-  SweepSpec& AddCell(std::string label, StorageSimConfig config);
 
   struct Cell {
     size_t index = 0;
@@ -130,12 +119,6 @@ class SweepSpec {
     std::vector<SweepCoordinate> coordinates;
     // The cell's system description — what SweepRunner executes.
     Scenario scenario;
-    // The legacy flat view; meaningful only when `from_legacy` (the cell was
-    // built from a StorageSimConfig base/cell through legacy mutations
-    // alone). Kept so legacy analytic call sites can keep reading
-    // cell.config.params and friends.
-    StorageSimConfig config;
-    bool from_legacy = false;
 
     // The numeric coordinate along `axis`; throws std::out_of_range if the
     // cell has no such axis.
@@ -143,24 +126,17 @@ class SweepSpec {
   };
 
   // Materializes the grid. Throws std::invalid_argument for an axis with no
-  // points, a spec mixing axes and explicit cells, or a legacy mutation
-  // ordered after a Scenario mutation.
+  // points or a spec mixing axes and explicit cells.
   std::vector<Cell> BuildCells() const;
 
   std::vector<std::string> AxisNames() const;
-  // The legacy base; default-constructed when the spec was built from a
-  // Scenario.
-  const StorageSimConfig& base() const { return base_config_; }
-  const Scenario& base_scenario() const { return base_scenario_; }
   size_t CellCount() const;
 
  private:
-  // Exactly one of `apply` / `legacy_apply` is set per point.
   struct Point {
     std::string label;
     double value;
     ScenarioMutation apply;
-    ConfigMutation legacy_apply;
   };
   struct Axis {
     std::string name;
@@ -169,13 +145,9 @@ class SweepSpec {
   struct ExplicitCell {
     std::string label;
     Scenario scenario;
-    StorageSimConfig config;
-    bool from_legacy = false;
   };
 
   Scenario base_scenario_;
-  StorageSimConfig base_config_;
-  bool legacy_base_ = true;
   std::vector<Axis> axes_;
   std::vector<ExplicitCell> explicit_cells_;
 };
@@ -324,9 +296,8 @@ std::vector<TrialAccumulator> RunCellTrialRange(WorkerPool& pool,
 // std::invalid_argument on the first inconsistency.
 void ValidateSweepOptions(const SweepOptions& options);
 
-// Validates every cell exactly as SweepRunner::Run does (legacy cells
-// through StorageSimConfig::Validate, scenario cells through
-// Scenario::Validate, both tagged with the cell label).
+// Validates every cell exactly as SweepRunner::Run does (Scenario::Validate,
+// tagged with the cell label).
 void ValidateSweepCells(const std::vector<SweepSpec::Cell>& cells);
 
 // Executes every cell's trials on `pool` and returns the raw per-cell

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "src/storage/config.h"
+#include "src/scenario/scenario.h"
 #include "src/util/units.h"
 
 namespace longstore {

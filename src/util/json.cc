@@ -125,9 +125,14 @@ ChecksummedDocument OpenChecksummedDocument(std::string_view text,
                                             const std::string& version_key,
                                             const std::string& context,
                                             const std::string& source) {
-  const auto fail = [&](const std::string& what) {
-    throw IntegrityError(context + ": " +
-                         (source.empty() ? what : "[" + source + "] " + what));
+  const auto tagged = [&](const std::string& what) {
+    return context + ": " + (source.empty() ? what : "[" + source + "] " + what);
+  };
+  const auto fail = [&](const std::string& what) { throw IntegrityError(tagged(what)); };
+  const auto not_an_envelope = [&]() {
+    throw std::invalid_argument(
+        tagged("not a checksummed document (expected a {\"" + version_key +
+               "\":N,\"body_bytes\":...} envelope)"));
   };
   // Trim surrounding whitespace so a trailing newline (every worker writes
   // one) never shifts the byte accounting.
@@ -142,32 +147,23 @@ ChecksummedDocument OpenChecksummedDocument(std::string_view text,
   const std::string_view doc = text.substr(begin, end - begin);
 
   ChecksummedDocument out;
-  out.body = doc;
   const std::string head = "{\"" + version_key + "\":";
   if (doc.substr(0, head.size()) != head) {
-    // Not even a versioned document; the caller's JSON parse reports it.
-    return out;
+    not_an_envelope();
   }
   size_t pos = head.size();
   const size_t digits_begin = pos;
   while (pos < doc.size() && doc[pos] >= '0' && doc[pos] <= '9') {
     ++pos;
   }
-  if (pos == digits_begin || pos - digits_begin > 9) {
-    return out;  // "1.5", "-1", ...: let the schema layer reject it precisely
-  }
-  int version = 0;
-  for (size_t i = digits_begin; i < pos; ++i) {
-    version = version * 10 + (doc[i] - '0');
-  }
   constexpr std::string_view kBytesKey = ",\"body_bytes\":";
-  if (doc.substr(pos, kBytesKey.size()) != kBytesKey) {
-    // A legacy flat document: the version key lives inside the body.
-    out.version = version;
-    return out;
+  if (pos == digits_begin || pos - digits_begin > 9 ||
+      doc.substr(pos, kBytesKey.size()) != kBytesKey) {
+    not_an_envelope();
   }
-  out.version = version;
-  out.checksummed = true;
+  for (size_t i = digits_begin; i < pos; ++i) {
+    out.version = out.version * 10 + (doc[i] - '0');
+  }
   pos += kBytesKey.size();
 
   const size_t bytes_begin = pos;
@@ -441,46 +437,59 @@ class Parser {
     return out;
   }
 
+  // Arrays and objects recurse through ParseValue; bounding the depth keeps
+  // hostile input from exhausting the stack.
+  void Descend() {
+    if (++depth_ > kMaxNestingDepth) {
+      ParseFail("nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels");
+    }
+  }
+
   Value ParseArray() {
     Expect('[');
+    Descend();
     Value out;
     out.kind = Value::Kind::kArray;
-    if (Consume(']')) {
-      return out;
-    }
-    while (true) {
-      out.array.push_back(ParseValue());
-      if (Consume(']')) {
-        return out;
+    if (!Consume(']')) {
+      while (true) {
+        out.array.push_back(ParseValue());
+        if (Consume(']')) {
+          break;
+        }
+        Expect(',');
       }
-      Expect(',');
     }
+    --depth_;
+    return out;
   }
 
   Value ParseObject() {
     Expect('{');
+    Descend();
     Value out;
     out.kind = Value::Kind::kObject;
-    if (Consume('}')) {
-      return out;
-    }
-    while (true) {
-      const std::string key = ParseString();
-      if (out.Find(key) != nullptr) {
-        ParseFail("duplicate key \"" + key + "\"");
+    if (!Consume('}')) {
+      while (true) {
+        const std::string key = ParseString();
+        if (out.Find(key) != nullptr) {
+          ParseFail("duplicate key \"" + key + "\"");
+        }
+        Expect(':');
+        out.object.emplace_back(key, ParseValue());
+        if (Consume('}')) {
+          break;
+        }
+        Expect(',');
       }
-      Expect(':');
-      out.object.emplace_back(key, ParseValue());
-      if (Consume('}')) {
-        return out;
-      }
-      Expect(',');
     }
+    --depth_;
+    return out;
   }
 
   std::string_view text_;
   const std::string& context_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects currently open
 };
 
 }  // namespace

@@ -80,24 +80,19 @@ class IntegrityError : public std::invalid_argument {
 std::string WrapChecksummedBody(const std::string& version_key, int version,
                                 std::string_view body);
 
-// The opened view of a document that may or may not carry an envelope.
+// The opened view of a verified envelope.
 struct ChecksummedDocument {
-  // The envelope's version, or 0 when no "<version_key>":N prefix was
-  // recognized (the caller's body parse then produces its usual precise
-  // error for garbage input).
-  int version = 0;
-  bool checksummed = false;
-  // For an envelope: the verified body bytes. Otherwise the whole (trimmed)
-  // input — a legacy flat document carrying the version key inside. Views
-  // into the caller's `text`; valid only while that buffer lives.
+  int version = 0;  // the envelope's "<version_key>" value
+  // The verified body bytes: a view into the caller's `text`, valid only
+  // while that buffer lives.
   std::string_view body;
 };
 
-// Detects and verifies the envelope on raw bytes. Input starting with
-// '{"<version_key>":N,"body_bytes":' is treated as an envelope: its length
-// and FNV-1a are checked (IntegrityError on mismatch, with `source` — a file
-// name, may be empty — named in the message) and the body view returned.
-// Anything else passes through unverified as a legacy flat document.
+// Verifies the envelope on raw bytes and returns the body view. Input that
+// does not start '{"<version_key>":N,"body_bytes":' is not an envelope and
+// is rejected with std::invalid_argument — no document enters unverified.
+// A malformed envelope or a length/FNV-1a mismatch throws IntegrityError.
+// `source` (a file name, may be empty) is named in every message.
 ChecksummedDocument OpenChecksummedDocument(std::string_view text,
                                             const std::string& version_key,
                                             const std::string& context,
@@ -127,9 +122,15 @@ struct Value {
   }
 };
 
+// The deepest array/object nesting Parse accepts. Every document this
+// library emits nests at most 8 levels; the bound keeps the recursive parser
+// (and the tree it returns) far from the stack limit on hostile input.
+inline constexpr int kMaxNestingDepth = 64;
+
 // Parses `text` as one JSON value (trailing characters are an error).
 // `context` prefixes every error message, e.g. "Scenario::FromJson";
-// throws std::invalid_argument with a byte position on malformed input.
+// throws std::invalid_argument with a byte position on malformed input,
+// including nesting deeper than kMaxNestingDepth.
 Value Parse(std::string_view text, const std::string& context);
 
 // Throws std::invalid_argument("<context>: <what>"). The shared spelling

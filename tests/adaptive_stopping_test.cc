@@ -14,16 +14,14 @@
 namespace longstore {
 namespace {
 
-StorageSimConfig FastConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(1000.0);
-  config.params.ml = Duration::Hours(500.0);
-  config.params.mrv = Duration::Hours(50.0);
-  config.params.mrl = Duration::Hours(50.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(100.0));
-  return config;
+ReplicaSpec FastReplica() {
+  return ReplicaSpec()
+      .FaultTimes(Duration::Hours(1000.0), Duration::Hours(500.0))
+      .RepairTimes(Duration::Hours(50.0), Duration::Hours(50.0))
+      .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(100.0)));
 }
+
+Scenario FastScenario() { return ScenarioBuilder().Replicas(2, FastReplica()).Build(); }
 
 SweepResult AdaptiveRun(int64_t initial_trials, double precision, int64_t max_trials,
                         uint64_t seed) {
@@ -35,7 +33,7 @@ SweepResult AdaptiveRun(int64_t initial_trials, double precision, int64_t max_tr
   options.mc.trials = initial_trials;
   options.mc.seed = seed;
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
-  return SweepRunner().Run(SweepSpec(FastConfig()), options);
+  return SweepRunner().Run(SweepSpec(FastScenario()), options);
 }
 
 int64_t TotalTrials(const MttdlEstimate& estimate) {
@@ -47,7 +45,7 @@ TEST(AdaptiveStoppingTest, TerminatesAtRequestedPrecision) {
   mc.trials = 100;
   mc.seed = 9;
   const MttdlEstimate estimate =
-      EstimateMttdlToPrecision(FastConfig(), mc, /*relative_precision=*/0.05,
+      EstimateMttdlToPrecision(FastScenario(), mc, /*relative_precision=*/0.05,
                                /*max_trials=*/50000);
   const double half_width = (estimate.ci_years.hi - estimate.ci_years.lo) / 2.0;
   EXPECT_GT(estimate.mean_years(), 0.0);
@@ -104,13 +102,11 @@ TEST(AdaptiveStoppingTest, PerCellStoppingIsIndependent) {
   // around the batch's wear-out age) converges in fewer rounds than an
   // exponential cell (CV ~ 1). Convergence must be tracked per cell, not per
   // sweep, so the cheap cell drops out of later rounds.
-  StorageSimConfig tight = FastConfig();
-  tight.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  tight.weibull_shape = 4.0;  // wear-out
-  const StorageSimConfig noisy = FastConfig();
   SweepSpec spec;
-  spec.AddCell("tight", tight);
-  spec.AddCell("noisy", noisy);
+  spec.AddCell("tight", ScenarioBuilder()
+                            .Replicas(2, FastReplica().Weibull(4.0))  // wear-out
+                            .Build());
+  spec.AddCell("noisy", FastScenario());
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kMttdl;
   options.adaptive = true;
@@ -138,7 +134,7 @@ TEST(AdaptiveStoppingTest, PerCellStoppingIsIndependent) {
 // the tighter precision — same accumulator bits, trials, rounds, and
 // half-width history — while only simulating the trials past the prior run.
 TEST(AdaptiveStoppingTest, ResumeFromLooserPrecisionMatchesColdRunExactly) {
-  SweepSpec spec(FastConfig());
+  SweepSpec spec(FastScenario());
   SweepOptions loose;
   loose.estimand = SweepOptions::Estimand::kMttdl;
   loose.adaptive = true;
@@ -177,7 +173,7 @@ TEST(AdaptiveStoppingTest, ResumeFromLooserPrecisionMatchesColdRunExactly) {
 // Resuming a run that is *already* converged at the requested precision must
 // return it unchanged without simulating anything.
 TEST(AdaptiveStoppingTest, ResumeAtSamePrecisionIsANoOp) {
-  SweepSpec spec(FastConfig());
+  SweepSpec spec(FastScenario());
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kMttdl;
   options.adaptive = true;
@@ -199,7 +195,7 @@ TEST(AdaptiveStoppingTest, ResumeAtSamePrecisionIsANoOp) {
 }
 
 TEST(AdaptiveStoppingTest, ResumeRejectsMismatchedPriors) {
-  SweepSpec spec(FastConfig());
+  SweepSpec spec(FastScenario());
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kMttdl;
   options.adaptive = true;
@@ -237,13 +233,13 @@ TEST(AdaptiveStoppingTest, ResumeRejectsMismatchedPriors) {
 TEST(AdaptiveStoppingTest, RejectsNonPositivePrecisionAndMaxTrials) {
   McConfig mc;
   mc.trials = 50;
-  EXPECT_THROW(EstimateMttdlToPrecision(FastConfig(), mc, 0.0, 100),
+  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, 0.0, 100),
                std::invalid_argument);
-  EXPECT_THROW(EstimateMttdlToPrecision(FastConfig(), mc, -1.0, 100),
+  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, -1.0, 100),
                std::invalid_argument);
-  EXPECT_THROW(EstimateMttdlToPrecision(FastConfig(), mc, 0.05, 0),
+  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, 0.05, 0),
                std::invalid_argument);
-  EXPECT_THROW(EstimateMttdlToPrecision(FastConfig(), mc, 0.05, -5),
+  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, 0.05, -5),
                std::invalid_argument);
 }
 

@@ -5,30 +5,29 @@
 
 #include "src/mc/monte_carlo.h"
 #include "src/model/replica_ctmc.h"
+#include "src/scenario/media.h"
 
 namespace longstore {
 namespace {
 
-StorageSimConfig WeibullFleet(double shape) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(20000.0);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.mrv = Duration::Hours(100.0);
-  config.params.alpha = 1.0;
-  config.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  config.weibull_shape = shape;
-  return config;
+// A Weibull mirror whose replicas start at the given hardware ages (hours).
+Scenario WeibullFleet(double shape, double first_age = 0.0, double second_age = 0.0) {
+  const ReplicaSpec replica = ReplicaSpec()
+                                  .FaultTimes(Duration::Hours(20000.0), Duration::Hours(1e12))
+                                  .RepairTimes(Duration::Hours(100.0), Duration::Zero())
+                                  .Weibull(shape);
+  return ScenarioBuilder()
+      .AddReplica(ReplicaSpec(replica).InitialAge(Duration::Hours(first_age)))
+      .AddReplica(ReplicaSpec(replica).InitialAge(Duration::Hours(second_age)))
+      .Build();
 }
 
 TEST(AgingTest, InitialAgesValidated) {
-  StorageSimConfig config = WeibullFleet(3.0);
-  config.initial_age_hours = {0.0};  // wrong size
-  EXPECT_TRUE(config.Validate().has_value());
-  config.initial_age_hours = {0.0, -5.0};
-  EXPECT_TRUE(config.Validate().has_value());
-  config.initial_age_hours = {0.0, 10000.0};
-  EXPECT_FALSE(config.Validate().has_value());
+  Scenario scenario = WeibullFleet(3.0);
+  scenario.replicas[1].initial_age_hours = -5.0;
+  EXPECT_TRUE(scenario.Validate().has_value());
+  scenario.replicas[1].initial_age_hours = 10000.0;
+  EXPECT_FALSE(scenario.Validate().has_value());
 }
 
 TEST(AgingTest, SameAgedBatchFailsSoonerThanStaggeredFleet) {
@@ -40,12 +39,12 @@ TEST(AgingTest, SameAgedBatchFailsSoonerThanStaggeredFleet) {
   mc.trials = 4000;
   mc.seed = 5150;
 
-  StorageSimConfig aged = WeibullFleet(3.0);
-  aged.initial_age_hours = {19000.0, 19000.0};  // both near the mean life
+  // Both near the mean life.
+  const Scenario aged = WeibullFleet(3.0, 19000.0, 19000.0);
   const LossProbabilityEstimate batch = EstimateLossProbability(aged, mission, mc);
 
-  StorageSimConfig staggered = WeibullFleet(3.0);
-  staggered.initial_age_hours = {19000.0, 2000.0};  // rolling procurement
+  // Rolling procurement.
+  const Scenario staggered = WeibullFleet(3.0, 19000.0, 2000.0);
   const LossProbabilityEstimate rolling =
       EstimateLossProbability(staggered, mission, mc);
 
@@ -53,42 +52,40 @@ TEST(AgingTest, SameAgedBatchFailsSoonerThanStaggeredFleet) {
       << "batch=" << batch.probability() << " rolling=" << rolling.probability();
 }
 
-TEST(AgingTest, NewFleetsIgnoreAgeVectorWhenExponential) {
-  // Exponential faults are memoryless: initial age must not matter.
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(5000.0);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.mrv = Duration::Hours(100.0);
+TEST(AgingTest, ExponentialFleetsRejectInitialAges) {
+  // Exponential faults are memoryless: an initial age could not matter, so
+  // the estimators refuse it rather than silently ignore it.
+  const Scenario aged =
+      ScenarioBuilder()
+          .Replicas(2, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(5000.0), Duration::Hours(1e12))
+                           .RepairTimes(Duration::Hours(100.0), Duration::Zero())
+                           .InitialAge(Duration::Hours(4000.0)))
+          .Peek();
   McConfig mc;
   mc.trials = 2000;
   mc.seed = 31;
-  const LossProbabilityEstimate fresh =
-      EstimateLossProbability(config, Duration::Years(2.0), mc);
-  config.initial_age_hours = {4000.0, 4000.0};
-  const LossProbabilityEstimate aged =
-      EstimateLossProbability(config, Duration::Years(2.0), mc);
-  EXPECT_EQ(fresh.losses, aged.losses);  // identical seeds, identical draws
+  EXPECT_THROW(EstimateLossProbability(aged, Duration::Years(2.0), mc),
+               std::invalid_argument);
 }
 
 TEST(CensoredEstimatorTest, AgreesWithDirectEstimateAndCtmc) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mrv = Duration::Hours(2.0);
-  config.params.mrl = Duration::Hours(2.0);
-  config.params.mdl = Duration::Hours(40.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(40.0));
+  FaultParams params;
+  params.mv = Duration::Hours(2000.0);
+  params.ml = Duration::Hours(400.0);
+  params.mrv = Duration::Hours(2.0);
+  params.mrl = Duration::Hours(2.0);
+  params.mdl = Duration::Hours(40.0);
+  const Scenario scenario = ScenarioBuilder().Replicas(2, SpecFromParams(params)).Build();
 
-  const auto exact = MirroredMttdl(config.params, RateConvention::kPhysical);
+  const auto exact = MirroredMttdl(params, RateConvention::kPhysical);
   McConfig mc;
   mc.trials = 4000;
   mc.seed = 606;
   // Window ~ a tenth of the MTTDL: most trials censor, losses still number
   // in the hundreds.
   const Duration window = Duration::Hours(exact->hours() / 10.0);
-  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(config, window, mc);
+  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(scenario, window, mc);
   ASSERT_GT(estimate.losses, 100);
   // The censored MLE carries a small positive bias here: trials start from
   // the all-healthy state, so the early window under-produces losses
@@ -98,17 +95,17 @@ TEST(CensoredEstimatorTest, AgreesWithDirectEstimateAndCtmc) {
 }
 
 TEST(CensoredEstimatorTest, ZeroLossesGiveRuleOfThreeBound) {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.params.mv = Duration::Hours(1e9);
-  config.params.ml = Duration::Hours(1e9);
-  config.params.mrv = Duration::Hours(1.0);
-  config.params.mrl = Duration::Hours(1.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(100.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(1e9), Duration::Hours(1e9))
+                           .RepairTimes(Duration::Hours(1.0), Duration::Hours(1.0))
+                           .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(100.0))))
+          .Build();
   McConfig mc;
   mc.trials = 50;
   const Duration window = Duration::Years(10.0);
-  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(config, window, mc);
+  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(scenario, window, mc);
   EXPECT_EQ(estimate.losses, 0);
   EXPECT_TRUE(estimate.mttdl.is_infinite());
   EXPECT_NEAR(estimate.observed_years, 500.0, 1e-6);
@@ -116,30 +113,32 @@ TEST(CensoredEstimatorTest, ZeroLossesGiveRuleOfThreeBound) {
 }
 
 TEST(CensoredEstimatorTest, ObservedTimeAccountsForEarlyLosses) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(100.0);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.mrv = Duration::Hours(50.0);
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(2, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(100.0), Duration::Hours(1e12))
+                           .RepairTimes(Duration::Hours(50.0), Duration::Zero()))
+          .Build();
   McConfig mc;
   mc.trials = 200;
   mc.seed = 77;
   const Duration window = Duration::Years(50.0);
-  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(config, window, mc);
+  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(scenario, window, mc);
   EXPECT_GT(estimate.losses, 150);  // nearly every trial loses quickly
   EXPECT_LT(estimate.observed_years, 50.0 * 200.0);
 }
 
 TEST(CensoredEstimatorTest, RejectsBadWindow) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(100.0);
-  config.params.ml = Duration::Hours(100.0);
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(2, ReplicaSpec().FaultTimes(Duration::Hours(100.0),
+                                                Duration::Hours(100.0)))
+          .Build();
   McConfig mc;
   mc.trials = 10;
-  EXPECT_THROW(EstimateMttdlCensored(config, Duration::Zero(), mc),
+  EXPECT_THROW(EstimateMttdlCensored(scenario, Duration::Zero(), mc),
                std::invalid_argument);
-  EXPECT_THROW(EstimateMttdlCensored(config, Duration::Infinite(), mc),
+  EXPECT_THROW(EstimateMttdlCensored(scenario, Duration::Infinite(), mc),
                std::invalid_argument);
 }
 

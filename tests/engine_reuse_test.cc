@@ -233,29 +233,27 @@ void ExpectSameOutcome(const RunOutcome& a, const RunOutcome& b) {
   }
 }
 
-StorageSimConfig BusyMirrorConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mrv = Duration::Hours(2.0);
-  config.params.mrl = Duration::Hours(2.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(40.0));
-  return config;
+Scenario BusyMirrorScenario() {
+  return ScenarioBuilder()
+      .Replicas(2, ReplicaSpec()
+                       .FaultTimes(Duration::Hours(2000.0), Duration::Hours(400.0))
+                       .RepairTimes(Duration::Hours(2.0), Duration::Hours(2.0))
+                       .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(40.0))))
+      .Build();
 }
 
 TEST(TrialRunnerTest, ReusedRunnerMatchesFreshConstruction) {
-  const StorageSimConfig config = BusyMirrorConfig();
-  TrialRunner runner(config);
+  const Scenario scenario = BusyMirrorScenario();
+  TrialRunner runner(scenario);
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const RunOutcome reused = runner.Run(seed, Duration::Years(500.0));
-    const RunOutcome fresh = RunToLossOrHorizon(config, seed, Duration::Years(500.0));
+    const RunOutcome fresh = RunToLossOrHorizon(scenario, seed, Duration::Years(500.0));
     ExpectSameOutcome(reused, fresh);
   }
 }
 
 TEST(TrialRunnerTest, SameSeedIsDeterministicAcrossReuse) {
-  TrialRunner runner(BusyMirrorConfig());
+  TrialRunner runner(BusyMirrorScenario());
   const RunOutcome first = runner.Run(42, Duration::Years(500.0));
   // Intervening trials with other seeds must not disturb a replay.
   (void)runner.Run(7, Duration::Years(500.0));
@@ -265,36 +263,36 @@ TEST(TrialRunnerTest, SameSeedIsDeterministicAcrossReuse) {
 }
 
 TEST(TrialRunnerTest, PaperConventionReuseMatchesFresh) {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.convention = RateConvention::kPaper;
-  config.params.mv = Duration::Hours(1500.0);
-  config.params.ml = Duration::Hours(500.0);
-  config.params.mrv = Duration::Hours(10.0);
-  config.params.mrl = Duration::Hours(10.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(60.0));
-  TrialRunner runner(config);
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(1500.0), Duration::Hours(500.0))
+                           .RepairTimes(Duration::Hours(10.0), Duration::Hours(10.0))
+                           .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(60.0))))
+          .Convention(RateConvention::kPaper)
+          .Build();
+  TrialRunner runner(scenario);
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     const RunOutcome reused = runner.Run(seed, Duration::Years(300.0));
-    const RunOutcome fresh = RunToLossOrHorizon(config, seed, Duration::Years(300.0));
+    const RunOutcome fresh = RunToLossOrHorizon(scenario, seed, Duration::Years(300.0));
     ExpectSameOutcome(reused, fresh);
   }
 }
 
 TEST(TrialRunnerTest, CommonModeReuseMatchesFresh) {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.params.mv = Duration::Hours(5000.0);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.mrv = Duration::Hours(24.0);
-  config.params.mrl = Duration::Hours(24.0);
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(200.0));
-  config.common_mode.push_back(
-      CommonModeSource{"rack", Rate::PerHour(1.0 / 4000.0), {0, 1}, 0.8, 0.5});
-  TrialRunner runner(config);
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(5000.0), Duration::Hours(1e12))
+                           .RepairTimes(Duration::Hours(24.0), Duration::Hours(24.0))
+                           .ScrubEvery(Duration::Hours(200.0)))
+          .CommonMode(
+              CommonModeSource{"rack", Rate::PerHour(1.0 / 4000.0), {0, 1}, 0.8, 0.5})
+          .Build();
+  TrialRunner runner(scenario);
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     const RunOutcome reused = runner.Run(seed, Duration::Years(200.0));
-    const RunOutcome fresh = RunToLossOrHorizon(config, seed, Duration::Years(200.0));
+    const RunOutcome fresh = RunToLossOrHorizon(scenario, seed, Duration::Years(200.0));
     ExpectSameOutcome(reused, fresh);
   }
 }
@@ -303,32 +301,30 @@ TEST(TrialRunnerTest, ExtremeWeibullAgeDegradesGracefully) {
   // (age/scale)^shape overflows to infinity for this config; the O(1)
   // residual draw must fall back to "fails soon" (as the old rejection loop
   // did), not schedule an infinite delay and throw.
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(100.0);
-  config.params.ml = Duration::Hours(1e6);
-  config.params.mrv = Duration::Hours(2.0);
-  config.params.mrl = Duration::Hours(2.0);
-  config.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  config.weibull_shape = 100.0;
-  config.initial_age_hours = {1e9, 1e9};
-  TrialRunner runner(config);
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(2, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(100.0), Duration::Hours(1e6))
+                           .RepairTimes(Duration::Hours(2.0), Duration::Hours(2.0))
+                           .Weibull(100.0)
+                           .InitialAge(Duration::Hours(1e9)))
+          .Build();
+  TrialRunner runner(scenario);
   const RunOutcome outcome = runner.Run(1, Duration::Years(1.0));
   ASSERT_TRUE(outcome.loss_time.has_value());  // ancient drives fail at once
   EXPECT_LT(outcome.loss_time->hours(), 1.0);
 }
 
 TEST(TrialRunnerTest, InvalidConfigThrowsOnConstruction) {
-  StorageSimConfig config;
-  config.replica_count = 0;
-  EXPECT_THROW(TrialRunner runner(config), std::invalid_argument);
+  const Scenario empty;  // no replicas
+  EXPECT_THROW(TrialRunner runner(empty), std::invalid_argument);
 }
 
 TEST(SystemResetTest, ResetRestoresAllHealthy) {
-  StorageSimConfig config = BusyMirrorConfig();
+  const Scenario scenario = BusyMirrorScenario();
   Simulator sim;
   Rng rng(3);
-  ReplicatedStorageSystem system(&sim, &rng, config);
+  ReplicatedStorageSystem system(&sim, &rng, scenario);
   system.Start();
   sim.RunUntil(Duration::Years(1000.0));
   ASSERT_TRUE(system.lost());
@@ -337,7 +333,7 @@ TEST(SystemResetTest, ResetRestoresAllHealthy) {
   system.Reset();
   EXPECT_FALSE(system.lost());
   EXPECT_EQ(system.faulty_count(), 0);
-  for (int i = 0; i < config.replica_count; ++i) {
+  for (int i = 0; i < scenario.replica_count(); ++i) {
     EXPECT_EQ(system.replica_state(i), ReplicaState::kHealthy);
   }
   EXPECT_EQ(system.metrics().visible_faults, 0);

@@ -8,6 +8,7 @@
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 
 namespace longstore {
 namespace {
@@ -145,16 +146,13 @@ TEST(ErasureSimTest, SimulatorMatchesCtmcForMOfN) {
   p.mrl = Duration::Hours(10.0);
   p.mdl = Duration::Hours(50.0);
 
-  StorageSimConfig config;
-  config.replica_count = 5;
-  config.required_intact = 3;
-  config.params = p;
-  config.scrub = ScrubPolicy::Exponential(p.mdl);
+  const Scenario scenario =
+      ScenarioBuilder().Replicas(5, SpecFromParams(p)).RequiredIntact(3).Build();
 
   McConfig mc;
   mc.trials = 4000;
   mc.seed = 4242;
-  const MttdlEstimate estimate = EstimateMttdl(config, mc);
+  const MttdlEstimate estimate = EstimateMttdl(scenario, mc);
 
   const ReplicatedChainBuilder chain(p, 5, RateConvention::kPhysical, 3);
   const double exact = chain.Mttdl()->hours();
@@ -163,28 +161,29 @@ TEST(ErasureSimTest, SimulatorMatchesCtmcForMOfN) {
 }
 
 TEST(ErasureSimTest, LossDeclaredAtExactThreshold) {
-  StorageSimConfig config;
-  config.replica_count = 4;
-  config.required_intact = 3;
-  config.params.mv = Duration::Hours(100.0);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.mrv = Duration::Hours(1e9);  // effectively no repair
-  const RunOutcome outcome = RunToLossOrHorizon(config, 9, Duration::Years(100.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(4, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(100.0), Duration::Hours(1e12))
+                           .RepairTimes(Duration::Hours(1e9),  // effectively no repair
+                                        Duration::Zero()))
+          .RequiredIntact(3)
+          .Build();
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 9, Duration::Years(100.0));
   ASSERT_TRUE(outcome.loss_time.has_value());
   // Loss required exactly 2 faults (4 fragments, 3 required).
   EXPECT_EQ(outcome.metrics.visible_faults, 2);
 }
 
 TEST(ErasureSimTest, ConfigValidatesRequirement) {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.params = WithLatent();
-  config.required_intact = 0;
-  EXPECT_TRUE(config.Validate().has_value());
-  config.required_intact = 4;
-  EXPECT_TRUE(config.Validate().has_value());
-  config.required_intact = 3;
-  EXPECT_FALSE(config.Validate().has_value());
+  Scenario scenario =
+      ScenarioBuilder().Replicas(3, SpecFromParams(WithLatent())).Build();
+  scenario.required_intact = 0;
+  EXPECT_TRUE(scenario.Validate().has_value());
+  scenario.required_intact = 4;
+  EXPECT_TRUE(scenario.Validate().has_value());
+  scenario.required_intact = 3;
+  EXPECT_FALSE(scenario.Validate().has_value());
 }
 
 }  // namespace

@@ -201,5 +201,31 @@ TEST_F(LocaleJsonTest, SweepIdAndShardDocumentsSurviveCommaLocale) {
   EXPECT_EQ(reparsed.ToJson(), c_shard_json);
 }
 
+TEST(JsonParseTest, NestingDepthIsBoundedNotACrash) {
+  // 200 KB of '[' once recursed a stack frame per byte and overflowed the
+  // stack; the parser now stops at kMaxNestingDepth with a positioned error.
+  const std::string deep(200 * 1024, '[');
+  try {
+    json::Parse(deep, "test");
+    FAIL() << "accepted unbounded nesting";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("nesting deeper than"), std::string::npos) << message;
+    EXPECT_NE(message.find("(at byte "), std::string::npos) << message;
+  }
+  // Objects count toward the same budget as arrays.
+  std::string objects;
+  for (int i = 0; i < 1000; ++i) {
+    objects += "{\"k\":";
+  }
+  EXPECT_THROW(json::Parse(objects, "test"), std::invalid_argument);
+
+  // The limit itself still parses; one level more does not.
+  const int depth = json::kMaxNestingDepth;
+  const std::string at_limit = std::string(depth, '[') + std::string(depth, ']');
+  EXPECT_NO_THROW(json::Parse(at_limit, "test"));
+  EXPECT_THROW(json::Parse("[" + at_limit + "]", "test"), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace longstore

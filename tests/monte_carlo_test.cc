@@ -8,23 +8,20 @@ namespace longstore {
 namespace {
 
 // Parameters chosen so trials finish in microseconds but all machinery runs.
-StorageSimConfig FastConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(1000.0);
-  config.params.ml = Duration::Hours(500.0);
-  config.params.mrv = Duration::Hours(50.0);
-  config.params.mrl = Duration::Hours(50.0);
-  config.params.mdl = Duration::Hours(100.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(100.0));
-  return config;
+ReplicaSpec FastReplica() {
+  return ReplicaSpec()
+      .FaultTimes(Duration::Hours(1000.0), Duration::Hours(500.0))
+      .RepairTimes(Duration::Hours(50.0), Duration::Hours(50.0))
+      .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(100.0)));
 }
+
+Scenario FastScenario() { return ScenarioBuilder().Replicas(2, FastReplica()).Build(); }
 
 TEST(MonteCarloTest, MttdlEstimateHasReasonableShape) {
   McConfig mc;
   mc.trials = 2000;
   mc.seed = 1;
-  const MttdlEstimate estimate = EstimateMttdl(FastConfig(), mc);
+  const MttdlEstimate estimate = EstimateMttdl(FastScenario(), mc);
   EXPECT_EQ(estimate.loss_time_years.count() + estimate.censored_trials, 2000);
   EXPECT_EQ(estimate.censored_trials, 0);
   EXPECT_GT(estimate.mean_years(), 0.0);
@@ -40,8 +37,8 @@ TEST(MonteCarloTest, ResultsIndependentOfThreadCount) {
   one_thread.threads = 1;
   McConfig four_threads = one_thread;
   four_threads.threads = 4;
-  const MttdlEstimate a = EstimateMttdl(FastConfig(), one_thread);
-  const MttdlEstimate b = EstimateMttdl(FastConfig(), four_threads);
+  const MttdlEstimate a = EstimateMttdl(FastScenario(), one_thread);
+  const MttdlEstimate b = EstimateMttdl(FastScenario(), four_threads);
   EXPECT_DOUBLE_EQ(a.mean_years(), b.mean_years());
   EXPECT_EQ(a.aggregate_metrics.visible_faults, b.aggregate_metrics.visible_faults);
   EXPECT_EQ(a.aggregate_metrics.latent_faults, b.aggregate_metrics.latent_faults);
@@ -51,33 +48,35 @@ TEST(MonteCarloTest, SeedChangesEstimate) {
   McConfig mc;
   mc.trials = 300;
   mc.seed = 1;
-  const double a = EstimateMttdl(FastConfig(), mc).mean_years();
+  const double a = EstimateMttdl(FastScenario(), mc).mean_years();
   mc.seed = 2;
-  const double b = EstimateMttdl(FastConfig(), mc).mean_years();
+  const double b = EstimateMttdl(FastScenario(), mc).mean_years();
   EXPECT_NE(a, b);
 }
 
 TEST(MonteCarloTest, CensoringCapsTrialTime) {
-  StorageSimConfig config = FastConfig();
-  config.params.mv = Duration::Hours(1e12);
-  config.params.ml = Duration::Hours(1e12);
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(2, FastReplica().FaultTimes(Duration::Hours(1e12),
+                                                Duration::Hours(1e12)))
+          .Build();
   McConfig mc;
   mc.trials = 50;
   mc.max_trial_time = Duration::Years(10.0);
-  const MttdlEstimate estimate = EstimateMttdl(config, mc);
+  const MttdlEstimate estimate = EstimateMttdl(scenario, mc);
   EXPECT_EQ(estimate.censored_trials, 50);
   EXPECT_EQ(estimate.loss_time_years.count(), 0);
 }
 
 TEST(MonteCarloTest, LossProbabilityMatchesMttdlExponential) {
   // With exponential-ish loss times, P(loss by T) ~ 1 - exp(-T / MTTDL).
-  const StorageSimConfig config = FastConfig();
+  const Scenario scenario = FastScenario();
   McConfig mc;
   mc.trials = 4000;
   mc.seed = 5;
-  const MttdlEstimate mttdl = EstimateMttdl(config, mc);
+  const MttdlEstimate mttdl = EstimateMttdl(scenario, mc);
   const Duration mission = Duration::Years(mttdl.mean_years() / 2.0);
-  const LossProbabilityEstimate loss = EstimateLossProbability(config, mission, mc);
+  const LossProbabilityEstimate loss = EstimateLossProbability(scenario, mission, mc);
   const double expected = 1.0 - std::exp(-(mission.years() / mttdl.mean_years()));
   EXPECT_NEAR(loss.probability(), expected, 0.04);
   EXPECT_TRUE(loss.wilson_ci.Contains(loss.probability()));
@@ -87,24 +86,24 @@ TEST(MonteCarloTest, LossProbabilityMatchesMttdlExponential) {
 TEST(MonteCarloTest, LossProbabilityRejectsBadMission) {
   McConfig mc;
   mc.trials = 10;
-  EXPECT_THROW(EstimateLossProbability(FastConfig(), Duration::Zero(), mc),
+  EXPECT_THROW(EstimateLossProbability(FastScenario(), Duration::Zero(), mc),
                std::invalid_argument);
-  EXPECT_THROW(EstimateLossProbability(FastConfig(), Duration::Infinite(), mc),
+  EXPECT_THROW(EstimateLossProbability(FastScenario(), Duration::Infinite(), mc),
                std::invalid_argument);
 }
 
 TEST(MonteCarloTest, RejectsNonPositiveTrials) {
   McConfig mc;
   mc.trials = 0;
-  EXPECT_THROW(EstimateMttdl(FastConfig(), mc), std::invalid_argument);
+  EXPECT_THROW(EstimateMttdl(FastScenario(), mc), std::invalid_argument);
 }
 
 TEST(MonteCarloTest, RejectsInvalidConfig) {
-  StorageSimConfig config = FastConfig();
-  config.replica_count = 0;
+  Scenario scenario = FastScenario();
+  scenario.replicas.clear();
   McConfig mc;
   mc.trials = 10;
-  EXPECT_THROW(EstimateMttdl(config, mc), std::invalid_argument);
+  EXPECT_THROW(EstimateMttdl(scenario, mc), std::invalid_argument);
 }
 
 TEST(MonteCarloTest, PrecisionDrivenEstimateTightensCi) {
@@ -112,7 +111,7 @@ TEST(MonteCarloTest, PrecisionDrivenEstimateTightensCi) {
   mc.trials = 100;
   mc.seed = 9;
   const MttdlEstimate estimate =
-      EstimateMttdlToPrecision(FastConfig(), mc, /*relative_precision=*/0.05,
+      EstimateMttdlToPrecision(FastScenario(), mc, /*relative_precision=*/0.05,
                                /*max_trials=*/20000);
   const double half_width = (estimate.ci_years.hi - estimate.ci_years.lo) / 2.0;
   EXPECT_LE(half_width / estimate.mean_years(), 0.05);
@@ -123,10 +122,10 @@ TEST(MonteCarloTest, PrecisionRunRespectsMaxTrials) {
   mc.trials = 50;
   mc.seed = 10;
   const MttdlEstimate estimate =
-      EstimateMttdlToPrecision(FastConfig(), mc, /*relative_precision=*/1e-6,
+      EstimateMttdlToPrecision(FastScenario(), mc, /*relative_precision=*/1e-6,
                                /*max_trials=*/200);
   EXPECT_LE(estimate.loss_time_years.count(), 200);
-  EXPECT_THROW(EstimateMttdlToPrecision(FastConfig(), mc, 0.0, 100),
+  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, 0.0, 100),
                std::invalid_argument);
 }
 

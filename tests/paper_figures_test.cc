@@ -29,19 +29,15 @@
 
 #include "src/model/fault_params.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 
 namespace longstore {
 namespace {
 
 // Matches bench_scrubbing_effect's simulation setup for the §5.4 table.
-StorageSimConfig CheetahConfig(const FaultParams& p) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = p;
-  config.scrub =
-      p.mdl.is_infinite() ? ScrubPolicy::None() : ScrubPolicy::Exponential(p.mdl);
-  return config;
+Scenario CheetahScenario(const FaultParams& p) {
+  return ScenarioBuilder().Replicas(2, SpecFromParams(p)).Correlation(p.alpha).Build();
 }
 
 SweepResult RunCheetahSweep() {
@@ -50,9 +46,9 @@ SweepResult RunCheetahSweep() {
       ApplyScrubPolicy(unscrubbed, ScrubPolicy::PeriodicPerYear(3.0));
   const FaultParams correlated = WithCorrelation(scrubbed, 0.1);
   SweepSpec spec;
-  spec.AddCell("unscrubbed", CheetahConfig(unscrubbed));
-  spec.AddCell("scrub 3x/year", CheetahConfig(scrubbed));
-  spec.AddCell("scrub 3x/year, alpha=0.1", CheetahConfig(correlated));
+  spec.AddCell("unscrubbed", CheetahScenario(unscrubbed));
+  spec.AddCell("scrub 3x/year", CheetahScenario(scrubbed));
+  spec.AddCell("scrub 3x/year, alpha=0.1", CheetahScenario(correlated));
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kMttdl;
   options.mc.trials = 2000;
@@ -138,7 +134,7 @@ TEST(PaperFiguresTest, CorrelationRowMatchesGoldens) {
                        ScrubPolicy::PeriodicPerYear(3.0)),
       0.1);
   SweepSpec spec;
-  spec.AddCell("alpha=0.1", CheetahConfig(correlated));
+  spec.AddCell("alpha=0.1", CheetahScenario(correlated));
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kLossProbability;
   options.mission = Duration::Years(50.0);

@@ -19,44 +19,55 @@
 #include "src/model/replica_ctmc.h"
 #include "src/rare/pinned_configs.h"
 #include "src/rare/rare_event.h"
+#include "src/scenario/media.h"
 #include "src/util/stats.h"
 
 namespace longstore {
 namespace {
 
-// Calibration config: mirrored pair, exponential faults/repairs, exponential
-// audits — the process ReplicaCtmc solves exactly. Mission-loss probability
-// ~6e-5 over one year: rare enough that naive MC at test-sized trial counts
-// sees nothing, common enough that the exact value is cheap to pin.
-StorageSimConfig CalibrationConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(1.0e6);
-  config.params.ml = Duration::Hours(2.0e5);
-  config.params.mrv = Duration::Hours(10.0);
-  config.params.mrl = Duration::Hours(10.0);
-  config.params.mdl = Duration::Hours(100.0);
-  config.scrub = ScrubPolicy::Exponential(config.params.mdl);
-  return config;
+// A mirrored pair with `p`'s fault and repair times, audited exponentially
+// with mean MDL — the process ReplicaCtmc solves exactly.
+Scenario MirrorOf(const FaultParams& p,
+                  RateConvention convention = RateConvention::kPhysical) {
+  return ScenarioBuilder()
+      .Replicas(2, SpecFromParams(p))
+      .Correlation(p.alpha)
+      .Convention(convention)
+      .Build();
 }
 
-// The pinned rare-loss config (src/rare/pinned_configs.h, shared with the
-// bench_rare_perf CI gate): ~2.4e-6 per year, i.e. ~4e7 naive trials for
-// 10% relative error.
-StorageSimConfig RareLossConfig() { return PinnedRareLossConfig(); }
+// Calibration config: mission-loss probability ~6e-5 over one year: rare
+// enough that naive MC at test-sized trial counts sees nothing, common
+// enough that the exact value is cheap to pin.
+FaultParams CalibrationParams() {
+  FaultParams p;
+  p.mv = Duration::Hours(1.0e6);
+  p.ml = Duration::Hours(2.0e5);
+  p.mrv = Duration::Hours(10.0);
+  p.mrl = Duration::Hours(10.0);
+  p.mdl = Duration::Hours(100.0);
+  return p;
+}
 
-StorageSimConfig WeibullConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mrv = Duration::Hours(2.0);
-  config.params.mrl = Duration::Hours(2.0);
-  config.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  config.weibull_shape = 2.0;
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(80.0));
-  config.repair_distribution = StorageSimConfig::RepairDistribution::kDeterministic;
-  return config;
+// The calibration repairs with fault times fast enough that short horizons
+// see both censored and lossy trials.
+FaultParams BusyParams(Duration mdl) {
+  FaultParams p = CalibrationParams();
+  p.mv = Duration::Hours(2000.0);
+  p.ml = Duration::Hours(400.0);
+  p.mdl = mdl;
+  return p;
+}
+
+Scenario WeibullScenario() {
+  return ScenarioBuilder()
+      .Replicas(2, ReplicaSpec()
+                       .FaultTimes(Duration::Hours(2000.0), Duration::Hours(400.0))
+                       .RepairTimes(Duration::Hours(2.0), Duration::Hours(2.0))
+                       .Weibull(2.0)
+                       .ScrubEvery(Duration::Hours(80.0))
+                       .DeterministicRepair())
+      .Build();
 }
 
 FaultBias LatentTilt(double theta, double force = 0.5) {
@@ -79,9 +90,9 @@ void ExpectBitIdenticalOutcome(const RunOutcome& a, const RunOutcome& b) {
             b.metrics.detection_latency_hours.mean());
 }
 
-void CheckZeroBiasBitIdentical(const StorageSimConfig& config, Duration horizon) {
-  TrialRunner unbiased(config);
-  TrialRunner identity(config, ConfigValidation::kValidate, FaultBias{});
+void CheckZeroBiasBitIdentical(const Scenario& scenario, Duration horizon) {
+  TrialRunner unbiased(scenario);
+  TrialRunner identity(scenario, ConfigValidation::kValidate, FaultBias{});
   ASSERT_TRUE(FaultBias{}.is_identity());
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     const RunOutcome a = unbiased.Run(seed, horizon);
@@ -95,27 +106,19 @@ void CheckZeroBiasBitIdentical(const StorageSimConfig& config, Duration horizon)
 TEST(RareEventTest, ZeroBiasBitIdenticalExponential) {
   // Short horizon relative to the fault times so both censored and lossy
   // trials occur; alpha < 1 exercises the correlation-redraw path.
-  StorageSimConfig config = CalibrationConfig();
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mdl = Duration::Hours(40.0);
-  config.params.alpha = 0.3;
-  config.scrub = ScrubPolicy::Exponential(config.params.mdl);
-  CheckZeroBiasBitIdentical(config, Duration::Hours(20000.0));
+  FaultParams p = BusyParams(Duration::Hours(40.0));
+  p.alpha = 0.3;
+  CheckZeroBiasBitIdentical(MirrorOf(p), Duration::Hours(20000.0));
 }
 
 TEST(RareEventTest, ZeroBiasBitIdenticalPaperConvention) {
-  StorageSimConfig config = CalibrationConfig();
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mdl = Duration::Hours(40.0);
-  config.scrub = ScrubPolicy::Exponential(config.params.mdl);
-  config.convention = RateConvention::kPaper;
-  CheckZeroBiasBitIdentical(config, Duration::Hours(20000.0));
+  CheckZeroBiasBitIdentical(
+      MirrorOf(BusyParams(Duration::Hours(40.0)), RateConvention::kPaper),
+      Duration::Hours(20000.0));
 }
 
 TEST(RareEventTest, ZeroBiasBitIdenticalWeibull) {
-  CheckZeroBiasBitIdentical(WeibullConfig(), Duration::Hours(20000.0));
+  CheckZeroBiasBitIdentical(WeibullScenario(), Duration::Hours(20000.0));
 }
 
 // A theta of 1 is the same measure regardless of tilt_probability, so it
@@ -124,11 +127,9 @@ TEST(RareEventTest, UnitThetaIsIdentityEvenWithTiltProbability) {
   FaultBias bias;
   bias.tilt_probability = 0.9;
   ASSERT_TRUE(bias.is_identity());
-  StorageSimConfig config = CalibrationConfig();
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  TrialRunner unbiased(config);
-  TrialRunner identity(config, ConfigValidation::kValidate, bias);
+  const Scenario scenario = MirrorOf(BusyParams(Duration::Hours(100.0)));
+  TrialRunner unbiased(scenario);
+  TrialRunner identity(scenario, ConfigValidation::kValidate, bias);
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     const RunOutcome a = unbiased.Run(seed, Duration::Hours(20000.0));
     const RunOutcome b = identity.Run(seed, Duration::Hours(20000.0));
@@ -199,9 +200,9 @@ TEST(RareEventTest, DrawLikelihoodRatioExactWeibullAged) {
 // (in fault-dense regimes the product weight is too heavy-tailed for this
 // diagnostic — which is exactly why the tuner tilts only the loss-driving
 // hazard; see src/rare/README.md).
-void CheckMeanWeightIsOne(const StorageSimConfig& config, const FaultBias& bias,
+void CheckMeanWeightIsOne(const Scenario& scenario, const FaultBias& bias,
                           Duration horizon, int64_t trials) {
-  TrialRunner runner(config, ConfigValidation::kValidate, bias);
+  TrialRunner runner(scenario, ConfigValidation::kValidate, bias);
   RunningStats weights;
   for (int64_t t = 0; t < trials; ++t) {
     const RunOutcome outcome = runner.Run(DeriveSeed(0xabcdef, t), horizon);
@@ -214,42 +215,42 @@ void CheckMeanWeightIsOne(const StorageSimConfig& config, const FaultBias& bias,
 }
 
 TEST(RareEventTest, MeanWeightIsOneExponentialLatentTilt) {
-  CheckMeanWeightIsOne(CalibrationConfig(), LatentTilt(8.0), Duration::Years(1.0),
-                       20000);
+  CheckMeanWeightIsOne(MirrorOf(CalibrationParams()), LatentTilt(8.0),
+                       Duration::Years(1.0), 20000);
 }
 
 TEST(RareEventTest, MeanWeightIsOneExponentialVisibleTilt) {
   FaultBias bias;
   bias.theta_visible = 4.0;
   bias.force_probability = 0.3;
-  CheckMeanWeightIsOne(CalibrationConfig(), bias, Duration::Years(1.0), 20000);
+  CheckMeanWeightIsOne(MirrorOf(CalibrationParams()), bias, Duration::Years(1.0), 20000);
 }
 
 TEST(RareEventTest, MeanWeightIsOneWeibull) {
   // Rare-regime scales (fault times far beyond the mission) with wear-out
   // shape: a handful of draws per trial, all through the Weibull path.
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(1.0e6);
-  config.params.ml = Duration::Hours(2.0e5);
-  config.params.mrv = Duration::Hours(10.0);
-  config.params.mrl = Duration::Hours(10.0);
-  config.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  config.weibull_shape = 2.0;
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(200.0));
-  config.initial_age_hours = {5.0e4, 5.0e4};  // same-batch fleet, mid-bathtub
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(2, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(1.0e6), Duration::Hours(2.0e5))
+                           .RepairTimes(Duration::Hours(10.0), Duration::Hours(10.0))
+                           .Weibull(2.0)
+                           .ScrubEvery(Duration::Hours(200.0))
+                           // Same-batch fleet, mid-bathtub.
+                           .InitialAge(Duration::Hours(5.0e4)))
+          .Build();
   FaultBias bias;
   bias.theta_latent = 8.0;
   bias.theta_visible = 2.0;
   bias.force_probability = 0.4;
-  CheckMeanWeightIsOne(config, bias, Duration::Years(1.0), 20000);
+  CheckMeanWeightIsOne(scenario, bias, Duration::Years(1.0), 20000);
 }
 
 TEST(RareEventTest, CoversAnalyticLossProbability) {
-  const StorageSimConfig config = CalibrationConfig();
+  const FaultParams params = CalibrationParams();
   const Duration mission = Duration::Years(1.0);
   const auto exact =
-      MirroredLossProbability(config.params, mission, RateConvention::kPhysical);
+      MirroredLossProbability(params, mission, RateConvention::kPhysical);
   ASSERT_TRUE(exact.has_value());
 
   IsOptions options;
@@ -258,7 +259,7 @@ TEST(RareEventTest, CoversAnalyticLossProbability) {
   mc.trials = 20000;
   mc.seed = 4242;
   const IsLossProbabilityEstimate is =
-      EstimateLossProbabilityIS(config, mission, mc, options);
+      EstimateLossProbabilityIS(MirrorOf(params), mission, mc, options);
   EXPECT_GT(is.estimate.hits, 100);
   EXPECT_TRUE(is.estimate.ci.lo <= *exact && *exact <= is.estimate.ci.hi)
       << "exact=" << *exact << " is=[" << is.estimate.ci.lo << ", "
@@ -269,10 +270,10 @@ TEST(RareEventTest, CoversAnalyticLossProbability) {
 }
 
 TEST(RareEventTest, AutoTunerCoversAnalyticLossProbability) {
-  const StorageSimConfig config = CalibrationConfig();
+  const FaultParams params = CalibrationParams();
   const Duration mission = Duration::Years(1.0);
   const auto exact =
-      MirroredLossProbability(config.params, mission, RateConvention::kPhysical);
+      MirroredLossProbability(params, mission, RateConvention::kPhysical);
   ASSERT_TRUE(exact.has_value());
 
   IsOptions options;
@@ -282,7 +283,7 @@ TEST(RareEventTest, AutoTunerCoversAnalyticLossProbability) {
   mc.trials = 20000;
   mc.seed = 77;
   const IsLossProbabilityEstimate is =
-      EstimateLossProbabilityIS(config, mission, mc, options);
+      EstimateLossProbabilityIS(MirrorOf(params), mission, mc, options);
   // identity + forcing-only + 3 grid candidates were piloted.
   ASSERT_EQ(is.pilot.size(), 5u);
   EXPECT_EQ(is.pilot_trials_total, 5 * 1500);
@@ -292,11 +293,13 @@ TEST(RareEventTest, AutoTunerCoversAnalyticLossProbability) {
       << is.estimate.ci.hi << "]";
 }
 
+// The pinned rare-loss config (src/rare/pinned_configs.h, shared with the
+// bench_rare_perf CI gate): ~2.4e-6 per year, i.e. ~4e7 naive trials for
+// 10% relative error.
 TEST(RareEventTest, TenfoldVarianceReductionOnRareLossConfig) {
-  const StorageSimConfig config = RareLossConfig();
   const Duration mission = Duration::Years(1.0);
-  const auto exact =
-      MirroredLossProbability(config.params, mission, RateConvention::kPhysical);
+  const auto exact = MirroredLossProbability(PinnedRareLossParams(), mission,
+                                             RateConvention::kPhysical);
   ASSERT_TRUE(exact.has_value());
   ASSERT_LT(*exact, 1e-5);  // the config really is in the rare regime
 
@@ -306,7 +309,7 @@ TEST(RareEventTest, TenfoldVarianceReductionOnRareLossConfig) {
   mc.trials = 20000;
   mc.seed = 31337;
   const IsLossProbabilityEstimate is =
-      EstimateLossProbabilityIS(config, mission, mc, options);
+      EstimateLossProbabilityIS(PinnedRareLossScenario(), mission, mc, options);
   EXPECT_TRUE(is.estimate.ci.lo <= *exact && *exact <= is.estimate.ci.hi)
       << "exact=" << *exact << " is=[" << is.estimate.ci.lo << ", "
       << is.estimate.ci.hi << "]";
@@ -322,17 +325,13 @@ TEST(RareEventTest, TenfoldVarianceReductionOnRareLossConfig) {
 TEST(RareEventTest, IdentityWeightedSweepMatchesPlainLossProbability) {
   // With the identity bias and shared-root seeding, the weighted estimand
   // sees exactly the trials kLossProbability sees: same losses, weight 1.
-  StorageSimConfig config = CalibrationConfig();
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mdl = Duration::Hours(40.0);
-  config.scrub = ScrubPolicy::Exponential(config.params.mdl);
+  const Scenario scenario = MirrorOf(BusyParams(Duration::Hours(40.0)));
   const Duration mission = Duration::Hours(20000.0);
   McConfig mc;
   mc.trials = 4000;
   mc.seed = 555;
 
-  const LossProbabilityEstimate plain = EstimateLossProbability(config, mission, mc);
+  const LossProbabilityEstimate plain = EstimateLossProbability(scenario, mission, mc);
 
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kWeightedLossProbability;
@@ -340,7 +339,7 @@ TEST(RareEventTest, IdentityWeightedSweepMatchesPlainLossProbability) {
   options.bias = FaultBias{};
   options.mc = mc;
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
-  const SweepResult result = SweepRunner().Run(SweepSpec(config), options);
+  const SweepResult result = SweepRunner().Run(SweepSpec(scenario), options);
   const WeightedLossProbabilityEstimate& weighted = *result.cells.front().weighted;
 
   EXPECT_EQ(weighted.hits, plain.losses);
@@ -351,7 +350,7 @@ TEST(RareEventTest, IdentityWeightedSweepMatchesPlainLossProbability) {
 }
 
 TEST(RareEventTest, EstimateIsThreadCountInvariant) {
-  const StorageSimConfig config = RareLossConfig();
+  const Scenario scenario = PinnedRareLossScenario();
   IsOptions options;
   options.bias = LatentTilt(16.0);
   McConfig mc;
@@ -359,10 +358,10 @@ TEST(RareEventTest, EstimateIsThreadCountInvariant) {
   mc.seed = 99;
   mc.threads = 1;
   const IsLossProbabilityEstimate one =
-      EstimateLossProbabilityIS(config, Duration::Years(1.0), mc, options);
+      EstimateLossProbabilityIS(scenario, Duration::Years(1.0), mc, options);
   mc.threads = 8;
   const IsLossProbabilityEstimate eight =
-      EstimateLossProbabilityIS(config, Duration::Years(1.0), mc, options);
+      EstimateLossProbabilityIS(scenario, Duration::Years(1.0), mc, options);
   EXPECT_EQ(one.probability(), eight.probability());
   EXPECT_EQ(one.estimate.ci.lo, eight.estimate.ci.lo);
   EXPECT_EQ(one.estimate.ci.hi, eight.estimate.ci.hi);
@@ -371,7 +370,7 @@ TEST(RareEventTest, EstimateIsThreadCountInvariant) {
 }
 
 TEST(RareEventTest, InvalidBiasIsRejected) {
-  const StorageSimConfig config = CalibrationConfig();
+  const Scenario scenario = MirrorOf(CalibrationParams());
   McConfig mc;
   mc.trials = 10;
 
@@ -379,20 +378,20 @@ TEST(RareEventTest, InvalidBiasIsRejected) {
   FaultBias bias;
   bias.theta_latent = 0.5;  // deceleration is not failure biasing
   options.bias = bias;
-  EXPECT_THROW(EstimateLossProbabilityIS(config, Duration::Years(1.0), mc, options),
+  EXPECT_THROW(EstimateLossProbabilityIS(scenario, Duration::Years(1.0), mc, options),
                std::invalid_argument);
 
   bias = FaultBias{};
   bias.force_probability = 1.0;  // hard conditioning would zero nominal paths
   options.bias = bias;
-  EXPECT_THROW(EstimateLossProbabilityIS(config, Duration::Years(1.0), mc, options),
+  EXPECT_THROW(EstimateLossProbabilityIS(scenario, Duration::Years(1.0), mc, options),
                std::invalid_argument);
 
   bias = FaultBias{};
   bias.tilt_probability = 1.0;
   bias.theta_latent = 4.0;
   options.bias = bias;
-  EXPECT_THROW(EstimateLossProbabilityIS(config, Duration::Years(1.0), mc, options),
+  EXPECT_THROW(EstimateLossProbabilityIS(scenario, Duration::Years(1.0), mc, options),
                std::invalid_argument);
 }
 

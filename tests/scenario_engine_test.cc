@@ -1,6 +1,6 @@
-// Scenario <-> engine integration: legacy bit-identity, heterogeneous-fleet
-// behavior, the CTMC bridge, JSON-round-trip trial-stream determinism, and
-// scenario-native sweeps (per-replica axes, content-derived cell seeds).
+// Scenario <-> engine integration: heterogeneous-fleet behavior, the CTMC
+// bridge, JSON-round-trip trial-stream determinism, and scenario-native
+// sweeps (per-replica axes, content-derived cell seeds).
 
 #include <gtest/gtest.h>
 
@@ -19,16 +19,14 @@
 namespace longstore {
 namespace {
 
-// Fast-turnover mirrored pair used across the legacy test suite.
-StorageSimConfig FastConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(500.0);
-  config.params.ml = Duration::Hours(250.0);
-  config.params.mrv = Duration::Hours(20.0);
-  config.params.mrl = Duration::Hours(20.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(50.0));
-  return config;
+// Fast-turnover homogeneous mirrored pair.
+Scenario FastScenario() {
+  return ScenarioBuilder()
+      .Replicas(2, ReplicaSpec()
+                       .FaultTimes(Duration::Hours(500.0), Duration::Hours(250.0))
+                       .RepairTimes(Duration::Hours(20.0), Duration::Hours(20.0))
+                       .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(50.0))))
+      .Build();
 }
 
 // Trial-stream fingerprint: loss times (or censor markers) for a run of
@@ -41,63 +39,6 @@ std::vector<double> Fingerprint(TrialRunner& runner, int trials, Duration horizo
     out.push_back(outcome.loss_time ? outcome.loss_time->hours() : -1.0);
   }
   return out;
-}
-
-TEST(ScenarioEngineTest, FromLegacyIsBitIdenticalAcrossConfigSpace) {
-  std::vector<StorageSimConfig> configs;
-  configs.push_back(FastConfig());
-  {
-    StorageSimConfig weibull = FastConfig();
-    weibull.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-    weibull.weibull_shape = 2.5;
-    weibull.initial_age_hours = {400.0, 0.0};
-    weibull.scrub = ScrubPolicy::Periodic(Duration::Hours(50.0));
-    configs.push_back(weibull);
-  }
-  {
-    StorageSimConfig paper = FastConfig();
-    paper.convention = RateConvention::kPaper;
-    configs.push_back(paper);
-  }
-  {
-    StorageSimConfig erasure = FastConfig();
-    erasure.replica_count = 5;
-    erasure.required_intact = 3;
-    erasure.params.alpha = 0.5;
-    erasure.repair_distribution = StorageSimConfig::RepairDistribution::kDeterministic;
-    configs.push_back(erasure);
-  }
-  {
-    StorageSimConfig common = FastConfig();
-    CommonModeSource source;
-    source.name = "rack";
-    source.event_rate = Rate::InverseOf(Duration::Hours(300.0));
-    source.members = {0, 1};
-    source.hit_probability = 0.8;
-    source.visible_fraction = 0.5;
-    common.common_mode.push_back(source);
-    common.visible_fault_surfaces_latent = true;
-    configs.push_back(common);
-  }
-
-  const Duration horizon = Duration::Hours(20000.0);
-  for (size_t c = 0; c < configs.size(); ++c) {
-    TrialRunner legacy(configs[c]);
-    TrialRunner scenario(Scenario::FromLegacy(configs[c]));
-    EXPECT_EQ(Fingerprint(legacy, 40, horizon), Fingerprint(scenario, 40, horizon))
-        << "config #" << c << " diverged";
-  }
-}
-
-TEST(ScenarioEngineTest, HomogeneousScenarioEstimateMatchesLegacyEstimate) {
-  McConfig mc;
-  mc.trials = 400;
-  mc.seed = 77;
-  const MttdlEstimate legacy = EstimateMttdl(FastConfig(), mc);
-  const MttdlEstimate native = EstimateMttdl(Scenario::FromLegacy(FastConfig()), mc);
-  EXPECT_EQ(legacy.mean_years(), native.mean_years());
-  EXPECT_EQ(legacy.ci_years.lo, native.ci_years.lo);
-  EXPECT_EQ(legacy.censored_trials, native.censored_trials);
 }
 
 TEST(ScenarioEngineTest, JsonRoundTripPreservesTrialStreams) {
@@ -157,8 +98,8 @@ TEST(ScenarioEngineTest, PerReplicaScrubPoliciesActIndependently) {
 }
 
 TEST(ScenarioEngineTest, MixedDistributionFleetRuns) {
-  // One memoryless disk + one wearing-out tape: inexpressible in the flat
-  // config (single shared distribution/shape), routine for Scenario.
+  // One memoryless disk + one wearing-out tape: a fleet no single shared
+  // distribution/shape can describe.
   const Scenario scenario =
       ScenarioBuilder()
           .AddReplica(ReplicaSpec()
@@ -182,7 +123,7 @@ TEST(ScenarioEngineTest, MixedDistributionFleetRuns) {
 TEST(ScenarioCtmcTest, AgreesWithSimulationWhereItApplies) {
   // Homogeneous, memoryless — the CTMC's home turf. Simulated MTTDL must
   // land near the exact answer.
-  const Scenario scenario = Scenario::FromLegacy(FastConfig());
+  const Scenario scenario = FastScenario();
   ASSERT_EQ(CtmcIncompatibility(scenario), std::nullopt);
   const auto exact = ScenarioCtmcMttdl(scenario);
   ASSERT_TRUE(exact.has_value());
@@ -200,30 +141,30 @@ TEST(ScenarioCtmcTest, RejectsWithPreciseReasons) {
     return reason.value_or("(accepted)");
   };
 
-  Scenario heterogeneous = Scenario::FromLegacy(FastConfig());
+  Scenario heterogeneous = FastScenario();
   heterogeneous.replicas[1].mv = Duration::Hours(123.0);
   EXPECT_NE(incompat(heterogeneous).find("replica 1 differs from replica 0 in mv"),
             std::string::npos);
 
-  Scenario weibull = Scenario::FromLegacy(FastConfig());
+  Scenario weibull = FastScenario();
   for (ReplicaSpec& spec : weibull.replicas) {
     spec.Weibull(2.0);
   }
   EXPECT_NE(incompat(weibull).find("age-dependent"), std::string::npos);
 
-  Scenario deterministic = Scenario::FromLegacy(FastConfig());
+  Scenario deterministic = FastScenario();
   for (ReplicaSpec& spec : deterministic.replicas) {
     spec.DeterministicRepair();
   }
   EXPECT_NE(incompat(deterministic).find("deterministic repair"), std::string::npos);
 
-  Scenario periodic = Scenario::FromLegacy(FastConfig());
+  Scenario periodic = FastScenario();
   for (ReplicaSpec& spec : periodic.replicas) {
     spec.ScrubEvery(Duration::Hours(50.0));
   }
   EXPECT_NE(incompat(periodic).find("periodic scrubbing"), std::string::npos);
 
-  Scenario common = Scenario::FromLegacy(FastConfig());
+  Scenario common = FastScenario();
   CommonModeSource source;
   source.name = "rack";
   source.event_rate = Rate::PerYear(1.0);
@@ -235,10 +176,10 @@ TEST(ScenarioCtmcTest, RejectsWithPreciseReasons) {
 }
 
 TEST(ScenarioSweepTest, AxesMutateIndividualReplicas) {
-  // The axis sweeps only replica 1's scrub cadence — the flat config had no
-  // such knob. More frequent auditing of the latent-prone replica must not
-  // hurt (and generally helps) MTTDL.
-  SweepSpec spec(Scenario::FromLegacy(FastConfig()));
+  // The axis sweeps only replica 1's scrub cadence — a per-replica knob no
+  // fleet-wide setting provides. More frequent auditing of the latent-prone
+  // replica must not hurt (and generally helps) MTTDL.
+  SweepSpec spec(FastScenario());
   spec.AddAxis("replica-1 scrub");
   for (const double hours : {10.0, 1000.0}) {
     spec.AddPoint("scrub=" + std::to_string(hours), hours, [hours](Scenario& s) {
@@ -254,32 +195,11 @@ TEST(ScenarioSweepTest, AxesMutateIndividualReplicas) {
             result.cells[1].mttdl->mean_years());
 }
 
-TEST(ScenarioSweepTest, LegacyMutationAfterScenarioMutationIsRejected) {
-  SweepSpec spec(FastConfig());
-  spec.AddAxis("a");
-  spec.AddPoint("scenario", 0.0, [](Scenario& s) { s.alpha = 0.9; });
-  spec.AddAxis("b");
-  spec.AddPoint("legacy", 0.0, [](StorageSimConfig& c) { c.replica_count = 3; });
-  EXPECT_THROW(spec.BuildCells(), std::invalid_argument);
-
-  // The compatible order — legacy first, scenario after — works, and the
-  // cell reflects both mutations.
-  SweepSpec ordered(FastConfig());
-  ordered.AddAxis("a");
-  ordered.AddPoint("legacy", 0.0, [](StorageSimConfig& c) { c.replica_count = 3; });
-  ordered.AddAxis("b");
-  ordered.AddPoint("scenario", 0.0, [](Scenario& s) { s.alpha = 0.9; });
-  const auto cells = ordered.BuildCells();
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].scenario.replica_count(), 3);
-  EXPECT_DOUBLE_EQ(cells[0].scenario.alpha, 0.9);
-}
-
 TEST(ScenarioSweepTest, ScenarioDerivedSeedsFollowContentNotLabels) {
   // Same scenario content under different labels and cell order: with
   // kScenarioDerived seeds the estimates are identical cell-for-cell —
   // exactly what a sharded fan-out needs after shipping scenarios as JSON.
-  const Scenario a = Scenario::FromLegacy(FastConfig());
+  const Scenario a = FastScenario();
   Scenario b = a;
   b.replicas[0].mv = Duration::Hours(700.0);
   b.replicas[1].mv = Duration::Hours(700.0);
@@ -308,29 +228,9 @@ TEST(ScenarioSweepTest, ScenarioDerivedSeedsFollowContentNotLabels) {
             local.ByLabel("b").mttdl->mean_years());
 }
 
-TEST(ScenarioSweepTest, InvalidLegacyCellStillFailsWithCleanError) {
-  // A malformed legacy config added as an explicit cell must surface the
-  // legacy validation message from Run, not crash during conversion.
-  StorageSimConfig config = FastConfig();
-  config.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  config.initial_age_hours = {10.0};  // wrong size for replica_count = 2
-  SweepSpec spec;
-  spec.AddCell("bad ages", config);
-  SweepOptions options;
-  try {
-    SweepRunner().Run(spec, options);
-    FAIL() << "expected validation failure";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what())
-                  .find("initial_age_hours must have replica_count entries"),
-              std::string::npos)
-        << error.what();
-  }
-}
-
 TEST(ScenarioSweepTest, HeterogeneousCellValidationNamesScenario) {
   SweepSpec spec;
-  Scenario bad = Scenario::FromLegacy(FastConfig());
+  Scenario bad = FastScenario();
   bad.required_intact = 7;
   spec.AddCell("bad", bad);
   SweepOptions options;

@@ -1,5 +1,5 @@
 // Scenario API unit tests: builder assembly, every validation error path,
-// legacy conversion, JSON round-trip and canonical identity hashing.
+// JSON round-trip and canonical identity hashing.
 
 #include "src/scenario/scenario.h"
 
@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "src/scenario/media.h"
-#include "src/storage/config.h"
 
 namespace longstore {
 namespace {
@@ -116,8 +115,8 @@ TEST(ScenarioValidationTest, RejectsNonPositiveWeibullShape) {
 }
 
 TEST(ScenarioValidationTest, RejectsInitialAgeOnExponentialReplica) {
-  // The memoryless clock cannot see an age; silently ignoring it (the old
-  // flat config's behavior) hid modeling mistakes.
+  // The memoryless clock cannot see an age; silently ignoring it would hide
+  // modeling mistakes.
   ExpectBuildError(
       ScenarioBuilder().AddReplica(DiskLike().InitialAge(Duration::Hours(100.0))),
       "initial age is meaningless on an exponential replica");
@@ -194,48 +193,6 @@ TEST(ScenarioValidationTest, RejectsBadCommonModeSources) {
   stray.members = {5};
   ExpectBuildError(ScenarioBuilder().Replicas(2, DiskLike()).CommonMode(stray),
                    "out-of-range member");
-}
-
-TEST(ScenarioFromLegacyTest, ConvertsHomogeneousConfig) {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.required_intact = 2;
-  config.params = FaultParams::PaperCheetahExample();
-  config.params.alpha = 0.7;
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(100.0));
-  config.repair_distribution = StorageSimConfig::RepairDistribution::kDeterministic;
-
-  const Scenario scenario = Scenario::FromLegacy(config);
-  ASSERT_EQ(scenario.replica_count(), 3);
-  EXPECT_TRUE(scenario.IsHomogeneous());
-  EXPECT_EQ(scenario.required_intact, 2);
-  EXPECT_DOUBLE_EQ(scenario.alpha, 0.7);
-  EXPECT_EQ(scenario.replicas[0].mv, config.params.mv);
-  EXPECT_EQ(scenario.replicas[0].ml, config.params.ml);
-  EXPECT_EQ(scenario.replicas[0].repair_distribution,
-            RepairDistribution::kDeterministic);
-  EXPECT_EQ(scenario.replicas[0].scrub.kind, ScrubPolicy::Kind::kPeriodic);
-  EXPECT_FALSE(scenario.Validate().has_value());
-}
-
-TEST(ScenarioFromLegacyTest, DropsAgesAndShapeOnExponentialFleets) {
-  // The legacy engine ignored ages and the Weibull shape under exponential
-  // faults; the conversion canonicalizes them away so behaviorally equal
-  // configs share one identity.
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(1000.0);
-  config.params.ml = Duration::Hours(1000.0);
-  config.initial_age_hours = {50.0, 60.0};
-  config.weibull_shape = 3.0;  // ignored: fault_distribution is exponential
-
-  StorageSimConfig plain = config;
-  plain.initial_age_hours.clear();
-  plain.weibull_shape = 1.0;
-
-  EXPECT_EQ(Scenario::FromLegacy(config).CanonicalHash(),
-            Scenario::FromLegacy(plain).CanonicalHash());
-  EXPECT_FALSE(Scenario::FromLegacy(config).Validate().has_value());
 }
 
 TEST(ScenarioJsonTest, RoundTripPreservesEverythingBitForBit) {
@@ -320,25 +277,6 @@ TEST(ScenarioJsonTest, RejectsMalformedInput) {
     EXPECT_THROW(Scenario::FromJson(out_of_range), std::invalid_argument)
         << "required_intact=" << bad;
   }
-}
-
-TEST(ScenarioFromLegacyTest, StaysTotalOnInvalidConfigs) {
-  // Sweep specs convert cells before the runner's validation pass, so the
-  // conversion must not crash on configs Validate() would reject.
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(100.0);
-  config.params.ml = Duration::Hours(100.0);
-  config.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  config.initial_age_hours = {10.0};  // wrong size: Validate() rejects this
-  const Scenario converted = Scenario::FromLegacy(config);
-  EXPECT_EQ(converted.replica_count(), 2);
-  EXPECT_EQ(converted.replicas[0].initial_age_hours, 0.0);  // ages ignored
-
-  StorageSimConfig negative = config;
-  negative.replica_count = -3;
-  negative.initial_age_hours.clear();
-  EXPECT_EQ(Scenario::FromLegacy(negative).replica_count(), 0);
 }
 
 TEST(MediaSpecTest, FactoriesMatchDerivedParams) {

@@ -19,20 +19,19 @@
 #include "src/service/sweep_service.h"
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
+#include "src/util/json.h"
 
 namespace longstore {
 namespace {
 
-StorageSimConfig FastConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(1000.0);
-  config.params.ml = Duration::Hours(500.0);
-  config.params.mrv = Duration::Hours(50.0);
-  config.params.mrl = Duration::Hours(50.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(100.0));
-  return config;
+ReplicaSpec FastReplica() {
+  return ReplicaSpec()
+      .FaultTimes(Duration::Hours(1000.0), Duration::Hours(500.0))
+      .RepairTimes(Duration::Hours(50.0), Duration::Hours(50.0))
+      .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(100.0)));
 }
+
+Scenario FastScenario() { return ScenarioBuilder().Replicas(2, FastReplica()).Build(); }
 
 SweepOptions FixedOptions(int64_t trials = 200, uint64_t seed = 5) {
   SweepOptions options;
@@ -73,7 +72,7 @@ std::string CorruptBody(std::string document, const std::string& needle) {
 }
 
 TEST(SweepServiceTest, ExactHitServesIdenticalBytesWithoutSimulation) {
-  const SweepSpec spec(FastConfig());
+  const SweepSpec spec(FastScenario());
   const SweepOptions options = FixedOptions();
   const std::string document = Document(spec, options);
   const std::string golden = SweepRunner().Run(spec, options).ToJson();
@@ -98,7 +97,7 @@ TEST(SweepServiceTest, ExactHitServesIdenticalBytesWithoutSimulation) {
 }
 
 TEST(SweepServiceTest, NearHitResumesByteIdenticallyWithFewerNewTrials) {
-  const SweepSpec spec(FastConfig());
+  const SweepSpec spec(FastScenario());
   const SweepOptions loose = AdaptiveOptions(/*precision=*/0.2);
   const SweepOptions tight = AdaptiveOptions(/*precision=*/0.03);
   const SweepResult tight_cold = SweepRunner().Run(spec, tight);
@@ -133,7 +132,7 @@ TEST(SweepServiceTest, TighterStoredRunNeverServesALooserRequest) {
   // A cold run at loose precision stops at an earlier round than the stored
   // tight run passed through — serving or resuming from the tighter entry
   // would change the loose request's bytes. It must be computed cold.
-  const SweepSpec spec(FastConfig());
+  const SweepSpec spec(FastScenario());
   SweepService service{ServiceOptions{}};
   const ServiceResponse tight =
       Query(service, Document(spec, AdaptiveOptions(0.03)));
@@ -147,7 +146,7 @@ TEST(SweepServiceTest, TighterStoredRunNeverServesALooserRequest) {
 }
 
 TEST(SweepServiceTest, CacheKeyNoticesEveryFieldOfTheRequest) {
-  const SweepSpec spec(FastConfig());
+  const SweepSpec spec(FastScenario());
   SweepService service{ServiceOptions{}};
   const ServiceResponse base = Query(service, Document(spec, FixedOptions()));
   ASSERT_TRUE(base.ok) << base.message;
@@ -165,8 +164,11 @@ TEST(SweepServiceTest, CacheKeyNoticesEveryFieldOfTheRequest) {
   EXPECT_NE(trials.sweep_id, base.sweep_id);
 
   // Different scenario content (one field of one replica's config).
-  StorageSimConfig nudged = FastConfig();
-  nudged.params.mv = Duration::Hours(1001.0);
+  const Scenario nudged =
+      ScenarioBuilder()
+          .Replicas(2, FastReplica().FaultTimes(Duration::Hours(1001.0),
+                                                Duration::Hours(500.0)))
+          .Build();
   const ServiceResponse scenario =
       Query(service, Document(SweepSpec(nudged), FixedOptions()));
   EXPECT_EQ(scenario.source, "computed");
@@ -177,7 +179,7 @@ TEST(SweepServiceTest, CacheKeyNoticesEveryFieldOfTheRequest) {
 }
 
 TEST(SweepServiceTest, CorruptedRequestEnvelopeIsARetryableError) {
-  const std::string document = Document(SweepSpec(FastConfig()), FixedOptions());
+  const std::string document = Document(SweepSpec(FastScenario()), FixedOptions());
   ServiceRequest request;
   request.kind = ServiceRequest::Kind::kSweep;
   request.sweep_document = document;
@@ -198,7 +200,7 @@ TEST(SweepServiceTest, CorruptedEmbeddedSweepDocumentIsARetryableError) {
   ServiceRequest request;
   request.kind = ServiceRequest::Kind::kSweep;
   request.sweep_document =
-      CorruptBody(Document(SweepSpec(FastConfig()), FixedOptions()), "mission");
+      CorruptBody(Document(SweepSpec(FastScenario()), FixedOptions()), "mission");
 
   SweepService service{ServiceOptions{}};
   const ServiceResponse response =
@@ -216,7 +218,7 @@ TEST(SweepServiceTest, GarbageAndSchemaViolationsArePermanentErrors) {
 
   // A structurally valid request whose document is a partial shard: the
   // service answers whole sweeps only.
-  const SweepSpec spec(FastConfig());
+  const SweepSpec spec(FastScenario());
   ServiceRequest request;
   request.kind = ServiceRequest::Kind::kSweep;
   request.sweep_document =
@@ -227,12 +229,36 @@ TEST(SweepServiceTest, GarbageAndSchemaViolationsArePermanentErrors) {
   EXPECT_NE(partial.message.find("shard"), std::string::npos);
 }
 
+TEST(SweepServiceTest, DeeplyNestedFramesAreErrorsNotCrashes) {
+  SweepService service{ServiceOptions{}};
+  const std::string deep(200 * 1024, '[');
+  // A correctly checksummed request frame whose body nests without bound.
+  const ServiceResponse frame = ServiceResponse::FromJson(service.HandleRequestBytes(
+      json::WrapChecksummedBody(kServiceVersionKey, kServiceProtocolVersion, deep)));
+  EXPECT_FALSE(frame.ok);
+  EXPECT_FALSE(frame.retryable);
+  EXPECT_NE(frame.message.find("nesting deeper than"), std::string::npos)
+      << frame.message;
+
+  // A valid request carrying a checksummed sweep document that does.
+  ServiceRequest request;
+  request.kind = ServiceRequest::Kind::kSweep;
+  request.sweep_document =
+      json::WrapChecksummedBody("shard_version", kShardProtocolVersion, deep);
+  const ServiceResponse embedded =
+      ServiceResponse::FromJson(service.HandleRequestBytes(request.ToJson()));
+  EXPECT_FALSE(embedded.ok);
+  EXPECT_FALSE(embedded.retryable);
+  EXPECT_NE(embedded.message.find("nesting deeper than"), std::string::npos)
+      << embedded.message;
+}
+
 TEST(SweepServiceTest, StaleSweepIdIsRejected) {
   // A document whose stamped sweep_id no longer matches its own content
   // (mutated after planning, then re-serialized) must be refused: trusting
   // either the stale id or the new content would mis-key the cache.
   ShardSpec spec = ShardSpec::FromJson(
-      Document(SweepSpec(FastConfig()), FixedOptions()));
+      Document(SweepSpec(FastScenario()), FixedOptions()));
   spec.options.mc.seed = 999;  // content changes, stamped sweep_id does not
   ServiceRequest request;
   request.kind = ServiceRequest::Kind::kSweep;
@@ -249,7 +275,7 @@ TEST(SweepServiceTest, LruEvictionKeepsTheCacheBounded) {
   ServiceOptions options;
   options.cache_capacity = 1;
   SweepService service(options);
-  const SweepSpec spec(FastConfig());
+  const SweepSpec spec(FastScenario());
 
   const std::string first = Document(spec, FixedOptions(/*trials=*/50));
   const std::string second =

@@ -22,6 +22,7 @@
 
 #include "src/model/fault_params.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
 
@@ -30,13 +31,8 @@ namespace {
 
 // Matches tests/paper_figures_test.cc (and bench_scrubbing_effect's
 // simulation column) for the §5.4 table.
-StorageSimConfig CheetahConfig(const FaultParams& p) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = p;
-  config.scrub =
-      p.mdl.is_infinite() ? ScrubPolicy::None() : ScrubPolicy::Exponential(p.mdl);
-  return config;
+Scenario CheetahScenario(const FaultParams& p) {
+  return ScenarioBuilder().Replicas(2, SpecFromParams(p)).Correlation(p.alpha).Build();
 }
 
 SweepSpec CheetahSpec() {
@@ -45,9 +41,9 @@ SweepSpec CheetahSpec() {
       ApplyScrubPolicy(unscrubbed, ScrubPolicy::PeriodicPerYear(3.0));
   const FaultParams correlated = WithCorrelation(scrubbed, 0.1);
   SweepSpec spec;
-  spec.AddCell("unscrubbed", CheetahConfig(unscrubbed));
-  spec.AddCell("scrub 3x/year", CheetahConfig(scrubbed));
-  spec.AddCell("scrub 3x/year, alpha=0.1", CheetahConfig(correlated));
+  spec.AddCell("unscrubbed", CheetahScenario(unscrubbed));
+  spec.AddCell("scrub 3x/year", CheetahScenario(scrubbed));
+  spec.AddCell("scrub 3x/year, alpha=0.1", CheetahScenario(correlated));
   return spec;
 }
 

@@ -80,10 +80,7 @@ ShardSpec ManualShard(const SweepSpec& spec, const SweepOptions& options,
   shard.axis_names = spec.AxisNames();
   shard.options = options;
   for (const size_t member : members) {
-    SweepSpec::Cell cell = cells[member];
-    cell.config = StorageSimConfig{};
-    cell.from_legacy = false;
-    shard.cells.push_back(std::move(cell));
+    shard.cells.push_back(cells[member]);
   }
   return shard;
 }

@@ -8,12 +8,14 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
 #include "src/util/json.h"
+#include "tools/figure_sweeps.h"
 
 namespace longstore {
 namespace {
@@ -65,10 +67,8 @@ std::string Replaced(const std::string& text, const std::string& from,
 // body, mutate it textually, and re-wrap with a freshly computed (valid)
 // envelope — otherwise every mutation would just trip the checksum.
 std::string Body(const std::string& document) {
-  const json::ChecksummedDocument doc =
-      json::OpenChecksummedDocument(document, "shard_version", "test");
-  EXPECT_TRUE(doc.checksummed);
-  return std::string(doc.body);
+  return std::string(
+      json::OpenChecksummedDocument(document, "shard_version", "test").body);
 }
 
 std::string Rewrapped(const std::string& body) {
@@ -81,8 +81,8 @@ std::string Doctored(const std::string& document, const std::string& from,
 }
 
 // A faithful version-1 document: flat (no envelope), shard_version inside
-// the body, no sweep_id — what a pre-upgrade worker would have written.
-std::string AsLegacyV1(const std::string& document) {
+// the body, no sweep_id — what a worker before the envelope wrote.
+std::string AsUnchecksummedV1(const std::string& document) {
   std::string body = Body(document);
   const size_t at = body.find(",\"sweep_id\":\"");
   EXPECT_NE(at, std::string::npos);
@@ -114,11 +114,16 @@ const auto kParseResult = [](const std::string& text) {
 
 TEST(ShardProtocolTest, SpecRejectsMalformedAndTruncatedInput) {
   const std::string valid = ValidSpecJson();
-  ExpectRejects(kParseSpec, "", "unexpected end of input");
-  ExpectRejects(kParseSpec, "not json at all", "expected a value");
-  ExpectRejects(kParseSpec, "\x01\x02\x03", "expected a value");
+  // Anything that is not a checksummed envelope is refused before parsing.
+  ExpectRejects(kParseSpec, "", "not a checksummed document");
+  ExpectRejects(kParseSpec, "not json at all", "not a checksummed document");
+  ExpectRejects(kParseSpec, "\x01\x02\x03", "not a checksummed document");
+  ExpectRejects(kParseSpec, "[1,2,3]", "not a checksummed document");
   ExpectRejects(kParseSpec, valid + "x", "not closed by '}'");
-  ExpectRejects(kParseSpec, "[1,2,3]", "must be an object");
+  // A verified envelope around a bad body still fails the body parse.
+  ExpectRejects(kParseSpec, Rewrapped(""), "unexpected end of input");
+  ExpectRejects(kParseSpec, Rewrapped("not json at all"), "expected a value");
+  ExpectRejects(kParseSpec, Rewrapped("[1,2,3]"), "must be an object");
   // Truncation at any prefix must throw, not crash; probe a spread of cuts.
   for (const size_t fraction : {1u, 2u, 3u, 5u, 7u}) {
     const std::string truncated = valid.substr(0, valid.size() * fraction / 8);
@@ -132,15 +137,15 @@ TEST(ShardProtocolTest, SpecRejectsProtocolVersionMismatch) {
   // A foreign envelope version.
   ExpectRejects(kParseSpec, Replaced(valid, "\"shard_version\":3", "\"shard_version\":4"),
                 "unsupported shard_version 4 in a checksummed envelope");
-  // A version-2 document outside the envelope is unverifiable and refused —
-  // otherwise the integrity layer would be optional exactly when it matters.
-  ExpectRejects(kParseSpec,
-                Replaced(Body(valid), "{", "{\"shard_version\":2,"),
-                "must arrive in the checksummed envelope");
-  // A flat document claiming an unknown version.
-  ExpectRejects(kParseSpec,
-                Replaced(Body(valid), "{", "{\"shard_version\":7,"),
-                "unsupported shard_version 7");
+  // A document outside the envelope is unverifiable and refused whatever
+  // version it claims — otherwise the integrity layer would be optional
+  // exactly when it matters.
+  for (const int version : {1, 2, 3, 7}) {
+    ExpectRejects(kParseSpec,
+                  Replaced(Body(valid), "{",
+                           "{\"shard_version\":" + std::to_string(version) + ","),
+                  "not a checksummed document");
+  }
 }
 
 TEST(ShardProtocolTest, EnvelopeDetectsCorruptionTruncationAndPadding) {
@@ -179,22 +184,21 @@ TEST(ShardProtocolTest, EnvelopeDetectsCorruptionTruncationAndPadding) {
   EXPECT_NO_THROW(ShardResult::FromJson(Rewrapped(body)));
 }
 
-TEST(ShardProtocolTest, AcceptsLegacyV1DocumentsUnchecksummed) {
-  // A pre-upgrade (version 1) document: flat, no envelope, no sweep_id.
-  // Accepted for one release so in-flight shard files survive the upgrade.
-  const ShardSpec spec = ShardSpec::FromJson(AsLegacyV1(ValidSpecJson()));
-  EXPECT_EQ(spec.sweep_id, 0u);
-  EXPECT_EQ(spec.cells.size(), 2u);
+TEST(ShardProtocolTest, RejectsUnchecksummedV1Documents) {
+  // A version-1 document (flat, no envelope, no sweep_id) would enter
+  // unverified; specs and results alike are refused.
+  ExpectRejects(kParseSpec, AsUnchecksummedV1(ValidSpecJson()),
+                "not a checksummed document");
+  ExpectRejects(kParseResult, AsUnchecksummedV1(ValidResultJson()),
+                "not a checksummed document");
+}
 
-  const ShardResult result = ShardResult::FromJson(AsLegacyV1(ValidResultJson()));
-  EXPECT_EQ(result.sweep_id, 0u);
-  // Legacy results merge under the legacy equal-shard-count rule.
-  ShardMerger merger;
-  merger.Add(result);
-  EXPECT_TRUE(merger.complete());
-  // And running the legacy spec produces the same cells as the v2 document.
-  const ShardResult rerun = RunShard(spec);
-  EXPECT_EQ(rerun.cells.size(), 2u);
+TEST(ShardProtocolTest, DeeplyNestedVerifiedBodyIsAnErrorNotACrash) {
+  // FNV-1a is an integrity check, not authentication: a hostile sender can
+  // checksum anything, so a verified body must still parse within bounds.
+  const std::string deep = Rewrapped(std::string(200 * 1024, '['));
+  ExpectRejects(kParseSpec, deep, "nesting deeper than");
+  ExpectRejects(kParseResult, deep, "nesting deeper than");
 }
 
 TEST(ShardProtocolTest, SpecRejectsSchemaDrift) {
@@ -262,7 +266,8 @@ TEST(ShardProtocolTest, SpecRejectsBadCellGeometry) {
 
 TEST(ShardProtocolTest, ResultRejectsMalformedDocuments) {
   const std::string valid = ValidResultJson();
-  ExpectRejects(kParseResult, "", "unexpected end of input");
+  ExpectRejects(kParseResult, "", "not a checksummed document");
+  ExpectRejects(kParseResult, Rewrapped(""), "unexpected end of input");
   ExpectRejects(kParseResult, valid.substr(0, valid.size() / 2), "");
   ExpectRejects(kParseResult,
                 Replaced(valid, "\"shard_version\":3", "\"shard_version\":4"),
@@ -454,18 +459,6 @@ TEST(ShardProtocolTest, MergerUsesSweepIdentityNotShardCount) {
           << e.what();
     }
   }
-  {
-    // Legacy documents (sweep_id 0) fall back to the equal-shard-count rule.
-    ShardMerger merger;
-    ShardResult legacy_first = first;
-    legacy_first.sweep_id = 0;
-    ShardResult legacy_second = second;
-    legacy_second.sweep_id = 0;
-    legacy_second.shard_count = 7;
-    legacy_second.shard_index = 6;
-    merger.Add(legacy_first);
-    EXPECT_THROW(merger.Add(legacy_second), std::invalid_argument);
-  }
 }
 
 TEST(ShardProtocolTest, FinishPartialKeepsTrueIndicesAndExactBytes) {
@@ -510,6 +503,29 @@ TEST(ShardProtocolTest, RunShardValidatesSemanticsLikeTheRunner) {
   ShardSpec bad_options = ValidPlan().shards()[0];
   bad_options.options.mc.trials = 0;
   EXPECT_THROW(RunShard(bad_options), std::invalid_argument);
+}
+
+TEST(ShardProtocolTest, GoldenSweepIdentitiesArePinned) {
+  // Every byte-identity check elsewhere compares two paths that would move
+  // together; these pins are absolute. The identities are FNV-1a over
+  // canonical JSON built with integer and IEEE arithmetic only (no libm),
+  // so they hold on any conforming toolchain and are enforced everywhere.
+  SweepSpec cheetah;
+  SweepOptions options;
+  BuildCheetahSweep(&cheetah, &options);
+  const std::vector<SweepSpec::Cell> cells = cheetah.BuildCells();
+  EXPECT_EQ(ComputeSweepId(cheetah.AxisNames(), options, cells),
+            0xa44d68e3d2357f54ull);
+  ASSERT_EQ(cells.size(), 3u);
+  EXPECT_EQ(cells[0].scenario.CanonicalHash(), 0xa8010c130c4224e9ull);
+  EXPECT_EQ(cells[1].scenario.CanonicalHash(), 0xe431aa7291273e0dull);
+  EXPECT_EQ(cells[2].scenario.CanonicalHash(), 0x16661abd7deab6ccull);
+
+  // A default spec has one valid cell: two default replicas.
+  const std::vector<SweepSpec::Cell> defaults = SweepSpec().BuildCells();
+  ASSERT_EQ(defaults.size(), 1u);
+  EXPECT_EQ(defaults[0].scenario.CanonicalHash(), 0x8196feeaab4bde6bull);
+  EXPECT_FALSE(defaults[0].scenario.Validate().has_value());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "src/mc/monte_carlo.h"
 #include "src/model/replica_ctmc.h"
+#include "src/scenario/media.h"
 
 namespace longstore {
 namespace {
@@ -33,6 +34,15 @@ class SimSweepTest : public ::testing::TestWithParam<SimSweepParam> {
   }
   int Replicas() const { return std::get<0>(GetParam()); }
   RateConvention Convention() const { return std::get<3>(GetParam()); }
+  // The simulated fleet; exponential audits with mean MDL match the chain.
+  Scenario SimScenario() const {
+    const FaultParams p = Params();
+    return ScenarioBuilder()
+        .Replicas(Replicas(), SpecFromParams(p))
+        .Correlation(p.alpha)
+        .Convention(Convention())
+        .Build();
+  }
 };
 
 TEST_P(SimSweepTest, McMttdlMatchesExactChain) {
@@ -42,16 +52,10 @@ TEST_P(SimSweepTest, McMttdlMatchesExactChain) {
   ASSERT_TRUE(exact.has_value());
   ASSERT_FALSE(exact->is_infinite());
 
-  StorageSimConfig config;
-  config.replica_count = Replicas();
-  config.params = p;
-  config.scrub = ScrubPolicy::Exponential(p.mdl);
-  config.convention = Convention();
-
   McConfig mc;
   mc.trials = 2500;
   mc.seed = 0xabcdef;
-  const MttdlEstimate estimate = EstimateMttdl(config, mc);
+  const MttdlEstimate estimate = EstimateMttdl(SimScenario(), mc);
   ASSERT_EQ(estimate.censored_trials, 0);
   const double mc_hours = estimate.mean_years() * kHoursPerYear;
   // 2500 ~exponential samples: SE ~2%; allow 5 sigma.
@@ -62,11 +66,6 @@ TEST_P(SimSweepTest, McMttdlMatchesExactChain) {
 
 TEST_P(SimSweepTest, MeasuredDetectionLatencyMatchesPolicy) {
   const FaultParams p = Params();
-  StorageSimConfig config;
-  config.replica_count = Replicas();
-  config.params = p;
-  config.scrub = ScrubPolicy::Exponential(p.mdl);
-  config.convention = Convention();
   if (p.alpha < 1.0) {
     // Correlated corners censor the measurement: latent faults that cascade
     // into data loss are never detected, and the long-waiting ones die
@@ -77,7 +76,7 @@ TEST_P(SimSweepTest, MeasuredDetectionLatencyMatchesPolicy) {
   McConfig mc;
   mc.trials = 1500;
   mc.seed = 0xfeef;
-  const MttdlEstimate estimate = EstimateMttdl(config, mc);
+  const MttdlEstimate estimate = EstimateMttdl(SimScenario(), mc);
   const RunningStats& latency = estimate.aggregate_metrics.detection_latency_hours;
   if (latency.count() < 500) {
     GTEST_SKIP() << "too few detections at this corner for a tight check";

@@ -9,6 +9,7 @@
 #include "src/mc/monte_carlo.h"
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
+#include "src/scenario/media.h"
 
 namespace longstore {
 namespace {
@@ -27,22 +28,21 @@ FaultParams FastParams(double alpha = 1.0) {
   return p;
 }
 
-StorageSimConfig ConfigFor(const FaultParams& p, int replicas,
-                           RateConvention convention) {
-  StorageSimConfig config;
-  config.replica_count = replicas;
-  config.params = p;
-  // Exponential audits with mean = MDL match the CTMC's detection rate.
-  config.scrub = ScrubPolicy::Exponential(p.mdl);
-  config.convention = convention;
-  return config;
+// SpecFromParams realizes MDL as exponential audits with mean = MDL, which
+// match the CTMC's detection rate.
+Scenario ScenarioFor(const FaultParams& p, int replicas, RateConvention convention) {
+  return ScenarioBuilder()
+      .Replicas(replicas, SpecFromParams(p))
+      .Correlation(p.alpha)
+      .Convention(convention)
+      .Build();
 }
 
-double McMttdlHours(const StorageSimConfig& config, int64_t trials, uint64_t seed) {
+double McMttdlHours(const Scenario& scenario, int64_t trials, uint64_t seed) {
   McConfig mc;
   mc.trials = trials;
   mc.seed = seed;
-  const MttdlEstimate estimate = EstimateMttdl(config, mc);
+  const MttdlEstimate estimate = EstimateMttdl(scenario, mc);
   EXPECT_EQ(estimate.censored_trials, 0);
   return estimate.loss_time_years.mean() * kHoursPerYear;
 }
@@ -52,7 +52,7 @@ TEST(SimVsModelTest, MirroredPhysicalConventionMatchesCtmc) {
   const auto ctmc = MirroredMttdl(p, RateConvention::kPhysical);
   ASSERT_TRUE(ctmc.has_value());
   const double mc =
-      McMttdlHours(ConfigFor(p, 2, RateConvention::kPhysical), 6000, 101);
+      McMttdlHours(ScenarioFor(p, 2, RateConvention::kPhysical), 6000, 101);
   // 6000 trials of an ~exponential time: SE ~ 1.3%; 5 sigma ~ 6.5%.
   EXPECT_NEAR(mc / ctmc->hours(), 1.0, 0.065);
 }
@@ -61,7 +61,7 @@ TEST(SimVsModelTest, MirroredPaperConventionMatchesCtmc) {
   const FaultParams p = FastParams();
   const auto ctmc = MirroredMttdl(p, RateConvention::kPaper);
   ASSERT_TRUE(ctmc.has_value());
-  const double mc = McMttdlHours(ConfigFor(p, 2, RateConvention::kPaper), 6000, 103);
+  const double mc = McMttdlHours(ScenarioFor(p, 2, RateConvention::kPaper), 6000, 103);
   EXPECT_NEAR(mc / ctmc->hours(), 1.0, 0.065);
 }
 
@@ -70,7 +70,7 @@ TEST(SimVsModelTest, CorrelatedMirrorMatchesCtmc) {
   const auto ctmc = MirroredMttdl(p, RateConvention::kPhysical);
   ASSERT_TRUE(ctmc.has_value());
   const double mc =
-      McMttdlHours(ConfigFor(p, 2, RateConvention::kPhysical), 6000, 107);
+      McMttdlHours(ScenarioFor(p, 2, RateConvention::kPhysical), 6000, 107);
   EXPECT_NEAR(mc / ctmc->hours(), 1.0, 0.065);
 }
 
@@ -84,7 +84,7 @@ TEST(SimVsModelTest, ThreeWayReplicationMatchesCtmc) {
   const auto ctmc = chain.Mttdl();
   ASSERT_TRUE(ctmc.has_value());
   const double mc =
-      McMttdlHours(ConfigFor(p, 3, RateConvention::kPhysical), 4000, 109);
+      McMttdlHours(ScenarioFor(p, 3, RateConvention::kPhysical), 4000, 109);
   EXPECT_NEAR(mc / ctmc->hours(), 1.0, 0.08);
 }
 
@@ -98,7 +98,7 @@ TEST(SimVsModelTest, MissionLossProbabilityMatchesCtmc) {
   mc.trials = 8000;
   mc.seed = 113;
   const LossProbabilityEstimate estimate =
-      EstimateLossProbability(ConfigFor(p, 2, RateConvention::kPhysical), mission, mc);
+      EstimateLossProbability(ScenarioFor(p, 2, RateConvention::kPhysical), mission, mc);
   EXPECT_TRUE(estimate.wilson_ci.lo <= *exact && *exact <= estimate.wilson_ci.hi)
       << "exact=" << *exact << " mc=[" << estimate.wilson_ci.lo << ", "
       << estimate.wilson_ci.hi << "]";
@@ -110,11 +110,14 @@ TEST(SimVsModelTest, PeriodicScrubBeatsExponentialAuditSlightly) {
   // models exponential detection; this quantifies the gap for the simulator's
   // periodic mode.)
   const FaultParams p = FastParams();
-  StorageSimConfig periodic = ConfigFor(p, 2, RateConvention::kPhysical);
-  periodic.scrub = ScrubPolicy::Periodic(p.mdl * 2.0);  // same mean latency
+  const Scenario periodic =
+      ScenarioBuilder()
+          .Replicas(2, SpecFromParams(p).ScrubWith(
+                           ScrubPolicy::Periodic(p.mdl * 2.0)))  // same mean latency
+          .Build();
   const double mttdl_periodic = McMttdlHours(periodic, 6000, 127);
   const double mttdl_exponential =
-      McMttdlHours(ConfigFor(p, 2, RateConvention::kPhysical), 6000, 127);
+      McMttdlHours(ScenarioFor(p, 2, RateConvention::kPhysical), 6000, 127);
   EXPECT_GT(mttdl_periodic, mttdl_exponential * 0.95);
 }
 
@@ -124,7 +127,7 @@ TEST(SimVsModelTest, PaperClosedFormWithinConventionFactorOfSimulation) {
   const FaultParams p = FastParams();
   const double eq8 = MttdlClosedForm(p).hours();
   const double mc =
-      McMttdlHours(ConfigFor(p, 2, RateConvention::kPhysical), 4000, 131);
+      McMttdlHours(ScenarioFor(p, 2, RateConvention::kPhysical), 4000, 131);
   EXPECT_GT(eq8 / mc, 1.5);
   EXPECT_LT(eq8 / mc, 2.6);
 }
@@ -137,9 +140,9 @@ TEST(SimVsModelTest, HazardMultiplierMeasuredInWindows) {
   mc.trials = 3000;
   mc.seed = 137;
   const MttdlEstimate a =
-      EstimateMttdl(ConfigFor(independent, 2, RateConvention::kPhysical), mc);
+      EstimateMttdl(ScenarioFor(independent, 2, RateConvention::kPhysical), mc);
   const MttdlEstimate b =
-      EstimateMttdl(ConfigFor(correlated, 2, RateConvention::kPhysical), mc);
+      EstimateMttdl(ScenarioFor(correlated, 2, RateConvention::kPhysical), mc);
   auto window_loss_rate = [](const SimMetrics& m) {
     const double opened = static_cast<double>(m.windows_opened[0] + m.windows_opened[1]);
     const double second =

@@ -10,26 +10,23 @@
 namespace longstore {
 namespace {
 
-FaultParams LatentHeavy() {
-  FaultParams p;
-  p.mv = Duration::Hours(1e12);
-  p.ml = Duration::Hours(400.0);
-  p.mrv = Duration::Hours(1.0);
-  p.mrl = Duration::Hours(1.0);
-  return p;
+ReplicaSpec LatentHeavy() {
+  return ReplicaSpec()
+      .FaultTimes(Duration::Hours(1e12), Duration::Hours(400.0))
+      .RepairTimes(Duration::Hours(1.0), Duration::Hours(1.0));
 }
 
 TEST(ScrubTickTest, RecordedPassesAppearInTrace) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = LatentHeavy();
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(100.0));
-  config.record_scrub_passes = true;
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(2, LatentHeavy().ScrubEvery(Duration::Hours(100.0)))
+          .RecordScrubPasses()
+          .Build();
 
   Simulator sim;
   Rng rng(3);
   TraceRecorder trace(true);
-  ReplicatedStorageSystem system(&sim, &rng, config, &trace);
+  ReplicatedStorageSystem system(&sim, &rng, scenario, &trace);
   system.Start();
   sim.RunUntil(Duration::Hours(1000.0));
   // ~10 periods x 2 replicas, minus any lost to an early data loss.
@@ -37,12 +34,12 @@ TEST(ScrubTickTest, RecordedPassesAppearInTrace) {
 }
 
 TEST(ScrubTickTest, TickDrivenDetectionStillWorks) {
-  StorageSimConfig config;
-  config.replica_count = 4;
-  config.params = LatentHeavy();
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(80.0));
-  config.record_scrub_passes = true;
-  const RunOutcome outcome = RunToLossOrHorizon(config, 5, Duration::Years(20.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(4, LatentHeavy().ScrubEvery(Duration::Hours(80.0)))
+          .RecordScrubPasses()
+          .Build();
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 5, Duration::Years(20.0));
   ASSERT_GT(outcome.metrics.latent_detections, 100);
   // Detection latency still averages half the period.
   EXPECT_NEAR(outcome.metrics.detection_latency_hours.mean(), 40.0, 6.0);
@@ -50,12 +47,11 @@ TEST(ScrubTickTest, TickDrivenDetectionStillWorks) {
 
 TEST(ScrubPhaseTest, StaggeredAndAlignedBothDetectWithinOnePeriod) {
   for (bool staggered : {true, false}) {
-    StorageSimConfig config;
-    config.replica_count = 4;
-    config.params = LatentHeavy();
-    config.scrub = ScrubPolicy::Periodic(Duration::Hours(120.0));
-    config.scrub_staggered = staggered;
-    const RunOutcome outcome = RunToLossOrHorizon(config, 11, Duration::Years(20.0));
+    Scenario scenario = ScenarioBuilder()
+                            .Replicas(4, LatentHeavy().ScrubEvery(Duration::Hours(120.0)))
+                            .Build();
+    scenario.scrub_staggered = staggered;
+    const RunOutcome outcome = RunToLossOrHorizon(scenario, 11, Duration::Years(20.0));
     ASSERT_GT(outcome.metrics.latent_detections, 100) << "staggered=" << staggered;
     EXPECT_LE(outcome.metrics.detection_latency_hours.max(), 120.0 * (1 + 1e-9));
     EXPECT_NEAR(outcome.metrics.detection_latency_hours.mean(), 60.0, 8.0);
@@ -67,20 +63,21 @@ TEST(ScrubPhaseTest, StaggeredPhasesDifferAcrossReplicas) {
   // deterministic detection times of simultaneous faults must differ.
   // Three replicas so a simultaneous double-latent hit on {0, 1} degrades
   // but does not destroy the archive.
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.params = LatentHeavy();
-  config.params.ml = Duration::Hours(1e12);  // inject manually via common mode
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(100.0));
-  config.scrub_staggered = true;
-  config.common_mode.push_back(
-      CommonModeSource{"simultaneous latent", Rate::PerHour(1.0 / 300.0), {0, 1},
-                       1.0, /*visible_fraction=*/0.0});
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3, LatentHeavy()
+                           .FaultTimes(Duration::Hours(1e12),
+                                       Duration::Hours(1e12))  // inject via common mode
+                           .ScrubEvery(Duration::Hours(100.0)))
+          .StaggeredScrubs()
+          .CommonMode(CommonModeSource{"simultaneous latent", Rate::PerHour(1.0 / 300.0),
+                                       {0, 1}, 1.0, /*visible_fraction=*/0.0})
+          .Build();
 
   Simulator sim;
   Rng rng(17);
   TraceRecorder trace(true);
-  ReplicatedStorageSystem system(&sim, &rng, config, &trace);
+  ReplicatedStorageSystem system(&sim, &rng, scenario, &trace);
   system.Start();
   sim.RunUntil(Duration::Hours(320.0));
 
@@ -95,13 +92,14 @@ TEST(ScrubPhaseTest, StaggeredPhasesDifferAcrossReplicas) {
 }
 
 TEST(SurfacesLatentTest, AuditAndSurfacingCoexist) {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.params = LatentHeavy();
-  config.params.mv = Duration::Hours(800.0);
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(200.0));
-  config.visible_fault_surfaces_latent = true;
-  const RunOutcome outcome = RunToLossOrHorizon(config, 23, Duration::Years(30.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3, LatentHeavy()
+                           .FaultTimes(Duration::Hours(800.0), Duration::Hours(400.0))
+                           .ScrubEvery(Duration::Hours(200.0)))
+          .VisibleFaultSurfacesLatent()
+          .Build();
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 23, Duration::Years(30.0));
   // Every latent fault is eventually detected through one channel or the
   // other; none linger past a period plus a repair.
   EXPECT_GT(outcome.metrics.latent_detections, 0);
@@ -109,15 +107,17 @@ TEST(SurfacesLatentTest, AuditAndSurfacingCoexist) {
 }
 
 TEST(PaperConventionTest, SerialDetectionDrainsBacklog) {
-  StorageSimConfig config;
-  config.replica_count = 4;
-  config.convention = RateConvention::kPaper;
-  config.params = LatentHeavy();
-  config.params.ml = Duration::Hours(150.0);  // build a backlog quickly
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(30.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(4, LatentHeavy()
+                           .FaultTimes(Duration::Hours(1e12),
+                                       Duration::Hours(150.0))  // build a backlog quickly
+                           .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(30.0))))
+          .Convention(RateConvention::kPaper)
+          .Build();
   // A run ends at data loss; with a serial audit draining a four-deep
   // backlog, dozens of detections still complete before the fatal pile-up.
-  const RunOutcome outcome = RunToLossOrHorizon(config, 29, Duration::Years(30.0));
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 29, Duration::Years(30.0));
   EXPECT_GT(outcome.metrics.latent_detections, 20);
   // Queueing can only lengthen the realized latency beyond the audit mean
   // (modulo loss-censoring of the longest waits).
@@ -125,13 +125,12 @@ TEST(PaperConventionTest, SerialDetectionDrainsBacklog) {
 }
 
 TEST(HorizonTest, OutcomeCensoredExactlyAtHorizon) {
-  StorageSimConfig config;
-  config.replica_count = 8;  // effectively lossless
-  config.params = LatentHeavy();
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(50.0));
+  // Eight replicas: effectively lossless.
+  const Scenario scenario =
+      ScenarioBuilder().Replicas(8, LatentHeavy().ScrubEvery(Duration::Hours(50.0))).Build();
   Simulator sim;
   Rng rng(31);
-  ReplicatedStorageSystem system(&sim, &rng, config);
+  ReplicatedStorageSystem system(&sim, &rng, scenario);
   system.Start();
   sim.RunUntil(Duration::Years(3.0));
   EXPECT_FALSE(system.lost());
@@ -139,14 +138,12 @@ TEST(HorizonTest, OutcomeCensoredExactlyAtHorizon) {
 }
 
 TEST(MetricsMergeTest, AggregationIsAssociative) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = LatentHeavy();
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(100.0));
+  const Scenario scenario =
+      ScenarioBuilder().Replicas(2, LatentHeavy().ScrubEvery(Duration::Hours(100.0))).Build();
   SimMetrics ab;
   SimMetrics ba;
-  const RunOutcome a = RunToLossOrHorizon(config, 1, Duration::Years(50.0));
-  const RunOutcome b = RunToLossOrHorizon(config, 2, Duration::Years(50.0));
+  const RunOutcome a = RunToLossOrHorizon(scenario, 1, Duration::Years(50.0));
+  const RunOutcome b = RunToLossOrHorizon(scenario, 2, Duration::Years(50.0));
   ab.Merge(a.metrics);
   ab.Merge(b.metrics);
   ba.Merge(b.metrics);
@@ -161,16 +158,17 @@ TEST(MetricsMergeTest, AggregationIsAssociative) {
 TEST(CommonModeLatentTest, LatentHitsAwaitScrubDetection) {
   // Four replicas, the worm reaches only three: the archive degrades but
   // survives, so detection (not loss) handles every hit.
-  StorageSimConfig config;
-  config.replica_count = 4;
-  config.params.mv = Duration::Hours(1e12);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.mrl = Duration::Hours(1.0);
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(100.0));
-  config.common_mode.push_back(CommonModeSource{
-      "silent corruption worm", Rate::PerHour(1.0 / 500.0), {0, 1, 2}, 0.8,
-      /*visible_fraction=*/0.0});
-  const RunOutcome outcome = RunToLossOrHorizon(config, 37, Duration::Years(10.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(4, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(1e12), Duration::Hours(1e12))
+                           .RepairTimes(Duration::Zero(), Duration::Hours(1.0))
+                           .ScrubEvery(Duration::Hours(100.0)))
+          .CommonMode(CommonModeSource{"silent corruption worm",
+                                       Rate::PerHour(1.0 / 500.0), {0, 1, 2}, 0.8,
+                                       /*visible_fraction=*/0.0})
+          .Build();
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 37, Duration::Years(10.0));
   EXPECT_GT(outcome.metrics.latent_faults, 50);
   EXPECT_GT(outcome.metrics.latent_detections, 50);
   EXPECT_EQ(outcome.metrics.visible_faults, 0);

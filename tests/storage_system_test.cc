@@ -7,45 +7,37 @@
 namespace longstore {
 namespace {
 
-// Fast-failing parameters so deterministic behaviours show up in short runs.
-FaultParams AggressiveParams() {
-  FaultParams p;
-  p.mv = Duration::Hours(1000.0);
-  p.ml = Duration::Hours(500.0);
-  p.mrv = Duration::Hours(20.0);
-  p.mrl = Duration::Hours(20.0);
-  p.mdl = Duration::Hours(50.0);  // ignored by the simulator; scrub drives MDL
-  return p;
+// Fast-failing replicas so deterministic behaviours show up in short runs;
+// no detection process unless a test adds one.
+ReplicaSpec Aggressive() {
+  return ReplicaSpec()
+      .FaultTimes(Duration::Hours(1000.0), Duration::Hours(500.0))
+      .RepairTimes(Duration::Hours(20.0), Duration::Hours(20.0));
+}
+
+Scenario Fleet(int replicas, ReplicaSpec spec) {
+  return ScenarioBuilder().Replicas(replicas, std::move(spec)).Build();
 }
 
 TEST(StorageSystemTest, SurvivesWhenFaultsAreImpossiblyRare) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
-  config.params.mv = Duration::Hours(1e15);
-  config.params.ml = Duration::Hours(1e15);
-  const RunOutcome outcome = RunToLossOrHorizon(config, 1, Duration::Years(100.0));
+  const Scenario scenario =
+      Fleet(2, Aggressive().FaultTimes(Duration::Hours(1e15), Duration::Hours(1e15)));
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 1, Duration::Years(100.0));
   EXPECT_FALSE(outcome.loss_time.has_value());
   EXPECT_EQ(outcome.metrics.visible_faults + outcome.metrics.latent_faults, 0);
 }
 
 TEST(StorageSystemTest, UnscrubbedMirrorEventuallyLosesData) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
-  config.scrub = ScrubPolicy::None();
-  const RunOutcome outcome = RunToLossOrHorizon(config, 7, Duration::Years(1000.0));
+  const RunOutcome outcome =
+      RunToLossOrHorizon(Fleet(2, Aggressive()), 7, Duration::Years(1000.0));
   ASSERT_TRUE(outcome.loss_time.has_value());
   EXPECT_GT(outcome.loss_time->hours(), 0.0);
 }
 
 TEST(StorageSystemTest, LossStopsTheSimulation) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
   Simulator sim;
   Rng rng(3);
-  ReplicatedStorageSystem system(&sim, &rng, config);
+  ReplicatedStorageSystem system(&sim, &rng, Fleet(2, Aggressive()));
   system.Start();
   sim.RunUntil(Duration::Years(1000.0));
   ASSERT_TRUE(system.lost());
@@ -54,23 +46,25 @@ TEST(StorageSystemTest, LossStopsTheSimulation) {
   EXPECT_EQ(system.intact_count(), 0);
 }
 
+TEST(StorageSystemTest, ConstructorThrowsOnInvalidScenario) {
+  Scenario scenario = Fleet(2, Aggressive());
+  scenario.replicas.clear();
+  Simulator sim;
+  Rng rng(1);
+  EXPECT_THROW(ReplicatedStorageSystem(&sim, &rng, scenario), std::invalid_argument);
+}
+
 TEST(StorageSystemTest, StartTwiceThrows) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
   Simulator sim;
   Rng rng(3);
-  ReplicatedStorageSystem system(&sim, &rng, config);
+  ReplicatedStorageSystem system(&sim, &rng, Fleet(2, Aggressive()));
   system.Start();
   EXPECT_THROW(system.Start(), std::logic_error);
 }
 
 TEST(StorageSystemTest, WindowBookkeepingReconciles) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(100.0));
-  const RunOutcome outcome = RunToLossOrHorizon(config, 11, Duration::Years(2000.0));
+  const Scenario scenario = Fleet(2, Aggressive().ScrubEvery(Duration::Hours(100.0)));
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 11, Duration::Years(2000.0));
   const SimMetrics& m = outcome.metrics;
   const int64_t opened = m.windows_opened[0] + m.windows_opened[1];
   const int64_t survived = m.windows_survived[0] + m.windows_survived[1];
@@ -84,15 +78,15 @@ TEST(StorageSystemTest, WindowBookkeepingReconciles) {
 }
 
 TEST(StorageSystemTest, PeriodicScrubDetectionLatencyIsHalfPeriod) {
-  StorageSimConfig config;
-  config.replica_count = 8;  // loss-proof, so the run spans the full horizon
-  config.params = AggressiveParams();
-  config.params.mv = Duration::Hours(1e12);  // isolate latent behaviour
-  config.params.ml = Duration::Hours(200.0);
-  config.params.mrl = Duration::Hours(0.001);
   const Duration period = Duration::Hours(80.0);
-  config.scrub = ScrubPolicy::Periodic(period);
-  const RunOutcome outcome = RunToLossOrHorizon(config, 13, Duration::Years(200.0));
+  // Eight replicas are loss-proof, so the run spans the full horizon; the
+  // visible-fault clock is switched off to isolate latent behaviour.
+  const Scenario scenario =
+      Fleet(8, Aggressive()
+                   .FaultTimes(Duration::Hours(1e12), Duration::Hours(200.0))
+                   .RepairTimes(Duration::Hours(20.0), Duration::Hours(0.001))
+                   .ScrubEvery(period));
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 13, Duration::Years(200.0));
   const RunningStats& latency = outcome.metrics.detection_latency_hours;
   ASSERT_GT(latency.count(), 1000);
   EXPECT_NEAR(latency.mean(), period.hours() / 2.0, period.hours() * 0.05);
@@ -101,51 +95,45 @@ TEST(StorageSystemTest, PeriodicScrubDetectionLatencyIsHalfPeriod) {
 }
 
 TEST(StorageSystemTest, ExponentialAuditLatencyMatchesMean) {
-  StorageSimConfig config;
-  config.replica_count = 8;
-  config.params = AggressiveParams();
-  config.params.mv = Duration::Hours(1e12);
-  config.params.ml = Duration::Hours(200.0);
-  config.params.mrl = Duration::Hours(0.001);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(60.0));
-  const RunOutcome outcome = RunToLossOrHorizon(config, 17, Duration::Years(200.0));
+  const Scenario scenario =
+      Fleet(8, Aggressive()
+                   .FaultTimes(Duration::Hours(1e12), Duration::Hours(200.0))
+                   .RepairTimes(Duration::Hours(20.0), Duration::Hours(0.001))
+                   .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(60.0))));
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 17, Duration::Years(200.0));
   const RunningStats& latency = outcome.metrics.detection_latency_hours;
   ASSERT_GT(latency.count(), 1000);
   EXPECT_NEAR(latency.mean(), 60.0, 4.0);
 }
 
 TEST(StorageSystemTest, NoDetectionMeansLatentFaultsNeverClear) {
-  StorageSimConfig config;
-  config.replica_count = 3;  // survives long enough to accumulate faults
-  config.params = AggressiveParams();
-  config.params.mv = Duration::Hours(1e12);
-  config.scrub = ScrubPolicy::None();
-  const RunOutcome outcome = RunToLossOrHorizon(config, 19, Duration::Years(50.0));
+  // Three replicas survive long enough to accumulate faults.
+  const Scenario scenario =
+      Fleet(3, Aggressive().FaultTimes(Duration::Hours(1e12), Duration::Hours(500.0)));
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 19, Duration::Years(50.0));
   EXPECT_EQ(outcome.metrics.latent_detections, 0);
   EXPECT_EQ(outcome.metrics.repairs_completed, 0);
 }
 
 TEST(StorageSystemTest, VisibleFaultSurfacesLatentWhenEnabled) {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.params = AggressiveParams();
-  config.params.ml = Duration::Hours(300.0);
-  config.scrub = ScrubPolicy::None();
-  config.visible_fault_surfaces_latent = true;
-  const RunOutcome outcome = RunToLossOrHorizon(config, 23, Duration::Years(100.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3, Aggressive().FaultTimes(Duration::Hours(1000.0),
+                                               Duration::Hours(300.0)))
+          .VisibleFaultSurfacesLatent()
+          .Build();
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 23, Duration::Years(100.0));
   // Without scrubbing, the only detection channel is the surfacing path.
   EXPECT_GT(outcome.metrics.latent_detections, 0);
 }
 
 TEST(StorageSystemTest, DeterministicRepairHasFixedDuration) {
-  StorageSimConfig config;
-  config.replica_count = 4;
-  config.params = AggressiveParams();
-  config.params.mv = Duration::Hours(300.0);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.mrv = Duration::Hours(7.0);
-  config.repair_distribution = StorageSimConfig::RepairDistribution::kDeterministic;
-  const RunOutcome outcome = RunToLossOrHorizon(config, 29, Duration::Years(100.0));
+  const Scenario scenario =
+      Fleet(4, Aggressive()
+                   .FaultTimes(Duration::Hours(300.0), Duration::Hours(1e12))
+                   .RepairTimes(Duration::Hours(7.0), Duration::Hours(20.0))
+                   .DeterministicRepair());
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 29, Duration::Years(100.0));
   const RunningStats& repair = outcome.metrics.repair_duration_hours;
   ASSERT_GT(repair.count(), 100);
   EXPECT_NEAR(repair.mean(), 7.0, 1e-9);
@@ -154,33 +142,29 @@ TEST(StorageSystemTest, DeterministicRepairHasFixedDuration) {
 }
 
 TEST(StorageSystemTest, CommonModeEventCanDestroyAllReplicasAtOnce) {
-  StorageSimConfig config;
-  config.replica_count = 4;
-  config.params = AggressiveParams();
-  config.params.mv = Duration::Hours(1e12);  // only the common mode acts
-  config.params.ml = Duration::Hours(1e12);
-  config.common_mode.push_back(
-      CommonModeSource{"site disaster", Rate::PerYear(0.5), {0, 1, 2, 3}, 1.0, 1.0});
-  const RunOutcome outcome = RunToLossOrHorizon(config, 31, Duration::Years(100.0));
+  // Only the common mode acts.
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(4,
+                    Aggressive().FaultTimes(Duration::Hours(1e12), Duration::Hours(1e12)))
+          .CommonMode(CommonModeSource{"site disaster", Rate::PerYear(0.5), {0, 1, 2, 3},
+                                       1.0, 1.0})
+          .Build();
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 31, Duration::Years(100.0));
   ASSERT_TRUE(outcome.loss_time.has_value());
   EXPECT_GE(outcome.metrics.common_mode_events, 1);
   EXPECT_GE(outcome.metrics.common_mode_faults, 4);
 }
 
 TEST(StorageSystemTest, CommonModeHitProbabilityScalesImpact) {
-  StorageSimConfig config;
-  config.replica_count = 20;
-  config.params = AggressiveParams();
-  config.params.mv = Duration::Hours(1e12);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.mrv = Duration::Hours(1.0);
-  std::vector<int> everyone(20);
-  for (int i = 0; i < 20; ++i) {
-    everyone[i] = i;
-  }
-  config.common_mode.push_back(
-      CommonModeSource{"power", Rate::PerYear(10.0), everyone, 0.3, 1.0});
-  const RunOutcome outcome = RunToLossOrHorizon(config, 37, Duration::Years(50.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(20, Aggressive()
+                            .FaultTimes(Duration::Hours(1e12), Duration::Hours(1e12))
+                            .RepairTimes(Duration::Hours(1.0), Duration::Hours(20.0)))
+          .CommonModeAll("power", Rate::PerYear(10.0), 0.3, 1.0)
+          .Build();
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 37, Duration::Years(50.0));
   ASSERT_GT(outcome.metrics.common_mode_events, 100);
   const double hits_per_event =
       static_cast<double>(outcome.metrics.common_mode_faults) /
@@ -191,12 +175,13 @@ TEST(StorageSystemTest, CommonModeHitProbabilityScalesImpact) {
 }
 
 TEST(StorageSystemTest, PaperConventionRunsSerialRepair) {
-  StorageSimConfig config;
-  config.replica_count = 3;
-  config.convention = RateConvention::kPaper;
-  config.params = AggressiveParams();
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(50.0));
-  const RunOutcome outcome = RunToLossOrHorizon(config, 41, Duration::Years(500.0));
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3,
+                    Aggressive().ScrubWith(ScrubPolicy::Exponential(Duration::Hours(50.0))))
+          .Convention(RateConvention::kPaper)
+          .Build();
+  const RunOutcome outcome = RunToLossOrHorizon(scenario, 41, Duration::Years(500.0));
   // Exercises the serial path: faults occur, repairs complete, audits detect.
   EXPECT_GT(outcome.metrics.visible_faults, 0);
   EXPECT_GT(outcome.metrics.latent_detections, 0);
@@ -204,12 +189,9 @@ TEST(StorageSystemTest, PaperConventionRunsSerialRepair) {
 }
 
 TEST(StorageSystemTest, ReproducibleAcrossIdenticalSeeds) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(120.0));
-  const RunOutcome a = RunToLossOrHorizon(config, 99, Duration::Years(300.0));
-  const RunOutcome b = RunToLossOrHorizon(config, 99, Duration::Years(300.0));
+  const Scenario scenario = Fleet(2, Aggressive().ScrubEvery(Duration::Hours(120.0)));
+  const RunOutcome a = RunToLossOrHorizon(scenario, 99, Duration::Years(300.0));
+  const RunOutcome b = RunToLossOrHorizon(scenario, 99, Duration::Years(300.0));
   ASSERT_EQ(a.loss_time.has_value(), b.loss_time.has_value());
   if (a.loss_time) {
     EXPECT_DOUBLE_EQ(a.loss_time->hours(), b.loss_time->hours());
@@ -219,11 +201,9 @@ TEST(StorageSystemTest, ReproducibleAcrossIdenticalSeeds) {
 }
 
 TEST(StorageSystemTest, DifferentSeedsDiverge) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
-  const RunOutcome a = RunToLossOrHorizon(config, 1, Duration::Years(300.0));
-  const RunOutcome b = RunToLossOrHorizon(config, 2, Duration::Years(300.0));
+  const Scenario scenario = Fleet(2, Aggressive());
+  const RunOutcome a = RunToLossOrHorizon(scenario, 1, Duration::Years(300.0));
+  const RunOutcome b = RunToLossOrHorizon(scenario, 2, Duration::Years(300.0));
   const bool same_loss =
       a.loss_time.has_value() == b.loss_time.has_value() &&
       (!a.loss_time || a.loss_time->hours() == b.loss_time->hours());
@@ -232,14 +212,11 @@ TEST(StorageSystemTest, DifferentSeedsDiverge) {
 }
 
 TEST(StorageSystemTest, TraceRecordsFaultLifecycle) {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(100.0));
   Simulator sim;
   Rng rng(5);
   TraceRecorder trace(true);
-  ReplicatedStorageSystem system(&sim, &rng, config, &trace);
+  ReplicatedStorageSystem system(
+      &sim, &rng, Fleet(2, Aggressive().ScrubEvery(Duration::Hours(100.0))), &trace);
   system.Start();
   sim.RunUntil(Duration::Years(50.0));
   EXPECT_GT(trace.CountKind(TraceEventKind::kVisibleFault) +
@@ -258,18 +235,14 @@ TEST(StorageSystemTest, TraceRecordsFaultLifecycle) {
 
 TEST(StorageSystemTest, WeibullWearOutAcceleratesOverLife) {
   // Shape 4 wear-out: almost no faults in the first tenth of life.
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params = AggressiveParams();
-  config.params.mv = Duration::Hours(10000.0);
-  config.params.ml = Duration::Hours(1e12);
-  config.params.alpha = 1.0;
-  config.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  config.weibull_shape = 4.0;
+  const Scenario scenario =
+      Fleet(2, Aggressive()
+                   .FaultTimes(Duration::Hours(10000.0), Duration::Hours(1e12))
+                   .Weibull(4.0));
   int early_faults = 0;
   for (uint64_t seed = 0; seed < 200; ++seed) {
     const RunOutcome outcome =
-        RunToLossOrHorizon(config, 1000 + seed, Duration::Hours(1000.0));
+        RunToLossOrHorizon(scenario, 1000 + seed, Duration::Hours(1000.0));
     early_faults += static_cast<int>(outcome.metrics.visible_faults);
   }
   // Exponential would give ~200 * 2 * 0.1 = 40 faults in this window; the

@@ -16,38 +16,33 @@
 namespace longstore {
 namespace {
 
-StorageSimConfig MirrorConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(2000.0);
-  config.params.ml = Duration::Hours(400.0);
-  config.params.mrv = Duration::Hours(2.0);
-  config.params.mrl = Duration::Hours(2.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(40.0));
-  return config;
+ReplicaSpec MirrorReplica() {
+  return ReplicaSpec()
+      .FaultTimes(Duration::Hours(2000.0), Duration::Hours(400.0))
+      .RepairTimes(Duration::Hours(2.0), Duration::Hours(2.0))
+      .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(40.0)));
 }
 
-StorageSimConfig WeibullConfig() {
-  StorageSimConfig config = MirrorConfig();
-  config.fault_distribution = StorageSimConfig::FaultDistribution::kWeibull;
-  config.weibull_shape = 2.0;  // wear-out
-  config.scrub = ScrubPolicy::Periodic(Duration::Hours(80.0));
-  config.repair_distribution = StorageSimConfig::RepairDistribution::kDeterministic;
-  return config;
+ReplicaSpec WeibullReplica() {
+  return MirrorReplica()
+      .Weibull(2.0)  // wear-out
+      .ScrubEvery(Duration::Hours(80.0))
+      .DeterministicRepair();
 }
 
 // Four heterogeneous cells covering exponential and Weibull machinery.
-std::vector<std::pair<std::string, StorageSimConfig>> Cells() {
-  std::vector<std::pair<std::string, StorageSimConfig>> cells;
-  cells.emplace_back("exp mirror", MirrorConfig());
-  StorageSimConfig triple = MirrorConfig();
-  triple.replica_count = 3;
-  triple.params.alpha = 0.3;
-  cells.emplace_back("exp triple alpha=0.3", triple);
-  cells.emplace_back("weibull mirror", WeibullConfig());
-  StorageSimConfig aged = WeibullConfig();
-  aged.initial_age_hours = {1000.0, 1000.0};
-  cells.emplace_back("weibull same-batch aged", aged);
+std::vector<std::pair<std::string, Scenario>> Cells() {
+  std::vector<std::pair<std::string, Scenario>> cells;
+  cells.emplace_back("exp mirror", ScenarioBuilder().Replicas(2, MirrorReplica()).Build());
+  cells.emplace_back("exp triple alpha=0.3",
+                     ScenarioBuilder().Replicas(3, MirrorReplica()).Correlation(0.3).Build());
+  cells.emplace_back("weibull mirror",
+                     ScenarioBuilder().Replicas(2, WeibullReplica()).Build());
+  cells.emplace_back(
+      "weibull same-batch aged",
+      ScenarioBuilder()
+          .Replicas(2, WeibullReplica().InitialAge(Duration::Hours(1000.0)))
+          .Build());
   return cells;
 }
 
@@ -59,8 +54,8 @@ SweepResult RunWith(int threads, bool shuffled, WorkerPool* pool,
     std::swap(cell_list[0], cell_list[2]);
   }
   SweepSpec spec;
-  for (auto& [label, config] : cell_list) {
-    spec.AddCell(label, config);
+  for (auto& [label, scenario] : cell_list) {
+    spec.AddCell(label, scenario);
   }
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kMttdl;
@@ -157,8 +152,8 @@ SweepResult RunWeightedWith(int threads, bool shuffled, WorkerPool* pool) {
     std::swap(cell_list[0], cell_list[2]);
   }
   SweepSpec spec;
-  for (auto& [label, config] : cell_list) {
-    spec.AddCell(label, config);
+  for (auto& [label, scenario] : cell_list) {
+    spec.AddCell(label, scenario);
   }
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kWeightedLossProbability;

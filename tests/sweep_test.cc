@@ -16,30 +16,43 @@
 namespace longstore {
 namespace {
 
-StorageSimConfig FastConfig() {
-  StorageSimConfig config;
-  config.replica_count = 2;
-  config.params.mv = Duration::Hours(1000.0);
-  config.params.ml = Duration::Hours(500.0);
-  config.params.mrv = Duration::Hours(50.0);
-  config.params.mrl = Duration::Hours(50.0);
-  config.scrub = ScrubPolicy::Exponential(Duration::Hours(100.0));
-  return config;
+ReplicaSpec FastReplica() {
+  return ReplicaSpec()
+      .FaultTimes(Duration::Hours(1000.0), Duration::Hours(500.0))
+      .RepairTimes(Duration::Hours(50.0), Duration::Hours(50.0))
+      .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(100.0)));
+}
+
+Scenario FastScenario(int replicas = 2) {
+  return ScenarioBuilder().Replicas(replicas, FastReplica()).Build();
+}
+
+// Axis mutations: `count` copies of replica 0; every replica audited
+// exponentially with mean `hours`.
+SweepSpec::ScenarioMutation ReplicaCount(int count) {
+  return [count](Scenario& scenario) {
+    const ReplicaSpec replica = scenario.replicas.front();
+    scenario.replicas.assign(static_cast<size_t>(count), replica);
+  };
+}
+
+SweepSpec::ScenarioMutation ScrubMean(double hours) {
+  return [hours](Scenario& scenario) {
+    for (ReplicaSpec& replica : scenario.replicas) {
+      replica.scrub = ScrubPolicy::Exponential(Duration::Hours(hours));
+    }
+  };
 }
 
 SweepSpec TwoAxisSpec() {
-  SweepSpec spec(FastConfig());
+  SweepSpec spec(FastScenario());
   spec.AddAxis("replicas");
   for (int r : {2, 3}) {
-    spec.AddPoint("r=" + std::to_string(r), static_cast<double>(r),
-                  [r](StorageSimConfig& config) { config.replica_count = r; });
+    spec.AddPoint("r=" + std::to_string(r), static_cast<double>(r), ReplicaCount(r));
   }
   spec.AddAxis("scrub");
   for (double h : {50.0, 100.0, 200.0}) {
-    spec.AddPoint("scrub=" + std::to_string(static_cast<int>(h)), h,
-                  [h](StorageSimConfig& config) {
-                    config.scrub = ScrubPolicy::Exponential(Duration::Hours(h));
-                  });
+    spec.AddPoint("scrub=" + std::to_string(static_cast<int>(h)), h, ScrubMean(h));
   }
   return spec;
 }
@@ -53,8 +66,8 @@ TEST(SweepSpecTest, CartesianProductRowMajor) {
   EXPECT_EQ(cells[0].label, "r=2, scrub=50");
   EXPECT_EQ(cells[1].label, "r=2, scrub=100");
   EXPECT_EQ(cells[3].label, "r=3, scrub=50");
-  EXPECT_EQ(cells[3].config.replica_count, 3);
-  EXPECT_DOUBLE_EQ(cells[3].config.scrub.interval.hours(), 50.0);
+  EXPECT_EQ(cells[3].scenario.replica_count(), 3);
+  EXPECT_DOUBLE_EQ(cells[3].scenario.replicas[0].scrub.interval.hours(), 50.0);
   EXPECT_DOUBLE_EQ(cells[3].value("replicas"), 3.0);
   EXPECT_DOUBLE_EQ(cells[3].value("scrub"), 50.0);
   EXPECT_THROW(cells[3].value("no such axis"), std::out_of_range);
@@ -65,35 +78,33 @@ TEST(SweepSpecTest, CartesianProductRowMajor) {
 }
 
 TEST(SweepSpecTest, NoAxesMeansOneBaseCell) {
-  const SweepSpec spec(FastConfig());
+  const SweepSpec spec(FastScenario());
   EXPECT_EQ(spec.CellCount(), 1u);
   const auto cells = spec.BuildCells();
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].config.replica_count, 2);
+  EXPECT_EQ(cells[0].scenario.replica_count(), 2);
   EXPECT_TRUE(cells[0].coordinates.empty());
 }
 
 TEST(SweepSpecTest, ExplicitCells) {
   SweepSpec spec;
-  spec.AddCell("a", FastConfig());
-  StorageSimConfig three = FastConfig();
-  three.replica_count = 3;
-  spec.AddCell("b", three);
+  spec.AddCell("a", FastScenario());
+  spec.AddCell("b", FastScenario(3));
   const auto cells = spec.BuildCells();
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[0].label, "a");
-  EXPECT_EQ(cells[1].config.replica_count, 3);
+  EXPECT_EQ(cells[1].scenario.replica_count(), 3);
 }
 
 TEST(SweepSpecTest, RejectsMisuse) {
   SweepSpec with_axis;
   with_axis.AddAxis("x");
-  EXPECT_THROW(with_axis.AddCell("c", FastConfig()), std::invalid_argument);
+  EXPECT_THROW(with_axis.AddCell("c", FastScenario()), std::invalid_argument);
   SweepSpec with_cell;
-  with_cell.AddCell("c", FastConfig());
+  with_cell.AddCell("c", FastScenario());
   EXPECT_THROW(with_cell.AddAxis("x"), std::invalid_argument);
   SweepSpec no_axis;
-  EXPECT_THROW(no_axis.AddPoint("p", 0.0, [](StorageSimConfig&) {}),
+  EXPECT_THROW(no_axis.AddPoint("p", 0.0, [](Scenario&) {}),
                std::invalid_argument);
   SweepSpec empty_axis;
   empty_axis.AddAxis("x");
@@ -104,13 +115,13 @@ TEST(SweepRunnerTest, OneCellSweepMatchesEstimateMttdlExactly) {
   McConfig mc;
   mc.trials = 600;
   mc.seed = 11;
-  const MttdlEstimate direct = EstimateMttdl(FastConfig(), mc);
+  const MttdlEstimate direct = EstimateMttdl(FastScenario(), mc);
 
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kMttdl;
   options.mc = mc;
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
-  const SweepResult sweep = SweepRunner().Run(SweepSpec(FastConfig()), options);
+  const SweepResult sweep = SweepRunner().Run(SweepSpec(FastScenario()), options);
   ASSERT_EQ(sweep.cells.size(), 1u);
   const MttdlEstimate& cell = *sweep.cells[0].mttdl;
   EXPECT_EQ(cell.mean_years(), direct.mean_years());
@@ -129,12 +140,10 @@ TEST(SweepRunnerTest, SeedModesDiffer) {
   SweepOptions derived = shared;
   derived.seed_mode = SweepOptions::SeedMode::kPerCellDerived;
 
-  SweepSpec spec(FastConfig());
+  SweepSpec spec(FastScenario());
   spec.AddAxis("scrub");
   for (double h : {100.0, 100.000001}) {  // two near-identical cells
-    spec.AddPoint("scrub=" + std::to_string(h), h, [h](StorageSimConfig& config) {
-      config.scrub = ScrubPolicy::Exponential(Duration::Hours(h));
-    });
+    spec.AddPoint("scrub=" + std::to_string(h), h, ScrubMean(h));
   }
   const SweepResult a = SweepRunner().Run(spec, shared);
   const SweepResult b = SweepRunner().Run(spec, derived);
@@ -146,7 +155,7 @@ TEST(SweepRunnerTest, SeedModesDiffer) {
 }
 
 TEST(SweepRunnerTest, LossProbabilityEstimand) {
-  SweepSpec spec(FastConfig());
+  SweepSpec spec(FastScenario());
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kLossProbability;
   options.mission = Duration::Years(30.0);
@@ -155,7 +164,7 @@ TEST(SweepRunnerTest, LossProbabilityEstimand) {
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
   const SweepResult sweep = SweepRunner().Run(spec, options);
   const LossProbabilityEstimate direct = EstimateLossProbability(
-      FastConfig(), Duration::Years(30.0), options.mc);
+      FastScenario(), Duration::Years(30.0), options.mc);
   ASSERT_TRUE(sweep.cells[0].loss.has_value());
   EXPECT_FALSE(sweep.cells[0].mttdl.has_value());
   EXPECT_EQ(sweep.cells[0].loss->losses, direct.losses);
@@ -163,7 +172,7 @@ TEST(SweepRunnerTest, LossProbabilityEstimand) {
 }
 
 TEST(SweepRunnerTest, CensoredEstimand) {
-  SweepSpec spec(FastConfig());
+  SweepSpec spec(FastScenario());
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kCensoredMttdl;
   options.window = Duration::Years(20.0);
@@ -172,7 +181,7 @@ TEST(SweepRunnerTest, CensoredEstimand) {
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
   const SweepResult sweep = SweepRunner().Run(spec, options);
   const CensoredMttdlEstimate direct =
-      EstimateMttdlCensored(FastConfig(), Duration::Years(20.0), options.mc);
+      EstimateMttdlCensored(FastScenario(), Duration::Years(20.0), options.mc);
   ASSERT_TRUE(sweep.cells[0].censored.has_value());
   EXPECT_EQ(sweep.cells[0].censored->losses, direct.losses);
   EXPECT_EQ(sweep.cells[0].censored->observed_years, direct.observed_years);
@@ -181,26 +190,26 @@ TEST(SweepRunnerTest, CensoredEstimand) {
 TEST(SweepRunnerTest, ValidatesOptionsAndCells) {
   SweepOptions options;
   options.mc.trials = 0;
-  EXPECT_THROW(SweepRunner().Run(SweepSpec(FastConfig()), options),
+  EXPECT_THROW(SweepRunner().Run(SweepSpec(FastScenario()), options),
                std::invalid_argument);
 
   options.mc.trials = 10;
   options.estimand = SweepOptions::Estimand::kLossProbability;
   options.mission = Duration::Zero();
-  EXPECT_THROW(SweepRunner().Run(SweepSpec(FastConfig()), options),
+  EXPECT_THROW(SweepRunner().Run(SweepSpec(FastScenario()), options),
                std::invalid_argument);
 
   SweepOptions adaptive;
   adaptive.adaptive = true;
   adaptive.estimand = SweepOptions::Estimand::kLossProbability;
-  EXPECT_THROW(SweepRunner().Run(SweepSpec(FastConfig()), adaptive),
+  EXPECT_THROW(SweepRunner().Run(SweepSpec(FastScenario()), adaptive),
                std::invalid_argument);
 
   // An invalid cell anywhere in the grid fails the whole sweep up front.
-  SweepSpec spec(FastConfig());
+  SweepSpec spec(FastScenario());
   spec.AddAxis("replicas");
-  spec.AddPoint("r=2", 2.0, [](StorageSimConfig& config) { config.replica_count = 2; });
-  spec.AddPoint("r=0", 0.0, [](StorageSimConfig& config) { config.replica_count = 0; });
+  spec.AddPoint("r=2", 2.0, ReplicaCount(2));
+  spec.AddPoint("r=0", 0.0, ReplicaCount(0));
   SweepOptions ok;
   ok.mc.trials = 10;
   EXPECT_THROW(SweepRunner().Run(spec, ok), std::invalid_argument);
@@ -210,8 +219,8 @@ TEST(SweepRunnerTest, MapPreservesCellOrder) {
   const SweepSpec spec = TwoAxisSpec();
   const std::vector<int> mapped =
       SweepRunner().Map(spec, [](const SweepSpec::Cell& cell) {
-        return cell.config.replica_count * 1000 +
-               static_cast<int>(cell.config.scrub.interval.hours());
+        return cell.scenario.replica_count() * 1000 +
+               static_cast<int>(cell.scenario.replicas[0].scrub.interval.hours());
       });
   ASSERT_EQ(mapped.size(), 6u);
   EXPECT_EQ(mapped[0], 2050);
@@ -249,7 +258,7 @@ TEST(SweepResultTest, EmittersCoverEveryCell) {
 
 TEST(SweepResultTest, JsonEscapesAwkwardLabels) {
   SweepSpec spec;
-  spec.AddCell("tab\there \"quoted\" \x01", FastConfig());
+  spec.AddCell("tab\there \"quoted\" \x01", FastScenario());
   SweepOptions options;
   options.mc.trials = 8;
   const std::string json = SweepRunner().Run(spec, options).ToJson();

@@ -11,6 +11,7 @@
 
 #include "src/model/fault_params.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
 #include "src/sweep/sweep.h"
 
 namespace longstore {
@@ -36,12 +37,9 @@ inline void BuildCheetahSweep(SweepSpec* spec, SweepOptions* options) {
   spec->AddAxis("configuration");
   for (const Case& c : cases) {
     const FaultParams params = c.params;
-    spec->AddPoint(c.name, 0.0, [params](StorageSimConfig& config) {
-      config.replica_count = 2;
-      config.params = params;
-      config.scrub = params.mdl.is_infinite()
-                         ? ScrubPolicy::None()
-                         : ScrubPolicy::Exponential(params.mdl);
+    spec->AddPoint(c.name, 0.0, [params](Scenario& scenario) {
+      scenario.replicas.assign(2, SpecFromParams(params));
+      scenario.alpha = params.alpha;
     });
   }
   options->estimand = SweepOptions::Estimand::kMttdl;
