@@ -1,5 +1,6 @@
 #include "src/storage/replicated_system.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -171,6 +172,43 @@ void ReplicatedStorageSystem::BuildInitialDrawPlan() {
       }
     }
   }
+}
+
+// Why the bounds never change a verdict. Write x = H/m for horizon H and
+// mean m, c = exp(-x), and u = (k + 1) * 2^-53, which is exact for every
+// 53-bit k. The exact verdict -log(u) * m > H says -ln u > x, i.e. u < e^-x.
+// With β = 2^-20, lo = floor(c(1-β)2^53) - 1 and hi = ceil(c(1+β)2^53),
+// clamped to [0, 2^53 - 1], a draw outside [lo, hi] misses the threshold by
+// far more than the arithmetic can err:
+//   * c·2^53 >= 1, so x <= 36.8 and c is a normal double. Computing x, c and
+//     the bounds errs by a relative 2^-46 at most. So k < lo gives
+//     u < c(1-β)(1+2^-46), hence -ln u > x + β/2; k > hi gives
+//     u > c(1+β)(1-2^-46), hence -ln u < x - β/2. The true delay then
+//     differs from H by more than β·m/2 = H·β/(2x), a relative margin above
+//     2^-27. The computed delay (a log and a product, each within about one
+//     rounding) is within a relative 2^-51 of the true one, so it lands on
+//     the same side of H.
+//   * c·2^53 < 1 (this includes c underflowing to 0), so x > 36.7 and
+//     lo = 0. Any k > hi >= 0 has k >= 1, so u >= 2^-52 and the delay is at
+//     most 52·ln2·m < 36.1·m, more than 1.5% below H.
+// Draws inside the band — about 2β of them, i.e. 2^-19 — take the exact
+// expression. A NaN bound (from a NaN horizon) widens the band to every k.
+ReplicatedStorageSystem::HorizonVerdict::HorizonVerdict(double mean_hours,
+                                                        double horizon_hours)
+    : mean_hours_(mean_hours), horizon_hours_(horizon_hours) {
+  constexpr double kBeta = 0x1.0p-20;
+  constexpr double kMaxDraw = 0x1.0p53 - 1.0;
+  const double c = std::exp(-horizon_hours / mean_hours);
+  const double lo = std::floor(c * (1.0 - kBeta) * 0x1.0p53) - 1.0;
+  const double hi = std::ceil(c * (1.0 + kBeta) * 0x1.0p53);
+  lo_ = static_cast<uint64_t>(lo > 0.0 ? std::min(lo, kMaxDraw) : 0.0);
+  hi_ = static_cast<uint64_t>(hi < kMaxDraw ? hi : kMaxDraw);
+}
+
+bool ReplicatedStorageSystem::HorizonVerdict::ExactOutlasts(uint64_t k) const {
+  // The engine's arithmetic: Rng::NextDoubleOpen, then NextExponential.
+  const double u = (static_cast<double>(k) + 1.0) * 0x1.0p-53;
+  return -std::log(u) * mean_hours_ > horizon_hours_;
 }
 
 void ReplicatedStorageSystem::Reset() { InitializeState(); }
@@ -768,11 +806,13 @@ bool TrialRunner::PrefilterCensoredBlock(uint64_t key, int64_t begin_trial,
   // Structure-of-arrays sweep: sites outer, trials inner, so each site's
   // parameters stay in registers while the counter streams advance across
   // the block. Draw j of trial t is CounterMix(key, t, j) — exactly the
-  // uniform RunCounter's Start() would consume at that site — mapped through
-  // the engine's delay arithmetic (DrawFaultDelay / NextExponential).
-  double min_delay_hours[kTrialPrefilterMaxBlock];
+  // uniform RunCounter's Start() would consume at that site. A trial is
+  // skipped iff every site's delay lands strictly after the horizon, so its
+  // skip byte is the AND of its site verdicts. Exponential sites decide on
+  // the raw 53-bit draw (HorizonVerdict); Weibull sites map the uniform
+  // through DrawFaultDelay's arithmetic.
   for (int i = 0; i < count; ++i) {
-    min_delay_hours[i] = std::numeric_limits<double>::infinity();
+    skip[i] = 1;
   }
   uint64_t draw_index = 0;
   for (const auto& site : sites) {
@@ -787,25 +827,19 @@ bool TrialRunner::PrefilterCensoredBlock(uint64_t key, int64_t begin_trial,
         if (!(delay > 0.0) || delay == std::numeric_limits<double>::infinity()) {
           delay = 1e-9;  // DrawFaultDelay's floating-point boundary guard
         }
-        if (delay < min_delay_hours[i]) {
-          min_delay_hours[i] = delay;
-        }
+        skip[i] &= delay > horizon_hours ? 1 : 0;
       }
     } else {
+      const ReplicatedStorageSystem::HorizonVerdict verdict(site.mean_hours,
+                                                            horizon_hours);
       for (int i = 0; i < count; ++i) {
-        const uint64_t bits =
-            CounterMix(key, static_cast<uint64_t>(begin_trial + i), draw_index);
-        const double u = (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
-        const double delay = -std::log(u) * site.mean_hours;
-        if (delay < min_delay_hours[i]) {
-          min_delay_hours[i] = delay;
-        }
+        const uint64_t k =
+            CounterMix(key, static_cast<uint64_t>(begin_trial + i), draw_index) >>
+            11;
+        skip[i] &= verdict.Outlasts(k) ? 1 : 0;
       }
     }
     ++draw_index;
-  }
-  for (int i = 0; i < count; ++i) {
-    skip[i] = min_delay_hours[i] > horizon_hours ? 1 : 0;
   }
   return true;
 }

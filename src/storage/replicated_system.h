@@ -18,6 +18,7 @@
 #ifndef LONGSTORE_SRC_STORAGE_REPLICATED_SYSTEM_H_
 #define LONGSTORE_SRC_STORAGE_REPLICATED_SYSTEM_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -108,6 +109,39 @@ class ReplicatedStorageSystem : public SimClient {
   const std::vector<InitialDrawSite>& initial_draw_sites() const {
     return initial_draw_sites_;
   }
+
+  // The prefilter's verdict rule for one exponential site: does the draw
+  // with raw 53-bit value k (CounterMix(...) >> 11, so u = (k + 1) * 2^-53)
+  // land strictly after the horizon, i.e. is
+  //   -std::log((k + 1) * 2^-53) * mean_hours > horizon_hours ?
+  // The delay falls as k grows, so two integer bounds computed once per site
+  // decide every draw below lo() (true) or above hi() (false) without a log.
+  // Only draws inside the guard band [lo(), hi()] — about 2^-19 of them —
+  // evaluate the expression above. Every verdict equals that expression's;
+  // the argument is beside the constructor in replicated_system.cc.
+  class HorizonVerdict {
+   public:
+    HorizonVerdict(double mean_hours, double horizon_hours);
+
+    bool Outlasts(uint64_t k) const {
+      // Unsigned wrap-around: k < lo lands above the band width too.
+      if (k - lo_ > hi_ - lo_) {
+        return k < lo_;
+      }
+      return ExactOutlasts(k);
+    }
+    uint64_t lo() const { return lo_; }
+    uint64_t hi() const { return hi_; }
+
+   private:
+    bool ExactOutlasts(uint64_t k) const;
+
+    double mean_hours_;
+    double horizon_hours_;
+    uint64_t lo_ = 0;
+    uint64_t hi_ = 0;
+  };
+
   // Earliest initial event scheduled without consuming a draw (the first
   // periodic scrub tick when record_scrub_passes is set); infinite when the
   // only initial events are the randomized ones in initial_draw_sites().
@@ -303,15 +337,20 @@ class TrialRunner {
 
   // Batch censored-trial prefilter for counter-mode trials. For `count`
   // consecutive trials starting at `begin_trial` (count <=
-  // kTrialPrefilterMaxBlock), computes each trial's initial fault/common-mode
-  // event delays directly from CounterMix — the engine's exact arithmetic on
-  // the exact uniforms RunCounter would consume — and sets skip[i] = 1 when
-  // the trial provably processes no event within `horizon`: every randomized
-  // initial event lands strictly after the horizon and so does the earliest
-  // deterministic one. A skipped trial's outcome is exactly RunOutcome{}
-  // (censored, zero metrics). Returns false (skip[] untouched) when the
-  // prefilter cannot apply: an importance sampler is attached, or the
-  // horizon is infinite, or a deterministic initial event (scrub tick)
+  // kTrialPrefilterMaxBlock), reads each trial's initial fault/common-mode
+  // draws directly from CounterMix — the exact draws RunCounter would
+  // consume — and sets skip[i] = 1 when the trial provably processes no
+  // event within `horizon`: every randomized initial event lands strictly
+  // after the horizon and so does the earliest deterministic one. skip[i] is
+  // the AND of the trial's per-site verdicts. An exponential site decides in
+  // the integer domain (HorizonVerdict): its raw 53-bit draw is compared with
+  // two bounds computed once per call, and only draws inside a guard band of
+  // about 2^-19 of them evaluate the engine's log-based delay. Weibull sites
+  // map the draw through the engine's exact pow/log arithmetic. Either way
+  // every verdict equals the engine's. A skipped trial's outcome is exactly
+  // RunOutcome{} (censored, zero metrics). Returns false (skip[] untouched)
+  // when the prefilter cannot apply: an importance sampler is attached, or
+  // the horizon is infinite, or a deterministic initial event (scrub tick)
   // falls inside the horizon.
   bool PrefilterCensoredBlock(uint64_t key, int64_t begin_trial, int count,
                               Duration horizon, uint8_t* skip);

@@ -103,9 +103,9 @@ struct CellTrialParams {
 };
 
 // Runs trials [begin, end) — one index-aligned block — into `acc`. The
-// counter path is the batched SoA kernel: one prefilter pass maps the
-// block's initial draws straight through CounterMix and the engine's delay
-// arithmetic, so trials that provably process no event within the horizon
+// counter path is the batched SoA kernel: one prefilter pass reads the
+// block's initial draws straight from CounterMix and decides, exactly as the
+// engine would, which trials process no event within the horizon; those
 // contribute their (censored, zero-metric) outcome without touching the
 // event loop.
 void ExecuteCellTrialSpan(TrialRunner& runner, const CellTrialParams& params,

@@ -7,15 +7,23 @@
 //     must concatenate to the whole-run block list bit for bit (the
 //     primitive behind trial-range shards);
 //   * ResumeSweepCells continues an adaptive run byte-identically to a cold
-//     run at the tighter precision.
+//     run at the tighter precision;
+//   * the prefilter's verdicts are pinned on the archival grid, and its
+//     integer-domain rule (ReplicatedStorageSystem::HorizonVerdict) equals
+//     the exact log-based rule at its edges and inside the kernel.
 //
 // Byte-identity is asserted through AppendTrialAccumulatorJson, the same
 // exact serialization the shard protocol ships, so "equal bytes here" is
 // precisely "equal bytes on the wire".
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +34,7 @@
 #include "src/sweep/batch_exec.h"
 #include "src/sweep/sweep.h"
 #include "src/sweep/worker_pool.h"
+#include "src/util/json.h"
 #include "src/util/random.h"
 
 namespace longstore {
@@ -161,6 +170,216 @@ TEST(CounterSweepTest, PrefilterSkipsAreExactlyCensoredTrials) {
   for (size_t i = 0; i < cells.size(); ++i) {
     SCOPED_TRACE(cells[i].label);
     EXPECT_EQ(AccJson(executions[i].acc), AccJson(PerTrialFold(cells[i], options)));
+  }
+}
+
+// The skip bytes (0 or 1, in trial order) the batched kernel sees for trials
+// [0, trials) of one cell, asked for in the sweep's 256-trial blocks.
+std::string PrefilterSkipBytes(const Scenario& scenario, uint64_t key,
+                               Duration horizon, int64_t trials) {
+  TrialRunner runner(scenario);
+  std::string bytes;
+  uint8_t skip[kTrialPrefilterMaxBlock];
+  for (int64_t begin = 0; begin < trials; begin += kTrialPrefilterMaxBlock) {
+    const int count = static_cast<int>(
+        std::min<int64_t>(kTrialPrefilterMaxBlock, trials - begin));
+    if (!runner.PrefilterCensoredBlock(key, begin, count, horizon, skip)) {
+      ADD_FAILURE() << "prefilter declined block " << begin;
+      return bytes;
+    }
+    for (int i = 0; i < count; ++i) {
+      bytes.push_back(static_cast<char>(skip[i]));
+    }
+  }
+  return bytes;
+}
+
+// The archival loss grid of the perfbench archive_fleet workload: long fault
+// means against a 5-year mission, so the prefilter decides ~99% of trials.
+// The fold tests above cannot see a lost skip — a trial wrongly left
+// unskipped runs and comes out censored anyway — so these pins fix every
+// verdict. A libm change could move one only for a draw within a few ULPs of
+// its threshold, so they are enforced on every toolchain.
+TEST(CounterSweepTest, ArchivalPrefilterVerdictsArePinned) {
+  SweepSpec spec(ScenarioBuilder()
+                     .Replicas(2, ReplicaSpec()
+                                      .FaultTimes(Duration::Hours(5e7),
+                                                  Duration::Hours(2e7))
+                                      .RepairTimes(Duration::Hours(10.0),
+                                                   Duration::Hours(10.0)))
+                     .Build());
+  spec.AddAxis("replicas");
+  for (const int replicas : {2, 3}) {
+    spec.AddPoint(std::to_string(replicas), replicas,
+                  [replicas](Scenario& scenario) {
+                    scenario.replicas.resize(replicas, scenario.replicas[0]);
+                  });
+  }
+  spec.AddAxis("scrub_mean_hours");
+  for (const double hours : {1e6, 2e6}) {
+    spec.AddPoint(hours == 1e6 ? "1e6" : "2e6", hours,
+                  [hours](Scenario& scenario) {
+                    for (ReplicaSpec& replica : scenario.replicas) {
+                      replica.scrub =
+                          ScrubPolicy::Exponential(Duration::Hours(hours));
+                    }
+                  });
+  }
+  SweepOptions options =
+      CounterOptions(SweepOptions::Estimand::kLossProbability, 25000);
+  options.mission = Duration::Years(5.0);
+  options.mc.seed = 1;
+
+  struct Pin {
+    uint64_t canonical_hash;
+    int64_t skipped;
+    uint64_t skip_bytes_hash;
+  };
+  const Pin pins[] = {
+      {0xa726209b6037caadULL, 24832, 0xcd4df5bb2e5dee2dULL},  // 2, 1e6
+      {0xa4c47d4916938431ULL, 24842, 0xcdb2eb87f83ac34bULL},  // 2, 2e6
+      {0x8ce6ccf584dc50a2ULL, 24773, 0x9b6aea2fff31e78cULL},  // 3, 1e6
+      {0xfaa55eacd746c11dULL, 24767, 0xbe306c52d0a93cb6ULL},  // 3, 2e6
+  };
+  const std::vector<SweepSpec::Cell> cells = spec.BuildCells();
+  ASSERT_EQ(cells.size(), std::size(pins));
+  for (size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(cells[i].label);
+    EXPECT_EQ(cells[i].scenario.CanonicalHash(), pins[i].canonical_hash);
+    const std::string bytes =
+        PrefilterSkipBytes(cells[i].scenario, SweepCellSeed(options, cells[i]),
+                           options.mission, options.mc.trials);
+    ASSERT_EQ(static_cast<int64_t>(bytes.size()), options.mc.trials);
+    EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\1'), pins[i].skipped);
+    EXPECT_EQ(json::Fnv1a64(bytes), pins[i].skip_bytes_hash);
+  }
+}
+
+// The exact verdict the integer rule must reproduce: the engine's delay
+// arithmetic for one exponential draw (Rng::NextDoubleOpen, then
+// NextExponential) compared with the horizon.
+bool ExactExponentialOutlasts(uint64_t k, double mean_hours,
+                              double horizon_hours) {
+  const double u = (static_cast<double>(k) + 1.0) * 0x1.0p-53;
+  return -std::log(u) * mean_hours > horizon_hours;
+}
+
+TEST(CounterSweepTest, HorizonVerdictMatchesExactRuleAtItsEdges) {
+  constexpr uint64_t kMaxDraw = (uint64_t{1} << 53) - 1;
+  constexpr uint64_t kReach = 4096;
+  std::vector<std::pair<double, double>> pairs;  // (mean, horizon) hours
+  for (const double mean : {1e-3, 1.0, 8760.0, 5e7, 1e12}) {
+    for (int e = -64; e <= 48; ++e) {  // H/m from 1e-8 to 1e6, 8 per decade
+      pairs.emplace_back(mean, mean * std::pow(10.0, e / 8.0));
+    }
+    // exp(-H/m) within 2^-40 of 1; around 2^-53, where lo reaches 0;
+    // subnormal; underflowed to 0.
+    for (const double ratio : {0x1.0p-41, 0x1.0p-45, 0x1.0p-52, 36.0, 36.7,
+                               36.74, 36.75, 37.0, 720.0, 745.0, 800.0}) {
+      pairs.emplace_back(mean, mean * ratio);
+    }
+  }
+  Rng rng(20061);
+  for (int i = 0; i < 64; ++i) {
+    const double mean = std::pow(10.0, -3.0 + 15.0 * rng.NextDouble());
+    pairs.emplace_back(mean, mean * std::pow(10.0, -8.0 + 14.0 * rng.NextDouble()));
+  }
+
+  int64_t mismatches = 0;
+  for (const auto& [mean, horizon] : pairs) {
+    const ReplicatedStorageSystem::HorizonVerdict verdict(mean, horizon);
+    ASSERT_LE(verdict.lo(), verdict.hi());
+    ASSERT_LE(verdict.hi(), kMaxDraw);
+    // The guard band holds about 2^-19 of all draws.
+    EXPECT_LE(verdict.hi() - verdict.lo(), (uint64_t{1} << 34) + 2)
+        << "m=" << mean << " H=" << horizon;
+    const auto check = [&](uint64_t k) {
+      if (verdict.Outlasts(k) != ExactExponentialOutlasts(k, mean, horizon) &&
+          ++mismatches <= 10) {
+        ADD_FAILURE() << "m=" << mean << " H=" << horizon << " k=" << k;
+      }
+    };
+    for (const uint64_t edge : {verdict.lo(), verdict.hi()}) {
+      const uint64_t last = std::min(edge + kReach, kMaxDraw);
+      for (uint64_t k = edge > kReach ? edge - kReach : 0; k <= last; ++k) {
+        check(k);
+      }
+    }
+    for (int i = 0; i < 64; ++i) {
+      check(rng.Next() >> 11);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// The prefilter's skip rule before it moved to the integer domain: map every
+// initial draw through the engine's delay arithmetic and skip the trial iff
+// the earliest delay lands strictly after the horizon.
+bool MinDelaySkip(const std::vector<ReplicatedStorageSystem::InitialDrawSite>& sites,
+                  uint64_t key, uint64_t trial, double horizon_hours) {
+  double min_delay_hours = std::numeric_limits<double>::infinity();
+  for (size_t j = 0; j < sites.size(); ++j) {
+    const ReplicatedStorageSystem::InitialDrawSite& site = sites[j];
+    const uint64_t bits = CounterMix(key, trial, j);
+    const double u = (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
+    double delay = 0.0;
+    if (site.weibull) {
+      const double life =
+          std::pow(site.age0_pow_shape - std::log(u), site.inv_shape);
+      delay = (life - site.age0) * site.scale_hours;
+      if (!(delay > 0.0) || delay == std::numeric_limits<double>::infinity()) {
+        delay = 1e-9;
+      }
+    } else {
+      delay = -std::log(u) * site.mean_hours;
+    }
+    min_delay_hours = std::min(min_delay_hours, delay);
+  }
+  return min_delay_hours > horizon_hours;
+}
+
+TEST(CounterSweepTest, PrefilterVerdictsMatchMinDelayRuleWhenBothAreCommon) {
+  // Means near the 5-year mission, so 5-95% of trials are skipped and both
+  // verdicts are common at every site.
+  const ReplicaSpec exponential =
+      ReplicaSpec()
+          .FaultTimes(Duration::Hours(4e5), Duration::Hours(2e5))
+          .RepairTimes(Duration::Hours(10.0), Duration::Hours(10.0))
+          .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(1e5)));
+  ReplicaSpec weibull = exponential;
+  weibull.Weibull(1.4).InitialAge(Duration::Hours(1e4));
+  const std::pair<const char*, Scenario> cells[] = {
+      {"physical", ScenarioBuilder().Replicas(2, exponential).Build()},
+      {"paper", ScenarioBuilder()
+                    .Replicas(3, exponential)
+                    .Convention(RateConvention::kPaper)
+                    .Build()},
+      {"common_mode", ScenarioBuilder()
+                          .Replicas(2, exponential)
+                          .CommonModeAll("machine room", Rate::PerYear(0.1))
+                          .Build()},
+      {"weibull_mixed",
+       ScenarioBuilder().AddReplica(exponential).AddReplica(weibull).Build()},
+  };
+  const Duration horizon = Duration::Years(5.0);
+  constexpr int64_t kTrials = 4000;  // 15 full blocks and a partial one
+  for (size_t c = 0; c < std::size(cells); ++c) {
+    SCOPED_TRACE(cells[c].first);
+    const uint64_t key = DeriveSeed(77, c);
+    const std::string bytes =
+        PrefilterSkipBytes(cells[c].second, key, horizon, kTrials);
+    ASSERT_EQ(static_cast<int64_t>(bytes.size()), kTrials);
+    const TrialRunner runner(cells[c].second);
+    const auto& sites = runner.system().initial_draw_sites();
+    int64_t skipped = 0;
+    for (int64_t t = 0; t < kTrials; ++t) {
+      const bool expected =
+          MinDelaySkip(sites, key, static_cast<uint64_t>(t), horizon.hours());
+      ASSERT_EQ(bytes[static_cast<size_t>(t)] != 0, expected) << "trial " << t;
+      skipped += expected ? 1 : 0;
+    }
+    EXPECT_GE(skipped, kTrials / 20);
+    EXPECT_LE(skipped, kTrials - kTrials / 20);
   }
 }
 

@@ -554,6 +554,35 @@ TEST(FleetRecoveryTest, SweepFleetBinaryMatchesSingleAndSignalsPartial) {
       << partial;
 }
 
+// --threads sets the lanes of a --single run too, which never moves its
+// bytes; a non-numeric or negative value is a usage error rather than a
+// silent "every core".
+TEST(FleetRecoveryTest, SweepFleetSingleHonorsAndValidatesThreads) {
+  TempDir dir;
+  const auto run = [&](const std::string& flags, const std::string& name) {
+    const int status =
+        std::system((std::string(LONGSTORE_SWEEP_FLEET) +
+                     " --single --cheetah --format=csv" + flags + " >" +
+                     dir.path() + "/" + name + ".out 2>" + dir.path() + "/" +
+                     name + ".err")
+                        .c_str());
+    EXPECT_TRUE(WIFEXITED(status)) << flags;
+    return WEXITSTATUS(status);
+  };
+  ASSERT_EQ(run("", "all_lanes"), 0);
+  ASSERT_EQ(run(" --threads=1", "one_lane"), 0);
+  const std::string all_lanes = ReadAll(dir.path() + "/all_lanes.out");
+  EXPECT_FALSE(all_lanes.empty());
+  EXPECT_EQ(ReadAll(dir.path() + "/one_lane.out"), all_lanes);
+
+  for (const std::string bad : {"abc", "-2", "", "3x"}) {
+    EXPECT_NE(run(" --threads=" + bad, "bad"), 0) << "--threads=" << bad;
+    EXPECT_NE(ReadAll(dir.path() + "/bad.err").find("usage:"),
+              std::string::npos)
+        << "--threads=" << bad;
+  }
+}
+
 // --- distributed adaptive continuation (RunAdaptive, kCounterV1) -----------
 
 SmallSweep MakeAdaptiveSweep() {

@@ -30,7 +30,9 @@
 //   --backoff-initial-s=T first retry delay             (default 0.1)
 //   --partial-ok         finalize survivors when cells exhaust retries;
 //                        missing cells are explicitly marked, exit code 2
-//   --threads=N          lanes per worker               (default 1)
+//   --threads=N          lanes per worker (default 1); with --single, lanes
+//                        of the in-process run (default every core). 0 =
+//                        every core; a negative or non-numeric N is an error
 //   --tmp=DIR            scratch directory              (default: mkdtemp)
 //   --keep-files         keep shard/result/log files
 //   --fail-mode=crash|hang|corrupt|flaky --fail-prob=P --fail-seed=S
@@ -54,6 +56,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -76,7 +79,7 @@ int Usage(const char* argv0) {
                "--worker=PATH]\n"
                "  [--shards=K] [--max-parallel=N] [--max-retries=N] "
                "[--timeout-s=T]\n"
-               "  [--backoff-initial-s=T] [--partial-ok] [--threads=N] "
+               "  [--backoff-initial-s=T] [--partial-ok] [--threads=N (>= 0)] "
                "[--tmp=DIR]\n"
                "  [--keep-files] [--format=table|csv|json]\n"
                "  [--trials=N] [--seed=S] [--estimand=mttdl|loss] "
@@ -180,6 +183,7 @@ int Main(int argc, char** argv) {
   long trials = 2000;
   unsigned long long seed = 1;
   double mission_years = 50.0;
+  int threads = -1;  // -1 = not given
 
   FleetOptions fleet;
   fleet.shard_count = 3;
@@ -224,7 +228,12 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--backoff-initial-s", &value)) {
       fleet.backoff_initial_seconds = std::atof(value);
     } else if (long_arg(arg, "--threads", &value)) {
-      fleet.worker_threads = std::atoi(value);
+      char* end = nullptr;
+      const long parsed = std::strtol(value, &end, 10);
+      if (end == value || *end != '\0' || parsed < 0 || parsed > INT_MAX) {
+        return Usage(argv[0]);
+      }
+      threads = static_cast<int>(parsed);
     } else if (long_arg(arg, "--tmp", &value)) {
       tmp_dir = value;
     } else if (long_arg(arg, "--format", &value)) {
@@ -300,6 +309,13 @@ int Main(int argc, char** argv) {
         : seed_mode == "scenario_derived"
             ? SweepOptions::SeedMode::kScenarioDerived
             : SweepOptions::SeedMode::kCounterV1;
+  }
+
+  if (threads >= 0) {
+    fleet.worker_threads = threads;
+    if (single) {
+      options.mc.threads = threads;  // lanes only; results never change
+    }
   }
 
   obs::TraceJournal journal;
