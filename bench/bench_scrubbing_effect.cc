@@ -79,7 +79,7 @@ SweepResult RunSharded(const SweepSpec& spec, const SweepOptions& options,
                        int shards, const char* worker, const FleetFlags& flags) {
   if (worker == nullptr) {
     const ShardPlan plan(spec, options, shards);
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     for (const ShardSpec& shard : plan.shards()) {
       merger.Add(RunShard(shard));
     }

@@ -7,13 +7,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "src/fleet/subprocess.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/shard/shard.h"
-#include "src/sweep/batch_exec.h"
 #include "src/util/json.h"
 #include "src/util/random.h"
 
@@ -33,16 +33,20 @@ void SleepSeconds(double seconds) {
   ::nanosleep(&ts, nullptr);
 }
 
+// Retry backoff growth: doubling per attempt, capped at five seconds.
+constexpr double kBackoffMaxSeconds = 5.0;
+constexpr double kBackoffMultiplier = 2.0;
+
 // Backoff before retry `attempt` (1 = after the first failure): exponential
-// growth capped at backoff_max, scaled by 0.5..1.0 jitter drawn
+// growth capped at kBackoffMaxSeconds, scaled by 0.5..1.0 jitter drawn
 // deterministically from (seed, unit, attempt) — no global RNG, so the
 // schedule reproduces exactly in tests.
 double JitteredDelay(const FleetOptions& options, int unit_id, int attempt) {
   double base = options.backoff_initial_seconds;
-  for (int i = 1; i < attempt && base < options.backoff_max_seconds; ++i) {
-    base *= options.backoff_multiplier;
+  for (int i = 1; i < attempt && base < kBackoffMaxSeconds; ++i) {
+    base *= kBackoffMultiplier;
   }
-  base = std::min(base, options.backoff_max_seconds);
+  base = std::min(base, kBackoffMaxSeconds);
   const uint64_t draw = DeriveSeed(
       DeriveSeed(options.backoff_seed, static_cast<uint64_t>(unit_id)),
       static_cast<uint64_t>(attempt));
@@ -111,10 +115,11 @@ void ValidateFleetOptions(const FleetOptions& opt) {
     throw FleetError("fleet: shard_count and max_parallel must be >= 1, "
                      "max_retries >= 0");
   }
-  if (opt.backoff_initial_seconds <= 0.0 || opt.backoff_max_seconds <= 0.0 ||
-      opt.backoff_multiplier < 1.0) {
-    throw FleetError("fleet: backoff parameters must be positive "
-                     "(multiplier >= 1)");
+  if (!(opt.timeout_seconds >= 0.0)) {
+    throw FleetError("fleet: timeout_seconds must be >= 0 (0 = no timeout)");
+  }
+  if (!(opt.backoff_initial_seconds > 0.0)) {
+    throw FleetError("fleet: backoff_initial_seconds must be positive");
   }
 }
 
@@ -138,27 +143,20 @@ void EmitFleet(const FleetOptions& opt, uint64_t sweep_id,
   }
 }
 
-// Everything one supervised fleet run produces besides the result documents
-// themselves (those go to `consume` as they verify).
-struct SuperviseOutcome {
-  FleetStats stats;
-  // Grid index -> label, for naming cells that never produced a document.
-  std::map<size_t, std::string> cell_labels;
-  // Grid index -> last failure reason, for every cell of every lost unit.
-  std::map<size_t, std::string> cell_errors;
-  obs::MetricsSnapshot worker_metrics;
-};
-
-// Drives one fleet of shard units to completion: spawn up to max_parallel
+// Drives one round's shard units to completion: spawn up to max_parallel
 // workers, detect crash/timeout/corrupt-output faults, retry with jittered
 // backoff, split exhausted multi-cell units, and hand every verified result
 // document to `consume` (which throws FleetError for inconsistencies a
-// retry cannot fix). `file_tag` prefixes every scratch file name so
-// successive fleets (adaptive rounds) over the same temp_dir never collide.
-SuperviseOutcome SuperviseUnits(
+// retry cannot fix). Adds the round's attempts to `stats` and the harvested
+// workers' telemetry to `worker_metrics`; returns grid index -> last failure
+// reason for every cell of every lost unit. `file_tag` prefixes every
+// scratch file name so successive rounds over the same temp_dir never
+// collide.
+std::map<size_t, std::string> SuperviseUnits(
     const FleetOptions& opt, uint64_t sweep_id, const std::string& file_tag,
     std::vector<ShardSpec> shards,
-    const std::function<void(ShardResult, const std::string&)>& consume) {
+    const std::function<void(ShardResult, const std::string&)>& consume,
+    FleetStats& stats, obs::MetricsSnapshot& worker_metrics) {
   // Every unit ever created gets a distinct id used as its shard_index;
   // splitting a unit of n cells creates n single-cell units and single-cell
   // units never split, so initial_units + planned_cells bounds the id
@@ -171,11 +169,8 @@ SuperviseOutcome SuperviseUnits(
       static_cast<int>(shards.size()) +
       static_cast<int>(std::min<size_t>(planned_cells, 1 << 20));
 
-  SuperviseOutcome outcome;
-  FleetStats& stats = outcome.stats;
-  std::map<size_t, std::string>& cell_labels = outcome.cell_labels;
-  std::map<size_t, std::string>& cell_errors = outcome.cell_errors;
-  obs::MetricsSnapshot& worker_metrics = outcome.worker_metrics;
+  std::map<size_t, std::string> cell_errors;
+  std::set<size_t> planned;  // distinct grid indices, for the plan event
   std::vector<std::string> created_files;
   // Scratch files go on every exit path (including exceptions) unless the
   // caller asked to keep them for debugging.
@@ -237,7 +232,7 @@ SuperviseOutcome SuperviseUnits(
     created_files.push_back(unit.spec_path);
     created_files.push_back(unit.log_path);
     for (const SweepSpec::Cell& cell : unit.spec.cells) {
-      cell_labels[cell.index] = cell.label;
+      planned.insert(cell.index);
     }
     return unit;
   };
@@ -248,8 +243,8 @@ SuperviseOutcome SuperviseUnits(
   shards.clear();
   emit(obs::TraceEvent("fleet_plan")
            .Int("units", static_cast<int64_t>(units.size()))
-           .Int("cells", static_cast<int64_t>(cell_labels.size())),
-       "planned %zu units over %zu cells", units.size(), cell_labels.size());
+           .Int("cells", static_cast<int64_t>(planned.size())),
+       "planned %zu units over %zu cells", units.size(), planned.size());
 
   const auto spawn = [&](Unit& unit) {
     ++unit.attempt;
@@ -325,7 +320,7 @@ SuperviseOutcome SuperviseUnits(
            unit.attempt, 1 + opt.max_retries, reason.c_str(), delay);
       return;
     }
-    if (opt.split_exhausted && unit.spec.cells.size() > 1) {
+    if (unit.spec.cells.size() > 1) {
       unit.state = Unit::State::kSplit;
       ++stats.splits;
       m_splits.Add(1);
@@ -344,14 +339,11 @@ SuperviseOutcome SuperviseUnits(
       base.cells.clear();
       base.ranges.clear();
       for (size_t c = 0; c < cells.size(); ++c) {
+        // Each cell keeps its trial range: the single-cell unit recomputes
+        // exactly the trials the original owed.
         ShardSpec single = base;
         single.cells.push_back(std::move(cells[c]));
-        if (!ranges.empty()) {
-          // A ranged cell keeps its trial range through the split: the
-          // single-cell unit recomputes exactly the blocks the original
-          // owed.
-          single.ranges.push_back(ranges[c]);
-        }
+        single.ranges.push_back(ranges[c]);
         make_unit(std::move(single));
       }
       return;
@@ -501,7 +493,7 @@ SuperviseOutcome SuperviseUnits(
   }
 
   // Subprocess destructors have reaped everything.
-  return outcome;
+  return cell_errors;
 }
 
 // "N of M cells lost after retries were exhausted:" plus the first few
@@ -537,346 +529,119 @@ FleetReport FleetSupervisor::Run(std::vector<std::string> axis_names,
   const FleetOptions& opt = options_;
   ValidateFleetOptions(opt);
 
-  // Plan exactly as the in-process driver would; validation errors
-  // propagate with SweepRunner::Run's own messages.
-  const ShardPlan plan(std::move(axis_names), sweep_options, std::move(cells),
-                       opt.shard_count);
-  const size_t total_cells = plan.total_cells();
-  const uint64_t sweep_id =
-      plan.shards().empty() ? 0 : plan.shards().front().sweep_id;
+  // A one-shard plan validates options and cells with SweepRunner::Run's
+  // messages and stamps the sweep identity; its header fields head every
+  // round's spec.
+  ShardSpec header =
+      ShardPlan(std::move(axis_names), sweep_options, std::move(cells), 1)
+          .shards()
+          .front();
+  cells = std::move(header.cells);
+  header.cells.clear();
+  header.ranges.clear();
+  // Workers run fixed trial ranges: the adaptive loop stays here, and
+  // mc.trials only bounds the ranges a round may hand out.
+  header.options.adaptive = false;
+  if (sweep_options.adaptive) {
+    header.options.mc.trials = sweep_options.max_trials;
+  }
+  const uint64_t sweep_id = header.sweep_id;
 
-  ShardMerger merger;
-  const auto consume = [&merger](ShardResult result, const std::string& source) {
-    try {
-      merger.Add(std::move(result), source);
-    } catch (const std::invalid_argument& e) {
-      throw FleetError(std::string("fleet: merge failed: ") + e.what());
-    }
-  };
-  std::vector<ShardSpec> shards(plan.shards().begin(), plan.shards().end());
-  SuperviseOutcome outcome =
-      SuperviseUnits(opt, sweep_id, "", std::move(shards), consume);
-  const FleetStats& stats = outcome.stats;
-
+  // SweepRunner::Run's round loop, each round run by the fleet: partitioned
+  // by PartitionShardRound, supervised to verified results, and merged by
+  // ShardMerger onto the cells' states before the round.
   FleetReport report;
-  report.stats = stats;
-  report.worker_metrics = std::move(outcome.worker_metrics);
-  if (merger.complete()) {
+  std::vector<FleetLostCell> lost;
+  int rounds = 0;
+  const auto run_round = [&](const std::vector<CellTrialRange>& ranges,
+                             std::vector<SweepCellExecution>& executions) {
+    ++rounds;
+    ShardSpec round = header;
+    std::map<size_t, size_t> position;  // grid index -> range
+    for (size_t j = 0; j < ranges.size(); ++j) {
+      round.cells.push_back(*ranges[j].cell);
+      round.ranges.push_back(ShardCellRange{ranges[j].begin, ranges[j].end});
+      position[ranges[j].cell->index] = j;
+    }
+    std::vector<ShardSpec> shards = PartitionShardRound(round, opt.shard_count);
+    ShardMerger merger(shards, std::move(executions));
+    shards.erase(std::remove_if(shards.begin(), shards.end(),
+                                [](const ShardSpec& shard) {
+                                  return shard.cells.empty();
+                                }),
+                 shards.end());
+    const auto consume = [&merger](ShardResult result, const std::string& source) {
+      try {
+        merger.Add(std::move(result), source);
+      } catch (const std::invalid_argument& e) {
+        throw FleetError(std::string("fleet: merge failed: ") + e.what());
+      }
+    };
+    const std::map<size_t, std::string> cell_errors = SuperviseUnits(
+        opt, sweep_id, rounds == 1 ? "" : "r" + std::to_string(rounds) + ".",
+        std::move(shards), consume, report.stats, report.worker_metrics);
+
+    // Merged cells take their new state; cells whose units were lost leave
+    // the sweep.
+    executions.assign(ranges.size(), SweepCellExecution());
+    std::vector<bool> ran(ranges.size(), false);
+    for (SweepCellExecution& merged : merger.TakeExecutions()) {
+      const size_t j = position.at(merged.index);
+      executions[j] = std::move(merged);
+      ran[j] = true;
+    }
+    for (size_t j = 0; j < ranges.size(); ++j) {
+      if (!ran[j]) {
+        const size_t index = ranges[j].cell->index;
+        const auto error = cell_errors.find(index);
+        lost.push_back(FleetLostCell{
+            index, ranges[j].cell->label,
+            error != cell_errors.end() ? error->second : "never attempted"});
+      }
+    }
+    if (!lost.empty() && !opt.partial_ok) {
+      throw FleetError("fleet: " + DescribeLost(lost, cells.size()));
+    }
+    return ran;
+  };
+  std::vector<SweepCellExecution> executions =
+      RunSweepRounds(cells, sweep_options, {}, run_round);
+
+  const FleetStats& stats = report.stats;
+  if (lost.empty()) {
     EmitFleet(opt, sweep_id,
               obs::TraceEvent("fleet_done")
                   .Int("spawned", stats.spawned)
                   .Int("succeeded", stats.succeeded)
                   .Int("retries", stats.retries)
-                  .Int("splits", stats.splits),
-              "complete: %d spawned, %d succeeded, %d retries, %d splits",
-              stats.spawned, stats.succeeded, stats.retries, stats.splits);
-    report.result = merger.Finish();
-    report.complete = true;
-    report.executions = merger.TakeExecutions();
+                  .Int("splits", stats.splits)
+                  .Int("rounds", rounds),
+              "complete: %d spawned, %d succeeded, %d retries, %d splits, "
+              "%d rounds",
+              stats.spawned, stats.succeeded, stats.retries, stats.splits, rounds);
+    report.result = FinalizeSweepCells(executions, header.axis_names,
+                                       sweep_options.estimand,
+                                       sweep_options.mc.confidence);
+    report.executions = std::move(executions);
     return report;
   }
 
-  // MissingCells() is only meaningful once the merger saw a header; with
-  // zero successes every cell is missing.
-  std::vector<size_t> missing = merger.MissingCells();
-  if (merger.cells_received() == 0 && missing.empty()) {
-    missing.resize(total_cells);
-    for (size_t i = 0; i < total_cells; ++i) {
-      missing[i] = i;
-    }
-  }
-  std::vector<FleetLostCell> lost;
-  for (const size_t index : missing) {
-    FleetLostCell cell;
-    cell.index = index;
-    const auto label = outcome.cell_labels.find(index);
-    cell.label = label != outcome.cell_labels.end() ? label->second : "";
-    const auto error = outcome.cell_errors.find(index);
-    cell.reason =
-        error != outcome.cell_errors.end() ? error->second : "never attempted";
-    lost.push_back(std::move(cell));
-  }
-
-  const std::string summary = DescribeLost(lost, total_cells);
-  if (!opt.partial_ok) {
-    throw FleetError("fleet: " + summary);
-  }
-  if (merger.cells_received() == 0) {
+  // partial_ok only; without it the round executor threw at the first loss.
+  const std::string summary = DescribeLost(lost, cells.size());
+  if (executions.empty()) {
     throw FleetError("fleet: every attempt failed; no cells to finalize (" +
                      summary + ")");
   }
   EmitFleet(opt, sweep_id,
             obs::TraceEvent("fleet_partial")
                 .Int("lost", static_cast<int64_t>(lost.size()))
-                .Int("cells", static_cast<int64_t>(total_cells)),
+                .Int("cells", static_cast<int64_t>(cells.size())),
             "partial result: %s", summary.c_str());
-  report.result = merger.FinishPartial();
+  report.result = FinalizeSweepCells(std::move(executions), header.axis_names,
+                                     sweep_options.estimand,
+                                     sweep_options.mc.confidence);
   report.complete = false;
   report.lost = std::move(lost);
-  return report;
-}
-
-FleetReport FleetSupervisor::RunAdaptive(const SweepSpec& spec,
-                                         const SweepOptions& sweep_options) const {
-  return RunAdaptive(spec.AxisNames(), sweep_options, spec.BuildCells());
-}
-
-FleetReport FleetSupervisor::RunAdaptive(std::vector<std::string> axis_names,
-                                         const SweepOptions& sweep_options,
-                                         std::vector<SweepSpec::Cell> cells) const {
-  const FleetOptions& opt = options_;
-  ValidateFleetOptions(opt);
-  if (!sweep_options.adaptive) {
-    throw std::invalid_argument(
-        "FleetSupervisor::RunAdaptive: options.adaptive must be set");
-  }
-  if (sweep_options.seed_mode != SweepOptions::SeedMode::kCounterV1) {
-    throw std::invalid_argument(
-        "FleetSupervisor::RunAdaptive: splitting a cell's adaptive round "
-        "across workers requires SeedMode::kCounterV1 (only the counter "
-        "generator can start a trial stream at an arbitrary index)");
-  }
-
-  // Plan with a single shard: validates cells and options exactly as Run
-  // would and yields the content-derived sweep identity. The per-round partition is re-derived
-  // below from each cell's convergence state.
-  const ShardPlan plan(std::move(axis_names), sweep_options, std::move(cells), 1);
-  ShardSpec base = plan.shards().front();
-  const uint64_t sweep_id = base.sweep_id;
-  const size_t total_cells = plan.total_cells();
-
-  // Per-cell continuation state; the fold and judgment below replicate
-  // RunSweepCellsImpl's adaptive loop bit for bit.
-  struct AdaptiveCell {
-    SweepSpec::Cell cell;
-    TrialAccumulator acc;
-    int64_t trials_done = 0;
-    int64_t target = 0;
-    int rounds = 0;
-    std::vector<double> half_widths;
-    bool converged = false;
-    bool lost = false;
-    std::string lost_reason;
-  };
-  std::vector<AdaptiveCell> states(base.cells.size());
-  std::map<size_t, size_t> slot_of;  // grid index -> states slot
-  for (size_t i = 0; i < base.cells.size(); ++i) {
-    states[i].cell = std::move(base.cells[i]);
-    states[i].target = std::min(sweep_options.mc.trials, sweep_options.max_trials);
-    slot_of[states[i].cell.index] = i;
-  }
-  base.cells.clear();
-
-  // Round shards are non-adaptive trial ranges; mc.trials only bounds range
-  // validation (and labels fragments), so the adaptive cap covers every
-  // round's target.
-  ShardSpec round_base = base;
-  round_base.options.adaptive = false;
-  round_base.options.mc.trials = sweep_options.max_trials;
-
-  FleetStats stats;
-  obs::MetricsSnapshot worker_metrics;
-  int round = 0;
-  while (true) {
-    std::vector<size_t> active;
-    for (size_t i = 0; i < states.size(); ++i) {
-      const AdaptiveCell& st = states[i];
-      if (!st.converged && !st.lost && st.trials_done < st.target) {
-        active.push_back(i);
-      }
-    }
-    if (active.empty()) {
-      break;
-    }
-    ++round;
-
-    // Partition each active cell's round range [done, target) into at most
-    // shard_count chunks. Interior seams land on absolute 256-trial block
-    // boundaries, so concatenating the chunks' block accumulators in trial
-    // order reproduces the round's canonical block list exactly.
-    struct Chunk {
-      size_t slot;
-      int64_t begin;
-      int64_t end;
-    };
-    std::vector<std::vector<Chunk>> per_spec(
-        static_cast<size_t>(opt.shard_count));
-    size_t rotor = 0;
-    for (const size_t i : active) {
-      const int64_t begin = states[i].trials_done;
-      const int64_t end = states[i].target;
-      const int64_t b0 = begin / kTrialBlockSize;
-      const int64_t blocks = (end - 1) / kTrialBlockSize - b0 + 1;
-      const int64_t k = std::min<int64_t>(opt.shard_count, blocks);
-      for (int64_t j = 0; j < k; ++j) {
-        const int64_t lo_block = b0 + j * blocks / k;
-        const int64_t hi_block = b0 + (j + 1) * blocks / k;
-        const int64_t lo = std::max(begin, lo_block * kTrialBlockSize);
-        const int64_t hi = std::min(end, hi_block * kTrialBlockSize);
-        // One cell's chunks go to k distinct specs (a result document may
-        // carry at most one fragment per cell), rotated across rounds and
-        // cells for balance.
-        per_spec[(rotor + static_cast<size_t>(j)) % per_spec.size()].push_back(
-            Chunk{i, lo, hi});
-      }
-      ++rotor;
-    }
-    std::vector<ShardSpec> shards;
-    for (const std::vector<Chunk>& chunk_list : per_spec) {
-      if (chunk_list.empty()) {
-        continue;
-      }
-      ShardSpec spec = round_base;
-      for (const Chunk& chunk : chunk_list) {
-        spec.cells.push_back(states[chunk.slot].cell);
-        spec.ranges.push_back(ShardCellRange{chunk.begin, chunk.end});
-      }
-      shards.push_back(std::move(spec));
-    }
-
-    // Harvest this round's fragments directly (no ShardMerger: rounds are
-    // partial tilings whose begin need not be block-aligned).
-    std::vector<std::vector<ShardCellFragment>> harvested(states.size());
-    const auto consume = [&](ShardResult result, const std::string& source) {
-      if (!result.cells.empty()) {
-        throw FleetError("fleet: adaptive round worker " + source +
-                         " returned whole cells where trial-range fragments "
-                         "were requested");
-      }
-      for (ShardCellFragment& fragment : result.fragments) {
-        const auto slot = slot_of.find(fragment.index);
-        if (slot == slot_of.end()) {
-          throw FleetError("fleet: " + source + " returned a fragment for "
-                           "unknown cell index " +
-                           std::to_string(fragment.index));
-        }
-        harvested[slot->second].push_back(std::move(fragment));
-      }
-    };
-    SuperviseOutcome outcome =
-        SuperviseUnits(opt, sweep_id, "r" + std::to_string(round) + ".",
-                       std::move(shards), consume);
-    stats.spawned += outcome.stats.spawned;
-    stats.succeeded += outcome.stats.succeeded;
-    stats.crashed += outcome.stats.crashed;
-    stats.timed_out += outcome.stats.timed_out;
-    stats.corrupt += outcome.stats.corrupt;
-    stats.malformed += outcome.stats.malformed;
-    stats.retries += outcome.stats.retries;
-    stats.splits += outcome.stats.splits;
-    worker_metrics.MergeFrom(outcome.worker_metrics);
-
-    // Fold each surviving cell's fragments in ascending trial order — the
-    // exact merge sequence the single-process round performs — then re-judge
-    // convergence under the original adaptive options.
-    for (const size_t i : active) {
-      AdaptiveCell& st = states[i];
-      const auto error = outcome.cell_errors.find(st.cell.index);
-      if (error != outcome.cell_errors.end()) {
-        if (!opt.partial_ok) {
-          throw FleetError("fleet: adaptive round " + std::to_string(round) +
-                           ": cell " + std::to_string(st.cell.index) + " \"" +
-                           st.cell.label + "\" lost: " + error->second);
-        }
-        st.lost = true;
-        st.lost_reason = error->second;
-        continue;
-      }
-      std::vector<ShardCellFragment>& parts = harvested[i];
-      std::sort(parts.begin(), parts.end(),
-                [](const ShardCellFragment& a, const ShardCellFragment& b) {
-                  return a.trial_begin < b.trial_begin;
-                });
-      int64_t expect = st.trials_done;
-      for (const ShardCellFragment& part : parts) {
-        if (part.trial_begin != expect) {
-          throw FleetError(
-              "fleet: adaptive round " + std::to_string(round) + ": cell " +
-              std::to_string(st.cell.index) +
-              " fragments do not tile the requested range (gap at trial " +
-              std::to_string(expect) + ")");
-        }
-        expect = part.trial_end;
-        for (const TrialAccumulator& block : part.blocks) {
-          st.acc.MergeFrom(block);
-        }
-      }
-      if (expect != st.target) {
-        throw FleetError("fleet: adaptive round " + std::to_string(round) +
-                         ": cell " + std::to_string(st.cell.index) +
-                         " fragments end at trial " + std::to_string(expect) +
-                         ", expected " + std::to_string(st.target));
-      }
-      st.trials_done = st.target;
-      st.rounds++;
-      const AdaptiveRoundDecision verdict =
-          JudgeAdaptiveRound(st.acc, st.trials_done, sweep_options);
-      st.half_widths.push_back(verdict.half_width);
-      if (verdict.converged) {
-        st.converged = true;
-      } else {
-        st.target = verdict.next_target;
-      }
-    }
-  }
-
-  FleetReport report;
-  report.stats = stats;
-  report.worker_metrics = std::move(worker_metrics);
-  std::vector<SweepCellExecution> executions;
-  std::vector<FleetLostCell> lost;
-  for (AdaptiveCell& st : states) {
-    if (st.lost) {
-      FleetLostCell cell;
-      cell.index = st.cell.index;
-      cell.label = st.cell.label;
-      cell.reason = st.lost_reason;
-      lost.push_back(std::move(cell));
-      continue;
-    }
-    SweepCellExecution execution;
-    execution.index = st.cell.index;
-    execution.label = std::move(st.cell.label);
-    execution.coordinates = std::move(st.cell.coordinates);
-    execution.acc = std::move(st.acc);
-    execution.trials = st.trials_done;
-    execution.rounds = st.rounds;
-    execution.half_width_history = std::move(st.half_widths);
-    executions.push_back(std::move(execution));
-  }
-  if (!lost.empty()) {
-    // partial_ok only; without it the round loop threw at the first loss.
-    const std::string summary = DescribeLost(lost, total_cells);
-    if (executions.empty()) {
-      throw FleetError("fleet: every attempt failed; no cells to finalize (" +
-                       summary + ")");
-    }
-    EmitFleet(opt, sweep_id,
-              obs::TraceEvent("fleet_partial")
-                  .Int("lost", static_cast<int64_t>(lost.size()))
-                  .Int("cells", static_cast<int64_t>(total_cells)),
-              "partial result: %s", summary.c_str());
-    report.result =
-        FinalizeSweepCells(std::move(executions), base.axis_names,
-                           sweep_options.estimand, sweep_options.mc.confidence);
-    report.complete = false;
-    report.lost = std::move(lost);
-    return report;
-  }
-  EmitFleet(opt, sweep_id,
-            obs::TraceEvent("fleet_done")
-                .Int("spawned", stats.spawned)
-                .Int("succeeded", stats.succeeded)
-                .Int("retries", stats.retries)
-                .Int("rounds", round),
-            "complete: %d spawned, %d succeeded, %d retries, %d adaptive rounds",
-            stats.spawned, stats.succeeded, stats.retries, round);
-  std::vector<SweepCellExecution> finalized = executions;
-  report.result =
-      FinalizeSweepCells(std::move(finalized), base.axis_names,
-                         sweep_options.estimand, sweep_options.mc.confidence);
-  report.complete = true;
-  report.executions = std::move(executions);
   return report;
 }
 

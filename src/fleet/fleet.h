@@ -18,12 +18,14 @@
 //   * a multi-cell unit that exhausts its retries is split into single-cell
 //     units with fresh budgets, isolating a poison cell so the rest of the
 //     shard still completes (the "reassignment" of a dead worker's cells);
-//   * results merge through ShardMerger, so the final figure is
-//     byte-identical to the single-process run whenever every cell
-//     eventually succeeds — the PR 5 contract survives any amount of
-//     retrying, re-partitioning, and out-of-order completion, because cell
-//     identity (sweep_id, grid index, content-derived seeds) never depends
-//     on which process computed what;
+//   * the sweep runs in rounds — one for a non-adaptive sweep, the adaptive
+//     schedule otherwise — and every round's trial ranges are partitioned
+//     by PartitionShardRound and merged through ShardMerger onto the
+//     previous round's accumulators, so the final figure is byte-identical
+//     to the single-process run whenever every cell eventually succeeds:
+//     the contract survives any amount of retrying, re-partitioning, and
+//     out-of-order completion, because trial identity (sweep_id, grid
+//     index, cell seeds) never depends on which process computed what;
 //   * cells that still fail after splitting are *lost*: Run throws a
 //     FleetError naming them, or, with partial_ok, returns the finalized
 //     survivors plus an explicit lost-cell list — never a silently
@@ -66,24 +68,19 @@ struct FleetOptions {
   int max_retries = 3;
   // Wall-clock seconds per attempt before SIGKILL; 0 disables the timeout
   // (then a hung worker hangs the fleet — always set this in production).
+  // Negative or NaN is invalid.
   double timeout_seconds = 0.0;
 
   // Backoff before retry k (k = 1 after the first failure):
-  //   min(backoff_max, backoff_initial * multiplier^(k-1)) * (0.5 + 0.5*u)
+  //   min(5 s, backoff_initial * 2^(k-1)) * (0.5 + 0.5*u)
   // with u in [0,1) drawn deterministically from (backoff_seed, unit, k) —
   // jitter without a global RNG, reproducible in tests.
   double backoff_initial_seconds = 0.1;
-  double backoff_max_seconds = 5.0;
-  double backoff_multiplier = 2.0;
   uint64_t backoff_seed = 0x5eedb0ffu;
 
   // Accept an incomplete sweep: exhausted cells come back explicitly marked
   // (FleetReport::lost, complete=false) instead of FleetError.
   bool partial_ok = false;
-  // Split a multi-cell unit that exhausts its retries into single-cell
-  // units with fresh retry budgets (isolates poison cells). On by default;
-  // off means the whole unit's cells are lost together.
-  bool split_exhausted = true;
 
   // Worker lane count (--threads); 0 lets each worker pick its default.
   // Never changes results, only wall clock.
@@ -138,7 +135,7 @@ struct FleetReport {
   bool complete = true;
   std::vector<FleetLostCell> lost;
   FleetStats stats;
-  // Complete runs only: the merged raw per-cell executions in grid order —
+  // Complete runs only: the merged raw per-cell executions in cell order —
   // the exact accumulator state a result cache can later seed adaptive
   // continuation from (ResumeSweepCells). Empty on partial runs.
   std::vector<SweepCellExecution> executions;
@@ -162,10 +159,20 @@ class FleetSupervisor {
  public:
   explicit FleetSupervisor(FleetOptions options);
 
-  // Plans `spec` into options.shard_count shards and supervises them to
-  // completion. Throws std::invalid_argument for invalid sweep
-  // specs/options (same messages as SweepRunner::Run), FleetError for
-  // fleet-level failure.
+  // Runs `spec` on the fleet and supervises it to completion, round by
+  // round, under every seed mode: SweepRunner::Run's own round loop
+  // (RunSweepRounds) with every round run by workers. A non-adaptive sweep
+  // is one round; an adaptive one (kMttdl) follows the runner's geometric
+  // schedule. Each round's trial ranges are partitioned by
+  // PartitionShardRound into options.shard_count shards — whole cells
+  // round-robin, kMttdl cells split at 256-trial block boundaries when
+  // fewer of them than shards are active — and merged by ShardMerger onto
+  // the cells' states before the round. The report —
+  // accumulators, trials, rounds, half-width histories, and the finalized
+  // figure — is byte-identical to SweepRunner::Run on one process, for any
+  // shard_count, retry/split history, and worker completion order. Throws
+  // std::invalid_argument for invalid sweep specs/options (same messages
+  // as SweepRunner::Run), FleetError for fleet-level failure.
   FleetReport Run(const SweepSpec& spec, const SweepOptions& sweep_options) const;
 
   // Same supervision over already-materialized cells (a deserialized
@@ -175,27 +182,6 @@ class FleetSupervisor {
   FleetReport Run(std::vector<std::string> axis_names,
                   const SweepOptions& sweep_options,
                   std::vector<SweepSpec::Cell> cells) const;
-
-  // Distributed adaptive execution. Requires options.adaptive and
-  // SeedMode::kCounterV1 (throws std::invalid_argument otherwise): only the
-  // counter generator can start a trial stream at an arbitrary index, which
-  // is what lets one cell's round be split mid-cell across workers.
-  //
-  // Each adaptive round re-partitions every unconverged cell's next trial
-  // range [done, target) into up to shard_count chunks whose interior seams
-  // land on 256-trial block boundaries, fans the chunks out as version-3
-  // trial-range shards, folds the returned per-block accumulators in
-  // ascending trial order, and re-judges convergence with the exact
-  // single-process rule (JudgeAdaptiveRound). Because the fold sequence is
-  // the canonical block partition in trial order, the final report — cell
-  // accumulators, trials, rounds, half-width histories, and the finalized
-  // figure — is byte-identical to SweepRunner::Run on one process, for any
-  // shard_count, any retry/split history, and any worker completion order.
-  FleetReport RunAdaptive(const SweepSpec& spec,
-                          const SweepOptions& sweep_options) const;
-  FleetReport RunAdaptive(std::vector<std::string> axis_names,
-                          const SweepOptions& sweep_options,
-                          std::vector<SweepSpec::Cell> cells) const;
 
   const FleetOptions& options() const { return options_; }
 

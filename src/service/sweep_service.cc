@@ -143,6 +143,15 @@ ServiceResponse SweepService::HandleSweep(const ServiceRequest& request) {
         " does not match the " + std::to_string(spec.cells.size()) +
         " cells present");
   }
+  for (size_t i = 0; i < spec.cells.size(); ++i) {
+    if (spec.ranges[i].begin != 0 || spec.ranges[i].end != spec.options.mc.trials) {
+      throw std::invalid_argument(
+          "service request: cell " + std::to_string(spec.cells[i].index) +
+          " runs trials [" + std::to_string(spec.ranges[i].begin) + ", " +
+          std::to_string(spec.ranges[i].end) +
+          "); a sweep request runs every cell whole, [0, mc.trials)");
+    }
+  }
   ValidateSweepOptions(spec.options);
   ValidateSweepCells(spec.cells);
 

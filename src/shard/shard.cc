@@ -170,20 +170,16 @@ void AppendHeaderJson(std::string& out, int shard_index, int shard_count,
   json::AppendUint64Hex(out, sweep_id);
 }
 
-// Verifies the envelope and its version (this build's, or the compatible
-// subset) and returns the body to parse.
+// Verifies the envelope and its version and returns the body to parse.
 std::string_view OpenShardDocument(std::string_view text, const std::string& context,
                                    const std::string& source) {
   const json::ChecksummedDocument doc =
       json::OpenChecksummedDocument(text, "shard_version", context, source);
-  if (doc.version != kShardProtocolVersion && doc.version != kShardCompatVersion) {
-    // Version 2 is a strict subset of version 3 (no ranges, no fragments),
-    // so in-flight version-2 documents keep parsing.
+  if (doc.version != kShardProtocolVersion) {
     const std::string what =
         "unsupported shard_version " + std::to_string(doc.version) +
         " in a checksummed envelope (this build speaks " +
-        std::to_string(kShardProtocolVersion) + " and accepts " +
-        std::to_string(kShardCompatVersion) + ")";
+        std::to_string(kShardProtocolVersion) + ")";
     json::Fail(context, source.empty() ? what : "[" + source + "] " + what);
   }
   return doc.body;
@@ -300,6 +296,50 @@ void AppendOptionsJson(std::string& out, const SweepOptions& options) {
   json::AppendInt64(out, options.max_trials);
 }
 
+// Why `range` cannot be one of a spec cell's ranges under mc.trials =
+// `trials`, or nullopt. Shared by ShardSpec::FromJson and RunShard.
+std::optional<std::string> RangeError(size_t index, const ShardCellRange& range,
+                                      int64_t trials) {
+  const std::string where = "cell " + std::to_string(index) + " trial range [" +
+                            std::to_string(range.begin) + ", " +
+                            std::to_string(range.end) + ")";
+  if (range.begin < 0 || range.end <= range.begin) {
+    return where + " is empty or negative";
+  }
+  if (range.end > trials) {
+    return where + " extends past mc.trials = " + std::to_string(trials);
+  }
+  return std::nullopt;
+}
+
+// Why `piece` is malformed on its own (empty range, or an accumulator count
+// that breaks the prefix rule), or nullopt. Shared by ShardResult::FromJson
+// and ShardMerger::Add.
+std::optional<std::string> PieceError(const ShardPiece& piece) {
+  const std::string where = "cell " + std::to_string(piece.index) + " piece [" +
+                            std::to_string(piece.trial_begin) + ", " +
+                            std::to_string(piece.trial_end) + ")";
+  if (piece.trial_begin < 0 || piece.trial_end <= piece.trial_begin) {
+    return where + " is empty or negative";
+  }
+  // One accumulator for a prefix piece (its blocks pre-folded), else one
+  // per index-aligned block.
+  const int64_t expected = piece.trial_begin == 0
+                               ? 1
+                               : (piece.trial_end - 1) / kTrialBlockSize -
+                                     piece.trial_begin / kTrialBlockSize + 1;
+  if (static_cast<int64_t>(piece.blocks.size()) != expected) {
+    return where + " carries " + std::to_string(piece.blocks.size()) +
+           " accumulators; " +
+           (piece.trial_begin == 0
+                ? std::string("a piece starting at trial 0 carries exactly 1 "
+                              "(its blocks pre-folded)")
+                : "the aligned block partition of its range has " +
+                      std::to_string(expected));
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 // --- sweep identity --------------------------------------------------------
@@ -338,9 +378,9 @@ uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
 // --- ShardSpec -------------------------------------------------------------
 
 std::string ShardSpec::ToJson() const {
-  if (!ranges.empty() && ranges.size() != cells.size()) {
+  if (ranges.size() != cells.size()) {
     throw std::invalid_argument(
-        "ShardSpec::ToJson: ranges must be empty or match cells one to one");
+        "ShardSpec::ToJson: ranges must match cells one to one");
   }
   std::string body;
   body.reserve(512 + cells.size() * 1024);
@@ -361,19 +401,14 @@ std::string ShardSpec::ToJson() const {
     json::AppendEscaped(body, cell.label);
     body += ",\"coordinates\":";
     AppendCoordinatesJson(body, cell.coordinates);
-    // A partial cell (version 3) carries its trial range; whole cells omit
-    // the key so whole-cell documents keep the version-2 body shape.
-    if (!ranges.empty() && ranges[i].end >= 0) {
-      body += ",\"range\":{\"begin\":";
-      json::AppendInt64(body, ranges[i].begin);
-      body += ",\"end\":";
-      json::AppendInt64(body, ranges[i].end);
-      body += '}';
-    }
+    body += ",\"range\":{\"begin\":";
+    json::AppendInt64(body, ranges[i].begin);
+    body += ",\"end\":";
+    json::AppendInt64(body, ranges[i].end);
     // The scenario's canonical JSON, spliced verbatim: the scenario
     // subtree's bytes — and therefore CanonicalHash and kScenarioDerived
     // seeds — are exactly the driver's.
-    body += ",\"scenario\":";
+    body += "},\"scenario\":";
     body += cell.scenario.ToJson();
     body += '}';
   }
@@ -427,7 +462,6 @@ ShardSpec ShardSpec::FromJsonUntagged(std::string_view text,
   shard.axis_names = ReadAxes(reader, kSpecContext);
 
   CellIndexSet seen(header.total_cells, kSpecContext);
-  bool any_range = false;
   for (const json::Value& entry : reader.GetArray("cells")) {
     json::ObjectReader cell(entry, "cell", kSpecContext);
     SweepSpec::Cell out;
@@ -435,32 +469,73 @@ ShardSpec ShardSpec::FromJsonUntagged(std::string_view text,
     out.label = cell.GetString("label");
     out.coordinates = ReadCoordinates(cell, shard.axis_names, out.index, kSpecContext);
     ShardCellRange range;
-    if (entry.Find("range") != nullptr) {
+    {
       json::ObjectReader r(cell.GetObject("range"), "range", kSpecContext);
       range.begin = r.GetInt64("begin");
       range.end = r.GetInt64("end");
       r.Finish();
-      if (range.begin < 0 || range.end <= range.begin) {
-        json::Fail(kSpecContext, "cell " + std::to_string(out.index) +
-                                     " has an invalid trial range [" +
-                                     std::to_string(range.begin) + ", " +
-                                     std::to_string(range.end) + ")");
-      }
-      any_range = true;
+    }
+    if (auto error = RangeError(out.index, range, shard.options.mc.trials)) {
+      json::Fail(kSpecContext, *error);
     }
     out.scenario = Scenario::FromJsonValue(cell.GetObject("scenario"));
     cell.Finish();
     shard.cells.push_back(std::move(out));
     shard.ranges.push_back(range);
   }
-  if (!any_range) {
-    shard.ranges.clear();  // whole-cell documents carry no range vector
-  }
   reader.Finish();
   return shard;
 }
 
-// --- ShardPlan -------------------------------------------------------------
+// --- partition and plan ----------------------------------------------------
+
+std::vector<ShardSpec> PartitionShardRound(const ShardSpec& round, int shard_count) {
+  if (shard_count < 1) {
+    throw std::invalid_argument("PartitionShardRound: shard_count must be >= 1");
+  }
+  const std::vector<SweepSpec::Cell>& cells = round.cells;
+  const std::vector<ShardCellRange>& ranges = round.ranges;
+  if (ranges.size() != cells.size()) {
+    throw std::invalid_argument(
+        "PartitionShardRound: ranges must match cells one to one");
+  }
+  const size_t k = static_cast<size_t>(shard_count);
+  std::vector<ShardSpec> shards(k);
+  for (size_t s = 0; s < k; ++s) {
+    ShardSpec& shard = shards[s];
+    shard.shard_index = static_cast<int>(s);
+    shard.shard_count = shard_count;
+    shard.total_cells = round.total_cells;
+    shard.sweep_id = round.sweep_id;
+    shard.axis_names = round.axis_names;
+    shard.options = round.options;
+  }
+  const auto assign = [&](size_t s, size_t i, int64_t begin, int64_t end) {
+    shards[s].cells.push_back(cells[i]);
+    shards[s].ranges.push_back(ShardCellRange{begin, end});
+  };
+  if (cells.size() >= k ||
+      round.options.estimand != SweepOptions::Estimand::kMttdl) {
+    for (size_t i = 0; i < cells.size(); ++i) {
+      assign(i % k, i, ranges[i].begin, ranges[i].end);
+    }
+    return shards;
+  }
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const int64_t begin = ranges[i].begin;
+    const int64_t end = ranges[i].end;
+    const int64_t b0 = begin / kTrialBlockSize;
+    const int64_t blocks = (end - 1) / kTrialBlockSize - b0 + 1;
+    const int64_t chunks = std::min<int64_t>(shard_count, blocks);
+    for (int64_t j = 0; j < chunks; ++j) {
+      const int64_t lo = std::max(begin, (b0 + j * blocks / chunks) * kTrialBlockSize);
+      const int64_t hi =
+          std::min(end, (b0 + (j + 1) * blocks / chunks) * kTrialBlockSize);
+      assign((i + static_cast<size_t>(j)) % k, i, lo, hi);
+    }
+  }
+  return shards;
+}
 
 ShardPlan::ShardPlan(const SweepSpec& spec, const SweepOptions& options,
                      int shard_count)
@@ -480,24 +555,16 @@ ShardPlan::ShardPlan(std::vector<std::string> axis_names,
   // worker processes at once.
   ValidateSweepCells(cells);
 
-  axis_names_ = std::move(axis_names);
-  total_cells_ = cells.size();
-  const uint64_t sweep_id = ComputeSweepId(axis_names_, options, cells);
-  shards_.resize(static_cast<size_t>(shard_count));
-  for (int k = 0; k < shard_count; ++k) {
-    ShardSpec& shard = shards_[static_cast<size_t>(k)];
-    shard.shard_index = k;
-    shard.shard_count = shard_count;
-    shard.total_cells = total_cells_;
-    shard.sweep_id = sweep_id;
-    shard.axis_names = axis_names_;
-    shard.options = options;
-    // Lane count is the worker's own business (and never changes results).
-    shard.options.mc.threads = 0;
-  }
-  for (size_t i = 0; i < cells.size(); ++i) {
-    shards_[i % static_cast<size_t>(shard_count)].cells.push_back(std::move(cells[i]));
-  }
+  ShardSpec whole;
+  whole.total_cells = cells.size();
+  whole.sweep_id = ComputeSweepId(axis_names, options, cells);
+  whole.axis_names = std::move(axis_names);
+  whole.options = options;
+  // Lane count is the worker's own business (and never changes results).
+  whole.options.mc.threads = 0;
+  whole.ranges.assign(cells.size(), ShardCellRange{0, options.mc.trials});
+  whole.cells = std::move(cells);
+  shards_ = PartitionShardRound(whole, shard_count);
 }
 
 // --- RunShard --------------------------------------------------------------
@@ -505,11 +572,29 @@ ShardPlan::ShardPlan(std::vector<std::string> axis_names,
 ShardResult RunShard(const ShardSpec& shard, WorkerPool* pool) {
   ValidateSweepOptions(shard.options);
   ValidateSweepCells(shard.cells);
-  if (!shard.ranges.empty() && shard.ranges.size() != shard.cells.size()) {
+  if (shard.options.adaptive) {
     throw std::invalid_argument(
-        "RunShard: ranges must be empty or match cells one to one");
+        "RunShard: adaptive sweeps run round by round under a coordinator "
+        "(FleetSupervisor::Run); a shard runs fixed trial ranges");
   }
-  WorkerPool& exec_pool = pool != nullptr ? *pool : WorkerPool::Shared();
+  if (shard.ranges.size() != shard.cells.size()) {
+    throw std::invalid_argument("RunShard: ranges must match cells one to one");
+  }
+  std::vector<CellTrialRange> work;
+  work.reserve(shard.cells.size());
+  for (size_t i = 0; i < shard.cells.size(); ++i) {
+    if (auto error = RangeError(shard.cells[i].index, shard.ranges[i],
+                                shard.options.mc.trials)) {
+      throw std::invalid_argument("RunShard: " + *error);
+    }
+    work.push_back(
+        CellTrialRange{&shard.cells[i], shard.ranges[i].begin, shard.ranges[i].end});
+  }
+
+  std::vector<int64_t> busy_ns;
+  std::vector<std::vector<TrialAccumulator>> blocks =
+      RunCellTrialRanges(pool != nullptr ? *pool : WorkerPool::Shared(), work,
+                         shard.options, &busy_ns);
 
   ShardResult result;
   result.shard_index = shard.shard_index;
@@ -519,58 +604,24 @@ ShardResult RunShard(const ShardSpec& shard, WorkerPool* pool) {
   result.estimand = shard.options.estimand;
   result.confidence = shard.options.mc.confidence;
   result.axis_names = shard.axis_names;
-  if (shard.ranges.empty()) {
-    result.cells = RunSweepCells(exec_pool, shard.cells, shard.options);
-    return result;
-  }
-
-  // Split whole cells (classic execution) from partial trial ranges, which
-  // run as raw per-block accumulators so the coordinator can reassemble a
-  // byte-identical cell from any block-aligned tiling.
-  std::vector<SweepSpec::Cell> whole;
-  std::vector<size_t> ranged;
-  for (size_t i = 0; i < shard.cells.size(); ++i) {
-    if (shard.ranges[i].end < 0) {
-      whole.push_back(shard.cells[i]);
+  for (size_t i = 0; i < work.size(); ++i) {
+    ShardPiece piece;
+    piece.index = shard.cells[i].index;
+    piece.label = shard.cells[i].label;
+    piece.coordinates = shard.cells[i].coordinates;
+    piece.trial_begin = work[i].begin;
+    piece.trial_end = work[i].end;
+    if (piece.trial_begin == 0) {
+      // The prefix rule: pre-fold in trial order, as the merger would.
+      piece.blocks.emplace_back();
+      for (const TrialAccumulator& block : blocks[i]) {
+        piece.blocks.front().MergeFrom(block);
+      }
     } else {
-      ranged.push_back(i);
+      piece.blocks = std::move(blocks[i]);
     }
-  }
-  if (!ranged.empty()) {
-    if (shard.options.seed_mode != SweepOptions::SeedMode::kCounterV1) {
-      throw std::invalid_argument(
-          "RunShard: partial trial ranges require seed_mode counter_v1 (any "
-          "other mode cannot reproduce a trial's stream from its index)");
-    }
-    if (shard.options.adaptive) {
-      throw std::invalid_argument(
-          "RunShard: partial trial ranges require non-adaptive execution; "
-          "adaptive continuation is coordinated by the driver");
-    }
-  }
-  if (!whole.empty()) {
-    result.cells = RunSweepCells(exec_pool, whole, shard.options);
-  }
-  for (const size_t i : ranged) {
-    const SweepSpec::Cell& cell = shard.cells[i];
-    const ShardCellRange& range = shard.ranges[i];
-    if (range.end > shard.options.mc.trials) {
-      throw std::invalid_argument(
-          "RunShard: cell " + std::to_string(cell.index) + " trial range [" +
-          std::to_string(range.begin) + ", " + std::to_string(range.end) +
-          ") extends past mc.trials = " +
-          std::to_string(shard.options.mc.trials));
-    }
-    ShardCellFragment fragment;
-    fragment.index = cell.index;
-    fragment.label = cell.label;
-    fragment.coordinates = cell.coordinates;
-    fragment.trial_begin = range.begin;
-    fragment.trial_end = range.end;
-    fragment.cell_trials = shard.options.mc.trials;
-    fragment.blocks = RunCellTrialRange(exec_pool, cell, shard.options,
-                                        range.begin, range.end);
-    result.fragments.push_back(std::move(fragment));
+    result.cells.push_back(std::move(piece));
+    RecordSweepCellTelemetry(work[i].end - work[i].begin, 1, busy_ns[i]);
   }
   return result;
 }
@@ -589,65 +640,30 @@ std::string ShardResult::ToJson() const {
   AppendAxesJson(body, axis_names);
   body += ",\"cells\":[";
   for (size_t i = 0; i < cells.size(); ++i) {
-    const SweepCellExecution& cell = cells[i];
+    const ShardPiece& piece = cells[i];
     if (i > 0) {
       body += ',';
     }
     body += "{\"index\":";
-    json::AppendInt64(body, static_cast<int64_t>(cell.index));
+    json::AppendInt64(body, static_cast<int64_t>(piece.index));
     body += ",\"label\":";
-    json::AppendEscaped(body, cell.label);
+    json::AppendEscaped(body, piece.label);
     body += ",\"coordinates\":";
-    AppendCoordinatesJson(body, cell.coordinates);
-    body += ",\"trials\":";
-    json::AppendInt64(body, cell.trials);
-    body += ",\"rounds\":";
-    json::AppendInt64(body, cell.rounds);
-    body += ",\"half_width_history\":[";
-    for (size_t h = 0; h < cell.half_width_history.size(); ++h) {
-      if (h > 0) {
+    AppendCoordinatesJson(body, piece.coordinates);
+    body += ",\"trial_begin\":";
+    json::AppendInt64(body, piece.trial_begin);
+    body += ",\"trial_end\":";
+    json::AppendInt64(body, piece.trial_end);
+    body += ",\"blocks\":[";
+    for (size_t b = 0; b < piece.blocks.size(); ++b) {
+      if (b > 0) {
         body += ',';
       }
-      json::AppendDouble(body, cell.half_width_history[h]);
+      AppendTrialAccumulatorJson(body, piece.blocks[b]);
     }
-    body += "],\"accumulator\":";
-    AppendTrialAccumulatorJson(body, cell.acc);
-    body += '}';
+    body += "]}";
   }
-  body += ']';
-  // Partial-cell results (version 3) ride in a separate array; whole-cell
-  // documents omit the key, keeping the version-2 body shape byte-for-byte.
-  if (!fragments.empty()) {
-    body += ",\"fragments\":[";
-    for (size_t i = 0; i < fragments.size(); ++i) {
-      const ShardCellFragment& fragment = fragments[i];
-      if (i > 0) {
-        body += ',';
-      }
-      body += "{\"index\":";
-      json::AppendInt64(body, static_cast<int64_t>(fragment.index));
-      body += ",\"label\":";
-      json::AppendEscaped(body, fragment.label);
-      body += ",\"coordinates\":";
-      AppendCoordinatesJson(body, fragment.coordinates);
-      body += ",\"trial_begin\":";
-      json::AppendInt64(body, fragment.trial_begin);
-      body += ",\"trial_end\":";
-      json::AppendInt64(body, fragment.trial_end);
-      body += ",\"cell_trials\":";
-      json::AppendInt64(body, fragment.cell_trials);
-      body += ",\"blocks\":[";
-      for (size_t b = 0; b < fragment.blocks.size(); ++b) {
-        if (b > 0) {
-          body += ',';
-        }
-        AppendTrialAccumulatorJson(body, fragment.blocks[b]);
-      }
-      body += "]}";
-    }
-    body += ']';
-  }
-  body += '}';
+  body += "]}";
   return json::WrapChecksummedBody("shard_version", kShardProtocolVersion, body);
 }
 
@@ -678,89 +694,21 @@ ShardResult ShardResult::FromJsonUntagged(std::string_view text,
   CellIndexSet seen(header.total_cells, kResultContext);
   for (const json::Value& entry : reader.GetArray("cells")) {
     json::ObjectReader cell(entry, "cell", kResultContext);
-    SweepCellExecution out;
-    out.index = seen.Claim(cell.GetInt64("index"));
-    out.label = cell.GetString("label");
-    out.coordinates = ReadCoordinates(cell, result.axis_names, out.index, kResultContext);
-    out.trials = cell.GetInt64("trials");
-    if (out.trials < 0) {
-      json::Fail(kResultContext, "cell " + std::to_string(out.index) +
-                                     " has a negative trial count");
+    ShardPiece piece;
+    piece.index = seen.Claim(cell.GetInt64("index"));
+    piece.label = cell.GetString("label");
+    piece.coordinates =
+        ReadCoordinates(cell, result.axis_names, piece.index, kResultContext);
+    piece.trial_begin = cell.GetInt64("trial_begin");
+    piece.trial_end = cell.GetInt64("trial_end");
+    for (const json::Value& block : cell.GetArray("blocks")) {
+      piece.blocks.push_back(TrialAccumulatorFromJsonValue(block, kResultContext));
     }
-    out.rounds = cell.GetInt("rounds");
-    if (out.rounds < 0) {
-      json::Fail(kResultContext, "cell " + std::to_string(out.index) +
-                                     " has a negative round count");
-    }
-    for (const json::Value& half_width : cell.GetArray("half_width_history")) {
-      // Accept the "inf"/"-inf"/"nan" string spellings like every other
-      // double in the protocol: an unconverged cell can legitimately report
-      // an infinite half-width, and the emitter writes it as a string.
-      if (half_width.kind == json::Value::Kind::kString) {
-        if (half_width.string == "inf") {
-          out.half_width_history.push_back(std::numeric_limits<double>::infinity());
-          continue;
-        }
-        if (half_width.string == "-inf") {
-          out.half_width_history.push_back(-std::numeric_limits<double>::infinity());
-          continue;
-        }
-        if (half_width.string == "nan") {
-          out.half_width_history.push_back(std::numeric_limits<double>::quiet_NaN());
-          continue;
-        }
-      }
-      if (half_width.kind != json::Value::Kind::kNumber) {
-        json::Fail(kResultContext, "half_width_history entries must be numbers");
-      }
-      out.half_width_history.push_back(half_width.number);
-    }
-    out.acc = TrialAccumulatorFromJsonValue(cell.GetObject("accumulator"),
-                                            kResultContext);
     cell.Finish();
-    result.cells.push_back(std::move(out));
-  }
-  // "fragments" is optional (absent from version-2 documents and from
-  // whole-cell version-3 documents). A cell must arrive either whole or as
-  // fragments, never both, so fragment indices share the cells' claim set.
-  if (root.Find("fragments") != nullptr) {
-    for (const json::Value& entry : reader.GetArray("fragments")) {
-      json::ObjectReader frag(entry, "fragment", kResultContext);
-      ShardCellFragment out;
-      out.index = seen.Claim(frag.GetInt64("index"));
-      out.label = frag.GetString("label");
-      out.coordinates =
-          ReadCoordinates(frag, result.axis_names, out.index, kResultContext);
-      out.trial_begin = frag.GetInt64("trial_begin");
-      out.trial_end = frag.GetInt64("trial_end");
-      out.cell_trials = frag.GetInt64("cell_trials");
-      if (out.cell_trials < 1 || out.trial_begin < 0 ||
-          out.trial_end <= out.trial_begin || out.trial_end > out.cell_trials) {
-        json::Fail(kResultContext,
-                   "cell " + std::to_string(out.index) +
-                       " fragment range [" + std::to_string(out.trial_begin) +
-                       ", " + std::to_string(out.trial_end) +
-                       ") is invalid for " + std::to_string(out.cell_trials) +
-                       " trials");
-      }
-      for (const json::Value& block : frag.GetArray("blocks")) {
-        out.blocks.push_back(TrialAccumulatorFromJsonValue(block, kResultContext));
-      }
-      const int64_t expected_blocks =
-          (out.trial_end - 1) / kTrialBlockSize -
-          out.trial_begin / kTrialBlockSize + 1;
-      if (static_cast<int64_t>(out.blocks.size()) != expected_blocks) {
-        json::Fail(kResultContext,
-                   "cell " + std::to_string(out.index) + " fragment [" +
-                       std::to_string(out.trial_begin) + ", " +
-                       std::to_string(out.trial_end) + ") carries " +
-                       std::to_string(out.blocks.size()) +
-                       " blocks; the aligned partition has " +
-                       std::to_string(expected_blocks));
-      }
-      frag.Finish();
-      result.fragments.push_back(std::move(out));
+    if (auto error = PieceError(piece)) {
+      json::Fail(kResultContext, *error);
     }
+    result.cells.push_back(std::move(piece));
   }
   reader.Finish();
   return result;
@@ -780,179 +728,165 @@ std::string DescribeShard(int shard_index, const std::string& source) {
   return out;
 }
 
+std::string DescribeTrials(int64_t begin, int64_t end) {
+  return "trials [" + std::to_string(begin) + ", " + std::to_string(end) + ")";
+}
+
+[[noreturn]] void MergeFail(const std::string& what) {
+  throw std::invalid_argument("ShardMerger: " + what);
+}
+
 }  // namespace
 
-void ShardMerger::Add(ShardResult result, const std::string& source) {
-  auto fail = [](const std::string& what) {
-    throw std::invalid_argument("ShardMerger: " + what);
-  };
-  const std::string who = DescribeShard(result.shard_index, source);
-  if (result.total_cells < 1) {
-    fail(who + ": total_cells must be >= 1");
+ShardMerger::ShardMerger(const std::vector<ShardSpec>& shards,
+                         std::vector<SweepCellExecution> prior) {
+  if (shards.empty()) {
+    MergeFail("no shards to merge");
   }
-  if (result.shard_count < 1 || result.shard_index < 0 ||
-      result.shard_index >= result.shard_count) {
-    fail(who + ": shard_index " + std::to_string(result.shard_index) +
-         " is outside [0, shard_count)");
-  }
-  // Detach the payload before any header bookkeeping so keeping the first
-  // result's header never copies its (potentially large) cell vector.
-  std::vector<SweepCellExecution> incoming = std::move(result.cells);
-  result.cells.clear();
-  std::vector<ShardCellFragment> incoming_fragments = std::move(result.fragments);
-  result.fragments.clear();
-  if (!have_header_) {
-    have_header_ = true;
-    header_ = std::move(result);
-    first_source_ = source;
-    cells_.resize(header_.total_cells);
-    cell_sources_.resize(header_.total_cells);
-    pending_fragments_.resize(header_.total_cells);
-  } else {
-    const std::string first = DescribeShard(header_.shard_index, first_source_);
-    if (result.estimand != header_.estimand) {
-      fail(who + " was run with a different estimand than " + first);
+  const ShardSpec& first = shards.front();
+  header_.total_cells = first.total_cells;
+  header_.sweep_id = first.sweep_id;
+  header_.estimand = first.options.estimand;
+  header_.confidence = first.options.mc.confidence;
+  header_.axis_names = first.axis_names;
+  cells_.resize(first.total_cells);
+  for (const ShardSpec& shard : shards) {
+    if (shard.ranges.size() != shard.cells.size()) {
+      MergeFail("shard ranges must match cells one to one");
     }
-    if (result.confidence != header_.confidence) {
-      fail(who + " was run at a different confidence than " + first);
-    }
-    if (result.total_cells != header_.total_cells) {
-      fail(who + " claims " + std::to_string(result.total_cells) +
-           " total cells, " + first + " " + std::to_string(header_.total_cells));
-    }
-    // Documents prove membership by sweep identity; shard_count is
-    // provenance only (a fleet driver that re-partitions failed shards
-    // legitimately emits documents with differing counts).
-    if (result.sweep_id != header_.sweep_id) {
-      fail(who + " belongs to a different sweep than " + first +
-           " (sweep_id mismatch)");
-    }
-    if (result.axis_names != header_.axis_names) {
-      fail(who + " has a different axis list than " + first);
+    for (size_t i = 0; i < shard.cells.size(); ++i) {
+      const SweepSpec::Cell& cell = shard.cells[i];
+      const ShardCellRange& range = shard.ranges[i];
+      if (cell.index >= cells_.size() || range.end <= range.begin) {
+        MergeFail("planned cell " + std::to_string(cell.index) + " " +
+                  DescribeTrials(range.begin, range.end) +
+                  " is outside the sweep or empty");
+      }
+      std::optional<CellMerge>& slot = cells_[cell.index];
+      if (!slot.has_value()) {
+        slot.emplace();
+        slot->execution.index = cell.index;
+        slot->execution.label = cell.label;
+        slot->execution.coordinates = cell.coordinates;
+        slot->from = range.begin;
+        slot->to = range.end;
+        ++expected_;
+      } else {
+        slot->from = std::min(slot->from, range.begin);
+        slot->to = std::max(slot->to, range.end);
+      }
     }
   }
-  for (SweepCellExecution& cell : incoming) {
-    if (cell.index >= cells_.size()) {
-      fail(who + ": cell index " + std::to_string(cell.index) +
-           " is outside [0, total_cells)");
+  for (SweepCellExecution& state : prior) {
+    if (state.index >= cells_.size() || !cells_[state.index].has_value()) {
+      MergeFail("prior cell " + std::to_string(state.index) +
+                " has no trials planned in this round");
     }
-    if (cells_[cell.index].has_value()) {
-      fail("cell " + std::to_string(cell.index) + " (\"" + cell.label +
-           "\") arrived twice: first from " + cell_sources_[cell.index] +
-           ", again from " + who +
-           "; each cell must be owned by exactly one shard");
-    }
-    if (!pending_fragments_[cell.index].empty()) {
-      fail("cell " + std::to_string(cell.index) + " (\"" + cell.label +
-           "\") arrived whole from " + who +
-           " after fragments of it were already received; a cell is owned "
-           "either whole or as a fragment tiling, never both");
-    }
-    cells_[cell.index] = std::move(cell);
-    cell_sources_[cell.index] = who;
-    ++received_;
+    cells_[state.index]->execution = std::move(state);
   }
-  for (ShardCellFragment& fragment : incoming_fragments) {
-    AddFragment(std::move(fragment), who);
+  // A cell without prior state starts empty at trial 0.
+  for (const std::optional<CellMerge>& cell : cells_) {
+    if (cell.has_value() && cell->execution.trials != cell->from) {
+      MergeFail("cell " + std::to_string(cell->execution.index) + " has run " +
+                std::to_string(cell->execution.trials) +
+                " trials but its round starts at trial " +
+                std::to_string(cell->from));
+    }
   }
 }
 
-void ShardMerger::AddFragment(ShardCellFragment fragment, const std::string& who) {
-  auto fail = [](const std::string& what) {
-    throw std::invalid_argument("ShardMerger: " + what);
-  };
-  if (fragment.index >= cells_.size()) {
-    fail(who + ": fragment cell index " + std::to_string(fragment.index) +
-         " is outside [0, total_cells)");
+void ShardMerger::Add(ShardResult result, const std::string& source) {
+  const std::string who = DescribeShard(result.shard_index, source);
+  if (result.shard_count < 1 || result.shard_index < 0 ||
+      result.shard_index >= result.shard_count) {
+    MergeFail(who + ": shard_index " + std::to_string(result.shard_index) +
+              " is outside [0, shard_count)");
   }
-  if (cells_[fragment.index].has_value()) {
-    fail("cell " + std::to_string(fragment.index) + " (\"" + fragment.label +
-         "\") received a fragment from " + who +
-         " after the whole cell arrived from " + cell_sources_[fragment.index] +
-         "; a cell is owned either whole or as a fragment tiling, never both");
+  if (result.estimand != header_.estimand) {
+    MergeFail(who + " was run with a different estimand than the planned sweep");
   }
-  if (fragment.cell_trials < 1 || fragment.trial_begin < 0 ||
-      fragment.trial_end <= fragment.trial_begin ||
-      fragment.trial_end > fragment.cell_trials) {
-    fail(who + ": cell " + std::to_string(fragment.index) +
-         " fragment range [" + std::to_string(fragment.trial_begin) + ", " +
-         std::to_string(fragment.trial_end) + ") is invalid for " +
-         std::to_string(fragment.cell_trials) + " trials");
+  if (result.confidence != header_.confidence) {
+    MergeFail(who + " was run at a different confidence than the planned sweep");
   }
-  // Interior tiling boundaries must land on block edges: the canonical fold
-  // is per 256-trial block, and an unaligned seam would split a block's
-  // Welford accumulation differently than single-process execution.
-  if (fragment.trial_begin % kTrialBlockSize != 0 ||
-      (fragment.trial_end % kTrialBlockSize != 0 &&
-       fragment.trial_end != fragment.cell_trials)) {
-    fail(who + ": cell " + std::to_string(fragment.index) + " fragment [" +
-         std::to_string(fragment.trial_begin) + ", " +
-         std::to_string(fragment.trial_end) +
-         ") is not aligned to the " + std::to_string(kTrialBlockSize) +
-         "-trial block partition");
+  if (result.total_cells != header_.total_cells) {
+    MergeFail(who + " claims " + std::to_string(result.total_cells) +
+              " total cells, the planned sweep has " +
+              std::to_string(header_.total_cells));
   }
-  const int64_t expected_blocks = (fragment.trial_end - 1) / kTrialBlockSize -
-                                  fragment.trial_begin / kTrialBlockSize + 1;
-  if (static_cast<int64_t>(fragment.blocks.size()) != expected_blocks) {
-    fail(who + ": cell " + std::to_string(fragment.index) + " fragment [" +
-         std::to_string(fragment.trial_begin) + ", " +
-         std::to_string(fragment.trial_end) + ") carries " +
-         std::to_string(fragment.blocks.size()) + " blocks, expected " +
-         std::to_string(expected_blocks));
+  // Documents prove membership by sweep identity; shard_count is provenance
+  // only.
+  if (result.sweep_id != header_.sweep_id) {
+    MergeFail(who + " belongs to a different sweep than the planned one "
+                    "(sweep_id mismatch)");
   }
-  std::vector<ShardCellFragment>& parts = pending_fragments_[fragment.index];
-  for (const ShardCellFragment& other : parts) {
-    if (other.label != fragment.label ||
-        other.cell_trials != fragment.cell_trials) {
-      fail("cell " + std::to_string(fragment.index) + ": fragment from " +
-           who + " disagrees with an earlier fragment about the cell's label "
-           "or total trial count");
-    }
-    if (fragment.trial_begin < other.trial_end &&
-        other.trial_begin < fragment.trial_end) {
-      fail("cell " + std::to_string(fragment.index) + ": fragment [" +
-           std::to_string(fragment.trial_begin) + ", " +
-           std::to_string(fragment.trial_end) + ") from " + who +
-           " overlaps fragment [" + std::to_string(other.trial_begin) + ", " +
-           std::to_string(other.trial_end) + ")");
-    }
+  if (result.axis_names != header_.axis_names) {
+    MergeFail(who + " has a different axis list than the planned sweep");
   }
-  parts.push_back(std::move(fragment));
+  for (ShardPiece& piece : result.cells) {
+    AddPiece(std::move(piece), who);
+  }
+}
 
-  // Assemble the moment the tiling is complete. Fragments are pairwise
-  // disjoint subranges of [0, cell_trials), so covering exactly cell_trials
-  // trials means they tile the whole cell.
-  const int64_t cell_trials = parts.front().cell_trials;
-  int64_t covered = 0;
-  for (const ShardCellFragment& part : parts) {
-    covered += part.trial_end - part.trial_begin;
+void ShardMerger::AddPiece(ShardPiece piece, const std::string& who) {
+  if (piece.index >= cells_.size() || !cells_[piece.index].has_value()) {
+    MergeFail(who + ": cell " + std::to_string(piece.index) +
+              " has no trials planned in this merge");
   }
-  if (covered != cell_trials) {
+  CellMerge& cell = *cells_[piece.index];
+  const std::string name =
+      "cell " + std::to_string(piece.index) + " (\"" + cell.execution.label + "\")";
+  if (piece.label != cell.execution.label) {
+    MergeFail(who + ": " + name + " arrived labelled \"" + piece.label + "\"");
+  }
+  if (auto error = PieceError(piece)) {
+    MergeFail(who + ": " + *error);
+  }
+  const int64_t from = cell.from;
+  if (piece.trial_begin < from || piece.trial_end > cell.to) {
+    MergeFail(who + ": " + name + " " +
+              DescribeTrials(piece.trial_begin, piece.trial_end) +
+              " reach outside the planned " + DescribeTrials(from, cell.to));
+  }
+  // A seam inside the round must land on a block edge: the canonical fold
+  // is per 256-trial block, and an unaligned seam would split a block's
+  // Welford accumulation differently than a single process does.
+  if ((piece.trial_begin != from && piece.trial_begin % kTrialBlockSize != 0) ||
+      (piece.trial_end != cell.to && piece.trial_end % kTrialBlockSize != 0)) {
+    MergeFail(who + ": " + name + " " +
+              DescribeTrials(piece.trial_begin, piece.trial_end) +
+              " are not aligned to the " + std::to_string(kTrialBlockSize) +
+              "-trial block partition");
+  }
+  for (const auto& [other, other_who] : cell.pieces) {
+    const int64_t lo = std::max(piece.trial_begin, other.trial_begin);
+    const int64_t hi = std::min(piece.trial_end, other.trial_end);
+    if (lo < hi) {
+      MergeFail(name + " " + DescribeTrials(lo, hi) + " arrived twice: first from " +
+                other_who + ", again from " + who +
+                "; each trial must be run by exactly one shard");
+    }
+  }
+  cell.covered += piece.trial_end - piece.trial_begin;
+  cell.pieces.emplace_back(std::move(piece), who);
+  if (cell.covered != cell.to - from) {
     return;
   }
-  std::sort(parts.begin(), parts.end(),
-            [](const ShardCellFragment& a, const ShardCellFragment& b) {
-              return a.trial_begin < b.trial_begin;
+  // The pieces are disjoint subranges of [from, to) covering all of it:
+  // fold them in ascending trial order onto the prior accumulator — the
+  // exact fold sequence of a single process.
+  std::sort(cell.pieces.begin(), cell.pieces.end(),
+            [](const auto& a, const auto& b) {
+              return a.first.trial_begin < b.first.trial_begin;
             });
-  // Fold the per-block accumulators in ascending trial order — the exact
-  // fold a single process performs — so the assembled cell is byte-identical
-  // to unsharded non-adaptive execution (trials = cell total, one round, no
-  // half-width history).
-  SweepCellExecution out;
-  out.index = parts.front().index;
-  out.label = parts.front().label;
-  out.coordinates = std::move(parts.front().coordinates);
-  out.trials = cell_trials;
-  out.rounds = 1;
-  for (const ShardCellFragment& part : parts) {
+  for (auto& [part, part_who] : cell.pieces) {
     for (const TrialAccumulator& block : part.blocks) {
-      out.acc.MergeFrom(block);
+      cell.execution.acc.MergeFrom(block);
     }
+    part.blocks.clear();
   }
-  const size_t index = out.index;
-  cells_[index] = std::move(out);
-  cell_sources_[index] = who;  // the completing contributor
-  pending_fragments_[index].clear();
+  cell.execution.trials = cell.to;
+  cell.execution.rounds++;
+  cell.merged = true;
   ++received_;
 }
 
@@ -960,14 +894,10 @@ void ShardMerger::AddJson(std::string_view json, const std::string& source) {
   Add(ShardResult::FromJson(json, source), source);
 }
 
-bool ShardMerger::complete() const {
-  return have_header_ && received_ == cells_.size();
-}
-
 std::vector<size_t> ShardMerger::MissingCells() const {
   std::vector<size_t> missing;
   for (size_t i = 0; i < cells_.size(); ++i) {
-    if (!cells_[i].has_value()) {
+    if (cells_[i].has_value() && !cells_[i]->merged) {
       missing.push_back(i);
     }
   }
@@ -975,40 +905,17 @@ std::vector<size_t> ShardMerger::MissingCells() const {
 }
 
 SweepResult ShardMerger::Finish() const {
-  if (!have_header_) {
-    throw std::invalid_argument("ShardMerger: no shard results were added");
-  }
   if (!complete()) {
     throw std::invalid_argument("ShardMerger: incomplete merge; missing cells " +
                                 ListIndices(MissingCells()));
   }
-  // Cells were slotted by grid index, so this fold is independent of both
-  // the partition and the arrival order — the property the merge tests pin.
-  // The copy (rather than a move) keeps Finish const and re-callable; cell
-  // payloads are small (a few hundred bytes each), so even huge grids pay
-  // little.
-  std::vector<SweepCellExecution> executions;
-  executions.reserve(cells_.size());
-  for (const std::optional<SweepCellExecution>& cell : cells_) {
-    executions.push_back(*cell);
-  }
-  return FinalizeSweepCells(std::move(executions), header_.axis_names,
-                            header_.estimand, header_.confidence);
-}
-
-SweepResult ShardMerger::FinishPartial() const {
-  if (!have_header_) {
-    throw std::invalid_argument("ShardMerger: no shard results were added");
-  }
-  // Like Finish(), but tolerate gaps: only the cells that actually arrived
-  // are finalized. They keep their true grid indices, so each present cell
-  // produces exactly the bytes it would in the complete merge and the
-  // absent indices stay reportable via MissingCells().
+  // Cells are slotted by grid index, so this is independent of both the
+  // partition and the arrival order — the property the merge tests pin.
   std::vector<SweepCellExecution> executions;
   executions.reserve(received_);
-  for (const std::optional<SweepCellExecution>& cell : cells_) {
+  for (const std::optional<CellMerge>& cell : cells_) {
     if (cell.has_value()) {
-      executions.push_back(*cell);
+      executions.push_back(cell->execution);
     }
   }
   return FinalizeSweepCells(std::move(executions), header_.axis_names,
@@ -1016,20 +923,15 @@ SweepResult ShardMerger::FinishPartial() const {
 }
 
 std::vector<SweepCellExecution> ShardMerger::TakeExecutions() {
-  if (!have_header_) {
-    throw std::invalid_argument("ShardMerger: no shard results were added");
-  }
-  if (!complete()) {
-    throw std::invalid_argument(
-        "ShardMerger: incomplete merge; cannot take executions, missing cells " +
-        ListIndices(MissingCells()));
-  }
   std::vector<SweepCellExecution> executions;
-  executions.reserve(cells_.size());
-  for (std::optional<SweepCellExecution>& cell : cells_) {
-    executions.push_back(std::move(*cell));
+  executions.reserve(received_);
+  for (std::optional<CellMerge>& cell : cells_) {
+    if (cell.has_value() && cell->merged) {
+      executions.push_back(std::move(cell->execution));
+    }
     cell.reset();
   }
+  expected_ = 0;
   received_ = 0;
   return executions;
 }

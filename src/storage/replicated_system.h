@@ -331,8 +331,8 @@ class TrialRunner {
   // Counter-mode trial: like Run(), but the generator is reseeded with
   // ReseedCounter(key, trial) so draw #n of the trial is the pure function
   // CounterMix(key, trial, n). Used by SeedMode::kCounterV1 sweeps; the
-  // addressability is what makes trial-range sharding and the batch
-  // prefilter below deterministic.
+  // per-draw addressability is what makes the batch prefilter below
+  // deterministic.
   RunOutcome RunCounter(uint64_t key, uint64_t trial, Duration horizon);
 
   // Batch censored-trial prefilter for counter-mode trials. For `count`

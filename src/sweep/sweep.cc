@@ -30,20 +30,8 @@ uint64_t HashLabel(const std::string& label) {
   return h;
 }
 
-struct CellState {
-  SweepSpec::Cell cell;
-  uint64_t seed = 0;
-  TrialAccumulator acc;  // fold of all completed blocks, in trial order
-  int64_t trials_done = 0;
-  int64_t target = 0;
-  bool converged = false;
-  int rounds = 0;
-  std::vector<double> half_widths;
-  int64_t resumed_from_trials = 0;  // telemetry only: prior trials on resume
-};
-
 // The trial horizon for the configured estimand (the one place this mapping
-// lives; RunSweepCellsImpl and RunCellTrialRange must agree on it).
+// lives).
 Duration SweepHorizon(const SweepOptions& options) {
   switch (options.estimand) {
     case SweepOptions::Estimand::kMttdl:
@@ -93,8 +81,7 @@ void AccumulateOutcome(SweepOptions::Estimand estimand, Duration horizon,
   acc.metrics.Merge(outcome.metrics);
 }
 
-// Execution parameters of one cell's trial spans, shared by the in-process
-// sweep loop and RunCellTrialRange so the two can never diverge.
+// Execution parameters of one cell's trial spans.
 struct CellTrialParams {
   SweepOptions::Estimand estimand = SweepOptions::Estimand::kMttdl;
   Duration horizon;
@@ -381,177 +368,167 @@ void ValidateSweepCells(const std::vector<SweepSpec::Cell>& cells) {
 
 namespace {
 
-// Shared body of RunSweepCells and ResumeSweepCells: `prior` (may be null)
-// seeds each cell's folded accumulator and round bookkeeping from an earlier
-// adaptive run before the loop continues it.
+// Shared body of RunSweepCells and ResumeSweepCells: RunSweepRounds with
+// every round run on `pool`, plus the per-cell sweep.* telemetry. `prior`
+// is empty for a cold run.
 std::vector<SweepCellExecution> RunSweepCellsImpl(
-    WorkerPool& pool, std::vector<SweepSpec::Cell> cells,
-    const SweepOptions& options, std::vector<SweepCellExecution>* prior) {
-  using Estimand = SweepOptions::Estimand;
-  const McConfig& mc = options.mc;
+    WorkerPool& pool, const std::vector<SweepSpec::Cell>& cells,
+    const SweepOptions& options, std::vector<SweepCellExecution> prior) {
+  const bool resumed = !prior.empty();
+  // Telemetry only: each cell's prior trials and summed block time.
+  std::vector<int64_t> resumed_from(cells.size(), 0);
+  for (size_t i = 0; i < prior.size() && i < cells.size(); ++i) {
+    resumed_from[i] = prior[i].trials;
+  }
+  std::vector<int64_t> busy_ns(cells.size(), 0);
+  std::vector<int64_t> range_busy_ns;
+  std::vector<SweepCellExecution> executions = RunSweepRounds(
+      cells, options, std::move(prior),
+      [&](const std::vector<CellTrialRange>& ranges,
+          std::vector<SweepCellExecution>& round) {
+        const std::vector<std::vector<TrialAccumulator>> blocks =
+            RunCellTrialRanges(pool, ranges, options, &range_busy_ns);
+        for (size_t j = 0; j < ranges.size(); ++j) {
+          for (const TrialAccumulator& block : blocks[j]) {
+            round[j].acc.MergeFrom(block);
+          }
+          round[j].trials = ranges[j].end;
+          round[j].rounds++;
+          busy_ns[static_cast<size_t>(ranges[j].cell - cells.data())] +=
+              range_busy_ns[j];
+        }
+        return std::vector<bool>(ranges.size(), true);
+      });
+
+  if (obs::Enabled()) {
+    // Registered once; recording is lock-free on the kept references.
+    static obs::Counter& m_resume_cells =
+        obs::Registry::Global().counter("sweep.resume_cells");
+    static obs::Counter& m_resume_delta =
+        obs::Registry::Global().counter("sweep.resume_delta_trials");
+    for (size_t i = 0; i < executions.size(); ++i) {
+      RecordSweepCellTelemetry(executions[i].trials, executions[i].rounds,
+                               busy_ns[i]);
+      if (resumed) {
+        m_resume_cells.Add(1);
+        m_resume_delta.Add(executions[i].trials - resumed_from[i]);
+      }
+    }
+  }
+  return executions;
+}
+
+}  // namespace
+
+std::vector<SweepCellExecution> RunSweepRounds(
+    const std::vector<SweepSpec::Cell>& cells, const SweepOptions& options,
+    std::vector<SweepCellExecution> prior, const SweepRoundExecutor& run_round) {
+  if (!prior.empty() && prior.size() != cells.size()) {
+    throw std::invalid_argument("RunSweepRounds: prior must match cells one to one");
+  }
   const int64_t cap = options.adaptive ? options.max_trials
                                        : std::numeric_limits<int64_t>::max();
+  struct CellState {
+    SweepCellExecution execution;
+    int64_t target = 0;
+    bool done = false;  // converged, or its one non-adaptive round ran
+    bool lost = false;  // a range of it did not run
+  };
   std::vector<CellState> states(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
     CellState& state = states[i];
-    state.cell = std::move(cells[i]);
-    state.seed = SweepCellSeed(options, state.cell);
-    state.target = std::min<int64_t>(mc.trials, cap);
-  }
-
-  // Telemetry: per-cell busy-time accumulators handed to the batch executor.
-  // Allocated once per sweep call (cell granularity, outside the zero-alloc
-  // steady state) and only when telemetry is live; results never read them.
-  const bool telemetry = obs::Enabled();
-  std::unique_ptr<std::atomic<int64_t>[]> busy_ns;
-  if (telemetry) {
-    busy_ns = std::make_unique<std::atomic<int64_t>[]>(states.size());
-  }
-
-  // The adaptive verdict on a cell whose trials are folded through
-  // `trials_done`: converge, or schedule the next geometric round. One body
-  // for the in-loop decision and the resume re-decision, so the two can
-  // never disagree on a boundary case.
-  const auto decide = [&](CellState& state, bool append_half_width) {
-    const AdaptiveRoundDecision verdict =
-        JudgeAdaptiveRound(state.acc, state.trials_done, options);
-    if (append_half_width) {
-      state.half_widths.push_back(verdict.half_width);
+    if (!prior.empty()) {
+      state.execution = std::move(prior[i]);
     }
-    if (verdict.converged) {
-      state.converged = true;
+    state.execution.index = cells[i].index;
+    state.execution.label = cells[i].label;
+    state.execution.coordinates = cells[i].coordinates;
+    state.target = std::min<int64_t>(options.mc.trials, cap);
+  }
+
+  // The adaptive (kMttdl) verdict on a cell's folded trials: converged
+  // (CI half-width within relative_precision of the mean, or max_trials
+  // reached), or the next geometric round target. One body for the in-loop
+  // decision and the resume re-decision, so the two can never disagree on a
+  // boundary case.
+  const auto decide = [&](CellState& state, bool append_half_width) {
+    SweepCellExecution& execution = state.execution;
+    const MttdlEstimate estimate = FinalizeMttdl(execution.acc, options.mc.confidence);
+    const double mean = estimate.mean_years();
+    const double half_width = (estimate.ci_years.hi - estimate.ci_years.lo) / 2.0;
+    if (append_half_width) {
+      execution.half_width_history.push_back(half_width);
+    }
+    if ((mean > 0.0 && half_width / mean <= options.relative_precision) ||
+        execution.trials >= options.max_trials) {
+      state.done = true;
     } else {
-      state.target = verdict.next_target;
+      state.target = std::min(options.max_trials, execution.trials * 4);
     }
   };
 
-  if (prior != nullptr) {
-    for (size_t i = 0; i < states.size(); ++i) {
-      CellState& state = states[i];
-      SweepCellExecution& from = (*prior)[i];
-      state.acc = std::move(from.acc);
-      state.trials_done = from.trials;
-      state.resumed_from_trials = from.trials;
-      state.rounds = from.rounds;
-      state.half_widths = std::move(from.half_width_history);
+  if (!prior.empty()) {
+    for (CellState& state : states) {
       // Re-judge the last completed round under *these* options. A prior
       // non-adaptive run carries rounds but no half-width entry for them
       // (history tracks adaptive rounds only), so the entry a cold adaptive
       // run would have recorded is reconstructed from the accumulator —
       // FinalizeMttdl of the same folded state yields the same bits.
       decide(state, /*append_half_width=*/static_cast<int64_t>(
-                        state.half_widths.size()) < static_cast<int64_t>(
-                                                        state.rounds));
+                        state.execution.half_width_history.size()) <
+                        static_cast<int64_t>(state.execution.rounds));
     }
   }
 
-  const int lanes = mc.threads > 0 ? mc.threads : pool.size();
-  const Estimand estimand = options.estimand;
-  const Duration horizon = SweepHorizon(options);
-  const FaultBias* bias =
-      estimand == Estimand::kWeightedLossProbability ? &options.bias : nullptr;
-  const bool counter_mode =
-      options.seed_mode == SweepOptions::SeedMode::kCounterV1;
-
+  std::vector<CellTrialRange> ranges;
+  std::vector<size_t> positions;
+  std::vector<SweepCellExecution> round;
   while (true) {
-    // Gather this round's work: every unconverged cell's next trial range.
-    std::vector<TrialBatchJob<TrialAccumulator>> jobs;
-    std::vector<size_t> job_cells;
+    // This round's work: every unfinished cell's next trial range.
+    ranges.clear();
+    positions.clear();
+    round.clear();
     for (size_t i = 0; i < states.size(); ++i) {
       CellState& state = states[i];
-      if (state.converged || state.trials_done >= state.target) {
-        continue;
+      if (!state.done && !state.lost && state.execution.trials < state.target) {
+        ranges.push_back(
+            CellTrialRange{&cells[i], state.execution.trials, state.target});
+        positions.push_back(i);
+        round.push_back(std::move(state.execution));
       }
-      TrialBatchJob<TrialAccumulator> job;
-      job.scenario = &state.cell.scenario;
-      job.bias = bias;
-      job.begin_trial = state.trials_done;
-      job.end_trial = state.target;
-      if (busy_ns != nullptr) {
-        job.busy_ns = &busy_ns[i];
-      }
-      jobs.push_back(std::move(job));
-      job_cells.push_back(i);
     }
-    if (jobs.empty()) {
+    if (ranges.empty()) {
       break;
     }
-
-    RunTrialBlockSpans(pool, lanes, jobs,
-                       [&](TrialRunner& runner, size_t job, int64_t begin,
-                           int64_t end, TrialAccumulator& acc) {
-                         const CellState& state = states[job_cells[job]];
-                         const CellTrialParams params{estimand, horizon,
-                                                      state.seed, counter_mode};
-                         ExecuteCellTrialSpan(runner, params, begin, end, acc);
-                       });
-
-    // Fold the round's blocks in trial order and decide each cell's fate.
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      CellState& state = states[job_cells[j]];
-      for (const TrialAccumulator& block : jobs[j].blocks) {
-        state.acc.MergeFrom(block);
-      }
-      state.trials_done = state.target;
-      state.rounds++;
-      if (!options.adaptive) {
-        state.converged = true;
-        continue;
-      }
-      decide(state, /*append_half_width=*/true);
+    const std::vector<bool> ran = run_round(ranges, round);
+    if (ran.size() != ranges.size() || round.size() != ranges.size()) {
+      throw std::logic_error(
+          "RunSweepRounds: the round executor lost track of its ranges");
     }
-  }
 
-  if (telemetry) {
-    // Registered once; recording is lock-free on the kept references.
-    static obs::Counter& m_cells =
-        obs::Registry::Global().counter("sweep.cells");
-    static obs::Counter& m_trials =
-        obs::Registry::Global().counter("sweep.trials");
-    static obs::Counter& m_rounds =
-        obs::Registry::Global().counter("sweep.rounds");
-    static obs::Counter& m_resume_cells =
-        obs::Registry::Global().counter("sweep.resume_cells");
-    static obs::Counter& m_resume_delta =
-        obs::Registry::Global().counter("sweep.resume_delta_trials");
-    static obs::Histogram& h_trials =
-        obs::Registry::Global().histogram("sweep.cell_trials");
-    static obs::Histogram& h_rounds =
-        obs::Registry::Global().histogram("sweep.cell_rounds");
-    static obs::Histogram& h_wall =
-        obs::Registry::Global().histogram("sweep.cell_wall_ns");
-    for (size_t i = 0; i < states.size(); ++i) {
-      const CellState& state = states[i];
-      m_cells.Add(1);
-      m_trials.Add(state.trials_done);
-      m_rounds.Add(state.rounds);
-      if (prior != nullptr) {
-        m_resume_cells.Add(1);
-        m_resume_delta.Add(state.trials_done - state.resumed_from_trials);
+    // Decide each cell's fate on its merged state.
+    for (size_t j = 0; j < ranges.size(); ++j) {
+      CellState& state = states[positions[j]];
+      state.execution = std::move(round[j]);
+      if (!ran[j]) {
+        state.lost = true;
+      } else if (!options.adaptive) {
+        state.done = true;
+      } else {
+        decide(state, /*append_half_width=*/true);
       }
-      h_trials.Record(state.trials_done);
-      h_rounds.Record(state.rounds);
-      h_wall.Record(busy_ns[i].load(std::memory_order_relaxed));
     }
   }
 
   std::vector<SweepCellExecution> executions;
   executions.reserve(states.size());
   for (CellState& state : states) {
-    SweepCellExecution execution;
-    execution.index = state.cell.index;
-    execution.label = std::move(state.cell.label);
-    execution.coordinates = std::move(state.cell.coordinates);
-    execution.acc = std::move(state.acc);
-    execution.trials = state.trials_done;
-    execution.rounds = state.rounds;
-    execution.half_width_history = std::move(state.half_widths);
-    executions.push_back(std::move(execution));
+    if (!state.lost) {
+      executions.push_back(std::move(state.execution));
+    }
   }
   return executions;
 }
-
-}  // namespace
 
 uint64_t SweepCellSeed(const SweepOptions& options, const SweepSpec::Cell& cell) {
   switch (options.seed_mode) {
@@ -566,59 +543,87 @@ uint64_t SweepCellSeed(const SweepOptions& options, const SweepSpec::Cell& cell)
   throw std::logic_error("SweepCellSeed: unknown seed mode");
 }
 
-AdaptiveRoundDecision JudgeAdaptiveRound(const TrialAccumulator& acc,
-                                         int64_t trials_done,
-                                         const SweepOptions& options) {
-  const MttdlEstimate estimate = FinalizeMttdl(acc, options.mc.confidence);
-  const double mean = estimate.mean_years();
-  AdaptiveRoundDecision decision;
-  decision.half_width = (estimate.ci_years.hi - estimate.ci_years.lo) / 2.0;
-  if ((mean > 0.0 && decision.half_width / mean <= options.relative_precision) ||
-      trials_done >= options.max_trials) {
-    decision.converged = true;
-  } else {
-    decision.next_target = std::min(options.max_trials, trials_done * 4);
+std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
+    WorkerPool& pool, const std::vector<CellTrialRange>& ranges,
+    const SweepOptions& options, std::vector<int64_t>* busy_ns) {
+  using Estimand = SweepOptions::Estimand;
+  const FaultBias* bias =
+      options.estimand == Estimand::kWeightedLossProbability ? &options.bias
+                                                             : nullptr;
+  // Telemetry: per-range busy-time accumulators handed to the batch
+  // executor, allocated once per call (outside the zero-alloc steady state)
+  // and only when telemetry is live.
+  std::unique_ptr<std::atomic<int64_t>[]> busy;
+  if (busy_ns != nullptr && obs::Enabled()) {
+    busy = std::make_unique<std::atomic<int64_t>[]>(ranges.size());
   }
-  return decision;
-}
-
-std::vector<TrialAccumulator> RunCellTrialRange(WorkerPool& pool,
-                                                const SweepSpec::Cell& cell,
-                                                const SweepOptions& options,
-                                                int64_t begin_trial,
-                                                int64_t end_trial) {
-  if (options.seed_mode != SweepOptions::SeedMode::kCounterV1) {
-    throw std::invalid_argument(
-        "RunCellTrialRange: trial-range execution requires "
-        "SeedMode::kCounterV1 (xoshiro trial streams are only derivable "
-        "from trial 0)");
+  std::vector<TrialBatchJob<TrialAccumulator>> jobs(ranges.size());
+  std::vector<CellTrialParams> params(ranges.size());
+  for (size_t j = 0; j < ranges.size(); ++j) {
+    const CellTrialRange& range = ranges[j];
+    if (range.begin < 0 || range.end < range.begin) {
+      throw std::invalid_argument("RunCellTrialRanges: invalid trial range [" +
+                                  std::to_string(range.begin) + ", " +
+                                  std::to_string(range.end) + ")");
+    }
+    TrialBatchJob<TrialAccumulator>& job = jobs[j];
+    job.scenario = &range.cell->scenario;
+    job.bias = bias;
+    job.begin_trial = range.begin;
+    job.end_trial = range.end;
+    if (busy != nullptr) {
+      job.busy_ns = &busy[j];
+    }
+    params[j] = CellTrialParams{
+        options.estimand, SweepHorizon(options), SweepCellSeed(options, *range.cell),
+        options.seed_mode == SweepOptions::SeedMode::kCounterV1};
   }
-  if (begin_trial < 0 || end_trial < begin_trial) {
-    throw std::invalid_argument("RunCellTrialRange: invalid trial range");
-  }
-  std::vector<TrialBatchJob<TrialAccumulator>> jobs(1);
-  TrialBatchJob<TrialAccumulator>& job = jobs[0];
-  job.scenario = &cell.scenario;
-  job.bias = options.estimand == SweepOptions::Estimand::kWeightedLossProbability
-                 ? &options.bias
-                 : nullptr;
-  job.begin_trial = begin_trial;
-  job.end_trial = end_trial;
-  const CellTrialParams params{options.estimand, SweepHorizon(options),
-                               SweepCellSeed(options, cell), /*counter=*/true};
   const int lanes = options.mc.threads > 0 ? options.mc.threads : pool.size();
   RunTrialBlockSpans(pool, lanes, jobs,
-                     [&params](TrialRunner& runner, size_t, int64_t begin,
+                     [&params](TrialRunner& runner, size_t job, int64_t begin,
                                int64_t end, TrialAccumulator& acc) {
-                       ExecuteCellTrialSpan(runner, params, begin, end, acc);
+                       ExecuteCellTrialSpan(runner, params[job], begin, end, acc);
                      });
-  return std::move(job.blocks);
+  if (busy_ns != nullptr) {
+    busy_ns->assign(ranges.size(), 0);
+    for (size_t j = 0; busy != nullptr && j < ranges.size(); ++j) {
+      (*busy_ns)[j] = busy[j].load(std::memory_order_relaxed);
+    }
+  }
+  std::vector<std::vector<TrialAccumulator>> blocks;
+  blocks.reserve(jobs.size());
+  for (TrialBatchJob<TrialAccumulator>& job : jobs) {
+    blocks.push_back(std::move(job.blocks));
+  }
+  return blocks;
+}
+
+void RecordSweepCellTelemetry(int64_t trials, int rounds, int64_t busy_ns) {
+  if (!obs::Enabled()) {
+    return;
+  }
+  // Registered once; recording is lock-free on the kept references.
+  static obs::Counter& m_cells = obs::Registry::Global().counter("sweep.cells");
+  static obs::Counter& m_trials = obs::Registry::Global().counter("sweep.trials");
+  static obs::Counter& m_rounds = obs::Registry::Global().counter("sweep.rounds");
+  static obs::Histogram& h_trials =
+      obs::Registry::Global().histogram("sweep.cell_trials");
+  static obs::Histogram& h_rounds =
+      obs::Registry::Global().histogram("sweep.cell_rounds");
+  static obs::Histogram& h_wall =
+      obs::Registry::Global().histogram("sweep.cell_wall_ns");
+  m_cells.Add(1);
+  m_trials.Add(trials);
+  m_rounds.Add(rounds);
+  h_trials.Record(trials);
+  h_rounds.Record(rounds);
+  h_wall.Record(busy_ns);
 }
 
 std::vector<SweepCellExecution> RunSweepCells(WorkerPool& pool,
                                               std::vector<SweepSpec::Cell> cells,
                                               const SweepOptions& options) {
-  return RunSweepCellsImpl(pool, std::move(cells), options, nullptr);
+  return RunSweepCellsImpl(pool, cells, options, {});
 }
 
 std::vector<SweepCellExecution> ResumeSweepCells(
@@ -659,7 +664,7 @@ std::vector<SweepCellExecution> ResumeSweepCells(
           std::to_string(from.rounds) + " rounds");
     }
   }
-  return RunSweepCellsImpl(pool, std::move(cells), options, &prior);
+  return RunSweepCellsImpl(pool, cells, options, std::move(prior));
 }
 
 SweepResult FinalizeSweepCells(std::vector<SweepCellExecution> executions,

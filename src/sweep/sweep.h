@@ -18,7 +18,8 @@
 //   * trial t of a cell uses the stream DeriveSeed(cell_seed, t) — except in
 //     kCounterV1 mode, where draw n of trial t is the pure function
 //     CounterMix(cell_seed, t, n) (src/util/random.h) and cell_seed doubles
-//     as the counter key;
+//     as the counter key. Either way no trial depends on the trials before
+//     it, so any trial range [a, b) of a cell runs on its own;
 //   * cell_seed is DeriveSeed(spec_seed, hash(cell label)) in the default
 //     kPerCellDerived mode — a function of the cell's identity, not of its
 //     position; spec_seed itself in kSharedRoot mode (every cell sees
@@ -175,12 +176,11 @@ struct SweepOptions {
     // Counter-based streams (src/util/random.h CounterMix): the cell key is
     // DeriveSeed(mc.seed, scenario.CanonicalHash()) as in kScenarioDerived,
     // but draw n of trial t is the pure function CounterMix(key, t, n) —
-    // every draw of every trial is addressable in O(1). This is what makes
-    // *trial-range* sharding deterministic (a worker can run trials
-    // [a, b) of a cell and the fold is bit-identical to a single process)
-    // and enables the batched SoA prefilter over initial draws. Streams
-    // differ from every xoshiro-based mode; the "V1" is the stream-freeze
-    // version (see src/util/README.md).
+    // every draw of every trial is addressable in O(1), which is what the
+    // batched SoA prefilter over initial draws needs. (Trial ranges need
+    // only per-trial seeding, which every mode has.) Streams differ from
+    // every xoshiro-based mode; the "V1" is the stream-freeze version (see
+    // src/util/README.md).
     kCounterV1,
   };
 
@@ -247,9 +247,9 @@ class SweepResult {
 
 // The raw execution state of one cell: the folded trial accumulator plus the
 // bookkeeping the result emitters need (trials run, adaptive rounds, CI
-// half-width trajectory). This is the unit the shard protocol ships between
-// processes: finalizing a deserialized execution yields the same bits as
-// finalizing the in-process original.
+// half-width trajectory). The shard merger folds worker pieces onto it and
+// the service cache stores it: finalizing it yields the same bits however
+// its trials were distributed.
 struct SweepCellExecution {
   size_t index = 0;
   std::string label;
@@ -265,32 +265,37 @@ struct SweepCellExecution {
 // exposed so shard coordinators and tests derive identical streams.
 uint64_t SweepCellSeed(const SweepOptions& options, const SweepSpec::Cell& cell);
 
-// The adaptive (kMttdl) verdict on a cell whose accumulator folds
-// `trials_done` trials: either the cell converged, or its next geometric
-// round target. Extracted from the in-loop decision so distributed
-// coordinators (src/fleet/) replay byte-identical round schedules.
-struct AdaptiveRoundDecision {
-  bool converged = false;
-  int64_t next_target = 0;  // meaningful only when !converged
-  double half_width = 0.0;  // CI half-width (years) at this round
+// The unit of work from the sweep loop up to the fleet: trials [begin, end)
+// of `cell`, which must outlive the call.
+struct CellTrialRange {
+  const SweepSpec::Cell* cell = nullptr;
+  int64_t begin = 0;
+  int64_t end = 0;
 };
-AdaptiveRoundDecision JudgeAdaptiveRound(const TrialAccumulator& acc,
-                                         int64_t trials_done,
-                                         const SweepOptions& options);
 
-// Executes trials [begin_trial, end_trial) of one cell and returns the
-// accumulator of every index-aligned trial block the range covers, in trial
-// order (src/sweep/batch_exec.h's partition). Folding the blocks of a
-// contiguous, block-aligned tiling of [0, N) in trial order yields exactly
-// the accumulator of a single-process N-trial run — the primitive behind
-// trial-range shards. Requires SeedMode::kCounterV1 (throws
-// std::invalid_argument otherwise: xoshiro streams are only cheap to derive
-// from trial 0) and pre-validated cell/options.
-std::vector<TrialAccumulator> RunCellTrialRange(WorkerPool& pool,
-                                                const SweepSpec::Cell& cell,
-                                                const SweepOptions& options,
-                                                int64_t begin_trial,
-                                                int64_t end_trial);
+// The one trial executor. Runs every range on `pool` as one batch (blocks of
+// all ranges interleaved, so a slow cell cannot strand lanes) and returns,
+// per range, the accumulator of every index-aligned trial block it covers,
+// in trial order (src/sweep/batch_exec.h's partition). The in-process round
+// loop (RunSweepCells) and the shard worker (src/shard/ RunShard) both call
+// it. Valid under every seed mode: trial t's stream is a function of
+// (cell seed, t) alone, so folding, in trial order, the blocks of ranges
+// that tile [a, b) with seams on 256-trial block boundaries yields exactly
+// the accumulator of one [a, b) run. kCounterV1 adds per-draw access, which
+// only the batch prefilter uses. When `busy_ns` is non-null it is resized to
+// the range count and, with telemetry live, receives each range's summed
+// block time (never read by results). Throws std::invalid_argument for a
+// range with begin < 0 or end < begin; cells and options must be
+// pre-validated.
+std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
+    WorkerPool& pool, const std::vector<CellTrialRange>& ranges,
+    const SweepOptions& options, std::vector<int64_t>* busy_ns = nullptr);
+
+// Records one executed cell in the sweep.* telemetry (src/obs/README.md):
+// `trials` trials over `rounds` rounds in `busy_ns` of summed lane time. A
+// no-op with telemetry off. RunSweepCells records each cell once; a shard
+// worker records each trial range it ran as one single-round cell.
+void RecordSweepCellTelemetry(int64_t trials, int rounds, int64_t busy_ns);
 
 // Validates `options` exactly as SweepRunner::Run does; throws
 // std::invalid_argument on the first inconsistency.
@@ -300,11 +305,36 @@ void ValidateSweepOptions(const SweepOptions& options);
 // tagged with the cell label).
 void ValidateSweepCells(const std::vector<SweepSpec::Cell>& cells);
 
+// Runs one round of a sweep: for every j, trials [ranges[j].begin,
+// ranges[j].end) of *ranges[j].cell, folded in trial order onto
+// executions[j] — the cell's state before the round, whose trials equal
+// ranges[j].begin — after which executions[j] has trials = ranges[j].end
+// and one more round. Returns, per range, whether it ran; a range that did
+// not (a fleet unit lost after its retries) leaves executions[j]
+// unspecified.
+using SweepRoundExecutor = std::function<std::vector<bool>(
+    const std::vector<CellTrialRange>& ranges,
+    std::vector<SweepCellExecution>& executions)>;
+
+// The one round loop, shared by the in-process runner (RunSweepCells,
+// ResumeSweepCells) and the fleet coordinator (src/fleet/). Each round hands
+// every unfinished cell's next trial range to `run_round`; a non-adaptive
+// sweep is one round of mc.trials; an adaptive one (kMttdl) judges every
+// cell after each round and grows the unconverged ones geometrically.
+// `prior` (empty for a cold run) must line up with `cells` and restores each
+// cell's accumulator and round history first (see ResumeSweepCells). A cell
+// whose range did not run leaves the sweep. Returns the executions of the
+// remaining cells in cell order. The ranges point into `cells`. Cells and
+// options must be pre-validated.
+std::vector<SweepCellExecution> RunSweepRounds(
+    const std::vector<SweepSpec::Cell>& cells, const SweepOptions& options,
+    std::vector<SweepCellExecution> prior, const SweepRoundExecutor& run_round);
+
 // Executes every cell's trials on `pool` and returns the raw per-cell
-// executions in cell order. This is the single execution path —
-// SweepRunner::Run and the shard worker (src/shard/ RunShard) both call it,
-// so a shard's accumulators are bit-identical to the same cells' in a
-// single-process run by construction, not by careful reimplementation.
+// executions in cell order: RunSweepRounds, with each round run by
+// RunCellTrialRanges and its blocks folded in trial order — the executor the
+// shard worker runs too, so a shard's blocks are bit-identical to the same
+// trials' blocks here by construction, not by careful reimplementation.
 // Cells and options must be pre-validated.
 std::vector<SweepCellExecution> RunSweepCells(WorkerPool& pool,
                                               std::vector<SweepSpec::Cell> cells,

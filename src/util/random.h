@@ -35,9 +35,10 @@ uint64_t DeriveSeed(uint64_t seed, uint64_t index);
 // (key, stream, counter) with no hidden state, so any draw of any trial is
 // addressable in O(1). `key` identifies the experiment (e.g. a scenario
 // content hash mixed with the root seed), `stream` the trial, and `counter`
-// the draw index within the trial. This is what makes trial-range sharding
-// and SoA batch kernels deterministic: a worker can reproduce draw #k of
-// trial #t without replaying draws 0..k-1.
+// the draw index within the trial. This is what makes SoA batch kernels
+// deterministic: a kernel can read draw #k of trial #t without replaying
+// draws 0..k-1. (Trial-range sharding needs only per-trial seeding, which
+// every seed mode has.)
 //
 // The output stream is frozen under SeedMode::kCounterV1; see
 // src/util/README.md for the versioning contract.

@@ -3,9 +3,9 @@
 //   * the batched SoA kernel (block prefilter + RunCounter) must fold to
 //     exactly the accumulator of a naive per-trial RunCounter loop — the
 //     prefilter is an optimization, never an approximation;
-//   * RunCellTrialRange over any contiguous block-aligned tiling of [0, N)
-//     must concatenate to the whole-run block list bit for bit (the
-//     primitive behind trial-range shards);
+//   * RunCellTrialRanges over any contiguous block-aligned tiling of
+//     [0, N) must concatenate to the whole-run block list bit for bit, under
+//     every seed mode (the primitive behind shards and fleet rounds);
 //   * ResumeSweepCells continues an adaptive run byte-identically to a cold
 //     run at the tighter precision;
 //   * the prefilter's verdicts are pinned on the archival grid, and its
@@ -384,60 +384,82 @@ TEST(CounterSweepTest, PrefilterVerdictsMatchMinDelayRuleWhenBothAreCommon) {
 }
 
 TEST(CounterSweepTest, TrialRangeTilingIsByteIdenticalToWholeRun) {
-  const SweepOptions options =
-      CounterOptions(SweepOptions::Estimand::kMttdl, 1000);
+  // Trial ranges need only per-trial seeding, which every seed mode has, so
+  // the tiling contract holds under each mode and estimand (tilted IS
+  // included), not just under the counter generator.
   std::vector<SweepSpec::Cell> cells = VariedSpec().BuildCells();
-  ValidateSweepOptions(options);
   ValidateSweepCells(cells);
   WorkerPool& pool = SweepRunner().pool();
   const SweepSpec::Cell& cell = cells[1];  // the Weibull + initial-age cell
+  using Estimand = SweepOptions::Estimand;
+  using SeedMode = SweepOptions::SeedMode;
+  for (const SeedMode mode : {SeedMode::kPerCellDerived, SeedMode::kSharedRoot,
+                              SeedMode::kScenarioDerived, SeedMode::kCounterV1}) {
+    for (const Estimand estimand :
+         {Estimand::kMttdl, Estimand::kLossProbability, Estimand::kCensoredMttdl,
+          Estimand::kWeightedLossProbability}) {
+      SCOPED_TRACE(::testing::Message() << "seed mode " << static_cast<int>(mode)
+                                        << ", estimand "
+                                        << static_cast<int>(estimand));
+      SweepOptions options = CounterOptions(estimand, 1000);
+      options.seed_mode = mode;
+      options.mission = Duration::Years(5.0);
+      options.window = Duration::Years(5.0);
+      if (estimand == Estimand::kWeightedLossProbability) {
+        options.bias.theta_visible = 4.0;
+        options.bias.theta_latent = 4.0;
+        options.bias.tilt_probability = 0.5;
+        options.bias.force_probability = 0.2;
+      }
+      ValidateSweepOptions(options);
+      const auto run = [&](std::vector<CellTrialRange> ranges) {
+        return RunCellTrialRanges(pool, ranges, options);
+      };
 
-  const std::vector<TrialAccumulator> whole =
-      RunCellTrialRange(pool, cell, options, 0, 1000);
-  ASSERT_EQ(whole.size(), 4u);  // blocks [0,256) [256,512) [512,768) [768,1000)
+      const std::vector<TrialAccumulator> whole = run({{&cell, 0, 1000}})[0];
+      // blocks [0,256) [256,512) [512,768) [768,1000)
+      ASSERT_EQ(whole.size(), 4u);
+      // The whole-range fold is the in-process runner's accumulator.
+      TrialAccumulator folded;
+      for (const TrialAccumulator& block : whole) {
+        folded.MergeFrom(block);
+      }
+      EXPECT_EQ(AccJson(folded), AccJson(RunSweepCells(pool, {cell}, options)[0].acc));
 
-  // A block-aligned split must reproduce the whole-run block list verbatim.
-  const std::vector<TrialAccumulator> left =
-      RunCellTrialRange(pool, cell, options, 0, 512);
-  const std::vector<TrialAccumulator> right =
-      RunCellTrialRange(pool, cell, options, 512, 1000);
-  ASSERT_EQ(left.size() + right.size(), whole.size());
-  for (size_t b = 0; b < whole.size(); ++b) {
-    const TrialAccumulator& part = b < left.size() ? left[b] : right[b - left.size()];
-    EXPECT_EQ(AccJson(part), AccJson(whole[b])) << "block " << b;
+      // A block-aligned split — two ranges of one batch — reproduces the
+      // whole-run block list verbatim.
+      const std::vector<std::vector<TrialAccumulator>> split =
+          run({{&cell, 0, 512}, {&cell, 512, 1000}});
+      ASSERT_EQ(split[0].size() + split[1].size(), whole.size());
+      for (size_t b = 0; b < whole.size(); ++b) {
+        const TrialAccumulator& part =
+            b < split[0].size() ? split[0][b] : split[1][b - split[0].size()];
+        EXPECT_EQ(AccJson(part), AccJson(whole[b])) << "block " << b;
+      }
+
+      // An *unaligned* range start is allowed (adaptive continuation rounds
+      // begin wherever the previous round stopped): the first block is the
+      // partial span up to the next boundary, then the partition realigns
+      // to absolute trial indices. A Welford fold across an unaligned seam
+      // is NOT bit-identical to the aligned fold — which is exactly why the
+      // merger rejects unaligned interior seams — so here we only pin the
+      // partition shape and the exact trial coverage.
+      const std::vector<std::vector<TrialAccumulator>> seam =
+          run({{&cell, 0, 300}, {&cell, 300, 1000}});
+      const std::vector<TrialAccumulator>& head = seam[0];
+      const std::vector<TrialAccumulator>& tail = seam[1];
+      ASSERT_EQ(head.size(), 2u);  // [0,256) [256,300)
+      ASSERT_EQ(tail.size(), 3u);  // [300,512) [512,768) [768,1000)
+      if (estimand == Estimand::kMttdl) {
+        EXPECT_EQ(head[1].loss_years.count() + head[1].censored, 44);
+        EXPECT_EQ(tail[0].loss_years.count() + tail[0].censored, 212);
+      }
+      // Blocks untouched by the unaligned seam are verbatim whole-run blocks.
+      EXPECT_EQ(AccJson(head[0]), AccJson(whole[0]));
+      EXPECT_EQ(AccJson(tail[1]), AccJson(whole[2]));
+      EXPECT_EQ(AccJson(tail[2]), AccJson(whole[3]));
+    }
   }
-
-  // An *unaligned* range start is allowed (adaptive continuation rounds
-  // begin wherever the previous round stopped): the first block is the
-  // partial span up to the next boundary, then the partition realigns to
-  // absolute trial indices. A Welford fold across an unaligned seam is NOT
-  // bit-identical to the aligned fold — which is exactly why the merger
-  // rejects unaligned interior seams — so here we only pin the partition
-  // shape and the exact trial coverage.
-  const std::vector<TrialAccumulator> head =
-      RunCellTrialRange(pool, cell, options, 0, 300);
-  const std::vector<TrialAccumulator> tail =
-      RunCellTrialRange(pool, cell, options, 300, 1000);
-  ASSERT_EQ(head.size(), 2u);  // [0,256) [256,300)
-  ASSERT_EQ(tail.size(), 3u);  // [300,512) [512,768) [768,1000)
-  auto trials_in = [](const TrialAccumulator& acc) {
-    return acc.loss_years.count() + acc.censored;
-  };
-  EXPECT_EQ(trials_in(head[1]), 44);
-  EXPECT_EQ(trials_in(tail[0]), 212);
-  // Blocks untouched by the unaligned seam are verbatim whole-run blocks.
-  EXPECT_EQ(AccJson(head[0]), AccJson(whole[0]));
-  EXPECT_EQ(AccJson(tail[1]), AccJson(whole[2]));
-  EXPECT_EQ(AccJson(tail[2]), AccJson(whole[3]));
-}
-
-TEST(CounterSweepTest, TrialRangeRequiresCounterMode) {
-  SweepOptions options = CounterOptions(SweepOptions::Estimand::kMttdl, 100);
-  options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
-  std::vector<SweepSpec::Cell> cells = VariedSpec().BuildCells();
-  EXPECT_THROW(
-      RunCellTrialRange(SweepRunner().pool(), cells[0], options, 0, 100),
-      std::invalid_argument);
 }
 
 TEST(CounterSweepTest, ResumeTighterPrecisionIsByteIdenticalToColdRun) {

@@ -18,6 +18,7 @@
 // (tools/sweep_worker.cc DecideFault; the stats assertions below would catch
 // any drift in the draw function.)
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +48,9 @@
 #endif
 #ifndef LONGSTORE_SWEEP_FLEET
 #error "CMake must define LONGSTORE_SWEEP_FLEET (path to the fleet binary)"
+#endif
+#ifndef LONGSTORE_SWEEP_SERVICED
+#error "CMake must define LONGSTORE_SWEEP_SERVICED (path to the daemon binary)"
 #endif
 
 namespace longstore {
@@ -286,16 +290,41 @@ TEST(FleetRecoveryTest, PartialOkMarksExactlyTheExhaustedCells) {
   EXPECT_NE(report.lost[0].reason.find("after 1 attempts"), std::string::npos)
       << report.lost[0].reason;
 
-  // The surviving cell finalizes to exactly the bytes it has in the full
+  // The result holds the survivor alone, under its true grid index (1, not
+  // 0), and it finalizes to exactly the bytes it has in the full
   // single-process run — partial results never perturb what did arrive.
+  ASSERT_EQ(report.result.cells.size(), 1u);
+  const SweepCellResult& survivor = report.result.cells[0];
+  EXPECT_EQ(survivor.index, 1u);
+  EXPECT_EQ(survivor.label, "800");
   const SmallSweep sweep = MakeSweep();
   const SweepResult full = SweepRunner().Run(sweep.spec, sweep.options);
-  const SweepCellResult& survivor = report.result.ByLabel("800");
-  const SweepCellResult& reference = full.ByLabel("800");
+  const SweepCellResult& reference = full.cells[1];
   ASSERT_TRUE(survivor.mttdl.has_value());
+  EXPECT_EQ(survivor.trials, reference.trials);
   EXPECT_EQ(survivor.mttdl->mean_years(), reference.mttdl->mean_years());
   EXPECT_EQ(survivor.mttdl->ci_years.lo, reference.mttdl->ci_years.lo);
   EXPECT_EQ(survivor.mttdl->ci_years.hi, reference.mttdl->ci_years.hi);
+  EXPECT_EQ(survivor.mttdl->censored_trials, reference.mttdl->censored_trials);
+}
+
+TEST(FleetRecoveryTest, PartialOkWithNoSurvivorsIsAnError) {
+  // partial_ok accepts a sweep with lost cells, not one with nothing left to
+  // finalize: every attempt crashing still throws, naming every cell.
+  TempDir dir;
+  FleetOptions options = BaseOptions(dir);
+  options.max_retries = 0;
+  options.fail_mode = "crash";
+  options.fail_prob = 1.0;
+  options.partial_ok = true;
+  try {
+    RunFleet(options);
+    FAIL() << "a fleet run with no surviving cell must throw";
+  } catch (const FleetError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("no cells to finalize"), std::string::npos) << message;
+    EXPECT_NE(message.find("2 of 2 cells lost"), std::string::npos) << message;
+  }
 }
 
 TEST(FleetRecoveryTest, ExhaustedCellsThrowNamingThemWithoutPartialOk) {
@@ -356,6 +385,23 @@ TEST(FleetRecoveryTest, CrashingWorkerNeverLeavesTornOutput) {
   EXPECT_NO_THROW(ShardResult::FromJson(ReadAll(out_path), out_path));
 }
 
+// A negative or NaN timeout would silently switch hang protection off; the
+// supervisor refuses it before spawning anything.
+TEST(FleetRecoveryTest, RejectsNegativeOrNanTimeout) {
+  TempDir dir;
+  for (const double timeout : {-1.0, std::nan("")}) {
+    FleetOptions options = BaseOptions(dir);
+    options.timeout_seconds = timeout;
+    try {
+      RunFleet(options);
+      FAIL() << "ran with timeout_seconds = " << timeout;
+    } catch (const FleetError& e) {
+      EXPECT_NE(std::string(e.what()).find("timeout_seconds"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // A nonexistent worker binary is a configuration error, not a transient
 // fault: the fleet must fail immediately with the attempted path in the
 // message instead of burning the full retry/backoff budget on a typo.
@@ -405,7 +451,6 @@ TEST(FleetRecoveryTest, LogOpenFailureIsNamedInTheLossReason) {
   TempDir dir;
   FleetOptions options = BaseOptions(dir);
   options.max_retries = 0;
-  options.split_exhausted = false;
   // The supervisor logs each unit to <tmp>/unitN.log; planting directories
   // there forces every attempt's child into the log-open failure path.
   ASSERT_EQ(::mkdir((dir.path() + "/unit0.log").c_str(), 0755), 0);
@@ -555,39 +600,75 @@ TEST(FleetRecoveryTest, SweepFleetBinaryMatchesSingleAndSignalsPartial) {
 }
 
 // --threads sets the lanes of a --single run too, which never moves its
-// bytes; a non-numeric or negative value is a usage error rather than a
-// silent "every core".
+// bytes. Every numeric flag of sweep_fleet and sweep_serviced is parsed
+// strictly: a non-numeric, partly numeric or out-of-range value is a usage
+// error rather than a silent default — "--timeout-s=-1" must not switch
+// hang protection off, "--shards=3x" must not run 3 shards.
 TEST(FleetRecoveryTest, SweepFleetSingleHonorsAndValidatesThreads) {
   TempDir dir;
-  const auto run = [&](const std::string& flags, const std::string& name) {
+  const auto run = [&](const std::string& command, const std::string& name) {
     const int status =
-        std::system((std::string(LONGSTORE_SWEEP_FLEET) +
-                     " --single --cheetah --format=csv" + flags + " >" +
-                     dir.path() + "/" + name + ".out 2>" + dir.path() + "/" +
-                     name + ".err")
+        std::system((command + " >" + dir.path() + "/" + name + ".out 2>" +
+                     dir.path() + "/" + name + ".err")
                         .c_str());
-    EXPECT_TRUE(WIFEXITED(status)) << flags;
+    EXPECT_TRUE(WIFEXITED(status)) << command;
     return WEXITSTATUS(status);
   };
-  ASSERT_EQ(run("", "all_lanes"), 0);
-  ASSERT_EQ(run(" --threads=1", "one_lane"), 0);
+  const std::string fleet =
+      std::string(LONGSTORE_SWEEP_FLEET) + " --single --cheetah --format=csv";
+  ASSERT_EQ(run(fleet, "all_lanes"), 0);
+  ASSERT_EQ(run(fleet + " --threads=1", "one_lane"), 0);
   const std::string all_lanes = ReadAll(dir.path() + "/all_lanes.out");
   EXPECT_FALSE(all_lanes.empty());
   EXPECT_EQ(ReadAll(dir.path() + "/one_lane.out"), all_lanes);
 
-  for (const std::string bad : {"abc", "-2", "", "3x"}) {
-    EXPECT_NE(run(" --threads=" + bad, "bad"), 0) << "--threads=" << bad;
-    EXPECT_NE(ReadAll(dir.path() + "/bad.err").find("usage:"),
-              std::string::npos)
-        << "--threads=" << bad;
+  struct BadValues {
+    std::string command;  // binary and its required flags
+    const char* flag;
+    std::vector<std::string> values;
+  };
+  const std::string serviced =
+      std::string(LONGSTORE_SWEEP_SERVICED) + " --stdio --max-requests=1";
+  const std::vector<std::string> count = {"abc", "", "3x", "0", "1.5"};
+  const std::vector<std::string> non_negative = {"abc", "", "3x", "-1", "1.5"};
+  const std::vector<std::string> seconds = {"abc", "", "3x", "-1", "nan", "inf"};
+  const std::vector<std::string> seed = {"abc", "", "3x", "-1"};
+  const std::vector<BadValues> table = {
+      {fleet, "--threads", non_negative},
+      {fleet, "--shards", count},
+      {fleet, "--max-parallel", count},
+      {fleet, "--max-retries", non_negative},
+      {fleet, "--timeout-s", seconds},
+      {fleet, "--backoff-initial-s", seconds},
+      {fleet, "--trials", count},
+      {fleet, "--seed", seed},
+      {fleet, "--mission-years", seconds},
+      {fleet, "--fail-prob", {"abc", "", "3x", "-0.5", "1.5", "nan"}},
+      {fleet, "--fail-seed", seed},
+      {serviced, "--shards", count},
+      {serviced, "--max-parallel", count},
+      {serviced, "--threads", non_negative},
+      {serviced, "--timeout-s", seconds},
+      {serviced, "--cache-capacity", count},
+      {serviced, "--max-requests", non_negative},
+  };
+  for (const BadValues& entry : table) {
+    for (const std::string& bad : entry.values) {
+      const std::string flag = std::string(entry.flag) + "=" + bad;
+      EXPECT_EQ(run(entry.command + " '" + flag + "' </dev/null", "bad"), 1)
+          << entry.command << " " << flag;
+      EXPECT_NE(ReadAll(dir.path() + "/bad.err").find("usage:"),
+                std::string::npos)
+          << entry.command << " " << flag;
+    }
   }
 }
 
-// --- distributed adaptive continuation (RunAdaptive, kCounterV1) -----------
+// --- distributed adaptive rounds (Run, every seed mode) --------------------
 
-SmallSweep MakeAdaptiveSweep() {
+SmallSweep MakeAdaptiveSweep(SweepOptions::SeedMode seed_mode) {
   SmallSweep sweep = MakeSweep();
-  sweep.options.seed_mode = SweepOptions::SeedMode::kCounterV1;
+  sweep.options.seed_mode = seed_mode;
   sweep.options.adaptive = true;
   sweep.options.relative_precision = 0.05;
   sweep.options.mc.trials = 256;
@@ -595,62 +676,98 @@ SmallSweep MakeAdaptiveSweep() {
   return sweep;
 }
 
-// The PR's acceptance criterion: an adaptive sweep whose continuation rounds
-// are *split mid-cell* across workers (trial-range fragments, reassembled by
-// the coordinator) must merge byte-identical to the single-process adaptive
-// run — same accumulators, same round schedule, same half-width history.
+// Trial ranges need only per-trial seeding, so every xoshiro mode splits as
+// well as the counter generator does.
+constexpr SweepOptions::SeedMode kAllSeedModes[] = {
+    SweepOptions::SeedMode::kPerCellDerived, SweepOptions::SeedMode::kSharedRoot,
+    SweepOptions::SeedMode::kScenarioDerived, SweepOptions::SeedMode::kCounterV1};
+
+// An adaptive sweep whose continuation rounds are *split mid-cell* across
+// workers (trial-range pieces, folded by the merger onto the previous
+// round's accumulators) must be byte-identical to the single-process
+// adaptive run — same accumulators, same round schedule, same half-width
+// history.
 TEST(FleetRecoveryTest, AdaptiveSplitMidCellIsByteIdenticalToSingleProcess) {
-  const SmallSweep sweep = MakeAdaptiveSweep();
-  const std::string expected =
-      SweepRunner().Run(sweep.spec, sweep.options).ToJson();
-  TempDir dir;
-  FleetOptions options = BaseOptions(dir);
-  options.shard_count = 3;  // round 2 onward splits each cell across workers
-  const FleetReport report =
-      FleetSupervisor(options).RunAdaptive(sweep.spec, sweep.options);
-  EXPECT_TRUE(report.complete);
-  EXPECT_TRUE(report.lost.empty());
-  EXPECT_EQ(report.result.ToJson(), expected);
-  ASSERT_EQ(report.executions.size(), 2u);
-  for (const SweepCellExecution& execution : report.executions) {
-    EXPECT_GT(execution.rounds, 1) << execution.label;
-    EXPECT_EQ(static_cast<size_t>(execution.rounds),
-              execution.half_width_history.size());
+  for (const SweepOptions::SeedMode mode : kAllSeedModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const SmallSweep sweep = MakeAdaptiveSweep(mode);
+    const std::string expected =
+        SweepRunner().Run(sweep.spec, sweep.options).ToJson();
+    TempDir dir;
+    FleetOptions options = BaseOptions(dir);
+    options.shard_count = 3;  // round 2 onward splits each cell across workers
+    const FleetReport report =
+        FleetSupervisor(options).Run(sweep.spec, sweep.options);
+    EXPECT_TRUE(report.complete);
+    EXPECT_TRUE(report.lost.empty());
+    EXPECT_EQ(report.result.ToJson(), expected);
+    ASSERT_EQ(report.executions.size(), 2u);
+    for (const SweepCellExecution& execution : report.executions) {
+      EXPECT_GT(execution.rounds, 1) << execution.label;
+      EXPECT_EQ(static_cast<size_t>(execution.rounds),
+                execution.half_width_history.size());
+    }
   }
 }
 
 TEST(FleetRecoveryTest, AdaptiveRecoversByteIdenticallyUnderChaos) {
-  const SmallSweep sweep = MakeAdaptiveSweep();
-  const std::string expected =
-      SweepRunner().Run(sweep.spec, sweep.options).ToJson();
-  TempDir dir;
-  FleetOptions options = BaseOptions(dir);
-  options.shard_count = 2;
-  options.fail_mode = "crash";
-  options.fail_prob = 0.5;
-  options.fail_seed = 1;
-  const FleetReport report =
-      FleetSupervisor(options).RunAdaptive(sweep.spec, sweep.options);
-  EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.result.ToJson(), expected);
-  EXPECT_GT(report.stats.retries, 0);
+  for (const SweepOptions::SeedMode mode : {SweepOptions::SeedMode::kPerCellDerived,
+                                            SweepOptions::SeedMode::kCounterV1}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const SmallSweep sweep = MakeAdaptiveSweep(mode);
+    const std::string expected =
+        SweepRunner().Run(sweep.spec, sweep.options).ToJson();
+    TempDir dir;
+    FleetOptions options = BaseOptions(dir);
+    options.shard_count = 2;
+    options.fail_mode = "crash";
+    options.fail_prob = 0.5;
+    options.fail_seed = 1;
+    const FleetReport report =
+        FleetSupervisor(options).Run(sweep.spec, sweep.options);
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.result.ToJson(), expected);
+    EXPECT_GT(report.stats.retries, 0);
+  }
 }
 
-TEST(FleetRecoveryTest, RunAdaptiveRejectsMisconfiguredOptions) {
+// A non-adaptive sweep with fewer cells than shards splits its cells at
+// block boundaries in its one round, under every seed mode.
+TEST(FleetRecoveryTest, OneRoundSplitMidCellIsByteIdenticalUnderEverySeedMode) {
+  for (const SweepOptions::SeedMode mode : kAllSeedModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    SmallSweep sweep = MakeSweep();
+    sweep.options.seed_mode = mode;
+    sweep.options.mc.trials = 1000;
+    TempDir dir;
+    FleetOptions options = BaseOptions(dir);
+    options.shard_count = 3;
+    const FleetReport report =
+        FleetSupervisor(options).Run(sweep.spec, sweep.options);
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.result.ToJson(),
+              SweepRunner().Run(sweep.spec, sweep.options).ToJson());
+    EXPECT_EQ(report.stats.spawned, 3);  // 2 cells x 3 chunks over 3 units
+  }
+}
+
+// Mission-bounded cells never split (PartitionShardRound): with more shards
+// than cells each cell runs whole on its own unit and the spare shard
+// spawns nothing.
+TEST(FleetRecoveryTest, MissionBoundedCellsRunWholeWithSpareShards) {
+  SmallSweep sweep = MakeSweep();
+  sweep.options.estimand = SweepOptions::Estimand::kLossProbability;
+  sweep.options.mission = Duration::Years(5.0);
+  sweep.options.seed_mode = SweepOptions::SeedMode::kCounterV1;
+  sweep.options.mc.trials = 1000;
   TempDir dir;
-  const FleetOptions options = BaseOptions(dir);
-  {
-    SmallSweep sweep = MakeAdaptiveSweep();
-    sweep.options.adaptive = false;
-    EXPECT_THROW(FleetSupervisor(options).RunAdaptive(sweep.spec, sweep.options),
-                 std::invalid_argument);
-  }
-  {
-    SmallSweep sweep = MakeAdaptiveSweep();
-    sweep.options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
-    EXPECT_THROW(FleetSupervisor(options).RunAdaptive(sweep.spec, sweep.options),
-                 std::invalid_argument);
-  }
+  FleetOptions options = BaseOptions(dir);
+  options.shard_count = 3;
+  const FleetReport report = FleetSupervisor(options).Run(sweep.spec, sweep.options);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.result.ToJson(),
+            SweepRunner().Run(sweep.spec, sweep.options).ToJson());
+  EXPECT_EQ(report.stats.spawned, 2);
 }
 
 }  // namespace

@@ -189,6 +189,37 @@ TEST_F(ServiceE2eTest, FleetBackendProducesTheSameBytesAndStillCaches) {
   EXPECT_EQ(warm.result_json, golden);
 }
 
+// An adaptive query through the fleet backend: the supervisor drives the
+// rounds, and with 3 cells on 4 shards every round splits cells mid-cell
+// across workers — the answer must still be the in-process bytes.
+TEST_F(ServiceE2eTest, AdaptiveCheetahThroughAFourShardFleetMatchesInProcess) {
+  StartDaemon({"--backend=fleet", "--worker=" LONGSTORE_SWEEP_WORKER,
+               "--tmp=" + dir_, "--shards=4", "--max-parallel=2",
+               "--timeout-s=120"});
+  SweepSpec spec;
+  SweepOptions options;
+  BuildCheetahSweep(&spec, &options);
+  options.adaptive = true;
+  options.relative_precision = 0.015;  // forces a second round
+  options.max_trials = 20000;
+  ServiceRequest request;
+  request.kind = ServiceRequest::Kind::kSweep;
+  request.sweep_document =
+      ShardPlan(spec, options, /*shard_count=*/1).shards()[0].ToJson();
+
+  const ServiceResponse cold = Roundtrip(request);
+  ASSERT_TRUE(cold.ok) << cold.message;
+  EXPECT_EQ(cold.source, "computed");
+  const SweepResult in_process = SweepRunner().Run(spec, options);
+  EXPECT_EQ(cold.result_json, in_process.ToJson());
+  int64_t trials = 0;
+  for (const SweepCellResult& cell : in_process.cells) {
+    EXPECT_GT(cell.rounds, 1) << cell.label;
+    trials += cell.trials;
+  }
+  EXPECT_EQ(cold.new_trials, trials);
+}
+
 // The canonical MetricsSnapshot over the real socket: after a scripted
 // cold-then-warm sequence the daemon's own counters must read exactly
 // misses=1, exact_hits=1 — the cache accounts for itself (satellite: the

@@ -229,6 +229,24 @@ TEST(SweepServiceTest, GarbageAndSchemaViolationsArePermanentErrors) {
   EXPECT_NE(partial.message.find("shard"), std::string::npos);
 }
 
+TEST(SweepServiceTest, RequestsWhoseCellsAreNotWholeAreRejected) {
+  // A sweep request runs every cell over [0, mc.trials): a trial range
+  // would compute — and cache under the whole sweep's identity — a
+  // different answer.
+  SweepService service{ServiceOptions{}};
+  for (const ShardCellRange range : {ShardCellRange{0, 100}, ShardCellRange{100, 200}}) {
+    ShardSpec spec = ShardSpec::FromJson(
+        Document(SweepSpec(FastScenario()), FixedOptions()));
+    spec.ranges[0] = range;
+    const ServiceResponse response = Query(service, spec.ToJson());
+    EXPECT_FALSE(response.ok);
+    EXPECT_FALSE(response.retryable);
+    EXPECT_NE(response.message.find("runs every cell whole"), std::string::npos)
+        << response.message;
+  }
+  EXPECT_EQ(service.cache_size(), 0u);
+}
+
 TEST(SweepServiceTest, DeeplyNestedFramesAreErrorsNotCrashes) {
   SweepService service{ServiceOptions{}};
   const std::string deep(200 * 1024, '[');

@@ -107,7 +107,7 @@ TEST(ShardE2eTest, GoldenSweepShardedThroughWorkerProcessesIsByteIdentical) {
     }
 
     // Merge in reverse arrival order: the merger must not care.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     for (size_t i = result_jsons.size(); i-- > 0;) {
       merger.AddJson(result_jsons[i]);
     }

@@ -67,20 +67,19 @@ SweepOptions WeightedOptions() {
   return options;
 }
 
-// Builds a ShardSpec holding an arbitrary subset of the sweep's cells: the
-// protocol does not require the round-robin assignment ShardPlan uses.
-ShardSpec ManualShard(const SweepSpec& spec, const SweepOptions& options,
-                      const std::vector<SweepSpec::Cell>& cells,
-                      const std::vector<size_t>& members, int shard_index,
-                      int shard_count) {
-  ShardSpec shard;
+// Builds a ShardSpec holding an arbitrary subset of the one-shard plan
+// `whole`'s cells, each over its whole range: the protocol does not require
+// the round-robin assignment ShardPlan uses.
+ShardSpec ManualShard(const ShardSpec& whole, const std::vector<size_t>& members,
+                      int shard_index, int shard_count) {
+  ShardSpec shard = whole;
   shard.shard_index = shard_index;
   shard.shard_count = shard_count;
-  shard.total_cells = cells.size();
-  shard.axis_names = spec.AxisNames();
-  shard.options = options;
+  shard.cells.clear();
+  shard.ranges.clear();
   for (const size_t member : members) {
-    shard.cells.push_back(cells[member]);
+    shard.cells.push_back(whole.cells[member]);
+    shard.ranges.push_back(whole.ranges[member]);
   }
   return shard;
 }
@@ -91,7 +90,7 @@ ShardSpec ManualShard(const SweepSpec& spec, const SweepOptions& options,
 SweepResult RunPartitioned(const SweepSpec& spec, const SweepOptions& options,
                            const std::vector<size_t>& partition, int shard_count,
                            const std::vector<size_t>& order) {
-  const std::vector<SweepSpec::Cell> cells = spec.BuildCells();
+  const ShardSpec whole = ShardPlan(spec, options, 1).shards()[0];
   std::vector<std::string> result_jsons;
   for (int k = 0; k < shard_count; ++k) {
     std::vector<size_t> members;
@@ -100,15 +99,14 @@ SweepResult RunPartitioned(const SweepSpec& spec, const SweepOptions& options,
         members.push_back(i);
       }
     }
-    const ShardSpec shard =
-        ManualShard(spec, options, cells, members, k, shard_count);
+    const ShardSpec shard = ManualShard(whole, members, k, shard_count);
     // Exercise the full wire path: spec -> JSON -> worker-side parse ->
     // execute -> result JSON; in-memory shortcuts could hide serialization
     // precision loss.
     const ShardSpec parsed = ShardSpec::FromJson(shard.ToJson());
     result_jsons.push_back(RunShard(parsed).ToJson());
   }
-  ShardMerger merger;
+  ShardMerger merger({whole});
   for (const size_t k : order) {
     merger.AddJson(result_jsons[k]);
   }
@@ -194,7 +192,7 @@ TEST(ShardMergePropertyTest, AllMergeOrdersOfAPlanAreIdentical) {
   std::string first_csv;
   std::string first_json;
   do {
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     for (const size_t k : order) {
       merger.AddJson(result_jsons[k]);
     }
@@ -214,13 +212,15 @@ TEST(ShardMergePropertyTest, AllMergeOrdersOfAPlanAreIdentical) {
 }
 
 TEST(ShardMergePropertyTest, EmptyShardsAreWellFormedAndMergeCleanly) {
-  // More shards than cells: the trailing shards are empty but must still
-  // round-trip and merge.
+  // More shards than cells: cells split at block boundaries, and with fewer
+  // blocks per cell than shards the trailing shards stay empty — they must
+  // still round-trip and merge.
   const SweepSpec spec = ScrubSweep();
   const SweepOptions options = MttdlOptions();
   const int shard_count = static_cast<int>(spec.CellCount()) + 3;
   const ShardPlan plan(spec, options, shard_count);
-  ShardMerger merger;
+  EXPECT_TRUE(plan.shards().back().cells.empty());
+  ShardMerger merger(plan.shards());
   for (const ShardSpec& shard : plan.shards()) {
     const ShardSpec parsed = ShardSpec::FromJson(shard.ToJson());
     merger.AddJson(RunShard(parsed).ToJson());

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/shard/shard.h"
+#include "src/sweep/accumulator.h"
 #include "src/sweep/sweep.h"
 #include "src/util/json.h"
 #include "tools/figure_sweeps.h"
@@ -134,9 +135,15 @@ TEST(ShardProtocolTest, SpecRejectsMalformedAndTruncatedInput) {
 
 TEST(ShardProtocolTest, SpecRejectsProtocolVersionMismatch) {
   const std::string valid = ValidSpecJson();
-  // A foreign envelope version.
-  ExpectRejects(kParseSpec, Replaced(valid, "\"shard_version\":3", "\"shard_version\":4"),
-                "unsupported shard_version 4 in a checksummed envelope");
+  // A foreign envelope version, including the retired versions 2 and 3
+  // (whole cells and fragments beside each other).
+  for (const int version : {2, 3, 5}) {
+    ExpectRejects(kParseSpec,
+                  Replaced(valid, "\"shard_version\":4",
+                           "\"shard_version\":" + std::to_string(version)),
+                  "unsupported shard_version " + std::to_string(version) +
+                      " in a checksummed envelope");
+  }
   // A document outside the envelope is unverifiable and refused whatever
   // version it claims — otherwise the integrity layer would be optional
   // exactly when it matters.
@@ -269,13 +276,20 @@ TEST(ShardProtocolTest, ResultRejectsMalformedDocuments) {
   ExpectRejects(kParseResult, "", "not a checksummed document");
   ExpectRejects(kParseResult, Rewrapped(""), "unexpected end of input");
   ExpectRejects(kParseResult, valid.substr(0, valid.size() / 2), "");
-  ExpectRejects(kParseResult,
-                Replaced(valid, "\"shard_version\":3", "\"shard_version\":4"),
-                "unsupported shard_version 4");
+  for (const int version : {2, 3, 5}) {
+    ExpectRejects(kParseResult,
+                  Replaced(valid, "\"shard_version\":4",
+                           "\"shard_version\":" + std::to_string(version)),
+                  "unsupported shard_version " + std::to_string(version));
+  }
   ExpectRejects(kParseResult, Doctored(valid, "\"index\":1", "\"index\":0"),
                 "duplicate cell index 0");
-  ExpectRejects(kParseResult, Doctored(valid, "\"trials\":64", "\"trials\":-4"),
-                "negative trial count");
+  ExpectRejects(kParseResult,
+                Doctored(valid, "\"trial_begin\":0", "\"trial_begin\":-4"),
+                "piece [-4, 64) is empty or negative");
+  ExpectRejects(kParseResult,
+                Doctored(valid, "\"trial_end\":64", "\"trial_end\":0"),
+                "piece [0, 0) is empty or negative");
   // Accumulator state is validated too: negative sample counts can't arise
   // from any real run and would poison downstream Welford merges.
   ExpectRejects(kParseResult, Doctored(valid, "\"censored\":", "\"censored\":-1,\"x\":"),
@@ -286,39 +300,125 @@ TEST(ShardProtocolTest, ResultRejectsMalformedDocuments) {
       "negative sample count");
 }
 
-TEST(ShardProtocolTest, ResultAcceptsNonFiniteHalfWidths) {
-  // An unconverged adaptive cell can report an infinite CI half-width; the
-  // emitter writes non-finite doubles as strings, and the parser must take
-  // them back (emit/parse asymmetry here once made a worker produce output
-  // its own protocol rejected).
-  const std::string doctored =
-      Doctored(ValidResultJson(), "\"half_width_history\":[]",
-               "\"half_width_history\":[\"inf\",0.5,\"nan\"]");
-  const ShardResult result = ShardResult::FromJson(doctored);
-  ASSERT_EQ(result.cells[0].half_width_history.size(), 3u);
-  EXPECT_TRUE(std::isinf(result.cells[0].half_width_history[0]));
-  EXPECT_EQ(result.cells[0].half_width_history[1], 0.5);
-  EXPECT_TRUE(std::isnan(result.cells[0].half_width_history[2]));
-  // Round trip: re-emitting reproduces the same spellings.
-  EXPECT_NE(result.ToJson().find("\"half_width_history\":[\"inf\",0.5,\"nan\"]"),
-            std::string::npos);
+TEST(ShardProtocolTest, SpecRejectsBadTrialRangesAtParseTime) {
+  // Hostile ranges fail in the parser with the cell named, before any
+  // worker could run them.
+  const std::string valid = ValidSpecJson();
+  ExpectRejects(kParseSpec, Doctored(valid, "\"end\":64", "\"end\":65"),
+                "cell 0 trial range [0, 65) extends past mc.trials = 64");
+  ExpectRejects(kParseSpec, Doctored(valid, "\"begin\":0", "\"begin\":64"),
+                "cell 0 trial range [64, 64) is empty or negative");
+  ExpectRejects(kParseSpec, Doctored(valid, "\"begin\":0", "\"begin\":-1"),
+                "cell 0 trial range [-1, 64) is empty or negative");
+  // Every cell carries its range; there is no whole-cell default.
+  ExpectRejects(kParseSpec,
+                Doctored(valid, "\"range\":{\"begin\":0,\"end\":64},", ""),
+                "missing key \"range\"");
+}
+
+// A one-cell kMttdl shard over trials [begin, end) of a 1000-trial sweep.
+ShardSpec RangeShard(int64_t begin, int64_t end) {
+  SweepSpec spec(SmallScenario());
+  SweepOptions options;
+  options.mc.trials = 1000;
+  options.mc.seed = 99;
+  ShardSpec shard = ShardPlan(spec, options, 1).shards()[0];
+  shard.ranges[0] = ShardCellRange{begin, end};
+  return shard;
+}
+
+TEST(ShardProtocolTest, ResultRejectsPiecesThatBreakThePrefixRule) {
+  // A piece starting at trial 0 must carry exactly one (pre-folded)
+  // accumulator.
+  ShardResult prefix = RunShard(RangeShard(0, 512));
+  ASSERT_EQ(prefix.cells[0].blocks.size(), 1u);
+  prefix.cells[0].blocks.push_back(prefix.cells[0].blocks[0]);
+  ExpectRejects(kParseResult, prefix.ToJson(),
+                "cell 0 piece [0, 512) carries 2 accumulators; a piece starting "
+                "at trial 0 carries exactly 1");
+  // Any other piece carries one accumulator per aligned block.
+  ShardResult tail = RunShard(RangeShard(256, 1000));
+  ASSERT_EQ(tail.cells[0].blocks.size(), 3u);
+  tail.cells[0].blocks.pop_back();
+  ExpectRejects(kParseResult, tail.ToJson(),
+                "cell 0 piece [256, 1000) carries 2 accumulators; the aligned "
+                "block partition of its range has 3");
+}
+
+TEST(ShardProtocolTest, PrefixPiecesCarryOneAccumulatorAndStaySmall) {
+  // A piece from trial 0 ships its blocks pre-folded, in trial order:
+  // exactly one accumulator, equal to the in-process runner's fold of the
+  // same trials (four blocks here, so the fold order matters).
+  for (const int64_t end : {1000, 512}) {
+    const ShardSpec shard = RangeShard(0, end);
+    const ShardResult result = RunShard(shard);
+    ASSERT_EQ(result.cells.size(), 1u);
+    ASSERT_EQ(result.cells[0].blocks.size(), 1u);
+    SweepOptions options = shard.options;
+    options.mc.trials = end;
+    const std::vector<SweepCellExecution> single =
+        RunSweepCells(SweepRunner().pool(), shard.cells, options);
+    std::string piece_json;
+    std::string single_json;
+    AppendTrialAccumulatorJson(piece_json, result.cells[0].blocks[0]);
+    AppendTrialAccumulatorJson(single_json, single[0].acc);
+    EXPECT_EQ(piece_json, single_json) << "[0, " << end << ")";
+  }
+
+  // So a unit of whole cells costs one accumulator per cell on the wire,
+  // not one per 256-trial block: a unit of the archival loss grid (two
+  // 25,000-trial cells of a 2-shard plan) stays under 4 KB.
+  SweepSpec archive(ScenarioBuilder()
+                        .Replicas(2, ReplicaSpec()
+                                         .FaultTimes(Duration::Hours(5e7),
+                                                     Duration::Hours(2e7))
+                                         .RepairTimes(Duration::Hours(10.0),
+                                                      Duration::Hours(10.0)))
+                        .Build());
+  archive.AddAxis("replicas");
+  for (const int replicas : {2, 3}) {
+    archive.AddPoint(std::to_string(replicas), replicas,
+                     [replicas](Scenario& scenario) {
+                       scenario.replicas.resize(replicas, scenario.replicas[0]);
+                     });
+  }
+  archive.AddAxis("scrub_mean_hours");
+  for (const double hours : {1e6, 2e6}) {
+    archive.AddPoint(hours == 1e6 ? "1e6" : "2e6", hours, [hours](Scenario& scenario) {
+      for (ReplicaSpec& replica : scenario.replicas) {
+        replica.scrub = ScrubPolicy::Exponential(Duration::Hours(hours));
+      }
+    });
+  }
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = Duration::Years(5.0);
+  options.seed_mode = SweepOptions::SeedMode::kCounterV1;
+  options.mc.trials = 25000;
+  options.mc.seed = 1;
+  const ShardPlan archive_plan(archive, options, 2);
+  for (const ShardSpec& unit : archive_plan.shards()) {
+    ASSERT_EQ(unit.cells.size(), 2u);
+    const std::string document = RunShard(unit).ToJson();
+    EXPECT_LT(document.size(), 4096u) << document;
+  }
 }
 
 TEST(ShardProtocolTest, MergerRejectsInconsistentAndIncompleteMerges) {
-  // Two single-shard plans over the same sweep; doctor their headers.
+  // A two-shard plan, one cell per shard; doctor the second's header.
   const ShardPlan plan = ValidPlan(2);
   ShardResult first = RunShard(plan.shards()[0]);
   ShardResult second = RunShard(plan.shards()[1]);
 
   {
     // Duplicate cell across shards: resend the first shard.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(first);
     EXPECT_THROW(merger.Add(first), std::invalid_argument);
   }
   {
     // Estimand mismatch.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(first);
     ShardResult wrong = second;
     wrong.estimand = SweepOptions::Estimand::kLossProbability;
@@ -326,7 +426,7 @@ TEST(ShardProtocolTest, MergerRejectsInconsistentAndIncompleteMerges) {
   }
   {
     // Confidence mismatch.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(first);
     ShardResult wrong = second;
     wrong.confidence = 0.99;
@@ -334,7 +434,7 @@ TEST(ShardProtocolTest, MergerRejectsInconsistentAndIncompleteMerges) {
   }
   {
     // Grid-size mismatch.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(first);
     ShardResult wrong = second;
     wrong.total_cells = 3;
@@ -342,7 +442,7 @@ TEST(ShardProtocolTest, MergerRejectsInconsistentAndIncompleteMerges) {
   }
   {
     // Axis-list mismatch.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(first);
     ShardResult wrong = second;
     wrong.axis_names = {"renamed"};
@@ -350,7 +450,7 @@ TEST(ShardProtocolTest, MergerRejectsInconsistentAndIncompleteMerges) {
   }
   {
     // Missing cell at Finish, with the missing indices named.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(first);
     EXPECT_FALSE(merger.complete());
     EXPECT_EQ(merger.MissingCells(), std::vector<size_t>{1});
@@ -363,13 +463,13 @@ TEST(ShardProtocolTest, MergerRejectsInconsistentAndIncompleteMerges) {
     }
   }
   {
-    // Finishing an empty merger.
-    ShardMerger merger;
+    // Finishing a merger that received nothing.
+    ShardMerger merger(plan.shards());
     EXPECT_THROW(merger.Finish(), std::invalid_argument);
   }
   {
     // The happy path still works after all that doctoring.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(second);
     merger.Add(first);
     EXPECT_TRUE(merger.complete());
@@ -385,7 +485,7 @@ TEST(ShardProtocolTest, MergerNamesShardAndSourceInEveryFailure) {
   const ShardResult second = RunShard(plan.shards()[1]);
   {
     // A duplicated cell names both deliverers.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(first, "a.result.json");
     try {
       merger.Add(first, "b.result.json");
@@ -398,9 +498,9 @@ TEST(ShardProtocolTest, MergerNamesShardAndSourceInEveryFailure) {
     }
   }
   {
-    // Header mismatches name the offender and the first shard's source.
-    ShardMerger merger;
-    merger.Add(first, "a.result.json");
+    // Header mismatches name the offender; the expected header is the
+    // plan's, so a wrong result is refused even when it arrives first.
+    ShardMerger merger(plan.shards());
     ShardResult wrong = second;
     wrong.estimand = SweepOptions::Estimand::kLossProbability;
     try {
@@ -410,13 +510,13 @@ TEST(ShardProtocolTest, MergerNamesShardAndSourceInEveryFailure) {
       const std::string message = e.what();
       EXPECT_NE(message.find("shard 1 (b.result.json)"), std::string::npos)
           << message;
-      EXPECT_NE(message.find("shard 0 (a.result.json)"), std::string::npos)
+      EXPECT_NE(message.find("different estimand"), std::string::npos)
           << message;
     }
   }
   {
     // AddJson threads the source through parse errors too.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     try {
       merger.AddJson("{broken", "c.result.json");
       FAIL() << "parsed garbage";
@@ -433,10 +533,10 @@ TEST(ShardProtocolTest, MergerUsesSweepIdentityNotShardCount) {
   const ShardResult second = RunShard(plan.shards()[1]);
   ASSERT_NE(first.sweep_id, 0u);
   {
-    // Version-2 documents from *re-partitioned* runs (a fleet driver split
-    // a failed shard) carry differing shard_counts but the same sweep_id —
-    // and they merge.
-    ShardMerger merger;
+    // Documents from *re-partitioned* runs (a fleet driver split a failed
+    // shard) carry differing shard_counts but the same sweep_id — and they
+    // merge.
+    ShardMerger merger(plan.shards());
     merger.Add(first);
     ShardResult repartitioned = second;
     repartitioned.shard_count = 7;
@@ -447,7 +547,7 @@ TEST(ShardProtocolTest, MergerUsesSweepIdentityNotShardCount) {
   {
     // A result from a *different* sweep is refused no matter how plausible
     // its geometry looks.
-    ShardMerger merger;
+    ShardMerger merger(plan.shards());
     merger.Add(first);
     ShardResult foreign = second;
     foreign.sweep_id ^= 1;
@@ -459,31 +559,6 @@ TEST(ShardProtocolTest, MergerUsesSweepIdentityNotShardCount) {
           << e.what();
     }
   }
-}
-
-TEST(ShardProtocolTest, FinishPartialKeepsTrueIndicesAndExactBytes) {
-  const ShardPlan plan = ValidPlan(2);
-  // Round-robin partition: shard 1 owns grid cell 1.
-  ShardMerger partial;
-  partial.Add(RunShard(plan.shards()[1]));
-  EXPECT_FALSE(partial.complete());
-  const SweepResult survivors = partial.FinishPartial();
-  ASSERT_EQ(survivors.cells.size(), 1u);
-  EXPECT_EQ(survivors.cells[0].index, 1u);  // the true grid index, not 0
-
-  // Each surviving cell finalizes to exactly the bytes it has in the
-  // complete merge — partiality never changes a number.
-  ShardMerger complete;
-  complete.Add(RunShard(plan.shards()[0]));
-  complete.Add(RunShard(plan.shards()[1]));
-  const SweepResult full = complete.Finish();
-  ASSERT_EQ(full.cells.size(), 2u);
-  EXPECT_EQ(survivors.cells[0].label, full.cells[1].label);
-  EXPECT_EQ(survivors.cells[0].mttdl->mean_years(), full.cells[1].mttdl->mean_years());
-
-  // An empty merger cannot finalize, even partially.
-  ShardMerger empty;
-  EXPECT_THROW(empty.FinishPartial(), std::invalid_argument);
 }
 
 TEST(ShardProtocolTest, RunShardValidatesSemanticsLikeTheRunner) {

@@ -32,11 +32,16 @@
 //                        missing cells are explicitly marked, exit code 2
 //   --threads=N          lanes per worker (default 1); with --single, lanes
 //                        of the in-process run (default every core). 0 =
-//                        every core; a negative or non-numeric N is an error
+//                        every core
 //   --tmp=DIR            scratch directory              (default: mkdtemp)
 //   --keep-files         keep shard/result/log files
 //   --fail-mode=crash|hang|corrupt|flaky --fail-prob=P --fail-seed=S
 //                        forwarded fault injection (CI chaos testing)
+//
+// Every numeric flag is parsed strictly (tools/numeric_flags.h): a value that
+// is not wholly a number ("abc", "", "3x"), or that lies outside the flag's
+// range (a count below 1 or 0, a negative or NaN time, a probability outside
+// [0, 1]), is a usage error, never a silent default.
 //
 // Telemetry (out-of-band; never changes a result byte):
 //   --metrics-out=FILE   write the canonical MetricsSnapshot JSON after the
@@ -56,7 +61,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
-#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -69,6 +74,7 @@
 #include "src/scenario/scenario.h"
 #include "src/sweep/sweep.h"
 #include "tools/figure_sweeps.h"
+#include "tools/numeric_flags.h"
 
 namespace longstore {
 namespace {
@@ -180,8 +186,8 @@ int Main(int argc, char** argv) {
   std::string trace_out;
   std::string estimand = "mttdl";
   std::string seed_mode;  // empty = keep the sweep's default
-  long trials = 2000;
-  unsigned long long seed = 1;
+  int64_t trials = 2000;
+  uint64_t seed = 1;
   double mission_years = 50.0;
   int threads = -1;  // -1 = not given
 
@@ -218,22 +224,29 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--worker", &value)) {
       fleet.worker_path = value;
     } else if (long_arg(arg, "--shards", &value)) {
-      fleet.shard_count = std::atoi(value);
-    } else if (long_arg(arg, "--max-parallel", &value)) {
-      fleet.max_parallel = std::atoi(value);
-    } else if (long_arg(arg, "--max-retries", &value)) {
-      fleet.max_retries = std::atoi(value);
-    } else if (long_arg(arg, "--timeout-s", &value)) {
-      fleet.timeout_seconds = std::atof(value);
-    } else if (long_arg(arg, "--backoff-initial-s", &value)) {
-      fleet.backoff_initial_seconds = std::atof(value);
-    } else if (long_arg(arg, "--threads", &value)) {
-      char* end = nullptr;
-      const long parsed = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || parsed < 0 || parsed > INT_MAX) {
+      if (!ParseIntFlag(value, 1, &fleet.shard_count)) {
         return Usage(argv[0]);
       }
-      threads = static_cast<int>(parsed);
+    } else if (long_arg(arg, "--max-parallel", &value)) {
+      if (!ParseIntFlag(value, 1, &fleet.max_parallel)) {
+        return Usage(argv[0]);
+      }
+    } else if (long_arg(arg, "--max-retries", &value)) {
+      if (!ParseIntFlag(value, 0, &fleet.max_retries)) {
+        return Usage(argv[0]);
+      }
+    } else if (long_arg(arg, "--timeout-s", &value)) {
+      if (!ParseDoubleFlag(value, 0.0, &fleet.timeout_seconds)) {
+        return Usage(argv[0]);
+      }
+    } else if (long_arg(arg, "--backoff-initial-s", &value)) {
+      if (!ParseDoubleFlag(value, 0.0, &fleet.backoff_initial_seconds)) {
+        return Usage(argv[0]);
+      }
+    } else if (long_arg(arg, "--threads", &value)) {
+      if (!ParseIntFlag(value, 0, &threads)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--tmp", &value)) {
       tmp_dir = value;
     } else if (long_arg(arg, "--format", &value)) {
@@ -242,16 +255,22 @@ int Main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (long_arg(arg, "--trials", &value)) {
-      trials = std::atol(value);
+      if (!ParseIntFlag(value, int64_t{1}, &trials)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--seed", &value)) {
-      seed = std::strtoull(value, nullptr, 0);
+      if (!ParseUint64Flag(value, &seed)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--estimand", &value)) {
       estimand = value;
       if (estimand != "mttdl" && estimand != "loss") {
         return Usage(argv[0]);
       }
     } else if (long_arg(arg, "--mission-years", &value)) {
-      mission_years = std::atof(value);
+      if (!ParseDoubleFlag(value, 0.0, &mission_years)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--seed-mode", &value)) {
       seed_mode = value;
       if (seed_mode != "shared_root" && seed_mode != "per_cell_derived" &&
@@ -261,9 +280,13 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--fail-mode", &value)) {
       fleet.fail_mode = value;
     } else if (long_arg(arg, "--fail-prob", &value)) {
-      fleet.fail_prob = std::atof(value);
+      if (!ParseDoubleFlag(value, 0.0, &fleet.fail_prob) || fleet.fail_prob > 1.0) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--fail-seed", &value)) {
-      fleet.fail_seed = std::strtoull(value, nullptr, 0);
+      if (!ParseUint64Flag(value, &fleet.fail_seed)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--metrics-out", &value)) {
       metrics_out = value;
     } else if (long_arg(arg, "--trace-out", &value)) {
@@ -296,7 +319,7 @@ int Main(int argc, char** argv) {
                            : SweepOptions::Estimand::kMttdl;
     options.mission = Duration::Years(mission_years);
     options.mc.trials = trials;
-    options.mc.seed = static_cast<uint64_t>(seed);
+    options.mc.seed = seed;
     // Content-derived seeds: the estimate depends on the scenario alone,
     // not on the file name or cell position.
     options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;

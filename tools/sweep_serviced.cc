@@ -23,11 +23,16 @@
 //   --worker=PATH        sweep_worker binary          (fleet backend)
 //   --tmp=DIR            fleet scratch directory      (fleet backend)
 //   --shards=K --max-parallel=N --threads=N --timeout-s=T
-//                        forwarded to the fleet supervisor
+//                        forwarded to the fleet supervisor (K, N >= 1;
+//                        threads >= 0, 0 = every core; T >= 0 seconds,
+//                        0 = no timeout)
 //
 // Service:
 //   --cache-capacity=N   LRU entries held             (default 64)
 //   --max-requests=N     exit cleanly after N requests (tests; 0 = forever)
+//
+// Numeric flags are parsed strictly (tools/numeric_flags.h): a value that is
+// not wholly a number, or lies outside its range, is a usage error.
 //
 // Telemetry (out-of-band; never changes a response byte):
 //   --metrics-out=FILE   write the canonical MetricsSnapshot JSON at
@@ -48,7 +53,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -57,6 +61,7 @@
 #include "src/obs/trace.h"
 #include "src/service/service_protocol.h"
 #include "src/service/sweep_service.h"
+#include "tools/numeric_flags.h"
 
 namespace longstore {
 namespace {
@@ -163,17 +168,29 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--tmp", &value)) {
       options.fleet.temp_dir = value;
     } else if (long_arg(arg, "--shards", &value)) {
-      options.fleet.shard_count = std::atoi(value);
+      if (!ParseIntFlag(value, 1, &options.fleet.shard_count)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--max-parallel", &value)) {
-      options.fleet.max_parallel = std::atoi(value);
+      if (!ParseIntFlag(value, 1, &options.fleet.max_parallel)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--threads", &value)) {
-      options.fleet.worker_threads = std::atoi(value);
+      if (!ParseIntFlag(value, 0, &options.fleet.worker_threads)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--timeout-s", &value)) {
-      options.fleet.timeout_seconds = std::atof(value);
+      if (!ParseDoubleFlag(value, 0.0, &options.fleet.timeout_seconds)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--cache-capacity", &value)) {
-      cache_capacity = std::atol(value);
+      if (!ParseIntFlag(value, 1L, &cache_capacity)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--max-requests", &value)) {
-      max_requests = std::atol(value);
+      if (!ParseIntFlag(value, 0L, &max_requests)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--metrics-out", &value)) {
       metrics_out = value;
     } else if (long_arg(arg, "--trace-out", &value)) {
@@ -190,10 +207,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr,
                  "%s: --backend=fleet requires --worker=PATH and --tmp=DIR\n",
                  argv[0]);
-    return 1;
-  }
-  if (cache_capacity < 1) {
-    std::fprintf(stderr, "%s: --cache-capacity must be >= 1\n", argv[0]);
     return 1;
   }
   options.backend = backend == "fleet" ? ServiceOptions::Backend::kFleet

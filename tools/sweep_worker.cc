@@ -1,6 +1,6 @@
-// sweep_worker: executes one sweep shard and emits its raw per-cell
-// accumulators — the worker half of the sharded fan-out protocol
-// (src/shard/README.md).
+// sweep_worker: executes one sweep shard — a trial range of each of its
+// cells — and emits the raw accumulators of those trials, the worker half of
+// the sharded fan-out protocol (src/shard/README.md).
 //
 //   sweep_worker --shard=FILE [--out=FILE] [--threads=N]
 //                [--fail-mode=crash|hang|corrupt|flaky
