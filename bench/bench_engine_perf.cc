@@ -15,13 +15,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/mc/monte_carlo.h"
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
 #include "src/scenario/media.h"
 #include "src/sim/simulator.h"
 #include "src/storage/replicated_system.h"
+#include "src/sweep/sweep.h"
 #include "src/util/random.h"
 
 // ---------------------------------------------------------------------------

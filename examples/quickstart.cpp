@@ -7,11 +7,11 @@
 
 #include <cstdio>
 
-#include "src/mc/monte_carlo.h"
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
 #include "src/scenario/media.h"
+#include "src/sweep/sweep.h"
 #include "src/util/table.h"
 
 int main() {

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Runs every example and figure bench whose stdout is deterministic (fixed
 # seeds, no wall times) and writes each program's stdout to
-# <out_dir>/<program>.txt. Exits non-zero if any program exits non-zero.
+# <out_dir>/<program>.txt, plus two frontier_plan searches: the pinned
+# golden-small search and the default catalog space (all CTMC), both as
+# canonical JSON. Exits non-zero if any program exits non-zero.
 #
 # Usage: scripts/run_figure_programs.sh <build_dir> <out_dir>
 #
 # Build the programs first:
-#   cmake --build <build_dir> --target bench_all examples
+#   cmake --build <build_dir> --target bench_all examples frontier_plan
 #
 # Two trees that should describe the same systems (a refactor that deletes a
 # duplicate path, say) must produce byte-identical output directories:
@@ -58,12 +60,20 @@ trap 'rm -rf "$work_dir"' EXIT
 cd "$work_dir"
 
 status=0
-for program in "${programs[@]}"; do
-  if ! "$build_dir/$program" > "$out_dir/$program.txt"; then
-    echo "error: $program exited non-zero" >&2
+# run <output name> <program> [args...]
+run() {
+  local name=$1
+  shift
+  if ! "$build_dir/$1" "${@:2}" > "$out_dir/$name.txt"; then
+    echo "error: $name exited non-zero" >&2
     status=1
   fi
+}
+for program in "${programs[@]}"; do
+  run "$program" "$program"
 done
+run frontier_plan_golden_small frontier_plan --golden-small --format=json
+run frontier_plan_catalog frontier_plan --format=json
 
 if ! "$build_dir/bench_sweep_perf" > sweep_perf.txt; then
   echo "error: bench_sweep_perf exited non-zero" >&2

@@ -3,7 +3,8 @@
 // The paper argues qualitatively that (a) consumer drives beat enterprise
 // drives per preserved byte, and (b) on-line replicas beat off-line replicas
 // once audit labour is priced in. This module prices both claims so the
-// benches and the planner can search cost/reliability trade-offs.
+// benches and the frontier search (src/frontier) can search cost/reliability
+// trade-offs.
 
 #ifndef LONGSTORE_SRC_DRIVES_COST_MODEL_H_
 #define LONGSTORE_SRC_DRIVES_COST_MODEL_H_

@@ -30,7 +30,8 @@ std::string_view MediaClassName(MediaClass klass);
 
 // Off-line (vaulted) media: no power or per-drive admin while shelved; pay
 // per-cartridge vault storage and per-audit retrieval/handling instead. The
-// cost model and the planner's parameter derivation branch on this.
+// cost model and the frontier's parameter derivation (DeriveParams) branch
+// on this.
 bool IsOfflineMedia(MediaClass klass);
 
 struct DriveSpec {

@@ -64,22 +64,6 @@ bool WriteFile(const std::string& path, const std::string& bytes) {
   return (std::fclose(f) == 0) && ok;
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
 // One supervised work item: initially a planned shard; after an exhausted
 // multi-cell unit is split, one of its cells.
 struct Unit {
@@ -368,7 +352,7 @@ std::map<size_t, std::string> SuperviseUnits(
   // are transport faults — retryable — not merge faults.
   const auto harvest = [&](Unit& unit) {
     std::string text;
-    if (!ReadFile(unit.out_path, &text)) {
+    if (!obs::ReadWholeFile(unit.out_path, &text, nullptr)) {
       ++stats.malformed;
       fail(unit, "no_output", "exited cleanly but wrote no result document");
       return;
@@ -396,7 +380,7 @@ std::map<size_t, std::string> SuperviseUnits(
     // observability — a worker built or run with telemetry off writes
     // nothing (or zeros), and that must not fail the unit.
     std::string metrics_text;
-    if (ReadFile(unit.metrics_path, &metrics_text)) {
+    if (obs::ReadWholeFile(unit.metrics_path, &metrics_text, nullptr)) {
       try {
         worker_metrics.MergeFrom(
             obs::MetricsSnapshot::FromJson(metrics_text, unit.metrics_path));

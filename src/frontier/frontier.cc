@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/drives/offline_media.h"
 #include "src/obs/metrics.h"
 #include "src/scenario/media.h"
 #include "src/scenario/scenario_ctmc.h"
@@ -39,6 +40,18 @@ std::string DescribeFleet(const std::vector<DriveSpec>& drives) {
   return out;
 }
 
+std::vector<ReplicaProfile> ProfilesFor(DeploymentStyle style, int replicas) {
+  switch (style) {
+    case DeploymentStyle::kSingleSite:
+      return SingleSiteProfiles(replicas);
+    case DeploymentStyle::kGeoReplicatedSameAdmin:
+      return GeoReplicatedSameAdminProfiles(replicas);
+    case DeploymentStyle::kFullyDiverse:
+      return FullyDiverseProfiles(replicas);
+  }
+  throw std::invalid_argument("ProfilesFor: unknown deployment style");
+}
+
 }  // namespace
 
 std::string FrontierCandidate::Describe() const {
@@ -62,6 +75,59 @@ std::string FrontierCandidate::Describe() const {
     out += std::string(DeploymentStyleName(deployment));
   }
   return out;
+}
+
+std::string_view DeploymentStyleName(DeploymentStyle style) {
+  switch (style) {
+    case DeploymentStyle::kSingleSite:
+      return "single site";
+    case DeploymentStyle::kGeoReplicatedSameAdmin:
+      return "geo-replicated, central ops";
+    case DeploymentStyle::kFullyDiverse:
+      return "fully diverse";
+  }
+  return "?";
+}
+
+FaultParams DeriveParams(const DriveSpec& drive, int replicas,
+                         double audits_per_year, DeploymentStyle deployment,
+                         const FrontierSpace& space) {
+  FaultParams params;
+  if (IsOfflineMedia(drive.media)) {
+    params = OfflineReplicaParams(drive, audits_per_year,
+                                  OfflineHandlingModel::Defaults(),
+                                  space.latent_to_visible_ratio);
+  } else {
+    const ScrubPolicy scrub = audits_per_year > 0.0
+                                  ? ScrubPolicy::PeriodicPerYear(audits_per_year)
+                                  : ScrubPolicy::None();
+    params = OnlineReplicaParams(drive, scrub, space.latent_to_visible_ratio);
+  }
+  params.alpha =
+      MinPairwiseAlpha(ProfilesFor(deployment, replicas), space.correlation);
+  // α must stay in (0, 1]; fully shared deployments can multiply below the
+  // paper's plausibility floor — clamp there.
+  params.alpha = std::max(params.alpha, 1e-9);
+  return params;
+}
+
+Scenario PhaseScenario(const FrontierPhase& phase, DeploymentStyle deployment,
+                       const FrontierSpace& space) {
+  if (phase.drives.empty()) {
+    throw std::invalid_argument("frontier: a phase must have >= 1 replica");
+  }
+  const int replicas = static_cast<int>(phase.drives.size());
+  ScenarioBuilder builder;
+  double alpha = 1.0;
+  for (const DriveSpec& drive : phase.drives) {
+    const FaultParams params = DeriveParams(drive, replicas, phase.audits_per_year,
+                                            deployment, space);
+    // α depends only on deployment and replica count — identical across the
+    // phase's drives.
+    alpha = params.alpha;
+    builder.AddReplica(SpecFromParams(params, drive.model));
+  }
+  return builder.Correlation(alpha).Build();
 }
 
 FrontierEvaluator::FrontierEvaluator(FrontierOptions options,
@@ -105,10 +171,11 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
       screened.Add();
     }
   } else {
-    // A single-cell importance-sampled sweep, packaged exactly like a
-    // sharded or service request: content-derived seeds, thread count never
-    // serialized, canonical checksummed bytes. Every backend therefore
-    // produces the same result bytes for this document.
+    // A single-cell weighted-loss sweep under the identity measure (plain
+    // Monte Carlo), packaged exactly like a sharded or service request:
+    // content-derived seeds, thread count never serialized, canonical
+    // checksummed bytes. Every backend therefore produces the same result
+    // bytes for this document.
     SweepSpec spec;
     std::string label;
     json::AppendUint64Hex(label, scenario.CanonicalHash());
@@ -116,7 +183,6 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
     SweepOptions sweep_options;
     sweep_options.estimand = SweepOptions::Estimand::kWeightedLossProbability;
     sweep_options.mission = mission;
-    sweep_options.bias = options_.bias;
     sweep_options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
     sweep_options.mc.trials = options_.trials;
     sweep_options.mc.seed = options_.seed;
@@ -166,42 +232,6 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
 }
 
 namespace {
-
-// The planner config the per-replica fault derivation reads (rates, MDL, α).
-PlannerConfig ParamsConfig(const FrontierSpace& space) {
-  PlannerConfig config;
-  config.latent_to_visible_ratio = space.latent_to_visible_ratio;
-  config.correlation = space.correlation;
-  config.costs = space.costs;
-  config.archive_gb = space.archive_gb;
-  return config;
-}
-
-// Realizes one phase as a runnable Scenario: per-drive fault parameters via
-// the planner's derivation (offline media pay handling faults; detection is
-// an exponential scrub at the derived MDL, so homogeneous phases stay inside
-// the exact CTMC's state space), correlation from the deployment style.
-Scenario PhaseScenario(const FrontierPhase& phase, DeploymentStyle deployment,
-                       const PlannerConfig& params_config) {
-  if (phase.drives.empty()) {
-    throw std::invalid_argument("frontier: a phase must have >= 1 replica");
-  }
-  ScenarioBuilder builder;
-  double alpha = 1.0;
-  for (const DriveSpec& drive : phase.drives) {
-    StrategyOption option;
-    option.drive = drive;
-    option.replicas = static_cast<int>(phase.drives.size());
-    option.audits_per_year = phase.audits_per_year;
-    option.deployment = deployment;
-    const FaultParams params = DeriveParams(option, params_config);
-    // α depends only on deployment and replica count — identical across the
-    // phase's drives.
-    alpha = params.alpha;
-    builder.AddReplica(SpecFromParams(params, drive.model));
-  }
-  return builder.Correlation(alpha).Build();
-}
 
 ReplicaCostBreakdown PhaseFleetCost(const FrontierPhase& phase,
                                     double archive_gb,
@@ -356,7 +386,6 @@ FrontierResult RunFrontierSearch(const FrontierTarget& target,
   }
   obs::TraceJournal* journal =
       obs::Enabled() ? evaluator.options().journal : nullptr;
-  const PlannerConfig params_config = ParamsConfig(space);
   const double mission_years = target.mission.years();
 
   int64_t generated = 0;
@@ -369,7 +398,7 @@ FrontierResult RunFrontierSearch(const FrontierTarget& target,
     built.phase_scenarios.reserve(candidate.phases.size());
     for (const FrontierPhase& phase : candidate.phases) {
       built.phase_scenarios.push_back(
-          PhaseScenario(phase, candidate.deployment, params_config));
+          PhaseScenario(phase, candidate.deployment, space));
       built.phase_costs.push_back(
           PhaseFleetCost(phase, space.archive_gb, space.costs));
       built.annual_cost_usd += (phase.years / mission_years) *
@@ -652,24 +681,6 @@ std::string FrontierResult::ToCsv(bool explain) const {
 
 std::string FrontierResult::ToTable(bool explain) const {
   return FrontierTable(*this, explain).Render();
-}
-
-EvaluatedOption EvaluateDroppedOption(const DroppedOption& dropped,
-                                      const PlannerConfig& config,
-                                      FrontierEvaluator& evaluator) {
-  EvaluatedOption evaluated;
-  evaluated.option = dropped.option;
-  evaluated.params = dropped.params;
-  const FrontierEvaluator::ScenarioEval eval =
-      evaluator.EvaluateScenario(dropped.scenario, config.mission);
-  evaluated.loss_probability = eval.probability;
-  // The MTTDL the measured loss probability implies under the exponential
-  // approximation — comparable to the CTMC-scored options' column.
-  evaluated.mttdl = MttfForLossProbability(eval.probability, config.mission);
-  evaluated.annual_cost_usd = AnnualSystemCost(
-      dropped.option.drive, config.archive_gb, dropped.option.replicas,
-      dropped.option.audits_per_year, config.costs);
-  return evaluated;
 }
 
 FrontierTarget GoldenSmallTarget() {

@@ -5,8 +5,8 @@
 // from the drive catalog (disk, tape, and the gigayear etched medium of
 // arXiv:1310.2961), audit cadence, deployment independence, and two-phase
 // procurement/migration schedules — prices each with src/drives/cost_model,
-// scores each with the exact CTMC where compatible and the importance-
-// sampled sweep engine otherwise, and returns the Pareto frontier.
+// scores each with the exact CTMC where compatible and the sweep engine
+// otherwise, and returns the Pareto frontier.
 //
 // Determinism contract (tested in tests/frontier_test.cc):
 //   FrontierResult::ToJson() is byte-identical across worker thread counts,
@@ -27,19 +27,29 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/drives/cost_model.h"
 #include "src/drives/drive_specs.h"
 #include "src/frontier/eval_backend.h"
+#include "src/model/fault_params.h"
 #include "src/obs/trace.h"
-#include "src/planner/planner.h"
-#include "src/rare/biased_sampler.h"
 #include "src/scenario/scenario.h"
 #include "src/threats/independence.h"
 #include "src/util/units.h"
 
 namespace longstore {
+
+// How independent the replicas are (§4.2, §5.5): sets α through the
+// per-pair correlation factors of src/threats/independence.h.
+enum class DeploymentStyle {
+  kSingleSite,              // one machine room, one admin, one batch
+  kGeoReplicatedSameAdmin,  // distinct sites, central operations
+  kFullyDiverse,            // distinct sites, admins, batches, software, orgs
+};
+
+std::string_view DeploymentStyleName(DeploymentStyle style);
 
 // What the archive must achieve, and what it may spend.
 struct FrontierTarget {
@@ -96,24 +106,29 @@ struct FrontierCandidate {
   std::string Describe() const;
 };
 
+// Per-replica fault parameters of `drive` in a fleet of `replicas` audited
+// `audits_per_year` times a year: media-specific intrinsic rates, an
+// audit-driven MDL (off-line media pay handling-induced faults; no audits
+// means latent faults are never detected), and α from the deployment style
+// under the space's correlation factors, clamped to >= 1e-9. Reads the
+// space's latent_to_visible_ratio and correlation.
+FaultParams DeriveParams(const DriveSpec& drive, int replicas,
+                         double audits_per_year, DeploymentStyle deployment,
+                         const FrontierSpace& space);
+
+// Realizes one phase as a runnable Scenario: one replica per drive with its
+// DeriveParams parameters, detection as an exponential scrub at the derived
+// MDL (so homogeneous phases stay inside the exact CTMC's state space), and
+// the deployment's α as the correlation. Throws std::invalid_argument for a
+// phase with no drives.
+Scenario PhaseScenario(const FrontierPhase& phase, DeploymentStyle deployment,
+                       const FrontierSpace& space);
+
 // Simulation knobs for candidates the exact CTMC cannot score.
 struct FrontierOptions {
   int64_t trials = 2000;
   uint64_t seed = 33;
   double confidence = 0.95;
-  // Change of measure for the weighted loss-probability estimand. The
-  // default is the identity measure (plain Monte Carlo): frontier searches
-  // score many heterogeneous designs at modest trial budgets, and at those
-  // budgets a tilted estimator's weight distribution is skewed enough that
-  // the point estimate sits far below the truth with a CI that excludes it
-  // (measured against the exact CTMC: x10 tilt on both hazards reported
-  // 0.0016 for a 0.0258 scenario; even a pilot-tuned x64 latent tilt was
-  // 300x low). Plain MC keeps the reported CI honest — designs rarer than
-  // ~1/trials resolve to probability 0, which ties them on the frontier and
-  // keeps the cheapest. Set an explicit tilt (see TuneFaultBias in
-  // src/rare/rare_event.h) only for single-design deep dives where the
-  // pilot can be afforded and its diagnostics inspected.
-  FaultBias bias;
   // Score every candidate through the sweep engine, even CTMC-compatible
   // ones. Used by the CTMC-agreement test and the memoization bench.
   bool force_simulation = false;
@@ -124,9 +139,11 @@ struct FrontierOptions {
 
 // Scores scenarios for the frontier search, cheapest path first: an exact
 // CTMC answer when the scenario is compatible, otherwise a single-cell
-// importance-sampled sweep through the configured backend. Results are
-// memoized by (scenario content hash, mission), so a search that revisits a
-// scenario — and any later search through the same evaluator — pays nothing.
+// plain Monte Carlo sweep (the weighted loss-probability estimand under the
+// identity measure; src/frontier/README.md says why) through the configured
+// backend. Results are memoized by (scenario content hash, mission), so a
+// search that revisits a scenario — and any later search through the same
+// evaluator — pays nothing.
 class FrontierEvaluator {
  public:
   struct ScenarioEval {
@@ -206,13 +223,6 @@ struct FrontierResult {
 FrontierResult RunFrontierSearch(const FrontierTarget& target,
                                  const FrontierSpace& space,
                                  FrontierEvaluator& evaluator);
-
-// Scores a planner option the exact CTMC refused (PlannerReport::dropped)
-// through the simulation pipeline: loss probability from the evaluator,
-// MTTDL back-derived via MttfForLossProbability, cost from the cost model.
-EvaluatedOption EvaluateDroppedOption(const DroppedOption& dropped,
-                                      const PlannerConfig& config,
-                                      FrontierEvaluator& evaluator);
 
 // The pinned small search shared by tests/frontier_golden_test.cc, the CI
 // frontier-smoke job, and `frontier_plan --golden-small`: 3 media x

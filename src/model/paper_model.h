@@ -2,7 +2,8 @@
 // (equations 1–12 of §5). These closed forms reproduce every number in the
 // paper's evaluation digit-for-digit; the CTMC solvers (mirrored_ctmc.h,
 // replication_ctmc.h) provide the exact answers for the same stochastic
-// process, and src/mc validates both by simulation.
+// process, and the sweep engine's one-cell estimators (src/sweep) validate
+// both by simulation.
 
 #ifndef LONGSTORE_SRC_MODEL_PAPER_MODEL_H_
 #define LONGSTORE_SRC_MODEL_PAPER_MODEL_H_

@@ -1,8 +1,8 @@
 // The §6 reliability strategies expressed as transformations on FaultParams.
 //
 // Each function corresponds to one bullet of the paper's strategy list; the
-// benches sweep them to regenerate the §5.4/§6 comparisons, and the planner
-// (src/planner) searches over their combinations under a budget.
+// benches sweep them to regenerate the §5.4/§6 comparisons, and the frontier
+// search (src/frontier) searches over their combinations under a budget.
 
 #ifndef LONGSTORE_SRC_MODEL_STRATEGIES_H_
 #define LONGSTORE_SRC_MODEL_STRATEGIES_H_

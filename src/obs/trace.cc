@@ -105,4 +105,26 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
   return true;
 }
 
+bool ReadWholeFile(const std::string& path, std::string* out, std::string* error) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    if (error != nullptr) {
+      *error = "cannot open '" + path + "' for reading";
+    }
+    return false;
+  }
+  out->clear();
+  char buffer[1 << 16];
+  size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    out->append(buffer, n);
+  }
+  const bool read = std::ferror(file) == 0;
+  std::fclose(file);
+  if (!read && error != nullptr) {
+    *error = "failed to read '" + path + "'";
+  }
+  return read;
+}
+
 }  // namespace longstore::obs

@@ -91,6 +91,12 @@ class TraceJournal {
 bool WriteFileAtomic(const std::string& path, std::string_view bytes,
                      std::string* error);
 
+// Reads all of `path` into `out` — the shared read path (shard and scenario
+// files, worker results, metrics snapshots, trace journals). Returns false
+// and fills `error` (if non-null, naming the file) when `path` cannot be
+// opened or read.
+bool ReadWholeFile(const std::string& path, std::string* out, std::string* error);
+
 }  // namespace longstore::obs
 
 #endif  // LONGSTORE_SRC_OBS_TRACE_H_

@@ -11,7 +11,7 @@ namespace {
 
 // Stream-id offset for pilot candidates: keeps every candidate's trial
 // streams disjoint from each other and from the final estimate (which uses
-// the root seed directly, matching the src/mc wrapper convention).
+// the root seed directly, matching the one-cell estimators in src/sweep).
 constexpr uint64_t kPilotStreamTag = 0x9a7e5eedULL;
 
 WeightedLossProbabilityEstimate RunWeighted(const Scenario& scenario,

@@ -1,7 +1,7 @@
 // Rare-event estimation of mission-loss probabilities by importance
 // sampling.
 //
-// EstimateLossProbability (src/mc) needs ~100/p trials to pin a loss
+// EstimateLossProbability (src/sweep) needs ~100/p trials to pin a loss
 // probability p to 10% relative error: 1e10 trials for p = 1e-8. The
 // importance-sampled estimator here runs the same simulator under a tilted
 // fault measure (src/rare/biased_sampler.h) in which losses are common,

@@ -36,7 +36,7 @@ ReplicaSpec TapeSpec(const DriveSpec& medium, double audits_per_year,
                      double latent_to_visible_ratio = 5.0);
 
 // Generic adapter: a ReplicaSpec from already-derived effective FaultParams
-// (threat-profile compositions, planner-derived options). `params.mdl` is
+// (threat-profile compositions, the frontier's DeriveParams). `params.mdl` is
 // realized as an exponential scrub with mean interval MDL — the memoryless
 // detection process the CTMC models exactly; infinite MDL means no scrub.
 // `params.alpha` is scenario-level and therefore ignored here.

@@ -11,8 +11,8 @@
 //     mutate any replica's field, not just global knobs;
 //   * the exact CTMC bridge (src/scenario/scenario_ctmc.h) scores the
 //     scenarios it can model and rejects the rest with a precise reason;
-//   * the rare-event tuner (src/rare) and the planner (src/planner) accept
-//     Scenarios directly.
+//   * the rare-event tuner (src/rare) accepts Scenarios directly, and the
+//     frontier search (src/frontier) realizes every candidate as one.
 //
 // The paper's §4–§6 argument is that real archives are *not* fleets of
 // identical, independent units: they mix media (disk + tape), ages (batch

@@ -7,7 +7,7 @@
 // partition and the fold order depend only on the trial range — never on the
 // thread count, the lane schedule, or which worker ran which block — the
 // aggregate is bit-identical for any parallelism, which is the determinism
-// contract SweepRunner and the Monte Carlo estimators advertise.
+// contract SweepRunner and its one-cell estimators advertise.
 //
 // Each lane lazily constructs one TrialRunner per job (simulator + system +
 // rng, reused across all of that job's blocks the lane executes), preserving
@@ -36,8 +36,8 @@ namespace longstore {
 inline constexpr int64_t kTrialBlockSize = 256;
 
 // One contiguous trial range executed for one job. `blocks` is sized and
-// filled by RunTrialBlocks; entries are in ascending trial order and must be
-// folded in that order by the caller.
+// filled by RunTrialBlockSpans; entries are in ascending trial order and
+// must be folded in that order by the caller.
 template <typename Accumulator>
 struct TrialBatchJob {
   const Scenario* scenario = nullptr;  // pre-validated by the caller
@@ -121,22 +121,6 @@ void RunTrialBlockSpans(WorkerPool& pool, int lanes,
       }
     }
   });
-}
-
-// Per-trial convenience wrapper: runs body(runner, job_index, trial_index,
-// block_accumulator) for every trial of every job, on top of the block-span
-// executor above (same partition, same fold order, same determinism
-// contract).
-template <typename Accumulator, typename Body>
-void RunTrialBlocks(WorkerPool& pool, int lanes,
-                    std::vector<TrialBatchJob<Accumulator>>& jobs, const Body& body) {
-  RunTrialBlockSpans(pool, lanes, jobs,
-                     [&body](TrialRunner& runner, size_t job, int64_t begin,
-                             int64_t end, Accumulator& acc) {
-                       for (int64_t t = begin; t < end; ++t) {
-                         body(runner, job, t, acc);
-                       }
-                     });
 }
 
 }  // namespace longstore

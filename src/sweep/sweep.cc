@@ -721,6 +721,54 @@ SweepResult SweepRunner::Run(const SweepSpec& spec, const SweepOptions& options)
                             options.mc.confidence);
 }
 
+// --- one-cell estimators ---------------------------------------------------
+
+namespace {
+
+SweepCellResult RunOneCell(const Scenario& scenario, const McConfig& mc,
+                           SweepOptions options) {
+  options.mc = mc;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  return std::move(SweepRunner().Run(SweepSpec(scenario), options).cells.front());
+}
+
+}  // namespace
+
+MttdlEstimate EstimateMttdl(const Scenario& scenario, const McConfig& mc) {
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kMttdl;
+  return *RunOneCell(scenario, mc, options).mttdl;
+}
+
+LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
+                                                Duration mission, const McConfig& mc) {
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = mission;
+  return *RunOneCell(scenario, mc, options).loss;
+}
+
+CensoredMttdlEstimate EstimateMttdlCensored(const Scenario& scenario, Duration window,
+                                            const McConfig& mc) {
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kCensoredMttdl;
+  options.window = window;
+  return *RunOneCell(scenario, mc, options).censored;
+}
+
+MttdlEstimate EstimateMttdlToPrecision(const Scenario& scenario, McConfig mc,
+                                       double relative_precision, int64_t max_trials) {
+  if (!(relative_precision > 0.0)) {
+    throw std::invalid_argument("relative_precision must be positive");
+  }
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kMttdl;
+  options.adaptive = true;
+  options.relative_precision = relative_precision;
+  options.max_trials = max_trials;  // validated (positive) by SweepRunner::Run
+  return *RunOneCell(scenario, mc, options).mttdl;
+}
+
 // --- SweepResult -----------------------------------------------------------
 
 const SweepCellResult& SweepResult::ByLabel(const std::string& label) const {

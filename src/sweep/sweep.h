@@ -46,14 +46,72 @@
 #include <utility>
 #include <vector>
 
-#include "src/mc/monte_carlo.h"
 #include "src/rare/biased_sampler.h"
 #include "src/scenario/scenario.h"
+#include "src/storage/metrics.h"
+#include "src/storage/replicated_system.h"
 #include "src/sweep/accumulator.h"
 #include "src/sweep/worker_pool.h"
+#include "src/util/stats.h"
 #include "src/util/table.h"
+#include "src/util/units.h"
 
 namespace longstore {
+
+// Trial volume and seeding of one estimate (SweepOptions::mc).
+struct McConfig {
+  int64_t trials = 10000;
+  uint64_t seed = 0x10ca1c0ffee;
+  // Caps the worker-pool lanes used for this estimate; 0 = all pool workers
+  // (hardware concurrency). Never changes results, only wall clock.
+  int threads = 0;
+  // Safety cap per MTTDL trial; trials that survive this long are censored
+  // (counted, and a lower-bound estimate is reported).
+  Duration max_trial_time = Duration::Years(100.0e6);
+  double confidence = 0.95;
+};
+
+// --- per-estimand results (one per SweepOptions::Estimand) -----------------
+
+struct MttdlEstimate {
+  // Over uncensored trials; values in years.
+  RunningStats loss_time_years;
+  int64_t censored_trials = 0;
+  Interval ci_years;  // normal-approximation CI on the mean
+
+  SimMetrics aggregate_metrics;
+
+  double mean_years() const { return loss_time_years.mean(); }
+};
+
+struct LossProbabilityEstimate {
+  int64_t trials = 0;
+  int64_t losses = 0;
+  Interval wilson_ci;
+  SimMetrics aggregate_metrics;
+
+  double probability() const {
+    return trials > 0 ? static_cast<double>(losses) / static_cast<double>(trials) : 0.0;
+  }
+};
+
+// Censored (type-I) MTTDL: every trial runs for at most the window, and the
+// exponential maximum-likelihood estimator
+//   MTTDL ≈ total observed time / number of losses
+// is applied. Trials cost O(window) regardless of MTTDL, which makes
+// millennia-scale archives affordable. Valid when the time-to-loss is
+// approximately exponential, i.e. the window exceeds the chain's mixing
+// time — true in every rare-loss regime this library targets.
+struct CensoredMttdlEstimate {
+  int64_t trials = 0;
+  int64_t losses = 0;
+  double observed_years = 0.0;  // total time at risk across trials
+  Duration mttdl = Duration::Infinite();
+  // CI from the Poisson uncertainty on the loss count; hi is infinite when
+  // no losses were observed (the estimate is then a lower bound).
+  Interval ci_years;
+  SimMetrics aggregate_metrics;
+};
 
 // Importance-sampled mission-loss probability (Estimand::
 // kWeightedLossProbability): trials run under the FaultBias change of
@@ -421,6 +479,34 @@ class SweepRunner {
  private:
   WorkerPool* pool_;
 };
+
+// --- one-cell estimators ----------------------------------------------------
+//
+// Each is a one-cell kSharedRoot sweep on WorkerPool::Shared(): the root seed
+// is the cell seed, so trial k draws from DeriveSeed(mc.seed, k), and the
+// block fold makes the estimate bit-identical for any mc.threads.
+
+// Simulates each trial to data loss (or the safety cap) and averages.
+MttdlEstimate EstimateMttdl(const Scenario& scenario, const McConfig& mc);
+
+// Simulates each trial over `mission` and counts losses (paper eq 1's
+// empirical counterpart, e.g. "probability of data loss in 50 years").
+LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
+                                                Duration mission, const McConfig& mc);
+
+// Runs trials in geometrically growing rounds (mc.trials, then x4 per
+// round) until the CI half-width falls below `relative_precision` of the
+// mean or `max_trials` is reached, and returns the final estimate. Rounds
+// accumulate: trials from earlier rounds are kept (the trial-index stream
+// simply extends), so reaching precision p costs exactly the trials the
+// final estimate is built from — not a fresh restart per round.
+MttdlEstimate EstimateMttdlToPrecision(const Scenario& scenario, McConfig mc,
+                                       double relative_precision, int64_t max_trials);
+
+// The censored MLE over `window` (CensoredMttdlEstimate): far cheaper than
+// EstimateMttdl when MTTDL greatly exceeds a feasible trial length.
+CensoredMttdlEstimate EstimateMttdlCensored(const Scenario& scenario,
+                                            Duration window, const McConfig& mc);
 
 }  // namespace longstore
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/mc/monte_carlo.h"
 #include "src/sweep/sweep.h"
 
 namespace longstore {

@@ -4,11 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/mc/monte_carlo.h"
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
 #include "src/scenario/media.h"
+#include "src/sweep/sweep.h"
 
 namespace longstore {
 namespace {

@@ -600,10 +600,11 @@ TEST(FleetRecoveryTest, SweepFleetBinaryMatchesSingleAndSignalsPartial) {
 }
 
 // --threads sets the lanes of a --single run too, which never moves its
-// bytes. Every numeric flag of sweep_fleet and sweep_serviced is parsed
-// strictly: a non-numeric, partly numeric or out-of-range value is a usage
-// error rather than a silent default — "--timeout-s=-1" must not switch
-// hang protection off, "--shards=3x" must not run 3 shards.
+// bytes. Every numeric flag of sweep_fleet, sweep_serviced, sweep_worker,
+// sweep_client and frontier_plan is parsed strictly: a non-numeric, partly
+// numeric or out-of-range value is a usage error rather than a silent
+// default — "--timeout-s=-1" must not switch hang protection off,
+// "--shards=3x" must not run 3 shards, "--seed=abc" must not mean seed 0.
 TEST(FleetRecoveryTest, SweepFleetSingleHonorsAndValidatesThreads) {
   TempDir dir;
   const auto run = [&](const std::string& command, const std::string& name) {
@@ -629,10 +630,18 @@ TEST(FleetRecoveryTest, SweepFleetSingleHonorsAndValidatesThreads) {
   };
   const std::string serviced =
       std::string(LONGSTORE_SWEEP_SERVICED) + " --stdio --max-requests=1";
+  // Each bad value exits before reading the shard or touching the socket.
+  const std::string worker = std::string(LONGSTORE_SWEEP_WORKER) + " --shard=-";
+  const std::string client = std::string(LONGSTORE_SWEEP_CLIENT) + " --socket=" +
+                             dir.path() + "/none.sock --cheetah";
+  const std::string frontier =
+      std::string(LONGSTORE_FRONTIER_PLAN) + " --golden-small --format=json";
   const std::vector<std::string> count = {"abc", "", "3x", "0", "1.5"};
   const std::vector<std::string> non_negative = {"abc", "", "3x", "-1", "1.5"};
   const std::vector<std::string> seconds = {"abc", "", "3x", "-1", "nan", "inf"};
+  const std::vector<std::string> positive = {"abc", "", "3x", "-1", "0", "nan", "inf"};
   const std::vector<std::string> seed = {"abc", "", "3x", "-1"};
+  const std::vector<std::string> probability = {"abc", "", "3x", "-0.5", "1.5", "nan"};
   const std::vector<BadValues> table = {
       {fleet, "--threads", non_negative},
       {fleet, "--shards", count},
@@ -643,7 +652,7 @@ TEST(FleetRecoveryTest, SweepFleetSingleHonorsAndValidatesThreads) {
       {fleet, "--trials", count},
       {fleet, "--seed", seed},
       {fleet, "--mission-years", seconds},
-      {fleet, "--fail-prob", {"abc", "", "3x", "-0.5", "1.5", "nan"}},
+      {fleet, "--fail-prob", probability},
       {fleet, "--fail-seed", seed},
       {serviced, "--shards", count},
       {serviced, "--max-parallel", count},
@@ -651,6 +660,20 @@ TEST(FleetRecoveryTest, SweepFleetSingleHonorsAndValidatesThreads) {
       {serviced, "--timeout-s", seconds},
       {serviced, "--cache-capacity", count},
       {serviced, "--max-requests", non_negative},
+      {worker, "--threads", non_negative},
+      {worker, "--fail-prob", probability},
+      {worker, "--fail-seed", seed},
+      {worker, "--fail-nonce", seed},
+      {client, "--precision", positive},
+      {client, "--max-trials", count},
+      {frontier, "--trials", count},
+      {frontier, "--seed", seed},
+      {frontier, "--threads", non_negative},
+      {frontier, "--mission-years", positive},
+      {frontier, "--target-loss", positive},
+      {frontier, "--budget", positive},
+      {frontier, "--archive-gb", positive},
+      {frontier, "--migrate-at", {"abc", "", "10,abc", "10,", "10,-5", "3x"}},
   };
   for (const BadValues& entry : table) {
     for (const std::string& bad : entry.values) {

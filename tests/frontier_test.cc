@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 #include "src/frontier/eval_backend.h"
+#include "src/scenario/media.h"
 #include "src/scenario/scenario_ctmc.h"
 #include "src/service/sweep_service.h"
 #include "src/sweep/worker_pool.h"
@@ -118,16 +121,9 @@ TEST(FrontierTest, ForcedSimulationAgreesWithExactCtmcWithinCi) {
   EXPECT_EQ(point.method, "simulated");
   EXPECT_GT(point.trials, 0);
 
-  StrategyOption option;
-  option.drive = space.media[0];
-  option.replicas = 2;
-  option.audits_per_year = 12.0;
-  option.deployment = DeploymentStyle::kFullyDiverse;
-  PlannerConfig config;
-  config.mission = FastTarget().mission;
-  const auto exact =
-      ScenarioCtmcLossProbability(PlannerScenario(option, config),
-                                  config.mission);
+  const auto exact = ScenarioCtmcLossProbability(
+      PhaseScenario(point.candidate.phases[0], point.candidate.deployment, space),
+      FastTarget().mission);
   ASSERT_TRUE(exact.has_value());
   EXPECT_LE(point.ci_lo, *exact);
   EXPECT_GE(point.ci_hi, *exact);
@@ -244,14 +240,16 @@ TEST(FrontierTest, MigrationSchedulesComposeAcrossPhases) {
 TEST(FrontierTest, EvaluatorMemoServesRepeats) {
   PoolEvalBackend backend;
   FrontierEvaluator evaluator(FastOptions(), &backend);
-  StrategyOption option;
-  option.drive = Lto3TapeCartridge();
-  option.replicas = 2;
-  option.audits_per_year = 4.0;
-  option.deployment = DeploymentStyle::kFullyDiverse;
-  PlannerConfig config;
-  config.scrub_realization = ScrubRealization::kPeriodic;
-  const Scenario scenario = PlannerScenario(option, config);
+  // A deterministic periodic scrub at interval 2*MDL (the derived
+  // exponential scrub's mean detection latency) is outside the CTMC's state
+  // space, so the evaluator simulates it.
+  const FaultParams params = DeriveParams(
+      Lto3TapeCartridge(), 2, 4.0, DeploymentStyle::kFullyDiverse, FrontierSpace{});
+  ReplicaSpec spec = SpecFromParams(params, Lto3TapeCartridge().model);
+  spec.ScrubWith(ScrubPolicy::Periodic(Duration::Hours(2.0 * params.mdl.hours())));
+  const Scenario scenario =
+      ScenarioBuilder().Replicas(2, std::move(spec)).Correlation(params.alpha).Build();
+  ASSERT_TRUE(CtmcIncompatibility(scenario).has_value());
 
   const auto first = evaluator.EvaluateScenario(scenario, Duration::Years(50));
   const auto second = evaluator.EvaluateScenario(scenario, Duration::Years(50));
@@ -263,50 +261,6 @@ TEST(FrontierTest, EvaluatorMemoServesRepeats) {
   const auto other = evaluator.EvaluateScenario(scenario, Duration::Years(20));
   EXPECT_EQ(other.source, "computed");
   EXPECT_EQ(evaluator.stats().memo_hits, 1);
-}
-
-TEST(FrontierTest, DroppedPlannerOptionsRouteThroughSimulation) {
-  // Satellite contract: a periodic-scrub planner config drops options with
-  // the precise CtmcIncompatibility reason, and EvaluateDroppedOption scores
-  // them through the frontier pipeline instead of discarding them.
-  PlannerConfig config;
-  config.drive_choices = {SeagateBarracuda200Gb()};
-  config.replica_choices = {2};
-  config.audit_choices = {12.0};
-  config.deployment_choices = {DeploymentStyle::kFullyDiverse};
-  config.scrub_realization = ScrubRealization::kPeriodic;
-
-  const PlannerReport report = EvaluateAllOptionsWithReport(config);
-  ASSERT_EQ(report.evaluated.size(), 0u);
-  ASSERT_EQ(report.dropped.size(), 1u);
-  const DroppedOption& dropped = report.dropped[0];
-  EXPECT_FALSE(dropped.ctmc_incompatibility.empty());
-
-  PoolEvalBackend backend;
-  FrontierOptions options = FastOptions();
-  options.trials = 2000;
-  FrontierEvaluator evaluator(options, &backend);
-  const EvaluatedOption evaluated =
-      EvaluateDroppedOption(dropped, config, evaluator);
-  EXPECT_GT(evaluated.loss_probability, 0.0);
-  EXPECT_LT(evaluated.loss_probability, 1.0);
-  EXPECT_GT(evaluated.mttdl.hours(), 0.0);
-  EXPECT_FALSE(evaluated.mttdl.is_infinite());
-  EXPECT_DOUBLE_EQ(
-      evaluated.annual_cost_usd,
-      AnnualSystemCost(dropped.option.drive, config.archive_gb,
-                       dropped.option.replicas,
-                       dropped.option.audits_per_year, config.costs));
-
-  // The periodic realization detects latent faults no worse on average than
-  // the exponential one — the simulated estimate must land within an order
-  // of magnitude of the exact exponential-scrub answer.
-  PlannerConfig exponential = config;
-  exponential.scrub_realization = ScrubRealization::kExponentialAtMdl;
-  const EvaluatedOption reference =
-      EvaluateOption(report.dropped[0].option, exponential);
-  EXPECT_GT(evaluated.loss_probability, reference.loss_probability * 0.1);
-  EXPECT_LT(evaluated.loss_probability, reference.loss_probability * 10.0);
 }
 
 TEST(FrontierTest, ResultJsonParsesAndMirrorsThePoints) {
@@ -324,6 +278,80 @@ TEST(FrontierTest, ResultJsonParsesAndMirrorsThePoints) {
     ASSERT_NE(loss, nullptr);
     EXPECT_EQ(loss->number, result.points[i].loss_probability);
   }
+}
+
+// --- candidate realization (DeriveParams, PhaseScenario) -------------------
+
+// Scores one homogeneous single-phase design through the search: the exact
+// CTMC screen for its loss probability, the cost model for its price.
+FrontierPoint ScoreDesign(const DriveSpec& drive, int replicas, double audits,
+                          DeploymentStyle deployment) {
+  FrontierSpace space;
+  space.media = {drive};
+  space.replica_choices = {replicas};
+  space.audit_choices = {audits};
+  space.deployment_choices = {deployment};
+  PoolEvalBackend backend;
+  FrontierEvaluator evaluator(FastOptions(), &backend);
+  FrontierResult result = RunFrontierSearch(FastTarget(), space, evaluator);
+  EXPECT_EQ(result.points.size(), 1u);
+  EXPECT_EQ(result.points.at(0).method, "ctmc");
+  return std::move(result.points.at(0));
+}
+
+TEST(FrontierTest, DeriveParamsUsesDeploymentAlpha) {
+  const FrontierSpace space;
+  const auto alpha = [&](DeploymentStyle deployment) {
+    return DeriveParams(SeagateBarracuda200Gb(), 2, 12.0, deployment, space).alpha;
+  };
+  EXPECT_DOUBLE_EQ(alpha(DeploymentStyle::kFullyDiverse), 1.0);
+  const double single = alpha(DeploymentStyle::kSingleSite);
+  const double geo = alpha(DeploymentStyle::kGeoReplicatedSameAdmin);
+  EXPECT_LT(single, 0.05);
+  EXPECT_GT(geo, single);
+  EXPECT_LT(geo, 1.0);
+}
+
+TEST(FrontierTest, DeriveParamsForTapeUsesOfflineModel) {
+  const FaultParams p = DeriveParams(Lto3TapeCartridge(), 2, 4.0,
+                                     DeploymentStyle::kFullyDiverse, FrontierSpace{});
+  // Off-line repair pays retrieval: MRV far above any disk rebuild.
+  EXPECT_GT(p.mrv.hours(), 24.0);
+  EXPECT_FALSE(p.Validate().has_value());
+}
+
+TEST(FrontierTest, IndependenceAuditsAndReplicasEachLowerLoss) {
+  const DriveSpec disk = SeagateBarracuda200Gb();
+  const FrontierPoint base = ScoreDesign(disk, 2, 12.0, DeploymentStyle::kFullyDiverse);
+
+  // §5.5's headline: the same hardware, differently deployed, is orders of
+  // magnitude more reliable.
+  const FrontierPoint single = ScoreDesign(disk, 2, 12.0, DeploymentStyle::kSingleSite);
+  EXPECT_LT(base.loss_probability, single.loss_probability / 10.0);
+
+  const FrontierPoint unaudited =
+      ScoreDesign(disk, 2, 0.0, DeploymentStyle::kFullyDiverse);
+  EXPECT_LT(base.loss_probability, unaudited.loss_probability / 10.0);
+  EXPECT_GT(base.annual_cost_usd, unaudited.annual_cost_usd);  // audits are not free
+
+  const FrontierPoint three = ScoreDesign(disk, 3, 12.0, DeploymentStyle::kFullyDiverse);
+  EXPECT_LT(three.loss_probability, base.loss_probability);
+  EXPECT_NEAR(three.annual_cost_usd / base.annual_cost_usd, 1.5, 1e-9);
+}
+
+TEST(FrontierTest, DescribeNamesFleetCadenceAndDeployment) {
+  FrontierCandidate candidate;
+  candidate.phases.push_back(
+      FrontierPhase{50.0, {SeagateBarracuda200Gb(), SeagateBarracuda200Gb()}, 12.0});
+  EXPECT_EQ(candidate.Describe(),
+            "Seagate Barracuda ST3200822A x2, 12 audits/y, fully diverse");
+  EXPECT_EQ(DeploymentStyleName(DeploymentStyle::kSingleSite), "single site");
+}
+
+TEST(FrontierTest, EmptyPhaseThrows) {
+  EXPECT_THROW(
+      PhaseScenario(FrontierPhase{}, DeploymentStyle::kFullyDiverse, FrontierSpace{}),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "src/mc/monte_carlo.h"
+#include "src/sweep/sweep.h"
 
 #include <cmath>
 

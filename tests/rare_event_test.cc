@@ -15,11 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/mc/monte_carlo.h"
 #include "src/model/replica_ctmc.h"
 #include "src/rare/pinned_configs.h"
 #include "src/rare/rare_event.h"
 #include "src/scenario/media.h"
+#include "src/sweep/sweep.h"
 #include "src/util/stats.h"
 
 namespace longstore {

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/mc/monte_carlo.h"
 #include "src/rare/rare_event.h"
 #include "src/scenario/media.h"
 #include "src/scenario/scenario.h"

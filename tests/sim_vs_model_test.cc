@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/mc/monte_carlo.h"
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/scenario/media.h"
+#include "src/sweep/sweep.h"
 
 namespace longstore {
 namespace {

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/mc/monte_carlo.h"
 #include "src/storage/replicated_system.h"
+#include "src/sweep/sweep.h"
 
 namespace longstore {
 namespace {

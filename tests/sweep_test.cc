@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/mc/monte_carlo.h"
 
 namespace longstore {
 namespace {

@@ -36,13 +36,21 @@
 // canonical FrontierResult and are byte-identical across thread counts,
 // backends, and candidate enumeration order. --explain adds the per-point
 // cost component breakdown to table/csv. Exit 0 = ok, 1 = error.
+//
+// Every numeric flag is parsed strictly (tools/numeric_flags.h): years,
+// probabilities, dollars, gigabytes and trial counts must be positive,
+// --threads non-negative (0 = all pool workers), --seed an unsigned
+// integer. Anything else — "abc", "3x", "-1", "nan", a bad --migrate-at
+// entry — prints the usage and exits 1.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/frontier/eval_backend.h"
@@ -50,6 +58,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sweep/worker_pool.h"
+#include "tools/numeric_flags.h"
 
 namespace longstore {
 namespace {
@@ -67,21 +76,24 @@ int Usage(const char* argv0) {
   return 1;
 }
 
-std::vector<double> ParseYearList(const std::string& text) {
-  std::vector<double> years;
+// "Y1,Y2,...": every entry a positive number of years.
+bool ParseYearList(const std::string& text, std::vector<double>* years) {
+  years->clear();
   size_t start = 0;
   while (start <= text.size()) {
     size_t comma = text.find(',', start);
     if (comma == std::string::npos) {
       comma = text.size();
     }
-    const std::string token = text.substr(start, comma - start);
-    if (!token.empty()) {
-      years.push_back(std::atof(token.c_str()));
+    double year = 0.0;
+    if (!ParseDoubleFlag(text.substr(start, comma - start).c_str(),
+                         kPositiveDouble, &year)) {
+      return false;
     }
+    years->push_back(year);
     start = comma + 1;
   }
-  return years;
+  return true;
 }
 
 int Run(int argc, char** argv) {
@@ -94,13 +106,14 @@ int Run(int argc, char** argv) {
   std::string format = "table";
   std::string metrics_out;
   std::string trace_out;
-  std::string migrate_at;
+  std::vector<double> migration_years;
+  // 0 (or, for the seed, nullopt) = keep the search's default.
   double mission_years = 0.0;
   double target_loss = 0.0;
   double budget = 0.0;
   double archive_gb = 0.0;
-  long trials = 0;
-  long seed = -1;
+  int64_t trials = 0;
+  std::optional<uint64_t> seed;
   int threads = 0;
 
   const auto long_arg = [](const char* arg, const char* name,
@@ -135,21 +148,39 @@ int Run(int argc, char** argv) {
     } else if (long_arg(arg, "--trace-out", &value)) {
       trace_out = value;
     } else if (long_arg(arg, "--migrate-at", &value)) {
-      migrate_at = value;
+      if (!ParseYearList(value, &migration_years)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--mission-years", &value)) {
-      mission_years = std::atof(value);
+      if (!ParseDoubleFlag(value, kPositiveDouble, &mission_years)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--target-loss", &value)) {
-      target_loss = std::atof(value);
+      if (!ParseDoubleFlag(value, kPositiveDouble, &target_loss)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--budget", &value)) {
-      budget = std::atof(value);
+      if (!ParseDoubleFlag(value, kPositiveDouble, &budget)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--archive-gb", &value)) {
-      archive_gb = std::atof(value);
+      if (!ParseDoubleFlag(value, kPositiveDouble, &archive_gb)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--trials", &value)) {
-      trials = std::atol(value);
+      if (!ParseIntFlag(value, int64_t{1}, &trials)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--seed", &value)) {
-      seed = std::atol(value);
+      uint64_t parsed = 0;
+      if (!ParseUint64Flag(value, &parsed)) {
+        return Usage(argv[0]);
+      }
+      seed = parsed;
     } else if (long_arg(arg, "--threads", &value)) {
-      threads = std::atoi(value);
+      if (!ParseIntFlag(value, 0, &threads)) {
+        return Usage(argv[0]);
+      }
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg);
       return Usage(argv[0]);
@@ -196,14 +227,14 @@ int Run(int argc, char** argv) {
   if (mixed_media) {
     space.mixed_media = true;
   }
-  if (!migrate_at.empty()) {
-    space.migration_years = ParseYearList(migrate_at);
+  if (!migration_years.empty()) {
+    space.migration_years = std::move(migration_years);
   }
   if (trials > 0) {
     options.trials = trials;
   }
-  if (seed >= 0) {
-    options.seed = static_cast<uint64_t>(seed);
+  if (seed) {
+    options.seed = *seed;
   }
   options.force_simulation = force_simulation;
 

@@ -29,6 +29,10 @@ bool ParseIntFlag(const char* text, Int min, Int* out) {
   return true;
 }
 
+// ParseDoubleFlag's `min` for a value that must be > 0.
+inline constexpr double kPositiveDouble =
+    std::numeric_limits<double>::denorm_min();
+
 // A finite number >= min.
 inline bool ParseDoubleFlag(const char* text, double min, double* out) {
   errno = 0;

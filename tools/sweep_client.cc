@@ -16,6 +16,9 @@
 //                        (with --cheetah; turns the golden sweep adaptive)
 //   --max-trials=N       adaptive trial cap            (default 1000000)
 //
+// --precision must be a positive number and --max-trials a positive integer
+// (tools/numeric_flags.h); anything else prints the usage and exits 1.
+//
 // Probes:
 //   --ping / --stats     liveness / cache counters (JSON on stdout)
 //   --metrics            the daemon's canonical MetricsSnapshot (JSON on
@@ -31,16 +34,19 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
+#include "src/obs/trace.h"
 #include "src/service/service_protocol.h"
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
 #include "tools/figure_sweeps.h"
+#include "tools/numeric_flags.h"
 
 namespace longstore {
 namespace {
@@ -52,25 +58,6 @@ int Usage(const char* argv0) {
                "  [--precision=P] [--max-trials=N] [--expect-source=S]\n",
                argv0);
   return 1;
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw std::runtime_error("cannot open shard file '" + path + "'");
-  }
-  std::string out;
-  char buffer[1 << 16];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    out.append(buffer, n);
-  }
-  const bool bad = std::ferror(file) != 0;
-  std::fclose(file);
-  if (bad) {
-    throw std::runtime_error("failed to read shard file '" + path + "'");
-  }
-  return out;
 }
 
 int Connect(const std::string& socket_path) {
@@ -101,8 +88,8 @@ int Main(int argc, char** argv) {
   bool ping = false;
   bool stats = false;
   bool metrics = false;
-  double precision = 0.0;
-  long max_trials = 1000000;
+  double precision = 0.0;  // 0 = not adaptive
+  int64_t max_trials = 1000000;
 
   const auto long_arg = [](const char* arg, const char* name,
                            const char** value) {
@@ -130,9 +117,13 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--shard", &value)) {
       shard_file = value;
     } else if (long_arg(arg, "--precision", &value)) {
-      precision = std::atof(value);
+      if (!ParseDoubleFlag(value, kPositiveDouble, &precision)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--max-trials", &value)) {
-      max_trials = std::atol(value);
+      if (!ParseIntFlag(value, int64_t{1}, &max_trials)) {
+        return Usage(argv[0]);
+      }
     } else if (long_arg(arg, "--expect-source", &value)) {
       expect_source = value;
     } else {
@@ -157,7 +148,10 @@ int Main(int argc, char** argv) {
   } else {
     request.kind = ServiceRequest::Kind::kSweep;
     if (!shard_file.empty()) {
-      request.sweep_document = ReadWholeFile(shard_file);
+      std::string error;
+      if (!obs::ReadWholeFile(shard_file, &request.sweep_document, &error)) {
+        throw std::runtime_error("shard file: " + error);
+      }
     } else {
       SweepSpec spec;
       SweepOptions options;

@@ -65,6 +65,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -121,23 +122,13 @@ void WriteTelemetry(const std::string& metrics_out, obs::TraceJournal& journal,
   }
 }
 
-std::string ReadWholeFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw std::runtime_error("cannot open scenario file '" + path + "'");
+std::string ReadScenarioFile(const std::string& path) {
+  std::string text;
+  std::string error;
+  if (!obs::ReadWholeFile(path, &text, &error)) {
+    throw std::runtime_error("scenario file: " + error);
   }
-  std::string out;
-  char buffer[1 << 16];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    out.append(buffer, n);
-  }
-  const bool bad = std::ferror(file) != 0;
-  std::fclose(file);
-  if (bad) {
-    throw std::runtime_error("failed to read scenario file '" + path + "'");
-  }
-  return out;
+  return text;
 }
 
 void PrintResult(const SweepResult& result, const std::string& format,
@@ -309,10 +300,10 @@ int Main(int argc, char** argv) {
   if (cheetah) {
     BuildCheetahSweep(&spec, &options);
   } else {
-    Scenario base = Scenario::FromJson(ReadWholeFile(scenario_files.front()));
+    Scenario base = Scenario::FromJson(ReadScenarioFile(scenario_files.front()));
     spec = SweepSpec(base);
     for (const std::string& path : scenario_files) {
-      spec.AddCell(path, Scenario::FromJson(ReadWholeFile(path)));
+      spec.AddCell(path, Scenario::FromJson(ReadScenarioFile(path)));
     }
     options.estimand = estimand == "loss"
                            ? SweepOptions::Estimand::kLossProbability

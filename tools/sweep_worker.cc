@@ -34,6 +34,10 @@
 // Exit status: 0 on success, 1 on any error (malformed shard, invalid
 // scenario, I/O failure), with a one-line diagnostic on stderr — shard
 // drivers treat a non-zero worker as a failed shard and may reassign it.
+// Numeric flags are parsed strictly (tools/numeric_flags.h): a value that
+// is not wholly a number in range ("abc", "3x", a negative --threads or
+// --fail-seed, a --fail-prob outside [0, 1] or NaN) prints the usage and
+// exits 1.
 
 #include <unistd.h>
 
@@ -49,6 +53,7 @@
 #include "src/shard/shard.h"
 #include "src/sweep/worker_pool.h"
 #include "src/util/random.h"
+#include "tools/numeric_flags.h"
 
 namespace {
 
@@ -68,19 +73,6 @@ int Usage(const char* argv0) {
       "                 the fault fires when hash(S, shard_index, N) < P\n",
       argv0);
   return 1;
-}
-
-std::string ReadAll(std::FILE* file) {
-  std::string out;
-  char buffer[1 << 16];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    out.append(buffer, n);
-  }
-  if (std::ferror(file)) {
-    throw std::runtime_error("failed to read the shard file");
-  }
-  return out;
 }
 
 // Thin throwing shim over the shared atomic-write path (obs::WriteFileAtomic:
@@ -130,7 +122,7 @@ int main(int argc, char** argv) {
   const char* shard_path = nullptr;
   const char* out_path = nullptr;
   const char* metrics_out = nullptr;
-  long threads = 0;
+  int threads = 0;
   FailPlan fail;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -141,9 +133,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
       metrics_out = arg + 14;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      char* end = nullptr;
-      threads = std::strtol(arg + 10, &end, 10);
-      if (end == arg + 10 || *end != '\0' || threads < 0) {
+      if (!longstore::ParseIntFlag(arg + 10, 0, &threads)) {
         return Usage(argv[0]);
       }
     } else if (std::strncmp(arg, "--fail-mode=", 12) == 0) {
@@ -154,21 +144,16 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (std::strncmp(arg, "--fail-prob=", 12) == 0) {
-      char* end = nullptr;
-      fail.prob = std::strtod(arg + 12, &end);
-      if (end == arg + 12 || *end != '\0') {
+      if (!longstore::ParseDoubleFlag(arg + 12, 0.0, &fail.prob) ||
+          fail.prob > 1.0) {
         return Usage(argv[0]);
       }
     } else if (std::strncmp(arg, "--fail-seed=", 12) == 0) {
-      char* end = nullptr;
-      fail.seed = std::strtoull(arg + 12, &end, 0);
-      if (end == arg + 12 || *end != '\0') {
+      if (!longstore::ParseUint64Flag(arg + 12, &fail.seed)) {
         return Usage(argv[0]);
       }
     } else if (std::strncmp(arg, "--fail-nonce=", 13) == 0) {
-      char* end = nullptr;
-      fail.nonce = std::strtoull(arg + 13, &end, 0);
-      if (end == arg + 13 || *end != '\0') {
+      if (!longstore::ParseUint64Flag(arg + 13, &fail.nonce)) {
         return Usage(argv[0]);
       }
     } else {
@@ -181,20 +166,15 @@ int main(int argc, char** argv) {
 
   try {
     std::string text;
-    if (std::strcmp(shard_path, "-") == 0) {
-      text = ReadAll(stdin);
-    } else {
-      std::FILE* file = std::fopen(shard_path, "rb");
-      if (file == nullptr) {
-        throw std::runtime_error(std::string("cannot open shard file '") +
-                                 shard_path + "'");
-      }
-      text = ReadAll(file);
-      std::fclose(file);
+    std::string error;
+    if (!longstore::obs::ReadWholeFile(
+            std::strcmp(shard_path, "-") == 0 ? "/dev/stdin" : shard_path, &text,
+            &error)) {
+      throw std::runtime_error("shard file: " + error);
     }
 
     longstore::ShardSpec shard = longstore::ShardSpec::FromJson(text, shard_path);
-    shard.options.mc.threads = static_cast<int>(threads);
+    shard.options.mc.threads = threads;
     fail.armed = fail.mode != nullptr && DecideFault(fail, shard.shard_index);
 
     if (fail.armed && std::strcmp(fail.mode, "flaky") == 0) {

@@ -30,9 +30,11 @@
 #include <cstring>
 #include <exception>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/util/json.h"
 
 namespace longstore {
@@ -41,25 +43,6 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr, "usage: %s --journal=FILE\n", argv0);
   return 1;
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw std::runtime_error("cannot open journal '" + path + "'");
-  }
-  std::string out;
-  char buffer[1 << 16];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    out.append(buffer, n);
-  }
-  const bool bad = std::ferror(file) != 0;
-  std::fclose(file);
-  if (bad) {
-    throw std::runtime_error("failed to read journal '" + path + "'");
-  }
-  return out;
 }
 
 // Tolerant field access: trace events grow fields without a schema bump, so
@@ -122,7 +105,11 @@ int Main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  const std::string text = ReadWholeFile(journal_path);
+  std::string text;
+  std::string error;
+  if (!obs::ReadWholeFile(journal_path, &text, &error)) {
+    throw std::runtime_error("journal: " + error);
+  }
 
   std::map<int64_t, UnitTimeline> units;
   std::vector<std::string> fleet_lines;    // plan/done/partial
