@@ -84,12 +84,14 @@ class CountingClient : public SimClient {
   int64_t fired_ = 0;
 };
 
-// Canonical engine measurement: steady-state schedule/fire throughput on a
-// warm (Reset-reused) engine — the scope the Monte Carlo hot path pays, and
-// the one the allocation-free design targets. NOTE: the seed revision of
-// this benchmark constructed a fresh Simulator per iteration; that scope is
-// preserved separately below as BM_EventQueueScheduleAndRunFreshEngine so
-// the perf trajectory stays interpretable.
+// Steady-state schedule/fire throughput on a warm (Reset-reused) engine,
+// timed on synthetic queues of 1,000 and 100,000 uniformly scheduled events.
+// A Monte Carlo trial keeps only a handful of events pending (see
+// src/sim/README.md), so BM_MirroredTrialToLossReused below is the
+// trial-shaped series. NOTE: the seed revision of this benchmark
+// constructed a fresh Simulator per iteration; that scope is preserved
+// separately below as BM_EventQueueScheduleAndRunFreshEngine so the perf
+// trajectory stays interpretable.
 void BM_EventQueueScheduleAndRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   Rng rng(1);

@@ -34,7 +34,7 @@ void RunAndRender(const char* title, const Scenario& scenario, uint64_t seed,
                   Duration horizon) {
   Simulator sim;
   Rng rng(seed);
-  TraceRecorder trace(true);
+  TraceRecorder trace;
   ReplicatedStorageSystem system(&sim, &rng, scenario, &trace);
   system.Start();
   sim.RunUntil(horizon);

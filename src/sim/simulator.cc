@@ -1,45 +1,31 @@
 #include "src/sim/simulator.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace longstore {
 
-namespace {
-// Shared ordering predicate for the sort calls; must match
-// EventRecord::FiresBefore exactly or the FIFO guarantee breaks.
-constexpr auto kFiresBefore = [](const auto& x, const auto& y) {
-  return x.FiresBefore(y);
-};
-}  // namespace
-
-// The side heap is a 4-ary implicit heap: half the depth of a binary heap,
-// and the four children of a node sit on adjacent cache lines. Hole-based
-// sifts move each record once instead of swapping.
-
-void Simulator::SidePush(const EventRecord& record) {
-  side_.push_back(record);
-  size_t hole = side_.size() - 1;
+void Simulator::HeapPush(const EventRecord& record) {
+  heap_.push_back(record);
+  size_t hole = heap_.size() - 1;
   while (hole > 0) {
     const size_t parent = (hole - 1) / 4;
-    if (!record.FiresBefore(side_[parent])) {
+    if (!record.FiresBefore(heap_[parent])) {
       break;
     }
-    side_[hole] = side_[parent];
+    heap_[hole] = heap_[parent];
     hole = parent;
   }
-  side_[hole] = record;
+  heap_[hole] = record;
 }
 
-void Simulator::SidePopTop() {
-  const EventRecord moved = side_.back();
-  side_.pop_back();
-  if (side_.empty()) {
+void Simulator::HeapPopTop() {
+  const EventRecord moved = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) {
     return;
   }
-  const size_t size = side_.size();
+  const size_t size = heap_.size();
   size_t hole = 0;
   for (;;) {
     const size_t first_child = hole * 4 + 1;
@@ -49,90 +35,17 @@ void Simulator::SidePopTop() {
     size_t best = first_child;
     const size_t last_child = first_child + 4 <= size ? first_child + 4 : size;
     for (size_t child = first_child + 1; child < last_child; ++child) {
-      if (side_[child].FiresBefore(side_[best])) {
+      if (heap_[child].FiresBefore(heap_[best])) {
         best = child;
       }
     }
-    if (!side_[best].FiresBefore(moved)) {
+    if (!heap_[best].FiresBefore(moved)) {
       break;
     }
-    side_[hole] = side_[best];
+    heap_[hole] = heap_[best];
     hole = best;
   }
-  side_[hole] = moved;
-}
-
-void Simulator::SpillFrom(std::vector<EventRecord>& src) {
-  current_run_.clear();
-  run_pos_ = 0;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const EventRecord& record : src) {
-    lo = record.time_hours < lo ? record.time_hours : lo;
-    hi = record.time_hours > hi ? record.time_hours : hi;
-  }
-  if (!(hi > lo)) {
-    // Zero time spread (or a single record): nothing to partition; the whole
-    // batch becomes the current run. Copy rather than swap so every
-    // container keeps its own high-water capacity (steady-state replays must
-    // never touch the allocator).
-    current_run_.insert(current_run_.end(), src.begin(), src.end());
-    src.clear();
-    std::sort(current_run_.begin(), current_run_.end(), kFiresBefore);
-    buckets_active_ = false;
-    near_end_ = kNoBuckets;
-    return;
-  }
-  if (buckets_.empty()) {
-    buckets_.resize(kNumBuckets);  // one-time; bucket capacity persists
-  }
-  bucket_width_ = (hi - lo) / static_cast<double>(kNumBuckets);
-  bucket_base_ = lo + bucket_width_;  // the [lo, lo + width) slice runs first
-  next_bucket_ = 0;
-  buckets_active_ = true;
-  near_end_ = bucket_base_;
-  for (const EventRecord& record : src) {
-    if (record.time_hours < near_end_) {
-      current_run_.push_back(record);
-      continue;
-    }
-    size_t index = static_cast<size_t>((record.time_hours - bucket_base_) / bucket_width_);
-    if (index >= kNumBuckets) {  // floating-point boundary (time == hi)
-      index = kNumBuckets - 1;
-    }
-    buckets_[index].push_back(record);
-  }
-  src.clear();
-  std::sort(current_run_.begin(), current_run_.end(), kFiresBefore);
-}
-
-bool Simulator::RefillRun() {
-  current_run_.clear();
-  run_pos_ = 0;
-  for (;;) {
-    if (!buckets_active_) {
-      return false;
-    }
-    while (next_bucket_ < kNumBuckets) {
-      std::vector<EventRecord>& bucket = buckets_[next_bucket_];
-      ++next_bucket_;
-      near_end_ = bucket_base_ + static_cast<double>(next_bucket_) * bucket_width_;
-      if (!bucket.empty()) {
-        // Copy + clear (not swap): the bucket keeps its high-water capacity.
-        current_run_.insert(current_run_.end(), bucket.begin(), bucket.end());
-        bucket.clear();
-        std::sort(current_run_.begin(), current_run_.end(), kFiresBefore);
-        return true;
-      }
-    }
-    buckets_active_ = false;
-    near_end_ = kNoBuckets;
-    if (overflow_.empty()) {
-      return false;
-    }
-    SpillFrom(overflow_);  // the earliest record always lands in the run
-    return true;
-  }
+  heap_[hole] = moved;
 }
 
 EventId Simulator::ScheduleAt(Duration t, uint16_t tag, int32_t a, int32_t b) {
@@ -158,34 +71,7 @@ EventId Simulator::ScheduleAt(Duration t, uint16_t tag, int32_t a, int32_t b) {
   s.tag = tag;
   s.a = a;
   s.b = b;
-  const EventRecord record{t.hours(), next_seq_++, slot, s.generation};
-  if (record.time_hours < near_end_) {
-    SidePush(record);
-    // Plain-heap mode outgrew its threshold: partition into buckets. Only
-    // legal once the previous sorted run is fully consumed, which is always
-    // the case when no bucket range is active and pops kept up.
-    if (!buckets_active_ && run_exhausted() && side_.size() > kSpillThreshold) {
-      SpillFrom(side_);  // heap order is irrelevant; SpillFrom re-sorts
-    }
-  } else {
-    // Compare in double before casting: the quotient is unbounded for far
-    // future events, and double->size_t conversion of an out-of-range value
-    // is undefined behavior.
-    const double offset = (record.time_hours - bucket_base_) / bucket_width_;
-    if (offset >= static_cast<double>(kNumBuckets)) {
-      overflow_.push_back(record);
-    } else {
-      size_t index = static_cast<size_t>(offset);
-      if (index < next_bucket_) {
-        index = next_bucket_;  // floating-point boundary: never a drained bucket
-      }
-      if (index >= kNumBuckets) {  // clamped past the last bucket
-        overflow_.push_back(record);
-      } else {
-        buckets_[index].push_back(record);
-      }
-    }
-  }
+  HeapPush(EventRecord{t.hours(), next_seq_++, slot, s.generation});
   ++live_count_;
   return EventId((static_cast<uint64_t>(s.generation) << 32) |
                  (static_cast<uint64_t>(slot) + 1));
@@ -224,50 +110,17 @@ bool Simulator::Cancel(EventId id) {
 }
 
 bool Simulator::Step(Duration horizon) {
-  for (;;) {
-    // Candidate from the sorted run, skipping records cancelled since the
-    // sort (their slot generation moved on).
-    const EventRecord* run_top = nullptr;
-    while (run_pos_ < current_run_.size()) {
-      const EventRecord& record = current_run_[run_pos_];
-      const Slot& s = slots_[record.slot];
-      if (!s.live || s.generation != record.generation) {
-        ++run_pos_;
-        continue;
-      }
-      run_top = &record;
-      break;
-    }
-    // Candidate from the side heap, discarding stale tops the same way.
-    const EventRecord* side_top = nullptr;
-    while (!side_.empty()) {
-      const EventRecord& record = side_.front();
-      const Slot& s = slots_[record.slot];
-      if (!s.live || s.generation != record.generation) {
-        SidePopTop();
-        continue;
-      }
-      side_top = &record;
-      break;
-    }
-    if (run_top == nullptr && side_top == nullptr) {
-      if (!RefillRun()) {
-        return false;
-      }
+  while (!heap_.empty()) {
+    const EventRecord record = heap_.front();
+    const Slot& s = slots_[record.slot];
+    if (!s.live || s.generation != record.generation) {
+      HeapPopTop();  // cancelled since it was pushed: discard
       continue;
     }
-    const bool from_side =
-        run_top == nullptr || (side_top != nullptr && side_top->FiresBefore(*run_top));
-    const EventRecord record = from_side ? *side_top : *run_top;
     if (record.time_hours > horizon.hours()) {
       return false;
     }
-    if (from_side) {
-      SidePopTop();
-    } else {
-      ++run_pos_;
-    }
-    const Slot& s = slots_[record.slot];
+    HeapPopTop();
     const uint16_t tag = s.tag;
     const int32_t a = s.a;
     const int32_t b = s.b;
@@ -277,6 +130,7 @@ bool Simulator::Step(Duration horizon) {
     client_->OnSimEvent(tag, a, b);
     return true;
   }
+  return false;
 }
 
 void Simulator::Run() {
@@ -294,34 +148,19 @@ void Simulator::RunUntil(Duration horizon) {
   }
 }
 
-void Simulator::ReleaseAllIn(std::vector<EventRecord>& records) {
-  for (const EventRecord& record : records) {
-    const Slot& s = slots_[record.slot];
-    if (s.live && s.generation == record.generation) {
-      ReleaseSlot(record.slot);  // bumps the generation: stale handles die
-    }
-  }
-  records.clear();
-}
-
 void Simulator::Reset() {
   // Release every still-pending record's slot instead of clearing the slot
   // table: a cleared table would restart generations at zero and let a
   // handle from before the Reset collide with a new event in the same slot.
   // O(pending), which is zero after a fully drained run; the table and free
   // list (and every buffer's capacity) survive intact.
-  ReleaseAllIn(current_run_);
-  run_pos_ = 0;
-  ReleaseAllIn(side_);
-  for (std::vector<EventRecord>& bucket : buckets_) {
-    ReleaseAllIn(bucket);
+  for (const EventRecord& record : heap_) {
+    const Slot& s = slots_[record.slot];
+    if (s.live && s.generation == record.generation) {
+      ReleaseSlot(record.slot);  // bumps the generation: stale handles die
+    }
   }
-  ReleaseAllIn(overflow_);
-  near_end_ = kNoBuckets;
-  buckets_active_ = false;
-  bucket_base_ = 0.0;
-  bucket_width_ = 0.0;
-  next_bucket_ = 0;
+  heap_.clear();
   now_ = Duration::Zero();
   next_seq_ = 1;
   processed_ = 0;

@@ -5,9 +5,9 @@
 // per worker thread, never from sharing one engine across threads.
 //
 // The engine is allocation-free in steady state: events are plain records
-// stored inline in the queue's own vectors (no std::function, no per-event
-// node), organized as a two-tier ladder queue — a sorted current-window run,
-// a small 4-ary side heap, and equal-width future buckets. Cancellation is
+// stored inline in one 4-ary min-heap ordered by (time, seq) — no
+// std::function, no per-event node. A Monte Carlo trial keeps only a handful
+// of events pending, so the heap stays a few levels deep. Cancellation is
 // lazy via generation-stamped slot handles. See src/sim/README.md for the
 // design and the Reset()/handle-invalidation contract.
 
@@ -15,7 +15,6 @@
 #define LONGSTORE_SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/util/units.h"
@@ -137,42 +136,12 @@ class Simulator {
     uint32_t next_free = kFreeListEnd;
   };
 
-  // Two-tier queue (a one-rung ladder queue). Pending events live in one of
-  // four places:
-  //   - current_run_: a sorted vector consumed front-to-back by run_pos_ —
-  //     the drained current time window. Pops are cursor advances, not sifts.
-  //   - side_: a small 4-ary min-heap for events scheduled *into* the
-  //     current window (time < near_end_) after it was sorted. Usually tiny:
-  //     most rescheduling lands in a future window.
-  //   - buckets_: kNumBuckets equal-width time windows covering the bucketed
-  //     range; scheduling there is an O(1) append. Each bucket is sorted
-  //     into current_run_ when the clock reaches it.
-  //   - overflow_: events beyond the bucketed range, re-partitioned when the
-  //     buckets are exhausted.
-  // Until the side heap first outgrows kSpillThreshold the engine runs as a
-  // plain heap (no bucket range, near_end_ = +inf); small simulations never
-  // pay for the tiers. The next fired event is always min(run front, side
-  // top) under (time, seq) order, which preserves exact FIFO tie-breaks.
-  static constexpr size_t kSpillThreshold = 2048;
-  static constexpr size_t kNumBuckets = 1024;
-  // near_end_ sentinel while no bucket range is active.
-  static constexpr double kNoBuckets = std::numeric_limits<double>::infinity();
-
   void ReleaseSlot(uint32_t slot);
-  // Releases the slot of every still-live record in `records` (so stale
-  // handles cannot alias later occupants) and clears the vector.
-  void ReleaseAllIn(std::vector<EventRecord>& records);
-  void SidePush(const EventRecord& record);
-  void SidePopTop();
-  bool run_exhausted() const { return run_pos_ >= current_run_.size(); }
-  // Moves `src`'s records into current_run_ / buckets / overflow and clears
-  // it. Establishes a fresh bucket range spanning src's times. Requires the
-  // previous run to be exhausted.
-  void SpillFrom(std::vector<EventRecord>& src);
-  // Advances to the next non-empty bucket (re-partitioning overflow when the
-  // buckets run out) and sorts it into current_run_. Returns false when no
-  // pending record remains outside side_.
-  bool RefillRun();
+  // The queue is a 4-ary implicit min-heap on (time, seq): half the depth of
+  // a binary heap, and the four children of a node sit on adjacent cache
+  // lines. Hole-based sifts move each record once instead of swapping.
+  void HeapPush(const EventRecord& record);
+  void HeapPopTop();
 
   Duration now_ = Duration::Zero();
   uint64_t next_seq_ = 1;
@@ -181,17 +150,8 @@ class Simulator {
   bool stopped_ = false;
   SimClient* client_;
 
-  std::vector<EventRecord> current_run_;  // sorted ascending (time, seq)
-  size_t run_pos_ = 0;
-  std::vector<EventRecord> side_;  // 4-ary min-heap on (time, seq)
-  double near_end_ = kNoBuckets;   // in-window events (t < near_end_) go to side_
-  bool buckets_active_ = false;
-  double bucket_base_ = 0.0;   // start of bucket 0's window
-  double bucket_width_ = 0.0;  // each bucket covers [base + i*w, base + (i+1)*w)
-  size_t next_bucket_ = 0;     // buckets below this index are already drained
-  std::vector<std::vector<EventRecord>> buckets_;
-  std::vector<EventRecord> overflow_;  // time >= end of bucketed range
-
+  // Pending records, cancelled ones included until they reach the top.
+  std::vector<EventRecord> heap_;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kFreeListEnd;
 };

@@ -1,7 +1,6 @@
 #include "src/sim/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace longstore {
 
@@ -51,9 +50,6 @@ std::string_view TraceEventName(TraceEventKind kind) {
 
 void TraceRecorder::Record(Duration time, TraceEventKind kind, int replica,
                            std::string detail) {
-  if (!enabled_) {
-    return;
-  }
   events_.push_back(TraceEvent{time, kind, replica, std::move(detail)});
 }
 
@@ -71,6 +67,21 @@ int ColumnFor(Duration t, Duration horizon, int width) {
   }
   const double frac = t.hours() / horizon.hours();
   return std::clamp(static_cast<int>(frac * (width - 1)), 0, width - 1);
+}
+
+// Appends `text` padded with spaces to at least `width` columns, like
+// printf's "%*s" (right-aligned) or "%-*s" (left-aligned). Longer text is
+// appended whole.
+void AppendPadded(std::string& out, std::string_view text, size_t width,
+                  bool left_align) {
+  const size_t pad = text.size() < width ? width - text.size() : 0;
+  if (!left_align) {
+    out.append(pad, ' ');
+  }
+  out += text;
+  if (left_align) {
+    out.append(pad, ' ');
+  }
 }
 
 }  // namespace
@@ -156,16 +167,18 @@ std::string RenderTimeline(const std::vector<TraceEvent>& events, int replica_co
   }
 
   std::string out;
-  char buf[128];
   for (int r = 0; r < replica_count; ++r) {
-    std::snprintf(buf, sizeof(buf), "replica %-2d |", r);
-    out += buf;
+    out += "replica ";
+    AppendPadded(out, std::to_string(r), 2, /*left_align=*/true);
+    out += " |";
     out += lanes[static_cast<size_t>(r)];
     out += "|\n";
   }
-  std::snprintf(buf, sizeof(buf), "%11s 0%*s\n", "", width - 1,
-                ("t=" + horizon.ToString()).c_str());
-  out += buf;
+  out.append(11, ' ');
+  out += " 0";
+  AppendPadded(out, "t=" + horizon.ToString(), static_cast<size_t>(width - 1),
+               /*left_align=*/false);
+  out += '\n';
   out +=
       "legend: V visible fault, L latent fault, D latent detected, R repair done,\n"
       "        X data loss, ! common-mode event; lanes: - healthy, ~ latent "
@@ -176,10 +189,15 @@ std::string RenderTimeline(const std::vector<TraceEvent>& events, int replica_co
     if (e.kind == TraceEventKind::kScrubPass) {
       continue;
     }
-    std::snprintf(buf, sizeof(buf), "  %12s  replica %-2d  %-22s %s\n",
-                  e.time.ToString().c_str(), e.replica,
-                  std::string(TraceEventName(e.kind)).c_str(), e.detail.c_str());
-    out += buf;
+    out += "  ";
+    AppendPadded(out, e.time.ToString(), 12, /*left_align=*/false);
+    out += "  replica ";
+    AppendPadded(out, std::to_string(e.replica), 2, /*left_align=*/true);
+    out += "  ";
+    AppendPadded(out, TraceEventName(e.kind), 22, /*left_align=*/true);
+    out += ' ';
+    out += e.detail;
+    out += '\n';
   }
   return out;
 }

@@ -38,15 +38,10 @@ struct TraceEvent {
   std::string detail;
 };
 
+// Collects every recorded event. A ReplicatedStorageSystem records only when
+// a recorder is attached; Monte Carlo trials attach none.
 class TraceRecorder {
  public:
-  // A disabled recorder drops events; Monte Carlo trials run disabled, the
-  // Figure 1/2 benches and examples run enabled.
-  explicit TraceRecorder(bool enabled = true) : enabled_(enabled) {}
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
   void Record(Duration time, TraceEventKind kind, int replica, std::string detail = {});
   void Clear() { events_.clear(); }
 
@@ -56,7 +51,6 @@ class TraceRecorder {
   size_t CountKind(TraceEventKind kind) const;
 
  private:
-  bool enabled_;
   std::vector<TraceEvent> events_;
 };
 

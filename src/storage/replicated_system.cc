@@ -747,32 +747,22 @@ TrialRunner::TrialRunner(const Scenario& scenario, ConfigValidation validation,
 TrialRunner::~TrialRunner() = default;
 
 RunOutcome TrialRunner::Run(uint64_t seed, Duration horizon) {
-  sim_.Reset();
   rng_.Reseed(seed);
+  return RunReseeded(horizon);
+}
+
+RunOutcome TrialRunner::RunCounter(uint64_t key, uint64_t trial, Duration horizon) {
+  rng_.ReseedCounter(key, trial);
+  return RunReseeded(horizon);
+}
+
+RunOutcome TrialRunner::RunReseeded(Duration horizon) {
+  // Neither Reset draws from rng_, so reseeding first moves no stream.
+  sim_.Reset();
   system_.Reset();
   if (sampler_ != nullptr) {
     // The forcing window is the trial horizon: for mission-loss estimation
     // the first fault is pulled into the mission itself.
-    sampler_->BeginTrial(horizon);
-  }
-  system_.Start();
-  sim_.RunUntil(horizon);
-  RunOutcome outcome;
-  outcome.metrics = system_.metrics();
-  if (system_.lost()) {
-    outcome.loss_time = system_.loss_time();
-  }
-  if (sampler_ != nullptr) {
-    outcome.log_weight = sampler_->log_weight();
-  }
-  return outcome;
-}
-
-RunOutcome TrialRunner::RunCounter(uint64_t key, uint64_t trial, Duration horizon) {
-  sim_.Reset();
-  rng_.ReseedCounter(key, trial);
-  system_.Reset();
-  if (sampler_ != nullptr) {
     sampler_->BeginTrial(horizon);
   }
   system_.Start();

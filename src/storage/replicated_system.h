@@ -304,7 +304,8 @@ struct RunOutcome {
 };
 
 // Owns one Simulator + Rng + ReplicatedStorageSystem and reuses them across
-// trials: Run() resets all three, reseeds, and runs to loss or `horizon`.
+// trials: Run() reseeds the rng, resets the other two, and runs to loss or
+// `horizon`.
 // Construction validates the scenario once (unless told it is pre-validated);
 // the per-trial path performs no validation and no steady-state allocation.
 // A trial's outcome is bit-identical to a freshly constructed run with the
@@ -358,6 +359,10 @@ class TrialRunner {
   const ReplicatedStorageSystem& system() const { return system_; }
 
  private:
+  // The one trial body behind Run() and RunCounter(), which differ only in
+  // how they reseed rng_ before calling it.
+  RunOutcome RunReseeded(Duration horizon);
+
   Simulator sim_;
   Rng rng_;
   ReplicatedStorageSystem system_;

@@ -107,10 +107,10 @@ TEST(EventSlotTest, TieBreakSurvivesCancellationAndSlotReuse) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(EventSlotTest, BucketedModeKeepsOrderUnderInterleavedScheduling) {
-  // Push the engine well past its spill threshold so the ladder machinery
-  // (bucket partition, refills, overflow re-partition) engages, then keep
-  // scheduling from inside callbacks while it drains.
+TEST(EventSlotTest, DeepQueueKeepsOrderUnderInterleavedScheduling) {
+  // Thousands of pending events, far deeper than any trial's queue, with
+  // more scheduled from inside callbacks while the queue drains: time must
+  // never run backwards.
   CallbackClient client;
   Simulator sim(&client);
   uint64_t state = 12345;
@@ -125,8 +125,8 @@ TEST(EventSlotTest, BucketedModeKeepsOrderUnderInterleavedScheduling) {
     last = sim.now();
     ++fired;
     if (fired % 3 == 0) {
-      // Re-schedule into the near future: sometimes the current window,
-      // sometimes a later bucket, sometimes beyond the bucketed range.
+      // Re-schedule anywhere from just ahead of the clock to far beyond
+      // every initially scheduled event.
       const double ahead =
           static_cast<double>(SplitMix64NextForTest(state) % 1000000) / 10.0;
       sim.ScheduleAfter(Duration::Hours(ahead), chain);

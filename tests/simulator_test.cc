@@ -1,6 +1,9 @@
 #include "src/sim/simulator.h"
 
+#include <set>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -239,6 +242,147 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   sim.Run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(sim.processed_count(), 20000u);
+}
+
+// --- firing rule against a reference model --------------------------------
+
+// The firing rule stated as a model: pending events sit in an ordered set
+// keyed by (time, schedule sequence number), and the smallest key fires next.
+class ReferenceQueue {
+ public:
+  double now() const { return now_; }
+
+  // Labels are dense and assigned in schedule order.
+  void ScheduleAt(double t, int label) {
+    const Key key{t, next_seq_++, label};
+    pending_.insert(key);
+    keys_.push_back(key);
+  }
+
+  bool Cancel(int label) { return pending_.erase(keys_[static_cast<size_t>(label)]) == 1; }
+
+  // Removes the next event and returns its label, or -1 when none is left.
+  int PopNext() {
+    if (pending_.empty()) {
+      return -1;
+    }
+    const Key key = *pending_.begin();
+    pending_.erase(pending_.begin());
+    now_ = std::get<0>(key);
+    return std::get<2>(key);
+  }
+
+ private:
+  using Key = std::tuple<double, uint64_t, int>;
+  std::set<Key> pending_;
+  std::vector<Key> keys_;
+  uint64_t next_seq_ = 0;
+  double now_ = 0.0;
+};
+
+// The same label-addressed interface over the engine.
+class EngineQueue {
+ public:
+  EngineQueue(Simulator* sim, uint16_t tag) : sim_(sim), tag_(tag) {}
+
+  double now() const { return sim_->now().hours(); }
+
+  void ScheduleAt(double t, int label) {
+    ids_.push_back(sim_->ScheduleAt(Duration::Hours(t), tag_, label));
+  }
+
+  bool Cancel(int label) { return sim_->Cancel(ids_[static_cast<size_t>(label)]); }
+
+ private:
+  Simulator* sim_;
+  uint16_t tag_;
+  std::vector<EventId> ids_;
+};
+
+// A tie-heavy event program run unchanged against either queue. Times sit
+// on a 0.5 h grid, so most firing decisions are sequence tie-breaks. Labels
+// with label % 6 == 0 are cancelled as soon as they are scheduled; those
+// with label % 6 == 3 are cancelled from inside the callback of label - 2,
+// which may already be too late. Odd labels schedule a successor up to
+// 2.5 h ahead, one in six at delay 0. Because every firing steps a shared
+// hash stream, a single out-of-order firing changes all that follows.
+template <typename Queue>
+class TieHeavyProgram {
+ public:
+  static constexpr int kInitialEvents = 7000;
+  static constexpr int kMaxEvents = 10000;
+
+  explicit TieHeavyProgram(Queue* queue) : queue_(queue) {}
+
+  void ScheduleInitial() {
+    for (int i = 0; i < kInitialEvents; ++i) {
+      Schedule(0.5 * static_cast<double>(SplitMix64NextForTest(state_) % 400));
+    }
+  }
+
+  void OnFire(int label) {
+    fired_.emplace_back(queue_->now(), label);
+    if (label % 6 == 1 && label + 2 < scheduled_) {
+      cancel_results_.push_back(queue_->Cancel(label + 2));
+    }
+    if (label % 2 == 1 && scheduled_ < kMaxEvents) {
+      Schedule(queue_->now() + 0.5 * static_cast<double>(SplitMix64NextForTest(state_) % 6));
+    }
+  }
+
+  int scheduled() const { return scheduled_; }
+  const std::vector<std::pair<double, int>>& fired() const { return fired_; }
+  const std::vector<bool>& cancel_results() const { return cancel_results_; }
+
+ private:
+  void Schedule(double t) {
+    const int label = scheduled_++;
+    queue_->ScheduleAt(t, label);
+    if (label % 6 == 0) {
+      cancel_results_.push_back(queue_->Cancel(label));
+    }
+  }
+
+  Queue* queue_;
+  uint64_t state_ = 2024;
+  int scheduled_ = 0;
+  std::vector<std::pair<double, int>> fired_;
+  std::vector<bool> cancel_results_;
+};
+
+TEST(SimulatorTest, FiringOrderMatchesTimeSeqReferenceModel) {
+  ReferenceQueue model;
+  TieHeavyProgram<ReferenceQueue> expected(&model);
+  expected.ScheduleInitial();
+  for (int label = model.PopNext(); label >= 0; label = model.PopNext()) {
+    expected.OnFire(label);
+  }
+
+  CallbackClient client;
+  Simulator sim(&client);
+  EngineQueue engine(&sim, 0);
+  TieHeavyProgram<EngineQueue> actual(&engine);
+  ASSERT_EQ(client.Add([&](int32_t a, int32_t) { actual.OnFire(a); }), 0);
+  actual.ScheduleInitial();
+  sim.Run();
+
+  // The program is big and tie-heavy enough to mean something.
+  ASSERT_EQ(expected.scheduled(), TieHeavyProgram<ReferenceQueue>::kMaxEvents);
+  ASSERT_GT(expected.fired().size(), 6000u);
+  size_t tie_breaks = 0;
+  for (size_t i = 1; i < expected.fired().size(); ++i) {
+    tie_breaks += expected.fired()[i].first == expected.fired()[i - 1].first ? 1 : 0;
+  }
+  EXPECT_GT(tie_breaks, expected.fired().size() / 2);
+
+  EXPECT_EQ(actual.scheduled(), expected.scheduled());
+  EXPECT_EQ(actual.cancel_results(), expected.cancel_results());
+  ASSERT_EQ(actual.fired().size(), expected.fired().size());
+  for (size_t i = 0; i < expected.fired().size(); ++i) {
+    ASSERT_EQ(actual.fired()[i], expected.fired()[i]) << "firing #" << i;
+  }
+  EXPECT_EQ(sim.processed_count(), expected.fired().size());
+  EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 }  // namespace

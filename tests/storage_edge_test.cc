@@ -25,7 +25,7 @@ TEST(ScrubTickTest, RecordedPassesAppearInTrace) {
 
   Simulator sim;
   Rng rng(3);
-  TraceRecorder trace(true);
+  TraceRecorder trace;
   ReplicatedStorageSystem system(&sim, &rng, scenario, &trace);
   system.Start();
   sim.RunUntil(Duration::Hours(1000.0));
@@ -76,7 +76,7 @@ TEST(ScrubPhaseTest, StaggeredPhasesDifferAcrossReplicas) {
 
   Simulator sim;
   Rng rng(17);
-  TraceRecorder trace(true);
+  TraceRecorder trace;
   ReplicatedStorageSystem system(&sim, &rng, scenario, &trace);
   system.Start();
   sim.RunUntil(Duration::Hours(320.0));

@@ -214,7 +214,7 @@ TEST(StorageSystemTest, DifferentSeedsDiverge) {
 TEST(StorageSystemTest, TraceRecordsFaultLifecycle) {
   Simulator sim;
   Rng rng(5);
-  TraceRecorder trace(true);
+  TraceRecorder trace;
   ReplicatedStorageSystem system(
       &sim, &rng, Fleet(2, Aggressive().ScrubEvery(Duration::Hours(100.0))), &trace);
   system.Start();
