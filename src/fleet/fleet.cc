@@ -509,7 +509,8 @@ FleetReport FleetSupervisor::Run(const SweepSpec& spec,
 
 FleetReport FleetSupervisor::Run(std::vector<std::string> axis_names,
                                  const SweepOptions& sweep_options,
-                                 std::vector<SweepSpec::Cell> cells) const {
+                                 std::vector<SweepSpec::Cell> cells,
+                                 std::vector<SweepCellExecution> prior) const {
   const FleetOptions& opt = options_;
   ValidateFleetOptions(opt);
 
@@ -589,7 +590,7 @@ FleetReport FleetSupervisor::Run(std::vector<std::string> axis_names,
     return ran;
   };
   std::vector<SweepCellExecution> executions =
-      RunSweepRounds(cells, sweep_options, {}, run_round);
+      RunSweepRounds(cells, sweep_options, std::move(prior), run_round);
 
   const FleetStats& stats = report.stats;
   if (lost.empty()) {

@@ -137,7 +137,8 @@ struct FleetReport {
   FleetStats stats;
   // Complete runs only: the merged raw per-cell executions in cell order —
   // the exact accumulator state a result cache can later seed adaptive
-  // continuation from (ResumeSweepCells). Empty on partial runs.
+  // continuation from (the `prior` of Run or RunSweepCells). Empty on
+  // partial runs.
   std::vector<SweepCellExecution> executions;
   // The merged telemetry of every harvested worker process (each worker
   // writes its own Registry snapshot next to its result document; the
@@ -178,10 +179,17 @@ class FleetSupervisor {
   // Same supervision over already-materialized cells (a deserialized
   // service/shard document, where no SweepSpec exists). Cells keep their
   // grid indices and coordinates, so the merged result is identical to a
-  // run planned from the originating spec.
+  // run planned from the originating spec. A non-empty `prior` continues an
+  // adaptive sweep from an earlier run's executions (FleetReport::executions
+  // or RunSweepCells'), exactly as RunSweepRounds does in process: the first
+  // round's pieces merge onto the stored accumulators, the report is
+  // byte-identical to a cold run at these options, and only the trials
+  // beyond `prior` are simulated. RunSweepRounds' prior checks throw
+  // std::invalid_argument before any worker is spawned.
   FleetReport Run(std::vector<std::string> axis_names,
                   const SweepOptions& sweep_options,
-                  std::vector<SweepSpec::Cell> cells) const;
+                  std::vector<SweepSpec::Cell> cells,
+                  std::vector<SweepCellExecution> prior = {}) const;
 
   const FleetOptions& options() const { return options_; }
 

@@ -1,10 +1,5 @@
 #include "src/frontier/eval_backend.h"
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -15,12 +10,11 @@
 namespace longstore {
 namespace {
 
-int64_t TotalTrials(const std::vector<SweepCellExecution>& executions) {
-  int64_t total = 0;
-  for (const SweepCellExecution& cell : executions) {
-    total += cell.trials;
-  }
-  return total;
+ServiceRequest SweepRequest(const std::string& sweep_document) {
+  ServiceRequest request;
+  request.kind = ServiceRequest::Kind::kSweep;
+  request.sweep_document = sweep_document;
+  return request;
 }
 
 FrontierEvalBackend::Eval EvalFromResponse(ServiceResponse response) {
@@ -43,80 +37,27 @@ PoolEvalBackend::PoolEvalBackend(WorkerPool* pool)
 
 FrontierEvalBackend::Eval PoolEvalBackend::Evaluate(
     const std::string& sweep_document) {
-  // The service's HandleSweep compute path, verbatim: verify + parse the
-  // envelope, validate, execute, finalize once. Identical bytes out.
-  ShardSpec spec = ShardSpec::FromJson(sweep_document, "frontier eval");
-  if (spec.shard_index != 0 || spec.shard_count != 1) {
-    throw std::invalid_argument(
-        "frontier eval: the sweep document must be the whole sweep (shard 0 of 1)");
-  }
-  ValidateSweepOptions(spec.options);
-  ValidateSweepCells(spec.cells);
-
+  // The service's compute path: the same request check, execution core and
+  // finalizer, so the bytes cannot differ from a service answer.
+  ShardSpec spec = ParseSweepRequest(sweep_document, "frontier eval");
+  const SweepResult result = FinalizeSweepCells(
+      RunSweepCells(pool_, std::move(spec.cells), spec.options),
+      spec.axis_names, spec.options.estimand, spec.options.mc.confidence);
   Eval eval;
   eval.source = "computed";
-  std::vector<SweepCellExecution> executions =
-      RunSweepCells(pool_, std::move(spec.cells), spec.options);
-  eval.new_trials = TotalTrials(executions);
-  eval.result_json =
-      FinalizeSweepCells(std::move(executions), spec.axis_names,
-                         spec.options.estimand, spec.options.mc.confidence)
-          .ToJson();
+  eval.result_json = result.ToJson();
+  eval.new_trials = result.TotalTrials();
   return eval;
 }
 
 FrontierEvalBackend::Eval ServiceEvalBackend::Evaluate(
     const std::string& sweep_document) {
-  ServiceRequest request;
-  request.kind = ServiceRequest::Kind::kSweep;
-  request.sweep_document = sweep_document;
-  return EvalFromResponse(service_.Handle(request));
+  return EvalFromResponse(service_.Handle(SweepRequest(sweep_document)));
 }
 
 FrontierEvalBackend::Eval SocketEvalBackend::Evaluate(
     const std::string& sweep_document) {
-  if (socket_path_.size() >= sizeof(sockaddr_un{}.sun_path)) {
-    throw std::runtime_error("frontier eval: socket path too long: " +
-                             socket_path_);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw std::runtime_error("frontier eval: socket() failed");
-  }
-  sockaddr_un addr = {};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path_.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw std::runtime_error("frontier eval: cannot connect to '" +
-                             socket_path_ + "' (is sweep_serviced running?)");
-  }
-
-  ServiceRequest request;
-  request.kind = ServiceRequest::Kind::kSweep;
-  request.sweep_document = sweep_document;
-  std::string response_bytes;
-  std::string frame_error;
-  FrameStatus status = FrameStatus::kOk;
-  const bool sent = WriteFrame(fd, request.ToJson());
-  if (sent) {
-    status = ReadFrame(fd, &response_bytes, &frame_error);
-  }
-  ::close(fd);
-  if (!sent) {
-    throw std::runtime_error("frontier eval: failed to send request to '" +
-                             socket_path_ + "'");
-  }
-  if (status == FrameStatus::kEof) {
-    throw std::runtime_error("frontier eval: service closed the connection");
-  }
-  if (status != FrameStatus::kOk) {
-    throw std::runtime_error("frontier eval: malformed response frame: " +
-                             frame_error);
-  }
-  return EvalFromResponse(
-      ServiceResponse::FromJson(response_bytes, socket_path_));
+  return EvalFromResponse(CallService(socket_path_, SweepRequest(sweep_document)));
 }
 
 }  // namespace longstore

@@ -4,10 +4,11 @@
 // The byte-identity contract (src/frontier/README.md) hangs on this layer:
 // the frontier builds each candidate's sweep document exactly once and hands
 // the *same bytes* to whichever backend is configured. The in-process pool
-// backend runs the document through the identical execute/finalize path the
-// resident service uses (RunSweepCells -> FinalizeSweepCells -> ToJson), so
-// the result bytes — and therefore the frontier JSON assembled from them —
-// cannot depend on which backend answered.
+// backend runs the document through the identical check/execute/finalize
+// path the resident service uses (ParseSweepRequest -> RunSweepCells ->
+// FinalizeSweepCells -> ToJson), so the result bytes — and therefore the
+// frontier JSON assembled from them — cannot depend on which backend
+// answered, and neither backend answers a document the other refuses.
 
 #ifndef LONGSTORE_SRC_FRONTIER_EVAL_BACKEND_H_
 #define LONGSTORE_SRC_FRONTIER_EVAL_BACKEND_H_
@@ -41,8 +42,8 @@ class FrontierEvalBackend {
 };
 
 // In-process execution on a WorkerPool (nullptr = the process-wide shared
-// pool). This is the reference backend: it parses and validates the document
-// like the service does, then runs the same execution core.
+// pool). This is the reference backend: it checks the document with the
+// service's own ParseSweepRequest, then runs the same execution core.
 class PoolEvalBackend : public FrontierEvalBackend {
  public:
   explicit PoolEvalBackend(WorkerPool* pool = nullptr);
@@ -63,9 +64,10 @@ class ServiceEvalBackend : public FrontierEvalBackend {
   SweepService& service_;
 };
 
-// A resident sweep_serviced over its Unix-domain socket (one connection per
-// evaluation, like tools/sweep_client). Repeated and refined searches hit
-// the daemon's ComputeSweepId cache and adaptive-resume path for free.
+// A resident sweep_serviced over its Unix-domain socket (one CallService
+// exchange per evaluation, like tools/sweep_client). Repeated and refined
+// searches hit the daemon's ComputeSweepId cache and adaptive-resume path
+// for free.
 class SocketEvalBackend : public FrontierEvalBackend {
  public:
   explicit SocketEvalBackend(std::string socket_path)

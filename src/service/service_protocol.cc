@@ -1,8 +1,11 @@
 #include "src/service/service_protocol.h"
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 #include <stdexcept>
 
 #include "src/util/json.h"
@@ -223,6 +226,50 @@ bool WriteFrame(int fd, std::string_view payload) {
     return false;
   }
   return true;
+}
+
+ServiceResponse CallService(const std::string& socket_path,
+                            const ServiceRequest& request) {
+  if (socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+    throw std::runtime_error("socket path too long: " + socket_path);
+  }
+  // Serialized before the socket opens, so nothing between socket() and
+  // close() can throw.
+  const std::string request_bytes = request.ToJson();
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    throw std::runtime_error("socket() failed");
+  }
+  sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    throw std::runtime_error("cannot connect to '" + socket_path +
+                             "' (is sweep_serviced running?)");
+  }
+  std::string response_bytes;
+  std::string frame_error;
+  FrameStatus status = FrameStatus::kOk;
+  const bool sent = WriteFrame(fd, request_bytes);
+  if (sent) {
+    status = ReadFrame(fd, &response_bytes, &frame_error);
+  }
+  ::close(fd);
+  if (!sent) {
+    throw std::runtime_error("failed to send the request to '" + socket_path +
+                             "'");
+  }
+  if (status == FrameStatus::kEof) {
+    throw std::runtime_error("'" + socket_path +
+                             "' closed the connection without a response");
+  }
+  if (status != FrameStatus::kOk) {
+    throw std::runtime_error("malformed response frame from '" + socket_path +
+                             "': " + frame_error);
+  }
+  return ServiceResponse::FromJson(response_bytes, socket_path);
 }
 
 }  // namespace longstore

@@ -99,6 +99,16 @@ FrameStatus ReadFrame(int fd, std::string* payload, std::string* error);
 // decides whether a vanished peer matters).
 bool WriteFrame(int fd, std::string_view payload);
 
+// The client side of one exchange with a resident sweep_serviced: connects
+// to the Unix-domain socket at `socket_path`, writes `request` as one frame,
+// reads one frame back and parses it (ServiceResponse::FromJson, so a
+// corrupted response throws json::IntegrityError). Throws
+// std::runtime_error when the socket cannot be reached or the exchange
+// fails in transit. A service-side error is a response with ok = false,
+// not an exception.
+ServiceResponse CallService(const std::string& socket_path,
+                            const ServiceRequest& request);
+
 }  // namespace longstore
 
 #endif  // LONGSTORE_SRC_SERVICE_SERVICE_PROTOCOL_H_

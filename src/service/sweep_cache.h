@@ -13,11 +13,12 @@
 //   * near hit — an adaptive (kMttdl) request that differs from a stored
 //     entry only in relative_precision: entries additionally index under a
 //     resume_key (the sweep_id with relative_precision pinned to 0), and a
-//     stored run at *looser* precision seeds ResumeSweepCells — continue
-//     from the exact Welford accumulator state instead of restarting. A
-//     stored *tighter* run is deliberately not served for a looser request:
-//     the cold looser run would have stopped at an earlier round, so its
-//     bytes differ — and byte-identity outranks the saved trials.
+//     stored run at *looser* precision is the `prior` the backend's run
+//     continues from (RunSweepRounds) — the exact Welford accumulator state
+//     instead of a restart. A stored *tighter* run is deliberately not
+//     served for a looser request: the cold looser run would have stopped
+//     at an earlier round, so its bytes differ — and byte-identity outranks
+//     the saved trials.
 //
 // Bounded LRU: both lookups refresh recency; insertion past capacity evicts
 // the least recently used entry. Not internally synchronized — the service

@@ -36,15 +36,45 @@ ServiceResponse ErrorResponse(bool retryable, std::string message) {
   return response;
 }
 
-int64_t TotalTrials(const std::vector<SweepCellExecution>& executions) {
-  int64_t total = 0;
-  for (const SweepCellExecution& cell : executions) {
-    total += cell.trials;
-  }
-  return total;
-}
-
 }  // namespace
+
+ShardSpec ParseSweepRequest(std::string_view sweep_document,
+                            const std::string& source) {
+  ShardSpec spec = ShardSpec::FromJson(sweep_document, source);
+  if (spec.shard_index != 0 || spec.shard_count != 1) {
+    throw std::invalid_argument(
+        source + ": the sweep document must be the whole sweep "
+        "(shard 0 of 1), got shard " + std::to_string(spec.shard_index) +
+        " of " + std::to_string(spec.shard_count));
+  }
+  if (spec.total_cells != spec.cells.size()) {
+    throw std::invalid_argument(
+        source + ": total_cells " + std::to_string(spec.total_cells) +
+        " does not match the " + std::to_string(spec.cells.size()) +
+        " cells present");
+  }
+  for (size_t i = 0; i < spec.cells.size(); ++i) {
+    if (spec.ranges[i].begin != 0 || spec.ranges[i].end != spec.options.mc.trials) {
+      throw std::invalid_argument(
+          source + ": cell " + std::to_string(spec.cells[i].index) +
+          " runs trials [" + std::to_string(spec.ranges[i].begin) + ", " +
+          std::to_string(spec.ranges[i].end) +
+          "); a sweep request runs every cell whole, [0, mc.trials)");
+    }
+  }
+  ValidateSweepOptions(spec.options);
+  ValidateSweepCells(spec.cells);
+
+  const uint64_t sweep_id =
+      ComputeSweepId(spec.axis_names, spec.options, spec.cells);
+  if (spec.sweep_id != 0 && spec.sweep_id != sweep_id) {
+    throw std::invalid_argument(
+        source + ": document sweep_id does not match its own content "
+        "(stale or hand-edited document?)");
+  }
+  spec.sweep_id = sweep_id;
+  return spec;
+}
 
 SweepService::SweepService(ServiceOptions options)
     : options_(std::move(options)),
@@ -130,38 +160,8 @@ ServiceResponse SweepService::Dispatch(const ServiceRequest& request) {
 }
 
 ServiceResponse SweepService::HandleSweep(const ServiceRequest& request) {
-  ShardSpec spec = ShardSpec::FromJson(request.sweep_document, "service request");
-  if (spec.shard_index != 0 || spec.shard_count != 1) {
-    throw std::invalid_argument(
-        "service request: the sweep document must be the whole sweep "
-        "(shard 0 of 1), got shard " + std::to_string(spec.shard_index) +
-        " of " + std::to_string(spec.shard_count));
-  }
-  if (spec.total_cells != spec.cells.size()) {
-    throw std::invalid_argument(
-        "service request: total_cells " + std::to_string(spec.total_cells) +
-        " does not match the " + std::to_string(spec.cells.size()) +
-        " cells present");
-  }
-  for (size_t i = 0; i < spec.cells.size(); ++i) {
-    if (spec.ranges[i].begin != 0 || spec.ranges[i].end != spec.options.mc.trials) {
-      throw std::invalid_argument(
-          "service request: cell " + std::to_string(spec.cells[i].index) +
-          " runs trials [" + std::to_string(spec.ranges[i].begin) + ", " +
-          std::to_string(spec.ranges[i].end) +
-          "); a sweep request runs every cell whole, [0, mc.trials)");
-    }
-  }
-  ValidateSweepOptions(spec.options);
-  ValidateSweepCells(spec.cells);
-
-  const uint64_t sweep_id =
-      ComputeSweepId(spec.axis_names, spec.options, spec.cells);
-  if (spec.sweep_id != 0 && spec.sweep_id != sweep_id) {
-    throw std::invalid_argument(
-        "service request: document sweep_id does not match its own content "
-        "(stale or hand-edited document?)");
-  }
+  ShardSpec spec = ParseSweepRequest(request.sweep_document, "service request");
+  const uint64_t sweep_id = spec.sweep_id;
   // Entries sharing every field but relative_precision share this key.
   // Precision 0 is impossible on a real request (validation requires > 0),
   // so the pin can never collide with a genuine sweep_id input.
@@ -186,41 +186,38 @@ ServiceResponse SweepService::HandleSweep(const ServiceRequest& request) {
     return response;
   }
 
+  // A near hit continues from the stored accumulators on whichever backend
+  // is configured. Byte-identity with the cold run holds because trial
+  // seeds and the round schedule are independent of where the stored run
+  // stopped (RunSweepRounds' resume contract).
+  const bool resume = lookup.kind == SweepCacheLookup::Kind::kResumeHit;
+  std::vector<SweepCellExecution> prior;
+  int64_t prior_trials = 0;
+  if (resume) {
+    prior = lookup.entry->executions;
+    prior_trials = lookup.entry->total_trials;
+  }
+  response.source = resume ? "resumed" : "computed";
+
   CachedSweep entry;
   entry.sweep_id = sweep_id;
   entry.resume_key = resume_key;
   entry.relative_precision = spec.options.relative_precision;
-
-  if (lookup.kind == SweepCacheLookup::Kind::kResumeHit) {
-    // Continue from the stored accumulators on the warm pool. Byte-identity
-    // with the cold run holds because trial seeds and the round schedule
-    // are independent of where the stored run stopped (ResumeSweepCells'
-    // contract); the fleet cannot take this path — its workers start from
-    // empty accumulators by design.
-    const CachedSweep* seed = lookup.entry;
-    const int64_t prior_trials = seed->total_trials;
-    entry.executions = ResumeSweepCells(pool_, std::move(spec.cells),
-                                        spec.options, seed->executions);
-    response.source = "resumed";
-    response.new_trials = TotalTrials(entry.executions) - prior_trials;
+  if (options_.backend == ServiceOptions::Backend::kFleet) {
+    entry.executions = FleetSupervisor(options_.fleet)
+                           .Run(spec.axis_names, spec.options,
+                                std::move(spec.cells), std::move(prior))
+                           .executions;
   } else {
-    response.source = "computed";
-    if (options_.backend == ServiceOptions::Backend::kFleet) {
-      FleetReport report = FleetSupervisor(options_.fleet).Run(
-          spec.axis_names, spec.options, std::move(spec.cells));
-      entry.executions = std::move(report.executions);
-    } else {
-      entry.executions =
-          RunSweepCells(pool_, std::move(spec.cells), spec.options);
-    }
-    response.new_trials = TotalTrials(entry.executions);
+    entry.executions = RunSweepCells(pool_, std::move(spec.cells), spec.options,
+                                     std::move(prior));
   }
-
-  entry.total_trials = TotalTrials(entry.executions);
-  entry.result_json =
+  const SweepResult result =
       FinalizeSweepCells(entry.executions, spec.axis_names,
-                         spec.options.estimand, spec.options.mc.confidence)
-          .ToJson();
+                         spec.options.estimand, spec.options.mc.confidence);
+  entry.total_trials = result.TotalTrials();
+  entry.result_json = result.ToJson();
+  response.new_trials = entry.total_trials - prior_trials;
   response.result_json = entry.result_json;
   cache_.Insert(std::move(entry));
   return response;

@@ -7,12 +7,11 @@
 //
 //   * exact cache hit: the stored finalized bytes, zero simulation;
 //   * near hit (adaptive request differing only in relative_precision from
-//     a stored *looser* run): ResumeSweepCells continues from the stored
-//     Welford accumulators on the warm pool — the resumed answer is
-//     byte-identical to a cold run at the requested precision, while only
-//     the trials beyond the stored run are simulated. Resume always
-//     executes in-process even under the fleet backend: fleet workers
-//     cannot be seeded with accumulator state across the process boundary;
+//     a stored *looser* run): the configured backend continues from the
+//     stored Welford accumulators (the `prior` of RunSweepCells or
+//     FleetSupervisor::Run) — the resumed answer is byte-identical to a
+//     cold run at the requested precision, while only the trials beyond
+//     the stored run are simulated;
 //   * miss: a cold run on the configured backend, then cached.
 //
 // Determinism contract: every answer — computed, cached, or resumed — is
@@ -38,6 +37,7 @@
 #include "src/fleet/fleet.h"
 #include "src/service/service_protocol.h"
 #include "src/service/sweep_cache.h"
+#include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
 
 namespace longstore {
@@ -49,8 +49,8 @@ struct ServiceOptions {
   };
 
   Backend backend = Backend::kPool;
-  // In-process pool for kPool runs and every resume; nullptr =
-  // WorkerPool::Shared(). Must outlive the service.
+  // In-process pool for kPool runs; nullptr = WorkerPool::Shared(). Must
+  // outlive the service.
   WorkerPool* pool = nullptr;
   // kFleet only. partial_ok is ignored: the service caches only complete
   // results, so an incomplete fleet run is answered as a retryable error.
@@ -61,6 +61,18 @@ struct ServiceOptions {
   // journal records nothing. Not owned; must outlive the service.
   obs::TraceJournal* journal = nullptr;
 };
+
+// Parses a sweep request document (ServiceRequest::sweep_document) and
+// checks it as every backend must before running it: the envelope and
+// schema (ShardSpec::FromJson), the whole sweep (shard 0 of 1, total_cells
+// equal to the cells present, every cell over [0, mc.trials)), options and
+// cells (ValidateSweepOptions, ValidateSweepCells), and a stamped sweep_id
+// against ComputeSweepId of the content. Returns the spec with sweep_id set
+// to that identity. Throws json::IntegrityError for a corrupt envelope and
+// std::invalid_argument for any other refusal; `source` prefixes every
+// message.
+ShardSpec ParseSweepRequest(std::string_view sweep_document,
+                            const std::string& source);
 
 class SweepService {
  public:

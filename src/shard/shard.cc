@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/sweep/accumulator.h"
-#include "src/sweep/batch_exec.h"
 #include "src/util/json.h"
 
 namespace longstore {

@@ -161,7 +161,7 @@ class ShardPlan {
 // [trial_begin, trial_end), as accumulators in trial order. The prefix
 // rule: a piece that starts at trial 0 carries exactly one accumulator, its
 // blocks pre-folded; any other piece carries one accumulator per
-// index-aligned block of its range (src/sweep/batch_exec.h's partition).
+// index-aligned block of its range (RunCellTrialRanges' partition).
 // Pre-folding is exact because a prefix piece is always folded onto an
 // empty accumulator, and folding into an empty accumulator copies its
 // argument bit for bit (RunningStats::Merge, integer sums); later pieces
@@ -256,9 +256,10 @@ class ShardMerger {
   SweepResult Finish() const;
 
   // Moves the merged cells' executions out, in grid order — the exact
-  // Welford state the next adaptive round, or a result cache seeding
-  // ResumeSweepCells, continues from. Check complete() first when every
-  // cell is required; the merger is spent afterwards.
+  // Welford state the next adaptive round, or a later run resumed from a
+  // result cache (the `prior` of RunSweepRounds), continues from. Check
+  // complete() first when every cell is required; the merger is spent
+  // afterwards.
   std::vector<SweepCellExecution> TakeExecutions();
 
  private:

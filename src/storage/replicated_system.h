@@ -44,7 +44,7 @@ enum class ReplicaState {
 };
 
 // Largest trial block the batch prefilter processes per call; sized to match
-// the sweep layer's trial block (kTrialBlockSize in src/sweep/batch_exec.h,
+// the sweep layer's trial block (kTrialBlockSize in src/sweep/sweep.h,
 // which static_asserts the two agree) so scratch arrays live on the stack.
 inline constexpr int kTrialPrefilterMaxBlock = 256;
 

@@ -3,10 +3,10 @@
 //
 // One accumulator type serves every estimand (only the active estimand's
 // fields are touched); keeping a single type lets every sweep share the
-// block executor (src/sweep/batch_exec.h) and gives the shard protocol one
-// wire format. Blocks are folded in trial order (MergeFrom), which together
-// with the index-aligned block partition makes aggregates bit-identical for
-// any thread count and lane schedule.
+// block executor (RunCellTrialRanges, src/sweep/sweep.h) and gives the
+// shard protocol one wire format. Blocks are folded in trial order
+// (MergeFrom), which together with the index-aligned block partition makes
+// aggregates bit-identical for any thread count and lane schedule.
 //
 // Serialization is *exact*: int64 counters as decimal integers, doubles in
 // round-trip %.17g form, RunningStats as their raw Welford state

@@ -10,25 +10,12 @@
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
-#include "src/sweep/batch_exec.h"
 #include "src/util/json.h"
 #include "src/util/random.h"
 #include "src/util/stats.h"
 
 namespace longstore {
 namespace {
-
-// Stable 64-bit FNV-1a over the cell label: the cell's seed identity in
-// kPerCellDerived mode. Tied to the label (not the cell's position) so that
-// shuffling the order cells are added to a spec cannot change any estimate.
-uint64_t HashLabel(const std::string& label) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : label) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 // The trial horizon for the configured estimand (the one place this mapping
 // lives).
@@ -81,44 +68,37 @@ void AccumulateOutcome(SweepOptions::Estimand estimand, Duration horizon,
   acc.metrics.Merge(outcome.metrics);
 }
 
-// Execution parameters of one cell's trial spans.
-struct CellTrialParams {
-  SweepOptions::Estimand estimand = SweepOptions::Estimand::kMttdl;
-  Duration horizon;
-  uint64_t seed = 0;     // per-trial derivation root, or the kCounterV1 key
-  bool counter = false;  // kCounterV1: counter streams + batch prefilter
-};
-
-// Runs trials [begin, end) — one index-aligned block — into `acc`. The
-// counter path is the batched SoA kernel: one prefilter pass reads the
-// block's initial draws straight from CounterMix and decides, exactly as the
-// engine would, which trials process no event within the horizon; those
-// contribute their (censored, zero-metric) outcome without touching the
-// event loop.
-void ExecuteCellTrialSpan(TrialRunner& runner, const CellTrialParams& params,
-                          int64_t begin, int64_t end, TrialAccumulator& acc) {
-  if (params.counter) {
+// Runs trials [begin, end) — one index-aligned block of a cell whose seed
+// (the kCounterV1 key, else the per-trial derivation root) is `seed` — into
+// `acc`. The counter path is the batched SoA kernel: one prefilter pass
+// reads the block's initial draws straight from CounterMix and decides,
+// exactly as the engine would, which trials process no event within the
+// horizon; those contribute their (censored, zero-metric) outcome without
+// touching the event loop.
+void RunTrialBlock(TrialRunner& runner, const SweepOptions& options,
+                   Duration horizon, uint64_t seed, int64_t begin, int64_t end,
+                   TrialAccumulator& acc) {
+  const SweepOptions::Estimand estimand = options.estimand;
+  if (options.seed_mode == SweepOptions::SeedMode::kCounterV1) {
     uint8_t skip[kTrialPrefilterMaxBlock];
     const bool prefiltered = runner.PrefilterCensoredBlock(
-        params.seed, begin, static_cast<int>(end - begin), params.horizon, skip);
+        seed, begin, static_cast<int>(end - begin), horizon, skip);
     const RunOutcome censored;
     for (int64_t t = begin; t < end; ++t) {
       if (prefiltered && skip[t - begin] != 0) {
-        AccumulateOutcome(params.estimand, params.horizon, censored, acc);
+        AccumulateOutcome(estimand, horizon, censored, acc);
       } else {
         AccumulateOutcome(
-            params.estimand, params.horizon,
-            runner.RunCounter(params.seed, static_cast<uint64_t>(t),
-                              params.horizon),
-            acc);
+            estimand, horizon,
+            runner.RunCounter(seed, static_cast<uint64_t>(t), horizon), acc);
       }
     }
     return;
   }
   for (int64_t t = begin; t < end; ++t) {
-    const uint64_t seed = DeriveSeed(params.seed, static_cast<uint64_t>(t));
-    AccumulateOutcome(params.estimand, params.horizon,
-                      runner.Run(seed, params.horizon), acc);
+    AccumulateOutcome(estimand, horizon,
+                      runner.Run(DeriveSeed(seed, static_cast<uint64_t>(t)), horizon),
+                      acc);
   }
 }
 
@@ -368,54 +348,46 @@ void ValidateSweepCells(const std::vector<SweepSpec::Cell>& cells) {
 
 namespace {
 
-// Shared body of RunSweepCells and ResumeSweepCells: RunSweepRounds with
-// every round run on `pool`, plus the per-cell sweep.* telemetry. `prior`
-// is empty for a cold run.
-std::vector<SweepCellExecution> RunSweepCellsImpl(
-    WorkerPool& pool, const std::vector<SweepSpec::Cell>& cells,
-    const SweepOptions& options, std::vector<SweepCellExecution> prior) {
-  const bool resumed = !prior.empty();
-  // Telemetry only: each cell's prior trials and summed block time.
-  std::vector<int64_t> resumed_from(cells.size(), 0);
-  for (size_t i = 0; i < prior.size() && i < cells.size(); ++i) {
-    resumed_from[i] = prior[i].trials;
+// Throws std::invalid_argument unless `prior` can seed a continuation of
+// `cells` under `options` (RunSweepRounds' resume contract).
+void CheckSweepPrior(const std::vector<SweepSpec::Cell>& cells,
+                     const SweepOptions& options,
+                     const std::vector<SweepCellExecution>& prior) {
+  if (!options.adaptive) {
+    // A non-adaptive request is an exact trial count; there is nothing to
+    // continue toward, and "topping up" would change the rounds/history
+    // metadata relative to the cold run it must match byte for byte.
+    throw std::invalid_argument(
+        "resume: only adaptive (kMttdl) sweeps can be resumed");
   }
-  std::vector<int64_t> busy_ns(cells.size(), 0);
-  std::vector<int64_t> range_busy_ns;
-  std::vector<SweepCellExecution> executions = RunSweepRounds(
-      cells, options, std::move(prior),
-      [&](const std::vector<CellTrialRange>& ranges,
-          std::vector<SweepCellExecution>& round) {
-        const std::vector<std::vector<TrialAccumulator>> blocks =
-            RunCellTrialRanges(pool, ranges, options, &range_busy_ns);
-        for (size_t j = 0; j < ranges.size(); ++j) {
-          for (const TrialAccumulator& block : blocks[j]) {
-            round[j].acc.MergeFrom(block);
-          }
-          round[j].trials = ranges[j].end;
-          round[j].rounds++;
-          busy_ns[static_cast<size_t>(ranges[j].cell - cells.data())] +=
-              range_busy_ns[j];
-        }
-        return std::vector<bool>(ranges.size(), true);
-      });
-
-  if (obs::Enabled()) {
-    // Registered once; recording is lock-free on the kept references.
-    static obs::Counter& m_resume_cells =
-        obs::Registry::Global().counter("sweep.resume_cells");
-    static obs::Counter& m_resume_delta =
-        obs::Registry::Global().counter("sweep.resume_delta_trials");
-    for (size_t i = 0; i < executions.size(); ++i) {
-      RecordSweepCellTelemetry(executions[i].trials, executions[i].rounds,
-                               busy_ns[i]);
-      if (resumed) {
-        m_resume_cells.Add(1);
-        m_resume_delta.Add(executions[i].trials - resumed_from[i]);
-      }
+  if (prior.size() != cells.size()) {
+    throw std::invalid_argument("resume: prior has " + std::to_string(prior.size()) +
+                                " cells, request has " +
+                                std::to_string(cells.size()));
+  }
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const SweepCellExecution& from = prior[i];
+    if (from.label != cells[i].label) {
+      throw std::invalid_argument("resume: cell " + std::to_string(i) +
+                                  " label mismatch: prior '" + from.label +
+                                  "' vs request '" + cells[i].label + "'");
+    }
+    if (from.trials <= 0 || from.rounds <= 0) {
+      throw std::invalid_argument("resume: prior cell '" + from.label +
+                                  "' carries no completed trials");
+    }
+    const size_t history = from.half_width_history.size();
+    // A prior adaptive run records one half-width per round; a non-adaptive
+    // one records none and exactly one round (its history entry is
+    // reconstructed from the accumulator). Anything else lost state.
+    if (history != static_cast<size_t>(from.rounds) &&
+        !(from.rounds == 1 && history == 0)) {
+      throw std::invalid_argument(
+          "resume: prior cell '" + from.label + "' has " +
+          std::to_string(history) + " half-width entries for " +
+          std::to_string(from.rounds) + " rounds");
     }
   }
-  return executions;
 }
 
 }  // namespace
@@ -423,8 +395,9 @@ std::vector<SweepCellExecution> RunSweepCellsImpl(
 std::vector<SweepCellExecution> RunSweepRounds(
     const std::vector<SweepSpec::Cell>& cells, const SweepOptions& options,
     std::vector<SweepCellExecution> prior, const SweepRoundExecutor& run_round) {
-  if (!prior.empty() && prior.size() != cells.size()) {
-    throw std::invalid_argument("RunSweepRounds: prior must match cells one to one");
+  const bool resumed = !prior.empty();
+  if (resumed) {
+    CheckSweepPrior(cells, options, prior);
   }
   const int64_t cap = options.adaptive ? options.max_trials
                                        : std::numeric_limits<int64_t>::max();
@@ -433,12 +406,14 @@ std::vector<SweepCellExecution> RunSweepRounds(
     int64_t target = 0;
     bool done = false;  // converged, or its one non-adaptive round ran
     bool lost = false;  // a range of it did not run
+    int64_t resumed_from = 0;  // trials before this run (telemetry only)
   };
   std::vector<CellState> states(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
     CellState& state = states[i];
-    if (!prior.empty()) {
+    if (resumed) {
       state.execution = std::move(prior[i]);
+      state.resumed_from = state.execution.trials;
     }
     state.execution.index = cells[i].index;
     state.execution.label = cells[i].label;
@@ -467,7 +442,7 @@ std::vector<SweepCellExecution> RunSweepRounds(
     }
   };
 
-  if (!prior.empty()) {
+  if (resumed) {
     for (CellState& state : states) {
       // Re-judge the last completed round under *these* options. A prior
       // non-adaptive run carries rounds but no half-width entry for them
@@ -520,6 +495,19 @@ std::vector<SweepCellExecution> RunSweepRounds(
     }
   }
 
+  if (resumed && obs::Enabled()) {
+    // Registered once; recording is lock-free on the kept references.
+    static obs::Counter& m_resume_cells =
+        obs::Registry::Global().counter("sweep.resume_cells");
+    static obs::Counter& m_resume_delta =
+        obs::Registry::Global().counter("sweep.resume_delta_trials");
+    for (const CellState& state : states) {
+      if (!state.lost) {
+        m_resume_cells.Add(1);
+        m_resume_delta.Add(state.execution.trials - state.resumed_from);
+      }
+    }
+  }
   std::vector<SweepCellExecution> executions;
   executions.reserve(states.size());
   for (CellState& state : states) {
@@ -535,7 +523,9 @@ uint64_t SweepCellSeed(const SweepOptions& options, const SweepSpec::Cell& cell)
     case SweepOptions::SeedMode::kSharedRoot:
       return options.mc.seed;
     case SweepOptions::SeedMode::kPerCellDerived:
-      return DeriveSeed(options.mc.seed, HashLabel(cell.label));
+      // FNV-1a of the label: tied to the cell's identity, not its position,
+      // so shuffling the order cells are added to a spec moves no estimate.
+      return DeriveSeed(options.mc.seed, json::Fnv1a64(cell.label));
     case SweepOptions::SeedMode::kScenarioDerived:
     case SweepOptions::SeedMode::kCounterV1:
       return DeriveSeed(options.mc.seed, cell.scenario.CanonicalHash());
@@ -546,19 +536,17 @@ uint64_t SweepCellSeed(const SweepOptions& options, const SweepSpec::Cell& cell)
 std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
     WorkerPool& pool, const std::vector<CellTrialRange>& ranges,
     const SweepOptions& options, std::vector<int64_t>* busy_ns) {
-  using Estimand = SweepOptions::Estimand;
-  const FaultBias* bias =
-      options.estimand == Estimand::kWeightedLossProbability ? &options.bias
-                                                             : nullptr;
-  // Telemetry: per-range busy-time accumulators handed to the batch
-  // executor, allocated once per call (outside the zero-alloc steady state)
-  // and only when telemetry is live.
-  std::unique_ptr<std::atomic<int64_t>[]> busy;
-  if (busy_ns != nullptr && obs::Enabled()) {
-    busy = std::make_unique<std::atomic<int64_t>[]>(ranges.size());
-  }
-  std::vector<TrialBatchJob<TrialAccumulator>> jobs(ranges.size());
-  std::vector<CellTrialParams> params(ranges.size());
+  // One work unit per index-aligned block of every range; unit `slot` is
+  // the block's position in its range's accumulator list.
+  struct BlockUnit {
+    size_t range;
+    int64_t begin;
+    int64_t end;
+    size_t slot;
+  };
+  std::vector<std::vector<TrialAccumulator>> blocks(ranges.size());
+  std::vector<uint64_t> seeds(ranges.size());
+  std::vector<BlockUnit> units;
   for (size_t j = 0; j < ranges.size(); ++j) {
     const CellTrialRange& range = ranges[j];
     if (range.begin < 0 || range.end < range.begin) {
@@ -566,34 +554,68 @@ std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
                                   std::to_string(range.begin) + ", " +
                                   std::to_string(range.end) + ")");
     }
-    TrialBatchJob<TrialAccumulator>& job = jobs[j];
-    job.scenario = &range.cell->scenario;
-    job.bias = bias;
-    job.begin_trial = range.begin;
-    job.end_trial = range.end;
-    if (busy != nullptr) {
-      job.busy_ns = &busy[j];
+    seeds[j] = SweepCellSeed(options, *range.cell);
+    for (int64_t begin = range.begin; begin < range.end;) {
+      const int64_t end =
+          std::min(range.end, (begin / kTrialBlockSize + 1) * kTrialBlockSize);
+      units.push_back(BlockUnit{j, begin, end, blocks[j].size()});
+      blocks[j].emplace_back();
+      begin = end;
     }
-    params[j] = CellTrialParams{
-        options.estimand, SweepHorizon(options), SweepCellSeed(options, *range.cell),
-        options.seed_mode == SweepOptions::SeedMode::kCounterV1};
   }
-  const int lanes = options.mc.threads > 0 ? options.mc.threads : pool.size();
-  RunTrialBlockSpans(pool, lanes, jobs,
-                     [&params](TrialRunner& runner, size_t job, int64_t begin,
-                               int64_t end, TrialAccumulator& acc) {
-                       ExecuteCellTrialSpan(runner, params[job], begin, end, acc);
-                     });
+  // Telemetry: per-range busy time (two clock reads per block, never per
+  // trial), allocated once per call outside the zero-alloc steady state and
+  // only when telemetry is live. Summed across lanes: busy, not elapsed.
+  std::unique_ptr<std::atomic<int64_t>[]> busy;
+  if (busy_ns != nullptr && obs::Enabled()) {
+    busy = std::make_unique<std::atomic<int64_t>[]>(ranges.size());
+  }
+
+  if (!units.empty()) {
+    const Duration horizon = SweepHorizon(options);
+    const FaultBias* bias =
+        options.estimand == SweepOptions::Estimand::kWeightedLossProbability
+            ? &options.bias
+            : nullptr;
+    const int lanes = std::max(
+        1, std::min(options.mc.threads > 0 ? options.mc.threads : pool.size(),
+                    static_cast<int>(units.size())));
+    std::atomic<size_t> next{0};
+    pool.RunLanes(lanes, [&](int) {
+      // One TrialRunner (simulator + system + rng) per range on this lane,
+      // built on first use and reused for the range's later blocks: the
+      // allocation-free engine's per-trial cost is a Reset, not a rebuild.
+      std::vector<std::unique_ptr<TrialRunner>> runners(ranges.size());
+      while (true) {
+        const size_t u = next.fetch_add(1, std::memory_order_relaxed);
+        if (u >= units.size()) {
+          break;
+        }
+        const BlockUnit& unit = units[u];
+        std::unique_ptr<TrialRunner>& runner = runners[unit.range];
+        if (!runner) {
+          const Scenario& scenario = ranges[unit.range].cell->scenario;
+          runner = bias != nullptr
+                       ? std::make_unique<TrialRunner>(
+                             scenario, ConfigValidation::kPreValidated, *bias)
+                       : std::make_unique<TrialRunner>(
+                             scenario, ConfigValidation::kPreValidated);
+        }
+        const int64_t t0 = busy != nullptr ? obs::MonotonicNanos() : 0;
+        RunTrialBlock(*runner, options, horizon, seeds[unit.range], unit.begin,
+                      unit.end, blocks[unit.range][unit.slot]);
+        if (busy != nullptr) {
+          busy[unit.range].fetch_add(obs::MonotonicNanos() - t0,
+                                     std::memory_order_relaxed);
+        }
+      }
+    });
+  }
   if (busy_ns != nullptr) {
     busy_ns->assign(ranges.size(), 0);
     for (size_t j = 0; busy != nullptr && j < ranges.size(); ++j) {
       (*busy_ns)[j] = busy[j].load(std::memory_order_relaxed);
     }
-  }
-  std::vector<std::vector<TrialAccumulator>> blocks;
-  blocks.reserve(jobs.size());
-  for (TrialBatchJob<TrialAccumulator>& job : jobs) {
-    blocks.push_back(std::move(job.blocks));
   }
   return blocks;
 }
@@ -620,51 +642,34 @@ void RecordSweepCellTelemetry(int64_t trials, int rounds, int64_t busy_ns) {
   h_wall.Record(busy_ns);
 }
 
-std::vector<SweepCellExecution> RunSweepCells(WorkerPool& pool,
-                                              std::vector<SweepSpec::Cell> cells,
-                                              const SweepOptions& options) {
-  return RunSweepCellsImpl(pool, cells, options, {});
-}
-
-std::vector<SweepCellExecution> ResumeSweepCells(
+std::vector<SweepCellExecution> RunSweepCells(
     WorkerPool& pool, std::vector<SweepSpec::Cell> cells,
     const SweepOptions& options, std::vector<SweepCellExecution> prior) {
-  if (!options.adaptive) {
-    // A non-adaptive request is an exact trial count; there is nothing to
-    // continue toward, and "topping up" would change the rounds/history
-    // metadata relative to the cold run it must match byte for byte.
-    throw std::invalid_argument(
-        "ResumeSweepCells: only adaptive (kMttdl) sweeps can be resumed");
+  // Telemetry only: each cell's summed block time.
+  std::vector<int64_t> busy_ns(cells.size(), 0);
+  std::vector<int64_t> range_busy_ns;
+  std::vector<SweepCellExecution> executions = RunSweepRounds(
+      cells, options, std::move(prior),
+      [&](const std::vector<CellTrialRange>& ranges,
+          std::vector<SweepCellExecution>& round) {
+        const std::vector<std::vector<TrialAccumulator>> blocks =
+            RunCellTrialRanges(pool, ranges, options, &range_busy_ns);
+        for (size_t j = 0; j < ranges.size(); ++j) {
+          for (const TrialAccumulator& block : blocks[j]) {
+            round[j].acc.MergeFrom(block);
+          }
+          round[j].trials = ranges[j].end;
+          round[j].rounds++;
+          busy_ns[static_cast<size_t>(ranges[j].cell - cells.data())] +=
+              range_busy_ns[j];
+        }
+        return std::vector<bool>(ranges.size(), true);
+      });
+  for (size_t i = 0; i < executions.size(); ++i) {
+    RecordSweepCellTelemetry(executions[i].trials, executions[i].rounds,
+                             busy_ns[i]);
   }
-  if (prior.size() != cells.size()) {
-    throw std::invalid_argument(
-        "ResumeSweepCells: prior has " + std::to_string(prior.size()) +
-        " cells, request has " + std::to_string(cells.size()));
-  }
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const SweepCellExecution& from = prior[i];
-    if (from.label != cells[i].label) {
-      throw std::invalid_argument("ResumeSweepCells: cell " + std::to_string(i) +
-                                  " label mismatch: prior '" + from.label +
-                                  "' vs request '" + cells[i].label + "'");
-    }
-    if (from.trials <= 0 || from.rounds <= 0) {
-      throw std::invalid_argument("ResumeSweepCells: prior cell '" + from.label +
-                                  "' carries no completed trials");
-    }
-    const size_t history = from.half_width_history.size();
-    // A prior adaptive run records one half-width per round; a non-adaptive
-    // one records none and exactly one round (its history entry is
-    // reconstructed from the accumulator). Anything else lost state.
-    if (history != static_cast<size_t>(from.rounds) &&
-        !(from.rounds == 1 && history == 0)) {
-      throw std::invalid_argument(
-          "ResumeSweepCells: prior cell '" + from.label + "' has " +
-          std::to_string(history) + " half-width entries for " +
-          std::to_string(from.rounds) + " rounds");
-    }
-  }
-  return RunSweepCellsImpl(pool, cells, options, std::move(prior));
+  return executions;
 }
 
 SweepResult FinalizeSweepCells(std::vector<SweepCellExecution> executions,
@@ -778,6 +783,14 @@ const SweepCellResult& SweepResult::ByLabel(const std::string& label) const {
     }
   }
   throw std::out_of_range("SweepResult: no cell labelled '" + label + "'");
+}
+
+int64_t SweepResult::TotalTrials() const {
+  int64_t total = 0;
+  for (const SweepCellResult& cell : cells) {
+    total += cell.trials;
+  }
+  return total;
 }
 
 Table SweepResult::ToTable() const {

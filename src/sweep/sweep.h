@@ -28,7 +28,7 @@
 //     and kCounterV1 modes — a function of the cell's *content*, so shards
 //     that receive a serialized scenario (Scenario::ToJson / FromJson)
 //     re-derive the same streams with no label coordination;
-//   * aggregation is block-structured (src/sweep/batch_exec.h) and folded in
+//   * aggregation is block-structured (kTrialBlockSize below) and folded in
 //     trial order.
 // Together these make every estimate bit-identical regardless of thread
 // count, lane scheduling, and the order cells were added to the spec.
@@ -292,6 +292,9 @@ class SweepResult {
   // First cell with the given label; throws std::out_of_range if absent.
   const SweepCellResult& ByLabel(const std::string& label) const;
 
+  // Trials executed across every cell.
+  int64_t TotalTrials() const;
+
   // One row per cell: coordinate columns, then the estimate columns for the
   // sweep's estimand.
   Table ToTable() const;
@@ -323,6 +326,18 @@ struct SweepCellExecution {
 // exposed so shard coordinators and tests derive identical streams.
 uint64_t SweepCellSeed(const SweepOptions& options, const SweepSpec::Cell& cell);
 
+// Fixed trial block size: block b of a cell covers trials
+// [b*256, (b+1)*256), aligned to the absolute trial index, and owns one
+// accumulator. 256 trials amortize the scheduling atomics while keeping
+// enough blocks for load balancing on bench-sized trial counts. Changing this
+// value changes the (deterministic) fold structure and therefore the last-ulp
+// aggregate values; treat it as part of the determinism contract.
+inline constexpr int64_t kTrialBlockSize = 256;
+
+static_assert(kTrialBlockSize == kTrialPrefilterMaxBlock,
+              "the storage-layer batch prefilter sizes its stack scratch to "
+              "the sweep trial block");
+
 // The unit of work from the sweep loop up to the fleet: trials [begin, end)
 // of `cell`, which must outlive the call.
 struct CellTrialRange {
@@ -331,20 +346,22 @@ struct CellTrialRange {
   int64_t end = 0;
 };
 
-// The one trial executor. Runs every range on `pool` as one batch (blocks of
-// all ranges interleaved, so a slow cell cannot strand lanes) and returns,
-// per range, the accumulator of every index-aligned trial block it covers,
-// in trial order (src/sweep/batch_exec.h's partition). The in-process round
-// loop (RunSweepCells) and the shard worker (src/shard/ RunShard) both call
-// it. Valid under every seed mode: trial t's stream is a function of
-// (cell seed, t) alone, so folding, in trial order, the blocks of ranges
-// that tile [a, b) with seams on 256-trial block boundaries yields exactly
-// the accumulator of one [a, b) run. kCounterV1 adds per-draw access, which
-// only the batch prefilter uses. When `busy_ns` is non-null it is resized to
-// the range count and, with telemetry live, receives each range's summed
-// block time (never read by results). Throws std::invalid_argument for a
-// range with begin < 0 or end < begin; cells and options must be
-// pre-validated.
+// The one trial executor. Runs every range on `pool` as one batch and
+// returns, per range, the accumulator of every index-aligned trial block it
+// covers (kTrialBlockSize), in trial order. The blocks of all ranges form
+// one work list drained by the lanes with no barrier between ranges, so a
+// slow cell cannot strand lanes that finished a fast one; each lane builds
+// one TrialRunner per range on first use and reuses it for that range's
+// later blocks. The in-process round loop (RunSweepCells) and the shard
+// worker (src/shard/ RunShard) both call it. Valid under every seed mode:
+// trial t's stream is a function of (cell seed, t) alone, so folding, in
+// trial order, the blocks of ranges that tile [a, b) with seams on block
+// boundaries yields exactly the accumulator of one [a, b) run. kCounterV1
+// adds per-draw access, which only the batch prefilter uses. When `busy_ns`
+// is non-null it is resized to the range count and, with telemetry live,
+// receives each range's summed block time (never read by results). Throws
+// std::invalid_argument for a range with begin < 0 or end < begin; cells
+// and options must be pre-validated.
 std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
     WorkerPool& pool, const std::vector<CellTrialRange>& ranges,
     const SweepOptions& options, std::vector<int64_t>* busy_ns = nullptr);
@@ -374,48 +391,46 @@ using SweepRoundExecutor = std::function<std::vector<bool>(
     const std::vector<CellTrialRange>& ranges,
     std::vector<SweepCellExecution>& executions)>;
 
-// The one round loop, shared by the in-process runner (RunSweepCells,
-// ResumeSweepCells) and the fleet coordinator (src/fleet/). Each round hands
-// every unfinished cell's next trial range to `run_round`; a non-adaptive
-// sweep is one round of mc.trials; an adaptive one (kMttdl) judges every
-// cell after each round and grows the unconverged ones geometrically.
-// `prior` (empty for a cold run) must line up with `cells` and restores each
-// cell's accumulator and round history first (see ResumeSweepCells). A cell
-// whose range did not run leaves the sweep. Returns the executions of the
-// remaining cells in cell order. The ranges point into `cells`. Cells and
-// options must be pre-validated.
+// The one round loop, shared by the in-process runner (RunSweepCells) and
+// the fleet coordinator (src/fleet/). Each round hands every unfinished
+// cell's next trial range to `run_round`; a non-adaptive sweep is one round
+// of mc.trials; an adaptive one (kMttdl) judges every cell after each round
+// and grows the unconverged ones geometrically. A cell whose range did not
+// run leaves the sweep. Returns the executions of the remaining cells in
+// cell order. The ranges point into `cells`. Cells and options must be
+// pre-validated.
+//
+// `prior` empty is a cold run. Otherwise the sweep continues from the raw
+// executions of an earlier run instead of restarting: each cell's folded
+// accumulator, trial count and round history are restored, the last
+// round's verdict is re-judged under *these* options, and unconverged cells
+// rejoin the geometric round schedule. Because trial t of a cell is a
+// function of (cell seed, t) alone — independent of round boundaries — and
+// the round-target schedule is independent of relative_precision, resuming
+// a converged looser-precision run at a tighter relative_precision returns
+// executions *byte-identical* to a cold run at the tighter precision, while
+// only simulating the trials beyond `prior`. A prior must come from the
+// same cells/mc/seed-mode configuration, or the continuation silently
+// computes a different sweep. Throws std::invalid_argument, before any
+// round runs, unless the request is adaptive, `prior` lines up with `cells`
+// one to one (same order and labels), and every prior cell carries
+// completed trials and one half-width per round (a non-adaptive
+// single-round prior, which records none, is accepted: its round-1
+// half-width is reconstructed from the accumulator).
 std::vector<SweepCellExecution> RunSweepRounds(
     const std::vector<SweepSpec::Cell>& cells, const SweepOptions& options,
     std::vector<SweepCellExecution> prior, const SweepRoundExecutor& run_round);
 
 // Executes every cell's trials on `pool` and returns the raw per-cell
-// executions in cell order: RunSweepRounds, with each round run by
+// executions in cell order: RunSweepRounds from `prior` (empty for a cold
+// run; see there for a resume's checks and contract), with each round run by
 // RunCellTrialRanges and its blocks folded in trial order — the executor the
 // shard worker runs too, so a shard's blocks are bit-identical to the same
 // trials' blocks here by construction, not by careful reimplementation.
 // Cells and options must be pre-validated.
-std::vector<SweepCellExecution> RunSweepCells(WorkerPool& pool,
-                                              std::vector<SweepSpec::Cell> cells,
-                                              const SweepOptions& options);
-
-// Continues an adaptive (kMttdl) sweep from the raw executions of an earlier
-// run instead of restarting: each cell's folded accumulator, trial count and
-// round history are restored, the last round's verdict is re-judged under
-// *these* options, and unconverged cells rejoin the geometric round
-// schedule. Because trial t of a cell is seeded DeriveSeed(cell_seed, t) —
-// independent of round boundaries — and the round-target schedule is
-// independent of relative_precision, resuming a converged looser-precision
-// run at a tighter relative_precision returns executions *byte-identical*
-// to a cold run at the tighter precision, while only simulating the trials
-// beyond `prior`. `prior` must line up with `cells` one-to-one (same order
-// and labels) and must come from the same cells/mc/seed-mode configuration,
-// or the continuation silently computes a different sweep; label and shape
-// mismatches throw std::invalid_argument. A non-adaptive single-round prior
-// is accepted (its round-1 half-width is reconstructed from the
-// accumulator); a non-adaptive *request* is not resumable.
-std::vector<SweepCellExecution> ResumeSweepCells(
+std::vector<SweepCellExecution> RunSweepCells(
     WorkerPool& pool, std::vector<SweepSpec::Cell> cells,
-    const SweepOptions& options, std::vector<SweepCellExecution> prior);
+    const SweepOptions& options, std::vector<SweepCellExecution> prior = {});
 
 // Finalizes raw executions (already in result order) into a SweepResult.
 SweepResult FinalizeSweepCells(std::vector<SweepCellExecution> executions,

@@ -128,10 +128,11 @@ TEST(AdaptiveStoppingTest, PerCellStoppingIsIndependent) {
 }
 
 // The resume contract behind the sweep service's near-hit cache path: a
-// converged looser-precision run, continued at a tighter precision via
-// ResumeSweepCells, must land on executions byte-identical to a cold run at
-// the tighter precision — same accumulator bits, trials, rounds, and
-// half-width history — while only simulating the trials past the prior run.
+// converged looser-precision run, continued at a tighter precision by
+// passing it to RunSweepCells as the prior, must land on executions
+// byte-identical to a cold run at the tighter precision — same accumulator
+// bits, trials, rounds, and half-width history — while only simulating the
+// trials past the prior run.
 TEST(AdaptiveStoppingTest, ResumeFromLooserPrecisionMatchesColdRunExactly) {
   SweepSpec spec(FastScenario());
   SweepOptions loose;
@@ -155,7 +156,7 @@ TEST(AdaptiveStoppingTest, ResumeFromLooserPrecisionMatchesColdRunExactly) {
       << "tight precision must need more trials or the resume is trivial";
 
   std::vector<SweepCellExecution> resumed =
-      ResumeSweepCells(pool, spec.BuildCells(), tight, std::move(prior));
+      RunSweepCells(pool, spec.BuildCells(), tight, std::move(prior));
   ASSERT_EQ(resumed.size(), cold.size());
   EXPECT_EQ(resumed[0].trials, cold[0].trials);
   EXPECT_EQ(resumed[0].rounds, cold[0].rounds);
@@ -187,7 +188,7 @@ TEST(AdaptiveStoppingTest, ResumeAtSamePrecisionIsANoOp) {
   std::vector<SweepCellExecution> prior =
       RunSweepCells(pool, spec.BuildCells(), options);
   const std::vector<SweepCellExecution> resumed =
-      ResumeSweepCells(pool, spec.BuildCells(), options, std::move(prior));
+      RunSweepCells(pool, spec.BuildCells(), options, std::move(prior));
   EXPECT_EQ(resumed[0].trials, first[0].trials);
   EXPECT_EQ(resumed[0].rounds, first[0].rounds);
   EXPECT_EQ(resumed[0].half_width_history, first[0].half_width_history);
@@ -207,15 +208,20 @@ TEST(AdaptiveStoppingTest, ResumeRejectsMismatchedPriors) {
   const std::vector<SweepCellExecution> prior =
       RunSweepCells(pool, spec.BuildCells(), options);
 
-  // Wrong cardinality.
-  EXPECT_THROW(ResumeSweepCells(pool, spec.BuildCells(), options, {}),
-               std::invalid_argument);
+  // Wrong cardinality: one cell more than the request.
+  {
+    std::vector<SweepCellExecution> extra = prior;
+    extra.push_back(prior[0]);
+    EXPECT_THROW(
+        RunSweepCells(pool, spec.BuildCells(), options, std::move(extra)),
+        std::invalid_argument);
+  }
   // Wrong label.
   {
     std::vector<SweepCellExecution> bad = prior;
     bad[0].label = "someone-else";
     EXPECT_THROW(
-        ResumeSweepCells(pool, spec.BuildCells(), options, std::move(bad)),
+        RunSweepCells(pool, spec.BuildCells(), options, std::move(bad)),
         std::invalid_argument);
   }
   // Non-adaptive requests are not resumable.
@@ -224,7 +230,7 @@ TEST(AdaptiveStoppingTest, ResumeRejectsMismatchedPriors) {
     fixed.adaptive = false;
     std::vector<SweepCellExecution> copy = prior;
     EXPECT_THROW(
-        ResumeSweepCells(pool, spec.BuildCells(), fixed, std::move(copy)),
+        RunSweepCells(pool, spec.BuildCells(), fixed, std::move(copy)),
         std::invalid_argument);
   }
 }

@@ -6,8 +6,8 @@
 //   * RunCellTrialRanges over any contiguous block-aligned tiling of
 //     [0, N) must concatenate to the whole-run block list bit for bit, under
 //     every seed mode (the primitive behind shards and fleet rounds);
-//   * ResumeSweepCells continues an adaptive run byte-identically to a cold
-//     run at the tighter precision;
+//   * RunSweepCells from a prior continues an adaptive run byte-identically
+//     to a cold run at the tighter precision;
 //   * the prefilter's verdicts are pinned on the archival grid, and its
 //     integer-domain rule (ReplicatedStorageSystem::HorizonVerdict) equals
 //     the exact log-based rule at its edges and inside the kernel.
@@ -31,7 +31,6 @@
 #include "src/scenario/scenario.h"
 #include "src/storage/replicated_system.h"
 #include "src/sweep/accumulator.h"
-#include "src/sweep/batch_exec.h"
 #include "src/sweep/sweep.h"
 #include "src/sweep/worker_pool.h"
 #include "src/util/json.h"
@@ -477,7 +476,7 @@ TEST(CounterSweepTest, ResumeTighterPrecisionIsByteIdenticalToColdRun) {
   const std::vector<SweepCellExecution> cold = RunSweepCells(pool, cells, tight);
   std::vector<SweepCellExecution> prior = RunSweepCells(pool, cells, loose);
   const std::vector<SweepCellExecution> resumed =
-      ResumeSweepCells(pool, cells, tight, std::move(prior));
+      RunSweepCells(pool, cells, tight, std::move(prior));
 
   ASSERT_EQ(resumed.size(), cold.size());
   for (size_t i = 0; i < cold.size(); ++i) {

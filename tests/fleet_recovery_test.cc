@@ -754,6 +754,36 @@ TEST(FleetRecoveryTest, AdaptiveRecoversByteIdenticallyUnderChaos) {
   }
 }
 
+// RunSweepRounds' prior checks hold on the fleet path and fire before any
+// worker is spawned: the worker binary does not exist, so a spawn would
+// surface as FleetError rather than std::invalid_argument.
+TEST(FleetRecoveryTest, MismatchedPriorsAreRejectedBeforeAnySpawn) {
+  const SmallSweep sweep = MakeAdaptiveSweep(SweepOptions::SeedMode::kPerCellDerived);
+  const std::vector<SweepCellExecution> prior =
+      RunSweepCells(WorkerPool::Shared(), sweep.spec.BuildCells(), sweep.options);
+  TempDir dir;
+  FleetOptions options = BaseOptions(dir);
+  options.worker_path = dir.path() + "/no_such_worker";
+  const FleetSupervisor fleet(options);
+  const auto run = [&](const SweepOptions& sweep_options,
+                       std::vector<SweepCellExecution> from) {
+    return fleet.Run(sweep.spec.AxisNames(), sweep_options,
+                     sweep.spec.BuildCells(), std::move(from));
+  };
+
+  std::vector<SweepCellExecution> relabelled = prior;
+  relabelled[0].label = "someone-else";
+  EXPECT_THROW(run(sweep.options, relabelled), std::invalid_argument);
+
+  std::vector<SweepCellExecution> extra = prior;
+  extra.push_back(prior[0]);
+  EXPECT_THROW(run(sweep.options, extra), std::invalid_argument);
+
+  SweepOptions fixed = sweep.options;
+  fixed.adaptive = false;
+  EXPECT_THROW(run(fixed, prior), std::invalid_argument);
+}
+
 // A non-adaptive sweep with fewer cells than shards splits its cells at
 // block boundaries in its one round, under every seed mode.
 TEST(FleetRecoveryTest, OneRoundSplitMidCellIsByteIdenticalUnderEverySeedMode) {

@@ -16,8 +16,10 @@
 #include "src/scenario/media.h"
 #include "src/scenario/scenario_ctmc.h"
 #include "src/service/sweep_service.h"
+#include "src/shard/shard.h"
 #include "src/sweep/worker_pool.h"
 #include "src/util/json.h"
+#include "tools/figure_sweeps.h"
 
 namespace longstore {
 namespace {
@@ -86,6 +88,34 @@ TEST(FrontierTest, ByteIdenticalAcrossPoolAndServiceBackends) {
   EXPECT_EQ(again.ToJson(), b);
   EXPECT_GT(cached.stats().cache_served, 0);
   EXPECT_EQ(cached.stats().simulated_trials, 0);
+}
+
+// Both backends run one request check: a document the service refuses —
+// a cell naming a partial trial range, a stale sweep_id, a cell dropped
+// while total_cells still counts it — is an error on the pool backend too,
+// never a computed answer.
+TEST(FrontierTest, BothBackendsRefuseDocumentsTheServiceRefuses) {
+  SweepSpec spec;
+  SweepOptions options;
+  BuildCheetahSweep(&spec, &options);
+  const ShardSpec whole = ShardPlan(spec, options, /*shard_count=*/1).shards()[0];
+  ShardSpec partial_range = whole;
+  partial_range.ranges[0] = ShardCellRange{0, 512};
+  ShardSpec stale_id = whole;
+  stale_id.sweep_id ^= 1;
+  ShardSpec dropped_cell = whole;
+  dropped_cell.cells.pop_back();
+  dropped_cell.ranges.pop_back();
+
+  PoolEvalBackend pool_backend;
+  SweepService service{ServiceOptions{}};
+  ServiceEvalBackend service_backend(service);
+  for (const ShardSpec* document : {&partial_range, &stale_id, &dropped_cell}) {
+    const std::string bytes = document->ToJson();
+    EXPECT_THROW(pool_backend.Evaluate(bytes), std::invalid_argument);
+    EXPECT_THROW(service_backend.Evaluate(bytes), std::runtime_error);
+  }
+  EXPECT_EQ(service.cache_size(), 0u);
 }
 
 TEST(FrontierTest, ByteIdenticalAcrossEnumerationOrder) {

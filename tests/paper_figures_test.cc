@@ -35,7 +35,8 @@
 namespace longstore {
 namespace {
 
-// Matches bench_scrubbing_effect's simulation setup for the §5.4 table.
+// Matches the scenarios of tools/figure_sweeps.h's Cheetah sweep, the
+// simulation column of bench_scrubbing_effect's §5.4 table.
 Scenario CheetahScenario(const FaultParams& p) {
   return ScenarioBuilder().Replicas(2, SpecFromParams(p)).Correlation(p.alpha).Build();
 }

@@ -2,8 +2,8 @@
 // socket — cold query computed, warm query answered from cache with bytes
 // identical to the in-process golden run, the real sweep_client binary
 // agreeing via its --expect-source exit codes, the fleet backend producing
-// the same bytes through worker subprocesses, and SIGTERM shutting the
-// daemon down cleanly.
+// the same bytes through worker subprocesses, a tighter query resumed on
+// either backend, and SIGTERM shutting the daemon down cleanly.
 
 #include <signal.h>
 #include <stdlib.h>
@@ -281,8 +281,19 @@ TEST_F(ServiceE2eTest, MetricsRequestReportsTheScriptedCacheSequence) {
   EXPECT_EQ(RunClient({"--metrics"}), 0);
 }
 
-TEST_F(ServiceE2eTest, AdaptiveResumeWorksAcrossTheWire) {
-  StartDaemon();
+// A near hit resumes on the configured backend (the parameter): in process
+// on the pool, or on a 4-shard worker fleet whose first round merges onto
+// the stored accumulators.
+class ServiceE2eResumeTest : public ServiceE2eTest,
+                             public ::testing::WithParamInterface<std::string> {};
+
+TEST_P(ServiceE2eResumeTest, AdaptiveResumeWorksAcrossTheWire) {
+  std::vector<std::string> args = {"--backend=" + GetParam()};
+  if (GetParam() == "fleet") {
+    args.insert(args.end(), {"--worker=" LONGSTORE_SWEEP_WORKER, "--tmp=" + dir_,
+                             "--shards=4", "--max-parallel=2", "--timeout-s=120"});
+  }
+  StartDaemon(args);
   SweepSpec spec;
   SweepOptions options;
   BuildCheetahSweep(&spec, &options);
@@ -323,6 +334,12 @@ TEST_F(ServiceE2eTest, AdaptiveResumeWorksAcrossTheWire) {
   EXPECT_LT(tight.new_trials, cold_trials);
   EXPECT_EQ(loose.new_trials + tight.new_trials, cold_trials);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, ServiceE2eResumeTest,
+                         ::testing::Values(std::string("pool"), std::string("fleet")),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace longstore

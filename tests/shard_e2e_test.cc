@@ -29,8 +29,8 @@
 namespace longstore {
 namespace {
 
-// Matches tests/paper_figures_test.cc (and bench_scrubbing_effect's
-// simulation column) for the §5.4 table.
+// Matches tests/paper_figures_test.cc (and the scenarios of
+// tools/figure_sweeps.h's Cheetah sweep) for the §5.4 table.
 Scenario CheetahScenario(const FaultParams& p) {
   return ScenarioBuilder().Replicas(2, SpecFromParams(p)).Correlation(p.alpha).Build();
 }

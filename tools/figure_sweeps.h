@@ -1,10 +1,12 @@
 // Shared golden-figure sweep definitions for the command-line tools.
 //
-// The §5.4 Cheetah sweep is the repo's cross-process golden: bench_scrubbing_
-// effect computes it in-process, sweep_fleet replays it through a worker
-// fleet, and the sweep service answers it from its cache — and every one of
-// those paths must print byte-identical cells. Defining the cells once keeps
-// "the same sweep" a fact rather than a convention.
+// The §5.4 Cheetah sweep is the repo's cross-process golden:
+// bench_scrubbing_effect prints it in-process, sweep_fleet replays it
+// through a worker fleet (the figure CI's sharded-smoke and fleet-chaos
+// jobs diff), and the sweep service answers it from its cache — and every
+// one of those paths must print byte-identical cells. Every one of them
+// builds the cells here, which keeps "the same sweep" a fact rather than a
+// convention.
 
 #ifndef LONGSTORE_TOOLS_FIGURE_SWEEPS_H_
 #define LONGSTORE_TOOLS_FIGURE_SWEEPS_H_
@@ -16,10 +18,10 @@
 
 namespace longstore {
 
-// The §5.4 running example's Monte Carlo sweep, cell-for-cell and
-// seed-for-seed identical to bench_scrubbing_effect's — which makes the
-// --cheetah output of every tool a golden figure CI can regenerate through
-// any amount of injected chaos (or any cache temperature).
+// The §5.4 running example's Monte Carlo sweep, the simulation column of
+// bench_scrubbing_effect — which makes the --cheetah output of every tool a
+// golden figure CI can regenerate through any amount of injected chaos (or
+// any cache temperature).
 inline void BuildCheetahSweep(SweepSpec* spec, SweepOptions* options) {
   const FaultParams unscrubbed = FaultParams::PaperCheetahExample();
   const FaultParams scrubbed =

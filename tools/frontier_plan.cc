@@ -116,16 +116,6 @@ int Run(int argc, char** argv) {
   std::optional<uint64_t> seed;
   int threads = 0;
 
-  const auto long_arg = [](const char* arg, const char* name,
-                           const char** value) {
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-      *value = arg + len + 1;
-      return true;
-    }
-    return false;
-  };
-
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
@@ -137,47 +127,47 @@ int Run(int argc, char** argv) {
       force_simulation = true;
     } else if (std::strcmp(arg, "--explain") == 0) {
       explain = true;
-    } else if (long_arg(arg, "--backend", &value)) {
+    } else if (MatchValueFlag(arg, "--backend", &value)) {
       backend_name = value;
-    } else if (long_arg(arg, "--socket", &value)) {
+    } else if (MatchValueFlag(arg, "--socket", &value)) {
       socket_path = value;
-    } else if (long_arg(arg, "--format", &value)) {
+    } else if (MatchValueFlag(arg, "--format", &value)) {
       format = value;
-    } else if (long_arg(arg, "--metrics-out", &value)) {
+    } else if (MatchValueFlag(arg, "--metrics-out", &value)) {
       metrics_out = value;
-    } else if (long_arg(arg, "--trace-out", &value)) {
+    } else if (MatchValueFlag(arg, "--trace-out", &value)) {
       trace_out = value;
-    } else if (long_arg(arg, "--migrate-at", &value)) {
+    } else if (MatchValueFlag(arg, "--migrate-at", &value)) {
       if (!ParseYearList(value, &migration_years)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--mission-years", &value)) {
+    } else if (MatchValueFlag(arg, "--mission-years", &value)) {
       if (!ParseDoubleFlag(value, kPositiveDouble, &mission_years)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--target-loss", &value)) {
+    } else if (MatchValueFlag(arg, "--target-loss", &value)) {
       if (!ParseDoubleFlag(value, kPositiveDouble, &target_loss)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--budget", &value)) {
+    } else if (MatchValueFlag(arg, "--budget", &value)) {
       if (!ParseDoubleFlag(value, kPositiveDouble, &budget)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--archive-gb", &value)) {
+    } else if (MatchValueFlag(arg, "--archive-gb", &value)) {
       if (!ParseDoubleFlag(value, kPositiveDouble, &archive_gb)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--trials", &value)) {
+    } else if (MatchValueFlag(arg, "--trials", &value)) {
       if (!ParseIntFlag(value, int64_t{1}, &trials)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--seed", &value)) {
+    } else if (MatchValueFlag(arg, "--seed", &value)) {
       uint64_t parsed = 0;
       if (!ParseUint64Flag(value, &parsed)) {
         return Usage(argv[0]);
       }
       seed = parsed;
-    } else if (long_arg(arg, "--threads", &value)) {
+    } else if (MatchValueFlag(arg, "--threads", &value)) {
       if (!ParseIntFlag(value, 0, &threads)) {
         return Usage(argv[0]);
       }

@@ -1,7 +1,7 @@
-// Strict numeric command-line values, shared by the sweep tools: the whole
-// value must parse and lie in range. "abc", "", "3x", a negative count and
-// a NaN are usage errors — never a silent 0, a truncated number, or a
-// disabled safeguard.
+// Command-line flag parsing shared by the sweep tools: the "--name=value"
+// matcher and strict numeric values. A numeric value must parse whole and
+// lie in range: "abc", "", "3x", a negative count and a NaN are usage
+// errors — never a silent 0, a truncated number, or a disabled safeguard.
 
 #ifndef LONGSTORE_TOOLS_NUMERIC_FLAGS_H_
 #define LONGSTORE_TOOLS_NUMERIC_FLAGS_H_
@@ -14,6 +14,18 @@
 #include <limits>
 
 namespace longstore {
+
+// True when `arg` is `name` followed by '=', with *value pointing at the
+// text after the '=' ("--socket=/tmp/s" matches "--socket", value
+// "/tmp/s").
+inline bool MatchValueFlag(const char* arg, const char* name, const char** value) {
+  const size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
+    *value = arg + len + 1;
+    return true;
+  }
+  return false;
+}
 
 // A base-10 integer in [min, max(Int)].
 template <typename Int>

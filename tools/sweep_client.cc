@@ -30,10 +30,6 @@
 // cache hits this way. Exit 0 = ok, 1 = usage/transport, 2 = service error
 // (3 = retryable service error), 4 = source mismatch.
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -60,26 +56,6 @@ int Usage(const char* argv0) {
   return 1;
 }
 
-int Connect(const std::string& socket_path) {
-  if (socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-    throw std::runtime_error("socket path too long: " + socket_path);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw std::runtime_error("socket() failed");
-  }
-  sockaddr_un addr = {};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw std::runtime_error("cannot connect to '" + socket_path +
-                             "' (is sweep_serviced running?)");
-  }
-  return fd;
-}
-
 int Main(int argc, char** argv) {
   std::string socket_path;
   std::string shard_file;
@@ -90,16 +66,6 @@ int Main(int argc, char** argv) {
   bool metrics = false;
   double precision = 0.0;  // 0 = not adaptive
   int64_t max_trials = 1000000;
-
-  const auto long_arg = [](const char* arg, const char* name,
-                           const char** value) {
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-      *value = arg + len + 1;
-      return true;
-    }
-    return false;
-  };
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -112,19 +78,19 @@ int Main(int argc, char** argv) {
       stats = true;
     } else if (std::strcmp(arg, "--metrics") == 0) {
       metrics = true;
-    } else if (long_arg(arg, "--socket", &value)) {
+    } else if (MatchValueFlag(arg, "--socket", &value)) {
       socket_path = value;
-    } else if (long_arg(arg, "--shard", &value)) {
+    } else if (MatchValueFlag(arg, "--shard", &value)) {
       shard_file = value;
-    } else if (long_arg(arg, "--precision", &value)) {
+    } else if (MatchValueFlag(arg, "--precision", &value)) {
       if (!ParseDoubleFlag(value, kPositiveDouble, &precision)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--max-trials", &value)) {
+    } else if (MatchValueFlag(arg, "--max-trials", &value)) {
       if (!ParseIntFlag(value, int64_t{1}, &max_trials)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--expect-source", &value)) {
+    } else if (MatchValueFlag(arg, "--expect-source", &value)) {
       expect_source = value;
     } else {
       return Usage(argv[0]);
@@ -167,20 +133,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  const int fd = Connect(socket_path);
-  std::string response_bytes;
-  std::string frame_error;
-  if (!WriteFrame(fd, request.ToJson()) ||
-      ReadFrame(fd, &response_bytes, &frame_error) != FrameStatus::kOk) {
-    ::close(fd);
-    std::fprintf(stderr, "sweep_client: transport failed: %s\n",
-                 frame_error.empty() ? "write error" : frame_error.c_str());
-    return 1;
-  }
-  ::close(fd);
-
-  const ServiceResponse response =
-      ServiceResponse::FromJson(response_bytes, socket_path);
+  // A transport failure throws, and main answers it with exit 1.
+  const ServiceResponse response = CallService(socket_path, request);
   if (!response.ok) {
     std::fprintf(stderr, "sweep_client: service error (%s): %s\n",
                  response.retryable ? "retryable" : "permanent",

@@ -6,9 +6,10 @@
 //
 // Sweep selection:
 //   --cheetah            the §5.4 Cheetah golden figure's Monte Carlo sweep
-//                        (3 configurations x 4000 trials, seed 33) — the
-//                        same cells bench_scrubbing_effect runs, so a fleet
-//                        run is diffable against the single-process golden
+//                        (3 configurations x 4000 trials, seed 33;
+//                        tools/figure_sweeps.h, the cells
+//                        bench_scrubbing_effect prints), so a fleet run is
+//                        diffable against the single-process golden
 //   --scenario=FILE      one cell per flag: the scenario JSON in FILE
 //   --trials/--seed/--estimand=mttdl|loss/--mission-years configure the
 //                        --scenario sweep (ignored with --cheetah)
@@ -55,7 +56,8 @@
 // Output: --format=table|csv|json (default table) on stdout; supervision
 // log and stats on stderr. A fleet run that completes is byte-identical on
 // stdout to the same sweep's --single run — that is the merge contract, and
-// the CI chaos and telemetry-identity jobs diff exactly this. Exit 0 =
+// the CI sharded-smoke, fleet-chaos and telemetry-identity jobs diff
+// exactly this. Exit 0 =
 // complete, 2 = partial (--partial-ok), 1 = error.
 
 #include <stdlib.h>
@@ -189,16 +191,6 @@ int Main(int argc, char** argv) {
   fleet.timeout_seconds = 120.0;
   fleet.log = stderr;
 
-  const auto long_arg = [](const char* arg, const char* name,
-                           const char** value) {
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-      *value = arg + len + 1;
-      return true;
-    }
-    return false;
-  };
-
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
@@ -210,77 +202,77 @@ int Main(int argc, char** argv) {
       fleet.partial_ok = true;
     } else if (std::strcmp(arg, "--keep-files") == 0) {
       fleet.keep_files = true;
-    } else if (long_arg(arg, "--scenario", &value)) {
+    } else if (MatchValueFlag(arg, "--scenario", &value)) {
       scenario_files.push_back(value);
-    } else if (long_arg(arg, "--worker", &value)) {
+    } else if (MatchValueFlag(arg, "--worker", &value)) {
       fleet.worker_path = value;
-    } else if (long_arg(arg, "--shards", &value)) {
+    } else if (MatchValueFlag(arg, "--shards", &value)) {
       if (!ParseIntFlag(value, 1, &fleet.shard_count)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--max-parallel", &value)) {
+    } else if (MatchValueFlag(arg, "--max-parallel", &value)) {
       if (!ParseIntFlag(value, 1, &fleet.max_parallel)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--max-retries", &value)) {
+    } else if (MatchValueFlag(arg, "--max-retries", &value)) {
       if (!ParseIntFlag(value, 0, &fleet.max_retries)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--timeout-s", &value)) {
+    } else if (MatchValueFlag(arg, "--timeout-s", &value)) {
       if (!ParseDoubleFlag(value, 0.0, &fleet.timeout_seconds)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--backoff-initial-s", &value)) {
+    } else if (MatchValueFlag(arg, "--backoff-initial-s", &value)) {
       if (!ParseDoubleFlag(value, 0.0, &fleet.backoff_initial_seconds)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--threads", &value)) {
+    } else if (MatchValueFlag(arg, "--threads", &value)) {
       if (!ParseIntFlag(value, 0, &threads)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--tmp", &value)) {
+    } else if (MatchValueFlag(arg, "--tmp", &value)) {
       tmp_dir = value;
-    } else if (long_arg(arg, "--format", &value)) {
+    } else if (MatchValueFlag(arg, "--format", &value)) {
       format = value;
       if (format != "table" && format != "csv" && format != "json") {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--trials", &value)) {
+    } else if (MatchValueFlag(arg, "--trials", &value)) {
       if (!ParseIntFlag(value, int64_t{1}, &trials)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--seed", &value)) {
+    } else if (MatchValueFlag(arg, "--seed", &value)) {
       if (!ParseUint64Flag(value, &seed)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--estimand", &value)) {
+    } else if (MatchValueFlag(arg, "--estimand", &value)) {
       estimand = value;
       if (estimand != "mttdl" && estimand != "loss") {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--mission-years", &value)) {
+    } else if (MatchValueFlag(arg, "--mission-years", &value)) {
       if (!ParseDoubleFlag(value, 0.0, &mission_years)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--seed-mode", &value)) {
+    } else if (MatchValueFlag(arg, "--seed-mode", &value)) {
       seed_mode = value;
       if (seed_mode != "shared_root" && seed_mode != "per_cell_derived" &&
           seed_mode != "scenario_derived" && seed_mode != "counter_v1") {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--fail-mode", &value)) {
+    } else if (MatchValueFlag(arg, "--fail-mode", &value)) {
       fleet.fail_mode = value;
-    } else if (long_arg(arg, "--fail-prob", &value)) {
+    } else if (MatchValueFlag(arg, "--fail-prob", &value)) {
       if (!ParseDoubleFlag(value, 0.0, &fleet.fail_prob) || fleet.fail_prob > 1.0) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--fail-seed", &value)) {
+    } else if (MatchValueFlag(arg, "--fail-seed", &value)) {
       if (!ParseUint64Flag(value, &fleet.fail_seed)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--metrics-out", &value)) {
+    } else if (MatchValueFlag(arg, "--metrics-out", &value)) {
       metrics_out = value;
-    } else if (long_arg(arg, "--trace-out", &value)) {
+    } else if (MatchValueFlag(arg, "--trace-out", &value)) {
       trace_out = value;
     } else {
       return Usage(argv[0]);

@@ -16,10 +16,10 @@
 //
 // Execution backend:
 //   --backend=pool|fleet pool (default): every sweep runs on this process's
-//                        warm WorkerPool. fleet: cold sweeps run on a
-//                        supervised sweep_worker fleet (resumes still run
-//                        in-process — accumulator state cannot be shipped
-//                        into a fresh worker)
+//                        warm WorkerPool. fleet: every sweep, cold or
+//                        resumed, runs on a supervised sweep_worker fleet
+//                        (a resume's first round merges onto the cached
+//                        accumulators)
 //   --worker=PATH        sweep_worker binary          (fleet backend)
 //   --tmp=DIR            fleet scratch directory      (fleet backend)
 //   --shards=K --max-parallel=N --threads=N --timeout-s=T
@@ -141,59 +141,49 @@ int Main(int argc, char** argv) {
   options.fleet.timeout_seconds = 120.0;
   options.fleet.log = stderr;
 
-  const auto long_arg = [](const char* arg, const char* name,
-                           const char** value) {
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-      *value = arg + len + 1;
-      return true;
-    }
-    return false;
-  };
-
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
     if (std::strcmp(arg, "--stdio") == 0) {
       stdio = true;
-    } else if (long_arg(arg, "--socket", &value)) {
+    } else if (MatchValueFlag(arg, "--socket", &value)) {
       socket_path = value;
-    } else if (long_arg(arg, "--backend", &value)) {
+    } else if (MatchValueFlag(arg, "--backend", &value)) {
       backend = value;
       if (backend != "pool" && backend != "fleet") {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--worker", &value)) {
+    } else if (MatchValueFlag(arg, "--worker", &value)) {
       options.fleet.worker_path = value;
-    } else if (long_arg(arg, "--tmp", &value)) {
+    } else if (MatchValueFlag(arg, "--tmp", &value)) {
       options.fleet.temp_dir = value;
-    } else if (long_arg(arg, "--shards", &value)) {
+    } else if (MatchValueFlag(arg, "--shards", &value)) {
       if (!ParseIntFlag(value, 1, &options.fleet.shard_count)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--max-parallel", &value)) {
+    } else if (MatchValueFlag(arg, "--max-parallel", &value)) {
       if (!ParseIntFlag(value, 1, &options.fleet.max_parallel)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--threads", &value)) {
+    } else if (MatchValueFlag(arg, "--threads", &value)) {
       if (!ParseIntFlag(value, 0, &options.fleet.worker_threads)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--timeout-s", &value)) {
+    } else if (MatchValueFlag(arg, "--timeout-s", &value)) {
       if (!ParseDoubleFlag(value, 0.0, &options.fleet.timeout_seconds)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--cache-capacity", &value)) {
+    } else if (MatchValueFlag(arg, "--cache-capacity", &value)) {
       if (!ParseIntFlag(value, 1L, &cache_capacity)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--max-requests", &value)) {
+    } else if (MatchValueFlag(arg, "--max-requests", &value)) {
       if (!ParseIntFlag(value, 0L, &max_requests)) {
         return Usage(argv[0]);
       }
-    } else if (long_arg(arg, "--metrics-out", &value)) {
+    } else if (MatchValueFlag(arg, "--metrics-out", &value)) {
       metrics_out = value;
-    } else if (long_arg(arg, "--trace-out", &value)) {
+    } else if (MatchValueFlag(arg, "--trace-out", &value)) {
       trace_out = value;
     } else {
       return Usage(argv[0]);
