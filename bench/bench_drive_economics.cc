@@ -5,7 +5,7 @@
 //   - Cheetah:   3% 5-year fault probability, UBER 1e-15, $8.20/GB (~14x);
 //   - at a 99%-idle 5-year life, "about 8" vs "about 6" irrecoverable bit
 //     errors (our arithmetic with the paper's own quoted bandwidths gives
-//     8.2 vs 3.8 — same order, same conclusion; see EXPERIMENTS.md);
+//     8.2 vs 3.8 — same order, same conclusion);
 //   - conclusion: the 14x premium buys ~half the fault probability, so more
 //     (sufficiently independent) consumer replicas win per dollar.
 

@@ -4,8 +4,7 @@
 // The paper's equations are linearized approximations of a stochastic
 // process; the CTMC solves that process exactly (for exponential detection),
 // and the discrete-event simulator samples it. This bench quantifies every
-// gap so EXPERIMENTS.md can state precisely where the published closed forms
-// hold and by what factor they drift.
+// gap: where the published closed forms hold and by what factor they drift.
 //
 // All five scenarios run as one explicit-cell sweep on the shared worker
 // pool (kSharedRoot seeding keeps each scenario's trial streams — and hence

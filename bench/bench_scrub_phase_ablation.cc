@@ -7,8 +7,8 @@
 //   (b) staggered vs aligned scrub phases across replicas — aligned audits
 //       leave synchronized blind spots where simultaneous latent faults
 //       (e.g. a corruption worm) sit undetected on every replica at once.
-// Both are operator-controllable for free, which is why DESIGN.md calls them
-// out as ablation targets.
+// Both are operator-controllable for free, which makes them ablation
+// targets.
 
 #include <cstdio>
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Compiles every public header under src/ as a standalone translation unit:
-# a header that only builds when its includer happens to pull in the right
-# dependencies first is a landmine for API consumers. Run from the repo
-# root; exits non-zero listing every header that fails.
+# Compiles every header under src/ and tools/ as a standalone translation
+# unit: a header that only builds when its includer happens to pull in the
+# right dependencies first is a landmine for API consumers (src/) and for
+# the tools and benches that share tools/ headers. Run from the repo root;
+# exits non-zero listing every header that fails.
 set -u
 
 CXX="${CXX:-c++}"
@@ -12,7 +13,7 @@ failures=0
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "${tmpdir}"' EXIT
 
-for header in $(find src -name '*.h' | sort); do
+for header in $(find src tools -name '*.h' | sort); do
   tu="${tmpdir}/tu.cc"
   printf '#include "%s"\n#include "%s"\nint main() { return 0; }\n' \
     "${header}" "${header}" > "${tu}"
@@ -27,4 +28,4 @@ if [ "${failures}" -ne 0 ]; then
   echo "${failures} header(s) are not self-contained (or not include-guarded)."
   exit 1
 fi
-echo "All headers under src/ compile standalone."
+echo "All headers under src/ and tools/ compile standalone."

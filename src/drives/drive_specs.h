@@ -4,7 +4,7 @@
 // The analysis consumes only (capacity, bandwidth, in-service fault
 // probability, irrecoverable-bit-error rate, price), all of which the paper
 // states explicitly, so this catalog substitutes fully for the 2005 spec
-// sheets (see DESIGN.md substitution table).
+// sheets.
 
 #ifndef LONGSTORE_SRC_DRIVES_DRIVE_SPECS_H_
 #define LONGSTORE_SRC_DRIVES_DRIVE_SPECS_H_

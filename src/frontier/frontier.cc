@@ -1,6 +1,7 @@
 #include "src/frontier/frontier.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -40,6 +41,15 @@ std::string DescribeFleet(const std::vector<DriveSpec>& drives) {
   return out;
 }
 
+// Appends `value` as C-locale "%.<precision>g" does, whatever LC_NUMERIC
+// says: the text lands in FrontierResult::ToJson's canonical bytes.
+void AppendGeneral(std::string& out, double value, int precision) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, precision);
+  out.append(buf, res.ptr);
+}
+
 std::vector<ReplicaProfile> ProfilesFor(DeploymentStyle style, int replicas) {
   switch (style) {
     case DeploymentStyle::kSingleSite:
@@ -61,17 +71,15 @@ std::string FrontierCandidate::Describe() const {
       out += " -> ";
     }
     if (phases.size() > 1) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.4g y: ", phases[i].years);
-      out += buf;
+      AppendGeneral(out, phases[i].years, 4);
+      out += " y: ";
     }
     out += DescribeFleet(phases[i].drives);
   }
   if (!phases.empty()) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), ", %.3g audits/y, ",
-                  phases.back().audits_per_year);
-    out += buf;
+    out += ", ";
+    AppendGeneral(out, phases.back().audits_per_year, 3);
+    out += " audits/y, ";
     out += std::string(DeploymentStyleName(deployment));
   }
   return out;

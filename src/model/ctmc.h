@@ -3,8 +3,8 @@
 // Used to compute *exact* MTTDL and mission-loss probabilities for the
 // stochastic process the paper approximates with equations 7–12 (exponential
 // fault, detection and repair times; hazard-multiplier correlation). State
-// spaces here are tiny (4 states for a mirrored pair; O(r³) for r replicas),
-// so dense linear algebra suffices.
+// spaces here are tiny (4 transient states for a mirrored pair; O(r³) for r
+// replicas), so dense linear algebra suffices.
 
 #ifndef LONGSTORE_SRC_MODEL_CTMC_H_
 #define LONGSTORE_SRC_MODEL_CTMC_H_

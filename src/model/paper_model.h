@@ -1,9 +1,8 @@
 // The paper's analytic MTTDL model, implemented exactly as published
 // (equations 1–12 of §5). These closed forms reproduce every number in the
-// paper's evaluation digit-for-digit; the CTMC solvers (mirrored_ctmc.h,
-// replication_ctmc.h) provide the exact answers for the same stochastic
-// process, and the sweep engine's one-cell estimators (src/sweep) validate
-// both by simulation.
+// paper's evaluation digit-for-digit; the CTMC of replica_ctmc.h provides
+// the exact answers for the same stochastic process, and the sweep engine's
+// one-cell estimators (src/sweep) validate both by simulation.
 
 #ifndef LONGSTORE_SRC_MODEL_PAPER_MODEL_H_
 #define LONGSTORE_SRC_MODEL_PAPER_MODEL_H_
@@ -61,7 +60,7 @@ Duration MttdlClosedForm(const FaultParams& p);
 // α-scaled probability at 1, which is the physically consistent reading; the
 // two differ by up to a factor 1/α in the visible-dominated saturated regime
 // (159.8 y published vs 1598 y clamped for the §5.4 negligent example).
-// EXPERIMENTS.md quantifies this gap against the exact CTMC.
+// bench_negligent_latent prints this gap against the exact CTMC.
 Duration MttdlVisibleDominant(const FaultParams& p);   // eq 9
 Duration MttdlLatentDominant(const FaultParams& p);    // eq 10
 Duration MttdlVisibleLongWov(const FaultParams& p);    // eq 11

@@ -19,124 +19,7 @@ double RatePerHourOf(Duration mean) {
   return 1.0 / mean.hours();
 }
 
-// Shared mirrored-chain wiring. When `split_loss` is true the loss state is
-// split by first-fault type so absorption probabilities give the Figure 2
-// breakdown.
-struct MirroredWiring {
-  Ctmc chain;
-  int healthy;
-  int visible;
-  int latent_undetected;
-  int latent_detected;
-  int loss_visible;  // == loss_latent unless split
-  int loss_latent;
-};
-
-MirroredWiring WireMirrored(const FaultParams& p, RateConvention convention,
-                            bool split_loss) {
-  CheckValid(p);
-  MirroredWiring w{};
-  w.healthy = w.chain.AddState("AllHealthy");
-  w.visible = w.chain.AddState("OneVisiblyFailed");
-  w.latent_undetected = w.chain.AddState("OneLatentUndetected");
-  w.latent_detected = w.chain.AddState("OneLatentDetected");
-  w.loss_visible = w.chain.AddState(split_loss ? "DataLossAfterVisible" : "DataLoss",
-                                    /*absorbing=*/true);
-  w.loss_latent = split_loss
-                      ? w.chain.AddState("DataLossAfterLatent", /*absorbing=*/true)
-                      : w.loss_visible;
-
-  const double lv = RatePerHourOf(p.mv);
-  const double ll = RatePerHourOf(p.ml);
-  const int first_fault_multiplicity = convention == RateConvention::kPhysical ? 2 : 1;
-  // Rate at which the surviving replica fails while the other is faulty:
-  // both fault types contribute, accelerated by the correlation factor.
-  const double second_fault = (lv + ll) / p.alpha;
-
-  // First visible fault. With MRV = 0 repair is instantaneous from the intact
-  // peer, so the fault never opens a window.
-  if (lv > 0.0 && p.mrv.hours() > 0.0) {
-    w.chain.AddTransition(w.healthy, w.visible,
-                          Rate::PerHour(first_fault_multiplicity * lv));
-    w.chain.AddTransition(w.visible, w.healthy, Rate::InverseOf(p.mrv));
-    if (second_fault > 0.0) {
-      w.chain.AddTransition(w.visible, w.loss_visible, Rate::PerHour(second_fault));
-    }
-  }
-
-  // First latent fault. Routing depends on whether detection / repair are
-  // instantaneous: MDL = 0 skips the undetected state, MRL = 0 skips the
-  // detected-repair state.
-  if (ll > 0.0) {
-    const bool has_detection_delay = p.mdl.hours() > 0.0;  // includes infinite
-    const bool has_repair_delay = p.mrl.hours() > 0.0;
-    const Rate first(Rate::PerHour(first_fault_multiplicity * ll));
-    if (has_detection_delay) {
-      w.chain.AddTransition(w.healthy, w.latent_undetected, first);
-      if (second_fault > 0.0) {
-        w.chain.AddTransition(w.latent_undetected, w.loss_latent,
-                              Rate::PerHour(second_fault));
-      }
-      if (!p.mdl.is_infinite()) {
-        const Rate detect = Rate::InverseOf(p.mdl);
-        if (has_repair_delay) {
-          w.chain.AddTransition(w.latent_undetected, w.latent_detected, detect);
-        } else {
-          w.chain.AddTransition(w.latent_undetected, w.healthy, detect);
-        }
-      }
-    } else if (has_repair_delay) {
-      w.chain.AddTransition(w.healthy, w.latent_detected, first);
-    }
-    // else: latent faults detected and repaired instantly; harmless.
-
-    if (has_repair_delay &&
-        (has_detection_delay ? !p.mdl.is_infinite() : true)) {
-      w.chain.AddTransition(w.latent_detected, w.healthy, Rate::InverseOf(p.mrl));
-      if (second_fault > 0.0) {
-        w.chain.AddTransition(w.latent_detected, w.loss_latent,
-                              Rate::PerHour(second_fault));
-      }
-    }
-  }
-  return w;
-}
-
 }  // namespace
-
-MirroredChain BuildMirroredChain(const FaultParams& p, RateConvention convention) {
-  MirroredWiring w = WireMirrored(p, convention, /*split_loss=*/false);
-  MirroredChain out;
-  out.chain = std::move(w.chain);
-  out.all_healthy = w.healthy;
-  out.one_visible = w.visible;
-  out.one_latent_undetected = w.latent_undetected;
-  out.one_latent_detected = w.latent_detected;
-  out.data_loss = w.loss_visible;
-  return out;
-}
-
-std::optional<Duration> MirroredMttdl(const FaultParams& p, RateConvention convention) {
-  const MirroredChain mc = BuildMirroredChain(p, convention);
-  return mc.chain.ExpectedTimeToAbsorptionFrom(mc.all_healthy);
-}
-
-std::optional<double> MirroredLossProbability(const FaultParams& p, Duration mission,
-                                              RateConvention convention) {
-  const MirroredChain mc = BuildMirroredChain(p, convention);
-  return mc.chain.AbsorptionProbabilityBy(mc.all_healthy, mission);
-}
-
-std::optional<MirroredLossBreakdown> MirroredLossPathBreakdown(
-    const FaultParams& p, RateConvention convention) {
-  const MirroredWiring w = WireMirrored(p, convention, /*split_loss=*/true);
-  auto via_visible = w.chain.AbsorptionProbability(w.healthy, w.loss_visible);
-  auto via_latent = w.chain.AbsorptionProbability(w.healthy, w.loss_latent);
-  if (!via_visible || !via_latent) {
-    return std::nullopt;
-  }
-  return MirroredLossBreakdown{*via_visible, *via_latent};
-}
 
 ReplicatedChainBuilder::ReplicatedChainBuilder(const FaultParams& params, int replicas,
                                                RateConvention convention,
@@ -166,10 +49,13 @@ void ReplicatedChainBuilder::Build() {
   const int stride = r + 1;
   index_.assign(static_cast<size_t>(stride * stride * stride), -1);
 
-  loss_state_ = chain_.AddState("DataLoss", /*absorbing=*/true);
+  // Names stay within 15 characters: longer literals draw a false
+  // -Wstringop-overread from GCC 12 under LTO.
+  loss_visible_ = chain_.AddState("DataLossVisible", /*absorbing=*/true);
+  loss_latent_ = chain_.AddState("DataLossLatent", /*absorbing=*/true);
 
   // Create all transient states (at least required_intact_ intact
-  // fragments, so reconstruction is always possible outside the loss state).
+  // fragments, so reconstruction is always possible outside the loss states).
   const int max_faulty = r - required_intact_;
   for (int nv = 0; nv <= max_faulty; ++nv) {
     for (int nl = 0; nl + nv <= max_faulty; ++nl) {
@@ -204,14 +90,15 @@ void ReplicatedChainBuilder::Build() {
         const double corr = faulty > 0 ? 1.0 / params_.alpha : 1.0;
         const double fault_mult = physical ? static_cast<double>(healthy) : 1.0;
         // One more fault below this margin leaves < required_intact_
-        // fragments: data loss.
+        // fragments: data loss, on the path this state's faults select.
         const bool at_margin = healthy == required_intact_;
+        const int loss = nl + nd > 0 ? loss_latent_ : loss_visible_;
 
         // Visible fault on a healthy replica.
         if (lv > 0.0) {
           const Rate rate = Rate::PerHour(fault_mult * lv * corr);
           if (at_margin) {
-            chain_.AddTransition(from, loss_state_, rate);
+            chain_.AddTransition(from, loss, rate);
           } else if (!instant_visible_repair) {
             chain_.AddTransition(from, StateIndex(nv + 1, nl, nd), rate);
           }
@@ -221,7 +108,7 @@ void ReplicatedChainBuilder::Build() {
         if (ll > 0.0) {
           const Rate rate = Rate::PerHour(fault_mult * ll * corr);
           if (at_margin) {
-            chain_.AddTransition(from, loss_state_, rate);
+            chain_.AddTransition(from, loss, rate);
           } else if (!instant_detection) {
             chain_.AddTransition(from, StateIndex(nv, nl + 1, nd), rate);
           } else if (!instant_latent_repair) {
@@ -300,6 +187,29 @@ Duration ErasureBirthDeathMttdl(const FaultParams& p, int fragments,
 
 std::optional<double> ReplicatedChainBuilder::LossProbability(Duration mission) const {
   return chain_.AbsorptionProbabilityBy(start_state_, mission);
+}
+
+std::optional<LossPathBreakdown> ReplicatedChainBuilder::LossPaths() const {
+  const auto visible = chain_.AbsorptionProbability(start_state_, loss_visible_);
+  const auto latent = chain_.AbsorptionProbability(start_state_, loss_latent_);
+  if (!visible || !latent) {
+    return std::nullopt;
+  }
+  return LossPathBreakdown{*visible, *latent};
+}
+
+std::optional<Duration> MirroredMttdl(const FaultParams& p, RateConvention convention) {
+  return ReplicatedChainBuilder(p, 2, convention).Mttdl();
+}
+
+std::optional<double> MirroredLossProbability(const FaultParams& p, Duration mission,
+                                              RateConvention convention) {
+  return ReplicatedChainBuilder(p, 2, convention).LossProbability(mission);
+}
+
+std::optional<LossPathBreakdown> MirroredLossPathBreakdown(const FaultParams& p,
+                                                           RateConvention convention) {
+  return ReplicatedChainBuilder(p, 2, convention).LossPaths();
 }
 
 }  // namespace longstore

@@ -1,5 +1,8 @@
-// Builders that translate FaultParams into continuous-time Markov chains for
-// mirrored and r-way replicated data.
+// The exact continuous-time Markov chain for replicated data: one builder,
+// ReplicatedChainBuilder, translates FaultParams into the chain for r-way
+// replication or m-of-n erasure coding. The mirrored-pair functions below
+// are its r = 2 entry points, kept for the paper's vocabulary; the Scenario,
+// sensitivity and frontier answers solve the same chain.
 //
 // These give the *exact* MTTDL / loss probability for the stochastic process
 // the paper's equations approximate, under two conventions:
@@ -14,7 +17,7 @@
 //              parallel. This is what a real mirrored system experiences and
 //              what the discrete-event simulator implements.
 //
-// EXPERIMENTS.md (E11) quantifies the gap between the two conventions.
+// bench_model_validation prints the gap between the two conventions.
 
 #ifndef LONGSTORE_SRC_MODEL_REPLICA_CTMC_H_
 #define LONGSTORE_SRC_MODEL_REPLICA_CTMC_H_
@@ -31,42 +34,14 @@ enum class RateConvention {
   kPhysical,
 };
 
-// Chain states for a mirrored pair (r = 2):
-//   0  AllHealthy
-//   1  OneVisiblyFailed (under repair, window = MRV)
-//   2  OneLatentUndetected (window part 1 = MDL)
-//   3  OneLatentDetected (under repair, window part 2 = MRL)
-//   4  DataLoss (absorbing)
-// With MDL = ∞ (no detection) the 2 -> 3 transition is absent: a latent fault
-// can only end in data loss, matching the paper's unscrubbed example.
-struct MirroredChain {
-  Ctmc chain;
-  int all_healthy = 0;
-  int one_visible = 1;
-  int one_latent_undetected = 2;
-  int one_latent_detected = 3;
-  int data_loss = 4;
+// Where eventual data loss comes from, split by the faults the system carried
+// when it was lost: every faulty replica had failed visibly, or at least one
+// carried a latent fault (detected or not). At r = 2 this is Figure 2's split
+// by the type of the first fault, which opened the fatal window.
+struct LossPathBreakdown {
+  double from_visible_window = 0.0;
+  double from_latent_window = 0.0;
 };
-
-MirroredChain BuildMirroredChain(const FaultParams& p, RateConvention convention);
-
-// Exact MTTDL of the mirrored pair (expected time from AllHealthy to
-// DataLoss). nullopt only if parameters make loss unreachable.
-std::optional<Duration> MirroredMttdl(const FaultParams& p, RateConvention convention);
-
-// Exact mission loss probability for the mirrored pair.
-std::optional<double> MirroredLossProbability(const FaultParams& p, Duration mission,
-                                              RateConvention convention);
-
-// Probability that an eventual data loss was entered from the
-// one-visible-failed state vs. a latent state — the measurable counterpart of
-// Figure 2's double-fault matrix.
-struct MirroredLossBreakdown {
-  double from_visible_window = 0.0;  // first fault visible
-  double from_latent_window = 0.0;   // first fault latent (detected or not)
-};
-std::optional<MirroredLossBreakdown> MirroredLossPathBreakdown(const FaultParams& p,
-                                                               RateConvention convention);
 
 // r-way replication, generalized to (n, m) erasure coding. State =
 // (nv, nl, nd): fragments visibly failed, with undetected latent faults, and
@@ -75,6 +50,9 @@ std::optional<MirroredLossBreakdown> MirroredLossPathBreakdown(const FaultParams
 // paper's setting; m > 1 is OceanStore-style m-of-n sharing, §7). While any
 // fragment is faulty, fault rates on survivors are scaled by 1/α. Repair of
 // a fragment needs m intact peers, which every transient state guarantees.
+// Loss is two absorbing states, one per LossPathBreakdown path. The split
+// does not touch the transient system, so MTTDL and loss probability are
+// those of a single loss state.
 class ReplicatedChainBuilder {
  public:
   ReplicatedChainBuilder(const FaultParams& params, int replicas,
@@ -85,6 +63,10 @@ class ReplicatedChainBuilder {
 
   // Exact P(data loss by `mission`) from the all-healthy state.
   std::optional<double> LossProbability(Duration mission) const;
+
+  // Probability that eventual data loss from the all-healthy state takes
+  // each path. nullopt if the absorption system is singular.
+  std::optional<LossPathBreakdown> LossPaths() const;
 
   int state_count() const { return chain_.state_count(); }
 
@@ -98,9 +80,20 @@ class ReplicatedChainBuilder {
   int required_intact_;
   Ctmc chain_;
   int start_state_ = -1;
-  int loss_state_ = -1;
+  int loss_visible_ = -1;  // entered with no latent fault outstanding
+  int loss_latent_ = -1;   // entered with at least one
   std::vector<int> index_;  // dense (nv, nl, nd) -> state id map
 };
+
+// The mirrored pair of the paper's §5 model, as ReplicatedChainBuilder(p, 2,
+// convention): exact MTTDL (nullopt only if parameters make loss
+// unreachable), exact mission loss probability, and the loss-path split —
+// the measurable counterpart of Figure 2's double-fault matrix.
+std::optional<Duration> MirroredMttdl(const FaultParams& p, RateConvention convention);
+std::optional<double> MirroredLossProbability(const FaultParams& p, Duration mission,
+                                              RateConvention convention);
+std::optional<LossPathBreakdown> MirroredLossPathBreakdown(const FaultParams& p,
+                                                           RateConvention convention);
 
 // Exact birth-death MTTDL for an (n, m) erasure-coded system under visible
 // faults only: the closed-form analogue of equation 12 for m-of-n. Loss

@@ -74,7 +74,7 @@ FaultParams WithCorrelation(const FaultParams& params, double alpha);
 // ("bandwidth of 300 MB/s and capacity of 146 GB, leading to MRV of 20
 // minutes"): the time to re-copy a full replica at the given bandwidth.
 // The paper's quoted 20 minutes corresponds to an effective (not peak)
-// rebuild bandwidth of ~122 MB/s; see EXPERIMENTS.md E3.
+// rebuild bandwidth of ~122 MB/s (PaperNumbersTest.CheetahMrvIsTwentyMinutes).
 Duration RebuildTime(double capacity_gb, double bandwidth_mb_per_s);
 
 }  // namespace longstore

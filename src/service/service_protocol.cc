@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "src/util/json.h"
 
@@ -16,33 +17,19 @@ namespace {
 constexpr char kRequestContext[] = "ServiceRequest::FromJson";
 constexpr char kResponseContext[] = "ServiceResponse::FromJson";
 
-const char* KindName(ServiceRequest::Kind kind) {
-  switch (kind) {
-    case ServiceRequest::Kind::kPing:
-      return "ping";
-    case ServiceRequest::Kind::kStats:
-      return "stats";
-    case ServiceRequest::Kind::kSweep:
-      return "sweep";
-    case ServiceRequest::Kind::kMetrics:
-      return "metrics";
-  }
-  throw std::invalid_argument("ServiceRequest: unknown kind");
-}
+constexpr std::pair<ServiceRequest::Kind, const char*> kKindNames[] = {
+    {ServiceRequest::Kind::kPing, "ping"},
+    {ServiceRequest::Kind::kStats, "stats"},
+    {ServiceRequest::Kind::kSweep, "sweep"},
+    {ServiceRequest::Kind::kMetrics, "metrics"},
+};
 
 ServiceRequest::Kind ParseKind(const std::string& name,
                                const std::string& context) {
-  if (name == "ping") {
-    return ServiceRequest::Kind::kPing;
-  }
-  if (name == "stats") {
-    return ServiceRequest::Kind::kStats;
-  }
-  if (name == "sweep") {
-    return ServiceRequest::Kind::kSweep;
-  }
-  if (name == "metrics") {
-    return ServiceRequest::Kind::kMetrics;
+  for (const auto& [kind, entry] : kKindNames) {
+    if (name == entry) {
+      return kind;
+    }
   }
   json::Fail(context, "unknown request kind '" + name + "'");
 }
@@ -64,9 +51,18 @@ json::ChecksummedDocument OpenServiceDocument(std::string_view text,
 
 }  // namespace
 
+const char* ServiceRequestKindName(ServiceRequest::Kind kind) {
+  for (const auto& [entry, name] : kKindNames) {
+    if (entry == kind) {
+      return name;
+    }
+  }
+  throw std::invalid_argument("ServiceRequest: unknown kind");
+}
+
 std::string ServiceRequest::ToJson() const {
   std::string body = "{\"request\":\"";
-  body += KindName(kind);
+  body += ServiceRequestKindName(kind);
   body += "\",\"sweep_document\":";
   json::AppendEscaped(body, sweep_document);
   body += '}';

@@ -57,6 +57,11 @@ struct ServiceRequest {
                                  const std::string& source = "");
 };
 
+// The wire name of a request kind ("ping", "stats", "sweep", "metrics"),
+// also the <kind> of the service.latency_ns.<kind> histogram. Throws
+// std::invalid_argument for a value outside the enum.
+const char* ServiceRequestKindName(ServiceRequest::Kind kind);
+
 struct ServiceResponse {
   bool ok = false;
   // kOk responses: where the answer came from — "computed" (cold run),

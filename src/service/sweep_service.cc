@@ -13,21 +13,6 @@
 namespace longstore {
 namespace {
 
-// Stable kind label for telemetry keys and trace events (the wire name).
-const char* RequestKindName(ServiceRequest::Kind kind) {
-  switch (kind) {
-    case ServiceRequest::Kind::kPing:
-      return "ping";
-    case ServiceRequest::Kind::kStats:
-      return "stats";
-    case ServiceRequest::Kind::kSweep:
-      return "sweep";
-    case ServiceRequest::Kind::kMetrics:
-      return "metrics";
-  }
-  return "unknown";
-}
-
 ServiceResponse ErrorResponse(bool retryable, std::string message) {
   ServiceResponse response;
   response.ok = false;
@@ -113,7 +98,7 @@ ServiceResponse SweepService::Handle(const ServiceRequest& request) {
   const int64_t t0 = telemetry ? obs::MonotonicNanos() : 0;
   ServiceResponse response = Dispatch(request);
   if (telemetry) {
-    const char* kind = RequestKindName(request.kind);
+    const char* kind = ServiceRequestKindName(request.kind);
     const int64_t latency_ns = obs::MonotonicNanos() - t0;
     obs::Registry::Global()
         .histogram(std::string("service.latency_ns.") + kind)

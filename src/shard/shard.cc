@@ -45,37 +45,6 @@ SweepOptions::Estimand ParseEstimand(const std::string& name,
   json::Fail(context, "unknown estimand \"" + name + "\"");
 }
 
-const char* SeedModeName(SweepOptions::SeedMode mode) {
-  switch (mode) {
-    case SweepOptions::SeedMode::kPerCellDerived:
-      return "per_cell_derived";
-    case SweepOptions::SeedMode::kSharedRoot:
-      return "shared_root";
-    case SweepOptions::SeedMode::kScenarioDerived:
-      return "scenario_derived";
-    case SweepOptions::SeedMode::kCounterV1:
-      return "counter_v1";
-  }
-  return "per_cell_derived";
-}
-
-SweepOptions::SeedMode ParseSeedMode(const std::string& name,
-                                     const std::string& context) {
-  if (name == "per_cell_derived") {
-    return SweepOptions::SeedMode::kPerCellDerived;
-  }
-  if (name == "shared_root") {
-    return SweepOptions::SeedMode::kSharedRoot;
-  }
-  if (name == "scenario_derived") {
-    return SweepOptions::SeedMode::kScenarioDerived;
-  }
-  if (name == "counter_v1") {
-    return SweepOptions::SeedMode::kCounterV1;
-  }
-  json::Fail(context, "unknown seed_mode \"" + name + "\"");
-}
-
 void AppendCoordinatesJson(std::string& out,
                            const std::vector<SweepCoordinate>& coordinates) {
   out += '[';
@@ -436,7 +405,12 @@ ShardSpec ShardSpec::FromJsonUntagged(std::string_view text,
   shard.total_cells = header.total_cells;
   shard.sweep_id = header.sweep_id;
   shard.options.estimand = ParseEstimand(reader.GetString("estimand"), kSpecContext);
-  shard.options.seed_mode = ParseSeedMode(reader.GetString("seed_mode"), kSpecContext);
+  const std::string seed_mode = reader.GetString("seed_mode");
+  const auto mode = SeedModeFromName(seed_mode);
+  if (!mode) {
+    json::Fail(kSpecContext, "unknown seed_mode \"" + seed_mode + "\"");
+  }
+  shard.options.seed_mode = *mode;
   shard.options.mission = Duration::Hours(reader.GetNumber("mission_hours"));
   shard.options.window = Duration::Hours(reader.GetNumber("window_hours"));
   {

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
@@ -102,24 +101,34 @@ void RunTrialBlock(TrialRunner& runner, const SweepOptions& options,
   }
 }
 
-// Thin string-returning shims over the shared canonical emitters
-// (src/util/json.h), so SweepResult::ToJson cannot drift from the scenario
-// and shard documents' escaping or double formatting.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  json::AppendEscaped(out, s);
-  // AppendEscaped emits the surrounding quotes; ToJson's format strings
-  // already place their own.
-  return out.substr(1, out.size() - 2);
-}
-
-std::string JsonNumber(double v) {
-  std::string out;
-  json::AppendDouble(out, v);
-  return out;
-}
+constexpr std::pair<SweepOptions::SeedMode, const char*> kSeedModeNames[] = {
+    {SweepOptions::SeedMode::kPerCellDerived, "per_cell_derived"},
+    {SweepOptions::SeedMode::kSharedRoot, "shared_root"},
+    {SweepOptions::SeedMode::kScenarioDerived, "scenario_derived"},
+    {SweepOptions::SeedMode::kCounterV1, "counter_v1"},
+};
 
 }  // namespace
+
+// --- SweepOptions ----------------------------------------------------------
+
+const char* SeedModeName(SweepOptions::SeedMode mode) {
+  for (const auto& [entry, name] : kSeedModeNames) {
+    if (entry == mode) {
+      return name;
+    }
+  }
+  return "per_cell_derived";
+}
+
+std::optional<SweepOptions::SeedMode> SeedModeFromName(std::string_view name) {
+  for (const auto& [mode, entry] : kSeedModeNames) {
+    if (entry == name) {
+      return mode;
+    }
+  }
+  return std::nullopt;
+}
 
 // --- SweepSpec -------------------------------------------------------------
 
@@ -870,72 +879,87 @@ std::string SweepResult::ToCsv() const { return ToTable().ToCsv(); }
 
 std::string SweepResult::ToJson() const {
   using Estimand = SweepOptions::Estimand;
-  std::ostringstream os;
-  os << "[";
+  // Built with the canonical emitters (src/util/json.h) alone, so no byte
+  // depends on the global C++ locale.
+  std::string out = "[";
+  const auto field = [&out](const char* key, double value) {
+    out += key;
+    json::AppendDouble(out, value);
+  };
+  const auto count = [&out](const char* key, int64_t value) {
+    out += key;
+    json::AppendInt64(out, value);
+  };
   for (size_t i = 0; i < cells.size(); ++i) {
     const SweepCellResult& cell = cells[i];
     if (i > 0) {
-      os << ",";
+      out += ',';
     }
-    os << "{\"label\":\"" << JsonEscape(cell.label) << "\",\"coordinates\":{";
+    out += "{\"label\":";
+    json::AppendEscaped(out, cell.label);
+    out += ",\"coordinates\":{";
     for (size_t c = 0; c < cell.coordinates.size(); ++c) {
       if (c > 0) {
-        os << ",";
+        out += ',';
       }
-      os << "\"" << JsonEscape(cell.coordinates[c].axis)
-         << "\":" << JsonNumber(cell.coordinates[c].value);
+      json::AppendEscaped(out, cell.coordinates[c].axis);
+      field(":", cell.coordinates[c].value);
     }
-    os << "},\"trials\":" << cell.trials << ",\"rounds\":" << cell.rounds;
+    count("},\"trials\":", cell.trials);
+    count(",\"rounds\":", cell.rounds);
     switch (estimand) {
       case Estimand::kMttdl: {
         const MttdlEstimate& e = *cell.mttdl;
-        os << ",\"estimand\":\"mttdl\",\"mean_years\":" << JsonNumber(e.mean_years())
-           << ",\"ci_lo\":" << JsonNumber(e.ci_years.lo)
-           << ",\"ci_hi\":" << JsonNumber(e.ci_years.hi)
-           << ",\"censored\":" << e.censored_trials;
+        field(",\"estimand\":\"mttdl\",\"mean_years\":", e.mean_years());
+        field(",\"ci_lo\":", e.ci_years.lo);
+        field(",\"ci_hi\":", e.ci_years.hi);
+        count(",\"censored\":", e.censored_trials);
         break;
       }
       case Estimand::kLossProbability: {
         const LossProbabilityEstimate& e = *cell.loss;
-        os << ",\"estimand\":\"loss_probability\",\"probability\":"
-           << JsonNumber(e.probability()) << ",\"ci_lo\":" << JsonNumber(e.wilson_ci.lo)
-           << ",\"ci_hi\":" << JsonNumber(e.wilson_ci.hi) << ",\"losses\":" << e.losses;
+        field(",\"estimand\":\"loss_probability\",\"probability\":", e.probability());
+        field(",\"ci_lo\":", e.wilson_ci.lo);
+        field(",\"ci_hi\":", e.wilson_ci.hi);
+        count(",\"losses\":", e.losses);
         break;
       }
       case Estimand::kCensoredMttdl: {
         const CensoredMttdlEstimate& e = *cell.censored;
-        os << ",\"estimand\":\"censored_mttdl\",\"mttdl_years\":"
-           << JsonNumber(e.mttdl.years()) << ",\"ci_lo\":" << JsonNumber(e.ci_years.lo)
-           << ",\"ci_hi\":" << JsonNumber(e.ci_years.hi) << ",\"losses\":" << e.losses
-           << ",\"observed_years\":" << JsonNumber(e.observed_years);
+        field(",\"estimand\":\"censored_mttdl\",\"mttdl_years\":", e.mttdl.years());
+        field(",\"ci_lo\":", e.ci_years.lo);
+        field(",\"ci_hi\":", e.ci_years.hi);
+        count(",\"losses\":", e.losses);
+        field(",\"observed_years\":", e.observed_years);
         break;
       }
       case Estimand::kWeightedLossProbability: {
         const WeightedLossProbabilityEstimate& e = *cell.weighted;
-        os << ",\"estimand\":\"weighted_loss_probability\",\"probability\":"
-           << JsonNumber(e.probability()) << ",\"ci_lo\":" << JsonNumber(e.ci.lo)
-           << ",\"ci_hi\":" << JsonNumber(e.ci.hi)
-           << ",\"relative_error\":" << JsonNumber(e.relative_error)
-           << ",\"effective_sample_size\":" << JsonNumber(e.effective_sample_size)
-           << ",\"max_weight\":" << JsonNumber(e.max_weight)
-           << ",\"hits\":" << e.hits;
+        field(",\"estimand\":\"weighted_loss_probability\",\"probability\":",
+              e.probability());
+        field(",\"ci_lo\":", e.ci.lo);
+        field(",\"ci_hi\":", e.ci.hi);
+        field(",\"relative_error\":", e.relative_error);
+        field(",\"effective_sample_size\":", e.effective_sample_size);
+        field(",\"max_weight\":", e.max_weight);
+        count(",\"hits\":", e.hits);
         break;
       }
     }
     if (!cell.half_width_history.empty()) {
-      os << ",\"half_width_history\":[";
+      out += ",\"half_width_history\":[";
       for (size_t h = 0; h < cell.half_width_history.size(); ++h) {
         if (h > 0) {
-          os << ",";
+          out += ',';
         }
-        os << JsonNumber(cell.half_width_history[h]);
+        json::AppendDouble(out, cell.half_width_history[h]);
       }
-      os << "]";
+      out += ']';
     }
-    os << "}";
+    out += '}';
   }
-  os << "]";
-  return os.str();
+  out += ']';
+  return out;
 }
 
 }  // namespace longstore

@@ -42,6 +42,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -265,6 +266,12 @@ struct SweepOptions {
   double relative_precision = 0.05;
   int64_t max_trials = 1000000;
 };
+
+// Seed-mode names as shard documents and sweep_fleet's --seed-mode flag
+// spell them: "per_cell_derived", "shared_root", "scenario_derived" and
+// "counter_v1". SeedModeFromName gives nullopt for any other name.
+const char* SeedModeName(SweepOptions::SeedMode mode);
+std::optional<SweepOptions::SeedMode> SeedModeFromName(std::string_view name);
 
 struct SweepCellResult {
   size_t index = 0;

@@ -4,7 +4,7 @@
 // counter-based mixer) and samplers rather than using <random>'s distributions
 // because the standard leaves distribution algorithms implementation-defined:
 // identical seeds would give different fault histories on different standard
-// libraries, breaking reproducibility of EXPERIMENTS.md.
+// libraries, breaking reproducibility of every printed figure.
 // SplitMix64 is used to expand user seeds and to derive independent per-trial
 // streams, which makes Monte Carlo results independent of thread scheduling.
 //

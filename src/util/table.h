@@ -1,7 +1,7 @@
 // Console table and CSV rendering for the bench harnesses.
 //
 // Every bench binary prints its experiment as an aligned text table (the
-// "paper row vs measured row" format EXPERIMENTS.md records) and can emit the
+// "paper row vs measured row" format) and can emit the
 // same data as CSV for plotting.
 
 #ifndef LONGSTORE_SRC_UTIL_TABLE_H_

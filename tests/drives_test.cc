@@ -40,7 +40,7 @@ TEST(DriveSpecTest, BitErrorsAtNinetyNinePercentIdle) {
   EXPECT_NEAR(barracuda_errors, 8.0, 0.5);
   // The paper reports "about 6" for the Cheetah; with the paper's own quoted
   // 300 MB/s and 1e-15 UBER the arithmetic gives ~3.8 (same order, same
-  // conclusion). EXPERIMENTS.md discusses the gap.
+  // conclusion). bench_drive_economics prints both.
   const double cheetah_errors = ExpectedIrrecoverableBitErrors(
       SeagateCheetah146Gb(), /*duty_cycle=*/0.01, Duration::Years(5.0));
   EXPECT_NEAR(cheetah_errors, 3.8, 0.3);

@@ -599,6 +599,44 @@ TEST(FleetRecoveryTest, SweepFleetBinaryMatchesSingleAndSignalsPartial) {
       << partial;
 }
 
+// --format=json escapes what it prints about lost cells: a lost cell's
+// label is its --scenario path, and one holding a quote and a backslash
+// must leave stdout valid JSON that carries the label byte for byte.
+TEST(FleetRecoveryTest, SweepFleetJsonEscapesLostCellLabels) {
+  TempDir dir;
+  const std::string lost_path = dir.path() + "/cell \"q\" back\\slash.json";
+  const std::string kept_path = dir.path() + "/kept.json";
+  const std::string scenario_json = SmallScenario().ToJson();
+  for (const std::string& path : {lost_path, kept_path}) {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr) << path;
+    std::fwrite(scenario_json.data(), 1, scenario_json.size(), file);
+    std::fclose(file);
+  }
+  // Fail seed 21 loses unit 0, the first --scenario cell, on its only
+  // attempt; unit 1 never fails.
+  const std::string out = dir.path() + "/partial.json";
+  const int status = std::system(
+      (std::string(LONGSTORE_SWEEP_FLEET) + " --worker=" + LONGSTORE_SWEEP_WORKER +
+       " '--scenario=" + lost_path + "' --scenario=" + kept_path +
+       " --shards=2 --max-retries=0 --fail-mode=flaky --fail-prob=0.5"
+       " --fail-seed=21 --partial-ok --backoff-initial-s=0.02 --trials=64"
+       " --seed=99 --format=json --tmp=" + dir.path() + " >" + out + " 2>" +
+       dir.path() + "/partial.err")
+          .c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << ReadAll(dir.path() + "/partial.err");
+  const std::string printed = ReadAll(out);
+  json::Value document;
+  ASSERT_NO_THROW(document = json::Parse(printed, "sweep_fleet stdout")) << printed;
+  const json::Value* missing = document.Find("missing");
+  ASSERT_NE(missing, nullptr) << printed;
+  ASSERT_EQ(missing->array.size(), 1u) << printed;
+  const json::Value* label = missing->array[0].Find("label");
+  ASSERT_NE(label, nullptr) << printed;
+  EXPECT_EQ(label->string, lost_path);
+}
+
 // --threads sets the lanes of a --single run too, which never moves its
 // bytes. Every numeric flag of sweep_fleet, sweep_serviced, sweep_worker,
 // sweep_client and frontier_plan is parsed strictly: a non-numeric, partly

@@ -17,16 +17,24 @@
 // arranged, the locale-dependent assertions are skipped — unless
 // LONGSTORE_REQUIRE_COMMA_LOCALE is set (the CI locale job sets it, so CI
 // can never silently skip the regression).
+//
+// The C++ global locale is a second, independent source: iostreams follow
+// it, printf does not. SweepResultJsonIgnoresTheGlobalCppLocale installs a
+// digit-grouping std::numpunct built in code, so it runs on every machine.
 
 #include <clocale>
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
+#include <locale>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/drives/drive_specs.h"
+#include "src/frontier/frontier.h"
 #include "src/scenario/scenario.h"
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
@@ -35,11 +43,23 @@
 namespace longstore {
 namespace {
 
-// Restores the C locale after every test so a comma locale can never leak
-// into other assertions (or other test binaries' expectations).
+// Restores the C and C++ locales after every test so a comma or grouping
+// locale can never leak into other assertions (or other test binaries'
+// expectations).
 class LocaleJsonTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::setlocale(LC_ALL, "C"); }
+  void TearDown() override {
+    std::locale::global(std::locale::classic());
+    std::setlocale(LC_ALL, "C");
+  }
+};
+
+// A numpunct that groups integer digits in threes with '.', as many
+// European locales do. Built in, so it needs no installed system locale.
+class DotGroupingNumpunct : public std::numpunct<char> {
+ protected:
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
 };
 
 // Tries to switch the process to a locale whose decimal separator is ','.
@@ -199,6 +219,53 @@ TEST_F(LocaleJsonTest, SweepIdAndShardDocumentsSurviveCommaLocale) {
   // the comma locale — this is exactly the resident-service serving path.
   const ShardSpec reparsed = ShardSpec::FromJson(c_shard_json);
   EXPECT_EQ(reparsed.ToJson(), c_shard_json);
+}
+
+TEST_F(LocaleJsonTest, SweepResultJsonIgnoresTheGlobalCppLocale) {
+  // A cell of 4,000 trials: streams that honor a grouping locale print
+  // "trials":4.000, which json::Parse reads back as 4.
+  SweepSpec spec{CheetahLikeScenario()};
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = Duration::Years(1.0);
+  options.mc.trials = 4000;
+  options.mc.seed = 33;
+  options.mc.threads = 1;
+  const SweepResult result = SweepRunner().Run(spec, options);
+  ASSERT_EQ(result.cells.size(), 1u);
+  ASSERT_EQ(result.cells[0].trials, 4000);
+  const std::string classic_json = result.ToJson();
+  EXPECT_NE(classic_json.find("\"trials\":4000,"), std::string::npos) << classic_json;
+
+  std::locale::global(std::locale(std::locale::classic(), new DotGroupingNumpunct));
+  std::ostringstream probe;
+  probe << int64_t{4000};
+  ASSERT_EQ(probe.str(), "4.000") << "grouping locale did not take effect";
+
+  EXPECT_EQ(result.ToJson(), classic_json)
+      << "SweepResult::ToJson changed bytes under a digit-grouping locale";
+}
+
+TEST_F(LocaleJsonTest, FrontierDescriptionSurvivesCommaLocale) {
+  std::setlocale(LC_ALL, "C");
+  // A 12.5-year tape phase migrating to etched disc, audited 0.5 times a
+  // year: both numbers reach the description field through %g-style
+  // formatting.
+  FrontierPoint point;
+  point.candidate.phases = {
+      {12.5, {Lto3TapeCartridge(), Lto3TapeCartridge()}, 0.5},
+      {37.5, {GigayearEtchedDisc(), GigayearEtchedDisc()}, 0.5},
+  };
+  FrontierResult result;
+  result.points.push_back(point);
+  const std::string c_json = result.ToJson();
+  const std::string description = point.candidate.Describe();
+  EXPECT_NE(description.find("12.5 y: "), std::string::npos) << description;
+  EXPECT_NE(description.find(", 0.5 audits/y, "), std::string::npos) << description;
+
+  REQUIRE_COMMA_LOCALE();
+  EXPECT_EQ(result.ToJson(), c_json)
+      << "FrontierResult::ToJson changed bytes under a comma-decimal locale";
 }
 
 TEST(JsonParseTest, NestingDepthIsBoundedNotACrash) {

@@ -120,8 +120,8 @@ TEST_P(ModelSweepTest, ReplicationMonotoneOutsideCascadeRegime) {
   // Extra replicas help — EXCEPT in the cascade regime (strong correlation
   // plus a saturated detection window), where a first fault triggers
   // accelerated faults on every survivor long before any audit fires; there,
-  // more replicas only means an earlier first fault. See the
-  // CascadeRegimeInvertsReplication test and EXPERIMENTS.md E6.
+  // more replicas only means an earlier first fault.
+  // bench_replication_vs_correlation prints the regime.
   const FaultParams p = Params();
   const double pair_rate = 1.0 / p.mv.hours() + 1.0 / p.ml.hours();
   const bool cascade =

@@ -1,11 +1,14 @@
 #include "src/model/replica_ctmc.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/model/paper_model.h"
 #include "src/model/strategies.h"
+#include "src/scenario/media.h"
+#include "src/scenario/scenario_ctmc.h"
 
 namespace longstore {
 namespace {
@@ -109,23 +112,33 @@ TEST(MirroredCtmcTest, LossPathBreakdownSumsToOne) {
   }
 }
 
-TEST(MirroredCtmcTest, ChainStateNamesAreStable) {
-  const MirroredChain chain =
-      BuildMirroredChain(ScrubbedCheetah(), RateConvention::kPaper);
-  EXPECT_EQ(chain.chain.state_name(chain.all_healthy), "AllHealthy");
-  EXPECT_EQ(chain.chain.state_name(chain.data_loss), "DataLoss");
-  EXPECT_TRUE(chain.chain.is_absorbing(chain.data_loss));
-  EXPECT_EQ(chain.chain.state_count(), 5);
-}
-
-TEST(ReplicatedChainTest, TwoReplicasMatchMirroredChain) {
-  const FaultParams p = ScrubbedCheetah();
-  for (auto convention : {RateConvention::kPaper, RateConvention::kPhysical}) {
-    const ReplicatedChainBuilder builder(p, 2, convention);
-    const auto replicated = builder.Mttdl();
-    const auto mirrored = MirroredMttdl(p, convention);
-    ASSERT_TRUE(replicated.has_value() && mirrored.has_value());
-    EXPECT_NEAR(replicated->hours() / mirrored->hours(), 1.0, 1e-9);
+// The mirrored API is the r-way chain at r = 2, so a system has one exact
+// answer: the mirrored functions and the Scenario CTMC of the same two-replica
+// scenario agree to the last bit.
+TEST(ReplicatedChainTest, MirroredPairIsTheScenarioChainBitForBit) {
+  const FaultParams unscrubbed = FaultParams::PaperCheetahExample();
+  const FaultParams scrubbed = ScrubbedCheetah();
+  const FaultParams correlated = WithCorrelation(scrubbed, 0.1);
+  const Duration mission = Duration::Years(50.0);
+  for (const FaultParams& p : {unscrubbed, scrubbed, correlated}) {
+    for (auto convention : {RateConvention::kPaper, RateConvention::kPhysical}) {
+      SCOPED_TRACE("alpha " + std::to_string(p.alpha) + ", MDL " +
+                   std::to_string(p.mdl.hours()) + " h, " +
+                   (convention == RateConvention::kPaper ? "paper" : "physical"));
+      const Scenario scenario = ScenarioBuilder()
+                                    .Replicas(2, SpecFromParams(p))
+                                    .Correlation(p.alpha)
+                                    .Convention(convention)
+                                    .Build();
+      const auto mirrored_mttdl = MirroredMttdl(p, convention);
+      const auto scenario_mttdl = ScenarioCtmcMttdl(scenario);
+      ASSERT_TRUE(mirrored_mttdl.has_value() && scenario_mttdl.has_value());
+      EXPECT_EQ(mirrored_mttdl->hours(), scenario_mttdl->hours());
+      const auto mirrored_loss = MirroredLossProbability(p, mission, convention);
+      const auto scenario_loss = ScenarioCtmcLossProbability(scenario, mission);
+      ASSERT_TRUE(mirrored_loss.has_value() && scenario_loss.has_value());
+      EXPECT_EQ(*mirrored_loss, *scenario_loss);
+    }
   }
 }
 
@@ -202,8 +215,25 @@ TEST(ReplicatedChainTest, StateCountGrowsCubically) {
   const FaultParams p = ScrubbedCheetah();
   const ReplicatedChainBuilder r2(p, 2, RateConvention::kPhysical);
   const ReplicatedChainBuilder r5(p, 5, RateConvention::kPhysical);
-  EXPECT_EQ(r2.state_count(), 5);   // 4 transient + loss
+  EXPECT_EQ(r2.state_count(), 6);   // 4 transient + 2 loss
   EXPECT_GT(r5.state_count(), 30);
+}
+
+TEST(ReplicatedChainTest, LossPathsSumToOneAndLatentShareGrowsWithMdl) {
+  // Beyond the pair, a loss is on the latent path whenever some faulty
+  // replica carries a latent fault; slower detection keeps more of them
+  // outstanding.
+  double previous_latent = 0.0;
+  for (double mdl_hours : {100.0, 1000.0, 10000.0}) {
+    FaultParams p = ScrubbedCheetah();
+    p.mdl = Duration::Hours(mdl_hours);
+    const auto paths = ReplicatedChainBuilder(p, 3, RateConvention::kPhysical).LossPaths();
+    ASSERT_TRUE(paths.has_value());
+    EXPECT_NEAR(paths->from_visible_window + paths->from_latent_window, 1.0, 1e-9)
+        << "MDL " << mdl_hours << " h";
+    EXPECT_GT(paths->from_latent_window, previous_latent) << "MDL " << mdl_hours << " h";
+    previous_latent = paths->from_latent_window;
+  }
 }
 
 TEST(ReplicatedChainTest, InvalidArgumentsThrow) {

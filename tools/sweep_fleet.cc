@@ -67,6 +67,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,6 +77,7 @@
 #include "src/obs/trace.h"
 #include "src/scenario/scenario.h"
 #include "src/sweep/sweep.h"
+#include "src/util/json.h"
 #include "tools/figure_sweeps.h"
 #include "tools/numeric_flags.h"
 
@@ -144,8 +146,11 @@ void PrintResult(const SweepResult& result, const std::string& format,
       if (i > 0) {
         out += ',';
       }
-      out += "{\"index\":" + std::to_string(lost[i].index) + ",\"label\":\"" +
-             lost[i].label + "\",\"reason\":\"" + lost[i].reason + "\"}";
+      out += "{\"index\":" + std::to_string(lost[i].index) + ",\"label\":";
+      json::AppendEscaped(out, lost[i].label);
+      out += ",\"reason\":";
+      json::AppendEscaped(out, lost[i].reason);
+      out += '}';
     }
     out += "],\"cells\":";
     out += result.ToJson();
@@ -178,7 +183,7 @@ int Main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   std::string estimand = "mttdl";
-  std::string seed_mode;  // empty = keep the sweep's default
+  std::optional<SweepOptions::SeedMode> seed_mode;  // unset = the sweep's default
   int64_t trials = 2000;
   uint64_t seed = 1;
   double mission_years = 50.0;
@@ -255,9 +260,8 @@ int Main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (MatchValueFlag(arg, "--seed-mode", &value)) {
-      seed_mode = value;
-      if (seed_mode != "shared_root" && seed_mode != "per_cell_derived" &&
-          seed_mode != "scenario_derived" && seed_mode != "counter_v1") {
+      seed_mode = SeedModeFromName(value);
+      if (!seed_mode) {
         return Usage(argv[0]);
       }
     } else if (MatchValueFlag(arg, "--fail-mode", &value)) {
@@ -307,14 +311,8 @@ int Main(int argc, char** argv) {
     // not on the file name or cell position.
     options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
   }
-  if (!seed_mode.empty()) {
-    options.seed_mode =
-        seed_mode == "shared_root" ? SweepOptions::SeedMode::kSharedRoot
-        : seed_mode == "per_cell_derived"
-            ? SweepOptions::SeedMode::kPerCellDerived
-        : seed_mode == "scenario_derived"
-            ? SweepOptions::SeedMode::kScenarioDerived
-            : SweepOptions::SeedMode::kCounterV1;
+  if (seed_mode) {
+    options.seed_mode = *seed_mode;
   }
 
   if (threads >= 0) {
