@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,13 +25,6 @@ double MonotonicSeconds() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-void SleepSeconds(double seconds) {
-  timespec ts{};
-  ts.tv_sec = static_cast<time_t>(seconds);
-  ts.tv_nsec = static_cast<long>((seconds - static_cast<double>(ts.tv_sec)) * 1e9);
-  ::nanosleep(&ts, nullptr);
 }
 
 // Retry backoff growth: doubling per attempt, capped at five seconds.
@@ -188,6 +182,8 @@ std::map<size_t, std::string> SuperviseUnits(
       obs::Registry::Global().counter("fleet.checksum_rejects");
   static obs::Counter& m_backoff_ns =
       obs::Registry::Global().counter("fleet.backoff_ns");
+  static obs::Counter& m_wakeups =
+      obs::Registry::Global().counter("fleet.wakeups");
   static obs::Histogram& m_attempt_wall =
       obs::Registry::Global().histogram("fleet.attempt_wall_ns");
 
@@ -403,8 +399,11 @@ std::map<size_t, std::string> SuperviseUnits(
 
   // Single-threaded supervision loop; subprocesses provide the only real
   // concurrency, which keeps every state transition trivially race-free.
+  // Each pass acts on every exit and deadline due, then sleeps until a
+  // running child exits or the nearest deadline passes.
   size_t open_units = units.size();
   while (open_units > 0) {
+    m_wakeups.Add(1);
     int running = 0;
     for (size_t i = 0; i < units.size(); ++i) {
       Unit& unit = *units[i];
@@ -466,13 +465,24 @@ std::map<size_t, std::string> SuperviseUnits(
       }
     }
     open_units = 0;
+    std::vector<const Subprocess*> children;
+    double next_deadline = std::numeric_limits<double>::infinity();
     for (const auto& unit : units) {
       if (!UnitFinished(*unit)) {
         ++open_units;
       }
+      if (unit->state == Unit::State::kRunning) {
+        children.push_back(&unit->child);
+        if (opt.timeout_seconds > 0.0) {
+          next_deadline = std::min(next_deadline,
+                                   unit->started_at + opt.timeout_seconds);
+        }
+      } else if (unit->state == Unit::State::kBackoff) {
+        next_deadline = std::min(next_deadline, unit->ready_at);
+      }
     }
     if (open_units > 0) {
-      SleepSeconds(0.002);
+      Subprocess::WaitAny(children, next_deadline - MonotonicSeconds());
     }
   }
 

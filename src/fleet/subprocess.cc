@@ -1,18 +1,48 @@
 #include "src/fleet/subprocess.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace longstore {
 
 namespace {
+
+// The wait cap while a running child has no pidfd: its exit is noticed by
+// polling, at the interval the supervisor used before it had pidfds.
+constexpr double kPollFallbackSeconds = 0.002;
+
+// Opens a pidfd for `pid`, or returns -1. Through syscall(): glibc 2.36's
+// <sys/pidfd.h> declares pidfd_open without extern "C", so a C++ call to it
+// does not link.
+int OpenPidfd(pid_t pid) {
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+}
+
+// poll()'s timeout for a wait of `seconds`: -1 (no timeout) for +infinity,
+// otherwise whole milliseconds rounded up and saturated at INT_MAX.
+int PollTimeoutMs(double seconds) {
+  if (seconds == std::numeric_limits<double>::infinity()) {
+    return -1;
+  }
+  if (!(seconds > 0.0)) {
+    return 0;
+  }
+  const double ms = std::ceil(seconds * 1e3);
+  return ms < static_cast<double>(INT_MAX) ? static_cast<int>(ms) : INT_MAX;
+}
 
 void RecordStatus(int status, int* exit_code, int* term_signal) {
   if (WIFEXITED(status)) {
@@ -40,10 +70,12 @@ Subprocess::~Subprocess() {
 
 Subprocess::Subprocess(Subprocess&& other) noexcept
     : pid_(other.pid_),
+      pidfd_(other.pidfd_),
       exited_(other.exited_),
       exit_code_(other.exit_code_),
       term_signal_(other.term_signal_) {
   other.pid_ = -1;
+  other.pidfd_ = -1;
   other.exited_ = false;
 }
 
@@ -54,10 +86,12 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
       Await();
     }
     pid_ = other.pid_;
+    pidfd_ = other.pidfd_;
     exited_ = other.exited_;
     exit_code_ = other.exit_code_;
     term_signal_ = other.term_signal_;
     other.pid_ = -1;
+    other.pidfd_ = -1;
     other.exited_ = false;
   }
   return *this;
@@ -104,6 +138,7 @@ Subprocess Subprocess::Spawn(const std::vector<std::string>& argv,
   }
   Subprocess child;
   child.pid_ = pid;
+  child.pidfd_ = OpenPidfd(pid);
   return child;
 }
 
@@ -117,16 +152,13 @@ bool Subprocess::Poll() {
   int status = 0;
   const pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
   if (reaped == pid_) {
-    exited_ = true;
-    RecordStatus(status, &exit_code_, &term_signal_);
+    MarkReaped(status, true);
     return true;
   }
   if (reaped < 0 && errno != EINTR) {
     // ECHILD etc.: nothing left to reap; report it as an abnormal exit
     // rather than spinning forever.
-    exited_ = true;
-    exit_code_ = -1;
-    term_signal_ = 0;
+    MarkReaped(0, false);
     return true;
   }
   return false;
@@ -141,18 +173,47 @@ void Subprocess::Await() {
   do {
     reaped = ::waitpid(pid_, &status, 0);
   } while (reaped < 0 && errno == EINTR);
-  exited_ = true;
-  if (reaped == pid_) {
-    RecordStatus(status, &exit_code_, &term_signal_);
-  } else {
-    exit_code_ = -1;
-    term_signal_ = 0;
-  }
+  MarkReaped(status, reaped == pid_);
 }
 
 void Subprocess::Kill() {
   if (running()) {
     ::kill(pid_, SIGKILL);
+  }
+}
+
+void Subprocess::WaitAny(const std::vector<const Subprocess*>& children,
+                         double max_wait_s) {
+  std::vector<pollfd> fds;
+  fds.reserve(children.size());
+  for (const Subprocess* child : children) {
+    if (!child->running()) {
+      continue;
+    }
+    if (child->pidfd_ < 0) {
+      max_wait_s = std::min(max_wait_s, kPollFallbackSeconds);
+    } else {
+      fds.push_back(pollfd{child->pidfd_, POLLIN, 0});
+    }
+  }
+  const int timeout_ms = PollTimeoutMs(max_wait_s);
+  if (fds.empty() && timeout_ms < 0) {
+    return;
+  }
+  ::poll(fds.data(), fds.size(), timeout_ms);
+}
+
+void Subprocess::MarkReaped(int status, bool have_status) {
+  exited_ = true;
+  if (have_status) {
+    RecordStatus(status, &exit_code_, &term_signal_);
+  } else {
+    exit_code_ = -1;
+    term_signal_ = 0;
+  }
+  if (pidfd_ >= 0) {
+    ::close(pidfd_);
+    pidfd_ = -1;
   }
 }
 

@@ -1,9 +1,12 @@
 // A minimal POSIX child-process handle for the fleet supervisor: spawn an
-// argv with stdout/stderr captured to a file, poll or await its exit, and
-// SIGKILL it when it overstays its deadline. Deliberately tiny — no pipes,
-// no shells (fork + execv, so worker arguments are never re-parsed), no
-// threads — because the supervisor's whole failure model is "the child is a
-// black box that either produces a verifiable document or gets retried".
+// argv with stdout/stderr captured to a file, poll or await its exit, sleep
+// until any of several children exits, and SIGKILL a child that overstays
+// its deadline. Deliberately tiny — no pipes, no shells (fork + execv, so
+// worker arguments are never re-parsed), no threads, no signal handlers:
+// each child is watched through a Linux pidfd, which becomes readable when
+// it exits, and WaitAny poll()s those descriptors — because the
+// supervisor's whole failure model is "the child is a black box that either
+// produces a verifiable document or gets retried".
 
 #ifndef LONGSTORE_SRC_FLEET_SUBPROCESS_H_
 #define LONGSTORE_SRC_FLEET_SUBPROCESS_H_
@@ -39,7 +42,10 @@ class Subprocess {
   // (empty = inherit). Throws std::runtime_error if the fork itself fails;
   // an exec failure surfaces as exit code kExecFailedExit (127) on
   // Poll/Await, and a failure to open `output_path` as kLogOpenFailedExit
-  // (126) — the child refuses to run with its logs discarded.
+  // (126) — the child refuses to run with its logs discarded. The parent
+  // opens the child's pidfd right after fork: nobody else can reap the
+  // child before then, so its pid cannot have been reused. The pidfd is
+  // close-on-exec, so no later child inherits it.
   static Subprocess Spawn(const std::vector<std::string>& argv,
                           const std::string& output_path);
 
@@ -55,6 +61,18 @@ class Subprocess {
   // the caller still needs Poll/Await to reap. No-op after exit.
   void Kill();
 
+  // Sleeps until one of `children` exits or `max_wait_s` seconds have
+  // passed, whichever is first; +infinity waits for an exit alone. The
+  // bound is rounded up to whole milliseconds, so a caller waiting for a
+  // deadline wakes after it, and saturates instead of overflowing. Returns
+  // early on a signal. Reaps nothing: follow with Poll. A running child
+  // whose pidfd could not be opened (ENOSYS before Linux 5.3, EPERM under a
+  // seccomp filter, EMFILE) caps the wait at 2 ms, so its exit is still
+  // noticed by polling. With no running child and no finite bound it
+  // returns at once rather than sleep forever.
+  static void WaitAny(const std::vector<const Subprocess*>& children,
+                      double max_wait_s);
+
   // Valid after Poll/Await returned true.
   bool exited_cleanly() const { return exited_ && term_signal_ == 0 && exit_code_ == 0; }
   int exit_code() const { return exit_code_; }      // -1 when signaled
@@ -65,7 +83,14 @@ class Subprocess {
   std::string DescribeExit() const;
 
  private:
+  // Records the exit and closes the pidfd.
+  void MarkReaped(int status, bool have_status);
+
   pid_t pid_ = -1;
+  // Readable once the child exits. Open only while running(), so reaping
+  // closes it, and so does a destructor or move-assignment that kills and
+  // reaps a running child; -1 if pidfd_open failed.
+  int pidfd_ = -1;
   bool exited_ = false;
   int exit_code_ = -1;
   int term_signal_ = 0;

@@ -232,7 +232,7 @@ ServiceResponse CallService(const std::string& socket_path,
   // Serialized before the socket opens, so nothing between socket() and
   // close() can throw.
   const std::string request_bytes = request.ToJson();
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     throw std::runtime_error("socket() failed");
   }

@@ -18,6 +18,7 @@
 // (tools/sweep_worker.cc DecideFault; the stats assertions below would catch
 // any drift in the draw function.)
 
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -30,6 +31,8 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -164,6 +167,35 @@ std::string ReadAll(const std::string& path) {
   return text;
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Whether the kernel and any seccomp filter let a process open pidfds; without
+// them Subprocess::WaitAny falls back to 2 ms polling.
+bool PidfdsAvailable() {
+  const int fd = static_cast<int>(::syscall(SYS_pidfd_open, ::getpid(), 0));
+  if (fd < 0) return false;
+  ::close(fd);
+  return true;
+}
+
+// Entries in /proc/self/fd (the listing's own descriptor included, which
+// is the same on every call).
+size_t OpenDescriptorCount() {
+  DIR* handle = ::opendir("/proc/self/fd");
+  EXPECT_NE(handle, nullptr);
+  if (handle == nullptr) return 0;
+  size_t count = 0;
+  while (const dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") ++count;
+  }
+  ::closedir(handle);
+  return count;
+}
+
 TEST(FleetRecoveryTest, CleanFleetRunIsByteIdenticalToSingleProcess) {
   TempDir dir;
   const FleetReport report = RunFleet(BaseOptions(dir));
@@ -256,6 +288,50 @@ TEST(FleetRecoveryTest, KillsAndRetriesHungWorkers) {
   EXPECT_EQ(report.stats.timed_out, 1);
   EXPECT_EQ(report.stats.retries, 1);
   EXPECT_EQ(report.stats.spawned, 3);
+}
+
+// The supervisor sleeps until a worker exits or a deadline passes. The run
+// above needs at least five passes of the supervision loop, one per event:
+// the first spawns, unit1 exits, unit0's 1 s timeout passes, its backoff
+// ends, and its retry exits. A 2 ms poll would take about 500.
+TEST(FleetRecoveryTest, SupervisorSleepsThroughAHungWorkersTimeout) {
+  if (!obs::Enabled()) {
+    GTEST_SKIP() << "telemetry compiled out or disabled in the environment";
+  }
+  if (!PidfdsAvailable()) {
+    GTEST_SKIP() << "no pidfds here; the supervisor polls at 2 ms instead";
+  }
+  TempDir dir;
+  FleetOptions options = BaseOptions(dir);
+  options.fail_mode = "hang";
+  options.fail_prob = 0.5;
+  options.fail_seed = 21;  // only unit0, only attempt 1
+  options.timeout_seconds = 1.0;
+  const obs::Counter& wakeups =
+      obs::Registry::Global().counter("fleet.wakeups");
+  const int64_t before = wakeups.value();
+  const FleetReport report = RunFleet(options);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.stats.timed_out, 1);
+  EXPECT_GE(wakeups.value() - before, 5);
+  EXPECT_LE(wakeups.value() - before, 12);
+}
+
+// Every pidfd is closed again — on reap, on move-assignment of a retried
+// unit's child, and on destruction — so a chaos run that spawns, fails and
+// respawns workers leaves this process's descriptor table as it found it.
+TEST(FleetRecoveryTest, FlakyChaosRunLeavesNoDescriptorOpen) {
+  TempDir dir;
+  FleetOptions options = BaseOptions(dir);
+  options.fail_mode = "flaky";
+  options.fail_prob = 0.5;
+  options.fail_seed = 1;  // unit0 fails attempt 1; unit1 attempts 1 and 2
+  const size_t before = OpenDescriptorCount();
+  const FleetReport report = RunFleet(options);
+  EXPECT_EQ(OpenDescriptorCount(), before);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.stats.spawned, 5);
+  EXPECT_EQ(report.stats.retries, 3);
 }
 
 TEST(FleetRecoveryTest, SplitsExhaustedMultiCellUnitAndStillCompletes) {
@@ -442,6 +518,45 @@ TEST(FleetRecoveryTest, SubprocessReservedExitCodes) {
   no_log.Await();
   EXPECT_EQ(no_log.term_signal(), 0);
   EXPECT_EQ(no_log.exit_code(), Subprocess::kLogOpenFailedExit);
+}
+
+// A child that exited before the wait began is reported at once, far inside
+// a long bound.
+TEST(FleetRecoveryTest, WaitAnyReturnsAtOnceForAChildThatAlreadyExited) {
+  Subprocess child = Subprocess::Spawn({"/bin/true"}, "");
+  // Wait for the exit without reaping it (WNOWAIT): the child has exited,
+  // but Subprocess has not seen it yet.
+  siginfo_t info = {};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(child.pid()), &info,
+                     WEXITED | WNOWAIT),
+            0);
+  ASSERT_TRUE(child.running());
+  const auto start = std::chrono::steady_clock::now();
+  Subprocess::WaitAny({&child}, 30.0);
+  EXPECT_LT(SecondsSince(start), 5.0);
+  EXPECT_TRUE(child.Poll());
+  EXPECT_TRUE(child.exited_cleanly()) << child.DescribeExit();
+}
+
+// A wait on a child that keeps running returns once its bound has passed,
+// never before — a sub-millisecond bound included, which rounds up.
+TEST(FleetRecoveryTest, WaitAnyOnARunningChildReturnsOnlyAfterItsBound) {
+  if (!PidfdsAvailable()) {
+    GTEST_SKIP() << "no pidfds here; WaitAny caps every wait at 2 ms";
+  }
+  Subprocess child = Subprocess::Spawn({"/bin/sleep", "30"}, "");
+  for (const double bound : {0.0004, 0.05, 0.2}) {
+    SCOPED_TRACE(bound);
+    const auto start = std::chrono::steady_clock::now();
+    Subprocess::WaitAny({&child}, bound);
+    const double waited = SecondsSince(start);
+    EXPECT_GE(waited, bound);
+    EXPECT_LT(waited, bound + 5.0);
+    EXPECT_FALSE(child.Poll());
+  }
+  child.Kill();
+  child.Await();
+  EXPECT_EQ(child.term_signal(), SIGKILL);
 }
 
 // The supervisor names the log-open failure precisely (it is an environment

@@ -5,13 +5,17 @@
 // the same bytes through worker subprocesses, a tighter query resumed on
 // either backend, and SIGTERM shutting the daemon down cleanly.
 
+#include <dirent.h>
 #include <signal.h>
 #include <stdlib.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,7 @@
 
 #include "src/fleet/subprocess.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/service/service_protocol.h"
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
@@ -187,6 +192,55 @@ TEST_F(ServiceE2eTest, FleetBackendProducesTheSameBytesAndStillCaches) {
   ASSERT_TRUE(warm.ok) << warm.message;
   EXPECT_EQ(warm.source, "cache");
   EXPECT_EQ(warm.result_json, golden);
+}
+
+// Fleet workers inherit none of the daemon's sockets. A worker holding the
+// listener or a client's connection would keep that client from seeing EOF
+// when the daemon dies, until every orphaned worker exits. The --worker
+// wrapper records each worker's open descriptors, then execs the real one.
+TEST_F(ServiceE2eTest, FleetWorkersInheritNoSockets) {
+  const std::string wrapper = dir_ + "/fd_wrapper.sh";
+  std::FILE* file = std::fopen(wrapper.c_str(), "w");
+  ASSERT_NE(file, nullptr);
+  std::fprintf(file, "#!/bin/sh\nls -l /proc/$$/fd > %s/fds.$$\nexec %s \"$@\"\n",
+               dir_.c_str(), LONGSTORE_SWEEP_WORKER);
+  ASSERT_EQ(std::fclose(file), 0);
+  ASSERT_EQ(::chmod(wrapper.c_str(), 0755), 0);
+
+  StartDaemon({"--backend=fleet", "--worker=" + wrapper, "--tmp=" + dir_,
+               "--shards=3", "--timeout-s=120", "--max-requests=1"});
+  const int probe = Connect();
+  ASSERT_GE(probe, 0);
+  ::close(probe);
+  EXPECT_EQ(RunClient({"--cheetah"}), 0);
+  daemon_.Await();
+  EXPECT_TRUE(daemon_.exited_cleanly()) << daemon_.DescribeExit();
+
+  int listings = 0;
+  DIR* handle = ::opendir(dir_.c_str());
+  ASSERT_NE(handle, nullptr);
+  while (const dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name.rfind("fds.", 0) != 0) continue;
+    const std::string path = dir_ + "/" + name;
+    std::string listing;
+    EXPECT_TRUE(obs::ReadWholeFile(path, &listing, nullptr)) << path;
+    // Lines read "<mode> ... <fd> -> <target>". Only descriptors past the
+    // standard three count: those come from whoever started the daemon,
+    // and under some harnesses stdin is itself a socket.
+    std::istringstream lines(listing);
+    for (std::string line; std::getline(lines, line);) {
+      const size_t arrow = line.find(" -> socket:");
+      if (arrow == std::string::npos) continue;
+      EXPECT_LE(std::atoi(line.c_str() + line.rfind(' ', arrow - 1) + 1), 2)
+          << line;
+    }
+    ++listings;
+    ::unlink(path.c_str());
+  }
+  ::closedir(handle);
+  ::unlink(wrapper.c_str());
+  EXPECT_EQ(listings, 3);  // one worker per cell of the Cheetah figure
 }
 
 // An adaptive query through the fleet backend: the supervisor drives the

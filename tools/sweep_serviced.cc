@@ -230,7 +230,10 @@ int Main(int argc, char** argv) {
                  socket_path.c_str());
     return 1;
   }
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  // Close-on-exec, here and on accept: a fleet worker holding the listener
+  // or a client's connection would keep that client from seeing EOF when
+  // this daemon dies, until every orphaned worker exits.
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listener < 0) {
     std::perror("socket");
     return 1;
@@ -251,7 +254,7 @@ int Main(int argc, char** argv) {
 
   bool keep_going = true;
   while (keep_going && g_stop == 0) {
-    const int conn = ::accept(listener, nullptr, nullptr);
+    const int conn = ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
     if (conn < 0) {
       if (errno == EINTR) {
         continue;  // g_stop decides
