@@ -5,20 +5,6 @@
 
 namespace longstore {
 
-std::string_view MediaClassName(MediaClass klass) {
-  switch (klass) {
-    case MediaClass::kConsumerDisk:
-      return "consumer disk";
-    case MediaClass::kEnterpriseDisk:
-      return "enterprise disk";
-    case MediaClass::kTapeCartridge:
-      return "tape cartridge";
-    case MediaClass::kEtchedMedium:
-      return "etched medium";
-  }
-  return "?";
-}
-
 bool IsOfflineMedia(MediaClass klass) {
   return klass == MediaClass::kTapeCartridge ||
          klass == MediaClass::kEtchedMedium;

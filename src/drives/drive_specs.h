@@ -26,8 +26,6 @@ enum class MediaClass {
   kEtchedMedium,
 };
 
-std::string_view MediaClassName(MediaClass klass);
-
 // Off-line (vaulted) media: no power or per-drive admin while shelved; pay
 // per-cartridge vault storage and per-audit retrieval/handling instead. The
 // cost model and the frontier's parameter derivation (DeriveParams) branch

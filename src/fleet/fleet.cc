@@ -30,11 +30,13 @@ double MonotonicSeconds() {
 // Retry backoff growth: doubling per attempt, capped at five seconds.
 constexpr double kBackoffMaxSeconds = 5.0;
 constexpr double kBackoffMultiplier = 2.0;
+// Root of the jitter draws: fixed, so every fleet's retry schedule replays.
+constexpr uint64_t kBackoffSeed = 0x5eedb0ffu;
 
 // Backoff before retry `attempt` (1 = after the first failure): exponential
 // growth capped at kBackoffMaxSeconds, scaled by 0.5..1.0 jitter drawn
-// deterministically from (seed, unit, attempt) — no global RNG, so the
-// schedule reproduces exactly in tests.
+// deterministically from (kBackoffSeed, unit, attempt) — no global RNG, so
+// the schedule reproduces exactly in tests.
 double JitteredDelay(const FleetOptions& options, int unit_id, int attempt) {
   double base = options.backoff_initial_seconds;
   for (int i = 1; i < attempt && base < kBackoffMaxSeconds; ++i) {
@@ -42,7 +44,7 @@ double JitteredDelay(const FleetOptions& options, int unit_id, int attempt) {
   }
   base = std::min(base, kBackoffMaxSeconds);
   const uint64_t draw = DeriveSeed(
-      DeriveSeed(options.backoff_seed, static_cast<uint64_t>(unit_id)),
+      DeriveSeed(kBackoffSeed, static_cast<uint64_t>(unit_id)),
       static_cast<uint64_t>(attempt));
   const double u = static_cast<double>(draw >> 11) * 0x1.0p-53;
   return base * (0.5 + 0.5 * u);

@@ -73,10 +73,9 @@ struct FleetOptions {
 
   // Backoff before retry k (k = 1 after the first failure):
   //   min(5 s, backoff_initial * 2^(k-1)) * (0.5 + 0.5*u)
-  // with u in [0,1) drawn deterministically from (backoff_seed, unit, k) —
+  // with u in [0,1) drawn deterministically from (a fixed seed, unit, k) —
   // jitter without a global RNG, reproducible in tests.
   double backoff_initial_seconds = 0.1;
-  uint64_t backoff_seed = 0x5eedb0ffu;
 
   // Accept an incomplete sweep: exhausted cells come back explicitly marked
   // (FleetReport::lost, complete=false) instead of FleetError.

@@ -174,7 +174,6 @@ class FrontierEvaluator {
 
   const Stats& stats() const { return stats_; }
   const FrontierOptions& options() const { return options_; }
-  size_t memo_size() const { return memo_.size(); }
 
  private:
   FrontierOptions options_;

@@ -29,16 +29,17 @@ class Ctmc {
 
   int state_count() const { return static_cast<int>(names_.size()); }
   int transient_count() const;
-  const std::string& state_name(int i) const { return names_[static_cast<size_t>(i)]; }
-  bool is_absorbing(int i) const { return absorbing_[static_cast<size_t>(i)]; }
 
-  // Expected time to absorption from each transient state: solves
-  // Q_TT · τ = -1. Returns nullopt if some transient state cannot reach an
-  // absorbing state (the system would be singular).
+  // Expected time to absorption from each transient state, in the order the
+  // transient states were added. A state that may never be absorbed (it can
+  // reach a state with no path to absorption) gets an infinite time; the
+  // others come from one GTH solve of Q_TT · τ = -1 over the states absorbed
+  // almost surely. Returns nullopt only when that solve fails.
   std::optional<std::vector<Duration>> ExpectedTimeToAbsorption() const;
 
-  // Convenience: expected absorption time from one state. Infinite if `from`
-  // is... never absorbed is reported as nullopt; absorbing states give zero.
+  // Expected absorption time from one state: zero for an absorbing state,
+  // infinite for a state that may never be absorbed, and nullopt only when
+  // the solve fails.
   std::optional<Duration> ExpectedTimeToAbsorptionFrom(int from) const;
 
   // Probability that, starting from `from`, the chain is eventually absorbed

@@ -1,22 +1,6 @@
 #include "src/model/fault_params.h"
 
-#include <cmath>
-
 namespace longstore {
-namespace {
-
-bool RelativeEqual(double a, double b, double rel_tol) {
-  if (a == b) {
-    return true;  // covers equal infinities and exact zeros
-  }
-  if (std::isinf(a) || std::isinf(b)) {
-    return false;
-  }
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= rel_tol * scale;
-}
-
-}  // namespace
 
 std::optional<std::string> FaultParams::Validate() const {
   if (!(mv.hours() > 0.0)) {
@@ -56,15 +40,6 @@ FaultParams FaultParams::PaperCheetahExample() {
   p.mdl = Duration::Infinite();  // no scrubbing until a policy is applied
   p.alpha = 1.0;
   return p;
-}
-
-bool ApproxEqual(const FaultParams& a, const FaultParams& b, double rel_tol) {
-  return RelativeEqual(a.mv.hours(), b.mv.hours(), rel_tol) &&
-         RelativeEqual(a.ml.hours(), b.ml.hours(), rel_tol) &&
-         RelativeEqual(a.mrv.hours(), b.mrv.hours(), rel_tol) &&
-         RelativeEqual(a.mrl.hours(), b.mrl.hours(), rel_tol) &&
-         RelativeEqual(a.mdl.hours(), b.mdl.hours(), rel_tol) &&
-         RelativeEqual(a.alpha, b.alpha, rel_tol);
 }
 
 }  // namespace longstore

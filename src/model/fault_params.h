@@ -38,9 +38,8 @@ struct FaultParams {
   Rate visible_rate() const { return Rate::InverseOf(mv); }
   Rate latent_rate() const { return Rate::InverseOf(ml); }
 
-  // The window of vulnerability after a visible / latent first fault (§5.3):
-  // MRV, and MDL + MRL respectively.
-  Duration VisibleWov() const { return mrv; }
+  // The window of vulnerability after a latent first fault (§5.3): MDL + MRL.
+  // After a visible first fault it is MRV itself.
   Duration LatentWov() const { return mdl + mrl; }
 
   // The paper's §5.4 lower bound for plausible correlation factors:
@@ -54,9 +53,6 @@ struct FaultParams {
   // process (MDL infinite) until a scrub policy is applied.
   static FaultParams PaperCheetahExample();
 };
-
-// True when `a` and `b` agree in every field to within relative tolerance.
-bool ApproxEqual(const FaultParams& a, const FaultParams& b, double rel_tol = 1e-12);
 
 }  // namespace longstore
 

@@ -1,6 +1,6 @@
 #include "src/model/replica_ctmc.h"
 
-#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace longstore {
@@ -147,42 +147,6 @@ void ReplicatedChainBuilder::Build() {
 
 std::optional<Duration> ReplicatedChainBuilder::Mttdl() const {
   return chain_.ExpectedTimeToAbsorptionFrom(start_state_);
-}
-
-Duration ErasureBirthDeathMttdl(const FaultParams& p, int fragments,
-                                int required_intact, RateConvention convention) {
-  CheckValid(p);
-  if (fragments < 1 || required_intact < 1 || required_intact > fragments) {
-    throw std::invalid_argument(
-        "ErasureBirthDeathMttdl: need 1 <= required_intact <= fragments");
-  }
-  const double lambda = RatePerHourOf(p.mv);
-  if (lambda <= 0.0) {
-    return Duration::Infinite();
-  }
-  const int absorbing_count = fragments - required_intact + 1;
-  const bool physical = convention == RateConvention::kPhysical;
-  const bool instant_repair = !(p.mrv.hours() > 0.0);
-  if (instant_repair && absorbing_count >= 2) {
-    return Duration::Infinite();  // failed fragments never accumulate
-  }
-  const double mu = instant_repair ? 0.0 : 1.0 / p.mrv.hours();
-
-  // u_k = expected time to advance from k to k+1 concurrent failures.
-  double mttdl_hours = 0.0;
-  double u_prev = 0.0;
-  for (int k = 0; k < absorbing_count; ++k) {
-    const double birth = (physical ? (fragments - k) * lambda : lambda) /
-                         (k > 0 ? p.alpha : 1.0);
-    const double death = k > 0 ? (physical ? k * mu : mu) : 0.0;
-    const double u_k = (1.0 + death * u_prev) / birth;
-    mttdl_hours += u_k;
-    if (!std::isfinite(mttdl_hours)) {
-      return Duration::Infinite();
-    }
-    u_prev = u_k;
-  }
-  return Duration::Hours(mttdl_hours);
 }
 
 std::optional<double> ReplicatedChainBuilder::LossProbability(Duration mission) const {

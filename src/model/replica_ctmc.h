@@ -95,20 +95,6 @@ std::optional<double> MirroredLossProbability(const FaultParams& p, Duration mis
 std::optional<LossPathBreakdown> MirroredLossPathBreakdown(const FaultParams& p,
                                                            RateConvention convention);
 
-// Exact birth-death MTTDL for an (n, m) erasure-coded system under visible
-// faults only: the closed-form analogue of equation 12 for m-of-n. Loss
-// requires K = n - m + 1 concurrent failures; with birth rates b_k
-// (k -> k+1 failures) and repair rates d_k, the expected passage times obey
-// the subtraction-free recursion
-//   u_0 = 1/b_0,   u_k = (1 + d_k · u_{k-1}) / b_k,   MTTDL = Σ u_k,
-// which is exact for the visible-only chain (it IS a birth-death chain) and
-// reduces to equation 12 when repairs are fast (d_k >> b_k). Under
-// kPhysical, b_k = (n-k)·λ/α (α only once faulty) and d_k = k·μ; under
-// kPaper, b_0 = λ, b_k = λ/α, d_k = μ (serial repair). Instant repair
-// (MRV = 0) yields an infinite MTTDL whenever any redundancy exists.
-Duration ErasureBirthDeathMttdl(const FaultParams& p, int fragments,
-                                int required_intact, RateConvention convention);
-
 }  // namespace longstore
 
 #endif  // LONGSTORE_SRC_MODEL_REPLICA_CTMC_H_

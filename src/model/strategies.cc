@@ -54,18 +54,6 @@ FaultParams ScaleFaultTimes(const FaultParams& params, double mv_factor, double 
   return out;
 }
 
-FaultParams WithVisibleRepairTime(const FaultParams& params, Duration mrv) {
-  FaultParams out = params;
-  out.mrv = mrv;
-  return out;
-}
-
-FaultParams WithLatentRepairTime(const FaultParams& params, Duration mrl) {
-  FaultParams out = params;
-  out.mrl = mrl;
-  return out;
-}
-
 FaultParams WithCorrelation(const FaultParams& params, double alpha) {
   FaultParams out = params;
   out.alpha = alpha;

@@ -60,13 +60,6 @@ FaultParams ApplyScrubPolicy(const FaultParams& params, const ScrubPolicy& polic
 // §5.4 implication 1).
 FaultParams ScaleFaultTimes(const FaultParams& params, double mv_factor, double ml_factor);
 
-// Strategy: reduce MRV with hot spares so recovery starts immediately (§6.3).
-FaultParams WithVisibleRepairTime(const FaultParams& params, Duration mrv);
-
-// Strategy: reduce MRL by automating repair instead of alerting an operator
-// (§6.3).
-FaultParams WithLatentRepairTime(const FaultParams& params, Duration mrl);
-
 // Strategy: increase independence of replicas (§6.5): raises α toward 1.
 FaultParams WithCorrelation(const FaultParams& params, double alpha);
 

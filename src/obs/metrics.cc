@@ -65,16 +65,6 @@ void Histogram::MergeFrom(const Histogram& other) {
   }
 }
 
-void Histogram::Reset() {
-  for (int i = 0; i < kBuckets; ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(INT64_MAX, std::memory_order_relaxed);
-  max_.store(INT64_MIN, std::memory_order_relaxed);
-}
-
 Registry& Registry::Global() {
   static Registry* registry = new Registry();  // never destroyed: record
                                                // sites may outlive main
@@ -274,16 +264,6 @@ void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
     for (int i = 0; i < Histogram::kBuckets; ++i) {
       mine.buckets[i] += state.buckets[i];
     }
-  }
-}
-
-void Registry::ResetValues() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, counter] : counters_) {
-    counter->Reset();
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    histogram->Reset();
   }
 }
 

@@ -81,7 +81,6 @@ class Counter {
   }
 
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -153,7 +152,6 @@ class Histogram {
   int64_t bucket(int index) const {
     return buckets_[index].load(std::memory_order_relaxed);
   }
-  void Reset();
 
  private:
   std::atomic<int64_t> buckets_[kBuckets] = {};
@@ -223,9 +221,6 @@ class Registry {
 
   // Snapshot().ToJson(): the canonical MetricsSnapshot document.
   std::string SnapshotJson() const;
-
-  // Zeroes every registered metric (tests; registration is kept).
-  void ResetValues();
 
  private:
   mutable std::mutex mutex_;  // registration and snapshot only

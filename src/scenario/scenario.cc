@@ -183,15 +183,6 @@ std::optional<std::string> Scenario::Validate() const {
   return std::nullopt;
 }
 
-bool Scenario::IsHomogeneous() const {
-  for (size_t i = 1; i < replicas.size(); ++i) {
-    if (!(replicas[i] == replicas[0])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // --- ScenarioBuilder -------------------------------------------------------
 
 ScenarioBuilder& ScenarioBuilder::Replicas(int count, ReplicaSpec spec) {
@@ -221,11 +212,6 @@ ScenarioBuilder& ScenarioBuilder::Correlation(double alpha) {
 
 ScenarioBuilder& ScenarioBuilder::Convention(RateConvention convention) {
   scenario_.convention = convention;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::StaggeredScrubs() {
-  scenario_.scrub_staggered = true;
   return *this;
 }
 

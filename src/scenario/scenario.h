@@ -174,9 +174,6 @@ struct Scenario {
   // common-mode membership, ...). Returns an error message, or nullopt.
   std::optional<std::string> Validate() const;
 
-  // True when every replica spec is identical (media label included).
-  bool IsHomogeneous() const;
-
   // --- serialization & identity (scenario_json.cc) ------------------------
 
   // Canonical compact JSON: fixed key order, every field emitted,
@@ -228,7 +225,8 @@ class ScenarioBuilder {
   ScenarioBuilder& RequiredIntact(int required_intact);
   ScenarioBuilder& Correlation(double alpha);
   ScenarioBuilder& Convention(RateConvention convention);
-  ScenarioBuilder& StaggeredScrubs();
+  // Scrubs are staggered by default (Scenario::scrub_staggered); this
+  // aligns every replica's scrub phase instead.
   ScenarioBuilder& AlignedScrubs();
   ScenarioBuilder& RecordScrubPasses();
   ScenarioBuilder& VisibleFaultSurfacesLatent();

@@ -145,6 +145,12 @@ int ReadByte(int fd, char* out) {
   }
 }
 
+// What a failed read did, for the frame error: a receive deadline
+// (SO_RCVTIMEO) that expires fails the read with EAGAIN.
+const char* ReadFailure() {
+  return errno == EAGAIN || errno == EWOULDBLOCK ? "read timed out" : "read failed";
+}
+
 }  // namespace
 
 FrameStatus ReadFrame(int fd, std::string* payload, std::string* error) {
@@ -156,7 +162,7 @@ FrameStatus ReadFrame(int fd, std::string* payload, std::string* error) {
     char c = 0;
     const int got = ReadByte(fd, &c);
     if (got < 0) {
-      *error = "read failed while reading frame length";
+      *error = std::string(ReadFailure()) + " while reading frame length";
       return FrameStatus::kMalformed;
     }
     if (got == 0) {
@@ -198,8 +204,9 @@ FrameStatus ReadFrame(int fd, std::string* payload, std::string* error) {
     if (n < 0 && errno == EINTR) {
       continue;
     }
-    *error = "stream ended after " + std::to_string(have) + " of " +
-             std::to_string(length) + " frame payload bytes";
+    *error = std::string(n == 0 ? "stream ended" : ReadFailure()) + " after " +
+             std::to_string(have) + " of " + std::to_string(length) +
+             " frame payload bytes";
     return FrameStatus::kMalformed;
   }
   return FrameStatus::kOk;

@@ -95,9 +95,23 @@ enum class FrameStatus {
 // must not convince the server to allocate gigabytes.
 inline constexpr size_t kMaxFrameBytes = size_t{256} << 20;
 
+// The daemon's receive and send deadline on each accepted connection
+// (SO_RCVTIMEO / SO_SNDTIMEO): it serves one connection at a time, so a
+// client that stalls mid-frame would otherwise block every other client.
+// A read or write that waits this long drops the connection, as a
+// malformed frame does. The value is safe because every real client goes
+// through CallService: it serializes the request before connecting, writes
+// the whole frame right after connecting, waits in ReadFrame for the one
+// reply and then closes. Its bytes are never seconds apart, and it is
+// always reading while the daemon writes. The wait for the sweep itself is
+// not bounded: the daemon reads nothing while it computes.
+inline constexpr int kConnectionDeadlineSeconds = 3;
+
 // Reads one "<len>\n<payload>" frame from `fd` (blocking, EINTR-safe).
 // kMalformed fills `error` with the reason; the stream is unrecoverable
-// afterwards (the reader cannot resynchronize on a byte stream).
+// afterwards (the reader cannot resynchronize on a byte stream). A read
+// that fails with EAGAIN, as one under an expired SO_RCVTIMEO does, is
+// reported as timed out.
 FrameStatus ReadFrame(int fd, std::string* payload, std::string* error);
 
 // Writes one frame; false on any write error (EPIPE included — the caller

@@ -240,6 +240,9 @@ std::vector<SweepSpec::Cell> SweepSpec::BuildCells() const {
 
 // --- execution core --------------------------------------------------------
 
+namespace {
+
+// Per-estimand finalizers: the estimate structs from a folded accumulator.
 MttdlEstimate FinalizeMttdl(const TrialAccumulator& acc, double confidence) {
   MttdlEstimate estimate;
   estimate.loss_time_years = acc.loss_years;
@@ -312,6 +315,8 @@ CensoredMttdlEstimate FinalizeCensoredMttdl(const TrialAccumulator& acc,
   return estimate;
 }
 
+}  // namespace
+
 void ValidateSweepOptions(const SweepOptions& options) {
   using Estimand = SweepOptions::Estimand;
   if (options.mc.trials <= 0) {
@@ -320,8 +325,7 @@ void ValidateSweepOptions(const SweepOptions& options) {
   if ((options.estimand == Estimand::kLossProbability ||
        options.estimand == Estimand::kWeightedLossProbability) &&
       (!(options.mission.hours() > 0.0) || options.mission.is_infinite())) {
-    throw std::invalid_argument(
-        "EstimateLossProbability: mission must be positive finite");
+    throw std::invalid_argument("SweepOptions: mission must be positive finite");
   }
   if (options.estimand == Estimand::kWeightedLossProbability) {
     if (auto error = options.bias.Validate()) {
@@ -330,7 +334,7 @@ void ValidateSweepOptions(const SweepOptions& options) {
   }
   if (options.estimand == Estimand::kCensoredMttdl &&
       (!(options.window.hours() > 0.0) || options.window.is_infinite())) {
-    throw std::invalid_argument("EstimateMttdlCensored: window must be positive finite");
+    throw std::invalid_argument("SweepOptions: window must be positive finite");
   }
   if (options.adaptive) {
     if (options.estimand != Estimand::kMttdl) {
@@ -760,27 +764,6 @@ LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
   options.estimand = SweepOptions::Estimand::kLossProbability;
   options.mission = mission;
   return *RunOneCell(scenario, mc, options).loss;
-}
-
-CensoredMttdlEstimate EstimateMttdlCensored(const Scenario& scenario, Duration window,
-                                            const McConfig& mc) {
-  SweepOptions options;
-  options.estimand = SweepOptions::Estimand::kCensoredMttdl;
-  options.window = window;
-  return *RunOneCell(scenario, mc, options).censored;
-}
-
-MttdlEstimate EstimateMttdlToPrecision(const Scenario& scenario, McConfig mc,
-                                       double relative_precision, int64_t max_trials) {
-  if (!(relative_precision > 0.0)) {
-    throw std::invalid_argument("relative_precision must be positive");
-  }
-  SweepOptions options;
-  options.estimand = SweepOptions::Estimand::kMttdl;
-  options.adaptive = true;
-  options.relative_precision = relative_precision;
-  options.max_trials = max_trials;  // validated (positive) by SweepRunner::Run
-  return *RunOneCell(scenario, mc, options).mttdl;
 }
 
 // --- SweepResult -----------------------------------------------------------

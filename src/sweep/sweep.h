@@ -444,18 +444,6 @@ SweepResult FinalizeSweepCells(std::vector<SweepCellExecution> executions,
                                std::vector<std::string> axis_names,
                                SweepOptions::Estimand estimand, double confidence);
 
-// Per-estimand finalizers: the estimate structs from a folded accumulator.
-// FinalizeSweepCells uses these; exposed for diagnostics over partial
-// shard outputs.
-MttdlEstimate FinalizeMttdl(const TrialAccumulator& acc, double confidence);
-LossProbabilityEstimate FinalizeLossProbability(const TrialAccumulator& acc,
-                                                int64_t trials, double confidence);
-CensoredMttdlEstimate FinalizeCensoredMttdl(const TrialAccumulator& acc,
-                                            int64_t trials, double confidence);
-WeightedLossProbabilityEstimate FinalizeWeightedLoss(const TrialAccumulator& acc,
-                                                     int64_t trials,
-                                                     double confidence);
-
 class SweepRunner {
  public:
   // `pool` must outlive the runner; nullptr means WorkerPool::Shared().
@@ -515,20 +503,6 @@ MttdlEstimate EstimateMttdl(const Scenario& scenario, const McConfig& mc);
 // empirical counterpart, e.g. "probability of data loss in 50 years").
 LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
                                                 Duration mission, const McConfig& mc);
-
-// Runs trials in geometrically growing rounds (mc.trials, then x4 per
-// round) until the CI half-width falls below `relative_precision` of the
-// mean or `max_trials` is reached, and returns the final estimate. Rounds
-// accumulate: trials from earlier rounds are kept (the trial-index stream
-// simply extends), so reaching precision p costs exactly the trials the
-// final estimate is built from — not a fresh restart per round.
-MttdlEstimate EstimateMttdlToPrecision(const Scenario& scenario, McConfig mc,
-                                       double relative_precision, int64_t max_trials);
-
-// The censored MLE over `window` (CensoredMttdlEstimate): far cheaper than
-// EstimateMttdl when MTTDL greatly exceeds a feasible trial length.
-CensoredMttdlEstimate EstimateMttdlCensored(const Scenario& scenario,
-                                            Duration window, const McConfig& mc);
 
 }  // namespace longstore
 

@@ -26,16 +26,6 @@ std::string_view IndependenceDimensionName(IndependenceDimension dimension) {
   return "?";
 }
 
-const std::vector<IndependenceDimension>& AllIndependenceDimensions() {
-  static const std::vector<IndependenceDimension> dimensions = {
-      IndependenceDimension::kGeography,        IndependenceDimension::kAdministration,
-      IndependenceDimension::kHardwareBatch,    IndependenceDimension::kSoftwareStack,
-      IndependenceDimension::kOrganization,     IndependenceDimension::kPowerCooling,
-      IndependenceDimension::kNetwork,          IndependenceDimension::kThirdPartyService,
-  };
-  return dimensions;
-}
-
 bool ReplicaProfile::SharesWith(const ReplicaProfile& other,
                                 IndependenceDimension dimension) const {
   const auto mine = attributes.find(dimension);
@@ -81,19 +71,6 @@ double MinPairwiseAlpha(const std::vector<ReplicaProfile>& profiles,
     }
   }
   return alpha;
-}
-
-double MeanPairwiseAlpha(const std::vector<ReplicaProfile>& profiles,
-                         const CorrelationFactors& factors) {
-  double sum = 0.0;
-  int pairs = 0;
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    for (size_t j = i + 1; j < profiles.size(); ++j) {
-      sum += PairwiseAlpha(profiles[i], profiles[j], factors);
-      ++pairs;
-    }
-  }
-  return pairs == 0 ? 1.0 : sum / pairs;
 }
 
 SharedRiskRates SharedRiskRates::Defaults() {

@@ -38,8 +38,6 @@ enum class IndependenceDimension {
 
 std::string_view IndependenceDimensionName(IndependenceDimension dimension);
 
-const std::vector<IndependenceDimension>& AllIndependenceDimensions();
-
 // Where a replica lives along each dimension. Missing dimensions are treated
 // as unique (fully independent in that dimension).
 struct ReplicaProfile {
@@ -72,8 +70,6 @@ double PairwiseAlpha(const ReplicaProfile& a, const ReplicaProfile& b,
 // double-fault risk, so the minimum pairwise α is the conservative choice.
 double MinPairwiseAlpha(const std::vector<ReplicaProfile>& profiles,
                         const CorrelationFactors& factors);
-double MeanPairwiseAlpha(const std::vector<ReplicaProfile>& profiles,
-                         const CorrelationFactors& factors);
 
 // Generative shared-risk parameters per dimension.
 struct SharedRiskRates {

@@ -16,16 +16,6 @@ Matrix Matrix::Identity(size_t n) {
   return m;
 }
 
-Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) {
-      t.At(c, r) = At(r, c);
-    }
-  }
-  return t;
-}
-
 Matrix Matrix::operator*(const Matrix& other) const {
   if (cols_ != other.rows_) {
     throw std::invalid_argument("Matrix multiply: dimension mismatch");
@@ -45,21 +35,6 @@ Matrix Matrix::operator*(const Matrix& other) const {
   return out;
 }
 
-std::vector<double> Matrix::operator*(const std::vector<double>& v) const {
-  if (cols_ != v.size()) {
-    throw std::invalid_argument("Matrix-vector multiply: dimension mismatch");
-  }
-  std::vector<double> out(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (size_t c = 0; c < cols_; ++c) {
-      acc += At(r, c) * v[c];
-    }
-    out[r] = acc;
-  }
-  return out;
-}
-
 double Matrix::InfNorm() const {
   double best = 0.0;
   for (size_t r = 0; r < rows_; ++r) {
@@ -70,65 +45,6 @@ double Matrix::InfNorm() const {
     best = std::max(best, row);
   }
   return best;
-}
-
-std::optional<std::vector<double>> SolveLinearSystem(Matrix a, std::vector<double> b) {
-  const size_t n = a.rows();
-  if (a.cols() != n || b.size() != n) {
-    throw std::invalid_argument("SolveLinearSystem: dimension mismatch");
-  }
-  // Scaled partial pivoting keeps the solve stable when rates span many
-  // orders of magnitude (per-hour fault rates ~1e-7 vs repair rates ~3).
-  for (size_t col = 0; col < n; ++col) {
-    size_t pivot = col;
-    double best = std::fabs(a.At(col, col));
-    for (size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(a.At(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best == 0.0 || !std::isfinite(best)) {
-      return std::nullopt;
-    }
-    if (pivot != col) {
-      for (size_t c = 0; c < n; ++c) {
-        std::swap(a.At(pivot, c), a.At(col, c));
-      }
-      std::swap(b[pivot], b[col]);
-    }
-    const double inv = 1.0 / a.At(col, col);
-    for (size_t r = col + 1; r < n; ++r) {
-      const double factor = a.At(r, col) * inv;
-      if (factor == 0.0) {
-        continue;
-      }
-      a.At(r, col) = 0.0;
-      for (size_t c = col + 1; c < n; ++c) {
-        a.At(r, c) -= factor * a.At(col, c);
-      }
-      b[r] -= factor * b[col];
-    }
-  }
-  // Back substitution.
-  std::vector<double> x(n, 0.0);
-  for (size_t ri = n; ri-- > 0;) {
-    double acc = b[ri];
-    for (size_t c = ri + 1; c < n; ++c) {
-      acc -= a.At(ri, c) * x[c];
-    }
-    x[ri] = acc / a.At(ri, ri);
-    if (!std::isfinite(x[ri])) {
-      return std::nullopt;
-    }
-  }
-  return x;
-}
-
-std::optional<std::vector<double>> SolveLinearSystemTransposed(const Matrix& a,
-                                                               std::vector<double> b) {
-  return SolveLinearSystem(a.Transposed(), std::move(b));
 }
 
 std::optional<std::vector<double>> SolveMarkovAbsorbing(Matrix rates,

@@ -2,8 +2,11 @@
 //
 // The replication chains in src/model produce systems with at most a few
 // hundred states (state count grows cubically in replica count r, and r <= 10
-// in every experiment), so a dense LU with partial pivoting is both simpler
-// and faster than any sparse machinery here.
+// in every experiment), so dense storage is simpler and faster than any
+// sparse machinery here. GTH elimination (SolveMarkovAbsorbing) is the one
+// linear solver: every CTMC expected time and hitting probability goes
+// through it, because it never subtracts and so keeps full relative accuracy
+// where a general LU would cancel away every digit.
 
 #ifndef LONGSTORE_SRC_UTIL_LINALG_H_
 #define LONGSTORE_SRC_UTIL_LINALG_H_
@@ -28,9 +31,7 @@ class Matrix {
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 
-  Matrix Transposed() const;
   Matrix operator*(const Matrix& other) const;
-  std::vector<double> operator*(const std::vector<double>& v) const;
 
   // Maximum absolute row sum (infinity norm).
   double InfNorm() const;
@@ -40,10 +41,6 @@ class Matrix {
   size_t cols_;
   std::vector<double> data_;
 };
-
-// Solves A x = b by LU decomposition with partial pivoting.
-// Returns std::nullopt if A is (numerically) singular.
-std::optional<std::vector<double>> SolveLinearSystem(Matrix a, std::vector<double> b);
 
 // Solves the absorbing-Markov system (D - R) x = b, where R holds the
 // nonnegative transition rates among the n transient states (diagonal
@@ -60,11 +57,6 @@ std::optional<std::vector<double>> SolveLinearSystem(Matrix a, std::vector<doubl
 std::optional<std::vector<double>> SolveMarkovAbsorbing(Matrix rates,
                                                         std::vector<double> absorption,
                                                         std::vector<double> b);
-
-// Solves x A = b (row vector form), i.e. A^T x = b. Convenience for CTMC
-// stationary/absorption-probability equations which are naturally row-form.
-std::optional<std::vector<double>> SolveLinearSystemTransposed(const Matrix& a,
-                                                               std::vector<double> b);
 
 }  // namespace longstore
 

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <numbers>
 
 namespace longstore {
 namespace {
@@ -133,22 +132,6 @@ Duration Rng::NextUniform(Duration lo, Duration hi) {
     return lo;
   }
   return lo + Duration::Hours(width * u);
-}
-
-Duration Rng::NextWeibull(double shape, Duration scale) {
-  assert(shape > 0.0 && std::isfinite(shape) &&
-         "NextWeibull: shape must be finite and positive");
-  if (!(shape > 0.0) || !std::isfinite(shape)) {
-    shape = 1.0;
-  }
-  const double u = NextDoubleOpen();
-  return Duration::Hours(scale.hours() * std::pow(-std::log(u), 1.0 / shape));
-}
-
-double Rng::NextGaussian() {
-  const double u1 = NextDoubleOpen();
-  const double u2 = NextDouble();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 }  // namespace longstore

@@ -104,18 +104,6 @@ class Rng {
   // either way, so the stream position never depends on the arguments.
   Duration NextUniform(Duration lo, Duration hi);
 
-  // Weibull-distributed duration with the given shape k and scale lambda.
-  // k < 1 models infant mortality, k > 1 wear-out: together the "bathtub"
-  // lifetime curve the paper cites for same-batch hardware (§6.5).
-  // A non-finite or non-positive shape is a caller bug: debug builds assert;
-  // release builds clamp the shape to 1 (exponential) so the result is a
-  // defined, finite duration. One uniform is consumed either way.
-  Duration NextWeibull(double shape, Duration scale);
-
-  // Standard normal via Box-Muller (no cached second value: keeps the
-  // generator's state trajectory independent of call history).
-  double NextGaussian();
-
  private:
   enum class Mode : uint8_t { kXoshiro, kCounter };
 

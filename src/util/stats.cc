@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace longstore {
@@ -134,31 +133,6 @@ double InverseNormalCdf(double p) {
   const double u = e * std::sqrt(2.0 * M_PI) * std::exp(x * x / 2.0);
   x = x - u / (1.0 + x * u / 2.0);
   return x;
-}
-
-double Quantile(std::vector<double> samples, double q) {
-  if (samples.empty()) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-double CompensatedSum(const std::vector<double>& values) {
-  double sum = 0.0;
-  double comp = 0.0;
-  for (double v : values) {
-    const double y = v - comp;
-    const double t = sum + y;
-    comp = (t - sum) - y;
-    sum = t;
-  }
-  return sum;
 }
 
 }  // namespace longstore

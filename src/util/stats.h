@@ -4,7 +4,6 @@
 #define LONGSTORE_SRC_UTIL_STATS_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace longstore {
 
@@ -73,14 +72,6 @@ double NormalQuantileTwoSided(double confidence);
 
 // Inverse standard normal CDF (Acklam's rational approximation, |eps| < 1e-9).
 double InverseNormalCdf(double p);
-
-// Empirical quantile (linear interpolation) of a sample; `q` in [0, 1].
-// Sorts a copy; intended for end-of-run reporting, not hot paths.
-double Quantile(std::vector<double> samples, double q);
-
-// Kahan-compensated sum, used where many small probabilities accumulate
-// (CTMC uniformization tails).
-double CompensatedSum(const std::vector<double>& values);
 
 }  // namespace longstore
 

@@ -37,17 +37,6 @@ double MissionLossProbability(Duration mttf, Duration mission) {
   return -std::expm1(-mission.hours() / mttf.hours());
 }
 
-Duration MttfForLossProbability(double p, Duration mission) {
-  p = ClampProbability(p);
-  if (p <= 0.0) {
-    return Duration::Infinite();
-  }
-  if (p >= 1.0) {
-    return Duration::Zero();
-  }
-  return Duration::Hours(-mission.hours() / std::log1p(-p));
-}
-
 double ClampProbability(double p) { return std::clamp(p, 0.0, 1.0); }
 
 }  // namespace longstore

@@ -127,10 +127,6 @@ inline constexpr Rate operator*(double s, Rate r) { return r * s; }
 // process with mean time `mttf` (paper equation 1): P = 1 - exp(-t / MTTF).
 double MissionLossProbability(Duration mttf, Duration mission);
 
-// Inverse of MissionLossProbability: the MTTF required so that the loss
-// probability over `mission` is exactly `p`.
-Duration MttfForLossProbability(double p, Duration mission);
-
 // Clamps a computed probability into [0, 1]; the paper's linearized
 // approximations (eq 2) can exceed 1 outside their validity region and the
 // saturation P(V2 or L2 | L1) ~= 1 is part of the §5.4 arithmetic.

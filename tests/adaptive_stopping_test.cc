@@ -1,5 +1,5 @@
-// Adaptive (CI-targeted) stopping: EstimateMttdlToPrecision and the sweep's
-// per-cell adaptive mode terminate at the requested relative CI half-width,
+// Adaptive (CI-targeted) stopping: the sweep's per-cell adaptive mode
+// terminates at the requested relative CI half-width,
 // never exceed max_trials, accumulate trials across rounds instead of
 // restarting, and report non-increasing half-widths across rounds (at these
 // fixed seeds).
@@ -40,12 +40,11 @@ int64_t TotalTrials(const MttdlEstimate& estimate) {
 }
 
 TEST(AdaptiveStoppingTest, TerminatesAtRequestedPrecision) {
-  McConfig mc;
-  mc.trials = 100;
-  mc.seed = 9;
-  const MttdlEstimate estimate =
-      EstimateMttdlToPrecision(FastScenario(), mc, /*relative_precision=*/0.05,
-                               /*max_trials=*/50000);
+  const MttdlEstimate estimate = *AdaptiveRun(/*initial_trials=*/100,
+                                              /*precision=*/0.05,
+                                              /*max_trials=*/50000, /*seed=*/9)
+                                     .cells.front()
+                                     .mttdl;
   const double half_width = (estimate.ci_years.hi - estimate.ci_years.lo) / 2.0;
   EXPECT_GT(estimate.mean_years(), 0.0);
   EXPECT_LE(half_width / estimate.mean_years(), 0.05);
@@ -236,16 +235,11 @@ TEST(AdaptiveStoppingTest, ResumeRejectsMismatchedPriors) {
 }
 
 TEST(AdaptiveStoppingTest, RejectsNonPositivePrecisionAndMaxTrials) {
-  McConfig mc;
-  mc.trials = 50;
-  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, 0.0, 100),
-               std::invalid_argument);
-  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, -1.0, 100),
-               std::invalid_argument);
-  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, 0.05, 0),
-               std::invalid_argument);
-  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, 0.05, -5),
-               std::invalid_argument);
+  const uint64_t seed = McConfig().seed;
+  EXPECT_THROW(AdaptiveRun(50, 0.0, 100, seed), std::invalid_argument);
+  EXPECT_THROW(AdaptiveRun(50, -1.0, 100, seed), std::invalid_argument);
+  EXPECT_THROW(AdaptiveRun(50, 0.05, 0, seed), std::invalid_argument);
+  EXPECT_THROW(AdaptiveRun(50, 0.05, -5, seed), std::invalid_argument);
 }
 
 }  // namespace

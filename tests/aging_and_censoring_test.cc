@@ -22,6 +22,18 @@ Scenario WeibullFleet(double shape, double first_age = 0.0, double second_age = 
       .Build();
 }
 
+// The censored MLE over `window` on a one-cell kSharedRoot sweep, so trial k
+// draws from DeriveSeed(mc.seed, k).
+CensoredMttdlEstimate EstimateCensored(const Scenario& scenario, Duration window,
+                                       const McConfig& mc) {
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kCensoredMttdl;
+  options.window = window;
+  options.mc = mc;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().censored;
+}
+
 TEST(AgingTest, InitialAgesValidated) {
   Scenario scenario = WeibullFleet(3.0);
   scenario.replicas[1].initial_age_hours = -5.0;
@@ -85,7 +97,7 @@ TEST(CensoredEstimatorTest, AgreesWithDirectEstimateAndCtmc) {
   // Window ~ a tenth of the MTTDL: most trials censor, losses still number
   // in the hundreds.
   const Duration window = Duration::Hours(exact->hours() / 10.0);
-  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(scenario, window, mc);
+  const CensoredMttdlEstimate estimate = EstimateCensored(scenario, window, mc);
   ASSERT_GT(estimate.losses, 100);
   // The censored MLE carries a small positive bias here: trials start from
   // the all-healthy state, so the early window under-produces losses
@@ -105,7 +117,7 @@ TEST(CensoredEstimatorTest, ZeroLossesGiveRuleOfThreeBound) {
   McConfig mc;
   mc.trials = 50;
   const Duration window = Duration::Years(10.0);
-  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(scenario, window, mc);
+  const CensoredMttdlEstimate estimate = EstimateCensored(scenario, window, mc);
   EXPECT_EQ(estimate.losses, 0);
   EXPECT_TRUE(estimate.mttdl.is_infinite());
   EXPECT_NEAR(estimate.observed_years, 500.0, 1e-6);
@@ -123,7 +135,7 @@ TEST(CensoredEstimatorTest, ObservedTimeAccountsForEarlyLosses) {
   mc.trials = 200;
   mc.seed = 77;
   const Duration window = Duration::Years(50.0);
-  const CensoredMttdlEstimate estimate = EstimateMttdlCensored(scenario, window, mc);
+  const CensoredMttdlEstimate estimate = EstimateCensored(scenario, window, mc);
   EXPECT_GT(estimate.losses, 150);  // nearly every trial loses quickly
   EXPECT_LT(estimate.observed_years, 50.0 * 200.0);
 }
@@ -136,10 +148,14 @@ TEST(CensoredEstimatorTest, RejectsBadWindow) {
           .Build();
   McConfig mc;
   mc.trials = 10;
-  EXPECT_THROW(EstimateMttdlCensored(scenario, Duration::Zero(), mc),
-               std::invalid_argument);
-  EXPECT_THROW(EstimateMttdlCensored(scenario, Duration::Infinite(), mc),
-               std::invalid_argument);
+  for (const Duration window : {Duration::Zero(), Duration::Infinite()}) {
+    try {
+      EstimateCensored(scenario, window, mc);
+      FAIL() << "accepted a " << window.hours() << " h window";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(), "SweepOptions: window must be positive finite");
+    }
+  }
 }
 
 }  // namespace

@@ -85,8 +85,6 @@ TEST(DriveSpecTest, CatalogContainsAllMediaClasses) {
   EXPECT_TRUE(has_enterprise);
   EXPECT_TRUE(has_tape);
   EXPECT_TRUE(has_etched);
-  EXPECT_EQ(MediaClassName(MediaClass::kTapeCartridge), "tape cartridge");
-  EXPECT_EQ(MediaClassName(MediaClass::kEtchedMedium), "etched medium");
 }
 
 TEST(DriveSpecTest, OfflineMediaClassification) {

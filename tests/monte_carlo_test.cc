@@ -17,6 +17,20 @@ ReplicaSpec FastReplica() {
 
 Scenario FastScenario() { return ScenarioBuilder().Replicas(2, FastReplica()).Build(); }
 
+// Adaptive stopping on a one-cell kSharedRoot sweep, so trial k draws from
+// DeriveSeed(mc.seed, k) exactly as in EstimateMttdl.
+MttdlEstimate EstimateToPrecision(const McConfig& mc, double relative_precision,
+                                  int64_t max_trials) {
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kMttdl;
+  options.adaptive = true;
+  options.relative_precision = relative_precision;
+  options.max_trials = max_trials;
+  options.mc = mc;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  return *SweepRunner().Run(SweepSpec(FastScenario()), options).cells.front().mttdl;
+}
+
 TEST(MonteCarloTest, MttdlEstimateHasReasonableShape) {
   McConfig mc;
   mc.trials = 2000;
@@ -86,10 +100,14 @@ TEST(MonteCarloTest, LossProbabilityMatchesMttdlExponential) {
 TEST(MonteCarloTest, LossProbabilityRejectsBadMission) {
   McConfig mc;
   mc.trials = 10;
-  EXPECT_THROW(EstimateLossProbability(FastScenario(), Duration::Zero(), mc),
-               std::invalid_argument);
-  EXPECT_THROW(EstimateLossProbability(FastScenario(), Duration::Infinite(), mc),
-               std::invalid_argument);
+  for (const Duration mission : {Duration::Zero(), Duration::Infinite()}) {
+    try {
+      EstimateLossProbability(FastScenario(), mission, mc);
+      FAIL() << "accepted a " << mission.hours() << " h mission";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(), "SweepOptions: mission must be positive finite");
+    }
+  }
 }
 
 TEST(MonteCarloTest, RejectsNonPositiveTrials) {
@@ -111,8 +129,7 @@ TEST(MonteCarloTest, PrecisionDrivenEstimateTightensCi) {
   mc.trials = 100;
   mc.seed = 9;
   const MttdlEstimate estimate =
-      EstimateMttdlToPrecision(FastScenario(), mc, /*relative_precision=*/0.05,
-                               /*max_trials=*/20000);
+      EstimateToPrecision(mc, /*relative_precision=*/0.05, /*max_trials=*/20000);
   const double half_width = (estimate.ci_years.hi - estimate.ci_years.lo) / 2.0;
   EXPECT_LE(half_width / estimate.mean_years(), 0.05);
 }
@@ -122,11 +139,9 @@ TEST(MonteCarloTest, PrecisionRunRespectsMaxTrials) {
   mc.trials = 50;
   mc.seed = 10;
   const MttdlEstimate estimate =
-      EstimateMttdlToPrecision(FastScenario(), mc, /*relative_precision=*/1e-6,
-                               /*max_trials=*/200);
+      EstimateToPrecision(mc, /*relative_precision=*/1e-6, /*max_trials=*/200);
   EXPECT_LE(estimate.loss_time_years.count(), 200);
-  EXPECT_THROW(EstimateMttdlToPrecision(FastScenario(), mc, 0.0, 100),
-               std::invalid_argument);
+  EXPECT_THROW(EstimateToPrecision(mc, 0.0, 100), std::invalid_argument);
 }
 
 }  // namespace

@@ -139,17 +139,6 @@ TEST(Snapshot, CanonicalFormElidesEmptyBuckets) {
             "\"min\":0,\"max\":6,\"buckets\":[[0,1],[3,1]]}}}");
 }
 
-TEST(Snapshot, ResetValuesKeepsRegistrationZerosValues) {
-  Registry registry;
-  registry.counter("c").Add(7);
-  registry.histogram("h").Record(3);
-  registry.ResetValues();
-  EXPECT_EQ(registry.SnapshotJson(),
-            "{\"obs_version\":1,\"counters\":{\"c\":0},"
-            "\"histograms\":{\"h\":{\"count\":0,\"sum\":0,\"min\":0,"
-            "\"max\":0,\"buckets\":[]}}}");
-}
-
 TEST(RuntimeSwitch, SetEnabledGatesRecordingNotRegistration) {
   Registry registry;
   Counter& counter = registry.counter("gated");

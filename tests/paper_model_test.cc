@@ -228,14 +228,5 @@ TEST(FaultParamsValidationTest, RejectsBadInputs) {
   EXPECT_THROW(MttdlGeneral(bad), std::invalid_argument);
 }
 
-TEST(FaultParamsTest, ApproxEqualDetectsDifferences) {
-  const FaultParams a = FaultParams::PaperCheetahExample();
-  FaultParams b = a;
-  EXPECT_TRUE(ApproxEqual(a, b));
-  b.ml = b.ml * (1.0 + 1e-6);
-  EXPECT_FALSE(ApproxEqual(a, b));
-  EXPECT_TRUE(ApproxEqual(a, b, 1e-3));
-}
-
 }  // namespace
 }  // namespace longstore

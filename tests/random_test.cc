@@ -155,38 +155,6 @@ TEST(RngTest, UniformRange) {
   EXPECT_NEAR(stats.mean(), 15.0, 0.05);
 }
 
-TEST(RngTest, WeibullShapeOneIsExponential) {
-  Rng rng(33);
-  const Duration scale = Duration::Hours(100.0);
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) {
-    stats.Add(rng.NextWeibull(1.0, scale).hours());
-  }
-  EXPECT_NEAR(stats.mean(), 100.0, 1.5);
-}
-
-TEST(RngTest, WeibullMeanMatchesGammaFormula) {
-  Rng rng(34);
-  const double shape = 2.0;
-  const Duration scale = Duration::Hours(100.0);
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) {
-    stats.Add(rng.NextWeibull(shape, scale).hours());
-  }
-  const double expected = 100.0 * std::tgamma(1.0 + 1.0 / shape);
-  EXPECT_NEAR(stats.mean(), expected, expected * 0.02);
-}
-
-TEST(RngTest, GaussianMoments) {
-  Rng rng(55);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) {
-    stats.Add(rng.NextGaussian());
-  }
-  EXPECT_NEAR(stats.mean(), 0.0, 0.01);
-  EXPECT_NEAR(stats.stddev(), 1.0, 0.01);
-}
-
 // ---------------------------------------------------------------------------
 // Edge-case regressions (degenerate sampler parameters).
 //
@@ -236,24 +204,6 @@ TEST(RngEdgeCaseTest, ExponentialNegativeMeanAssertsOrClamps) {
         EXPECT_EQ(rng.Next(), twin.Next());
       },
       "mean must be non-negative");
-}
-
-TEST(RngEdgeCaseTest, WeibullNonPositiveShapeAssertsOrClamps) {
-  EXPECT_DEBUG_DEATH(
-      {
-        Rng rng(94);
-        const Duration d = rng.NextWeibull(0.0, Duration::Hours(100.0));
-        // Release builds clamp shape to 1 (exponential) instead of dividing
-        // by zero in the 1/shape exponent.
-        EXPECT_TRUE(std::isfinite(d.hours()));
-        EXPECT_GE(d.hours(), 0.0);
-        Rng twin(94);
-        (void)twin.NextWeibull(1.0, Duration::Hours(100.0));
-        EXPECT_EQ(rng.Next(), twin.Next());
-        EXPECT_EQ(d.hours(),
-                  Rng(94).NextWeibull(1.0, Duration::Hours(100.0)).hours());
-      },
-      "shape must be finite and positive");
 }
 
 TEST(RngEdgeCaseTest, ExponentialInfiniteMeanConsumesNoDraw) {

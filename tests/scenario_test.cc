@@ -54,8 +54,6 @@ TEST(ScenarioBuilderTest, AssemblesHeterogeneousFleet) {
   EXPECT_EQ(scenario.replicas[2].media, "tape");
   EXPECT_EQ(scenario.replicas[2].scrub.kind, ScrubPolicy::Kind::kPeriodic);
   EXPECT_DOUBLE_EQ(scenario.alpha, 0.5);
-  EXPECT_FALSE(scenario.IsHomogeneous());
-  EXPECT_TRUE(ScenarioBuilder().Replicas(2, DiskLike()).Build().IsHomogeneous());
 }
 
 TEST(ScenarioBuilderTest, CommonModeAllCoversEveryReplica) {

@@ -1,9 +1,10 @@
 // End-to-end: the real sweep_serviced daemon over a real Unix-domain
 // socket — cold query computed, warm query answered from cache with bytes
 // identical to the in-process golden run, the real sweep_client binary
-// agreeing via its --expect-source exit codes, the fleet backend producing
-// the same bytes through worker subprocesses, a tighter query resumed on
-// either backend, and SIGTERM shutting the daemon down cleanly.
+// agreeing via its --expect-source exit codes, a stalled client dropped at
+// the connection deadline, the fleet backend producing the same bytes
+// through worker subprocesses, a tighter query resumed on either backend,
+// and SIGTERM shutting the daemon down cleanly.
 
 #include <dirent.h>
 #include <signal.h>
@@ -13,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -174,6 +176,38 @@ TEST_F(ServiceE2eTest, RealClientObservesComputedThenCache) {
   // The provenance claim is enforced, not decorative: expecting the wrong
   // source is a distinct failure exit.
   EXPECT_EQ(RunClient({"--cheetah", "--expect-source=computed"}), 4);
+}
+
+// The daemon serves one connection at a time, so a client that stalls
+// mid-frame must not block everyone else: its connection is dropped once the
+// receive deadline passes, and a ping sent meanwhile is answered.
+TEST_F(ServiceE2eTest, StalledClientIsDroppedAtTheDeadline) {
+  StartDaemon();
+  const int stalled = Connect();
+  ASSERT_GE(stalled, 0);
+  ASSERT_EQ(::write(stalled, "12\n", 3), 3);  // a frame length, then nothing
+
+  Subprocess ping = Subprocess::Spawn(
+      {LONGSTORE_SWEEP_CLIENT, "--socket=" + socket_path_, "--ping"},
+      dir_ + "/client.log");
+  const auto start = std::chrono::steady_clock::now();
+  const double bound_s = kConnectionDeadlineSeconds + 5.0;
+  double waited_s = 0.0;
+  while (!ping.Poll() && waited_s < bound_s) {
+    Subprocess::WaitAny({&ping}, bound_s - waited_s);
+    waited_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+                   .count();
+  }
+  const bool answered = ping.Poll();
+  char byte = 0;
+  const ssize_t stalled_read = ::recv(stalled, &byte, 1, MSG_DONTWAIT);
+  ::close(stalled);
+  ASSERT_TRUE(answered) << "ping still blocked after " << bound_s << " s";
+  EXPECT_TRUE(ping.exited_cleanly()) << ping.DescribeExit();
+  EXPECT_EQ(stalled_read, 0) << "the stalled connection is still open";
+  std::string log;
+  ASSERT_TRUE(obs::ReadWholeFile(dir_ + "/serviced.log", &log, nullptr));
+  EXPECT_NE(log.find("dropping connection: read timed out"), std::string::npos) << log;
 }
 
 TEST_F(ServiceE2eTest, FleetBackendProducesTheSameBytesAndStillCaches) {

@@ -248,7 +248,7 @@ TEST(ShardMergePropertyTest, RunningStatsRawRoundTripIsExact) {
   EXPECT_EQ(copy.max(), original.max());
   // And continues exactly where the original left off.
   for (int i = 0; i < 100; ++i) {
-    const double x = rng.NextGaussian();
+    const double x = rng.NextExponential(Duration::Hours(2.0)).hours();
     original.Add(x);
     copy.Add(x);
   }

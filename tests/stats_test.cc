@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,29 +128,6 @@ TEST(WilsonIntervalTest, DegenerateTrials) {
   const Interval i = WilsonInterval(0, 0, 0.95);
   EXPECT_DOUBLE_EQ(i.lo, 0.0);
   EXPECT_DOUBLE_EQ(i.hi, 1.0);
-}
-
-TEST(QuantileTest, InterpolatesSortedSamples) {
-  std::vector<double> samples = {1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(Quantile(samples, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Quantile(samples, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(Quantile(samples, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(Quantile(samples, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(Quantile(samples, 0.125), 1.5);
-  EXPECT_TRUE(std::isnan(Quantile({}, 0.5)));
-}
-
-TEST(CompensatedSumTest, SmallValuesDoNotVanish) {
-  std::vector<double> values(1000000, 1e-10);
-  values.insert(values.begin(), 1e10);
-  const double compensated = CompensatedSum(values);
-  // Naive accumulation rounds every 1e-10 addend away entirely.
-  double naive = 0.0;
-  for (double v : values) {
-    naive += v;
-  }
-  EXPECT_DOUBLE_EQ(naive - 1e10, 0.0);
-  EXPECT_NEAR(compensated - 1e10, 1e-4, 2e-6);
 }
 
 }  // namespace

@@ -69,10 +69,10 @@ TEST(ScrubPhaseTest, StaggeredPhasesDifferAcrossReplicas) {
                            .FaultTimes(Duration::Hours(1e12),
                                        Duration::Hours(1e12))  // inject via common mode
                            .ScrubEvery(Duration::Hours(100.0)))
-          .StaggeredScrubs()
           .CommonMode(CommonModeSource{"simultaneous latent", Rate::PerHour(1.0 / 300.0),
                                        {0, 1}, 1.0, /*visible_fraction=*/0.0})
           .Build();
+  ASSERT_TRUE(scenario.scrub_staggered);  // the default
 
   Simulator sim;
   Rng rng(17);

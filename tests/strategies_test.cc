@@ -60,14 +60,6 @@ TEST(ScaleFaultTimesTest, ScalesBothAxes) {
   EXPECT_THROW(ScaleFaultTimes(base, 1.0, -2.0), std::invalid_argument);
 }
 
-TEST(RepairTimeStrategiesTest, ReplaceRepairMeans) {
-  const FaultParams base = FaultParams::PaperCheetahExample();
-  const FaultParams hot_spare = WithVisibleRepairTime(base, Duration::Minutes(5.0));
-  EXPECT_NEAR(hot_spare.mrv.minutes(), 5.0, 1e-12);
-  const FaultParams automated = WithLatentRepairTime(base, Duration::Seconds(30.0));
-  EXPECT_NEAR(automated.mrl.seconds(), 30.0, 1e-9);
-}
-
 TEST(WithCorrelationTest, ReplacesAlpha) {
   const FaultParams p = WithCorrelation(FaultParams::PaperCheetahExample(), 0.25);
   EXPECT_DOUBLE_EQ(p.alpha, 0.25);

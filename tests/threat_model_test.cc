@@ -1,5 +1,8 @@
 #include "src/threats/threat_model.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "src/model/paper_model.h"
@@ -7,6 +10,23 @@
 
 namespace longstore {
 namespace {
+
+// True when `a` and `b` agree in every field to within relative tolerance
+// `rel_tol`; equal infinities (e.g. no detection process) count as equal.
+bool ApproxEqual(const FaultParams& a, const FaultParams& b, double rel_tol) {
+  const auto near = [rel_tol](double x, double y) {
+    if (x == y) {
+      return true;
+    }
+    if (std::isinf(x) || std::isinf(y)) {
+      return false;
+    }
+    return std::fabs(x - y) <= rel_tol * std::max(std::fabs(x), std::fabs(y));
+  };
+  return near(a.mv.hours(), b.mv.hours()) && near(a.ml.hours(), b.ml.hours()) &&
+         near(a.mrv.hours(), b.mrv.hours()) && near(a.mrl.hours(), b.mrl.hours()) &&
+         near(a.mdl.hours(), b.mdl.hours()) && near(a.alpha, b.alpha);
+}
 
 TEST(ThreatModelTest, MediaOnlyProfileReproducesPaperParams) {
   const ThreatProfile profile = MediaOnlyProfile(Duration::Years(1.0 / 3.0));

@@ -95,16 +95,6 @@ TEST(MissionLossProbabilityTest, EdgeCases) {
   EXPECT_DOUBLE_EQ(MissionLossProbability(Duration::Years(10), Duration::Zero()), 0.0);
 }
 
-TEST(MttfForLossProbabilityTest, RoundTripsWithLossProbability) {
-  const Duration mission = Duration::Years(50.0);
-  for (double p : {1e-4, 0.01, 0.5, 0.99}) {
-    const Duration mttf = MttfForLossProbability(p, mission);
-    EXPECT_NEAR(MissionLossProbability(mttf, mission), p, 1e-12);
-  }
-  EXPECT_TRUE(MttfForLossProbability(0.0, mission).is_infinite());
-  EXPECT_TRUE(MttfForLossProbability(1.0, mission).is_zero());
-}
-
 TEST(ClampProbabilityTest, Clamps) {
   EXPECT_DOUBLE_EQ(ClampProbability(-0.5), 0.0);
   EXPECT_DOUBLE_EQ(ClampProbability(0.25), 0.25);

@@ -10,7 +10,9 @@
 // Transport:
 //   --socket=PATH        listen on a Unix-domain stream socket (unlinks a
 //                        stale PATH first); one connection served at a time,
-//                        frames answered in order
+//                        frames answered in order; a connection that stalls
+//                        mid-frame or stops reading its reply for
+//                        kConnectionDeadlineSeconds is dropped
 //   --stdio              serve frames on stdin/stdout (single supervised
 //                        instance, e.g. under a test harness)
 //
@@ -48,6 +50,7 @@
 
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -114,7 +117,9 @@ bool ServeStream(SweepService& service, int fd, int out_fd,
     const std::string response =
         service.HandleRequestBytes(payload, "service connection");
     if (!WriteFrame(out_fd, response)) {
-      std::fprintf(stderr, "[serviced] peer vanished mid-response\n");
+      std::fprintf(stderr, "[serviced] dropping connection: %s mid-response\n",
+                   errno == EAGAIN || errno == EWOULDBLOCK ? "send timed out"
+                                                           : "peer vanished");
       return true;
     }
     ++*served;
@@ -261,6 +266,13 @@ int Main(int argc, char** argv) {
       }
       std::perror("accept");
       break;
+    }
+    const timeval deadline = {kConnectionDeadlineSeconds, 0};
+    if (::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline)) != 0 ||
+        ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof(deadline)) != 0) {
+      std::perror("setsockopt");
+      ::close(conn);
+      continue;
     }
     keep_going = ServeStream(service, conn, conn, max_requests, &served);
     ::close(conn);
