@@ -5,10 +5,9 @@
 
 namespace longstore {
 
-int Ctmc::AddState(std::string name, bool absorbing) {
-  names_.push_back(std::move(name));
+int Ctmc::AddState(bool absorbing) {
   absorbing_.push_back(absorbing);
-  return static_cast<int>(names_.size()) - 1;
+  return state_count() - 1;
 }
 
 void Ctmc::AddTransition(int from, int to, Rate rate) {
@@ -36,9 +35,9 @@ int Ctmc::transient_count() const {
 }
 
 std::vector<int> Ctmc::TransientIndex() const {
-  std::vector<int> tindex(names_.size(), -1);
+  std::vector<int> tindex(absorbing_.size(), -1);
   int next = 0;
-  for (size_t i = 0; i < names_.size(); ++i) {
+  for (size_t i = 0; i < absorbing_.size(); ++i) {
     if (!absorbing_[i]) {
       tindex[i] = next++;
     }

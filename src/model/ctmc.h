@@ -10,7 +10,6 @@
 #define LONGSTORE_SRC_MODEL_CTMC_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/util/linalg.h"
@@ -21,13 +20,13 @@ namespace longstore {
 class Ctmc {
  public:
   // Returns the index of the new state.
-  int AddState(std::string name, bool absorbing = false);
+  int AddState(bool absorbing = false);
 
   // Adds a transition; rate must be positive and finite. Self-loops and
   // transitions out of absorbing states are rejected.
   void AddTransition(int from, int to, Rate rate);
 
-  int state_count() const { return static_cast<int>(names_.size()); }
+  int state_count() const { return static_cast<int>(absorbing_.size()); }
   int transient_count() const;
 
   // Expected time to absorption from each transient state, in the order the
@@ -69,7 +68,6 @@ class Ctmc {
   std::vector<bool> CanReachAbsorbing() const;
   std::vector<bool> AbsorbedAlmostSurely() const;
 
-  std::vector<std::string> names_;
   std::vector<bool> absorbing_;
   std::vector<Transition> transitions_;
 };

@@ -1,6 +1,5 @@
 #include "src/model/replica_ctmc.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace longstore {
@@ -49,10 +48,8 @@ void ReplicatedChainBuilder::Build() {
   const int stride = r + 1;
   index_.assign(static_cast<size_t>(stride * stride * stride), -1);
 
-  // Names stay within 15 characters: longer literals draw a false
-  // -Wstringop-overread from GCC 12 under LTO.
-  loss_visible_ = chain_.AddState("DataLossVisible", /*absorbing=*/true);
-  loss_latent_ = chain_.AddState("DataLossLatent", /*absorbing=*/true);
+  loss_visible_ = chain_.AddState(/*absorbing=*/true);
+  loss_latent_ = chain_.AddState(/*absorbing=*/true);
 
   // Create all transient states (at least required_intact_ intact
   // fragments, so reconstruction is always possible outside the loss states).
@@ -60,10 +57,8 @@ void ReplicatedChainBuilder::Build() {
   for (int nv = 0; nv <= max_faulty; ++nv) {
     for (int nl = 0; nl + nv <= max_faulty; ++nl) {
       for (int nd = 0; nd + nl + nv <= max_faulty; ++nd) {
-        char name[48];
-        std::snprintf(name, sizeof(name), "v%d l%d d%d", nv, nl, nd);
         index_[static_cast<size_t>((nv * stride + nl) * stride + nd)] =
-            chain_.AddState(name);
+            chain_.AddState();
       }
     }
   }

@@ -50,19 +50,13 @@ ReplicaSpec& ReplicaSpec::ScrubEvery(Duration interval) {
   return *this;
 }
 
-ReplicaSpec& ReplicaSpec::ScrubPhase(Duration phase) {
-  scrub_phase_hours = phase.hours();
-  return *this;
-}
-
 bool operator==(const ReplicaSpec& a, const ReplicaSpec& b) {
   return a.media == b.media && a.fault_distribution == b.fault_distribution &&
          a.mv == b.mv && a.ml == b.ml && a.weibull_shape == b.weibull_shape &&
          a.initial_age_hours == b.initial_age_hours &&
          a.repair_distribution == b.repair_distribution && a.mrv == b.mrv &&
          a.mrl == b.mrl && a.scrub.kind == b.scrub.kind &&
-         a.scrub.interval == b.scrub.interval &&
-         a.scrub_phase_hours == b.scrub_phase_hours;
+         a.scrub.interval == b.scrub.interval;
 }
 
 std::optional<std::string> ReplicaSpec::Validate() const {
@@ -94,9 +88,6 @@ std::optional<std::string> ReplicaSpec::Validate() const {
     // An infinite interval would feed NaN into the periodic tick arithmetic
     // and "never" into ScheduleAfter (which requires finite times).
     return "scrub interval must be finite and positive";
-  }
-  if (std::isnan(scrub_phase_hours) || std::isinf(scrub_phase_hours)) {
-    return "scrub phase must be finite (negative means automatic)";
   }
   return std::nullopt;
 }
@@ -138,9 +129,6 @@ std::optional<std::string> Scenario::Validate() const {
         return ReplicaError(
             i, "Weibull faults are only supported under the physical convention");
       }
-    }
-    if (record_scrub_passes && spec.scrub.kind != ScrubPolicy::Kind::kPeriodic) {
-      return ReplicaError(i, "record_scrub_passes requires a periodic scrub policy");
     }
   }
   if (convention == RateConvention::kPaper) {
@@ -217,16 +205,6 @@ ScenarioBuilder& ScenarioBuilder::Convention(RateConvention convention) {
 
 ScenarioBuilder& ScenarioBuilder::AlignedScrubs() {
   scenario_.scrub_staggered = false;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::RecordScrubPasses() {
-  scenario_.record_scrub_passes = true;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::VisibleFaultSurfacesLatent() {
-  scenario_.visible_fault_surfaces_latent = true;
   return *this;
 }
 

@@ -99,12 +99,9 @@ struct ReplicaSpec {
 
   // This replica's audit policy. Each replica runs its own detection
   // process; a mixed fleet can scrub the disks weekly and audit the tape
-  // quarterly.
+  // quarterly. A periodic scrub's phase follows the scenario's
+  // scrub_staggered flag.
   ScrubPolicy scrub = ScrubPolicy::None();
-  // Explicit periodic-scrub phase offset (hours). Negative (the default)
-  // means automatic: staggered by replica index when the scenario's
-  // scrub_staggered flag is set, else aligned at zero.
-  double scrub_phase_hours = -1.0;
 
   // --- fluent setters -----------------------------------------------------
   ReplicaSpec& Media(std::string name);
@@ -115,7 +112,6 @@ struct ReplicaSpec {
   ReplicaSpec& DeterministicRepair();
   ReplicaSpec& ScrubWith(ScrubPolicy policy);
   ReplicaSpec& ScrubEvery(Duration interval);  // shorthand: periodic policy
-  ReplicaSpec& ScrubPhase(Duration phase);
 
   // Error message if the spec is inconsistent on its own (scenario-level
   // constraints — convention, correlation — are checked by
@@ -156,15 +152,6 @@ struct Scenario {
   // replicas at once (worst case for simultaneous latent faults).
   bool scrub_staggered = true;
 
-  // Record kScrubPass trace events (timeline rendering only; expensive for
-  // long runs). Requires every replica to scrub periodically.
-  bool record_scrub_passes = false;
-
-  // A visible fault striking a replica that already carries an undetected
-  // latent fault surfaces it (the whole replica is rebuilt). Off by default
-  // to match the paper's model.
-  bool visible_fault_surfaces_latent = false;
-
   std::vector<CommonModeSource> common_mode;
 
   int replica_count() const { return static_cast<int>(replicas.size()); }
@@ -179,13 +166,16 @@ struct Scenario {
   // Canonical compact JSON: fixed key order, every field emitted,
   // round-trip-exact doubles ("inf"/"-inf"/"nan" as strings). Two scenarios
   // are field-wise identical iff their canonical JSON strings are equal.
+  // Three keys of retired modes stay at their one value so that no hash
+  // moves (scenario_json.cc).
   std::string ToJson() const;
 
-  // Strict parser for the ToJson schema (unknown keys, missing keys and
-  // type mismatches are errors). Accepts any key order and ignores
-  // insignificant whitespace; throws std::invalid_argument with a position
-  // on malformed input. FromJson(ToJson(s)) == s exactly (bit-identical
-  // doubles), so the round trip preserves CanonicalHash and trial streams.
+  // Strict parser for the ToJson schema (unknown keys, missing keys, type
+  // mismatches and a retired mode's key at any other value are errors).
+  // Accepts any key order and ignores insignificant whitespace; throws
+  // std::invalid_argument with a position on malformed input.
+  // FromJson(ToJson(s)) == s exactly (bit-identical doubles), so the round
+  // trip preserves CanonicalHash and trial streams.
   static Scenario FromJson(std::string_view json);
 
   // Maps an already-parsed JSON value with the same strictness as FromJson.
@@ -228,8 +218,6 @@ class ScenarioBuilder {
   // Scrubs are staggered by default (Scenario::scrub_staggered); this
   // aligns every replica's scrub phase instead.
   ScenarioBuilder& AlignedScrubs();
-  ScenarioBuilder& RecordScrubPasses();
-  ScenarioBuilder& VisibleFaultSurfacesLatent();
 
   // Adds a common-mode source; members index replicas added so far or later
   // (validated at Build).

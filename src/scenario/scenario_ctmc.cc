@@ -76,10 +76,6 @@ std::optional<std::string> CtmcIncompatibility(const Scenario& scenario) {
            ", ...) strike several replicas per event; the CTMC tracks only "
            "per-replica fault counts — use the simulator";
   }
-  if (scenario.visible_fault_surfaces_latent) {
-    return "visible_fault_surfaces_latent lets one replica carry two faults; "
-           "the CTMC models at most one outstanding fault per replica";
-  }
   return std::nullopt;
 }
 

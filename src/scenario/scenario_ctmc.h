@@ -22,9 +22,9 @@ namespace longstore {
 // chain requires a homogeneous fleet of memoryless processes: exponential
 // faults (no ages), exponential repair, a memoryless detection process
 // (none / exponential / on-access — periodic scrubbing is deterministic),
-// no common-mode sources, and the at-most-one-fault-per-replica bookkeeping
-// (visible_fault_surfaces_latent off). Each violation names the offending
-// replica/field and what to change.
+// and no common-mode sources. Its per-replica states (healthy, latent,
+// detected) are the simulator's own, so nothing else needs checking. Each
+// violation names the offending replica/field and what to change.
 std::optional<std::string> CtmcIncompatibility(const Scenario& scenario);
 
 // The scenario's effective per-replica FaultParams (MV/ML/MRV/MRL from

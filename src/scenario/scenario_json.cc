@@ -91,6 +91,18 @@ RateConvention ParseConvention(const std::string& name) {
   json::Fail(kContext, "unknown convention \"" + name + "\"");
 }
 
+// Keys of three retired modes: the scrub-tick trace loop, latent surfacing
+// by a visible fault, and explicit scrub phases. ToJson writes each at the
+// one value it can still hold, because dropping a key would move every
+// CanonicalHash and with it every content-derived seed, sweep_id and cache
+// key. FromJson accepts nothing else.
+void RequireRetired(bool holds, const std::string& key, const char* value) {
+  if (!holds) {
+    json::Fail(kContext,
+               key + " is a retired mode; only " + value + " is accepted");
+  }
+}
+
 }  // namespace
 
 std::string Scenario::ToJson() const {
@@ -106,10 +118,8 @@ std::string Scenario::ToJson() const {
   out += ConventionName(convention);
   out += "\",\"scrub_staggered\":";
   out += scrub_staggered ? "true" : "false";
-  out += ",\"record_scrub_passes\":";
-  out += record_scrub_passes ? "true" : "false";
-  out += ",\"visible_fault_surfaces_latent\":";
-  out += visible_fault_surfaces_latent ? "true" : "false";
+  // Retired modes: fixed text that keeps every hash (see RequireRetired).
+  out += ",\"record_scrub_passes\":false,\"visible_fault_surfaces_latent\":false";
   out += ",\"replicas\":[";
   for (size_t i = 0; i < replicas.size(); ++i) {
     const ReplicaSpec& spec = replicas[i];
@@ -138,9 +148,7 @@ std::string Scenario::ToJson() const {
     out += ScrubKindName(spec.scrub.kind);
     out += "\",\"scrub_interval_hours\":";
     AppendDouble(out, spec.scrub.interval.hours());
-    out += ",\"scrub_phase_hours\":";
-    AppendDouble(out, spec.scrub_phase_hours);
-    out += '}';
+    out += ",\"scrub_phase_hours\":-1}";  // retired mode, fixed text
   }
   out += "],\"common_mode\":[";
   for (size_t s = 0; s < common_mode.size(); ++s) {
@@ -181,9 +189,10 @@ Scenario Scenario::FromJsonValue(const json::Value& root) {
   scenario.alpha = reader.GetNumber("alpha");
   scenario.convention = ParseConvention(reader.GetString("convention"));
   scenario.scrub_staggered = reader.GetBool("scrub_staggered");
-  scenario.record_scrub_passes = reader.GetBool("record_scrub_passes");
-  scenario.visible_fault_surfaces_latent =
-      reader.GetBool("visible_fault_surfaces_latent");
+  RequireRetired(!reader.GetBool("record_scrub_passes"), "record_scrub_passes",
+                 "false");
+  RequireRetired(!reader.GetBool("visible_fault_surfaces_latent"),
+                 "visible_fault_surfaces_latent", "false");
 
   for (const json::Value& entry : reader.GetArray("replicas")) {
     json::ObjectReader replica(entry, "replica", kContext);
@@ -201,7 +210,8 @@ Scenario Scenario::FromJsonValue(const json::Value& root) {
     spec.mrl = Duration::Hours(replica.GetNumber("mrl_hours"));
     spec.scrub.kind = ParseScrubKind(replica.GetString("scrub_kind"));
     spec.scrub.interval = Duration::Hours(replica.GetNumber("scrub_interval_hours"));
-    spec.scrub_phase_hours = replica.GetNumber("scrub_phase_hours");
+    RequireRetired(replica.GetNumber("scrub_phase_hours") == -1.0,
+                   "scrub_phase_hours", "-1");
     replica.Finish();
     scenario.replicas.push_back(std::move(spec));
   }

@@ -1,11 +1,14 @@
 #include "src/service/service_protocol.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -132,35 +135,54 @@ ServiceResponse ServiceResponse::FromJson(std::string_view text,
 
 namespace {
 
-// Blocking read of exactly one byte; 1 on success, 0 on EOF, -1 on error.
-int ReadByte(int fd, char* out) {
+using Clock = std::chrono::steady_clock;
+
+// ::read, retried on EINTR. With an end time it first polls `fd` for the
+// time that remains, and fails with ETIMEDOUT once none remains.
+ssize_t ReadBefore(int fd, char* buffer, size_t size,
+                   const std::optional<Clock::time_point>& end) {
   while (true) {
-    const ssize_t n = ::read(fd, out, 1);
-    if (n >= 0) {
-      return static_cast<int>(n);
+    if (end) {
+      const auto left =
+          std::chrono::ceil<std::chrono::milliseconds>(*end - Clock::now());
+      pollfd entry = {fd, POLLIN, 0};
+      const int ready =
+          left.count() > 0 ? ::poll(&entry, 1, static_cast<int>(left.count())) : 0;
+      if (ready == 0) {
+        errno = ETIMEDOUT;
+        return -1;
+      }
+      if (ready < 0 && errno == EINTR) {
+        continue;
+      }
     }
-    if (errno != EINTR) {
-      return -1;
+    const ssize_t n = ::read(fd, buffer, size);
+    if (n >= 0 || errno != EINTR) {
+      return n;
     }
   }
 }
 
-// What a failed read did, for the frame error: a receive deadline
-// (SO_RCVTIMEO) that expires fails the read with EAGAIN.
+// What a failed read did, for the frame error.
 const char* ReadFailure() {
-  return errno == EAGAIN || errno == EWOULDBLOCK ? "read timed out" : "read failed";
+  return errno == ETIMEDOUT ? "read timed out" : "read failed";
 }
 
 }  // namespace
 
-FrameStatus ReadFrame(int fd, std::string* payload, std::string* error) {
+FrameStatus ReadFrame(int fd, std::string* payload, std::string* error,
+                      int deadline_seconds) {
+  std::optional<Clock::time_point> end;
+  if (deadline_seconds > 0) {
+    end = Clock::now() + std::chrono::seconds(deadline_seconds);
+  }
   // Length prefix: decimal digits then '\n'. 20 digits bound any uint64, so
   // anything longer is garbage, not a long frame.
   size_t length = 0;
   int digits = 0;
   while (true) {
     char c = 0;
-    const int got = ReadByte(fd, &c);
+    const ssize_t got = ReadBefore(fd, &c, 1, end);
     if (got < 0) {
       *error = std::string(ReadFailure()) + " while reading frame length";
       return FrameStatus::kMalformed;
@@ -196,12 +218,9 @@ FrameStatus ReadFrame(int fd, std::string* payload, std::string* error) {
   payload->resize(length);
   size_t have = 0;
   while (have < length) {
-    const ssize_t n = ::read(fd, payload->data() + have, length - have);
+    const ssize_t n = ReadBefore(fd, payload->data() + have, length - have, end);
     if (n > 0) {
       have += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
       continue;
     }
     *error = std::string(n == 0 ? "stream ended" : ReadFailure()) + " after " +

@@ -95,24 +95,29 @@ enum class FrameStatus {
 // must not convince the server to allocate gigabytes.
 inline constexpr size_t kMaxFrameBytes = size_t{256} << 20;
 
-// The daemon's receive and send deadline on each accepted connection
-// (SO_RCVTIMEO / SO_SNDTIMEO): it serves one connection at a time, so a
-// client that stalls mid-frame would otherwise block every other client.
-// A read or write that waits this long drops the connection, as a
-// malformed frame does. The value is safe because every real client goes
-// through CallService: it serializes the request before connecting, writes
-// the whole frame right after connecting, waits in ReadFrame for the one
-// reply and then closes. Its bytes are never seconds apart, and it is
-// always reading while the daemon writes. The wait for the sweep itself is
-// not bounded: the daemon reads nothing while it computes.
+// The daemon's deadline on each accepted connection: each request frame
+// must arrive whole within this many seconds of the daemon starting to read
+// it, and each write of a reply may wait this long (SO_SNDTIMEO). The
+// daemon serves one connection at a time, so a client that stalls or
+// trickles bytes mid-frame would otherwise block every other client. A
+// frame or write that overruns drops the connection, as a malformed frame
+// does. The value is safe because every real client goes through
+// CallService: it serializes the request before connecting, writes the
+// whole frame right after connecting, waits in ReadFrame for the one reply
+// and then closes. Its bytes are never seconds apart, and it is always
+// reading while the daemon writes. The wait for the sweep itself is not
+// bounded: the daemon reads nothing while it computes.
 inline constexpr int kConnectionDeadlineSeconds = 3;
 
 // Reads one "<len>\n<payload>" frame from `fd` (blocking, EINTR-safe).
 // kMalformed fills `error` with the reason; the stream is unrecoverable
-// afterwards (the reader cannot resynchronize on a byte stream). A read
-// that fails with EAGAIN, as one under an expired SO_RCVTIMEO does, is
-// reported as timed out.
-FrameStatus ReadFrame(int fd, std::string* payload, std::string* error);
+// afterwards (the reader cannot resynchronize on a byte stream). With
+// `deadline_seconds` > 0 the whole frame must arrive within that many
+// seconds of the call: each read first polls `fd` for the time that
+// remains, and a frame still incomplete at the end is kMalformed with a
+// "read timed out" reason. 0 waits with no bound.
+FrameStatus ReadFrame(int fd, std::string* payload, std::string* error,
+                      int deadline_seconds = 0);
 
 // Writes one frame; false on any write error (EPIPE included — the caller
 // decides whether a vanished peer matters).

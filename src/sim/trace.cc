@@ -16,8 +16,6 @@ char TraceEventGlyph(TraceEventKind kind) {
       return 'r';
     case TraceEventKind::kRepairCompleted:
       return 'R';
-    case TraceEventKind::kScrubPass:
-      return '.';
     case TraceEventKind::kCommonModeEvent:
       return '!';
     case TraceEventKind::kDataLoss:
@@ -38,8 +36,6 @@ std::string_view TraceEventName(TraceEventKind kind) {
       return "repair started";
     case TraceEventKind::kRepairCompleted:
       return "repair completed";
-    case TraceEventKind::kScrubPass:
-      return "scrub pass";
     case TraceEventKind::kCommonModeEvent:
       return "common-mode event";
     case TraceEventKind::kDataLoss:
@@ -153,9 +149,6 @@ std::string RenderTimeline(const std::vector<TraceEvent>& events, int replica_co
   // visible).
   for (const TraceEvent& e : events) {
     const char glyph = TraceEventGlyph(e.kind);
-    if (e.kind == TraceEventKind::kScrubPass) {
-      continue;  // scrub passes are too dense to draw as glyphs
-    }
     const int col = ColumnFor(e.time, horizon, width);
     if (e.replica >= 0 && e.replica < replica_count) {
       lanes[static_cast<size_t>(e.replica)][static_cast<size_t>(col)] = glyph;
@@ -186,9 +179,6 @@ std::string RenderTimeline(const std::vector<TraceEvent>& events, int replica_co
 
   out += "\nevent log:\n";
   for (const TraceEvent& e : events) {
-    if (e.kind == TraceEventKind::kScrubPass) {
-      continue;
-    }
     out += "  ";
     AppendPadded(out, e.time.ToString(), 12, /*left_align=*/false);
     out += "  replica ";

@@ -1,8 +1,9 @@
 // Event trace recording and ASCII timeline rendering.
 //
-// The recorder captures the fault/detect/repair history of a simulation run;
-// the renderer draws it as a per-replica timeline, the executable analogue of
-// the paper's Figure 1 (visible vs latent fault lifecycles).
+// The recorder captures the fault/detect/repair history of a simulation run:
+// one event per replica state transition, plus common-mode events and data
+// loss. The renderer draws it as a per-replica timeline, the executable
+// analogue of the paper's Figure 1 (visible vs latent fault lifecycles).
 
 #ifndef LONGSTORE_SRC_SIM_TRACE_H_
 #define LONGSTORE_SRC_SIM_TRACE_H_
@@ -21,7 +22,6 @@ enum class TraceEventKind {
   kLatentDetected,  // audit/scrub/access discovers a latent fault
   kRepairStarted,
   kRepairCompleted,
-  kScrubPass,        // an audit pass over a replica (found nothing)
   kCommonModeEvent,  // shared-risk-group event (power, admin, disaster, ...)
   kDataLoss,         // no intact replica remains
 };

@@ -31,8 +31,6 @@ ReplicatedStorageSystem::ReplicatedStorageSystem(Simulator* sim, Rng* rng,
   required_intact_ = scenario_.required_intact;
   alpha_ = scenario_.alpha;
   convention_ = scenario_.convention;
-  record_scrub_passes_ = scenario_.record_scrub_passes;
-  visible_fault_surfaces_latent_ = scenario_.visible_fault_surfaces_latent;
   replicas_.resize(static_cast<size_t>(replica_count_));
   repair_ring_.resize(static_cast<size_t>(replica_count_), 0);
   ResolveSpecs();
@@ -62,10 +60,8 @@ void ReplicatedStorageSystem::ResolveSpecs() {
     }
     r.initial_age = Duration::Hours(spec.initial_age_hours);
     r.scrub = spec.scrub;
-    if (spec.scrub_phase_hours >= 0.0) {
-      r.scrub_phase = Duration::Hours(spec.scrub_phase_hours);
-    } else if (spec.scrub.kind == ScrubPolicy::Kind::kPeriodic &&
-               scenario_.scrub_staggered) {
+    if (spec.scrub.kind == ScrubPolicy::Kind::kPeriodic &&
+        scenario_.scrub_staggered) {
       r.scrub_phase =
           spec.scrub.interval * (static_cast<double>(i) / replica_count_);
     } else {
@@ -146,31 +142,10 @@ void ReplicatedStorageSystem::BuildInitialDrawPlan() {
       const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
       add_fault_site(rp, FaultKind::kVisible);
       add_fault_site(rp, FaultKind::kLatent);
-      // ScheduleScrubTick between replicas consumes no draw.
     }
   }
   for (const CommonModeSource& source : scenario_.common_mode) {
     add_exponential(source.event_rate.MeanInterval());
-  }
-
-  initial_deterministic_event_ = Duration::Infinite();
-  if (convention_ != RateConvention::kPaper && record_scrub_passes_) {
-    for (int i = 0; i < replica_count_; ++i) {
-      const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
-      // First scrub tick from time zero: NextScrubTick's arithmetic with
-      // now = 0.
-      const Duration period = rp.scrub.interval;
-      const double periods_elapsed =
-          std::floor((Duration::Zero() - rp.scrub_phase).hours() / period.hours()) +
-          1.0;
-      Duration tick = rp.scrub_phase + period * periods_elapsed;
-      if (tick <= Duration::Zero()) {
-        tick += period;
-      }
-      if (tick < initial_deterministic_event_) {
-        initial_deterministic_event_ = tick;
-      }
-    }
   }
 }
 
@@ -223,9 +198,6 @@ void ReplicatedStorageSystem::Start() {
   } else {
     for (int i = 0; i < replica_count_; ++i) {
       ScheduleReplicaFaults(i);
-      if (record_scrub_passes_) {
-        ScheduleScrubTick(i);
-      }
     }
   }
   for (size_t s = 0; s < scenario_.common_mode.size(); ++s) {
@@ -243,9 +215,6 @@ void ReplicatedStorageSystem::OnSimEvent(uint16_t tag, int32_t a, int32_t /*b*/)
       return;
     case kEvDetect:
       OnDetect(a);
-      return;
-    case kEvScrubTick:
-      OnScrubTick(a);
       return;
     case kEvRepairComplete:
       OnRepairComplete(a);
@@ -354,10 +323,6 @@ void ReplicatedStorageSystem::ScheduleReplicaFaults(int i) {
     } else if (has_latent) {
       replica.latent_event = sim_->ScheduleAfter(latent_delay, kEvLatentFault, i);
     }
-  } else if (replica.state == ReplicaState::kLatentFaulty &&
-             visible_fault_surfaces_latent_ && !rp.mv.is_infinite()) {
-    const Duration delay = DrawFaultDelay(i, FaultKind::kVisible);
-    replica.visible_event = sim_->ScheduleAfter(delay, kEvVisibleFault, i);
   }
 }
 
@@ -416,9 +381,6 @@ void ReplicatedStorageSystem::ScheduleDetection(int i) {
     case ScrubPolicy::Kind::kNone:
       return;
     case ScrubPolicy::Kind::kPeriodic: {
-      if (record_scrub_passes_) {
-        return;  // the scrub-tick loop performs detection
-      }
       const Duration tick = NextScrubTick(i);
       replica.detect_event = sim_->ScheduleAt(tick, kEvDetect, i);
       return;
@@ -432,11 +394,6 @@ void ReplicatedStorageSystem::ScheduleDetection(int i) {
   }
 }
 
-void ReplicatedStorageSystem::ScheduleScrubTick(int i) {
-  const Duration tick = NextScrubTick(i);
-  sim_->ScheduleAt(tick, kEvScrubTick, i);
-}
-
 void ReplicatedStorageSystem::ScheduleCommonModeSource(size_t source_index) {
   const CommonModeSource& source = scenario_.common_mode[source_index];
   const Duration delay = rng_->NextExponential(source.event_rate);
@@ -446,22 +403,7 @@ void ReplicatedStorageSystem::ScheduleCommonModeSource(size_t source_index) {
 void ReplicatedStorageSystem::OnVisibleFault(int i) {
   auto& replica = replicas_[static_cast<size_t>(i)];
   replica.visible_event = EventId();
-  if (replica.state == ReplicaState::kFaultyDetected) {
-    return;  // already being rebuilt; nothing new to learn
-  }
-  if (replica.state == ReplicaState::kLatentFaulty) {
-    if (!visible_fault_surfaces_latent_) {
-      return;
-    }
-    // The whole-replica failure surfaces the latent fault: detection via
-    // rebuild rather than audit.
-    metrics_.latent_detections++;
-    metrics_.detection_latency_hours.Add((sim_->now() - replica.fault_time).hours());
-    sim_->Cancel(replica.detect_event);
-    replica.detect_event = EventId();
-    RecordTrace(TraceEventKind::kLatentDetected, i, "surfaced by visible fault");
-    replica.state = ReplicaState::kFaultyDetected;
-    StartRepair(i);
+  if (replica.state != ReplicaState::kHealthy) {
     return;
   }
   metrics_.visible_faults++;
@@ -491,17 +433,6 @@ void ReplicatedStorageSystem::OnDetect(int i) {
   RecordTrace(TraceEventKind::kLatentDetected, i);
   replica.state = ReplicaState::kFaultyDetected;
   StartRepair(i);
-}
-
-void ReplicatedStorageSystem::OnScrubTick(int i) {
-  if (lost_) {
-    return;
-  }
-  RecordTrace(TraceEventKind::kScrubPass, i);
-  if (replicas_[static_cast<size_t>(i)].state == ReplicaState::kLatentFaulty) {
-    OnDetect(i);
-  }
-  ScheduleScrubTick(i);
 }
 
 void ReplicatedStorageSystem::InflictFault(int i, FaultKind kind, bool detected) {
@@ -548,9 +479,6 @@ void ReplicatedStorageSystem::InflictFault(int i, FaultKind kind, bool detected)
       }
     } else {
       ScheduleDetection(i);
-      if (visible_fault_surfaces_latent_) {
-        ScheduleReplicaFaults(i);  // keep a visible-fault clock running
-      }
     }
   }
 
@@ -783,9 +711,6 @@ bool TrialRunner::PrefilterCensoredBlock(uint64_t key, int64_t begin_trial,
                                          uint8_t* skip) {
   if (sampler_ != nullptr || horizon.is_infinite()) {
     return false;  // biased draws / unbounded runs: every trial must execute
-  }
-  if (!(system_.initial_deterministic_event().hours() > horizon.hours())) {
-    return false;  // a scrub tick fires inside the horizon in every trial
   }
   if (count <= 0 || count > kTrialPrefilterMaxBlock) {
     return false;

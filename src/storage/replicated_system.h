@@ -10,6 +10,11 @@
 // reads only those arrays and never allocates (see src/sim/README.md for
 // the reuse contract).
 //
+// Each replica runs the state machine of the exact chain
+// (src/model/replica_ctmc.h): healthy -> latent -> detected -> repaired, and
+// a visible fault goes straight to repair. Only a healthy replica carries
+// fault clocks; a fault of either kind cancels them until its repair ends.
+//
 // Data loss (the paper's "double-fault" generalized to r replicas) occurs the
 // moment no intact replica remains — whether or not the outstanding faults
 // were detected, matching the paper's data-centric reliability perspective
@@ -62,7 +67,7 @@ class ReplicatedStorageSystem : public SimClient {
                           TraceRecorder* trace = nullptr,
                           ConfigValidation validation = ConfigValidation::kValidate);
 
-  // Schedules the initial fault/scrub/common-mode events. Call once per run,
+  // Schedules the initial fault and common-mode events. Call once per run,
   // before running the simulator.
   void Start();
 
@@ -142,13 +147,6 @@ class ReplicatedStorageSystem : public SimClient {
     uint64_t hi_ = 0;
   };
 
-  // Earliest initial event scheduled without consuming a draw (the first
-  // periodic scrub tick when record_scrub_passes is set); infinite when the
-  // only initial events are the randomized ones in initial_draw_sites().
-  Duration initial_deterministic_event() const {
-    return initial_deterministic_event_;
-  }
-
   ReplicaState replica_state(int i) const {
     return replicas_[static_cast<size_t>(i)].state;
   }
@@ -195,7 +193,6 @@ class ReplicatedStorageSystem : public SimClient {
     kEvVisibleFault,
     kEvLatentFault,
     kEvDetect,
-    kEvScrubTick,
     kEvRepairComplete,
     kEvSystemVisibleFault,  // kPaper convention
     kEvSystemLatentFault,   // kPaper convention
@@ -217,14 +214,12 @@ class ReplicatedStorageSystem : public SimClient {
   void RescheduleFaultsForCorrelationChange();
   void ScheduleSystemFaultClocks();  // kPaper convention
   void ScheduleDetection(int i);
-  void ScheduleScrubTick(int i);
   void ScheduleCommonModeSource(size_t source_index);
 
   // --- event handlers ---
   void OnVisibleFault(int i);
   void OnLatentFault(int i);
   void OnDetect(int i);
-  void OnScrubTick(int i);
   void OnRepairComplete(int i);
   void OnSystemFault(FaultKind kind);  // kPaper convention
   void OnSystemDetect();               // kPaper convention
@@ -261,12 +256,9 @@ class ReplicatedStorageSystem : public SimClient {
   int required_intact_ = 1;
   double alpha_ = 1.0;
   RateConvention convention_ = RateConvention::kPhysical;
-  bool record_scrub_passes_ = false;
-  bool visible_fault_surfaces_latent_ = false;
 
   std::vector<ResolvedReplica> resolved_;
   std::vector<InitialDrawSite> initial_draw_sites_;
-  Duration initial_deterministic_event_ = Duration::Infinite();
   std::vector<Replica> replicas_;
   int faulty_count_ = 0;
   bool lost_ = false;
@@ -341,18 +333,18 @@ class TrialRunner {
   // kTrialPrefilterMaxBlock), reads each trial's initial fault/common-mode
   // draws directly from CounterMix — the exact draws RunCounter would
   // consume — and sets skip[i] = 1 when the trial provably processes no
-  // event within `horizon`: every randomized initial event lands strictly
-  // after the horizon and so does the earliest deterministic one. skip[i] is
-  // the AND of the trial's per-site verdicts. An exponential site decides in
-  // the integer domain (HorizonVerdict): its raw 53-bit draw is compared with
-  // two bounds computed once per call, and only draws inside a guard band of
-  // about 2^-19 of them evaluate the engine's log-based delay. Weibull sites
-  // map the draw through the engine's exact pow/log arithmetic. Either way
-  // every verdict equals the engine's. A skipped trial's outcome is exactly
+  // event within `horizon`. Every initial event is one of those randomized
+  // draws, so the rule is one: skip exactly when every initial draw lands
+  // strictly after the horizon. skip[i] is the AND of the trial's per-site
+  // verdicts. An exponential site decides in the integer domain
+  // (HorizonVerdict): its raw 53-bit draw is compared with two bounds
+  // computed once per call, and only draws inside a guard band of about
+  // 2^-19 of them evaluate the engine's log-based delay. Weibull sites map
+  // the draw through the engine's exact pow/log arithmetic. Either way every
+  // verdict equals the engine's. A skipped trial's outcome is exactly
   // RunOutcome{} (censored, zero metrics). Returns false (skip[] untouched)
   // when the prefilter cannot apply: an importance sampler is attached, or
-  // the horizon is infinite, or a deterministic initial event (scrub tick)
-  // falls inside the horizon.
+  // the horizon is infinite.
   bool PrefilterCensoredBlock(uint64_t key, int64_t begin_trial, int count,
                               Duration horizon, uint8_t* skip);
 

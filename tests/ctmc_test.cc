@@ -10,8 +10,8 @@ namespace {
 
 TEST(CtmcTest, SingleTransientStateExpectedTime) {
   Ctmc chain;
-  const int alive = chain.AddState("alive");
-  const int dead = chain.AddState("dead", /*absorbing=*/true);
+  const int alive = chain.AddState();
+  const int dead = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(alive, dead, Rate::PerHour(0.01));
   const auto t = chain.ExpectedTimeToAbsorptionFrom(alive);
   ASSERT_TRUE(t.has_value());
@@ -21,9 +21,9 @@ TEST(CtmcTest, SingleTransientStateExpectedTime) {
 
 TEST(CtmcTest, TwoStageSequenceAddsMeans) {
   Ctmc chain;
-  const int a = chain.AddState("a");
-  const int b = chain.AddState("b");
-  const int end = chain.AddState("end", /*absorbing=*/true);
+  const int a = chain.AddState();
+  const int b = chain.AddState();
+  const int end = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(a, b, Rate::PerHour(0.5));   // mean 2 h
   chain.AddTransition(b, end, Rate::PerHour(0.1)); // mean 10 h
   EXPECT_NEAR(chain.ExpectedTimeToAbsorptionFrom(a)->hours(), 12.0, 1e-9);
@@ -35,9 +35,9 @@ TEST(CtmcTest, BirthDeathMirrorsRaidFormula) {
   const double lambda = 1e-4;
   const double mu = 0.1;
   Ctmc chain;
-  const int healthy = chain.AddState("healthy");
-  const int degraded = chain.AddState("degraded");
-  const int lost = chain.AddState("lost", /*absorbing=*/true);
+  const int healthy = chain.AddState();
+  const int degraded = chain.AddState();
+  const int lost = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(healthy, degraded, Rate::PerHour(2.0 * lambda));
   chain.AddTransition(degraded, healthy, Rate::PerHour(mu));
   chain.AddTransition(degraded, lost, Rate::PerHour(lambda));
@@ -48,9 +48,9 @@ TEST(CtmcTest, BirthDeathMirrorsRaidFormula) {
 
 TEST(CtmcTest, UnreachableAbsorptionGivesInfiniteTime) {
   Ctmc chain;
-  const int isolated = chain.AddState("isolated");
-  const int a = chain.AddState("a");
-  const int end = chain.AddState("end", /*absorbing=*/true);
+  const int isolated = chain.AddState();
+  const int a = chain.AddState();
+  const int end = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(a, end, Rate::PerHour(1.0));
   const auto times = chain.ExpectedTimeToAbsorption();
   ASSERT_TRUE(times.has_value());
@@ -62,9 +62,9 @@ TEST(CtmcTest, UnreachableAbsorptionGivesInfiniteTime) {
 TEST(CtmcTest, TrapReachableMeansInfiniteExpectedTime) {
   // a can fall into a trap state with no exit: E[T_absorb] from a = inf.
   Ctmc chain;
-  const int a = chain.AddState("a");
-  const int trap = chain.AddState("trap");
-  const int end = chain.AddState("end", /*absorbing=*/true);
+  const int a = chain.AddState();
+  const int trap = chain.AddState();
+  const int end = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(a, end, Rate::PerHour(1.0));
   chain.AddTransition(a, trap, Rate::PerHour(1.0));
   EXPECT_TRUE(chain.ExpectedTimeToAbsorptionFrom(a)->is_infinite());
@@ -72,9 +72,9 @@ TEST(CtmcTest, TrapReachableMeansInfiniteExpectedTime) {
 
 TEST(CtmcTest, AbsorptionProbabilitySplitsByRate) {
   Ctmc chain;
-  const int start = chain.AddState("start");
-  const int left = chain.AddState("left", /*absorbing=*/true);
-  const int right = chain.AddState("right", /*absorbing=*/true);
+  const int start = chain.AddState();
+  const int left = chain.AddState(/*absorbing=*/true);
+  const int right = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(start, left, Rate::PerHour(1.0));
   chain.AddTransition(start, right, Rate::PerHour(3.0));
   EXPECT_NEAR(*chain.AbsorptionProbability(start, left), 0.25, 1e-12);
@@ -87,10 +87,10 @@ TEST(CtmcTest, AbsorptionProbabilityWithIntermediateState) {
   // start -> mid (rate 1), start -> sink_a (rate 1); mid -> sink_b (rate 1).
   // P(sink_b) = 1/2.
   Ctmc chain;
-  const int start = chain.AddState("start");
-  const int mid = chain.AddState("mid");
-  const int sink_a = chain.AddState("sink_a", /*absorbing=*/true);
-  const int sink_b = chain.AddState("sink_b", /*absorbing=*/true);
+  const int start = chain.AddState();
+  const int mid = chain.AddState();
+  const int sink_a = chain.AddState(/*absorbing=*/true);
+  const int sink_b = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(start, mid, Rate::PerHour(1.0));
   chain.AddTransition(start, sink_a, Rate::PerHour(1.0));
   chain.AddTransition(mid, sink_b, Rate::PerHour(1.0));
@@ -99,8 +99,8 @@ TEST(CtmcTest, AbsorptionProbabilityWithIntermediateState) {
 
 TEST(CtmcTest, AbsorptionProbabilityByMatchesExponentialLaw) {
   Ctmc chain;
-  const int alive = chain.AddState("alive");
-  const int dead = chain.AddState("dead", /*absorbing=*/true);
+  const int alive = chain.AddState();
+  const int dead = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(alive, dead, Rate::PerHour(0.001));
   for (double t : {10.0, 500.0, 5000.0}) {
     const auto p = chain.AbsorptionProbabilityBy(alive, Duration::Hours(t));
@@ -119,9 +119,9 @@ TEST(CtmcTest, AbsorptionProbabilityByHandlesStiffRates) {
   const double lambda = 1e-6;
   const double mu = 3.0;
   Ctmc chain;
-  const int healthy = chain.AddState("healthy");
-  const int degraded = chain.AddState("degraded");
-  const int lost = chain.AddState("lost", /*absorbing=*/true);
+  const int healthy = chain.AddState();
+  const int degraded = chain.AddState();
+  const int lost = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(healthy, degraded, Rate::PerHour(2.0 * lambda));
   chain.AddTransition(degraded, healthy, Rate::PerHour(mu));
   chain.AddTransition(degraded, lost, Rate::PerHour(lambda));
@@ -135,9 +135,9 @@ TEST(CtmcTest, AbsorptionProbabilityByHandlesStiffRates) {
 
 TEST(CtmcTest, GeneratorRowsSumToZero) {
   Ctmc chain;
-  const int a = chain.AddState("a");
-  const int b = chain.AddState("b");
-  const int end = chain.AddState("end", /*absorbing=*/true);
+  const int a = chain.AddState();
+  const int b = chain.AddState();
+  const int end = chain.AddState(/*absorbing=*/true);
   chain.AddTransition(a, b, Rate::PerHour(2.0));
   chain.AddTransition(a, end, Rate::PerHour(1.0));
   chain.AddTransition(b, a, Rate::PerHour(5.0));
@@ -154,8 +154,8 @@ TEST(CtmcTest, GeneratorRowsSumToZero) {
 
 TEST(CtmcTest, InvalidTransitionsThrow) {
   Ctmc chain;
-  const int a = chain.AddState("a");
-  const int end = chain.AddState("end", /*absorbing=*/true);
+  const int a = chain.AddState();
+  const int end = chain.AddState(/*absorbing=*/true);
   EXPECT_THROW(chain.AddTransition(a, a, Rate::PerHour(1.0)), std::invalid_argument);
   EXPECT_THROW(chain.AddTransition(end, a, Rate::PerHour(1.0)), std::invalid_argument);
   EXPECT_THROW(chain.AddTransition(a, 7, Rate::PerHour(1.0)), std::out_of_range);

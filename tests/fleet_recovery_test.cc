@@ -167,6 +167,21 @@ std::string ReadAll(const std::string& path) {
   return text;
 }
 
+// Writes the small sweep as one shard document; returns its path.
+std::string WriteWholeSweepShard(const TempDir& dir) {
+  const SmallSweep sweep = MakeSweep();
+  const ShardPlan plan(sweep.spec, sweep.options, 1);
+  const std::string path = dir.path() + "/shard.json";
+  const std::string json = plan.shards()[0].ToJson();
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(file, nullptr) << path;
+  if (file != nullptr) {
+    std::fwrite(json.data(), 1, json.size(), file);
+    std::fclose(file);
+  }
+  return path;
+}
+
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
@@ -425,18 +440,9 @@ TEST(FleetRecoveryTest, ExhaustedCellsThrowNamingThemWithoutPartialOk) {
 // polling the output path can never read half a result.
 TEST(FleetRecoveryTest, CrashingWorkerNeverLeavesTornOutput) {
   TempDir dir;
-  const SmallSweep sweep = MakeSweep();
-  const ShardPlan plan(sweep.spec, sweep.options, 1);
-  const std::string spec_path = dir.path() + "/shard.json";
+  const std::string spec_path = WriteWholeSweepShard(dir);
   const std::string out_path = dir.path() + "/result.json";
   const std::string log_path = dir.path() + "/worker.log";
-  {
-    std::FILE* file = std::fopen(spec_path.c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    const std::string json = plan.shards()[0].ToJson();
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-  }
 
   Subprocess crashing = Subprocess::Spawn(
       {LONGSTORE_SWEEP_WORKER, "--shard=" + spec_path, "--out=" + out_path,
@@ -459,6 +465,26 @@ TEST(FleetRecoveryTest, CrashingWorkerNeverLeavesTornOutput) {
   ASSERT_TRUE(FileExists(out_path));
   EXPECT_FALSE(FileExists(out_path + ".tmp"));
   EXPECT_NO_THROW(ShardResult::FromJson(ReadAll(out_path), out_path));
+}
+
+// Without --out the document goes to stdout, and an injected crash still
+// dies halfway through it: the reader gets a torn document that fails to
+// parse, never a whole one.
+TEST(FleetRecoveryTest, CrashingWorkerTearsItsStdoutDocument) {
+  TempDir dir;
+  const std::string spec_path = WriteWholeSweepShard(dir);
+  const std::string stdout_path = dir.path() + "/stdout.json";
+  // The shell execs the worker with stderr sent elsewhere, so the capture
+  // holds stdout alone and the signal is the worker's own.
+  Subprocess crashing = Subprocess::Spawn(
+      {"/bin/sh", "-c", "exec \"$@\" 2>/dev/null", "sh", LONGSTORE_SWEEP_WORKER,
+       "--shard=" + spec_path, "--fail-mode=crash", "--fail-prob=1"},
+      stdout_path);
+  crashing.Await();
+  EXPECT_EQ(crashing.term_signal(), SIGABRT) << crashing.DescribeExit();
+  const std::string captured = ReadAll(stdout_path);
+  EXPECT_FALSE(captured.empty());
+  EXPECT_THROW(ShardResult::FromJson(captured, stdout_path), std::invalid_argument);
 }
 
 // A negative or NaN timeout would silently switch hang protection off; the

@@ -167,16 +167,6 @@ TEST(ScenarioValidationTest, RejectsNonPositiveScrubInterval) {
       "scrub interval must be finite and positive");
 }
 
-TEST(ScenarioValidationTest, RejectsRecordScrubPassesWithoutPeriodicScrub) {
-  // Replica 0 scrubs periodically, replica 1 memorylessly: the per-replica
-  // check names the offender.
-  ExpectBuildError(ScenarioBuilder()
-                       .AddReplica(TapeLike())
-                       .AddReplica(DiskLike())
-                       .RecordScrubPasses(),
-                   "replica 1: record_scrub_passes");
-}
-
 TEST(ScenarioValidationTest, RejectsBadCommonModeSources) {
   ExpectBuildError(
       ScenarioBuilder().Replicas(2, DiskLike()).CommonModeAll("dead", Rate::Zero()),
@@ -197,13 +187,11 @@ TEST(ScenarioJsonTest, RoundTripPreservesEverythingBitForBit) {
   Scenario scenario = ScenarioBuilder()
                           .Replicas(2, DiskLike().Weibull(1.7).InitialAge(
                                            Duration::Hours(12345.678)))
-                          .AddReplica(TapeLike().DeterministicRepair().ScrubPhase(
-                              Duration::Hours(36.5)))
+                          .AddReplica(TapeLike().DeterministicRepair())
                           .RequiredIntact(2)
                           .CommonModeAll("power \"grid\"\n", Rate::PerHour(1e-7))
                           .Build();
   scenario.scrub_staggered = false;
-  scenario.visible_fault_surfaces_latent = true;
 
   const std::string json = scenario.ToJson();
   const Scenario parsed = Scenario::FromJson(json);
@@ -213,10 +201,8 @@ TEST(ScenarioJsonTest, RoundTripPreservesEverythingBitForBit) {
   ASSERT_EQ(parsed.replica_count(), 3);
   EXPECT_EQ(parsed.replicas[0].weibull_shape, 1.7);
   EXPECT_EQ(parsed.replicas[2].repair_distribution, RepairDistribution::kDeterministic);
-  EXPECT_EQ(parsed.replicas[2].scrub_phase_hours, 36.5);
   EXPECT_EQ(parsed.common_mode[0].name, "power \"grid\"\n");
   EXPECT_FALSE(parsed.scrub_staggered);
-  EXPECT_TRUE(parsed.visible_fault_surfaces_latent);
 }
 
 TEST(ScenarioJsonTest, RoundTripsNonFiniteDurations) {
@@ -275,6 +261,28 @@ TEST(ScenarioJsonTest, RejectsMalformedInput) {
     EXPECT_THROW(Scenario::FromJson(out_of_range), std::invalid_argument)
         << "required_intact=" << bad;
   }
+
+  // Retired modes keep their keys at the one value each can hold; any
+  // other value is rejected, naming the key.
+  const auto expect_retired = [&json](const std::string& key, const std::string& held,
+                                      const std::string& other) {
+    std::string edited = json;
+    const std::string from = "\"" + key + "\":" + held;
+    const auto at = edited.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    edited.replace(at, from.size(), "\"" + key + "\":" + other);
+    try {
+      Scenario::FromJson(edited);
+      ADD_FAILURE() << "accepted " << key << "=" << other;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key + " is a retired mode"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_retired("record_scrub_passes", "false", "true");
+  expect_retired("visible_fault_surfaces_latent", "false", "true");
+  expect_retired("scrub_phase_hours", "-1", "36.5");
 }
 
 TEST(MediaSpecTest, FactoriesMatchDerivedParams) {

@@ -1,10 +1,10 @@
 // End-to-end: the real sweep_serviced daemon over a real Unix-domain
 // socket — cold query computed, warm query answered from cache with bytes
 // identical to the in-process golden run, the real sweep_client binary
-// agreeing via its --expect-source exit codes, a stalled client dropped at
-// the connection deadline, the fleet backend producing the same bytes
-// through worker subprocesses, a tighter query resumed on either backend,
-// and SIGTERM shutting the daemon down cleanly.
+// agreeing via its --expect-source exit codes, a stalled or trickling
+// client dropped at the connection deadline, the fleet backend producing the
+// same bytes through worker subprocesses, a tighter query resumed on either
+// backend, and SIGTERM shutting the daemon down cleanly.
 
 #include <dirent.h>
 #include <signal.h>
@@ -14,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -180,7 +181,7 @@ TEST_F(ServiceE2eTest, RealClientObservesComputedThenCache) {
 
 // The daemon serves one connection at a time, so a client that stalls
 // mid-frame must not block everyone else: its connection is dropped once the
-// receive deadline passes, and a ping sent meanwhile is answered.
+// frame deadline passes, and a ping sent meanwhile is answered.
 TEST_F(ServiceE2eTest, StalledClientIsDroppedAtTheDeadline) {
   StartDaemon();
   const int stalled = Connect();
@@ -208,6 +209,44 @@ TEST_F(ServiceE2eTest, StalledClientIsDroppedAtTheDeadline) {
   std::string log;
   ASSERT_TRUE(obs::ReadWholeFile(dir_ + "/serviced.log", &log, nullptr));
   EXPECT_NE(log.find("dropping connection: read timed out"), std::string::npos) << log;
+}
+
+// The deadline bounds the whole frame, not each read: a client that sends
+// one payload byte a second never makes a single read wait the deadline
+// out, yet its connection is dropped when the frame's deadline passes.
+TEST_F(ServiceE2eTest, TricklingClientIsDroppedAtTheFrameDeadline) {
+  StartDaemon();
+  const int trickling = Connect();
+  ASSERT_GE(trickling, 0);
+  ASSERT_EQ(::write(trickling, "12\n", 3), 3);
+
+  Subprocess ping = Subprocess::Spawn(
+      {LONGSTORE_SWEEP_CLIENT, "--socket=" + socket_path_, "--ping"},
+      dir_ + "/client.log");
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed_s = [&start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  const double bound_s = kConnectionDeadlineSeconds + 3.0;
+  int sent = 0;
+  while (!ping.Poll() && elapsed_s() < bound_s) {
+    if (elapsed_s() >= sent + 1.0) {
+      // MSG_NOSIGNAL: the daemon may already have dropped the connection.
+      ::send(trickling, "x", 1, MSG_NOSIGNAL);
+      ++sent;
+    }
+    Subprocess::WaitAny({&ping}, std::min(sent + 1.0, bound_s) - elapsed_s());
+  }
+  const bool answered = ping.Poll();
+  ::close(trickling);
+  ASSERT_TRUE(answered) << "ping still blocked after " << bound_s << " s, "
+                        << sent << " payload bytes trickled";
+  EXPECT_TRUE(ping.exited_cleanly()) << ping.DescribeExit();
+  std::string log;
+  ASSERT_TRUE(obs::ReadWholeFile(dir_ + "/serviced.log", &log, nullptr));
+  EXPECT_NE(log.find("dropping connection: read timed out after"), std::string::npos)
+      << log;
 }
 
 TEST_F(ServiceE2eTest, FleetBackendProducesTheSameBytesAndStillCaches) {

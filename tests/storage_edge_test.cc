@@ -1,6 +1,5 @@
-// Edge-path tests for the storage simulator: scrub-tick recording, phase
-// alignment, the surfaces-latent interplay with audits, paper-convention
-// detection queueing, and horizon semantics.
+// Edge-path tests for the storage simulator: periodic-scrub phase
+// alignment, paper-convention detection queueing, and horizon semantics.
 
 #include <gtest/gtest.h>
 
@@ -14,35 +13,6 @@ ReplicaSpec LatentHeavy() {
   return ReplicaSpec()
       .FaultTimes(Duration::Hours(1e12), Duration::Hours(400.0))
       .RepairTimes(Duration::Hours(1.0), Duration::Hours(1.0));
-}
-
-TEST(ScrubTickTest, RecordedPassesAppearInTrace) {
-  const Scenario scenario =
-      ScenarioBuilder()
-          .Replicas(2, LatentHeavy().ScrubEvery(Duration::Hours(100.0)))
-          .RecordScrubPasses()
-          .Build();
-
-  Simulator sim;
-  Rng rng(3);
-  TraceRecorder trace;
-  ReplicatedStorageSystem system(&sim, &rng, scenario, &trace);
-  system.Start();
-  sim.RunUntil(Duration::Hours(1000.0));
-  // ~10 periods x 2 replicas, minus any lost to an early data loss.
-  EXPECT_GE(trace.CountKind(TraceEventKind::kScrubPass), 10u);
-}
-
-TEST(ScrubTickTest, TickDrivenDetectionStillWorks) {
-  const Scenario scenario =
-      ScenarioBuilder()
-          .Replicas(4, LatentHeavy().ScrubEvery(Duration::Hours(80.0)))
-          .RecordScrubPasses()
-          .Build();
-  const RunOutcome outcome = RunToLossOrHorizon(scenario, 5, Duration::Years(20.0));
-  ASSERT_GT(outcome.metrics.latent_detections, 100);
-  // Detection latency still averages half the period.
-  EXPECT_NEAR(outcome.metrics.detection_latency_hours.mean(), 40.0, 6.0);
 }
 
 TEST(ScrubPhaseTest, StaggeredAndAlignedBothDetectWithinOnePeriod) {
@@ -89,21 +59,6 @@ TEST(ScrubPhaseTest, StaggeredPhasesDifferAcrossReplicas) {
   }
   ASSERT_GE(detections.size(), 2u);
   EXPECT_NE(detections[0].hours(), detections[1].hours());
-}
-
-TEST(SurfacesLatentTest, AuditAndSurfacingCoexist) {
-  const Scenario scenario =
-      ScenarioBuilder()
-          .Replicas(3, LatentHeavy()
-                           .FaultTimes(Duration::Hours(800.0), Duration::Hours(400.0))
-                           .ScrubEvery(Duration::Hours(200.0)))
-          .VisibleFaultSurfacesLatent()
-          .Build();
-  const RunOutcome outcome = RunToLossOrHorizon(scenario, 23, Duration::Years(30.0));
-  // Every latent fault is eventually detected through one channel or the
-  // other; none linger past a period plus a repair.
-  EXPECT_GT(outcome.metrics.latent_detections, 0);
-  EXPECT_LE(outcome.metrics.detection_latency_hours.max(), 200.0 + 1e-6);
 }
 
 TEST(PaperConventionTest, SerialDetectionDrainsBacklog) {

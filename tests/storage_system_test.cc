@@ -115,18 +115,6 @@ TEST(StorageSystemTest, NoDetectionMeansLatentFaultsNeverClear) {
   EXPECT_EQ(outcome.metrics.repairs_completed, 0);
 }
 
-TEST(StorageSystemTest, VisibleFaultSurfacesLatentWhenEnabled) {
-  const Scenario scenario =
-      ScenarioBuilder()
-          .Replicas(3, Aggressive().FaultTimes(Duration::Hours(1000.0),
-                                               Duration::Hours(300.0)))
-          .VisibleFaultSurfacesLatent()
-          .Build();
-  const RunOutcome outcome = RunToLossOrHorizon(scenario, 23, Duration::Years(100.0));
-  // Without scrubbing, the only detection channel is the surfacing path.
-  EXPECT_GT(outcome.metrics.latent_detections, 0);
-}
-
 TEST(StorageSystemTest, DeterministicRepairHasFixedDuration) {
   const Scenario scenario =
       Fleet(4, Aggressive()

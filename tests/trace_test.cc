@@ -34,7 +34,7 @@ TEST(TraceRecorderTest, RecordsEveryEvent) {
 
 TEST(TraceRecorderTest, ClearEmpties) {
   TraceRecorder recorder;
-  recorder.Record(Duration::Hours(1.0), TraceEventKind::kScrubPass, 0);
+  recorder.Record(Duration::Hours(1.0), TraceEventKind::kRepairStarted, 0);
   recorder.Clear();
   EXPECT_TRUE(recorder.events().empty());
 }
@@ -67,14 +67,6 @@ TEST(RenderTimelineTest, SystemWideEventsMarkAllLanes) {
     count += c == 'X' ? 1 : 0;
   }
   EXPECT_GE(count, 3u);
-}
-
-TEST(RenderTimelineTest, ScrubPassesOmittedFromLog) {
-  std::vector<TraceEvent> events;
-  events.push_back({Duration::Hours(1.0), TraceEventKind::kScrubPass, 0, ""});
-  const std::string timeline =
-      RenderTimeline(events, 1, Duration::Hours(2.0), 40);
-  EXPECT_EQ(timeline.find("scrub pass"), std::string::npos);
 }
 
 TEST(RenderTimelineTest, LongLinesAreNeverCut) {

@@ -2,7 +2,7 @@
 //
 // The §5.4 Cheetah sweep is the repo's cross-process golden:
 // bench_scrubbing_effect prints it in-process, sweep_fleet replays it
-// through a worker fleet (the figure CI's sharded-smoke and fleet-chaos
+// through a worker fleet (the figure CI's rng-stream-compat and fleet-chaos
 // jobs diff), and the sweep service answers it from its cache — and every
 // one of those paths must print byte-identical cells. Every one of them
 // builds the cells here, which keeps "the same sweep" a fact rather than a

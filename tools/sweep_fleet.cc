@@ -56,7 +56,7 @@
 // Output: --format=table|csv|json (default table) on stdout; supervision
 // log and stats on stderr. A fleet run that completes is byte-identical on
 // stdout to the same sweep's --single run — that is the merge contract, and
-// the CI sharded-smoke, fleet-chaos and telemetry-identity jobs diff
+// the CI rng-stream-compat, fleet-chaos and telemetry-identity jobs diff
 // exactly this. Exit 0 =
 // complete, 2 = partial (--partial-ok), 1 = error.
 

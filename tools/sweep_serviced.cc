@@ -10,9 +10,10 @@
 // Transport:
 //   --socket=PATH        listen on a Unix-domain stream socket (unlinks a
 //                        stale PATH first); one connection served at a time,
-//                        frames answered in order; a connection that stalls
-//                        mid-frame or stops reading its reply for
-//                        kConnectionDeadlineSeconds is dropped
+//                        frames answered in order; a connection whose
+//                        request frame takes longer than
+//                        kConnectionDeadlineSeconds to arrive, or that stops
+//                        reading its reply for that long, is dropped
 //   --stdio              serve frames on stdin/stdout (single supervised
 //                        instance, e.g. under a test harness)
 //
@@ -98,14 +99,16 @@ void WriteTelemetry(const std::string& metrics_out, obs::TraceJournal& journal) 
 }
 
 // Serves every frame arriving on `fd` (responses to `out_fd`) until EOF, a
-// malformed frame, or the request budget runs out. Returns false when the
+// malformed or late frame, or the request budget runs out; each frame must
+// arrive within `deadline_seconds` (0: no bound). Returns false when the
 // daemon should stop accepting.
-bool ServeStream(SweepService& service, int fd, int out_fd,
+bool ServeStream(SweepService& service, int fd, int out_fd, int deadline_seconds,
                  long max_requests, long* served) {
   std::string payload;
   std::string frame_error;
   while (g_stop == 0) {
-    const FrameStatus status = ReadFrame(fd, &payload, &frame_error);
+    const FrameStatus status =
+        ReadFrame(fd, &payload, &frame_error, deadline_seconds);
     if (status == FrameStatus::kEof) {
       return true;
     }
@@ -225,7 +228,8 @@ int Main(int argc, char** argv) {
   long served = 0;
 
   if (stdio) {
-    ServeStream(service, STDIN_FILENO, STDOUT_FILENO, max_requests, &served);
+    ServeStream(service, STDIN_FILENO, STDOUT_FILENO, /*deadline_seconds=*/0,
+                max_requests, &served);
     WriteTelemetry(metrics_out, journal);
     return 0;
   }
@@ -267,14 +271,15 @@ int Main(int argc, char** argv) {
       std::perror("accept");
       break;
     }
-    const timeval deadline = {kConnectionDeadlineSeconds, 0};
-    if (::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline)) != 0 ||
-        ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof(deadline)) != 0) {
+    const timeval send_deadline = {kConnectionDeadlineSeconds, 0};
+    if (::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &send_deadline,
+                     sizeof(send_deadline)) != 0) {
       std::perror("setsockopt");
       ::close(conn);
       continue;
     }
-    keep_going = ServeStream(service, conn, conn, max_requests, &served);
+    keep_going = ServeStream(service, conn, conn, kConnectionDeadlineSeconds,
+                             max_requests, &served);
     ::close(conn);
   }
   ::close(listener);

@@ -23,7 +23,9 @@
 // exercising fleet supervisors (src/fleet/): with probability P — decided by
 // hashing (S, shard_index, N), so a given attempt's fate is reproducible and
 // retries (fresh N) draw fresh fates — the worker
-//   crash:   dies dirty (SIGABRT) halfway through writing <out>.tmp,
+//   crash:   dies dirty (SIGABRT) halfway through writing its output: to
+//            <out>.tmp, which is never renamed into place, or, without
+//            --out, to stdout, whose reader gets a torn document,
 //   hang:    sleeps forever before running (exercises timeout + SIGKILL),
 //   corrupt: flips one byte of the finished document and exits 0 — silent
 //            corruption only the envelope checksum can catch,
@@ -202,6 +204,23 @@ int main(int argc, char** argv) {
                    shard.shard_index);
     }
 
+    if (fail.armed && std::strcmp(fail.mode, "crash") == 0) {
+      // Die dirty halfway through the output. The atomic-rename contract
+      // means --out never sees these bytes; a stdout reader sees a torn
+      // document that the envelope checksum rejects.
+      std::FILE* file =
+          out_path == nullptr
+              ? stdout
+              : std::fopen((std::string(out_path) + ".tmp").c_str(), "wb");
+      if (file != nullptr) {
+        std::fwrite(json.data(), 1, json.size() / 2, file);
+        std::fflush(file);
+      }
+      std::fprintf(stderr, "sweep_worker: injected crash mid-write (shard %d)\n",
+                   shard.shard_index);
+      std::abort();
+    }
+
     if (out_path == nullptr) {
       const bool wrote =
           std::fwrite(json.data(), 1, json.size(), stdout) == json.size() &&
@@ -211,20 +230,6 @@ int main(int argc, char** argv) {
       }
       WriteWorkerMetrics(metrics_out);
       return 0;
-    }
-
-    if (fail.armed && std::strcmp(fail.mode, "crash") == 0) {
-      // Die dirty halfway through the temp file: the atomic-rename contract
-      // means --out never sees these bytes.
-      const std::string tmp = std::string(out_path) + ".tmp";
-      std::FILE* file = std::fopen(tmp.c_str(), "wb");
-      if (file != nullptr) {
-        std::fwrite(json.data(), 1, json.size() / 2, file);
-        std::fflush(file);
-      }
-      std::fprintf(stderr, "sweep_worker: injected crash mid-write (shard %d)\n",
-                   shard.shard_index);
-      std::abort();
     }
 
     WriteFileAtomically(out_path, json);
