@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "src/fleet/subprocess.h"
@@ -73,8 +75,6 @@ struct Unit {
   double started_at = 0.0;
   Subprocess child;
   std::string spec_path;
-  std::string out_path;      // current attempt's output
-  std::string metrics_path;  // current attempt's telemetry snapshot
   std::string log_path;
   std::string last_error;
 };
@@ -188,6 +188,18 @@ std::map<size_t, std::string> SuperviseUnits(
       obs::Registry::Global().counter("fleet.wakeups");
   static obs::Histogram& m_attempt_wall =
       obs::Registry::Global().histogram("fleet.attempt_wall_ns");
+  static obs::Histogram& m_spawn_ns =
+      obs::Registry::Global().histogram("fleet.spawn_ns");
+  static obs::Histogram& m_harvest_ns =
+      obs::Registry::Global().histogram("fleet.harvest_ns");
+  // Phase timers (fleet.spawn_ns, fleet.harvest_ns): the clock is read only
+  // while telemetry is on.
+  const auto now_ns = [] { return obs::Enabled() ? obs::MonotonicNanos() : 0; };
+  const auto record_since = [](obs::Histogram& histogram, int64_t start_ns) {
+    if (obs::Enabled()) {
+      histogram.Record(obs::MonotonicNanos() - start_ns);
+    }
+  };
 
   if (opt.journal != nullptr) {
     opt.journal->SetTraceId(sweep_id);
@@ -227,48 +239,6 @@ std::map<size_t, std::string> SuperviseUnits(
            .Int("units", static_cast<int64_t>(units.size()))
            .Int("cells", static_cast<int64_t>(planned.size())),
        "planned %zu units over %zu cells", units.size(), planned.size());
-
-  const auto spawn = [&](Unit& unit) {
-    ++unit.attempt;
-    ++stats.spawned;
-    m_attempts.Add(1);
-    unit.out_path = opt.temp_dir + "/" + file_tag + "unit" +
-                    std::to_string(unit.id) + ".attempt" +
-                    std::to_string(unit.attempt) + ".result.json";
-    created_files.push_back(unit.out_path);
-    unit.metrics_path = opt.temp_dir + "/" + file_tag + "unit" +
-                        std::to_string(unit.id) + ".attempt" +
-                        std::to_string(unit.attempt) + ".metrics.json";
-    created_files.push_back(unit.metrics_path);
-    std::vector<std::string> argv = {opt.worker_path,
-                                     "--shard=" + unit.spec_path,
-                                     "--out=" + unit.out_path,
-                                     "--metrics-out=" + unit.metrics_path};
-    if (opt.worker_threads > 0) {
-      argv.push_back("--threads=" + std::to_string(opt.worker_threads));
-    }
-    if (!opt.fail_mode.empty()) {
-      char prob[64];
-      std::snprintf(prob, sizeof(prob), "%.17g", opt.fail_prob);
-      argv.push_back("--fail-mode=" + opt.fail_mode);
-      argv.push_back("--fail-prob=" + std::string(prob));
-      argv.push_back("--fail-seed=" + std::to_string(opt.fail_seed));
-      // Fresh fault draw per attempt; without this a deterministic failure
-      // would repeat verbatim on every retry.
-      argv.push_back("--fail-nonce=" + std::to_string(unit.attempt));
-    }
-    unit.child = Subprocess::Spawn(argv, unit.log_path);
-    unit.state = Unit::State::kRunning;
-    unit.started_at = MonotonicSeconds();
-    emit(obs::TraceEvent("unit_spawn")
-             .Int("unit", unit.id)
-             .Int("attempt", unit.attempt)
-             .Int("pid", static_cast<int>(unit.child.pid()))
-             .Int("cells", static_cast<int64_t>(unit.spec.cells.size())),
-         "unit %d attempt %d/%d: spawned pid %d (%zu cells)", unit.id,
-         unit.attempt, 1 + opt.max_retries, static_cast<int>(unit.child.pid()),
-         unit.spec.cells.size());
-  };
 
   // A failed attempt: retry with backoff while budget remains; then split a
   // multi-cell unit into per-cell units with fresh budgets (poison-cell
@@ -345,46 +315,131 @@ std::map<size_t, std::string> SuperviseUnits(
          unit.attempt, reason.c_str(), unit.spec.cells.size());
   };
 
-  // A clean exit: the document must exist, verify (envelope length +
-  // FNV-1a), and parse strictly before it may merge. Failures at this stage
-  // are transport faults — retryable — not merge faults.
-  const auto harvest = [&](Unit& unit) {
-    std::string text;
-    if (!obs::ReadWholeFile(unit.out_path, &text, nullptr)) {
-      ++stats.malformed;
-      fail(unit, "no_output", "exited cleanly but wrote no result document");
-      return;
+  // Starts the unit's next attempt; false when its log file could not be
+  // opened, which fails the attempt without starting a process.
+  const auto spawn = [&](Unit& unit) -> bool {
+    ++unit.attempt;
+    ++stats.spawned;
+    m_attempts.Add(1);
+    // The worker reads its shard from the file and answers on stdout: the
+    // result document on the first line, its telemetry snapshot after it.
+    std::vector<std::string> argv = {opt.worker_path, "--shard=" + unit.spec_path,
+                                     "--metrics-out=-"};
+    if (opt.worker_threads > 0) {
+      argv.push_back("--threads=" + std::to_string(opt.worker_threads));
     }
-    ShardResult result;
+    if (!opt.fail_mode.empty()) {
+      char prob[64];
+      std::snprintf(prob, sizeof(prob), "%.17g", opt.fail_prob);
+      argv.push_back("--fail-mode=" + opt.fail_mode);
+      argv.push_back("--fail-prob=" + std::string(prob));
+      argv.push_back("--fail-seed=" + std::to_string(opt.fail_seed));
+      // Fresh fault draw per attempt; without this a deterministic failure
+      // would repeat verbatim on every retry.
+      argv.push_back("--fail-nonce=" + std::to_string(unit.attempt));
+    }
+    unit.started_at = MonotonicSeconds();
+    const int64_t spawn_start = now_ns();
+    std::string log_error;
     try {
-      result = ShardResult::FromJson(text, unit.out_path);
-    } catch (const json::IntegrityError& e) {
-      ++stats.corrupt;
-      m_checksum_rejects.Add(1);
-      fail(unit, "corrupt", std::string("corrupt result document: ") + e.what());
-      return;
-    } catch (const std::exception& e) {
-      ++stats.malformed;
-      fail(unit, "malformed",
-           std::string("unreadable result document: ") + e.what());
-      return;
-    }
-    // Verified bytes that fail to consume (merge inconsistency, wrong
-    // sweep, duplicate cells) mean a worker/driver bug, which a retry
-    // cannot fix; the callback throws FleetError and the fleet stops.
-    consume(std::move(result), unit.out_path);
-    // Fold the worker's own telemetry into the fleet view. Best effort by
-    // design: the result document is the contract, the snapshot is
-    // observability — a worker built or run with telemetry off writes
-    // nothing (or zeros), and that must not fail the unit.
-    std::string metrics_text;
-    if (obs::ReadWholeFile(unit.metrics_path, &metrics_text, nullptr)) {
-      try {
-        worker_metrics.MergeFrom(
-            obs::MetricsSnapshot::FromJson(metrics_text, unit.metrics_path));
-      } catch (const std::exception&) {
-        // Unreadable snapshot: keep the harvested result.
+      unit.child = Subprocess::Spawn(argv, unit.log_path);
+    } catch (const SpawnError& e) {
+      if (e.step() == SpawnError::Step::kExec) {
+        // The worker binary never ran. Retrying (or splitting) cannot fix a
+        // bad --worker path, and burning the whole backoff budget per unit
+        // turns a typo into minutes of silence — fail the fleet immediately
+        // with the path that was attempted.
+        throw FleetError("fleet: worker binary '" + opt.worker_path +
+                         "' could not be executed (" +
+                         std::strerror(e.error_number()) +
+                         " — missing or non-executable --worker path?)");
       }
+      if (e.step() != SpawnError::Step::kLogOpen) {
+        // A pipe or spawn failure, typically EMFILE, EAGAIN or ENOMEM: out
+        // of descriptors, processes or memory. The fleet stops too, saying
+        // which step failed and why, with no hint about the --worker path.
+        throw FleetError(std::string("fleet: ") + e.what());
+      }
+      log_error = std::strerror(e.error_number());
+    }
+    record_since(m_spawn_ns, spawn_start);
+    if (!log_error.empty()) {
+      // An environment fault (full or read-only temp_dir) that a retry may
+      // outlive: it takes the normal retry path under its own name.
+      ++stats.crashed;
+      fail(unit, "log_open",
+           "worker could not open its log file " + unit.log_path + " (" +
+               log_error + ")");
+      return false;
+    }
+    unit.state = Unit::State::kRunning;
+    emit(obs::TraceEvent("unit_spawn")
+             .Int("unit", unit.id)
+             .Int("attempt", unit.attempt)
+             .Int("pid", static_cast<int>(unit.child.pid()))
+             .Int("cells", static_cast<int64_t>(unit.spec.cells.size())),
+         "unit %d attempt %d/%d: spawned pid %d (%zu cells)", unit.id,
+         unit.attempt, 1 + opt.max_retries, static_cast<int>(unit.child.pid()),
+         unit.spec.cells.size());
+    return true;
+  };
+
+  // A clean exit: the captured stdout's first line is the result document,
+  // which must verify (envelope length + FNV-1a) and parse strictly before
+  // it may merge; the rest is the worker's telemetry snapshot. Failures at
+  // this stage are transport faults — retryable — not merge faults.
+  // `reaped_at` is now_ns() from before the Poll that saw the exit, so the
+  // harvest time covers the final drain.
+  const auto harvest = [&](Unit& unit, int64_t reaped_at) {
+    const std::string& captured = unit.child.output();
+    const std::string_view text(captured);
+    const size_t newline = std::min(text.find('\n'), text.size());
+    const std::string source = file_tag + "unit" + std::to_string(unit.id) +
+                               ".attempt" + std::to_string(unit.attempt) +
+                               " stdout";
+    const char* kind = nullptr;
+    std::string reason;
+    ShardResult result;
+    if (text.empty()) {
+      ++stats.malformed;
+      kind = "no_output";
+      reason = "exited cleanly but wrote no result document";
+    } else {
+      try {
+        result = ShardResult::FromJson(text.substr(0, newline), source);
+      } catch (const json::IntegrityError& e) {
+        ++stats.corrupt;
+        m_checksum_rejects.Add(1);
+        kind = "corrupt";
+        reason = std::string("corrupt result document: ") + e.what();
+      } catch (const std::exception& e) {
+        ++stats.malformed;
+        kind = "malformed";
+        reason = std::string("unreadable result document: ") + e.what();
+      }
+    }
+    if (kind == nullptr) {
+      // Verified bytes that fail to consume (merge inconsistency, wrong
+      // sweep, duplicate cells) mean a worker/driver bug, which a retry
+      // cannot fix; the callback throws FleetError and the fleet stops.
+      consume(std::move(result), source);
+      // Fold the worker's own telemetry into the fleet view. Best effort by
+      // design: the result document is the contract, the snapshot is
+      // observability — a worker built or run with telemetry off writes
+      // nothing (or zeros), and that must not fail the unit.
+      if (newline < text.size()) {
+        try {
+          worker_metrics.MergeFrom(
+              obs::MetricsSnapshot::FromJson(text.substr(newline + 1), source));
+        } catch (const std::exception&) {
+          // Unreadable snapshot: keep the harvested result.
+        }
+      }
+    }
+    record_since(m_harvest_ns, reaped_at);
+    if (kind != nullptr) {
+      fail(unit, kind, reason);
+      return;
     }
     unit.state = Unit::State::kDone;
     ++stats.succeeded;
@@ -401,8 +456,9 @@ std::map<size_t, std::string> SuperviseUnits(
 
   // Single-threaded supervision loop; subprocesses provide the only real
   // concurrency, which keeps every state transition trivially race-free.
-  // Each pass acts on every exit and deadline due, then sleeps until a
-  // running child exits or the nearest deadline passes.
+  // Each pass drains every running child's stdout and acts on every exit and
+  // deadline due, then sleeps until a running child exits or writes, or the
+  // nearest deadline passes.
   size_t open_units = units.size();
   while (open_units > 0) {
     m_wakeups.Add(1);
@@ -410,30 +466,10 @@ std::map<size_t, std::string> SuperviseUnits(
     for (size_t i = 0; i < units.size(); ++i) {
       Unit& unit = *units[i];
       if (unit.state == Unit::State::kRunning) {
+        const int64_t poll_start = now_ns();
         if (unit.child.Poll()) {
           if (unit.child.exited_cleanly()) {
-            harvest(unit);
-          } else if (unit.child.term_signal() == 0 &&
-                     unit.child.exit_code() == Subprocess::kExecFailedExit) {
-            // The worker binary never ran. Retrying (or splitting) cannot
-            // fix a bad --worker path, and burning the whole backoff budget
-            // per unit turns a typo into minutes of silence — fail the
-            // fleet immediately with the path that was attempted.
-            throw FleetError("fleet: worker binary '" + opt.worker_path +
-                             "' could not be executed (exit " +
-                             std::to_string(Subprocess::kExecFailedExit) +
-                             " — missing or non-executable --worker path?)");
-          } else if (unit.child.term_signal() == 0 &&
-                     unit.child.exit_code() == Subprocess::kLogOpenFailedExit) {
-            // Could not open the log file — an environment fault (full or
-            // read-only temp_dir) that a retry may outlive, so stay on the
-            // normal retry path but name the real problem instead of the
-            // generic "worker died".
-            ++stats.crashed;
-            fail(unit, "log_open",
-                 "worker could not open its log file " + unit.log_path +
-                     " (exit " +
-                     std::to_string(Subprocess::kLogOpenFailedExit) + ")");
+            harvest(unit, poll_start);
           } else {
             ++stats.crashed;
             fail(unit, "crashed", "worker died: " + unit.child.DescribeExit());
@@ -461,8 +497,7 @@ std::map<size_t, std::string> SuperviseUnits(
     }
     for (size_t i = 0; i < units.size() && running < opt.max_parallel; ++i) {
       Unit& unit = *units[i];
-      if (unit.state == Unit::State::kReady) {
-        spawn(unit);
+      if (unit.state == Unit::State::kReady && spawn(unit)) {
         ++running;
       }
     }

@@ -53,9 +53,12 @@
 namespace longstore {
 
 struct FleetOptions {
-  // Path to the sweep_worker binary (execv'd directly; no PATH search).
+  // Path to the sweep_worker binary (posix_spawn'd directly; no PATH
+  // search). Each worker answers on its stdout, which the supervisor reads
+  // through a pipe.
   std::string worker_path;
-  // Existing writable directory for shard/result/log files. Required.
+  // Existing writable directory for the shard documents and worker logs.
+  // Required.
   std::string temp_dir;
 
   // Initial shard count (>= 1). More shards than max_parallel is fine —
@@ -84,7 +87,8 @@ struct FleetOptions {
   // Worker lane count (--threads); 0 lets each worker pick its default.
   // Never changes results, only wall clock.
   int worker_threads = 1;
-  // Keep shard/result/log files in temp_dir after Run (debugging).
+  // Keep the shard documents and worker logs in temp_dir after Run
+  // (debugging). Results never touch the disk: they arrive over stdout.
   bool keep_files = false;
 
   // Deterministic fault injection, forwarded to every worker
@@ -140,8 +144,8 @@ struct FleetReport {
   // partial runs.
   std::vector<SweepCellExecution> executions;
   // The merged telemetry of every harvested worker process (each worker
-  // writes its own Registry snapshot next to its result document; the
-  // supervisor folds them with MetricsSnapshot::MergeFrom). Collection is
+  // writes its own Registry snapshot on stdout after its result document;
+  // the supervisor folds them with MetricsSnapshot::MergeFrom). Collection is
   // best-effort: a worker whose snapshot is missing or unreadable still
   // merges its result. Empty when workers run with telemetry off.
   obs::MetricsSnapshot worker_metrics;

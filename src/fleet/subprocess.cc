@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <spawn.h>
 #include <string.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -44,6 +45,12 @@ int PollTimeoutMs(double seconds) {
   return ms < static_cast<double>(INT_MAX) ? static_cast<int>(ms) : INT_MAX;
 }
 
+void CloseIfOpen(int fd) {
+  if (fd >= 0) {
+    ::close(fd);
+  }
+}
+
 void RecordStatus(int status, int* exit_code, int* term_signal) {
   if (WIFEXITED(status)) {
     *exit_code = WEXITSTATUS(status);
@@ -68,16 +75,7 @@ Subprocess::~Subprocess() {
   }
 }
 
-Subprocess::Subprocess(Subprocess&& other) noexcept
-    : pid_(other.pid_),
-      pidfd_(other.pidfd_),
-      exited_(other.exited_),
-      exit_code_(other.exit_code_),
-      term_signal_(other.term_signal_) {
-  other.pid_ = -1;
-  other.pidfd_ = -1;
-  other.exited_ = false;
-}
+Subprocess::Subprocess(Subprocess&& other) noexcept { MoveFrom(other); }
 
 Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
   if (this != &other) {
@@ -85,25 +83,31 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
       Kill();
       Await();
     }
-    pid_ = other.pid_;
-    pidfd_ = other.pidfd_;
-    exited_ = other.exited_;
-    exit_code_ = other.exit_code_;
-    term_signal_ = other.term_signal_;
-    other.pid_ = -1;
-    other.pidfd_ = -1;
-    other.exited_ = false;
+    MoveFrom(other);
   }
   return *this;
 }
 
+void Subprocess::MoveFrom(Subprocess& other) noexcept {
+  pid_ = other.pid_;
+  pidfd_ = other.pidfd_;
+  stdout_fd_ = other.stdout_fd_;
+  output_ = std::move(other.output_);
+  exited_ = other.exited_;
+  exit_code_ = other.exit_code_;
+  term_signal_ = other.term_signal_;
+  other.pid_ = -1;
+  other.pidfd_ = -1;
+  other.stdout_fd_ = -1;
+  other.output_.clear();
+  other.exited_ = false;
+}
+
 Subprocess Subprocess::Spawn(const std::vector<std::string>& argv,
-                             const std::string& output_path) {
+                             const std::string& log_path) {
   if (argv.empty()) {
     throw std::runtime_error("Subprocess::Spawn: empty argv");
   }
-  // Build the exec vector before forking: the child may only use
-  // async-signal-safe calls, and vector growth is not one of them.
   std::vector<char*> exec_argv;
   exec_argv.reserve(argv.size() + 1);
   for (const std::string& arg : argv) {
@@ -111,34 +115,63 @@ Subprocess Subprocess::Spawn(const std::vector<std::string>& argv,
   }
   exec_argv.push_back(nullptr);
 
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    throw std::runtime_error(std::string("Subprocess::Spawn: fork failed: ") +
-                             ::strerror(errno));
-  }
-  if (pid == 0) {
-    // Child. Only async-signal-safe calls from here to execv/_exit.
-    if (!output_path.empty()) {
-      const int fd =
-          ::open(output_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-      if (fd < 0) {
-        // Running the worker anyway would silently discard its logs — the
-        // supervisor's only diagnostic channel. Exit with a code distinct
-        // from exec failure so the parent can name the real problem.
-        ::_exit(kLogOpenFailedExit);
-      }
-      ::dup2(fd, STDOUT_FILENO);
-      ::dup2(fd, STDERR_FILENO);
-      if (fd != STDOUT_FILENO && fd != STDERR_FILENO) {
-        ::close(fd);
-      }
+  // Running the child with its stderr discarded would lose the worker's
+  // only diagnostic channel, so a log that cannot be opened starts nothing.
+  int log_fd = -1;
+  if (!log_path.empty()) {
+    log_fd = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                    0644);
+    if (log_fd < 0) {
+      const int error = errno;
+      throw SpawnError(SpawnError::Step::kLogOpen,
+                       "cannot open log file '" + log_path + "': " +
+                           ::strerror(error),
+                       error);
     }
-    ::execv(exec_argv[0], exec_argv.data());
-    ::_exit(kExecFailedExit);  // 127 is the shell's convention for exec failure
   }
+  int pipe_fds[2];
+  if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+    const int error = errno;
+    CloseIfOpen(log_fd);
+    throw SpawnError(SpawnError::Step::kPipe,
+                     std::string("cannot create a stdout pipe: ") + ::strerror(error),
+                     error);
+  }
+  // dup2 clears close-on-exec on the child's copies, so fds 1 and 2 are the
+  // only descriptors the child gains.
+  posix_spawn_file_actions_t actions;
+  int rc = ::posix_spawn_file_actions_init(&actions);
+  pid_t pid = -1;
+  if (rc == 0) {
+    rc = ::posix_spawn_file_actions_adddup2(&actions, pipe_fds[1], STDOUT_FILENO);
+    if (rc == 0 && log_fd >= 0) {
+      rc = ::posix_spawn_file_actions_adddup2(&actions, log_fd, STDERR_FILENO);
+    }
+    if (rc == 0) {
+      rc = ::posix_spawn(&pid, exec_argv[0], &actions, nullptr, exec_argv.data(),
+                         environ);
+    }
+    ::posix_spawn_file_actions_destroy(&actions);
+  }
+  ::close(pipe_fds[1]);
+  CloseIfOpen(log_fd);
+  if (rc != 0) {
+    ::close(pipe_fds[0]);
+    // posix_spawn returns the exec's errno and the clone's through the same
+    // rc: only these name a binary path that cannot run.
+    if (rc == ENOENT || rc == EACCES || rc == ENOEXEC || rc == ENOTDIR) {
+      throw SpawnError(SpawnError::Step::kExec,
+                       "cannot execute '" + argv[0] + "': " + ::strerror(rc), rc);
+    }
+    throw SpawnError(SpawnError::Step::kSpawn,
+                     "cannot spawn '" + argv[0] + "': " + ::strerror(rc), rc);
+  }
+  // Only the read end is non-blocking: the child writes to a blocking pipe.
+  ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
   Subprocess child;
   child.pid_ = pid;
   child.pidfd_ = OpenPidfd(pid);
+  child.stdout_fd_ = pipe_fds[0];
   return child;
 }
 
@@ -149,6 +182,7 @@ bool Subprocess::Poll() {
   if (exited_) {
     return true;
   }
+  Drain();
   int status = 0;
   const pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
   if (reaped == pid_) {
@@ -165,15 +199,9 @@ bool Subprocess::Poll() {
 }
 
 void Subprocess::Await() {
-  if (pid_ <= 0 || exited_) {
-    return;
+  while (!Poll() && running()) {
+    WaitAny({this}, std::numeric_limits<double>::infinity());
   }
-  int status = 0;
-  pid_t reaped;
-  do {
-    reaped = ::waitpid(pid_, &status, 0);
-  } while (reaped < 0 && errno == EINTR);
-  MarkReaped(status, reaped == pid_);
 }
 
 void Subprocess::Kill() {
@@ -185,7 +213,7 @@ void Subprocess::Kill() {
 void Subprocess::WaitAny(const std::vector<const Subprocess*>& children,
                          double max_wait_s) {
   std::vector<pollfd> fds;
-  fds.reserve(children.size());
+  fds.reserve(2 * children.size());
   for (const Subprocess* child : children) {
     if (!child->running()) {
       continue;
@@ -195,12 +223,33 @@ void Subprocess::WaitAny(const std::vector<const Subprocess*>& children,
     } else {
       fds.push_back(pollfd{child->pidfd_, POLLIN, 0});
     }
+    if (child->stdout_fd_ >= 0) {
+      fds.push_back(pollfd{child->stdout_fd_, POLLIN, 0});
+    }
   }
   const int timeout_ms = PollTimeoutMs(max_wait_s);
   if (fds.empty() && timeout_ms < 0) {
     return;
   }
   ::poll(fds.data(), fds.size(), timeout_ms);
+}
+
+void Subprocess::Drain() {
+  while (stdout_fd_ >= 0) {
+    char buffer[1 << 16];
+    const ssize_t n = ::read(stdout_fd_, buffer, sizeof(buffer));
+    if (n > 0) {
+      output_.append(buffer, static_cast<size_t>(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return;
+    } else {
+      // EOF, or a read error: nothing more will arrive.
+      ::close(stdout_fd_);
+      stdout_fd_ = -1;
+    }
+  }
 }
 
 void Subprocess::MarkReaped(int status, bool have_status) {
@@ -211,10 +260,14 @@ void Subprocess::MarkReaped(int status, bool have_status) {
     exit_code_ = -1;
     term_signal_ = 0;
   }
-  if (pidfd_ >= 0) {
-    ::close(pidfd_);
-    pidfd_ = -1;
-  }
+  CloseIfOpen(pidfd_);
+  pidfd_ = -1;
+  // Everything the child wrote before it exited is in the pipe now. Read it
+  // and close without waiting for an EOF: a process the child passed its
+  // stdout on to could hold the pipe open indefinitely.
+  Drain();
+  CloseIfOpen(stdout_fd_);
+  stdout_fd_ = -1;
 }
 
 std::string Subprocess::DescribeExit() const {

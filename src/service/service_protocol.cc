@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -214,17 +215,19 @@ FrameStatus ReadFrame(int fd, std::string* payload, std::string* error,
     }
   }
 
+  // The payload grows as bytes arrive, never to the announced length ahead
+  // of them: a prefix alone must not cost the reader kMaxFrameBytes.
   payload->clear();
-  payload->resize(length);
-  size_t have = 0;
-  while (have < length) {
-    const ssize_t n = ReadBefore(fd, payload->data() + have, length - have, end);
+  char chunk[1 << 16];
+  while (payload->size() < length) {
+    const ssize_t n = ReadBefore(
+        fd, chunk, std::min(sizeof(chunk), length - payload->size()), end);
     if (n > 0) {
-      have += static_cast<size_t>(n);
+      payload->append(chunk, static_cast<size_t>(n));
       continue;
     }
     *error = std::string(n == 0 ? "stream ended" : ReadFailure()) + " after " +
-             std::to_string(have) + " of " + std::to_string(length) +
+             std::to_string(payload->size()) + " of " + std::to_string(length) +
              " frame payload bytes";
     return FrameStatus::kMalformed;
   }

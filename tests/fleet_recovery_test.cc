@@ -18,18 +18,23 @@
 // (tools/sweep_worker.cc DecideFault; the stats assertions below would catch
 // any drift in the draw function.)
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include <dirent.h>
+#include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -435,56 +440,59 @@ TEST(FleetRecoveryTest, ExhaustedCellsThrowNamingThemWithoutPartialOk) {
   }
 }
 
-// The worker's atomic-output contract: a crash mid-write may leave a torn
-// .tmp file but never a torn document at --out, so a supervisor (or human)
-// polling the output path can never read half a result.
-TEST(FleetRecoveryTest, CrashingWorkerNeverLeavesTornOutput) {
-  TempDir dir;
-  const std::string spec_path = WriteWholeSweepShard(dir);
-  const std::string out_path = dir.path() + "/result.json";
-  const std::string log_path = dir.path() + "/worker.log";
-
-  Subprocess crashing = Subprocess::Spawn(
-      {LONGSTORE_SWEEP_WORKER, "--shard=" + spec_path, "--out=" + out_path,
-       "--fail-mode=crash", "--fail-prob=1", "--fail-seed=1", "--fail-nonce=1"},
-      log_path);
-  crashing.Await();
-  EXPECT_FALSE(crashing.exited_cleanly());
-  EXPECT_EQ(crashing.term_signal(), SIGABRT) << crashing.DescribeExit();
-  EXPECT_FALSE(FileExists(out_path))
-      << "a crashed worker must never leave bytes at --out";
-
-  // The same invocation without the fault lands the document atomically:
-  // the final path appears, the temporary does not survive.
-  Subprocess clean = Subprocess::Spawn(
-      {LONGSTORE_SWEEP_WORKER, "--shard=" + spec_path, "--out=" + out_path},
-      log_path);
-  clean.Await();
-  EXPECT_TRUE(clean.exited_cleanly()) << clean.DescribeExit();
-  EXPECT_EQ(clean.exit_code(), 0);
-  ASSERT_TRUE(FileExists(out_path));
-  EXPECT_FALSE(FileExists(out_path + ".tmp"));
-  EXPECT_NO_THROW(ShardResult::FromJson(ReadAll(out_path), out_path));
-}
-
-// Without --out the document goes to stdout, and an injected crash still
-// dies halfway through it: the reader gets a torn document that fails to
-// parse, never a whole one.
+// An injected crash dies halfway through the stdout document: the reader
+// gets a torn document that fails to parse, never a whole one. This is how
+// a crashed fleet worker fails: its SIGABRT fails the attempt before any
+// parse, and its capture is torn.
 TEST(FleetRecoveryTest, CrashingWorkerTearsItsStdoutDocument) {
   TempDir dir;
   const std::string spec_path = WriteWholeSweepShard(dir);
-  const std::string stdout_path = dir.path() + "/stdout.json";
-  // The shell execs the worker with stderr sent elsewhere, so the capture
-  // holds stdout alone and the signal is the worker's own.
   Subprocess crashing = Subprocess::Spawn(
-      {"/bin/sh", "-c", "exec \"$@\" 2>/dev/null", "sh", LONGSTORE_SWEEP_WORKER,
-       "--shard=" + spec_path, "--fail-mode=crash", "--fail-prob=1"},
-      stdout_path);
+      {LONGSTORE_SWEEP_WORKER, "--shard=" + spec_path, "--metrics-out=-",
+       "--fail-mode=crash", "--fail-prob=1"},
+      dir.path() + "/worker.log");
   crashing.Await();
   EXPECT_EQ(crashing.term_signal(), SIGABRT) << crashing.DescribeExit();
-  const std::string captured = ReadAll(stdout_path);
+  const std::string& captured = crashing.output();
   EXPECT_FALSE(captured.empty());
-  EXPECT_THROW(ShardResult::FromJson(captured, stdout_path), std::invalid_argument);
+  EXPECT_EQ(captured.find('\n'), std::string::npos) << "no whole result line";
+  EXPECT_THROW(ShardResult::FromJson(captured, "stdout"), std::invalid_argument);
+}
+
+// --metrics-out=- puts the worker's answer on stdout as two lines: the
+// result document, then the telemetry snapshot.
+TEST(FleetRecoveryTest, WorkerAnswersWithResultThenSnapshotOnStdout) {
+  TempDir dir;
+  const std::string spec_path = WriteWholeSweepShard(dir);
+  Subprocess worker = Subprocess::Spawn(
+      {LONGSTORE_SWEEP_WORKER, "--shard=" + spec_path, "--metrics-out=-"},
+      dir.path() + "/worker.log");
+  worker.Await();
+  ASSERT_TRUE(worker.exited_cleanly()) << worker.DescribeExit();
+  const std::string& captured = worker.output();
+  const size_t newline = captured.find('\n');
+  ASSERT_NE(newline, std::string::npos);
+  ASSERT_EQ(captured.back(), '\n');
+  EXPECT_EQ(captured.find('\n', newline + 1), captured.size() - 1)
+      << "exactly two lines";
+  EXPECT_NO_THROW(ShardResult::FromJson(captured.substr(0, newline), "result"));
+  EXPECT_NO_THROW(obs::MetricsSnapshot::FromJson(captured.substr(newline + 1),
+                                                 "snapshot"));
+
+  // Stdout is the only sink: a file for the result or the snapshot is
+  // refused with the usage before the shard runs, and no file appears.
+  const std::string file = dir.path() + "/answer.json";
+  for (const std::string& flag : {"--out=" + file, "--metrics-out=" + file}) {
+    Subprocess refused = Subprocess::Spawn(
+        {LONGSTORE_SWEEP_WORKER, "--shard=" + spec_path, flag},
+        dir.path() + "/refused.log");
+    refused.Await();
+    EXPECT_EQ(refused.DescribeExit(), "exit status 1") << flag;
+    EXPECT_TRUE(refused.output().empty()) << flag;
+    EXPECT_FALSE(FileExists(file)) << flag;
+  }
+  EXPECT_NE(ReadAll(dir.path() + "/refused.log").find("usage:"),
+            std::string::npos);
 }
 
 // A negative or NaN timeout would silently switch hang protection off; the
@@ -525,25 +533,137 @@ TEST(FleetRecoveryTest, NonexistentWorkerBinaryFailsFastNamingThePath) {
   }
 }
 
-// Subprocess's reserved exit codes: exec failure is 127, and a child that
-// cannot open its log file refuses to run (126) instead of silently
-// discarding the worker's only diagnostic channel.
-TEST(FleetRecoveryTest, SubprocessReservedExitCodes) {
+// A child that cannot be started is an error at Spawn, naming the step and
+// the path, and no exit status is reserved: a child may exit 127 itself.
+TEST(FleetRecoveryTest, SpawnFailuresAreErrorsAndNoExitCodeIsReserved) {
   TempDir dir;
-  Subprocess no_exec = Subprocess::Spawn({dir.path() + "/missing_binary"},
-                                         dir.path() + "/log.txt");
-  no_exec.Await();
-  EXPECT_EQ(no_exec.term_signal(), 0);
-  EXPECT_EQ(no_exec.exit_code(), Subprocess::kExecFailedExit);
+  const std::string missing = dir.path() + "/missing_binary";
+  try {
+    Subprocess::Spawn({missing}, dir.path() + "/log.txt");
+    FAIL() << "spawning a missing binary must throw";
+  } catch (const SpawnError& e) {
+    EXPECT_EQ(e.step(), SpawnError::Step::kExec);
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos) << e.what();
+  }
 
   // A directory at the log path makes open(O_WRONLY) fail (EISDIR) even for
-  // root, so this exercises the log-open branch portably.
+  // root, so this exercises the log-open branch portably. The child would
+  // leave a marker file; it must never start.
   const std::string dir_as_log = dir.path() + "/log_is_a_dir";
+  const std::string marker = dir.path() + "/started";
   ASSERT_EQ(::mkdir(dir_as_log.c_str(), 0755), 0);
-  Subprocess no_log = Subprocess::Spawn({"/bin/true"}, dir_as_log);
-  no_log.Await();
-  EXPECT_EQ(no_log.term_signal(), 0);
-  EXPECT_EQ(no_log.exit_code(), Subprocess::kLogOpenFailedExit);
+  try {
+    Subprocess::Spawn({"/bin/sh", "-c", "exec touch \"$0\"", marker}, dir_as_log);
+    FAIL() << "a log file that cannot be opened must throw";
+  } catch (const SpawnError& e) {
+    EXPECT_EQ(e.step(), SpawnError::Step::kLogOpen);
+    EXPECT_NE(std::string(e.what()).find(dir_as_log), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(FileExists(marker)) << "a process started without its log";
+
+  Subprocess exits_127 = Subprocess::Spawn({"/bin/sh", "-c", "exit 127"},
+                                           dir.path() + "/log.txt");
+  exits_127.Await();
+  EXPECT_EQ(exits_127.DescribeExit(), "exit status 127");
+
+  // An exec that fails for a reason other than the binary (an argument
+  // longer than the kernel's 128 KiB limit per string) is a spawn failure,
+  // not a bad path.
+  try {
+    Subprocess::Spawn({"/bin/true", std::string(200000, 'x')}, "");
+    FAIL() << "an oversized argument must fail the spawn";
+  } catch (const SpawnError& e) {
+    EXPECT_EQ(e.step(), SpawnError::Step::kSpawn) << e.what();
+    EXPECT_EQ(e.error_number(), E2BIG) << e.what();
+    EXPECT_NE(std::string(e.what()).find("cannot spawn '/bin/true'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Once the child exits, its output is complete even while a process it
+// left behind still holds the pipe open: the reap reads what is buffered
+// and closes the pipe, never waiting for an EOF the background sleep would
+// withhold for 5 s.
+TEST(FleetRecoveryTest, AwaitDoesNotWaitForAnEofADescendantWithholds) {
+  TempDir dir;
+  Subprocess child = Subprocess::Spawn({"/bin/sh", "-c", "sleep 5 & echo $!"},
+                                       dir.path() + "/log.txt");
+  const auto start = std::chrono::steady_clock::now();
+  child.Await();
+  const double waited = SecondsSince(start);
+  ASSERT_TRUE(child.exited_cleanly()) << child.DescribeExit();
+  const std::string& captured = child.output();
+  ASSERT_FALSE(captured.empty());
+  EXPECT_EQ(captured.back(), '\n') << captured;
+  const pid_t sleeper = static_cast<pid_t>(std::atol(captured.c_str()));
+  ASSERT_GT(sleeper, 0) << captured;
+  ::kill(sleeper, SIGKILL);
+  EXPECT_LT(waited, 2.0);
+}
+
+// A captured child is drained while it runs, so it never blocks on a full
+// pipe: 1 MiB is sixteen times the pipe's default capacity, and a reader
+// that waited for the exit first would wait forever.
+TEST(FleetRecoveryTest, CapturedChildIsDrainedWhileItRuns) {
+  Subprocess child =
+      Subprocess::Spawn({"/bin/sh", "-c", "head -c 1048576 /dev/zero"}, "");
+  const auto start = std::chrono::steady_clock::now();
+  const double bound_s = 10.0;
+  while (!child.Poll() && SecondsSince(start) < bound_s) {
+    Subprocess::WaitAny({&child}, bound_s - SecondsSince(start));
+  }
+  const double waited = SecondsSince(start);
+  const bool exited = child.Poll();
+  child.Kill();
+  ASSERT_TRUE(exited) << "the child is still running after " << waited << " s";
+  EXPECT_TRUE(child.exited_cleanly()) << child.DescribeExit();
+  EXPECT_EQ(child.output().size(), 1048576u);
+  EXPECT_LT(waited, 5.0);
+}
+
+// A child spawned while another captured child runs inherits no supervisor
+// descriptor: not the other child's pipe or pidfd, not its own log file or
+// pipe read end. Descriptors this test process itself leaves inheritable
+// (none under ctest) are allowed through.
+TEST(FleetRecoveryTest, SpawnedChildInheritsNoSupervisorDescriptor) {
+  TempDir dir;
+  std::vector<std::string> inheritable;
+  DIR* handle = ::opendir("/proc/self/fd");
+  ASSERT_NE(handle, nullptr);
+  while (const dirent* entry = ::readdir(handle)) {
+    const int fd = std::atoi(entry->d_name);
+    if (fd > 2 && fd != ::dirfd(handle) &&
+        (::fcntl(fd, F_GETFD) & FD_CLOEXEC) == 0) {
+      inheritable.push_back(entry->d_name);
+    }
+  }
+  ::closedir(handle);
+
+  Subprocess running =
+      Subprocess::Spawn({"/bin/sleep", "30"}, dir.path() + "/sleep.log");
+  Subprocess lister = Subprocess::Spawn({"/bin/sh", "-c", "exec ls /proc/self/fd"},
+                                        dir.path() + "/ls.log");
+  lister.Await();
+  running.Kill();
+  running.Await();
+  ASSERT_TRUE(lister.exited_cleanly()) << lister.DescribeExit();
+
+  int standard = 0;
+  std::vector<std::string> listed;
+  std::istringstream lines(lister.output());
+  for (std::string line; std::getline(lines, line);) {
+    if (line == "0" || line == "1" || line == "2") {
+      ++standard;
+    } else if (std::find(inheritable.begin(), inheritable.end(), line) ==
+               inheritable.end()) {
+      listed.push_back(line);
+    }
+  }
+  EXPECT_EQ(standard, 3) << lister.output();
+  // What is left is ls's own handle on the directory it lists.
+  EXPECT_EQ(listed.size(), 1u) << lister.output();
 }
 
 // A child that exited before the wait began is reported at once, far inside
@@ -620,6 +740,12 @@ TEST(FleetRecoveryTest, JournalRecordsTheInjectedFaultSequence) {
   const std::string journal_path = dir.path() + "/trace.jsonl";
   obs::TraceJournal journal;
   journal.Open(journal_path);
+  const obs::Histogram& spawn_ns =
+      obs::Registry::Global().histogram("fleet.spawn_ns");
+  const obs::Histogram& harvest_ns =
+      obs::Registry::Global().histogram("fleet.harvest_ns");
+  const int64_t spawns_before = spawn_ns.count();
+  const int64_t harvests_before = harvest_ns.count();
 
   FleetOptions options = BaseOptions(dir);
   options.fail_mode = "crash";
@@ -629,6 +755,10 @@ TEST(FleetRecoveryTest, JournalRecordsTheInjectedFaultSequence) {
   options.log = nullptr;  // journal only; stderr stays quiet
   const FleetReport report = RunFleet(options);
   EXPECT_TRUE(report.complete);
+  // One spawn sample per attempt; one harvest sample per attempt that
+  // exited cleanly (the three crashed attempts are never harvested).
+  EXPECT_EQ(spawn_ns.count() - spawns_before, 5);
+  EXPECT_EQ(harvest_ns.count() - harvests_before, 2);
   std::string flush_error;
   ASSERT_TRUE(journal.Flush(&flush_error)) << flush_error;
 

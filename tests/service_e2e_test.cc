@@ -2,11 +2,13 @@
 // socket — cold query computed, warm query answered from cache with bytes
 // identical to the in-process golden run, the real sweep_client binary
 // agreeing via its --expect-source exit codes, a stalled or trickling
-// client dropped at the connection deadline, the fleet backend producing the
+// client dropped at the connection deadline without the daemon allocating
+// the frame it announced, the fleet backend producing the
 // same bytes through worker subprocesses, a tighter query resumed on either
 // backend, and SIGTERM shutting the daemon down cleanly.
 
 #include <dirent.h>
+#include <poll.h>
 #include <signal.h>
 #include <stdlib.h>
 #include <sys/socket.h>
@@ -247,6 +249,35 @@ TEST_F(ServiceE2eTest, TricklingClientIsDroppedAtTheFrameDeadline) {
   ASSERT_TRUE(obs::ReadWholeFile(dir_ + "/serviced.log", &log, nullptr));
   EXPECT_NE(log.find("dropping connection: read timed out after"), std::string::npos)
       << log;
+}
+
+// A frame length alone costs the daemon nothing: the payload grows as bytes
+// arrive, so a client that announces a frame just under kMaxFrameBytes and
+// sends no payload leaves the daemon's peak memory far below that length.
+TEST_F(ServiceE2eTest, AnnouncedFrameLengthIsNotAllocatedAhead) {
+  StartDaemon();
+  const int stalled = Connect();
+  ASSERT_GE(stalled, 0);
+  const std::string prefix = "268435455\n";  // kMaxFrameBytes - 1
+  ASSERT_EQ(::write(stalled, prefix.data(), prefix.size()),
+            static_cast<ssize_t>(prefix.size()));
+  // The daemon drops the connection at the frame deadline: EOF arrives.
+  pollfd entry = {stalled, POLLIN, 0};
+  EXPECT_EQ(::poll(&entry, 1, (kConnectionDeadlineSeconds + 5) * 1000), 1);
+  char byte = 0;
+  EXPECT_EQ(::recv(stalled, &byte, 1, MSG_DONTWAIT), 0)
+      << "the stalled connection is still open";
+  ::close(stalled);
+
+  std::string status;
+  ASSERT_TRUE(obs::ReadWholeFile("/proc/" + std::to_string(daemon_.pid()) + "/status",
+                                 &status, nullptr));
+  const size_t line = status.find("VmHWM:");
+  ASSERT_NE(line, std::string::npos) << status;
+  const long peak_kb = std::strtol(status.c_str() + line + 6, nullptr, 10);
+  EXPECT_GT(peak_kb, 0);
+  EXPECT_LT(peak_kb, 64 * 1024) << "the daemon's peak RSS followed the prefix";
+  EXPECT_EQ(RunClient({"--ping"}), 0);
 }
 
 TEST_F(ServiceE2eTest, FleetBackendProducesTheSameBytesAndStillCaches) {

@@ -12,14 +12,13 @@
 // LONGSTORE_SWEEP_WORKER is injected by CMake as the built binary's path.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/fleet/subprocess.h"
 #include "src/model/fault_params.h"
 #include "src/model/strategies.h"
 #include "src/scenario/media.h"
@@ -56,26 +55,19 @@ SweepOptions CheetahOptions() {
   return options;
 }
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 void WriteFile(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary);
   ASSERT_TRUE(out.good()) << path;
   out << text;
 }
 
-// Runs the built sweep_worker on `shard_path`, writing to `out_path`;
-// returns the raw std::system status.
-int RunWorker(const std::string& shard_path, const std::string& out_path) {
-  const std::string command = std::string(LONGSTORE_SWEEP_WORKER) +
-                              " --shard=" + shard_path + " --out=" + out_path;
-  return std::system(command.c_str());
+// Runs the built sweep_worker with `args` to its exit; its result document
+// is the captured stdout, and its stderr stays the test's.
+Subprocess RunWorker(std::vector<std::string> args) {
+  args.insert(args.begin(), LONGSTORE_SWEEP_WORKER);
+  Subprocess worker = Subprocess::Spawn(args, "");
+  worker.Await();
+  return worker;
 }
 
 TEST(ShardE2eTest, GoldenSweepShardedThroughWorkerProcessesIsByteIdentical) {
@@ -96,14 +88,13 @@ TEST(ShardE2eTest, GoldenSweepShardedThroughWorkerProcessesIsByteIdentical) {
           "longstore_e2e_k" + std::to_string(shard_count) + "_s" +
           std::to_string(shard.shard_index);
       const std::string shard_path = dir + tag + ".shard.json";
-      const std::string out_path = dir + tag + ".result.json";
       WriteFile(shard_path, shard.ToJson());
-      ASSERT_EQ(RunWorker(shard_path, out_path), 0)
+      const Subprocess worker = RunWorker({"--shard=" + shard_path});
+      ASSERT_TRUE(worker.exited_cleanly())
           << "worker failed for shard " << shard.shard_index << " of "
-          << shard_count;
-      result_jsons.push_back(ReadFile(out_path));
+          << shard_count << ": " << worker.DescribeExit();
+      result_jsons.push_back(worker.output());
       std::remove(shard_path.c_str());
-      std::remove(out_path.c_str());
     }
 
     // Merge in reverse arrival order: the merger must not care.
@@ -122,11 +113,11 @@ TEST(ShardE2eTest, GoldenSweepShardedThroughWorkerProcessesIsByteIdentical) {
 TEST(ShardE2eTest, WorkerRejectsMalformedShardWithNonZeroExit) {
   const std::string dir = testing::TempDir();
   const std::string shard_path = dir + "longstore_e2e_malformed.shard.json";
-  const std::string out_path = dir + "longstore_e2e_malformed.result.json";
   WriteFile(shard_path, "{\"shard_version\":99,");
-  EXPECT_NE(RunWorker(shard_path, out_path), 0);
+  const Subprocess worker = RunWorker({"--shard=" + shard_path});
+  EXPECT_EQ(worker.DescribeExit(), "exit status 1");
+  EXPECT_TRUE(worker.output().empty());
   std::remove(shard_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 TEST(ShardE2eTest, WorkerThreadCapDoesNotChangeOutputBytes) {
@@ -143,14 +134,10 @@ TEST(ShardE2eTest, WorkerThreadCapDoesNotChangeOutputBytes) {
 
   std::vector<std::string> outputs;
   for (const char* threads : {"1", "4"}) {
-    const std::string out_path =
-        dir + "longstore_e2e_threads" + threads + ".result.json";
-    const std::string command = std::string(LONGSTORE_SWEEP_WORKER) +
-                                " --shard=" + shard_path + " --out=" + out_path +
-                                " --threads=" + threads;
-    ASSERT_EQ(std::system(command.c_str()), 0);
-    outputs.push_back(ReadFile(out_path));
-    std::remove(out_path.c_str());
+    const Subprocess worker = RunWorker(
+        {"--shard=" + shard_path, std::string("--threads=") + threads});
+    ASSERT_TRUE(worker.exited_cleanly()) << worker.DescribeExit();
+    outputs.push_back(worker.output());
   }
   std::remove(shard_path.c_str());
   EXPECT_EQ(outputs[0], outputs[1]);

@@ -35,7 +35,7 @@
 //                        of the in-process run (default every core). 0 =
 //                        every core
 //   --tmp=DIR            scratch directory              (default: mkdtemp)
-//   --keep-files         keep shard/result/log files
+//   --keep-files         keep the shard documents and worker logs
 //   --fail-mode=crash|hang|corrupt|flaky --fail-prob=P --fail-seed=S
 //                        forwarded fault injection (CI chaos testing)
 //

@@ -2,30 +2,30 @@
 // cells — and emits the raw accumulators of those trials, the worker half of
 // the sharded fan-out protocol (src/shard/README.md).
 //
-//   sweep_worker --shard=FILE [--out=FILE] [--threads=N]
+//   sweep_worker --shard=FILE [--metrics-out=-] [--threads=N]
 //                [--fail-mode=crash|hang|corrupt|flaky
 //                 --fail-prob=P --fail-seed=S --fail-nonce=N]
 //
 // Reads a ShardSpec JSON document (the file "-" means stdin), runs its cells
-// on this process's worker pool, and writes the ShardResult JSON to --out
-// (default stdout). The result is deterministic: cell seeds derive from the
+// on this process's worker pool, and writes the ShardResult JSON to stdout
+// as one line. The result is deterministic: cell seeds derive from the
 // document's seed mode, never from this process's identity, so any worker
 // produces the same bytes for the same shard. --threads only caps the lanes
-// used (wall clock, never results).
+// used (wall clock, never results). --metrics-out=- puts this process's
+// MetricsSnapshot JSON on stdout as the line after the result, once the
+// shard completes; "-" is its only value. That is how the fleet supervisor
+// (src/fleet/) collects both: over its pipe on the worker's stdout.
 //
-// --out is written atomically: the document goes to <out>.tmp, is fsynced,
-// and only then renamed into place — a worker killed mid-write leaves no
-// file at --out, never a plausible-but-truncated document for a merger to
-// read. (The envelope checksum would catch the truncation anyway; atomicity
-// keeps the failure at the cheaper "no output" tier.)
+// A worker killed mid-write leaves a torn line, never a whole document: its
+// exit status fails it first, and the envelope (length + FNV-1a) rejects the
+// bytes for any reader that ignores the status.
 //
 // The --fail-* flags are a deterministic fault-injection harness for
 // exercising fleet supervisors (src/fleet/): with probability P — decided by
 // hashing (S, shard_index, N), so a given attempt's fate is reproducible and
 // retries (fresh N) draw fresh fates — the worker
-//   crash:   dies dirty (SIGABRT) halfway through writing its output: to
-//            <out>.tmp, which is never renamed into place, or, without
-//            --out, to stdout, whose reader gets a torn document,
+//   crash:   dies dirty (SIGABRT) halfway through writing its result to
+//            stdout, whose reader gets a torn document,
 //   hang:    sleeps forever before running (exercises timeout + SIGKILL),
 //   corrupt: flips one byte of the finished document and exits 0 — silent
 //            corruption only the envelope checksum can catch,
@@ -43,12 +43,14 @@
 
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -62,42 +64,35 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --shard=FILE [--out=FILE] [--threads=N]\n"
+      "usage: %s --shard=FILE [--metrics-out=-] [--threads=N]\n"
       "          [--fail-mode=crash|hang|corrupt|flaky] [--fail-prob=P]\n"
       "          [--fail-seed=S] [--fail-nonce=N]\n"
-      "  --shard=FILE   shard spec JSON (\"-\" = stdin)\n"
-      "  --out=FILE     write the shard result JSON here, atomically\n"
-      "                 (default stdout)\n"
+      "  --shard=FILE   shard spec JSON (\"-\" = stdin); the result JSON goes\n"
+      "                 to stdout as one line\n"
       "  --threads=N    cap worker-pool lanes (never changes results)\n"
-      "  --metrics-out=FILE  write this process's MetricsSnapshot JSON after\n"
-      "                 the shard completes (telemetry; never affects results)\n"
+      "  --metrics-out=-  after the shard completes, write this process's\n"
+      "                 MetricsSnapshot JSON to stdout as the line after the\n"
+      "                 result (telemetry; never affects results)\n"
       "  --fail-*       deterministic fault injection for supervisor tests;\n"
       "                 the fault fires when hash(S, shard_index, N) < P\n",
       argv0);
   return 1;
 }
 
-// Thin throwing shim over the shared atomic-write path (obs::WriteFileAtomic:
-// <path>.tmp, fsync, rename). Documents carry a trailing newline on disk.
-void WriteFileAtomically(const std::string& path, const std::string& bytes) {
-  std::string error;
-  if (!longstore::obs::WriteFileAtomic(path, bytes + '\n', &error)) {
-    throw std::runtime_error(error);
+// Writes all of `bytes` to stdout in as few write calls as the pipe takes,
+// so a reader sees the whole answer at once; false on failure.
+bool WriteStdout(std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(STDOUT_FILENO, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    bytes.remove_prefix(static_cast<size_t>(n));
   }
-}
-
-// Best-effort telemetry sink: a failed snapshot write warns but never fails
-// the shard — the result document is the product.
-void WriteWorkerMetrics(const char* metrics_out) {
-  if (metrics_out == nullptr) {
-    return;
-  }
-  std::string error;
-  if (!longstore::obs::WriteFileAtomic(
-          metrics_out, longstore::obs::Registry::Global().SnapshotJson(),
-          &error)) {
-    std::fprintf(stderr, "sweep_worker: metrics snapshot: %s\n", error.c_str());
-  }
+  return true;
 }
 
 struct FailPlan {
@@ -122,18 +117,15 @@ bool DecideFault(const FailPlan& plan, int shard_index) {
 
 int main(int argc, char** argv) {
   const char* shard_path = nullptr;
-  const char* out_path = nullptr;
-  const char* metrics_out = nullptr;
+  bool metrics_to_stdout = false;
   int threads = 0;
   FailPlan fail;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--shard=", 8) == 0) {
       shard_path = arg + 8;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-      metrics_out = arg + 14;
+    } else if (std::strcmp(arg, "--metrics-out=-") == 0) {
+      metrics_to_stdout = true;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
       if (!longstore::ParseIntFlag(arg + 10, 0, &threads)) {
         return Usage(argv[0]);
@@ -197,43 +189,31 @@ int main(int argc, char** argv) {
 
     if (fail.armed && std::strcmp(fail.mode, "corrupt") == 0) {
       // Flip one byte deep in the body (past the envelope prefix), write
-      // the document *atomically* and exit 0: a silent transport corruption
-      // that only the merge-side checksum can detect.
+      // the whole document to stdout as usual and exit 0: a silent
+      // transport corruption that only the merge-side checksum can detect.
       json[json.size() * 2 / 3] ^= 0x20;
       std::fprintf(stderr, "sweep_worker: injected corruption (shard %d)\n",
                    shard.shard_index);
     }
 
     if (fail.armed && std::strcmp(fail.mode, "crash") == 0) {
-      // Die dirty halfway through the output. The atomic-rename contract
-      // means --out never sees these bytes; a stdout reader sees a torn
-      // document that the envelope checksum rejects.
-      std::FILE* file =
-          out_path == nullptr
-              ? stdout
-              : std::fopen((std::string(out_path) + ".tmp").c_str(), "wb");
-      if (file != nullptr) {
-        std::fwrite(json.data(), 1, json.size() / 2, file);
-        std::fflush(file);
-      }
+      // Die dirty halfway through the output: the reader gets a torn
+      // document, which the envelope checksum rejects.
+      WriteStdout(std::string_view(json).substr(0, json.size() / 2));
       std::fprintf(stderr, "sweep_worker: injected crash mid-write (shard %d)\n",
                    shard.shard_index);
       std::abort();
     }
 
-    if (out_path == nullptr) {
-      const bool wrote =
-          std::fwrite(json.data(), 1, json.size(), stdout) == json.size() &&
-          std::fputc('\n', stdout) != EOF && std::fflush(stdout) == 0;
-      if (!wrote) {
-        throw std::runtime_error("failed to write the shard result");
-      }
-      WriteWorkerMetrics(metrics_out);
-      return 0;
+    // The whole answer leaves in one write: the result line, then, with
+    // --metrics-out=-, the snapshot line.
+    std::string answer = json + '\n';
+    if (metrics_to_stdout) {
+      answer += longstore::obs::Registry::Global().SnapshotJson() + '\n';
     }
-
-    WriteFileAtomically(out_path, json);
-    WriteWorkerMetrics(metrics_out);
+    if (!WriteStdout(answer)) {
+      throw std::runtime_error("failed to write to stdout");
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sweep_worker: %s\n", e.what());
     return 1;
