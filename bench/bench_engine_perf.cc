@@ -1,12 +1,12 @@
 // E12: engine microbenchmarks (google-benchmark).
 //
 // Measures the substrate costs that determine how far the Monte Carlo
-// harness scales: event-queue throughput, end-to-end trial cost (fresh
+// harness scales: clock-table throughput, end-to-end trial cost (fresh
 // construction vs TrialRunner reuse), CTMC solve time (GTH elimination), and
 // the matrix exponential used for mission-loss probabilities.
 //
 // The whole binary links against a counting global allocator so the
-// steady-state schedule/fire path can be asserted allocation-free; run via
+// steady-state arm/fire path can be asserted allocation-free; run via
 // `cmake --build build --target bench` to emit BENCH_engine.json.
 
 #include <atomic>
@@ -75,84 +75,107 @@ namespace {
 
 int64_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
 
-class CountingClient : public SimClient {
+// Drives a clock table the way a trial does: every clock starts armed, and
+// each firing re-arms the fired clock a uniform 0-1000 h ahead until the
+// iteration's event budget is spent, so `clocks` events stay pending
+// throughout.
+class ChurnClient : public SimClient {
  public:
-  void OnSimEvent(uint16_t, int32_t, int32_t) override { ++fired_; }
+  ChurnClient(Simulator* sim, Rng* rng) : sim_(sim), rng_(rng) {}
+
+  // Arms every clock and sets the budget so that `events` fire in all.
+  void Begin(int events) {
+    const int clocks = sim_->clock_count();
+    for (int clock = 0; clock < clocks; ++clock) {
+      sim_->ArmAt(clock, NextTime(), 0);
+    }
+    rearms_left_ = events - clocks;
+  }
+
+  void OnSimEvent(uint16_t, int clock) override {
+    ++fired_;
+    if (rearms_left_ > 0) {
+      --rearms_left_;
+      sim_->ArmAt(clock, NextTime(), 0);
+    }
+  }
   int64_t fired() const { return fired_; }
 
  private:
+  Duration NextTime() {
+    return sim_->now() + rng_->NextUniform(Duration::Zero(), Duration::Hours(1000.0));
+  }
+
+  Simulator* sim_;
+  Rng* rng_;
+  int64_t rearms_left_ = 0;
   int64_t fired_ = 0;
 };
 
-// Steady-state schedule/fire throughput on a warm (Reset-reused) engine,
-// timed on synthetic queues of 1,000 and 100,000 uniformly scheduled events.
-// A Monte Carlo trial keeps only a handful of events pending (see
-// src/sim/README.md), so BM_MirroredTrialToLossReused below is the
-// trial-shaped series. NOTE: the seed revision of this benchmark
-// constructed a fresh Simulator per iteration; that scope is preserved
-// separately below as BM_EventQueueScheduleAndRunFreshEngine so the perf
-// trajectory stays interpretable.
+constexpr int kChurnEvents = 1000;
+
+// Steady-state arm/fire throughput on a warm (Reset-reused) engine: 1,000
+// events per iteration over a table of 2 or 4 clocks, the trial-shaped
+// counts (a mirrored pair; the frontier's largest designs), and 376, the
+// largest table any shipped program builds (bench_independence's farm).
+// Each event scans the table, so the cost per event grows with the clock
+// count. NOTE: the series' scope has moved twice. The first revision
+// constructed a fresh engine per iteration (kept as
+// BM_EventQueueScheduleAndRunFreshEngine); before the clock table the
+// argument was the size of a synthetic queue (1,000 or 100,000 events) on
+// the event heap the table replaced. Compare across that boundary with the
+// trial-shaped BM_MirroredTrialToLoss* series instead.
 void BM_EventQueueScheduleAndRun(benchmark::State& state) {
-  const int events = static_cast<int>(state.range(0));
   Rng rng(1);
-  CountingClient client;
-  Simulator sim(&client);
+  Simulator sim;
+  ChurnClient client(&sim, &rng);
+  sim.Attach(&client, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     sim.Reset();
-    for (int i = 0; i < events; ++i) {
-      sim.ScheduleAt(rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
-    }
+    client.Begin(kChurnEvents);
     sim.Run();
     benchmark::DoNotOptimize(client.fired());
   }
-  state.SetItemsProcessed(state.iterations() * events);
+  state.SetItemsProcessed(state.iterations() * kChurnEvents);
 }
-BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(2)->Arg(4)->Arg(376);
 
 // Fresh engine per iteration — the seed benchmark's measurement scope.
-// Includes construction, container growth, and first-touch page faults,
-// which dominate once the per-event path is allocation-free.
+// Includes construction and the clock table's allocation.
 void BM_EventQueueScheduleAndRunFreshEngine(benchmark::State& state) {
-  const int events = static_cast<int>(state.range(0));
   Rng rng(1);
-  CountingClient client;
   for (auto _ : state) {
-    Simulator sim(&client);
-    for (int i = 0; i < events; ++i) {
-      sim.ScheduleAt(rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
-    }
+    Simulator sim;
+    ChurnClient client(&sim, &rng);
+    sim.Attach(&client, static_cast<int>(state.range(0)));
+    client.Begin(kChurnEvents);
     sim.Run();
     benchmark::DoNotOptimize(client.fired());
   }
-  state.SetItemsProcessed(state.iterations() * events);
+  state.SetItemsProcessed(state.iterations() * kChurnEvents);
 }
-BENCHMARK(BM_EventQueueScheduleAndRunFreshEngine)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_EventQueueScheduleAndRunFreshEngine)->Arg(2)->Arg(4)->Arg(376);
 
 // The acceptance gate for the allocation-free engine: after one warm-up
-// round has grown the internal buffers, a full schedule/fire cycle must not
-// touch the heap at all. A violation fails the benchmark run.
+// round, a full arm/fire cycle must not touch the heap at all. A violation
+// fails the benchmark run.
 void BM_EventQueueSteadyStateAllocs(benchmark::State& state) {
-  // Replays one fixed 4096-event workload: the first pass grows the engine's
-  // buffers to this workload's high-water mark, after which re-running it
-  // must never touch the allocator again.
+  // Replays one fixed 4,096-event workload over a 4-clock table: the
+  // warm-up pass runs it once, after which re-running it must never touch
+  // the allocator again.
   constexpr int kEvents = 4096;
-  CountingClient client;
-  Simulator sim(&client);
-  {
-    Rng rng(3);  // warm-up pass
-    for (int i = 0; i < kEvents; ++i) {
-      sim.ScheduleAt(rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
-    }
-    sim.Run();
-  }
+  Rng rng(3);
+  Simulator sim;
+  ChurnClient client(&sim, &rng);
+  sim.Attach(&client, 4);
+  client.Begin(kEvents);  // warm-up pass
+  sim.Run();
   int64_t allocs = 0;
   for (auto _ : state) {
     sim.Reset();
-    Rng rng(3);
+    rng.Reseed(3);
     const int64_t before = AllocCount();
-    for (int i = 0; i < kEvents; ++i) {
-      sim.ScheduleAt(rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
-    }
+    client.Begin(kEvents);
     sim.Run();
     allocs += AllocCount() - before;
   }
@@ -160,31 +183,36 @@ void BM_EventQueueSteadyStateAllocs(benchmark::State& state) {
   state.counters["allocs_per_iter"] = benchmark::Counter(
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
   if (allocs != 0) {
-    state.SkipWithError("steady-state schedule/fire path performed heap allocations");
+    state.SkipWithError("steady-state arm/fire path performed heap allocations");
   }
 }
 BENCHMARK(BM_EventQueueSteadyStateAllocs);
 
+// Disarm and re-arm churn: what a fault costs the clocks it redraws. Each
+// iteration arms every clock, disarms every other one, re-arms those at a
+// later time (replacing nothing), and runs the table dry; 2 and 4 clocks
+// are trial-shaped, 376 is the farm.
 void BM_EventCancellation(benchmark::State& state) {
-  CountingClient client;
-  Simulator sim(&client);
-  std::vector<EventId> ids;
-  ids.reserve(1000);
+  const int clocks = static_cast<int>(state.range(0));
+  Rng rng(5);
+  Simulator sim;
+  ChurnClient client(&sim, &rng);
+  sim.Attach(&client, clocks);
   for (auto _ : state) {
     sim.Reset();
-    ids.clear();
-    for (int i = 0; i < 1000; ++i) {
-      ids.push_back(sim.ScheduleAt(Duration::Hours(static_cast<double>(i + 1)), 0));
+    client.Begin(clocks);  // no re-arms: every clock fires at most once
+    for (int clock = 0; clock < clocks; clock += 2) {
+      sim.Disarm(clock);
     }
-    for (size_t i = 0; i < ids.size(); i += 2) {
-      sim.Cancel(ids[i]);
+    for (int clock = 0; clock < clocks; clock += 2) {
+      sim.ArmAt(clock, Duration::Hours(2000.0 + clock), 0);
     }
     sim.Run();
     benchmark::DoNotOptimize(sim.processed_count());
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+  state.SetItemsProcessed(state.iterations() * clocks);
 }
-BENCHMARK(BM_EventCancellation);
+BENCHMARK(BM_EventCancellation)->Arg(2)->Arg(4)->Arg(376);
 
 Scenario MirroredScenario() {
   return ScenarioBuilder()
@@ -362,7 +390,7 @@ void BM_MissionTrialsBatchedCounterKernel(benchmark::State& state) {
 BENCHMARK(BM_MissionTrialsBatchedCounterKernel);
 
 // Zero-allocation gate for the batched kernel, the same contract the
-// schedule/fire path and the reused trial loop already carry: after one
+// arm/fire path and the reused trial loop already carry: after one
 // warm-up block has grown the engine's buffers, prefilter + engine replay of
 // a block must never touch the heap.
 void BM_BatchedCounterKernelSteadyStateAllocs(benchmark::State& state) {

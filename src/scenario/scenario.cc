@@ -86,7 +86,7 @@ std::optional<std::string> ReplicaSpec::Validate() const {
   if (scrub.kind != ScrubPolicy::Kind::kNone &&
       (!(scrub.interval.hours() > 0.0) || scrub.interval.is_infinite())) {
     // An infinite interval would feed NaN into the periodic tick arithmetic
-    // and "never" into ScheduleAfter (which requires finite times).
+    // and "never" into ArmAfter (which requires finite times).
     return "scrub interval must be finite and positive";
   }
   return std::nullopt;

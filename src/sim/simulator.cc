@@ -1,136 +1,69 @@
 #include "src/sim/simulator.h"
 
-#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace longstore {
 
-void Simulator::HeapPush(const EventRecord& record) {
-  heap_.push_back(record);
-  size_t hole = heap_.size() - 1;
-  while (hole > 0) {
-    const size_t parent = (hole - 1) / 4;
-    if (!record.FiresBefore(heap_[parent])) {
-      break;
-    }
-    heap_[hole] = heap_[parent];
-    hole = parent;
+void Simulator::Attach(SimClient* client, int clock_count) {
+  if (client == nullptr || clock_count < 0) {
+    throw std::invalid_argument("Simulator::Attach: needs a client and a clock count >= 0");
   }
-  heap_[hole] = record;
+  client_ = client;
+  clocks_.assign(static_cast<size_t>(clock_count), Clock{});
 }
 
-void Simulator::HeapPopTop() {
-  const EventRecord moved = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) {
-    return;
-  }
-  const size_t size = heap_.size();
-  size_t hole = 0;
-  for (;;) {
-    const size_t first_child = hole * 4 + 1;
-    if (first_child >= size) {
-      break;
-    }
-    size_t best = first_child;
-    const size_t last_child = first_child + 4 <= size ? first_child + 4 : size;
-    for (size_t child = first_child + 1; child < last_child; ++child) {
-      if (heap_[child].FiresBefore(heap_[best])) {
-        best = child;
-      }
-    }
-    if (!heap_[best].FiresBefore(moved)) {
-      break;
-    }
-    heap_[hole] = heap_[best];
-    hole = best;
-  }
-  heap_[hole] = moved;
-}
-
-EventId Simulator::ScheduleAt(Duration t, uint16_t tag, int32_t a, int32_t b) {
+void Simulator::ThrowBadArm(int clock, Duration t) const {
   if (t < now_) {
-    throw std::invalid_argument("ScheduleAt: cannot schedule in the past");
+    throw std::invalid_argument("ArmAt: cannot arm a clock in the past");
   }
   if (!(t.hours() < std::numeric_limits<double>::infinity())) {  // +inf or NaN
-    throw std::invalid_argument("ScheduleAt: time must be finite");
+    throw std::invalid_argument("ArmAt: time must be finite");
   }
   if (client_ == nullptr) {
-    throw std::logic_error("ScheduleAt: no SimClient attached");
+    throw std::logic_error("ArmAt: no SimClient attached");
   }
-  uint32_t slot;
-  if (free_head_ != kFreeListEnd) {
-    slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-  } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(Slot{});
-  }
-  Slot& s = slots_[slot];
-  s.live = true;
-  s.tag = tag;
-  s.a = a;
-  s.b = b;
-  HeapPush(EventRecord{t.hours(), next_seq_++, slot, s.generation});
-  ++live_count_;
-  return EventId((static_cast<uint64_t>(s.generation) << 32) |
-                 (static_cast<uint64_t>(slot) + 1));
+  throw std::out_of_range("ArmAt: clock " + std::to_string(clock) +
+                          " is outside the table of " +
+                          std::to_string(clocks_.size()));
 }
 
-EventId Simulator::ScheduleAfter(Duration delay, uint16_t tag, int32_t a,
-                                 int32_t b) {
-  return ScheduleAt(now_ + delay, tag, a, b);
-}
-
-void Simulator::ReleaseSlot(uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.live = false;
-  ++s.generation;  // invalidates the handle and any stale queued record
-  s.next_free = free_head_;
-  free_head_ = slot;
-  --live_count_;
-}
-
-bool Simulator::Cancel(EventId id) {
-  if (!id.is_valid()) {
-    return false;
+void Simulator::ArmAt(int clock, Duration t, uint16_t tag) {
+  // One test covers every bad arming: a past, infinite or NaN time, and a
+  // clock outside the table (which is empty until a client attaches).
+  if (!(t >= now_ && t.hours() < std::numeric_limits<double>::infinity()) ||
+      static_cast<size_t>(clock) >= clocks_.size()) [[unlikely]] {
+    ThrowBadArm(clock, t);
   }
-  const uint32_t slot_plus_one = static_cast<uint32_t>(id.value());
-  if (slot_plus_one == 0 || static_cast<size_t>(slot_plus_one) > slots_.size()) {
-    return false;
-  }
-  const uint32_t slot = slot_plus_one - 1;
-  const uint32_t generation = static_cast<uint32_t>(id.value() >> 32);
-  const Slot& s = slots_[slot];
-  if (!s.live || s.generation != generation) {
-    return false;  // already fired, already cancelled, or a stale handle
-  }
-  ReleaseSlot(slot);
-  return true;
+  clocks_[static_cast<size_t>(clock)] = Clock{t.hours(), next_seq_++, tag};
 }
 
 bool Simulator::Step(Duration horizon) {
-  while (!heap_.empty()) {
-    const EventRecord record = heap_.front();
-    const Slot& s = slots_[record.slot];
-    if (!s.live || s.generation != record.generation) {
-      HeapPopTop();  // cancelled since it was pushed: discard
-      continue;
+  // Each clock holds at most one event and each arming takes a fresh seq,
+  // so the least (time, seq) over armed clocks is the event a priority
+  // queue of every pending event would pop next.
+  size_t next = clocks_.size();
+  double next_time = std::numeric_limits<double>::infinity();
+  uint64_t next_seq = kDisarmedSeq;
+  for (size_t i = 0; i < clocks_.size(); ++i) {
+    const Clock& c = clocks_[i];
+    if (c.time_hours < next_time || (c.time_hours == next_time && c.seq < next_seq)) {
+      next = i;
+      next_time = c.time_hours;
+      next_seq = c.seq;
     }
-    if (record.time_hours > horizon.hours()) {
-      return false;
-    }
-    HeapPopTop();
-    const uint16_t tag = s.tag;
-    const int32_t a = s.a;
-    const int32_t b = s.b;
-    ReleaseSlot(record.slot);
-    now_ = Duration::Hours(record.time_hours);
-    ++processed_;
-    client_->OnSimEvent(tag, a, b);
-    return true;
   }
-  return false;
+  // `next` stays past the end unless some clock is armed, so an infinite
+  // horizon never fires a disarmed clock.
+  if (next == clocks_.size() || next_time > horizon.hours()) {
+    return false;
+  }
+  const uint16_t tag = clocks_[next].tag;
+  clocks_[next] = Clock{};
+  now_ = Duration::Hours(next_time);
+  ++processed_;
+  client_->OnSimEvent(tag, static_cast<int>(next));
+  return true;
 }
 
 void Simulator::Run() {
@@ -149,23 +82,21 @@ void Simulator::RunUntil(Duration horizon) {
 }
 
 void Simulator::Reset() {
-  // Release every still-pending record's slot instead of clearing the slot
-  // table: a cleared table would restart generations at zero and let a
-  // handle from before the Reset collide with a new event in the same slot.
-  // O(pending), which is zero after a fully drained run; the table and free
-  // list (and every buffer's capacity) survive intact.
-  for (const EventRecord& record : heap_) {
-    const Slot& s = slots_[record.slot];
-    if (s.live && s.generation == record.generation) {
-      ReleaseSlot(record.slot);  // bumps the generation: stale handles die
-    }
+  for (Clock& c : clocks_) {
+    c = Clock{};
   }
-  heap_.clear();
   now_ = Duration::Zero();
   next_seq_ = 1;
   processed_ = 0;
-  live_count_ = 0;
   stopped_ = false;
+}
+
+size_t Simulator::pending_count() const {
+  size_t armed = 0;
+  for (const Clock& c : clocks_) {
+    armed += c.seq != kDisarmedSeq ? 1 : 0;
+  }
+  return armed;
 }
 
 }  // namespace longstore

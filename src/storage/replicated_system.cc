@@ -26,11 +26,15 @@ ReplicatedStorageSystem::ReplicatedStorageSystem(Simulator* sim, Rng* rng,
     }
 #endif
   }
-  sim_->set_client(this);
   replica_count_ = scenario_.replica_count();
   required_intact_ = scenario_.required_intact;
   alpha_ = scenario_.alpha;
   convention_ = scenario_.convention;
+  system_fault_clock_ =
+      replica_count_ + static_cast<int>(scenario_.common_mode.size());
+  system_detect_clock_ = system_fault_clock_ + 1;
+  sim_->Attach(this, convention_ == RateConvention::kPaper ? system_detect_clock_ + 1
+                                                           : system_fault_clock_);
   replicas_.resize(static_cast<size_t>(replica_count_));
   repair_ring_.resize(static_cast<size_t>(replica_count_), 0);
   ResolveSpecs();
@@ -79,10 +83,6 @@ void ReplicatedStorageSystem::InitializeState() {
     // A pre-aged replica has a birth time in the (virtual) past.
     replica.birth_time =
         Duration::Zero() - resolved_[static_cast<size_t>(i)].initial_age;
-    replica.visible_event = EventId();
-    replica.latent_event = EventId();
-    replica.detect_event = EventId();
-    replica.repair_event = EventId();
   }
   faulty_count_ = 0;
   lost_ = false;
@@ -90,9 +90,6 @@ void ReplicatedStorageSystem::InitializeState() {
   metrics_ = SimMetrics{};
   window_open_ = false;
   window_first_fault_ = FaultKind::kVisible;
-  system_visible_event_ = EventId();
-  system_latent_event_ = EventId();
-  system_detect_event_ = EventId();
   repair_head_ = 0;
   repair_queued_ = 0;
   repair_active_ = false;
@@ -205,19 +202,19 @@ void ReplicatedStorageSystem::Start() {
   }
 }
 
-void ReplicatedStorageSystem::OnSimEvent(uint16_t tag, int32_t a, int32_t /*b*/) {
+void ReplicatedStorageSystem::OnSimEvent(uint16_t tag, int clock) {
   switch (static_cast<EventTag>(tag)) {
     case kEvVisibleFault:
-      OnVisibleFault(a);
+      OnVisibleFault(clock);
       return;
     case kEvLatentFault:
-      OnLatentFault(a);
+      OnLatentFault(clock);
       return;
     case kEvDetect:
-      OnDetect(a);
+      OnDetect(clock);
       return;
     case kEvRepairComplete:
-      OnRepairComplete(a);
+      OnRepairComplete(clock);
       return;
     case kEvSystemVisibleFault:
       OnSystemFault(FaultKind::kVisible);
@@ -229,7 +226,7 @@ void ReplicatedStorageSystem::OnSimEvent(uint16_t tag, int32_t a, int32_t /*b*/)
       OnSystemDetect();
       return;
     case kEvCommonMode:
-      OnCommonModeEvent(static_cast<size_t>(a));
+      OnCommonModeEvent(static_cast<size_t>(clock - replica_count_));
       return;
   }
   throw std::logic_error("ReplicatedStorageSystem: unknown event tag");
@@ -300,29 +297,27 @@ Duration ReplicatedStorageSystem::NextScrubTick(int i) const {
 }
 
 void ReplicatedStorageSystem::ScheduleReplicaFaults(int i) {
-  auto& replica = replicas_[static_cast<size_t>(i)];
+  if (replicas_[static_cast<size_t>(i)].state != ReplicaState::kHealthy) {
+    return;  // the replica's clock holds its detection or repair
+  }
+  // Both fault draws are always redrawn together (on a repair or a
+  // correlation change), so only the earlier of the two can ever fire: draw
+  // both delays (keeping the random stream unchanged) but arm the clock with
+  // just the winner. Visible wins ties, matching the old visible-first
+  // scheduling order.
   const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
-  sim_->Cancel(replica.visible_event);
-  sim_->Cancel(replica.latent_event);
-  replica.visible_event = EventId();
-  replica.latent_event = EventId();
-  if (replica.state == ReplicaState::kHealthy) {
-    // Both fault clocks are always cancelled and redrawn together (on a
-    // fault, a repair, or a correlation change), so only the earlier of the
-    // two can ever fire: draw both delays (keeping the random stream
-    // unchanged) but enqueue just the winner. Visible wins ties, matching
-    // the old visible-first scheduling order.
-    const bool has_visible = !rp.mv.is_infinite();
-    const bool has_latent = !rp.ml.is_infinite();
-    const Duration visible_delay =
-        has_visible ? DrawFaultDelay(i, FaultKind::kVisible) : Duration::Zero();
-    const Duration latent_delay =
-        has_latent ? DrawFaultDelay(i, FaultKind::kLatent) : Duration::Zero();
-    if (has_visible && (!has_latent || visible_delay <= latent_delay)) {
-      replica.visible_event = sim_->ScheduleAfter(visible_delay, kEvVisibleFault, i);
-    } else if (has_latent) {
-      replica.latent_event = sim_->ScheduleAfter(latent_delay, kEvLatentFault, i);
-    }
+  const bool has_visible = !rp.mv.is_infinite();
+  const bool has_latent = !rp.ml.is_infinite();
+  const Duration visible_delay =
+      has_visible ? DrawFaultDelay(i, FaultKind::kVisible) : Duration::Zero();
+  const Duration latent_delay =
+      has_latent ? DrawFaultDelay(i, FaultKind::kLatent) : Duration::Zero();
+  if (has_visible && (!has_latent || visible_delay <= latent_delay)) {
+    sim_->ArmAfter(i, visible_delay, kEvVisibleFault);
+  } else if (has_latent) {
+    sim_->ArmAfter(i, latent_delay, kEvLatentFault);
+  } else {
+    sim_->Disarm(i);
   }
 }
 
@@ -340,16 +335,13 @@ void ReplicatedStorageSystem::RescheduleFaultsForCorrelationChange() {
 }
 
 void ReplicatedStorageSystem::ScheduleSystemFaultClocks() {
-  sim_->Cancel(system_visible_event_);
-  sim_->Cancel(system_latent_event_);
-  system_visible_event_ = EventId();
-  system_latent_event_ = EventId();
   if (lost_ || intact_count() == 0) {
+    sim_->Disarm(system_fault_clock_);
     return;
   }
   // As with the per-replica clocks, the pair is always redrawn together
-  // after either fires, so only the earlier one is enqueued. kPaper fleets
-  // are homogeneous; replica 0 carries the system-level rates.
+  // after either fires, so only the earlier one arms the clock. kPaper
+  // fleets are homogeneous; replica 0 carries the system-level rates.
   const ResolvedReplica& rp = resolved_[0];
   const double mult = CorrelationMultiplier();
   const bool has_visible = !rp.mv.is_infinite();
@@ -366,44 +358,38 @@ void ReplicatedStorageSystem::ScheduleSystemFaultClocks() {
   const Duration latent_delay =
       has_latent ? draw(rp.ml / mult, FaultKind::kLatent) : Duration::Zero();
   if (has_visible && (!has_latent || visible_delay <= latent_delay)) {
-    system_visible_event_ = sim_->ScheduleAfter(visible_delay, kEvSystemVisibleFault);
+    sim_->ArmAfter(system_fault_clock_, visible_delay, kEvSystemVisibleFault);
   } else if (has_latent) {
-    system_latent_event_ = sim_->ScheduleAfter(latent_delay, kEvSystemLatentFault);
+    sim_->ArmAfter(system_fault_clock_, latent_delay, kEvSystemLatentFault);
+  } else {
+    sim_->Disarm(system_fault_clock_);
   }
 }
 
 void ReplicatedStorageSystem::ScheduleDetection(int i) {
-  auto& replica = replicas_[static_cast<size_t>(i)];
   const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
-  sim_->Cancel(replica.detect_event);
-  replica.detect_event = EventId();
   switch (rp.scrub.kind) {
     case ScrubPolicy::Kind::kNone:
       return;
-    case ScrubPolicy::Kind::kPeriodic: {
-      const Duration tick = NextScrubTick(i);
-      replica.detect_event = sim_->ScheduleAt(tick, kEvDetect, i);
+    case ScrubPolicy::Kind::kPeriodic:
+      sim_->ArmAt(i, NextScrubTick(i), kEvDetect);
       return;
-    }
     case ScrubPolicy::Kind::kExponential:
-    case ScrubPolicy::Kind::kOnAccess: {
-      const Duration delay = rng_->NextExponential(rp.scrub.interval);
-      replica.detect_event = sim_->ScheduleAfter(delay, kEvDetect, i);
+    case ScrubPolicy::Kind::kOnAccess:
+      sim_->ArmAfter(i, rng_->NextExponential(rp.scrub.interval), kEvDetect);
       return;
-    }
   }
 }
 
 void ReplicatedStorageSystem::ScheduleCommonModeSource(size_t source_index) {
   const CommonModeSource& source = scenario_.common_mode[source_index];
   const Duration delay = rng_->NextExponential(source.event_rate);
-  sim_->ScheduleAfter(delay, kEvCommonMode, static_cast<int32_t>(source_index));
+  sim_->ArmAfter(replica_count_ + static_cast<int>(source_index), delay,
+                 kEvCommonMode);
 }
 
 void ReplicatedStorageSystem::OnVisibleFault(int i) {
-  auto& replica = replicas_[static_cast<size_t>(i)];
-  replica.visible_event = EventId();
-  if (replica.state != ReplicaState::kHealthy) {
+  if (replicas_[static_cast<size_t>(i)].state != ReplicaState::kHealthy) {
     return;
   }
   metrics_.visible_faults++;
@@ -412,9 +398,7 @@ void ReplicatedStorageSystem::OnVisibleFault(int i) {
 }
 
 void ReplicatedStorageSystem::OnLatentFault(int i) {
-  auto& replica = replicas_[static_cast<size_t>(i)];
-  replica.latent_event = EventId();
-  if (replica.state != ReplicaState::kHealthy) {
+  if (replicas_[static_cast<size_t>(i)].state != ReplicaState::kHealthy) {
     return;
   }
   metrics_.latent_faults++;
@@ -424,7 +408,6 @@ void ReplicatedStorageSystem::OnLatentFault(int i) {
 
 void ReplicatedStorageSystem::OnDetect(int i) {
   auto& replica = replicas_[static_cast<size_t>(i)];
-  replica.detect_event = EventId();
   if (replica.state != ReplicaState::kLatentFaulty) {
     return;
   }
@@ -437,10 +420,7 @@ void ReplicatedStorageSystem::OnDetect(int i) {
 
 void ReplicatedStorageSystem::InflictFault(int i, FaultKind kind, bool detected) {
   auto& replica = replicas_[static_cast<size_t>(i)];
-  sim_->Cancel(replica.visible_event);
-  sim_->Cancel(replica.latent_event);
-  replica.visible_event = EventId();
-  replica.latent_event = EventId();
+  sim_->Disarm(i);  // a healthy replica's clock holds its fault clock
 
   const int previously_faulty = faulty_count_;
   if (window_open_ && previously_faulty >= 1) {
@@ -472,10 +452,10 @@ void ReplicatedStorageSystem::InflictFault(int i, FaultKind kind, bool detected)
     StartRepair(i);
   } else {
     if (convention_ == RateConvention::kPaper) {
-      if (!system_detect_event_.is_valid() &&
+      if (!sim_->armed(system_detect_clock_) &&
           resolved_[0].scrub.kind != ScrubPolicy::Kind::kNone) {
         const Duration delay = rng_->NextExponential(resolved_[0].scrub.interval);
-        system_detect_event_ = sim_->ScheduleAfter(delay, kEvSystemDetect);
+        sim_->ArmAfter(system_detect_clock_, delay, kEvSystemDetect);
       }
     } else {
       ScheduleDetection(i);
@@ -496,10 +476,10 @@ void ReplicatedStorageSystem::StartRepair(int i) {
     }
     return;
   }
-  auto& replica = replicas_[static_cast<size_t>(i)];
-  const Duration duration = DrawRepairDuration(i, replica.current_fault);
+  const Duration duration =
+      DrawRepairDuration(i, replicas_[static_cast<size_t>(i)].current_fault);
   RecordTrace(TraceEventKind::kRepairStarted, i);
-  replica.repair_event = sim_->ScheduleAfter(duration, kEvRepairComplete, i);
+  sim_->ArmAfter(i, duration, kEvRepairComplete);
 }
 
 void ReplicatedStorageSystem::BeginNextSerialRepair() {
@@ -511,15 +491,14 @@ void ReplicatedStorageSystem::BeginNextSerialRepair() {
   const int i = repair_ring_[repair_head_];
   repair_head_ = (repair_head_ + 1) % repair_ring_.size();
   --repair_queued_;
-  auto& replica = replicas_[static_cast<size_t>(i)];
-  const Duration duration = DrawRepairDuration(i, replica.current_fault);
+  const Duration duration =
+      DrawRepairDuration(i, replicas_[static_cast<size_t>(i)].current_fault);
   RecordTrace(TraceEventKind::kRepairStarted, i);
-  replica.repair_event = sim_->ScheduleAfter(duration, kEvRepairComplete, i);
+  sim_->ArmAfter(i, duration, kEvRepairComplete);
 }
 
 void ReplicatedStorageSystem::OnRepairComplete(int i) {
   auto& replica = replicas_[static_cast<size_t>(i)];
-  replica.repair_event = EventId();
   metrics_.repairs_completed++;
   metrics_.repair_duration_hours.Add((sim_->now() - replica.fault_time).hours());
   RecordTrace(TraceEventKind::kRepairCompleted, i);
@@ -550,11 +529,6 @@ void ReplicatedStorageSystem::OnRepairComplete(int i) {
 }
 
 void ReplicatedStorageSystem::OnSystemFault(FaultKind kind) {
-  if (kind == FaultKind::kVisible) {
-    system_visible_event_ = EventId();
-  } else {
-    system_latent_event_ = EventId();
-  }
   if (lost_ || intact_count() == 0) {
     return;
   }
@@ -574,7 +548,6 @@ void ReplicatedStorageSystem::OnSystemFault(FaultKind kind) {
 }
 
 void ReplicatedStorageSystem::OnSystemDetect() {
-  system_detect_event_ = EventId();
   if (lost_) {
     return;
   }
@@ -586,7 +559,7 @@ void ReplicatedStorageSystem::OnSystemDetect() {
   // Another undetected latent fault keeps the serial audit busy.
   if (OldestUndetectedLatent().has_value()) {
     const Duration delay = rng_->NextExponential(resolved_[0].scrub.interval);
-    system_detect_event_ = sim_->ScheduleAfter(delay, kEvSystemDetect);
+    sim_->ArmAfter(system_detect_clock_, delay, kEvSystemDetect);
   }
 }
 

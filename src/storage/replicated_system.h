@@ -12,8 +12,11 @@
 //
 // Each replica runs the state machine of the exact chain
 // (src/model/replica_ctmc.h): healthy -> latent -> detected -> repaired, and
-// a visible fault goes straight to repair. Only a healthy replica carries
-// fault clocks; a fault of either kind cancels them until its repair ends.
+// a visible fault goes straight to repair. A replica never has more than one
+// event pending, so it owns one simulator clock: its fault clock while
+// healthy (the earlier of the visible and latent draws), its detection while
+// latent, its repair while detected. Each common-mode source owns one clock,
+// and under kPaper so do the system fault clock and the system detect clock.
 //
 // Data loss (the paper's "double-fault" generalized to r replicas) occurs the
 // moment no intact replica remains — whether or not the outstanding faults
@@ -86,7 +89,7 @@ class ReplicatedStorageSystem : public SimClient {
   void set_fault_sampler(BiasedFaultSampler* sampler) { fault_sampler_ = sampler; }
 
   // Event dispatch from the simulator; not for direct use.
-  void OnSimEvent(uint16_t tag, int32_t a, int32_t b) override;
+  void OnSimEvent(uint16_t tag, int clock) override;
 
   bool lost() const { return lost_; }
   // Valid only when lost().
@@ -160,10 +163,6 @@ class ReplicatedStorageSystem : public SimClient {
     FaultKind current_fault = FaultKind::kVisible;
     Duration fault_time;
     Duration birth_time;   // last replacement; Weibull age reference
-    EventId visible_event;
-    EventId latent_event;
-    EventId detect_event;
-    EventId repair_event;
   };
 
   // A ReplicaSpec resolved to the flat values the event loop reads: means,
@@ -188,7 +187,9 @@ class ReplicatedStorageSystem : public SimClient {
     Duration scrub_phase = Duration::Zero();  // periodic-scrub phase offset
   };
 
-  // Simulator event tags (payload `a` = replica or common-mode source index).
+  // Simulator event tags. Clock i < replica_count_ is replica i's; clock
+  // replica_count_ + s is common-mode source s's; under kPaper the system
+  // fault and detect clocks follow.
   enum EventTag : uint16_t {
     kEvVisibleFault,
     kEvLatentFault,
@@ -274,9 +275,8 @@ class ReplicatedStorageSystem : public SimClient {
   // is queued at most once), so enqueue/dequeue never allocate or shift.
   // kPaper requires a homogeneous fleet (Scenario::Validate enforces it), so
   // the system-level clocks read resolved_[0].
-  EventId system_visible_event_;
-  EventId system_latent_event_;
-  EventId system_detect_event_;
+  int system_fault_clock_ = 0;
+  int system_detect_clock_ = 0;
   std::vector<int> repair_ring_;
   size_t repair_head_ = 0;
   size_t repair_queued_ = 0;

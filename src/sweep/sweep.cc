@@ -322,6 +322,14 @@ void ValidateSweepOptions(const SweepOptions& options) {
   if (options.mc.trials <= 0) {
     throw std::invalid_argument("Monte Carlo: trials must be positive");
   }
+  if (!(options.mc.confidence > 0.0 && options.mc.confidence < 1.0)) {  // NaN too
+    throw std::invalid_argument("SweepOptions: confidence must lie in (0, 1)");
+  }
+  if (options.estimand == Estimand::kMttdl &&
+      (!(options.mc.max_trial_time.hours() > 0.0) ||
+       options.mc.max_trial_time.is_infinite())) {
+    throw std::invalid_argument("SweepOptions: max_trial_time must be positive finite");
+  }
   if ((options.estimand == Estimand::kLossProbability ||
        options.estimand == Estimand::kWeightedLossProbability) &&
       (!(options.mission.hours() > 0.0) || options.mission.is_infinite())) {

@@ -1,6 +1,7 @@
-// Tests for the allocation-free engine internals (generation-stamped slot
-// handles, lazy cancellation) and the trial-reuse contract (Simulator::Reset,
-// ReplicatedStorageSystem::Reset, TrialRunner).
+// Tests for the trial-reuse contract (Simulator::Reset,
+// ReplicatedStorageSystem::Reset, TrialRunner) and for the storage system's
+// use of the clock table: one clock per replica and per common-mode source,
+// each holding exactly its one pending event.
 
 #include <vector>
 
@@ -13,200 +14,118 @@
 namespace longstore {
 namespace {
 
-// Local hash stepper so this test does not depend on src/util/random.h.
-uint64_t SplitMix64NextForTest(uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-// --- slot/generation machinery -------------------------------------------
-
-TEST(EventSlotTest, CancelledSlotIsReusedWithFreshGeneration) {
-  CallbackClient client;
-  Simulator sim(&client);
-  std::vector<int> fired;
-  const uint16_t record = client.Add([&](int32_t a, int32_t) { fired.push_back(a); });
-
-  const EventId first = sim.ScheduleAt(Duration::Hours(1.0), record, 1);
-  EXPECT_TRUE(sim.Cancel(first));
-  // The next schedule reuses the freed slot; the stale handle must not be
-  // able to cancel (or otherwise affect) the new occupant.
-  const EventId second = sim.ScheduleAt(Duration::Hours(2.0), record, 2);
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(sim.Cancel(first));
-  sim.Run();
-  EXPECT_EQ(fired, (std::vector<int>{2}));
-}
-
-TEST(EventSlotTest, FiredSlotHandleGoesStale) {
-  CallbackClient client;
-  Simulator sim(&client);
-  const uint16_t noop = client.Add([] {});
-  const EventId first = sim.ScheduleAt(Duration::Hours(1.0), noop);
-  sim.Run();
-  // Slot freed by firing, then reused: the old handle must stay dead.
-  const EventId second = sim.ScheduleAt(Duration::Hours(2.0), noop);
-  EXPECT_FALSE(sim.Cancel(first));
-  EXPECT_TRUE(sim.Cancel(second));
-}
-
-TEST(EventSlotTest, ManyCancelScheduleCyclesKeepBookkeepingExact) {
-  CallbackClient client;
-  Simulator sim(&client);
-  int fired = 0;
-  const uint16_t count = client.Add([&] { ++fired; });
-  // Repeatedly schedule two, cancel one: lazy deletion leaves stale heap
-  // entries behind, which must all be skipped without miscounting.
-  std::vector<EventId> keep;
-  for (int i = 0; i < 1000; ++i) {
-    const EventId victim =
-        sim.ScheduleAt(Duration::Hours(static_cast<double>(i) + 0.5), count);
-    keep.push_back(sim.ScheduleAt(Duration::Hours(static_cast<double>(i) + 1.0), count));
-    EXPECT_TRUE(sim.Cancel(victim));
-  }
-  EXPECT_EQ(sim.pending_count(), 1000u);
-  sim.Run();
-  EXPECT_EQ(fired, 1000);
-  EXPECT_EQ(sim.processed_count(), 1000u);
-  for (const EventId id : keep) {
-    EXPECT_FALSE(sim.Cancel(id));  // all fired
-  }
-}
-
-TEST(EventSlotTest, TieBreakSurvivesCancellationAndSlotReuse) {
-  CallbackClient client;
-  Simulator sim(&client);
-  std::vector<int> order;
-  const uint16_t record = client.Add([&](int32_t a, int32_t) { order.push_back(a); });
-  // Interleave same-time events with cancellations so that later schedules
-  // reuse earlier slots; FIFO order among survivors must still hold.
-  std::vector<EventId> victims;
-  for (int i = 0; i < 20; ++i) {
-    const EventId id = sim.ScheduleAt(Duration::Hours(5.0), record, i);
-    if (i % 3 == 0) {
-      victims.push_back(id);
-    }
-  }
-  for (const EventId id : victims) {
-    EXPECT_TRUE(sim.Cancel(id));
-  }
-  for (int i = 20; i < 30; ++i) {  // reuse the freed slots at the same time
-    sim.ScheduleAt(Duration::Hours(5.0), record, i);
-  }
-  sim.Run();
-  std::vector<int> expected;
-  for (int i = 0; i < 30; ++i) {
-    if (i < 20 && i % 3 == 0) {
-      continue;
-    }
-    expected.push_back(i);
-  }
-  EXPECT_EQ(order, expected);
-}
-
-TEST(EventSlotTest, DeepQueueKeepsOrderUnderInterleavedScheduling) {
-  // Thousands of pending events, far deeper than any trial's queue, with
-  // more scheduled from inside callbacks while the queue drains: time must
-  // never run backwards.
-  CallbackClient client;
-  Simulator sim(&client);
-  uint64_t state = 12345;
-  Duration last = Duration::Zero();
-  int fired = 0;
-  bool monotone = true;
-  uint16_t chain = 0;
-  chain = client.Add([&] {
-    if (sim.now() < last) {
-      monotone = false;
-    }
-    last = sim.now();
-    ++fired;
-    if (fired % 3 == 0) {
-      // Re-schedule anywhere from just ahead of the clock to far beyond
-      // every initially scheduled event.
-      const double ahead =
-          static_cast<double>(SplitMix64NextForTest(state) % 1000000) / 10.0;
-      sim.ScheduleAfter(Duration::Hours(ahead), chain);
-    }
-  });
-  for (int i = 0; i < 6000; ++i) {
-    const double t = static_cast<double>(SplitMix64NextForTest(state) % 100000) / 10.0;
-    sim.ScheduleAt(Duration::Hours(t), chain);
-  }
-  sim.RunUntil(Duration::Hours(50000.0));
-  EXPECT_TRUE(monotone);
-  EXPECT_GE(fired, 6000);
-  EXPECT_EQ(sim.processed_count(), static_cast<uint64_t>(fired));
-  // Whatever is still pending lies beyond the horizon.
-  EXPECT_DOUBLE_EQ(sim.now().hours(), 50000.0);
-}
-
 // --- Reset() -------------------------------------------------------------
 
 TEST(SimulatorResetTest, ResetRestoresPristineState) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 3);
   const uint16_t noop = client.Add([] {});
-  sim.ScheduleAt(Duration::Hours(1.0), noop);
-  sim.ScheduleAt(Duration::Hours(2.0), noop);
-  const EventId pending = sim.ScheduleAt(Duration::Hours(3.0), noop);
+  sim.ArmAt(0, Duration::Hours(1.0), noop);
+  sim.ArmAt(1, Duration::Hours(2.0), noop);
+  sim.ArmAt(2, Duration::Hours(3.0), noop);
   sim.Step();
   sim.Reset();
   EXPECT_DOUBLE_EQ(sim.now().hours(), 0.0);
   EXPECT_EQ(sim.pending_count(), 0u);
   EXPECT_EQ(sim.processed_count(), 0u);
+  EXPECT_EQ(sim.clock_count(), 3);  // the table keeps its size
+  EXPECT_EQ(sim.client(), &client);
+  for (int clock = 0; clock < 3; ++clock) {
+    EXPECT_FALSE(sim.armed(clock));
+  }
   EXPECT_FALSE(sim.Step());
-  // Handles from before the Reset are invalid.
-  EXPECT_FALSE(sim.Cancel(pending));
   // The engine is fully usable again.
-  sim.ScheduleAt(Duration::Hours(1.0), noop);
+  sim.ArmAt(2, Duration::Hours(1.0), noop);
   sim.Run();
   EXPECT_EQ(sim.processed_count(), 1u);
 }
 
-TEST(SimulatorResetTest, StaleHandleCannotCancelPostResetOccupant) {
-  // The third pre-Reset event and the third post-Reset event occupy the same
-  // slot; the old handle must not alias the new occupant.
-  CallbackClient client;
-  Simulator sim(&client);
-  const uint16_t noop = client.Add([] {});
-  sim.ScheduleAt(Duration::Hours(1.0), noop);
-  sim.ScheduleAt(Duration::Hours(2.0), noop);
-  const EventId before = sim.ScheduleAt(Duration::Hours(3.0), noop);
-  sim.Reset();
-  sim.ScheduleAt(Duration::Hours(1.0), noop);
-  sim.ScheduleAt(Duration::Hours(2.0), noop);
-  const EventId after = sim.ScheduleAt(Duration::Hours(3.0), noop);
-  EXPECT_NE(before, after);
-  EXPECT_FALSE(sim.Cancel(before));  // stale: must not cancel the new event
-  EXPECT_EQ(sim.pending_count(), 3u);
-  sim.Run();
-  EXPECT_EQ(sim.processed_count(), 3u);
-}
-
 TEST(SimulatorResetTest, ReusedEngineReproducesEventSequence) {
+  // Sequence numbers restart at Reset, so a replayed program breaks its
+  // equal-time ties exactly as the first run did.
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 13);
   std::vector<std::vector<int>> rounds;
-  const uint16_t record =
-      client.Add([&](int32_t a, int32_t) { rounds.back().push_back(a); });
+  const uint16_t record = client.Add([&](int clock) { rounds.back().push_back(clock); });
   for (int round = 0; round < 3; ++round) {
     rounds.emplace_back();
     sim.Reset();
     for (int i = 0; i < 50; ++i) {
-      const EventId id =
-          sim.ScheduleAt(Duration::Hours(static_cast<double>((i * 7) % 13)), record, i);
+      const int clock = (i * 5) % 13;
+      sim.ArmAt(clock, Duration::Hours(static_cast<double>((i * 7) % 4)), record);
       if (i % 4 == 0) {
-        sim.Cancel(id);
+        sim.Disarm((i * 3) % 13);
       }
     }
     sim.Run();
   }
+  EXPECT_FALSE(rounds[0].empty());
   EXPECT_EQ(rounds[0], rounds[1]);
   EXPECT_EQ(rounds[1], rounds[2]);
+}
+
+// --- the storage system's clock table ------------------------------------
+
+// Replays a trial one event at a time and checks after each that every
+// clock holds exactly the event the state machine says is pending: a
+// healthy replica its fault clock, a latent one its detection (when it has
+// a scrub), a detected one its repair, and each common-mode source its next
+// event. The correlated scenario makes every first fault redraw the healthy
+// replicas' clocks, which must leave the faulty replicas' clocks armed.
+TEST(ClockTableTest, EachClockHoldsItsPendingEvent) {
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(3000.0), Duration::Hours(1000.0))
+                           .RepairTimes(Duration::Hours(20.0), Duration::Hours(20.0))
+                           .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(100.0))))
+          .Correlation(0.3)
+          .CommonMode(
+              CommonModeSource{"rack", Rate::PerHour(1.0 / 5000.0), {0, 2}, 0.5, 0.5})
+          .Build();
+  Simulator sim;
+  Rng rng(11);
+  ReplicatedStorageSystem system(&sim, &rng, scenario);
+  ASSERT_EQ(sim.clock_count(), 4);  // three replicas, one source
+  int64_t events = 0;
+  int64_t correlated_redraws = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    sim.Reset();
+    rng.Reseed(seed);
+    system.Reset();
+    system.Start();
+    while (!system.lost() && sim.Step(Duration::Years(50.0))) {
+      ++events;
+      if (system.lost()) {
+        break;
+      }
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_TRUE(sim.armed(i)) << "replica " << i << " after event " << events;
+      }
+      EXPECT_TRUE(sim.armed(3)) << "source after event " << events;
+      correlated_redraws += system.faulty_count() == 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(events, 1000);
+  EXPECT_GT(correlated_redraws, 100);
+}
+
+TEST(ClockTableTest, PaperConventionAddsTheSystemClocks) {
+  const Scenario scenario =
+      ScenarioBuilder()
+          .Replicas(3, ReplicaSpec()
+                           .FaultTimes(Duration::Hours(1500.0), Duration::Hours(500.0))
+                           .RepairTimes(Duration::Hours(10.0), Duration::Hours(10.0))
+                           .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(60.0))))
+          .Convention(RateConvention::kPaper)
+          .Build();
+  Simulator sim;
+  Rng rng(5);
+  ReplicatedStorageSystem system(&sim, &rng, scenario);
+  EXPECT_EQ(sim.clock_count(), 5);  // three replicas, system fault, system detect
+  system.Start();
+  EXPECT_EQ(sim.pending_count(), 1u);  // only the system fault clock
+  EXPECT_TRUE(sim.armed(3));
 }
 
 // --- trial reuse ---------------------------------------------------------

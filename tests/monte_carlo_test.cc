@@ -1,6 +1,7 @@
 #include "src/sweep/sweep.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -106,6 +107,46 @@ TEST(MonteCarloTest, LossProbabilityRejectsBadMission) {
       FAIL() << "accepted a " << mission.hours() << " h mission";
     } catch (const std::invalid_argument& error) {
       EXPECT_STREQ(error.what(), "SweepOptions: mission must be positive finite");
+    }
+  }
+}
+
+TEST(MonteCarloTest, MttdlRejectsBadMaxTrialTime) {
+  // A zero or negative cap censored every trial at time zero; a NaN or
+  // infinite one removed the cap, so each trial ran to loss unbounded.
+  McConfig mc;
+  mc.trials = 10;
+  for (const double hours : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    mc.max_trial_time = Duration::Hours(hours);
+    try {
+      EstimateMttdl(FastScenario(), mc);
+      FAIL() << "accepted a " << hours << " h max_trial_time";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(), "SweepOptions: max_trial_time must be positive finite");
+    }
+  }
+}
+
+TEST(MonteCarloTest, RejectsConfidenceOutsideTheOpenUnitInterval) {
+  // Checked before any trial runs: the interval code's own check fired only
+  // once every trial had been simulated, and a NaN passed it.
+  McConfig mc;
+  mc.trials = 10;
+  for (const double confidence :
+       {0.0, 1.0, 1.5, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    mc.confidence = confidence;
+    try {
+      EstimateMttdl(FastScenario(), mc);
+      FAIL() << "MTTDL accepted confidence " << confidence;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(), "SweepOptions: confidence must lie in (0, 1)");
+    }
+    try {
+      EstimateLossProbability(FastScenario(), Duration::Years(1.0), mc);
+      FAIL() << "loss probability accepted confidence " << confidence;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(), "SweepOptions: confidence must lie in (0, 1)");
     }
   }
 }

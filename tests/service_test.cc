@@ -9,7 +9,9 @@
 //   * corruption and schema violations become structured error responses
 //     (retryable vs permanent), never exceptions or wrong figures.
 
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -269,6 +271,34 @@ TEST(SweepServiceTest, DeeplyNestedFramesAreErrorsNotCrashes) {
   EXPECT_FALSE(embedded.retryable);
   EXPECT_NE(embedded.message.find("nesting deeper than"), std::string::npos)
       << embedded.message;
+}
+
+TEST(SweepServiceTest, BadMonteCarloOptionsAreRejectedBeforeAnyTrial) {
+  // A document can carry any max_trial_time and confidence; each bad value
+  // is a permanent error that names the field, and nothing is computed.
+  SweepService service{ServiceOptions{}};
+  const auto reject = [&](const std::function<void(SweepOptions&)>& mutate,
+                          const std::string& field) {
+    ShardSpec spec = ShardSpec::FromJson(
+        Document(SweepSpec(FastScenario()), FixedOptions()));
+    mutate(spec.options);
+    ServiceRequest request;
+    request.kind = ServiceRequest::Kind::kSweep;
+    request.sweep_document = spec.ToJson();
+    const ServiceResponse response =
+        ServiceResponse::FromJson(service.HandleRequestBytes(request.ToJson()));
+    EXPECT_FALSE(response.ok) << field;
+    EXPECT_FALSE(response.retryable) << response.message;
+    EXPECT_NE(response.message.find(field), std::string::npos) << response.message;
+  };
+  reject([](SweepOptions& o) { o.mc.max_trial_time = Duration::Infinite(); },
+         "max_trial_time must be positive finite");
+  reject([](SweepOptions& o) { o.mc.max_trial_time = Duration::Hours(-1.0); },
+         "max_trial_time must be positive finite");
+  reject([](SweepOptions& o) { o.mc.confidence = std::nan(""); },
+         "confidence must lie in (0, 1)");
+  EXPECT_EQ(service.cache_stats().insertions, 0);
+  EXPECT_EQ(service.cache_size(), 0u);
 }
 
 TEST(SweepServiceTest, StaleSweepIdIsRejected) {

@@ -16,21 +16,20 @@ namespace longstore {
 
 class CallbackClient : public SimClient {
  public:
-  // Registers a handler and returns the tag to schedule it under.
-  uint16_t Add(std::function<void(int32_t, int32_t)> fn) {
+  // Registers a handler, called with the fired clock's index, and returns
+  // the tag to arm it under.
+  uint16_t Add(std::function<void(int)> fn) {
     handlers_.push_back(std::move(fn));
     return static_cast<uint16_t>(handlers_.size() - 1);
   }
   uint16_t Add(std::function<void()> fn) {
-    return Add([fn = std::move(fn)](int32_t, int32_t) { fn(); });
+    return Add([fn = std::move(fn)](int) { fn(); });
   }
 
-  void OnSimEvent(uint16_t tag, int32_t a, int32_t b) override {
-    handlers_.at(tag)(a, b);
-  }
+  void OnSimEvent(uint16_t tag, int clock) override { handlers_.at(tag)(clock); }
 
  private:
-  std::vector<std::function<void(int32_t, int32_t)>> handlers_;
+  std::vector<std::function<void(int)>> handlers_;
 };
 
 }  // namespace longstore
