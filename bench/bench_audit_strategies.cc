@@ -112,12 +112,10 @@ int main() {
   for (const MediaCase& entry : media_cases) {
     const bool offline = IsOfflineMedia(entry.drive.media);
     const ReplicaSpec replica =
-        offline ? TapeSpec(entry.drive, entry.audits, handling, 5.0)
-                : DiskSpec(entry.drive,
-                           entry.audits > 0.0
-                               ? ScrubPolicy::PeriodicPerYear(entry.audits)
-                               : ScrubPolicy::None(),
-                           5.0);
+        offline ? TapeSpec(entry.drive, entry.audits, handling)
+                : DiskSpec(entry.drive, entry.audits > 0.0
+                                            ? ScrubPolicy::PeriodicPerYear(entry.audits)
+                                            : ScrubPolicy::None());
     media_spec.AddCell(entry.name, ScenarioBuilder().Replicas(2, replica).Build());
   }
 

@@ -74,8 +74,8 @@ int main() {
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kLossProbability;
   options.mission = mission;
-  // Every cell reuses the root-seed trial streams, matching the per-call
-  // EstimateLossProbability runs this bench was born as (byte-identical).
+  // Every cell reuses the root-seed trial streams, so each cell's estimate
+  // is byte-identical to a one-cell sweep of that fleet.
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
   options.mc.trials = 6000;
   options.mc.seed = 404;

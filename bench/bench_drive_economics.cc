@@ -67,8 +67,8 @@ int main() {
       {"4x Barracuda", barracuda, 4},
   };
   for (const Option& option : options) {
-    const FaultParams p = OnlineReplicaParams(
-        option.drive, ScrubPolicy::PeriodicPerYear(12.0), /*latent ratio=*/5.0);
+    const FaultParams p =
+        OnlineReplicaParams(option.drive, ScrubPolicy::PeriodicPerYear(12.0));
     const ReplicatedChainBuilder chain(p, option.replicas, RateConvention::kPhysical);
     const auto mttdl = chain.Mttdl();
     const auto loss = chain.LossProbability(Duration::Years(50.0));

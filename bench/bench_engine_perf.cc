@@ -22,6 +22,7 @@
 #include "src/sim/simulator.h"
 #include "src/storage/replicated_system.h"
 #include "src/sweep/sweep.h"
+#include "src/sweep/worker_pool.h"
 #include "src/util/random.h"
 
 // ---------------------------------------------------------------------------
@@ -260,22 +261,27 @@ void BM_MirroredTrialToLossReused(benchmark::State& state) {
 }
 BENCHMARK(BM_MirroredTrialToLossReused);
 
+// A one-cell kSharedRoot loss sweep on one lane: trial k draws from
+// DeriveSeed(seed, k).
 void BM_McLossProbability1kTrials(benchmark::State& state) {
-  const Scenario scenario =
+  const SweepSpec spec(
       ScenarioBuilder()
           .Replicas(2, SpecFromParams(FaultParams::PaperCheetahExample())
                            .ScrubWith(ScrubPolicy::PeriodicPerYear(3.0)))
-          .Build();
-  McConfig mc;
-  mc.trials = 1000;
-  mc.threads = 1;
+          .Build());
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = Duration::Years(50.0);
+  options.mc.trials = 1000;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  WorkerPool pool(1);
+  const SweepRunner runner(&pool);
   for (auto _ : state) {
-    mc.seed++;
-    const LossProbabilityEstimate estimate =
-        EstimateLossProbability(scenario, Duration::Years(50.0), mc);
-    benchmark::DoNotOptimize(estimate.losses);
+    options.mc.seed++;
+    const SweepResult result = runner.Run(spec, options);
+    benchmark::DoNotOptimize(result.cells.front().loss->losses);
   }
-  state.SetItemsProcessed(state.iterations() * mc.trials);
+  state.SetItemsProcessed(state.iterations() * options.mc.trials);
 }
 BENCHMARK(BM_McLossProbability1kTrials);
 

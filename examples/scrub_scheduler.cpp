@@ -44,7 +44,7 @@ int main() {
   spec.AddAxis("strategy");
   for (const Strategy& strategy : strategies) {
     spec.AddPoint(strategy.name, 0.0, [&drive, &strategy](Scenario& scenario) {
-      const FaultParams params = OnlineReplicaParams(drive, strategy.policy, 5.0);
+      const FaultParams params = OnlineReplicaParams(drive, strategy.policy);
       scenario.replicas.assign(3, SpecFromParams(params).ScrubWith(strategy.policy));
       scenario.alpha = params.alpha;
     });

@@ -3,20 +3,9 @@
 #include <stdexcept>
 
 namespace longstore {
-namespace {
-
-void CheckRatio(double latent_to_visible_ratio) {
-  if (!(latent_to_visible_ratio > 0.0)) {
-    throw std::invalid_argument("latent_to_visible_ratio must be positive");
-  }
-}
-
-}  // namespace
 
 FaultParams OfflineReplicaParams(const DriveSpec& medium, double audits_per_year,
-                                 const OfflineHandlingModel& handling,
-                                 double latent_to_visible_ratio) {
-  CheckRatio(latent_to_visible_ratio);
+                                 const OfflineHandlingModel& handling) {
   if (audits_per_year < 0.0) {
     throw std::invalid_argument("audits_per_year must be >= 0");
   }
@@ -31,7 +20,7 @@ FaultParams OfflineReplicaParams(const DriveSpec& medium, double audits_per_year
   const double visible_per_year = intrinsic_per_year + audit_induced_per_year;
   p.mv = visible_per_year > 0.0 ? Duration::Years(1.0 / visible_per_year)
                                 : Duration::Infinite();
-  p.ml = Duration::Hours(p.mv.hours() / latent_to_visible_ratio);
+  p.ml = Duration::Hours(p.mv.hours() / kLatentToVisibleRatio);
 
   // Repair and audit latency both pay retrieval + mount + full read.
   const Duration access_overhead =
@@ -45,12 +34,10 @@ FaultParams OfflineReplicaParams(const DriveSpec& medium, double audits_per_year
   return p;
 }
 
-FaultParams OnlineReplicaParams(const DriveSpec& drive, const ScrubPolicy& scrub,
-                                double latent_to_visible_ratio) {
-  CheckRatio(latent_to_visible_ratio);
+FaultParams OnlineReplicaParams(const DriveSpec& drive, const ScrubPolicy& scrub) {
   FaultParams p;
   p.mv = drive.Mttf();
-  p.ml = Duration::Hours(p.mv.hours() / latent_to_visible_ratio);
+  p.ml = Duration::Hours(p.mv.hours() / kLatentToVisibleRatio);
   p.mrv = drive.RebuildTime();
   p.mrl = drive.RebuildTime();
   p.mdl = scrub.MeanDetectionLatency();

@@ -17,6 +17,11 @@
 
 namespace longstore {
 
+// Latent faults arrive this many times as often as visible ones on every
+// medium: ML = MV / kLatentToVisibleRatio (Schwarz et al.'s 5x, the paper's
+// ratio).
+inline constexpr double kLatentToVisibleRatio = 5.0;
+
 struct OfflineHandlingModel {
   // Fetch from off-site vault + mount before any read or repair can start.
   Duration retrieval_time = Duration::Hours(24.0);
@@ -37,17 +42,15 @@ struct OfflineHandlingModel {
 //  - MV shrinks because each audit's handling and read pass add an extra
 //    visible-fault rate of audits_per_year * (handling + degradation) per
 //    year on top of the medium's intrinsic rate;
-//  - MDL is the usual half audit interval.
+//  - MDL is the usual half audit interval;
+//  - ML = MV / kLatentToVisibleRatio.
 FaultParams OfflineReplicaParams(const DriveSpec& medium, double audits_per_year,
-                                 const OfflineHandlingModel& handling,
-                                 double latent_to_visible_ratio);
+                                 const OfflineHandlingModel& handling);
 
 // On-line counterpart: MRV/MRL from the drive's rebuild time, MDL from the
 // scrub policy, intrinsic MV from the spec's five-year fault probability,
-// ML = MV / latent_to_visible_ratio (Schwarz et al.'s 5x is the paper's
-// default ratio).
-FaultParams OnlineReplicaParams(const DriveSpec& drive, const ScrubPolicy& scrub,
-                                double latent_to_visible_ratio);
+// ML = MV / kLatentToVisibleRatio.
+FaultParams OnlineReplicaParams(const DriveSpec& drive, const ScrubPolicy& scrub);
 
 }  // namespace longstore
 

@@ -75,7 +75,6 @@ struct Unit {
   double started_at = 0.0;
   Subprocess child;
   std::string spec_path;
-  std::string log_path;
   std::string last_error;
 };
 
@@ -218,13 +217,10 @@ std::map<size_t, std::string> SuperviseUnits(
     unit.spec.shard_count = id_bound;
     unit.spec_path =
         opt.temp_dir + "/" + file_tag + "unit" + std::to_string(id) + ".shard.json";
-    unit.log_path =
-        opt.temp_dir + "/" + file_tag + "unit" + std::to_string(id) + ".log";
     if (!WriteFile(unit.spec_path, unit.spec.ToJson())) {
       throw FleetError("fleet: cannot write shard document " + unit.spec_path);
     }
     created_files.push_back(unit.spec_path);
-    created_files.push_back(unit.log_path);
     for (const SweepSpec::Cell& cell : unit.spec.cells) {
       planned.insert(cell.index);
     }
@@ -243,7 +239,7 @@ std::map<size_t, std::string> SuperviseUnits(
   // A failed attempt: retry with backoff while budget remains; then split a
   // multi-cell unit into per-cell units with fresh budgets (poison-cell
   // isolation); then declare the cells lost. `kind` is the stable failure
-  // category (crashed/timed_out/corrupt/malformed/no_output/log_open) keyed
+  // category (crashed/timed_out/corrupt/malformed/no_output) keyed
   // into the trace events and the per-reason retry counters; `reason` is the
   // human detail.
   const auto fail = [&](Unit& unit, const char* kind,
@@ -315,14 +311,15 @@ std::map<size_t, std::string> SuperviseUnits(
          unit.attempt, reason.c_str(), unit.spec.cells.size());
   };
 
-  // Starts the unit's next attempt; false when its log file could not be
-  // opened, which fails the attempt without starting a process.
-  const auto spawn = [&](Unit& unit) -> bool {
+  // Starts the unit's next attempt.
+  const auto spawn = [&](Unit& unit) {
     ++unit.attempt;
     ++stats.spawned;
     m_attempts.Add(1);
     // The worker reads its shard from the file and answers on stdout: the
     // result document on the first line, its telemetry snapshot after it.
+    // Its stderr is the supervisor's, so its diagnostics appear beside the
+    // retry lines.
     std::vector<std::string> argv = {opt.worker_path, "--shard=" + unit.spec_path,
                                      "--metrics-out=-"};
     if (opt.worker_threads > 0) {
@@ -340,9 +337,8 @@ std::map<size_t, std::string> SuperviseUnits(
     }
     unit.started_at = MonotonicSeconds();
     const int64_t spawn_start = now_ns();
-    std::string log_error;
     try {
-      unit.child = Subprocess::Spawn(argv, unit.log_path);
+      unit.child = Subprocess::Spawn(argv, /*log_path=*/"");
     } catch (const SpawnError& e) {
       if (e.step() == SpawnError::Step::kExec) {
         // The worker binary never ran. Retrying (or splitting) cannot fix a
@@ -354,24 +350,12 @@ std::map<size_t, std::string> SuperviseUnits(
                          std::strerror(e.error_number()) +
                          " — missing or non-executable --worker path?)");
       }
-      if (e.step() != SpawnError::Step::kLogOpen) {
-        // A pipe or spawn failure, typically EMFILE, EAGAIN or ENOMEM: out
-        // of descriptors, processes or memory. The fleet stops too, saying
-        // which step failed and why, with no hint about the --worker path.
-        throw FleetError(std::string("fleet: ") + e.what());
-      }
-      log_error = std::strerror(e.error_number());
+      // A pipe or spawn failure, typically EMFILE, EAGAIN or ENOMEM: out of
+      // descriptors, processes or memory. The fleet stops too, saying which
+      // step failed and why, with no hint about the --worker path.
+      throw FleetError(std::string("fleet: ") + e.what());
     }
     record_since(m_spawn_ns, spawn_start);
-    if (!log_error.empty()) {
-      // An environment fault (full or read-only temp_dir) that a retry may
-      // outlive: it takes the normal retry path under its own name.
-      ++stats.crashed;
-      fail(unit, "log_open",
-           "worker could not open its log file " + unit.log_path + " (" +
-               log_error + ")");
-      return false;
-    }
     unit.state = Unit::State::kRunning;
     emit(obs::TraceEvent("unit_spawn")
              .Int("unit", unit.id)
@@ -381,7 +365,6 @@ std::map<size_t, std::string> SuperviseUnits(
          "unit %d attempt %d/%d: spawned pid %d (%zu cells)", unit.id,
          unit.attempt, 1 + opt.max_retries, static_cast<int>(unit.child.pid()),
          unit.spec.cells.size());
-    return true;
   };
 
   // A clean exit: the captured stdout's first line is the result document,
@@ -497,7 +480,8 @@ std::map<size_t, std::string> SuperviseUnits(
     }
     for (size_t i = 0; i < units.size() && running < opt.max_parallel; ++i) {
       Unit& unit = *units[i];
-      if (unit.state == Unit::State::kReady && spawn(unit)) {
+      if (unit.state == Unit::State::kReady) {
+        spawn(unit);
         ++running;
       }
     }

@@ -57,8 +57,7 @@ struct FleetOptions {
   // search). Each worker answers on its stdout, which the supervisor reads
   // through a pipe.
   std::string worker_path;
-  // Existing writable directory for the shard documents and worker logs.
-  // Required.
+  // Existing writable directory for the shard documents. Required.
   std::string temp_dir;
 
   // Initial shard count (>= 1). More shards than max_parallel is fine —
@@ -84,11 +83,11 @@ struct FleetOptions {
   // (FleetReport::lost, complete=false) instead of FleetError.
   bool partial_ok = false;
 
-  // Worker lane count (--threads); 0 lets each worker pick its default.
-  // Never changes results, only wall clock.
+  // Each worker's pool size (--threads); 0 = one thread per core. Never
+  // changes results, only wall clock.
   int worker_threads = 1;
-  // Keep the shard documents and worker logs in temp_dir after Run
-  // (debugging). Results never touch the disk: they arrive over stdout.
+  // Keep the shard documents in temp_dir after Run (debugging). Results
+  // never touch the disk: they arrive over stdout.
   bool keep_files = false;
 
   // Deterministic fault injection, forwarded to every worker

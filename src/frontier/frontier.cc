@@ -103,13 +103,12 @@ FaultParams DeriveParams(const DriveSpec& drive, int replicas,
   FaultParams params;
   if (IsOfflineMedia(drive.media)) {
     params = OfflineReplicaParams(drive, audits_per_year,
-                                  OfflineHandlingModel::Defaults(),
-                                  space.latent_to_visible_ratio);
+                                  OfflineHandlingModel::Defaults());
   } else {
     const ScrubPolicy scrub = audits_per_year > 0.0
                                   ? ScrubPolicy::PeriodicPerYear(audits_per_year)
                                   : ScrubPolicy::None();
-    params = OnlineReplicaParams(drive, scrub, space.latent_to_visible_ratio);
+    params = OnlineReplicaParams(drive, scrub);
   }
   params.alpha =
       MinPairwiseAlpha(ProfilesFor(deployment, replicas), space.correlation);
@@ -181,9 +180,9 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
   } else {
     // A single-cell weighted-loss sweep under the identity measure (plain
     // Monte Carlo), packaged exactly like a sharded or service request:
-    // content-derived seeds, thread count never serialized, canonical
-    // checksummed bytes. Every backend therefore produces the same result
-    // bytes for this document.
+    // content-derived seeds and canonical checksummed bytes, with
+    // McConfig's default confidence. Every backend therefore produces the
+    // same result bytes for this document.
     SweepSpec spec;
     std::string label;
     json::AppendUint64Hex(label, scenario.CanonicalHash());
@@ -194,7 +193,6 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
     sweep_options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
     sweep_options.mc.trials = options_.trials;
     sweep_options.mc.seed = options_.seed;
-    sweep_options.mc.confidence = options_.confidence;
     const ShardPlan plan(spec, sweep_options, 1);
     const FrontierEvalBackend::Eval answer =
         backend_->Evaluate(plan.shards()[0].ToJson());

@@ -9,12 +9,12 @@
 // otherwise, and returns the Pareto frontier.
 //
 // Determinism contract (tested in tests/frontier_test.cc):
-//   FrontierResult::ToJson() is byte-identical across worker thread counts,
+//   FrontierResult::ToJson() is byte-identical across worker pool sizes,
 //   candidate enumeration order, and evaluation backends (in-process pool,
 //   in-process service, resident sweep_serviced over its socket).
 // The contract holds because (a) candidates are identified by content hash
-// and visited in hash order, (b) each candidate's sweep document never
-// contains the thread count, (c) every backend runs the identical
+// and visited in hash order, (b) no sweep document carries a pool size,
+// (c) every backend runs the identical
 // execute/finalize path and the frontier copies the estimate doubles out of
 // those canonical result bytes, and (d) provenance ("cache" vs "computed")
 // is reported through metrics and the trace journal, never through the
@@ -79,7 +79,6 @@ struct FrontierSpace {
   std::vector<double> migration_years = {};
 
   double archive_gb = 1000.0;
-  double latent_to_visible_ratio = 5.0;  // Schwarz et al.'s factor
   CostAssumptions costs = CostAssumptions::Defaults();
   CorrelationFactors correlation = CorrelationFactors::Defaults();
 };
@@ -110,8 +109,8 @@ struct FrontierCandidate {
 // `audits_per_year` times a year: media-specific intrinsic rates, an
 // audit-driven MDL (off-line media pay handling-induced faults; no audits
 // means latent faults are never detected), and α from the deployment style
-// under the space's correlation factors, clamped to >= 1e-9. Reads the
-// space's latent_to_visible_ratio and correlation.
+// under the space's correlation factors, clamped to >= 1e-9. ML is MV /
+// kLatentToVisibleRatio (src/drives/offline_media.h).
 FaultParams DeriveParams(const DriveSpec& drive, int replicas,
                          double audits_per_year, DeploymentStyle deployment,
                          const FrontierSpace& space);
@@ -128,7 +127,6 @@ Scenario PhaseScenario(const FrontierPhase& phase, DeploymentStyle deployment,
 struct FrontierOptions {
   int64_t trials = 2000;
   uint64_t seed = 33;
-  double confidence = 0.95;
   // Score every candidate through the sweep engine, even CTMC-compatible
   // ones. Used by the CTMC-agreement test and the memoization bench.
   bool force_simulation = false;

@@ -22,11 +22,7 @@ std::atomic<bool>& RuntimeFlag() {
 
 }  // namespace
 
-namespace detail {
-
-bool RuntimeEnabled() { return RuntimeFlag().load(std::memory_order_relaxed); }
-
-}  // namespace detail
+bool Enabled() { return RuntimeFlag().load(std::memory_order_relaxed); }
 
 void SetEnabled(bool on) {
   RuntimeFlag().store(on, std::memory_order_relaxed);
@@ -37,32 +33,6 @@ int64_t MonotonicNanos() {
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<int64_t>(ts.tv_sec) * 1000000000 +
          static_cast<int64_t>(ts.tv_nsec);
-}
-
-void Histogram::MergeFrom(const Histogram& other) {
-  const int64_t other_count = other.count_.load(std::memory_order_relaxed);
-  if (other_count == 0) {
-    return;
-  }
-  for (int i = 0; i < kBuckets; ++i) {
-    const int64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) {
-      buckets_[i].fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(other_count, std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  const int64_t other_min = other.min_.load(std::memory_order_relaxed);
-  int64_t seen = min_.load(std::memory_order_relaxed);
-  while (other_min < seen && !min_.compare_exchange_weak(
-                                 seen, other_min, std::memory_order_relaxed)) {
-  }
-  const int64_t other_max = other.max_.load(std::memory_order_relaxed);
-  seen = max_.load(std::memory_order_relaxed);
-  while (other_max > seen && !max_.compare_exchange_weak(
-                                 seen, other_max, std::memory_order_relaxed)) {
-  }
 }
 
 Registry& Registry::Global() {

@@ -4,7 +4,7 @@
 // it *computed*.
 //
 // The hard contract (CI-gated by the telemetry-identity job): every result
-// byte is identical with telemetry enabled, disabled, or compiled out.
+// byte is identical with telemetry enabled or disabled.
 // Metrics live only here and in the snapshot/journal sinks; they never enter
 // a TrialAccumulator, a shard document, a checksummed envelope, or a cache
 // key. Timestamps in particular exist only in telemetry output.
@@ -18,10 +18,8 @@
 //     engine contract survives instrumentation;
 //   * record sites sit at cell/round/attempt/request granularity, never
 //     inside the per-trial simulation loop;
-//   * compiled out (cmake -DLONGSTORE_TELEMETRY=OFF), every record call is
-//     `if (false)` dead code the optimizer deletes; disabled at runtime
-//     (LONGSTORE_TELEMETRY_OFF=1 in the environment), recording is one
-//     predictable branch.
+//   * disabled at runtime (LONGSTORE_TELEMETRY_OFF=1 in the environment),
+//     recording is one predictable branch.
 //
 // Snapshots (Registry::SnapshotJson) are canonical JSON via the shared
 // src/util/json emitters: names sorted, zero buckets elided — byte-stable
@@ -43,24 +41,9 @@
 
 namespace longstore::obs {
 
-// Compile-time kill switch: configuring with -DLONGSTORE_TELEMETRY=OFF
-// defines LONGSTORE_OBS_OFF for every target, making Enabled() a constant
-// false that dead-codes all record paths.
-#ifdef LONGSTORE_OBS_OFF
-inline constexpr bool kTelemetryCompiledIn = false;
-#else
-inline constexpr bool kTelemetryCompiledIn = true;
-#endif
-
-namespace detail {
-// Runtime switch: initialized once from the environment
+// Whether recording is on: initialized once from the environment
 // (LONGSTORE_TELEMETRY_OFF=1 disables), overridable by SetEnabled.
-bool RuntimeEnabled();
-}  // namespace detail
-
-inline bool Enabled() {
-  return kTelemetryCompiledIn && detail::RuntimeEnabled();
-}
+bool Enabled();
 
 // Overrides the environment-derived switch (tests).
 void SetEnabled(bool on);
@@ -136,10 +119,6 @@ class Histogram {
     }
   }
 
-  // Element-wise accumulation of another histogram's state (aggregating
-  // per-shard snapshots). Not atomic as a whole; merge quiescent histograms.
-  void MergeFrom(const Histogram& other);
-
   int64_t count() const { return count_.load(std::memory_order_relaxed); }
   int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   // 0 when empty.
@@ -175,8 +154,7 @@ struct HistogramState {
 // aggregation vehicle. A driver parses each worker process's snapshot file
 // (Registry::SnapshotJson bytes shipped back over the shard protocol's file
 // convention), MergeFrom-sums them into its own snapshot, and emits one
-// document covering the whole distributed run. Compiled in even with
-// telemetry off, so shapes and tooling survive every build mode.
+// document covering the whole distributed run.
 struct MetricsSnapshot {
   std::map<std::string, int64_t> counters;
   std::map<std::string, HistogramState> histograms;

@@ -60,7 +60,7 @@ class TraceJournal {
   ~TraceJournal();  // best-effort Flush
 
   // Starts buffering events destined for `path` and records the
-  // journal_open header. Inert when telemetry is disabled or compiled out:
+  // journal_open header. Inert when telemetry is disabled:
   // active() stays false and nothing is ever written.
   void Open(std::string path);
   bool active() const { return !path_.empty(); }

@@ -1,13 +1,14 @@
 // Rare-event estimation of mission-loss probabilities by importance
 // sampling.
 //
-// EstimateLossProbability (src/sweep) needs ~100/p trials to pin a loss
-// probability p to 10% relative error: 1e10 trials for p = 1e-8. The
-// importance-sampled estimator here runs the same simulator under a tilted
-// fault measure (src/rare/biased_sampler.h) in which losses are common,
-// weights each loss by its exact likelihood ratio, and recovers the nominal
-// probability unbiasedly — typically reaching the same CI in 10x to many
-// 1000x fewer trials, the gap growing as the event gets rarer.
+// Plain Monte Carlo (the kLossProbability sweep estimand, src/sweep) needs
+// ~100/p trials to pin a loss probability p to 10% relative error: 1e10
+// trials for p = 1e-8. The importance-sampled estimator here runs the same
+// simulator under a tilted fault measure (src/rare/biased_sampler.h) in
+// which losses are common, weights each loss by its exact likelihood ratio,
+// and recovers the nominal probability unbiasedly — typically reaching the
+// same CI in 10x to many 1000x fewer trials, the gap growing as the event
+// gets rarer.
 //
 // The change of measure can be given explicitly or auto-tuned: a short
 // pilot run scores a grid of hazard multipliers by estimated relative error
@@ -78,9 +79,9 @@ FaultBias TuneFaultBias(const Scenario& scenario, Duration mission,
                         const McConfig& mc, const IsOptions& options = {},
                         std::vector<PilotPoint>* pilot_out = nullptr);
 
-// Importance-sampled counterpart of EstimateLossProbability: mc.trials
+// Importance-sampled counterpart of the kLossProbability estimand: mc.trials
 // weighted trials over `mission` under the (explicit or tuned) bias.
-// Deterministic in mc.seed regardless of thread count, like every sweep
+// Deterministic in mc.seed regardless of the pool's size, like every sweep
 // estimate. With the identity bias this reproduces the unbiased estimator's
 // trial outcomes bit for bit.
 IsLossProbabilityEstimate EstimateLossProbabilityIS(const Scenario& scenario,

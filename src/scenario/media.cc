@@ -2,10 +2,8 @@
 
 namespace longstore {
 
-ReplicaSpec DiskSpec(const DriveSpec& drive, ScrubPolicy scrub,
-                     double latent_to_visible_ratio) {
-  const FaultParams params =
-      OnlineReplicaParams(drive, scrub, latent_to_visible_ratio);
+ReplicaSpec DiskSpec(const DriveSpec& drive, ScrubPolicy scrub) {
+  const FaultParams params = OnlineReplicaParams(drive, scrub);
   ReplicaSpec spec;
   spec.media = drive.model;
   spec.mv = params.mv;
@@ -17,10 +15,8 @@ ReplicaSpec DiskSpec(const DriveSpec& drive, ScrubPolicy scrub,
 }
 
 ReplicaSpec TapeSpec(const DriveSpec& medium, double audits_per_year,
-                     const OfflineHandlingModel& handling,
-                     double latent_to_visible_ratio) {
-  const FaultParams params = OfflineReplicaParams(medium, audits_per_year, handling,
-                                                  latent_to_visible_ratio);
+                     const OfflineHandlingModel& handling) {
+  const FaultParams params = OfflineReplicaParams(medium, audits_per_year, handling);
   ReplicaSpec spec;
   spec.media = medium.model;
   spec.mv = params.mv;

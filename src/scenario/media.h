@@ -21,10 +21,9 @@
 namespace longstore {
 
 // An on-line replica on `drive`: intrinsic MV from the spec's five-year
-// fault probability, ML = MV / latent_to_visible_ratio (Schwarz et al.'s
-// 5x), repair at the drive's full-capacity rebuild time, audited by `scrub`.
-ReplicaSpec DiskSpec(const DriveSpec& drive, ScrubPolicy scrub,
-                     double latent_to_visible_ratio = 5.0);
+// fault probability, ML = MV / kLatentToVisibleRatio, repair at the drive's
+// full-capacity rebuild time, audited by `scrub`.
+ReplicaSpec DiskSpec(const DriveSpec& drive, ScrubPolicy scrub);
 
 // An off-line (vaulted) replica on `medium`, audited `audits_per_year`
 // times: each audit pays retrieval + mount + full read and risks handling
@@ -32,8 +31,7 @@ ReplicaSpec DiskSpec(const DriveSpec& drive, ScrubPolicy scrub,
 // round trip, and detection is the periodic audit. audits_per_year == 0
 // models write-and-forget (no detection process at all).
 ReplicaSpec TapeSpec(const DriveSpec& medium, double audits_per_year,
-                     const OfflineHandlingModel& handling = OfflineHandlingModel::Defaults(),
-                     double latent_to_visible_ratio = 5.0);
+                     const OfflineHandlingModel& handling = OfflineHandlingModel::Defaults());
 
 // Generic adapter: a ReplicaSpec from already-derived effective FaultParams
 // (threat-profile compositions, the frontier's DeriveParams). `params.mdl` is

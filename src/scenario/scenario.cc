@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace longstore {
 
@@ -157,10 +158,13 @@ std::optional<std::string> Scenario::Validate() const {
       return "common-mode source '" + source.name +
              "' needs a positive, finite event rate";
     }
-    if (source.hit_probability < 0.0 || source.hit_probability > 1.0 ||
-        source.visible_fraction < 0.0 || source.visible_fraction > 1.0) {
-      return "common-mode source '" + source.name +
-             "' probabilities must lie in [0, 1]";
+    // Written so that NaN fails too.
+    for (const auto& [field, p] : {std::pair{"hit_probability", source.hit_probability},
+                                   std::pair{"visible_fraction", source.visible_fraction}}) {
+      if (!(p >= 0.0 && p <= 1.0)) {
+        return "common-mode source '" + source.name + "' " + field +
+               " must lie in [0, 1]";
+      }
     }
     for (int member : source.members) {
       if (member < 0 || member >= replica_count()) {

@@ -320,10 +320,7 @@ uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
   id += "{\"total_cells\":";
   json::AppendInt64(id, static_cast<int64_t>(cells.size()));
   id += ',';
-  // Lane count shapes wall clock, never results; it must not move the id.
-  SweepOptions canonical = options;
-  canonical.mc.threads = 0;
-  AppendOptionsJson(id, canonical);
+  AppendOptionsJson(id, options);
   id += ",\"axes\":";
   AppendAxesJson(id, axis_names);
   id += ",\"cells\":[";
@@ -533,8 +530,6 @@ ShardPlan::ShardPlan(std::vector<std::string> axis_names,
   whole.sweep_id = ComputeSweepId(axis_names, options, cells);
   whole.axis_names = std::move(axis_names);
   whole.options = options;
-  // Lane count is the worker's own business (and never changes results).
-  whole.options.mc.threads = 0;
   whole.ranges.assign(cells.size(), ShardCellRange{0, options.mc.trials});
   whole.cells = std::move(cells);
   shards_ = PartitionShardRound(whole, shard_count);

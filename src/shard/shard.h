@@ -82,9 +82,9 @@ struct ShardCellRange {
 // execute with no access to the driver's memory. Carries the full options
 // (estimand, horizons, bias, seed, adaptive policy) plus the shard's cells —
 // label, grid index, axis coordinates, trial range, and the scenario as
-// canonical JSON. mc.threads is deliberately NOT part of the document: it
-// only shapes each worker's wall clock (never results), so it stays a
-// per-process concern (the sweep_worker --threads flag).
+// canonical JSON. The lane count is not part of the document: it is the
+// size of the pool each worker runs on (the sweep_worker --threads flag),
+// which shapes wall clock, never results.
 struct ShardSpec {
   int shard_index = 0;
   int shard_count = 1;

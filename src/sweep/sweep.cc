@@ -397,12 +397,10 @@ void CheckSweepPrior(const std::vector<SweepSpec::Cell>& cells,
       throw std::invalid_argument("resume: prior cell '" + from.label +
                                   "' carries no completed trials");
     }
+    // An adaptive run records one half-width per round; anything else lost
+    // state.
     const size_t history = from.half_width_history.size();
-    // A prior adaptive run records one half-width per round; a non-adaptive
-    // one records none and exactly one round (its history entry is
-    // reconstructed from the accumulator). Anything else lost state.
-    if (history != static_cast<size_t>(from.rounds) &&
-        !(from.rounds == 1 && history == 0)) {
+    if (history != static_cast<size_t>(from.rounds)) {
       throw std::invalid_argument(
           "resume: prior cell '" + from.label + "' has " +
           std::to_string(history) + " half-width entries for " +
@@ -465,14 +463,8 @@ std::vector<SweepCellExecution> RunSweepRounds(
 
   if (resumed) {
     for (CellState& state : states) {
-      // Re-judge the last completed round under *these* options. A prior
-      // non-adaptive run carries rounds but no half-width entry for them
-      // (history tracks adaptive rounds only), so the entry a cold adaptive
-      // run would have recorded is reconstructed from the accumulator —
-      // FinalizeMttdl of the same folded state yields the same bits.
-      decide(state, /*append_half_width=*/static_cast<int64_t>(
-                        state.execution.half_width_history.size()) <
-                        static_cast<int64_t>(state.execution.rounds));
+      // Re-judge the last completed round under *these* options.
+      decide(state, /*append_half_width=*/false);
     }
   }
 
@@ -598,9 +590,7 @@ std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
         options.estimand == SweepOptions::Estimand::kWeightedLossProbability
             ? &options.bias
             : nullptr;
-    const int lanes = std::max(
-        1, std::min(options.mc.threads > 0 ? options.mc.threads : pool.size(),
-                    static_cast<int>(units.size())));
+    const int lanes = std::min(pool.size(), static_cast<int>(units.size()));
     std::atomic<size_t> next{0};
     pool.RunLanes(lanes, [&](int) {
       // One TrialRunner (simulator + system + rng) per range on this lane,
@@ -747,31 +737,14 @@ SweepResult SweepRunner::Run(const SweepSpec& spec, const SweepOptions& options)
                             options.mc.confidence);
 }
 
-// --- one-cell estimators ---------------------------------------------------
-
-namespace {
-
-SweepCellResult RunOneCell(const Scenario& scenario, const McConfig& mc,
-                           SweepOptions options) {
-  options.mc = mc;
-  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
-  return std::move(SweepRunner().Run(SweepSpec(scenario), options).cells.front());
-}
-
-}  // namespace
+// --- one-cell estimator ----------------------------------------------------
 
 MttdlEstimate EstimateMttdl(const Scenario& scenario, const McConfig& mc) {
   SweepOptions options;
   options.estimand = SweepOptions::Estimand::kMttdl;
-  return *RunOneCell(scenario, mc, options).mttdl;
-}
-
-LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
-                                                Duration mission, const McConfig& mc) {
-  SweepOptions options;
-  options.estimand = SweepOptions::Estimand::kLossProbability;
-  options.mission = mission;
-  return *RunOneCell(scenario, mc, options).loss;
+  options.mc = mc;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().mttdl;
 }
 
 // --- SweepResult -----------------------------------------------------------

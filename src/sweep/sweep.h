@@ -30,8 +30,8 @@
 //     re-derive the same streams with no label coordination;
 //   * aggregation is block-structured (kTrialBlockSize below) and folded in
 //     trial order.
-// Together these make every estimate bit-identical regardless of thread
-// count, lane scheduling, and the order cells were added to the spec.
+// Together these make every estimate bit-identical regardless of the pool's
+// size, lane scheduling, and the order cells were added to the spec.
 
 #ifndef LONGSTORE_SRC_SWEEP_SWEEP_H_
 #define LONGSTORE_SRC_SWEEP_SWEEP_H_
@@ -63,9 +63,6 @@ namespace longstore {
 struct McConfig {
   int64_t trials = 10000;
   uint64_t seed = 0x10ca1c0ffee;
-  // Caps the worker-pool lanes used for this estimate; 0 = all pool workers
-  // (hardware concurrency). Never changes results, only wall clock.
-  int threads = 0;
   // Safety cap per MTTDL trial; trials that survive this long are censored
   // (counted, and a lower-bound estimate is reported).
   Duration max_trial_time = Duration::Years(100.0e6);
@@ -251,9 +248,7 @@ struct SweepOptions {
   // use src/rare/rare_event.h to auto-tune it per configuration first.
   FaultBias bias;
 
-  // trials / seed / threads / max_trial_time / confidence. `threads` caps
-  // the lanes used on the pool (0 = all pool workers); it never changes the
-  // results, only the wall clock.
+  // trials / seed / max_trial_time / confidence.
   McConfig mc;
   SeedMode seed_mode = SeedMode::kPerCellDerived;
 
@@ -353,8 +348,8 @@ struct CellTrialRange {
   int64_t end = 0;
 };
 
-// The one trial executor. Runs every range on `pool` as one batch and
-// returns, per range, the accumulator of every index-aligned trial block it
+// The one trial executor. Runs every range on `pool` as one batch, on
+// min(pool.size(), blocks) lanes, and returns, per range, the accumulator of every index-aligned trial block it
 // covers (kTrialBlockSize), in trial order. The blocks of all ranges form
 // one work list drained by the lanes with no barrier between ranges, so a
 // slow cell cannot strand lanes that finished a fast one; each lane builds
@@ -421,9 +416,7 @@ using SweepRoundExecutor = std::function<std::vector<bool>(
 // computes a different sweep. Throws std::invalid_argument, before any
 // round runs, unless the request is adaptive, `prior` lines up with `cells`
 // one to one (same order and labels), and every prior cell carries
-// completed trials and one half-width per round (a non-adaptive
-// single-round prior, which records none, is accepted: its round-1
-// half-width is reconstructed from the accumulator).
+// completed trials and one half-width per round.
 std::vector<SweepCellExecution> RunSweepRounds(
     const std::vector<SweepSpec::Cell>& cells, const SweepOptions& options,
     std::vector<SweepCellExecution> prior, const SweepRoundExecutor& run_round);
@@ -490,19 +483,13 @@ class SweepRunner {
   WorkerPool* pool_;
 };
 
-// --- one-cell estimators ----------------------------------------------------
+// --- one-cell estimator ------------------------------------------------------
 //
-// Each is a one-cell kSharedRoot sweep on WorkerPool::Shared(): the root seed
-// is the cell seed, so trial k draws from DeriveSeed(mc.seed, k), and the
-// block fold makes the estimate bit-identical for any mc.threads.
-
-// Simulates each trial to data loss (or the safety cap) and averages.
+// Simulates each trial to data loss (or the safety cap) and averages: a
+// one-cell kSharedRoot sweep on WorkerPool::Shared(). The root seed is the
+// cell seed, so trial k draws from DeriveSeed(mc.seed, k), and the block fold
+// makes the estimate bit-identical for any pool size.
 MttdlEstimate EstimateMttdl(const Scenario& scenario, const McConfig& mc);
-
-// Simulates each trial over `mission` and counts losses (paper eq 1's
-// empirical counterpart, e.g. "probability of data loss in 50 years").
-LossProbabilityEstimate EstimateLossProbability(const Scenario& scenario,
-                                                Duration mission, const McConfig& mc);
 
 }  // namespace longstore
 

@@ -224,14 +224,19 @@ TEST(AdaptiveStoppingTest, ResumeRejectsMismatchedPriors) {
         std::invalid_argument);
   }
   // Non-adaptive requests are not resumable.
+  SweepOptions fixed = options;
+  fixed.adaptive = false;
   {
-    SweepOptions fixed = options;
-    fixed.adaptive = false;
     std::vector<SweepCellExecution> copy = prior;
     EXPECT_THROW(
         RunSweepCells(pool, spec.BuildCells(), fixed, std::move(copy)),
         std::invalid_argument);
   }
+  // Nor is a non-adaptive run a prior: it records no half-width for its
+  // one round.
+  EXPECT_THROW(RunSweepCells(pool, spec.BuildCells(), options,
+                             RunSweepCells(pool, spec.BuildCells(), fixed)),
+               std::invalid_argument);
 }
 
 TEST(AdaptiveStoppingTest, RejectsNonPositivePrecisionAndMaxTrials) {

@@ -34,6 +34,17 @@ CensoredMttdlEstimate EstimateCensored(const Scenario& scenario, Duration window
   return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().censored;
 }
 
+// Mission-loss probability on a one-cell kSharedRoot sweep.
+LossProbabilityEstimate EstimateLoss(const Scenario& scenario, Duration mission,
+                                     const McConfig& mc) {
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = mission;
+  options.mc = mc;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().loss;
+}
+
 TEST(AgingTest, InitialAgesValidated) {
   Scenario scenario = WeibullFleet(3.0);
   scenario.replicas[1].initial_age_hours = -5.0;
@@ -53,12 +64,11 @@ TEST(AgingTest, SameAgedBatchFailsSoonerThanStaggeredFleet) {
 
   // Both near the mean life.
   const Scenario aged = WeibullFleet(3.0, 19000.0, 19000.0);
-  const LossProbabilityEstimate batch = EstimateLossProbability(aged, mission, mc);
+  const LossProbabilityEstimate batch = EstimateLoss(aged, mission, mc);
 
   // Rolling procurement.
   const Scenario staggered = WeibullFleet(3.0, 19000.0, 2000.0);
-  const LossProbabilityEstimate rolling =
-      EstimateLossProbability(staggered, mission, mc);
+  const LossProbabilityEstimate rolling = EstimateLoss(staggered, mission, mc);
 
   EXPECT_GT(batch.probability(), rolling.probability() * 3.0)
       << "batch=" << batch.probability() << " rolling=" << rolling.probability();
@@ -77,8 +87,7 @@ TEST(AgingTest, ExponentialFleetsRejectInitialAges) {
   McConfig mc;
   mc.trials = 2000;
   mc.seed = 31;
-  EXPECT_THROW(EstimateLossProbability(aged, Duration::Years(2.0), mc),
-               std::invalid_argument);
+  EXPECT_THROW(EstimateLoss(aged, Duration::Years(2.0), mc), std::invalid_argument);
 }
 
 TEST(CensoredEstimatorTest, AgreesWithDirectEstimateAndCtmc) {

@@ -175,8 +175,8 @@ TEST(CostModelTest, ConsumerReplicasBeatOneEnterpriseCopyPerDollar) {
 }
 
 TEST(OfflineMediaTest, OnlineParamsDeriveFromSpecAndScrub) {
-  const FaultParams p = OnlineReplicaParams(SeagateCheetah146Gb(),
-                                            ScrubPolicy::PeriodicPerYear(3.0), 5.0);
+  const FaultParams p =
+      OnlineReplicaParams(SeagateCheetah146Gb(), ScrubPolicy::PeriodicPerYear(3.0));
   EXPECT_NEAR(p.mv.hours(), 1.44e6, 0.01e6);
   EXPECT_NEAR(p.ml.hours() * 5.0, p.mv.hours(), 1.0);
   EXPECT_NEAR(p.mdl.hours(), 1460.0, 0.5);
@@ -187,8 +187,8 @@ TEST(OfflineMediaTest, OnlineParamsDeriveFromSpecAndScrub) {
 TEST(OfflineMediaTest, AuditsInjectHandlingFaults) {
   const OfflineHandlingModel handling = OfflineHandlingModel::Defaults();
   const DriveSpec tape = Lto3TapeCartridge();
-  const FaultParams no_audits = OfflineReplicaParams(tape, 0.0, handling, 5.0);
-  const FaultParams monthly = OfflineReplicaParams(tape, 12.0, handling, 5.0);
+  const FaultParams no_audits = OfflineReplicaParams(tape, 0.0, handling);
+  const FaultParams monthly = OfflineReplicaParams(tape, 12.0, handling);
   // Each handling round-trip risks damaging the medium: MV drops.
   EXPECT_LT(monthly.mv.hours(), no_audits.mv.hours());
   EXPECT_TRUE(no_audits.mdl.is_infinite());
@@ -197,7 +197,7 @@ TEST(OfflineMediaTest, AuditsInjectHandlingFaults) {
 
 TEST(OfflineMediaTest, RepairPaysRetrievalAndMount) {
   const OfflineHandlingModel handling = OfflineHandlingModel::Defaults();
-  const FaultParams p = OfflineReplicaParams(Lto3TapeCartridge(), 4.0, handling, 5.0);
+  const FaultParams p = OfflineReplicaParams(Lto3TapeCartridge(), 4.0, handling);
   // 24 h retrieval + 10 min mount + 400 GB at 80 MB/s (~1.4 h).
   EXPECT_GT(p.mrv.hours(), 25.0);
   EXPECT_LT(p.mrv.hours(), 27.0);
@@ -206,13 +206,8 @@ TEST(OfflineMediaTest, RepairPaysRetrievalAndMount) {
 
 TEST(OfflineMediaTest, InvalidArgumentsThrow) {
   const OfflineHandlingModel handling = OfflineHandlingModel::Defaults();
-  EXPECT_THROW(OfflineReplicaParams(Lto3TapeCartridge(), -1.0, handling, 5.0),
+  EXPECT_THROW(OfflineReplicaParams(Lto3TapeCartridge(), -1.0, handling),
                std::invalid_argument);
-  EXPECT_THROW(OfflineReplicaParams(Lto3TapeCartridge(), 1.0, handling, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(
-      OnlineReplicaParams(SeagateCheetah146Gb(), ScrubPolicy::None(), -5.0),
-      std::invalid_argument);
 }
 
 }  // namespace

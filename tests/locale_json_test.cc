@@ -230,8 +230,8 @@ TEST_F(LocaleJsonTest, SweepResultJsonIgnoresTheGlobalCppLocale) {
   options.mission = Duration::Years(1.0);
   options.mc.trials = 4000;
   options.mc.seed = 33;
-  options.mc.threads = 1;
-  const SweepResult result = SweepRunner().Run(spec, options);
+  WorkerPool pool(1);
+  const SweepResult result = SweepRunner(&pool).Run(spec, options);
   ASSERT_EQ(result.cells.size(), 1u);
   ASSERT_EQ(result.cells[0].trials, 4000);
   const std::string classic_json = result.ToJson();

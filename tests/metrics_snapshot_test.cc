@@ -109,9 +109,7 @@ TEST(MetricsSnapshotTest, RegistrySnapshotMatchesSnapshotJson) {
   registry.histogram("test.snapshot_histogram").Record(7);
   const std::string direct = registry.SnapshotJson();
   EXPECT_EQ(registry.Snapshot().ToJson(), direct);
-  if (Enabled()) {  // record sites are dead-coded under LONGSTORE_OBS_OFF
-    EXPECT_NE(direct.find("\"test.snapshot_counter\":3"), std::string::npos);
-  }
+  EXPECT_NE(direct.find("\"test.snapshot_counter\":3"), std::string::npos);
   SetEnabled(was_enabled);
 }
 

@@ -32,6 +32,18 @@ MttdlEstimate EstimateToPrecision(const McConfig& mc, double relative_precision,
   return *SweepRunner().Run(SweepSpec(FastScenario()), options).cells.front().mttdl;
 }
 
+// Mission-loss probability on a one-cell kSharedRoot sweep, so trial k draws
+// from DeriveSeed(mc.seed, k) exactly as in EstimateMttdl.
+LossProbabilityEstimate EstimateLoss(const Scenario& scenario, Duration mission,
+                                     const McConfig& mc) {
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = mission;
+  options.mc = mc;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  return *SweepRunner().Run(SweepSpec(scenario), options).cells.front().loss;
+}
+
 TEST(MonteCarloTest, MttdlEstimateHasReasonableShape) {
   McConfig mc;
   mc.trials = 2000;
@@ -45,15 +57,17 @@ TEST(MonteCarloTest, MttdlEstimateHasReasonableShape) {
   EXPECT_GT(estimate.aggregate_metrics.latent_faults, 0);
 }
 
-TEST(MonteCarloTest, ResultsIndependentOfThreadCount) {
-  McConfig one_thread;
-  one_thread.trials = 500;
-  one_thread.seed = 77;
-  one_thread.threads = 1;
-  McConfig four_threads = one_thread;
-  four_threads.threads = 4;
-  const MttdlEstimate a = EstimateMttdl(FastScenario(), one_thread);
-  const MttdlEstimate b = EstimateMttdl(FastScenario(), four_threads);
+TEST(MonteCarloTest, ResultsIndependentOfPoolSize) {
+  SweepOptions options;
+  options.mc.trials = 500;
+  options.mc.seed = 77;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  WorkerPool one_lane(1);
+  WorkerPool four_lanes(4);
+  const MttdlEstimate a =
+      *SweepRunner(&one_lane).Run(SweepSpec(FastScenario()), options).cells[0].mttdl;
+  const MttdlEstimate b =
+      *SweepRunner(&four_lanes).Run(SweepSpec(FastScenario()), options).cells[0].mttdl;
   EXPECT_DOUBLE_EQ(a.mean_years(), b.mean_years());
   EXPECT_EQ(a.aggregate_metrics.visible_faults, b.aggregate_metrics.visible_faults);
   EXPECT_EQ(a.aggregate_metrics.latent_faults, b.aggregate_metrics.latent_faults);
@@ -91,7 +105,7 @@ TEST(MonteCarloTest, LossProbabilityMatchesMttdlExponential) {
   mc.seed = 5;
   const MttdlEstimate mttdl = EstimateMttdl(scenario, mc);
   const Duration mission = Duration::Years(mttdl.mean_years() / 2.0);
-  const LossProbabilityEstimate loss = EstimateLossProbability(scenario, mission, mc);
+  const LossProbabilityEstimate loss = EstimateLoss(scenario, mission, mc);
   const double expected = 1.0 - std::exp(-(mission.years() / mttdl.mean_years()));
   EXPECT_NEAR(loss.probability(), expected, 0.04);
   EXPECT_TRUE(loss.wilson_ci.Contains(loss.probability()));
@@ -103,7 +117,7 @@ TEST(MonteCarloTest, LossProbabilityRejectsBadMission) {
   mc.trials = 10;
   for (const Duration mission : {Duration::Zero(), Duration::Infinite()}) {
     try {
-      EstimateLossProbability(FastScenario(), mission, mc);
+      EstimateLoss(FastScenario(), mission, mc);
       FAIL() << "accepted a " << mission.hours() << " h mission";
     } catch (const std::invalid_argument& error) {
       EXPECT_STREQ(error.what(), "SweepOptions: mission must be positive finite");
@@ -143,7 +157,7 @@ TEST(MonteCarloTest, RejectsConfidenceOutsideTheOpenUnitInterval) {
       EXPECT_STREQ(error.what(), "SweepOptions: confidence must lie in (0, 1)");
     }
     try {
-      EstimateLossProbability(FastScenario(), Duration::Years(1.0), mc);
+      EstimateLoss(FastScenario(), Duration::Years(1.0), mc);
       FAIL() << "loss probability accepted confidence " << confidence;
     } catch (const std::invalid_argument& error) {
       EXPECT_STREQ(error.what(), "SweepOptions: confidence must lie in (0, 1)");

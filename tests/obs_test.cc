@@ -1,7 +1,7 @@
 // Unit tests for the out-of-band telemetry layer (src/obs/): histogram
-// bucket geometry, merge semantics, snapshot canonical-JSON byte stability,
-// and the runtime enable switch. The cross-process contracts (byte-identity
-// of results with telemetry on/off/compiled-out, journal contents under
+// bucket geometry, snapshot canonical-JSON byte stability, and the runtime
+// enable switch. The cross-process contracts (byte-identity of results with
+// telemetry on and off, snapshot merging, journal contents under
 // fault injection, the `metrics` service request) live in
 // fleet_recovery_test, service_e2e_test, and CI's telemetry-identity job.
 
@@ -16,24 +16,6 @@
 
 namespace longstore::obs {
 namespace {
-
-#ifdef LONGSTORE_OBS_OFF
-TEST(ObsCompiledOut, RecordingIsInertAndSnapshotKeepsShape) {
-  Registry registry;
-  Counter& counter = registry.counter("compiled.out");
-  counter.Add(41);
-  EXPECT_EQ(counter.value(), 0);
-  Histogram& histogram = registry.histogram("compiled.out.h");
-  histogram.Record(123);
-  EXPECT_EQ(histogram.count(), 0);
-  // The snapshot keeps its canonical shape (zeros), so consumers can always
-  // parse it regardless of the build flavor.
-  EXPECT_EQ(registry.SnapshotJson(),
-            "{\"obs_version\":1,\"counters\":{\"compiled.out\":0},"
-            "\"histograms\":{\"compiled.out.h\":{\"count\":0,\"sum\":0,"
-            "\"min\":0,\"max\":0,\"buckets\":[]}}}");
-}
-#else
 
 TEST(HistogramBuckets, GeometryCoversTheFullRange) {
   // Bucket 0 holds exactly 0 (and clamped negatives); bucket i >= 1 holds
@@ -86,29 +68,6 @@ TEST(HistogramBuckets, TopBucketAbsorbsOverflowByConstruction) {
   histogram.Record(std::numeric_limits<int64_t>::max());
   histogram.Record(int64_t{1} << 62);
   EXPECT_EQ(histogram.bucket(Histogram::kBuckets - 1), 2);
-}
-
-TEST(HistogramMerge, ElementwiseWithMinMax) {
-  Histogram a;
-  Histogram b;
-  a.Record(4);
-  a.Record(100);
-  b.Record(1);
-  b.Record(1 << 20);
-
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count(), 4);
-  EXPECT_EQ(a.sum(), 4 + 100 + 1 + (1 << 20));
-  EXPECT_EQ(a.min(), 1);
-  EXPECT_EQ(a.max(), 1 << 20);
-  EXPECT_EQ(a.bucket(Histogram::BucketIndex(4)), 1);
-  EXPECT_EQ(a.bucket(Histogram::BucketIndex(1)), 1);
-
-  // Merging an empty histogram changes nothing — including min/max.
-  Histogram empty;
-  a.MergeFrom(empty);
-  EXPECT_EQ(a.count(), 4);
-  EXPECT_EQ(a.min(), 1);
 }
 
 TEST(Snapshot, ByteStableAcrossRegistrationOrder) {
@@ -165,8 +124,6 @@ TEST(TraceEvent, FieldsRenderCanonically) {
   EXPECT_EQ(event.fields(),
             ",\"s\":\"a\\\"b\",\"i\":-4,\"h\":\"0xbeef\",\"d\":0.5");
 }
-
-#endif  // LONGSTORE_OBS_OFF
 
 }  // namespace
 }  // namespace longstore::obs

@@ -327,18 +327,17 @@ TEST(RareEventTest, IdentityWeightedSweepMatchesPlainLossProbability) {
   // sees exactly the trials kLossProbability sees: same losses, weight 1.
   const Scenario scenario = MirrorOf(BusyParams(Duration::Hours(40.0)));
   const Duration mission = Duration::Hours(20000.0);
-  McConfig mc;
-  mc.trials = 4000;
-  mc.seed = 555;
-
-  const LossProbabilityEstimate plain = EstimateLossProbability(scenario, mission, mc);
-
   SweepOptions options;
-  options.estimand = SweepOptions::Estimand::kWeightedLossProbability;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
   options.mission = mission;
-  options.bias = FaultBias{};
-  options.mc = mc;
+  options.mc.trials = 4000;
+  options.mc.seed = 555;
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
+  const LossProbabilityEstimate plain =
+      *SweepRunner().Run(SweepSpec(scenario), options).cells.front().loss;
+
+  options.estimand = SweepOptions::Estimand::kWeightedLossProbability;
+  options.bias = FaultBias{};
   const SweepResult result = SweepRunner().Run(SweepSpec(scenario), options);
   const WeightedLossProbabilityEstimate& weighted = *result.cells.front().weighted;
 
@@ -347,26 +346,6 @@ TEST(RareEventTest, IdentityWeightedSweepMatchesPlainLossProbability) {
   EXPECT_EQ(weighted.max_weight, 1.0);  // every loss carries weight exactly 1
   EXPECT_EQ(weighted.aggregate_metrics.visible_faults,
             plain.aggregate_metrics.visible_faults);
-}
-
-TEST(RareEventTest, EstimateIsThreadCountInvariant) {
-  const Scenario scenario = PinnedRareLossScenario();
-  IsOptions options;
-  options.bias = LatentTilt(16.0);
-  McConfig mc;
-  mc.trials = 3000;
-  mc.seed = 99;
-  mc.threads = 1;
-  const IsLossProbabilityEstimate one =
-      EstimateLossProbabilityIS(scenario, Duration::Years(1.0), mc, options);
-  mc.threads = 8;
-  const IsLossProbabilityEstimate eight =
-      EstimateLossProbabilityIS(scenario, Duration::Years(1.0), mc, options);
-  EXPECT_EQ(one.probability(), eight.probability());
-  EXPECT_EQ(one.estimate.ci.lo, eight.estimate.ci.lo);
-  EXPECT_EQ(one.estimate.ci.hi, eight.estimate.ci.hi);
-  EXPECT_EQ(one.estimate.effective_sample_size, eight.estimate.effective_sample_size);
-  EXPECT_EQ(one.estimate.hits, eight.estimate.hits);
 }
 
 TEST(RareEventTest, InvalidBiasIsRejected) {

@@ -110,11 +110,14 @@ TEST(ScenarioEngineTest, MixedDistributionFleetRuns) {
                           .Weibull(4.0)
                           .InitialAge(Duration::Hours(700.0)))
           .Build();
-  McConfig mc;
-  mc.trials = 300;
-  mc.seed = 5;
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = Duration::Hours(2000.0);
+  options.mc.trials = 300;
+  options.mc.seed = 5;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
   const LossProbabilityEstimate loss =
-      EstimateLossProbability(scenario, Duration::Hours(2000.0), mc);
+      *SweepRunner().Run(SweepSpec(scenario), options).cells.front().loss;
   EXPECT_GT(loss.losses, 0);
   EXPECT_LT(loss.losses, loss.trials);
 }

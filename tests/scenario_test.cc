@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "src/scenario/media.h"
 
@@ -174,13 +177,39 @@ TEST(ScenarioValidationTest, RejectsBadCommonModeSources) {
   ExpectBuildError(ScenarioBuilder()
                        .Replicas(2, DiskLike())
                        .CommonModeAll("odds", Rate::PerYear(1.0), 1.5),
-                   "probabilities must lie in [0, 1]");
+                   "'odds' hit_probability must lie in [0, 1]");
   CommonModeSource stray;
   stray.name = "stray";
   stray.event_rate = Rate::PerYear(1.0);
   stray.members = {5};
   ExpectBuildError(ScenarioBuilder().Replicas(2, DiskLike()).CommonMode(stray),
                    "out-of-range member");
+}
+
+TEST(ScenarioValidationTest, RejectsNanCommonModeProbabilities) {
+  // A NaN fails every ordered comparison, so a range check written as
+  // "p < 0 || p > 1" let it through, and the engine then fired common-mode
+  // events that struck no replica.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExpectBuildError(ScenarioBuilder()
+                       .Replicas(2, DiskLike())
+                       .CommonModeAll("site", Rate::PerYear(1.0), nan),
+                   "'site' hit_probability must lie in [0, 1]");
+  ExpectBuildError(ScenarioBuilder()
+                       .Replicas(2, DiskLike())
+                       .CommonModeAll("site", Rate::PerYear(1.0), 0.5, nan),
+                   "'site' visible_fraction must lie in [0, 1]");
+  // The same scenario arriving as JSON is refused by the same check.
+  Scenario scenario = ScenarioBuilder()
+                          .Replicas(2, DiskLike())
+                          .CommonModeAll("site", Rate::PerYear(1.0))
+                          .Build();
+  scenario.common_mode[0].hit_probability = nan;
+  scenario.common_mode[0].visible_fraction = nan;
+  const std::optional<std::string> error =
+      Scenario::FromJson(scenario.ToJson()).Validate();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("hit_probability"), std::string::npos) << *error;
 }
 
 TEST(ScenarioJsonTest, RoundTripPreservesEverythingBitForBit) {
@@ -288,8 +317,8 @@ TEST(ScenarioJsonTest, RejectsMalformedInput) {
 TEST(MediaSpecTest, FactoriesMatchDerivedParams) {
   const DriveSpec drive = SeagateBarracuda200Gb();
   const ScrubPolicy scrub = ScrubPolicy::PeriodicPerYear(12.0);
-  const FaultParams online = OnlineReplicaParams(drive, scrub, 5.0);
-  const ReplicaSpec spec = DiskSpec(drive, scrub, 5.0);
+  const FaultParams online = OnlineReplicaParams(drive, scrub);
+  const ReplicaSpec spec = DiskSpec(drive, scrub);
   EXPECT_EQ(spec.mv, online.mv);
   EXPECT_EQ(spec.ml, online.ml);
   EXPECT_EQ(spec.mrv, online.mrv);
@@ -298,7 +327,7 @@ TEST(MediaSpecTest, FactoriesMatchDerivedParams) {
 
   const DriveSpec cartridge = Lto3TapeCartridge();
   const FaultParams offline =
-      OfflineReplicaParams(cartridge, 4.0, OfflineHandlingModel::Defaults(), 5.0);
+      OfflineReplicaParams(cartridge, 4.0, OfflineHandlingModel::Defaults());
   const ReplicaSpec tape = TapeSpec(cartridge, 4.0);
   EXPECT_EQ(tape.mv, offline.mv);
   EXPECT_EQ(tape.mrv, offline.mrv);

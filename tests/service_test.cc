@@ -301,6 +301,36 @@ TEST(SweepServiceTest, BadMonteCarloOptionsAreRejectedBeforeAnyTrial) {
   EXPECT_EQ(service.cache_size(), 0u);
 }
 
+TEST(SweepServiceTest, NanCommonModeProbabilitiesAreRejected) {
+  // A scenario whose common-mode probability is NaN is a permanent error
+  // that names the field, and nothing is computed or cached.
+  const Scenario scenario = ScenarioBuilder()
+                                .Replicas(2, FastReplica())
+                                .CommonModeAll("site", Rate::PerYear(1.0))
+                                .Build();
+  SweepService service{ServiceOptions{}};
+  const auto reject = [&](const std::function<void(CommonModeSource&)>& mutate,
+                          const std::string& field) {
+    ShardSpec spec =
+        ShardSpec::FromJson(Document(SweepSpec(scenario), FixedOptions()));
+    mutate(spec.cells[0].scenario.common_mode[0]);
+    ServiceRequest request;
+    request.kind = ServiceRequest::Kind::kSweep;
+    request.sweep_document = spec.ToJson();
+    const ServiceResponse response =
+        ServiceResponse::FromJson(service.HandleRequestBytes(request.ToJson()));
+    EXPECT_FALSE(response.ok) << field;
+    EXPECT_FALSE(response.retryable) << response.message;
+    EXPECT_NE(response.message.find(field), std::string::npos) << response.message;
+  };
+  reject([](CommonModeSource& s) { s.hit_probability = std::nan(""); },
+         "'site' hit_probability must lie in [0, 1]");
+  reject([](CommonModeSource& s) { s.visible_fraction = std::nan(""); },
+         "'site' visible_fraction must lie in [0, 1]");
+  EXPECT_EQ(service.cache_stats().insertions, 0);
+  EXPECT_EQ(service.cache_size(), 0u);
+}
+
 TEST(SweepServiceTest, StaleSweepIdIsRejected) {
   // A document whose stamped sweep_id no longer matches its own content
   // (mutated after planning, then re-serialized) must be refused: trusting

@@ -11,9 +11,13 @@
 //
 // LONGSTORE_SWEEP_WORKER is injected by CMake as the built binary's path.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +74,24 @@ Subprocess RunWorker(std::vector<std::string> args) {
   return worker;
 }
 
+// The largest Threads: count in /proc/<pid>/status of `worker`, sampled
+// about every millisecond for `seconds` or until it exits.
+int PeakThreads(Subprocess& worker, double seconds) {
+  const auto end = std::chrono::steady_clock::now() +
+                   std::chrono::duration<double>(seconds);
+  int peak = 0;
+  while (std::chrono::steady_clock::now() < end && !worker.Poll()) {
+    std::ifstream status("/proc/" + std::to_string(worker.pid()) + "/status");
+    for (std::string line; std::getline(status, line);) {
+      if (line.rfind("Threads:", 0) == 0) {
+        peak = std::max(peak, std::stoi(line.substr(8)));
+      }
+    }
+    Subprocess::WaitAny({&worker}, 0.001);
+  }
+  return peak;
+}
+
 TEST(ShardE2eTest, GoldenSweepShardedThroughWorkerProcessesIsByteIdentical) {
   const SweepSpec spec = CheetahSpec();
   const SweepOptions options = CheetahOptions();
@@ -120,9 +142,9 @@ TEST(ShardE2eTest, WorkerRejectsMalformedShardWithNonZeroExit) {
   std::remove(shard_path.c_str());
 }
 
-TEST(ShardE2eTest, WorkerThreadCapDoesNotChangeOutputBytes) {
-  // --threads caps the worker pool lanes; the shard document promises that
-  // never changes results. Run the same one-shard plan at 1 and 4 threads.
+TEST(ShardE2eTest, WorkerPoolSizeDoesNotChangeOutputBytes) {
+  // --threads sizes the worker pool; the shard document promises that never
+  // changes results. Run the same one-shard plan at 1 and 4 threads.
   const SweepSpec spec = CheetahSpec();
   SweepOptions options = CheetahOptions();
   options.mc.trials = 500;  // cheaper: this test is about lanes, not values
@@ -141,6 +163,32 @@ TEST(ShardE2eTest, WorkerThreadCapDoesNotChangeOutputBytes) {
   }
   std::remove(shard_path.c_str());
   EXPECT_EQ(outputs[0], outputs[1]);
+}
+
+TEST(ShardE2eTest, WorkerPoolHasTheThreadsAsked) {
+  // --threads sizes the worker's pool: at 1 the worker computes on its main
+  // thread and one pool thread, whatever the machine's core count; at 0 it
+  // runs one pool thread per core. Each run is sampled for a second of a
+  // shard that takes longer on one lane, then killed.
+  const SweepSpec spec = CheetahSpec();
+  SweepOptions options = CheetahOptions();
+  options.mc.trials = 100000;
+  const ShardPlan plan(spec, options, 1);
+  const std::string shard_path =
+      testing::TempDir() + "longstore_e2e_pool_threads.shard.json";
+  WriteFile(shard_path, plan.shards()[0].ToJson());
+
+  const unsigned cores = std::thread::hardware_concurrency();
+  const int every_core = 1 + (cores == 0 ? 1 : static_cast<int>(cores));
+  for (const auto& [flag, expected] :
+       {std::pair{"--threads=1", 2}, std::pair{"--threads=0", every_core}}) {
+    Subprocess worker = Subprocess::Spawn(
+        {LONGSTORE_SWEEP_WORKER, "--shard=" + shard_path, flag}, "");
+    EXPECT_EQ(PeakThreads(worker, 1.0), expected) << flag;
+    worker.Kill();
+    worker.Await();
+  }
+  std::remove(shard_path.c_str());
 }
 
 }  // namespace

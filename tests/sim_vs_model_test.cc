@@ -94,11 +94,17 @@ TEST(SimVsModelTest, MissionLossProbabilityMatchesCtmc) {
   const auto exact =
       MirroredLossProbability(p, mission, RateConvention::kPhysical);
   ASSERT_TRUE(exact.has_value());
-  McConfig mc;
-  mc.trials = 8000;
-  mc.seed = 113;
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = mission;
+  options.mc.trials = 8000;
+  options.mc.seed = 113;
+  options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
   const LossProbabilityEstimate estimate =
-      EstimateLossProbability(ScenarioFor(p, 2, RateConvention::kPhysical), mission, mc);
+      *SweepRunner()
+           .Run(SweepSpec(ScenarioFor(p, 2, RateConvention::kPhysical)), options)
+           .cells.front()
+           .loss;
   EXPECT_TRUE(estimate.wilson_ci.lo <= *exact && *exact <= estimate.wilson_ci.hi)
       << "exact=" << *exact << " mc=[" << estimate.wilson_ci.lo << ", "
       << estimate.wilson_ci.hi << "]";

@@ -1,5 +1,5 @@
 // The sweep determinism contract: estimates are bit-identical regardless of
-// thread count, lane scheduling, and the order cells were added to the spec
+// the pool's size, lane scheduling, and the order cells were added to the spec
 // — for exponential and Weibull fault distributions, fixed and adaptive
 // trial counts. This is what makes the golden-figure regression suite
 // (paper_figures_test.cc) meaningful on any machine shape.
@@ -46,8 +46,7 @@ std::vector<std::pair<std::string, Scenario>> Cells() {
   return cells;
 }
 
-SweepResult RunWith(int threads, bool shuffled, WorkerPool* pool,
-                    bool adaptive = false) {
+SweepResult RunWith(bool shuffled, WorkerPool* pool, bool adaptive = false) {
   auto cell_list = Cells();
   if (shuffled) {
     std::reverse(cell_list.begin(), cell_list.end());
@@ -61,7 +60,6 @@ SweepResult RunWith(int threads, bool shuffled, WorkerPool* pool,
   options.estimand = SweepOptions::Estimand::kMttdl;
   options.mc.trials = 700;  // deliberately not a multiple of the block size
   options.mc.seed = 0xd15c0;
-  options.mc.threads = threads;
   options.seed_mode = SweepOptions::SeedMode::kPerCellDerived;
   if (adaptive) {
     options.adaptive = true;
@@ -97,34 +95,36 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b) {
   }
 }
 
-TEST(SweepDeterminismTest, ThreadCountDoesNotChangeEstimates) {
-  WorkerPool pool(8);  // a real 8-worker pool regardless of the host's cores
-  const SweepResult one = RunWith(/*threads=*/1, /*shuffled=*/false, &pool);
-  const SweepResult eight = RunWith(/*threads=*/8, /*shuffled=*/false, &pool);
+TEST(SweepDeterminismTest, PoolSizeDoesNotChangeEstimates) {
+  WorkerPool one_lane(1);
+  WorkerPool eight_lanes(8);  // real workers regardless of the host's cores
+  const SweepResult one = RunWith(/*shuffled=*/false, &one_lane);
+  const SweepResult eight = RunWith(/*shuffled=*/false, &eight_lanes);
   ExpectBitIdentical(one, eight);
 }
 
 TEST(SweepDeterminismTest, SubmissionOrderDoesNotChangeEstimates) {
   WorkerPool pool(8);
-  const SweepResult in_order = RunWith(8, /*shuffled=*/false, &pool);
-  const SweepResult shuffled = RunWith(8, /*shuffled=*/true, &pool);
+  const SweepResult in_order = RunWith(/*shuffled=*/false, &pool);
+  const SweepResult shuffled = RunWith(/*shuffled=*/true, &pool);
   ExpectBitIdentical(in_order, shuffled);
 }
 
 TEST(SweepDeterminismTest, SharedVsPrivatePoolAgree) {
   WorkerPool pool(3);
-  const SweepResult private_pool = RunWith(3, false, &pool);
-  const SweepResult shared_pool = RunWith(3, false, nullptr);
+  const SweepResult private_pool = RunWith(false, &pool);
+  const SweepResult shared_pool = RunWith(false, nullptr);
   ExpectBitIdentical(private_pool, shared_pool);
 }
 
 TEST(SweepDeterminismTest, AdaptiveRunsAreDeterministicToo) {
   // Adaptive rounds pick each cell's trial counts from its accumulated
   // stats; those are deterministic, so the whole adaptive trajectory
-  // (including per-cell totals) must be thread-count-invariant.
-  WorkerPool pool(8);
-  const SweepResult one = RunWith(1, false, &pool, /*adaptive=*/true);
-  const SweepResult eight = RunWith(8, true, &pool, /*adaptive=*/true);
+  // (including per-cell totals) must not depend on the pool's size.
+  WorkerPool one_lane(1);
+  WorkerPool eight_lanes(8);
+  const SweepResult one = RunWith(false, &one_lane, /*adaptive=*/true);
+  const SweepResult eight = RunWith(true, &eight_lanes, /*adaptive=*/true);
   ExpectBitIdentical(one, eight);
   for (const SweepCellResult& cell : one.cells) {
     const SweepCellResult& other = eight.ByLabel(cell.label);
@@ -136,16 +136,16 @@ TEST(SweepDeterminismTest, AdaptiveRunsAreDeterministicToo) {
 }
 
 TEST(SweepDeterminismTest, RepeatedRunsAreIdentical) {
-  const SweepResult first = RunWith(2, false, nullptr);
-  const SweepResult second = RunWith(2, false, nullptr);
+  const SweepResult first = RunWith(false, nullptr);
+  const SweepResult second = RunWith(false, nullptr);
   ExpectBitIdentical(first, second);
 }
 
 // The weighted (importance-sampled) estimand rides the same block
 // aggregation, so its estimates — weighted mean, CI, ESS, max weight, not
-// just hit counts — must be bit-identical across thread counts and cell
-// orders too.
-SweepResult RunWeightedWith(int threads, bool shuffled, WorkerPool* pool) {
+// just hit counts — must be bit-identical across pool sizes and cell orders
+// too.
+SweepResult RunWeightedWith(bool shuffled, WorkerPool* pool) {
   auto cell_list = Cells();
   if (shuffled) {
     std::reverse(cell_list.begin(), cell_list.end());
@@ -162,7 +162,6 @@ SweepResult RunWeightedWith(int threads, bool shuffled, WorkerPool* pool) {
   options.bias.force_probability = 0.5;
   options.mc.trials = 700;  // deliberately not a multiple of the block size
   options.mc.seed = 0xd15c0;
-  options.mc.threads = threads;
   options.seed_mode = SweepOptions::SeedMode::kPerCellDerived;
   return SweepRunner(pool).Run(spec, options);
 }
@@ -186,17 +185,18 @@ void ExpectWeightedBitIdentical(const SweepResult& a, const SweepResult& b) {
   }
 }
 
-TEST(SweepDeterminismTest, WeightedEstimandThreadCountInvariant) {
-  WorkerPool pool(8);
-  const SweepResult one = RunWeightedWith(/*threads=*/1, /*shuffled=*/false, &pool);
-  const SweepResult eight = RunWeightedWith(/*threads=*/8, /*shuffled=*/false, &pool);
+TEST(SweepDeterminismTest, WeightedEstimandPoolSizeInvariant) {
+  WorkerPool one_lane(1);
+  WorkerPool eight_lanes(8);
+  const SweepResult one = RunWeightedWith(/*shuffled=*/false, &one_lane);
+  const SweepResult eight = RunWeightedWith(/*shuffled=*/false, &eight_lanes);
   ExpectWeightedBitIdentical(one, eight);
 }
 
 TEST(SweepDeterminismTest, WeightedEstimandCellOrderInvariant) {
   WorkerPool pool(8);
-  const SweepResult in_order = RunWeightedWith(8, /*shuffled=*/false, &pool);
-  const SweepResult shuffled = RunWeightedWith(8, /*shuffled=*/true, &pool);
+  const SweepResult in_order = RunWeightedWith(/*shuffled=*/false, &pool);
+  const SweepResult shuffled = RunWeightedWith(/*shuffled=*/true, &pool);
   ExpectWeightedBitIdentical(in_order, shuffled);
 }
 

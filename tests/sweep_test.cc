@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/storage/replicated_system.h"
+#include "src/util/random.h"
 
 namespace longstore {
 namespace {
@@ -162,12 +164,17 @@ TEST(SweepRunnerTest, LossProbabilityEstimand) {
   options.mc.seed = 3;
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
   const SweepResult sweep = SweepRunner().Run(spec, options);
-  const LossProbabilityEstimate direct = EstimateLossProbability(
-      FastScenario(), Duration::Years(30.0), options.mc);
   ASSERT_TRUE(sweep.cells[0].loss.has_value());
   EXPECT_FALSE(sweep.cells[0].mttdl.has_value());
-  EXPECT_EQ(sweep.cells[0].loss->losses, direct.losses);
   EXPECT_EQ(sweep.cells[0].loss->trials, 400);
+  // The estimand counts exactly the losses of trials k = 0..399, each run
+  // over the mission from DeriveSeed(seed, k).
+  TrialRunner runner(FastScenario());
+  int64_t losses = 0;
+  for (uint64_t k = 0; k < 400; ++k) {
+    losses += runner.Run(DeriveSeed(3, k), options.mission).loss_time.has_value();
+  }
+  EXPECT_EQ(sweep.cells[0].loss->losses, losses);
 }
 
 TEST(SweepRunnerTest, CensoredEstimand) {

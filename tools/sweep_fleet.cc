@@ -31,11 +31,11 @@
 //   --backoff-initial-s=T first retry delay             (default 0.1)
 //   --partial-ok         finalize survivors when cells exhaust retries;
 //                        missing cells are explicitly marked, exit code 2
-//   --threads=N          lanes per worker (default 1); with --single, lanes
-//                        of the in-process run (default every core). 0 =
-//                        every core
+//   --threads=N          pool threads per worker (default 1); with
+//                        --single, of the in-process run (default every
+//                        core). 0 = every core
 //   --tmp=DIR            scratch directory              (default: mkdtemp)
-//   --keep-files         keep the shard documents and worker logs
+//   --keep-files         keep the shard documents
 //   --fail-mode=crash|hang|corrupt|flaky --fail-prob=P --fail-seed=S
 //                        forwarded fault injection (CI chaos testing)
 //
@@ -77,6 +77,7 @@
 #include "src/obs/trace.h"
 #include "src/scenario/scenario.h"
 #include "src/sweep/sweep.h"
+#include "src/sweep/worker_pool.h"
 #include "src/util/json.h"
 #include "tools/figure_sweeps.h"
 #include "tools/numeric_flags.h"
@@ -317,16 +318,15 @@ int Main(int argc, char** argv) {
 
   if (threads >= 0) {
     fleet.worker_threads = threads;
-    if (single) {
-      options.mc.threads = threads;  // lanes only; results never change
-    }
   }
 
   obs::TraceJournal journal;
   journal.Open(trace_out);
 
   if (single) {
-    const SweepResult result = SweepRunner().Run(spec, options);
+    // Lanes only; results never change. Unset (-1), like 0, is every core.
+    WorkerPool pool(threads);
+    const SweepResult result = SweepRunner(&pool).Run(spec, options);
     WriteTelemetry(metrics_out, journal);
     PrintResult(result, format, /*complete=*/true, {}, result.cells.size());
     return 0;

@@ -10,11 +10,12 @@
 // on this process's worker pool, and writes the ShardResult JSON to stdout
 // as one line. The result is deterministic: cell seeds derive from the
 // document's seed mode, never from this process's identity, so any worker
-// produces the same bytes for the same shard. --threads only caps the lanes
-// used (wall clock, never results). --metrics-out=- puts this process's
-// MetricsSnapshot JSON on stdout as the line after the result, once the
-// shard completes; "-" is its only value. That is how the fleet supervisor
-// (src/fleet/) collects both: over its pipe on the worker's stdout.
+// produces the same bytes for the same shard. --threads sizes the worker
+// pool (0, the default, is one thread per core): wall clock, never results.
+// --metrics-out=- puts this process's MetricsSnapshot JSON on stdout as the
+// line after the result, once the shard completes; "-" is its only value.
+// That is how the fleet supervisor (src/fleet/) collects both: over its pipe
+// on the worker's stdout.
 //
 // A worker killed mid-write leaves a torn line, never a whole document: its
 // exit status fails it first, and the envelope (length + FNV-1a) rejects the
@@ -69,7 +70,8 @@ int Usage(const char* argv0) {
       "          [--fail-seed=S] [--fail-nonce=N]\n"
       "  --shard=FILE   shard spec JSON (\"-\" = stdin); the result JSON goes\n"
       "                 to stdout as one line\n"
-      "  --threads=N    cap worker-pool lanes (never changes results)\n"
+      "  --threads=N    worker-pool threads, 0 = one per core (never changes\n"
+      "                 results)\n"
       "  --metrics-out=-  after the shard completes, write this process's\n"
       "                 MetricsSnapshot JSON to stdout as the line after the\n"
       "                 result (telemetry; never affects results)\n"
@@ -167,8 +169,8 @@ int main(int argc, char** argv) {
       throw std::runtime_error("shard file: " + error);
     }
 
-    longstore::ShardSpec shard = longstore::ShardSpec::FromJson(text, shard_path);
-    shard.options.mc.threads = threads;
+    const longstore::ShardSpec shard =
+        longstore::ShardSpec::FromJson(text, shard_path);
     fail.armed = fail.mode != nullptr && DecideFault(fail, shard.shard_index);
 
     if (fail.armed && std::strcmp(fail.mode, "flaky") == 0) {
@@ -184,7 +186,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const longstore::ShardResult result = longstore::RunShard(shard);
+    longstore::WorkerPool pool(threads);
+    const longstore::ShardResult result = longstore::RunShard(shard, &pool);
     std::string json = result.ToJson();
 
     if (fail.armed && std::strcmp(fail.mode, "corrupt") == 0) {
