@@ -1,6 +1,10 @@
 #include "src/util/linalg.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -47,6 +51,113 @@ TEST(MatrixTest, MultiplyDimensionMismatchThrows) {
   Matrix a(2, 3);
   Matrix b(2, 2);
   EXPECT_THROW(a * b, std::invalid_argument);
+}
+
+// The product's contract (src/util/linalg.h): element (r, c) is 0.0 plus
+// a(r, k) * b(k, c) for ascending k, skipping every k where a(r, k) == 0.
+// This triple loop is that definition; the product must match it bit for
+// bit, so a skipped zero never meets an inf or NaN in `b`, and a sum of
+// negative zeros stays +0.0.
+Matrix ReferenceProduct(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols(), 0.0);
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t k = 0; k < a.cols(); ++k) {
+      const double x = a.At(r, k);
+      if (x == 0.0) {
+        continue;
+      }
+      for (size_t c = 0; c < b.cols(); ++c) {
+        out.At(r, c) += x * b.At(k, c);
+      }
+    }
+  }
+  return out;
+}
+
+// Entries over many magnitudes, about a third of them zero (some -0.0),
+// and a few that underflow to a signed zero when multiplied.
+Matrix RandomMatrix(size_t rows, size_t cols, std::mt19937_64& gen) {
+  Matrix m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      const uint64_t pick = gen() % 12;
+      const double mantissa = static_cast<double>(gen() >> 11) * 0x1.0p-53 - 0.5;
+      double v = 0.0;
+      if (pick < 3) {
+        v = 0.0;
+      } else if (pick == 3) {
+        v = -0.0;
+      } else if (pick == 4) {
+        v = mantissa * 1e-200;
+      } else {
+        v = std::ldexp(mantissa, static_cast<int>(gen() % 41) - 20);
+      }
+      m.At(r, c) = v;
+    }
+  }
+  return m;
+}
+
+void ExpectBitIdentical(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (size_t r = 0; r < want.rows(); ++r) {
+    for (size_t c = 0; c < want.cols(); ++c) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.At(r, c)), std::bit_cast<uint64_t>(want.At(r, c)))
+          << "element (" << r << ", " << c << ") of a " << want.rows() << "x"
+          << want.cols() << " product: " << got.At(r, c) << " vs " << want.At(r, c);
+    }
+  }
+}
+
+TEST(MatrixTest, MultiplyMatchesReferenceBitForBitOnSquareSizes) {
+  std::mt19937_64 gen(20061018);
+  for (size_t n = 1; n <= 23; ++n) {
+    for (int rep = 0; rep < 4; ++rep) {
+      const Matrix a = RandomMatrix(n, n, gen);
+      const Matrix b = RandomMatrix(n, n, gen);
+      ExpectBitIdentical(a * b, ReferenceProduct(a, b));
+      ExpectBitIdentical(a * a, ReferenceProduct(a, a));
+    }
+  }
+}
+
+TEST(MatrixTest, MultiplyMatchesReferenceBitForBitOnRectangularShapes) {
+  std::mt19937_64 gen(4102);
+  for (size_t rows : {1, 2, 3, 5, 8, 13}) {
+    for (size_t inner : {1, 2, 7, 16, 17}) {
+      for (size_t cols = 1; cols <= 37; ++cols) {
+        const Matrix a = RandomMatrix(rows, inner, gen);
+        const Matrix b = RandomMatrix(inner, cols, gen);
+        ExpectBitIdentical(a * b, ReferenceProduct(a, b));
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, MultiplySkipsZeroLeftEntries) {
+  // A zero in `a` skips its row of `b` entirely, so an inf or NaN there
+  // never turns into 0 * inf = NaN; a nonzero entry does reach it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t cols : {1, 3, 4, 9, 19}) {
+    Matrix a(2, 3, 0.0);
+    a.At(0, 1) = 2.0;
+    a.At(1, 0) = 1.0;
+    a.At(1, 2) = -0.0;
+    Matrix b(3, cols, 1.0);
+    for (size_t c = 0; c < cols; ++c) {
+      b.At(0, c) = c % 2 == 0 ? kInf : std::numeric_limits<double>::quiet_NaN();
+      b.At(1, c) = 0.5 * static_cast<double>(c);
+      b.At(2, c) = kInf;
+    }
+    const Matrix p = a * b;
+    for (size_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(p.At(0, c), static_cast<double>(c));
+      EXPECT_FALSE(std::signbit(p.At(0, c)));
+    }
+    EXPECT_TRUE(std::isinf(p.At(1, 0)));
+    ExpectBitIdentical(p, ReferenceProduct(a, b));
+  }
 }
 
 TEST(MatrixTest, InfNorm) {
