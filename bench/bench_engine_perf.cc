@@ -2,8 +2,9 @@
 //
 // Measures the substrate costs that determine how far the Monte Carlo
 // harness scales: clock-table throughput, end-to-end trial cost (fresh
-// construction vs TrialRunner reuse), CTMC solve time (GTH elimination), and
-// the matrix exponential used for mission-loss probabilities.
+// construction vs TrialRunner reuse), CTMC solve time (GTH elimination), the
+// matrix exponential used for mission-loss probabilities, and the shard
+// layer's parse of the frontier's sweep documents.
 //
 // The whole binary links against a counting global allocator so the
 // steady-state arm/fire path can be asserted allocation-free; run via
@@ -12,13 +13,18 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "src/frontier/eval_backend.h"
+#include "src/frontier/frontier.h"
 #include "src/model/paper_model.h"
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
 #include "src/scenario/media.h"
+#include "src/shard/shard.h"
 #include "src/sim/simulator.h"
 #include "src/storage/replicated_system.h"
 #include "src/sweep/sweep.h"
@@ -262,7 +268,9 @@ void BM_MirroredTrialToLossReused(benchmark::State& state) {
 BENCHMARK(BM_MirroredTrialToLossReused);
 
 // A one-cell kSharedRoot loss sweep on one lane: trial k draws from
-// DeriveSeed(seed, k).
+// DeriveSeed(seed, k). The trials run on the pool's thread, not the
+// benchmark's, so the series is timed in real time: the calling thread's
+// CPU time (the series before UseRealTime) read its trial rate 25-45x high.
 void BM_McLossProbability1kTrials(benchmark::State& state) {
   const SweepSpec spec(
       ScenarioBuilder()
@@ -283,7 +291,7 @@ void BM_McLossProbability1kTrials(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * options.mc.trials);
 }
-BENCHMARK(BM_McLossProbability1kTrials);
+BENCHMARK(BM_McLossProbability1kTrials)->UseRealTime();
 
 void BM_ReplicatedCtmcSolve(benchmark::State& state) {
   const int replicas = static_cast<int>(state.range(0));
@@ -306,6 +314,52 @@ void BM_MissionLossMatrixExponential(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MissionLossMatrixExponential)->Arg(2)->Arg(5);
+
+// Forwards to the pool backend and keeps every sweep document it was sent.
+class RecordingBackend : public FrontierEvalBackend {
+ public:
+  explicit RecordingBackend(WorkerPool* pool) : inner_(pool) {}
+  Eval Evaluate(const std::string& sweep_document) override {
+    documents.push_back(sweep_document);
+    return inner_.Evaluate(sweep_document);
+  }
+  std::vector<std::string> documents;
+
+ private:
+  PoolEvalBackend inner_;
+};
+
+// The checksummed shard documents the golden-small frontier search sends,
+// one per simulated candidate: what a warm search's service parses.
+const std::vector<std::string>& GoldenSmallSweepDocuments() {
+  static const std::vector<std::string> documents = [] {
+    WorkerPool pool(2);
+    RecordingBackend backend(&pool);
+    FrontierEvaluator evaluator(GoldenSmallOptions(), &backend);
+    RunFrontierSearch(GoldenSmallTarget(), GoldenSmallSpace(), evaluator);
+    return backend.documents;
+  }();
+  return documents;
+}
+
+// The shard layer's parse: envelope check, JSON tree and schema readers
+// (scenarios included) over every golden-small sweep document.
+void BM_ShardSpecFromJson(benchmark::State& state) {
+  const std::vector<std::string>& documents = GoldenSmallSweepDocuments();
+  int64_t bytes = 0;
+  for (const std::string& document : documents) {
+    bytes += static_cast<int64_t>(document.size());
+  }
+  for (auto _ : state) {
+    for (const std::string& document : documents) {
+      const ShardSpec shard = ShardSpec::FromJson(document);
+      benchmark::DoNotOptimize(shard.cells.data());
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+  state.counters["documents"] = static_cast<double>(documents.size());
+}
+BENCHMARK(BM_ShardSpecFromJson);
 
 void BM_RngExponentialDraws(benchmark::State& state) {
   Rng rng(7);

@@ -62,6 +62,28 @@ std::vector<ReplicaProfile> ProfilesFor(DeploymentStyle style, int replicas) {
   throw std::invalid_argument("ProfilesFor: unknown deployment style");
 }
 
+// DeriveParams without α: the media's intrinsic rates and audit-driven MDL.
+FaultParams MediaParams(const DriveSpec& drive, double audits_per_year) {
+  if (IsOfflineMedia(drive.media)) {
+    return OfflineReplicaParams(drive, audits_per_year,
+                                OfflineHandlingModel::Defaults());
+  }
+  const ScrubPolicy scrub = audits_per_year > 0.0
+                                ? ScrubPolicy::PeriodicPerYear(audits_per_year)
+                                : ScrubPolicy::None();
+  return OnlineReplicaParams(drive, scrub);
+}
+
+// α of `replicas` replicas under `deployment` and the space's correlation
+// factors. No drive property enters, so one value serves a whole phase.
+double DeploymentAlpha(DeploymentStyle deployment, int replicas,
+                       const FrontierSpace& space) {
+  // α must stay in (0, 1]; fully shared deployments can multiply below the
+  // paper's plausibility floor — clamp there.
+  return std::max(MinPairwiseAlpha(ProfilesFor(deployment, replicas), space.correlation),
+                  1e-9);
+}
+
 }  // namespace
 
 std::string FrontierCandidate::Describe() const {
@@ -100,21 +122,8 @@ std::string_view DeploymentStyleName(DeploymentStyle style) {
 FaultParams DeriveParams(const DriveSpec& drive, int replicas,
                          double audits_per_year, DeploymentStyle deployment,
                          const FrontierSpace& space) {
-  FaultParams params;
-  if (IsOfflineMedia(drive.media)) {
-    params = OfflineReplicaParams(drive, audits_per_year,
-                                  OfflineHandlingModel::Defaults());
-  } else {
-    const ScrubPolicy scrub = audits_per_year > 0.0
-                                  ? ScrubPolicy::PeriodicPerYear(audits_per_year)
-                                  : ScrubPolicy::None();
-    params = OnlineReplicaParams(drive, scrub);
-  }
-  params.alpha =
-      MinPairwiseAlpha(ProfilesFor(deployment, replicas), space.correlation);
-  // α must stay in (0, 1]; fully shared deployments can multiply below the
-  // paper's plausibility floor — clamp there.
-  params.alpha = std::max(params.alpha, 1e-9);
+  FaultParams params = MediaParams(drive, audits_per_year);
+  params.alpha = DeploymentAlpha(deployment, replicas, space);
   return params;
 }
 
@@ -125,16 +134,12 @@ Scenario PhaseScenario(const FrontierPhase& phase, DeploymentStyle deployment,
   }
   const int replicas = static_cast<int>(phase.drives.size());
   ScenarioBuilder builder;
-  double alpha = 1.0;
   for (const DriveSpec& drive : phase.drives) {
-    const FaultParams params = DeriveParams(drive, replicas, phase.audits_per_year,
-                                            deployment, space);
-    // α depends only on deployment and replica count — identical across the
-    // phase's drives.
-    alpha = params.alpha;
-    builder.AddReplica(SpecFromParams(params, drive.model));
+    // SpecFromParams reads no α; the phase's one α is the correlation.
+    builder.AddReplica(
+        SpecFromParams(MediaParams(drive, phase.audits_per_year), drive.model));
   }
-  return builder.Correlation(alpha).Build();
+  return builder.Correlation(DeploymentAlpha(deployment, replicas, space)).Build();
 }
 
 FrontierEvaluator::FrontierEvaluator(FrontierOptions options,
@@ -147,8 +152,11 @@ FrontierEvaluator::FrontierEvaluator(FrontierOptions options,
 
 FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
     const Scenario& scenario, Duration mission) {
+  // One hash names the scenario twice: in the memo key and as the label of
+  // a simulated cell.
+  const uint64_t scenario_hash = scenario.CanonicalHash();
   std::string key;
-  json::AppendUint64Hex(key, scenario.CanonicalHash());
+  json::AppendUint64Hex(key, scenario_hash);
   key += '/';
   json::AppendDouble(key, mission.hours());
   if (auto it = memo_.find(key); it != memo_.end()) {
@@ -185,7 +193,7 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
     // same result bytes for this document.
     SweepSpec spec;
     std::string label;
-    json::AppendUint64Hex(label, scenario.CanonicalHash());
+    json::AppendUint64Hex(label, scenario_hash);
     spec.AddCell(std::move(label), scenario);
     SweepOptions sweep_options;
     sweep_options.estimand = SweepOptions::Estimand::kWeightedLossProbability;

@@ -16,9 +16,9 @@
 // from these files.
 //
 // Events buffer in memory and Flush() writes the whole journal atomically
-// via the same tmp/fsync/rename discipline the shard workers use: a reader
-// (or a crash) never sees a torn journal, only the previous complete one or
-// none. Journals are telemetry — never inputs to results, checksums, or
+// through WriteFileAtomic's tmp/fsync/rename (below), as metrics snapshots
+// are written: a reader (or a crash) never sees a torn journal, only the
+// previous complete one or none. Journals are telemetry — never inputs to results, checksums, or
 // cache keys — and an inert (never Open()ed, or telemetry-off) journal
 // records nothing at zero cost beyond a null/empty check.
 
@@ -85,14 +85,14 @@ class TraceJournal {
 };
 
 // Writes `bytes` to <path>.tmp, fsyncs, renames into place — the shared
-// atomic-write path (shard workers, metrics snapshots, trace journals).
-// After a crash at any point `path` holds the previous complete file or
-// nothing, never a torn write.
+// atomic-write path (the tools' metrics snapshots, trace journals; shard
+// workers write no file, they answer on stdout). After a crash at any point
+// `path` holds the previous complete file or nothing, never a torn write.
 bool WriteFileAtomic(const std::string& path, std::string_view bytes,
                      std::string* error);
 
 // Reads all of `path` into `out` — the shared read path (shard and scenario
-// files, worker results, metrics snapshots, trace journals). Returns false
+// files, trace journals). Returns false
 // and fills `error` (if non-null, naming the file) when `path` cannot be
 // opened or read.
 bool ReadWholeFile(const std::string& path, std::string* out, std::string* error);

@@ -1,22 +1,32 @@
 #include "src/util/json.h"
 
-#include <cctype>
 #include <charconv>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <system_error>
 
 namespace longstore::json {
 
+namespace {
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+}  // namespace
+
 // --- canonical emission ----------------------------------------------------
 
-void AppendEscaped(std::string& out, const std::string& s) {
+void AppendEscaped(std::string& out, std::string_view s) {
   out += '"';
-  for (const char c : s) {
+  size_t run = 0;  // start of the bytes not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -33,16 +43,13 @@ void AppendEscaped(std::string& out, const std::string& s) {
       case '\r':
         out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHexDigits[c >> 4], kHexDigits[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s, run);
   out += '"';
 }
 
@@ -67,15 +74,16 @@ void AppendDouble(std::string& out, double v) {
 }
 
 void AppendInt64(std::string& out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
 }
 
 void AppendUint64Hex(std::string& out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "\"0x%" PRIx64 "\"", v);
-  out += buf;
+  char buf[20] = {'"', '0', 'x'};  // + 16 digits + '"'
+  const auto res = std::to_chars(buf + 3, buf + sizeof(buf) - 1, v, 16);
+  *res.ptr = '"';
+  out.append(buf, res.ptr + 1);
 }
 
 // --- checksummed documents -------------------------------------------------
@@ -110,9 +118,9 @@ std::string WrapChecksummedBody(const std::string& version_key, int version,
 namespace {
 
 std::string HexString(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%" PRIx64, v);
-  return buf;
+  char buf[18] = {'0', 'x'};
+  const auto res = std::to_chars(buf + 2, buf + sizeof(buf), v, 16);
+  return std::string(buf, res.ptr);
 }
 
 bool IsJsonWhitespace(char c) {
@@ -147,11 +155,12 @@ ChecksummedDocument OpenChecksummedDocument(std::string_view text,
   const std::string_view doc = text.substr(begin, end - begin);
 
   ChecksummedDocument out;
-  const std::string head = "{\"" + version_key + "\":";
-  if (doc.substr(0, head.size()) != head) {
+  const size_t key_end = 2 + version_key.size();
+  if (doc.substr(0, 2) != "{\"" || doc.substr(2, version_key.size()) != version_key ||
+      doc.substr(key_end, 2) != "\":") {
     not_an_envelope();
   }
-  size_t pos = head.size();
+  size_t pos = key_end + 2;
   const size_t digits_begin = pos;
   while (pos < doc.size() && doc[pos] >= '0' && doc[pos] <= '9') {
     ++pos;
@@ -220,9 +229,64 @@ ChecksummedDocument OpenChecksummedDocument(std::string_view text,
 
 namespace {
 
+using Entries = std::vector<std::pair<std::string, Value>>;
+
+// Objects up to this many keys check a new key against each earlier one
+// (no object the library emits has more); larger ones use a sorted index.
+constexpr size_t kLinearKeyScan = 32;
+
+// The keys an object has so far, for the duplicate check. Past
+// kLinearKeyScan keys they sit in a sorted index, so n keys cost
+// O(n log n) comparisons instead of O(n^2); a request from an untrusted
+// client may carry hundreds of thousands. Sorted, not hashed: the keys are
+// the client's bytes, and a fixed hash function has collisions that can be
+// crafted. The index holds positions, not views: the entries' vector moves
+// its strings as it grows, and a short key's bytes move with its string.
+class KeySet {
+ public:
+  explicit KeySet(const Entries& entries) : entries_(entries), index_(KeyLess{&entries}) {}
+
+  bool Contains(std::string_view key) {
+    if (entries_.size() < kLinearKeyScan) {
+      for (const auto& entry : entries_) {
+        if (entry.first == key) {
+          return true;
+        }
+      }
+      return false;
+    }
+    if (index_.empty()) {
+      for (size_t i = 0; i < entries_.size(); ++i) {
+        index_.insert(i);
+      }
+    }
+    return index_.find(key) != index_.end();
+  }
+
+  // Records the entry just appended.
+  void Added() {
+    if (!index_.empty()) {
+      index_.insert(entries_.size() - 1);
+    }
+  }
+
+ private:
+  struct KeyLess {
+    using is_transparent = void;
+    std::string_view At(size_t i) const { return (*entries)[i].first; }
+    bool operator()(size_t a, size_t b) const { return At(a) < At(b); }
+    bool operator()(size_t a, std::string_view b) const { return At(a) < b; }
+    bool operator()(std::string_view a, size_t b) const { return a < At(b); }
+    const Entries* entries;
+  };
+
+  const Entries& entries_;
+  std::set<size_t, KeyLess> index_;
+};
+
 class Parser {
  public:
-  Parser(std::string_view text, const std::string& context)
+  Parser(std::string_view text, std::string_view context)
       : text_(text), context_(context) {}
 
   Value Parse() {
@@ -235,9 +299,14 @@ class Parser {
   }
 
  private:
-  [[noreturn]] void ParseFail(const std::string& what) const {
-    throw std::invalid_argument(context_ + ": " + what + " (at byte " +
-                                std::to_string(pos_) + ")");
+  [[noreturn]] void ParseFail(std::string_view what) const {
+    std::string message(context_);
+    message += ": ";
+    message += what;
+    message += " (at byte ";
+    message += std::to_string(pos_);
+    message += ')';
+    throw std::invalid_argument(message);
   }
 
   void SkipWhitespace() {
@@ -272,7 +341,6 @@ class Parser {
   }
 
   bool ConsumeWord(std::string_view word) {
-    SkipWhitespace();
     if (text_.substr(pos_, word.size()) == word) {
       pos_ += word.size();
       return true;
@@ -281,53 +349,55 @@ class Parser {
   }
 
   Value ParseValue() {
-    const char c = Peek();
-    switch (c) {
+    Value value;
+    switch (Peek()) {
       case '{':
         return ParseObject();
       case '[':
         return ParseArray();
-      case '"': {
-        Value value;
+      case '"':
         value.kind = Value::Kind::kString;
-        value.string = ParseString();
+        ParseString(value.string);
         return value;
-      }
+      case 't':
+        if (ConsumeWord("true")) {
+          value.kind = Value::Kind::kBool;
+          value.boolean = true;
+          return value;
+        }
+        break;
+      case 'f':
+        if (ConsumeWord("false")) {
+          value.kind = Value::Kind::kBool;
+          return value;
+        }
+        break;
+      case 'n':
+        if (ConsumeWord("null")) {
+          return value;
+        }
+        break;
       default:
         break;
-    }
-    Value value;
-    if (ConsumeWord("true")) {
-      value.kind = Value::Kind::kBool;
-      value.boolean = true;
-      return value;
-    }
-    if (ConsumeWord("false")) {
-      value.kind = Value::Kind::kBool;
-      value.boolean = false;
-      return value;
-    }
-    if (ConsumeWord("null")) {
-      value.kind = Value::Kind::kNull;
-      return value;
     }
     return ParseNumber();
   }
 
-  std::string ParseString() {
+  // Appends the decoded string at pos_ to `out`; the bytes between escapes
+  // are copied a run at a time.
+  void ParseString(std::string& out) {
     Expect('"');
-    std::string out;
     while (true) {
+      const size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) {
         ParseFail("unterminated string");
       }
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
+      if (text_[pos_++] == '"') {
+        return;
       }
       if (pos_ >= text_.size()) {
         ParseFail("unterminated escape");
@@ -396,6 +466,7 @@ class Parser {
     }
   }
 
+  // Converts the number token in place; only an error message copies it.
   Value ParseNumber() {
     SkipWhitespace();
     const size_t start = pos_;
@@ -403,37 +474,35 @@ class Parser {
       ++pos_;
     }
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
+            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
+            text_[pos_] == '-')) {
       ++pos_;
     }
     if (pos_ == start) {
       ParseFail("expected a value");
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    const std::string_view token = text_.substr(start, pos_ - start);
     // std::from_chars, not strtod: strtod obeys LC_NUMERIC, so under a
     // comma-decimal locale it would stop at the '.' of a canonical number
     // and reject (or worse, reinterpret) documents this library itself
     // emitted. from_chars always parses the C-locale spelling. It does not
     // accept a leading '+' (strtod did; the canonical emitters never write
     // one), so consume it explicitly to keep accepting that spelling.
-    const char* first = token.c_str();
+    const char* first = token.data();
     const char* last = first + token.size();
-    if (first != last && *first == '+') {
+    if (*first == '+') {
       ++first;
     }
-    double value = 0.0;
-    const auto res = std::from_chars(first, last, value);
+    Value out;
+    const auto res = std::from_chars(first, last, out.number);
     if (res.ec == std::errc::result_out_of_range) {
-      ParseFail("number '" + token + "' is out of double range");
+      ParseFail("number '" + std::string(token) + "' is out of double range");
     }
     if (res.ec != std::errc() || res.ptr != last) {
-      ParseFail("malformed number '" + token + "'");
+      ParseFail("malformed number '" + std::string(token) + "'");
     }
-    Value out;
     out.kind = Value::Kind::kNumber;
-    out.number = value;
     return out;
   }
 
@@ -469,13 +538,16 @@ class Parser {
     Value out;
     out.kind = Value::Kind::kObject;
     if (!Consume('}')) {
+      KeySet keys(out.object);
       while (true) {
-        const std::string key = ParseString();
-        if (out.Find(key) != nullptr) {
+        std::string key;
+        ParseString(key);
+        if (keys.Contains(key)) {
           ParseFail("duplicate key \"" + key + "\"");
         }
         Expect(':');
-        out.object.emplace_back(key, ParseValue());
+        out.object.emplace_back(std::move(key), ParseValue());
+        keys.Added();
         if (Consume('}')) {
           break;
         }
@@ -487,54 +559,47 @@ class Parser {
   }
 
   std::string_view text_;
-  const std::string& context_;
+  std::string_view context_;
   size_t pos_ = 0;
   int depth_ = 0;  // arrays/objects currently open
 };
 
-}  // namespace
-
-Value Parse(std::string_view text, const std::string& context) {
-  return Parser(text, context).Parse();
-}
-
-void Fail(const std::string& context, const std::string& what) {
-  throw std::invalid_argument(context + ": " + what);
-}
-
-// --- schema mapping --------------------------------------------------------
-
-int CheckedInt(double value, const std::string& what, const std::string& context) {
+// The checked conversions below name their field only when they throw, so
+// a reader's successful Get builds no message. `what` is a callable that
+// returns the field's name.
+template <typename What>
+int ToInt(double value, const What& what, std::string_view context) {
   constexpr double kIntMin = static_cast<double>(std::numeric_limits<int>::min());
   constexpr double kIntMax = static_cast<double>(std::numeric_limits<int>::max());
   if (!(value >= kIntMin && value <= kIntMax)) {
-    Fail(context, what + " is out of integer range");
+    Fail(context, what() + " is out of integer range");
   }
   const int as_int = static_cast<int>(value);
   if (static_cast<double>(as_int) != value) {
-    Fail(context, what + " must be an integer");
+    Fail(context, what() + " must be an integer");
   }
   return as_int;
 }
 
-int64_t CheckedInt64(double value, const std::string& what, const std::string& context) {
+template <typename What>
+int64_t ToInt64(double value, const What& what, std::string_view context) {
   // Doubles hold integers exactly only up to 2^53; anything larger has
   // already been rounded by the emitter or the parser, so reject it.
   constexpr double kExactMax = 9007199254740992.0;  // 2^53
   if (!(value >= -kExactMax && value <= kExactMax)) {
-    Fail(context, what + " is out of exactly-representable integer range");
+    Fail(context, what() + " is out of exactly-representable integer range");
   }
   const int64_t as_int = static_cast<int64_t>(value);
   if (static_cast<double>(as_int) != value) {
-    Fail(context, what + " must be an integer");
+    Fail(context, what() + " must be an integer");
   }
   return as_int;
 }
 
-uint64_t ParseUint64Hex(const std::string& text, const std::string& what,
-                        const std::string& context) {
+template <typename What>
+uint64_t HexToUint64(std::string_view text, const What& what, std::string_view context) {
   if (text.size() < 3 || text.size() > 18 || text[0] != '0' || text[1] != 'x') {
-    Fail(context, what + " must be a \"0x...\" hex string");
+    Fail(context, what() + " must be a \"0x...\" hex string");
   }
   uint64_t value = 0;
   for (size_t i = 2; i < text.size(); ++i) {
@@ -545,33 +610,74 @@ uint64_t ParseUint64Hex(const std::string& text, const std::string& what,
     } else if (h >= 'a' && h <= 'f') {
       value |= static_cast<uint64_t>(h - 'a' + 10);
     } else {
-      Fail(context, what + " has a non-hex digit (lowercase hex only)");
+      Fail(context, what() + " has a non-hex digit (lowercase hex only)");
     }
   }
   return value;
 }
 
-ObjectReader::ObjectReader(const Value& value, std::string where, std::string context)
-    : value_(value), where_(std::move(where)), context_(std::move(context)) {
+// The field name ObjectReader's messages use for `key`.
+auto KeyName(std::string_view key) {
+  return [key] { return "key \"" + std::string(key) + "\""; };
+}
+
+}  // namespace
+
+Value Parse(std::string_view text, std::string_view context) {
+  return Parser(text, context).Parse();
+}
+
+void Fail(std::string_view context, std::string_view what) {
+  std::string message(context);
+  message += ": ";
+  message += what;
+  throw std::invalid_argument(message);
+}
+
+// --- schema mapping --------------------------------------------------------
+
+int CheckedInt(double value, std::string_view what, std::string_view context) {
+  return ToInt(value, [what] { return std::string(what); }, context);
+}
+
+int64_t CheckedInt64(double value, std::string_view what, std::string_view context) {
+  return ToInt64(value, [what] { return std::string(what); }, context);
+}
+
+uint64_t ParseUint64Hex(std::string_view text, std::string_view what,
+                        std::string_view context) {
+  return HexToUint64(text, [what] { return std::string(what); }, context);
+}
+
+ObjectReader::ObjectReader(const Value& value, std::string_view where,
+                           std::string_view context)
+    : value_(value), where_(where), context_(context) {
   if (value.kind != Value::Kind::kObject) {
-    Fail(context_, where_ + " must be an object");
+    Fail(context_, std::string(where_) + " must be an object");
   }
+  consumed_.resize(value.object.size());
 }
 
-const Value& ObjectReader::Get(const std::string& key, Value::Kind kind) {
-  const Value* found = value_.Find(key);
-  if (found == nullptr) {
-    Fail(context_, where_ + " is missing key \"" + key + "\"");
+const Value& ObjectReader::Get(std::string_view key, Value::Kind kind) {
+  const auto& entries = value_.object;
+  size_t at = 0;
+  while (at < entries.size() && entries[at].first != key) {
+    ++at;
   }
-  consumed_.push_back(key);
-  if (found->kind != kind &&
-      !(kind == Value::Kind::kNumber && found->kind == Value::Kind::kString)) {
-    Fail(context_, where_ + " key \"" + key + "\" has the wrong type");
+  if (at == entries.size()) {
+    Fail(context_, std::string(where_) + " is missing key \"" + std::string(key) + "\"");
   }
-  return *found;
+  consumed_[at] = true;
+  const Value& found = entries[at].second;
+  if (found.kind != kind &&
+      !(kind == Value::Kind::kNumber && found.kind == Value::Kind::kString)) {
+    Fail(context_, std::string(where_) + " key \"" + std::string(key) +
+                       "\" has the wrong type");
+  }
+  return found;
 }
 
-double ObjectReader::GetNumber(const std::string& key) {
+double ObjectReader::GetNumber(std::string_view key) {
   const Value& v = Get(key, Value::Kind::kNumber);
   if (v.kind == Value::Kind::kString) {
     // "inf" / "-inf" / "nan": the canonical spellings for non-finite
@@ -585,51 +691,45 @@ double ObjectReader::GetNumber(const std::string& key) {
     if (v.string == "nan") {
       return std::numeric_limits<double>::quiet_NaN();
     }
-    Fail(context_, where_ + " key \"" + key + "\" has a non-numeric string value");
+    Fail(context_, std::string(where_) + " key \"" + std::string(key) +
+                       "\" has a non-numeric string value");
   }
   return v.number;
 }
 
-int ObjectReader::GetInt(const std::string& key) {
-  return CheckedInt(GetNumber(key), "key \"" + key + "\"", context_);
+int ObjectReader::GetInt(std::string_view key) {
+  return ToInt(GetNumber(key), KeyName(key), context_);
 }
 
-int64_t ObjectReader::GetInt64(const std::string& key) {
-  return CheckedInt64(GetNumber(key), "key \"" + key + "\"", context_);
+int64_t ObjectReader::GetInt64(std::string_view key) {
+  return ToInt64(GetNumber(key), KeyName(key), context_);
 }
 
-uint64_t ObjectReader::GetUint64Hex(const std::string& key) {
-  return ParseUint64Hex(Get(key, Value::Kind::kString).string, "key \"" + key + "\"",
-                        context_);
+uint64_t ObjectReader::GetUint64Hex(std::string_view key) {
+  return HexToUint64(Get(key, Value::Kind::kString).string, KeyName(key), context_);
 }
 
-std::string ObjectReader::GetString(const std::string& key) {
+std::string ObjectReader::GetString(std::string_view key) {
   return Get(key, Value::Kind::kString).string;
 }
 
-bool ObjectReader::GetBool(const std::string& key) {
+bool ObjectReader::GetBool(std::string_view key) {
   return Get(key, Value::Kind::kBool).boolean;
 }
 
-const std::vector<Value>& ObjectReader::GetArray(const std::string& key) {
+const std::vector<Value>& ObjectReader::GetArray(std::string_view key) {
   return Get(key, Value::Kind::kArray).array;
 }
 
-const Value& ObjectReader::GetObject(const std::string& key) {
+const Value& ObjectReader::GetObject(std::string_view key) {
   return Get(key, Value::Kind::kObject);
 }
 
 void ObjectReader::Finish() {
-  for (const auto& [key, unused] : value_.object) {
-    bool known = false;
-    for (const std::string& c : consumed_) {
-      if (c == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      Fail(context_, where_ + " has unknown key \"" + key + "\"");
+  for (size_t i = 0; i < consumed_.size(); ++i) {
+    if (!consumed_[i]) {
+      Fail(context_, std::string(where_) + " has unknown key \"" +
+                         value_.object[i].first + "\"");
     }
   }
 }

@@ -34,7 +34,7 @@ namespace longstore::json {
 
 // Appends `s` as a quoted JSON string, escaping quotes, backslashes and
 // control characters.
-void AppendEscaped(std::string& out, const std::string& s);
+void AppendEscaped(std::string& out, std::string_view s);
 
 // Appends a round-trip-exact double: shortest %.17g form re-parses to the
 // same bits; infinities and NaN are emitted as the strings "inf" / "-inf" /
@@ -112,7 +112,7 @@ struct Value {
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;
 
-  const Value* Find(const std::string& key) const {
+  const Value* Find(std::string_view key) const {
     for (const auto& [k, v] : object) {
       if (k == key) {
         return &v;
@@ -130,61 +130,71 @@ inline constexpr int kMaxNestingDepth = 64;
 // Parses `text` as one JSON value (trailing characters are an error).
 // `context` prefixes every error message, e.g. "Scenario::FromJson";
 // throws std::invalid_argument with a byte position on malformed input,
-// including nesting deeper than kMaxNestingDepth.
-Value Parse(std::string_view text, const std::string& context);
+// including nesting deeper than kMaxNestingDepth. Duplicate keys are found
+// by comparing a new key with each earlier one in small objects and through
+// a sorted index of the keys in larger ones, so an object of n keys costs
+// O(n log n) key comparisons, not O(n^2).
+Value Parse(std::string_view text, std::string_view context);
 
 // Throws std::invalid_argument("<context>: <what>"). The shared spelling
 // for schema-level failures.
-[[noreturn]] void Fail(const std::string& context, const std::string& what);
+[[noreturn]] void Fail(std::string_view context, std::string_view what);
 
 // --- schema mapping --------------------------------------------------------
 
 // Checked double -> int conversion: rejects NaN/inf/out-of-range/fractional
 // values (casting those is UB, and these functions ingest cross-process
 // input that must fail cleanly). `what` names the field in the error.
-int CheckedInt(double value, const std::string& what, const std::string& context);
+int CheckedInt(double value, std::string_view what, std::string_view context);
 // Same for int64. Doubles represent integers exactly only up to 2^53;
 // larger magnitudes are rejected rather than silently rounded.
-int64_t CheckedInt64(double value, const std::string& what, const std::string& context);
+int64_t CheckedInt64(double value, std::string_view what, std::string_view context);
 
 // Parses the AppendUint64Hex form ("0x..." hex string) back to a uint64.
-uint64_t ParseUint64Hex(const std::string& text, const std::string& what,
-                        const std::string& context);
+uint64_t ParseUint64Hex(std::string_view text, std::string_view what,
+                        std::string_view context);
 
 // A strict view over one object: every Get marks its key as consumed, and
 // Finish() rejects unknown keys, so schema drift fails loudly instead of
 // silently dropping a field (which would break identity contracts).
+//
+// Cost: a Get scans the object's keys once (no copy of `key`, no allocation
+// unless it throws); a consumed key is marked by its position, so Finish is
+// one pass over the keys.
 class ObjectReader {
  public:
   // `where` names the object in errors ("scenario", "replica", ...);
-  // `context` is the operation prefix ("Scenario::FromJson", ...).
-  ObjectReader(const Value& value, std::string where, std::string context);
+  // `context` is the operation prefix ("Scenario::FromJson", ...). The
+  // reader borrows both, like `value`: each must outlive the reader (a
+  // string literal, a constant or a caller's parameter does; a temporary
+  // std::string built in the argument list does not).
+  ObjectReader(const Value& value, std::string_view where, std::string_view context);
 
   // Returns the value at `key` after checking its kind; a kNumber request
   // also accepts kString (the "inf"/"-inf"/"nan" spellings — GetNumber
   // decodes them, other callers must handle the string themselves).
-  const Value& Get(const std::string& key, Value::Kind kind);
+  const Value& Get(std::string_view key, Value::Kind kind);
 
-  double GetNumber(const std::string& key);
-  int GetInt(const std::string& key);
-  int64_t GetInt64(const std::string& key);
-  uint64_t GetUint64Hex(const std::string& key);
-  std::string GetString(const std::string& key);
-  bool GetBool(const std::string& key);
-  const std::vector<Value>& GetArray(const std::string& key);
-  const Value& GetObject(const std::string& key);
+  double GetNumber(std::string_view key);
+  int GetInt(std::string_view key);
+  int64_t GetInt64(std::string_view key);
+  uint64_t GetUint64Hex(std::string_view key);
+  std::string GetString(std::string_view key);
+  bool GetBool(std::string_view key);
+  const std::vector<Value>& GetArray(std::string_view key);
+  const Value& GetObject(std::string_view key);
 
   // Rejects any key not consumed by a Get call.
   void Finish();
 
-  const std::string& context() const { return context_; }
-  const std::string& where() const { return where_; }
+  std::string_view context() const { return context_; }
+  std::string_view where() const { return where_; }
 
  private:
   const Value& value_;
-  std::string where_;
-  std::string context_;
-  std::vector<std::string> consumed_;
+  std::string_view where_;
+  std::string_view context_;
+  std::vector<bool> consumed_;  // by key position in value_.object
 };
 
 }  // namespace longstore::json

@@ -16,20 +16,62 @@ Matrix Matrix::Identity(size_t n) {
   return m;
 }
 
+namespace {
+
+// Columns [c, c + kWidth) of row `a` times `b` (`inner` rows, `stride`
+// columns): each sum starts at 0.0 and adds a[k] * b(k, col) for ascending k,
+// skipping k where a[k] == 0, which is the product's definition element by
+// element. The kWidth sums stay in registers for the whole k loop, instead
+// of being loaded and stored once per k.
+template <size_t kWidth>
+void ProductColumns(const double* a, size_t inner, const double* b, size_t stride,
+                    size_t c, double* out) {
+  double sum[kWidth] = {};
+  for (size_t k = 0; k < inner; ++k) {
+    const double x = a[k];
+    if (x == 0.0) {
+      continue;
+    }
+    const double* row = b + k * stride + c;
+    for (size_t j = 0; j < kWidth; ++j) {
+      sum[j] += x * row[j];
+    }
+  }
+  for (size_t j = 0; j < kWidth; ++j) {
+    out[c + j] = sum[j];
+  }
+}
+
+}  // namespace
+
 Matrix Matrix::operator*(const Matrix& other) const {
   if (cols_ != other.rows_) {
     throw std::invalid_argument("Matrix multiply: dimension mismatch");
   }
-  Matrix out(rows_, other.cols_, 0.0);
+  const size_t n = other.cols_;
+  Matrix out(rows_, n, 0.0);
   for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = 0; k < cols_; ++k) {
-      const double a = At(r, k);
-      if (a == 0.0) {
-        continue;
-      }
-      for (size_t c = 0; c < other.cols_; ++c) {
-        out.At(r, c) += a * other.At(k, c);
-      }
+    const double* a = data_.data() + r * cols_;
+    const double* b = other.data_.data();
+    double* row = out.data_.data() + r * n;
+    size_t c = 0;
+    for (; c + 16 <= n; c += 16) {
+      ProductColumns<16>(a, cols_, b, n, c, row);
+    }
+    if (c + 8 <= n) {
+      ProductColumns<8>(a, cols_, b, n, c, row);
+      c += 8;
+    }
+    if (c + 4 <= n) {
+      ProductColumns<4>(a, cols_, b, n, c, row);
+      c += 4;
+    }
+    if (c + 2 <= n) {
+      ProductColumns<2>(a, cols_, b, n, c, row);
+      c += 2;
+    }
+    if (c < n) {
+      ProductColumns<1>(a, cols_, b, n, c, row);
     }
   }
   return out;

@@ -31,6 +31,19 @@ class Matrix {
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 
+  // The product, with a bit-identity contract: element (r, c) is exactly
+  //   sum = 0.0;
+  //   for k = 0, 1, ..., cols() - 1:
+  //     if (At(r, k) != 0.0) sum += At(r, k) * other.At(k, c);
+  // each product rounded before its add (the build enables no fused
+  // multiply-add). Zero left entries are skipped, so a zero never meets an
+  // inf or NaN in `other`, and a sum of negative zeros is +0.0. The kernel
+  // may spread the work across elements as it likes (it keeps blocks of an
+  // output row in registers) but never reorders one element's sum:
+  // MatrixExponential, and with it every CTMC loss probability and the
+  // frontier's pinned bytes, depend on these bits. tests/linalg_test.cc
+  // holds the reference loop; a subtraction-free transient kernel (ROADMAP
+  // direction 1) is meant to reuse this product under the same contract.
   Matrix operator*(const Matrix& other) const;
 
   // Maximum absolute row sum (infinity norm).

@@ -246,5 +246,81 @@ TEST(JsonObjectReaderTest, ReadsEveryKind) {
   EXPECT_EQ(reader.context(), "ctx");
 }
 
+// --- objects with many keys -------------------------------------------------
+
+// {"k0":0,"k1":1,...} with `n` keys; when `duplicate` names a key index, one
+// more entry repeats that key at the end.
+std::string ManyKeys(int n, int duplicate = -1) {
+  std::string doc = "{";
+  for (int i = 0; i < n; ++i) {
+    doc += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+  }
+  if (duplicate >= 0) {
+    doc += "\"k" + std::to_string(duplicate) + "\":0,";
+  }
+  doc.back() = '}';
+  return doc;
+}
+
+TEST(JsonParseTest, DuplicateKeysAcrossTheLinearAndIndexedRange) {
+  // Small objects compare a new key with each earlier one and larger ones
+  // look it up in an index; both must report the same duplicate at the same
+  // byte, wherever the first occurrence sits.
+  for (int n = 1; n <= 80; ++n) {
+    EXPECT_EQ(ParseError(ManyKeys(n)), "") << n << " keys";
+    for (int dup : {0, n / 2, n - 1}) {
+      const std::string doc = ManyKeys(n, dup);
+      const std::string key = "k" + std::to_string(dup);
+      const size_t at = doc.rfind("\"" + key + "\"") + key.size() + 2;
+      EXPECT_EQ(ParseError(doc), "ctx: duplicate key \"" + key + "\" (at byte " +
+                                     std::to_string(at) + ")")
+          << n << " keys, duplicate of k" << dup;
+    }
+  }
+  EXPECT_EQ(ParseError("{\"a\":{\"a\":1},\"b\":[{\"b\":2}]}"), "");
+  EXPECT_EQ(ParseError("{\"\\u0061\":1,\"a\":2}"), "ctx: duplicate key \"a\" (at byte 15)");
+}
+
+// An object of n keys used to cost O(n^2) key comparisons: 40,000 keys
+// took about 6 s and 200,000 would take minutes, long enough for one
+// request to stall a daemon that serves one connection at a time. Each case
+// is bounded far below that (it takes well under a second in an optimized
+// build, and the bound leaves room for sanitizer and debug builds).
+constexpr double kManyKeysBoundSeconds = 20.0;
+constexpr int kManyKeys = 200000;
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+TEST(JsonParseTest, ObjectWithManyKeysParsesQuickly) {
+  const std::string doc = ManyKeys(kManyKeys);
+  const auto start = std::chrono::steady_clock::now();
+  const json::Value value = json::Parse(doc, "ctx");
+  EXPECT_LT(SecondsSince(start), kManyKeysBoundSeconds);
+  ASSERT_EQ(value.object.size(), static_cast<size_t>(kManyKeys));
+  EXPECT_EQ(value.object.back().first, "k199999");
+  EXPECT_EQ(value.object.back().second.number, 199999.0);
+
+  // A schema reader names the first key it did not ask for.
+  json::ObjectReader reader(value, "thing", "ctx");
+  EXPECT_EQ(reader.GetInt("k0"), 0);
+  EXPECT_EQ(reader.GetInt("k199999"), 199999);
+  try {
+    reader.Finish();
+    ADD_FAILURE() << "Finish accepted 199,998 unknown keys";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ctx: thing has unknown key \"k1\"");
+  }
+}
+
+TEST(JsonParseTest, ObjectWithManyKeysRejectsALastDuplicateQuickly) {
+  const std::string doc = ManyKeys(kManyKeys, 0);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string error = ParseError(doc);
+  EXPECT_LT(SecondsSince(start), kManyKeysBoundSeconds);
+  EXPECT_EQ(error, "ctx: duplicate key \"k0\" (at byte " + std::to_string(doc.size() - 3) + ")");
+}
+
 }  // namespace
 }  // namespace longstore
