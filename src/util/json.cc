@@ -1,5 +1,6 @@
 #include "src/util/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -155,12 +156,11 @@ ChecksummedDocument OpenChecksummedDocument(std::string_view text,
   const std::string_view doc = text.substr(begin, end - begin);
 
   ChecksummedDocument out;
-  const size_t key_end = 2 + version_key.size();
-  if (doc.substr(0, 2) != "{\"" || doc.substr(2, version_key.size()) != version_key ||
-      doc.substr(key_end, 2) != "\":") {
+  const std::string head = "{\"" + version_key + "\":";
+  if (doc.substr(0, head.size()) != head) {
     not_an_envelope();
   }
-  size_t pos = key_end + 2;
+  size_t pos = head.size();
   const size_t digits_begin = pos;
   while (pos < doc.size() && doc[pos] >= '0' && doc[pos] <= '9') {
     ++pos;
@@ -232,57 +232,28 @@ namespace {
 using Entries = std::vector<std::pair<std::string, Value>>;
 
 // Objects up to this many keys check a new key against each earlier one
-// (no object the library emits has more); larger ones use a sorted index.
+// (no object the library emits has more); larger ones, a sorted copy.
 constexpr size_t kLinearKeyScan = 32;
 
-// The keys an object has so far, for the duplicate check. Past
-// kLinearKeyScan keys they sit in a sorted index, so n keys cost
-// O(n log n) comparisons instead of O(n^2); a request from an untrusted
-// client may carry hundreds of thousands. Sorted, not hashed: the keys are
-// the client's bytes, and a fixed hash function has collisions that can be
-// crafted. The index holds positions, not views: the entries' vector moves
-// its strings as it grows, and a short key's bytes move with its string.
-class KeySet {
- public:
-  explicit KeySet(const Entries& entries) : entries_(entries), index_(KeyLess{&entries}) {}
-
-  bool Contains(std::string_view key) {
-    if (entries_.size() < kLinearKeyScan) {
-      for (const auto& entry : entries_) {
-        if (entry.first == key) {
-          return true;
-        }
-      }
-      return false;
-    }
-    if (index_.empty()) {
-      for (size_t i = 0; i < entries_.size(); ++i) {
-        index_.insert(i);
-      }
-    }
-    return index_.find(key) != index_.end();
+// Whether `key` repeats one of `entries`' keys. Past kLinearKeyScan keys
+// the check goes through `sorted`, a sorted copy of the keys that it fills
+// on first use, so an object of n keys costs O(n log n) comparisons instead
+// of O(n^2): a request from an untrusted client may carry hundreds of
+// thousands. Sorted, not hashed: the keys are the client's bytes, and a
+// fixed hash function has collisions that can be crafted.
+bool RepeatsKey(const Entries& entries, const std::string& key,
+                std::set<std::string>& sorted) {
+  if (entries.size() < kLinearKeyScan) {
+    return std::any_of(entries.begin(), entries.end(),
+                       [&key](const auto& entry) { return entry.first == key; });
   }
-
-  // Records the entry just appended.
-  void Added() {
-    if (!index_.empty()) {
-      index_.insert(entries_.size() - 1);
+  if (sorted.empty()) {
+    for (const auto& entry : entries) {
+      sorted.insert(entry.first);
     }
   }
-
- private:
-  struct KeyLess {
-    using is_transparent = void;
-    std::string_view At(size_t i) const { return (*entries)[i].first; }
-    bool operator()(size_t a, size_t b) const { return At(a) < At(b); }
-    bool operator()(size_t a, std::string_view b) const { return At(a) < b; }
-    bool operator()(std::string_view a, size_t b) const { return a < At(b); }
-    const Entries* entries;
-  };
-
-  const Entries& entries_;
-  std::set<size_t, KeyLess> index_;
-};
+  return !sorted.insert(key).second;
+}
 
 class Parser {
  public:
@@ -538,16 +509,15 @@ class Parser {
     Value out;
     out.kind = Value::Kind::kObject;
     if (!Consume('}')) {
-      KeySet keys(out.object);
+      std::set<std::string> sorted_keys;
       while (true) {
         std::string key;
         ParseString(key);
-        if (keys.Contains(key)) {
+        if (RepeatsKey(out.object, key, sorted_keys)) {
           ParseFail("duplicate key \"" + key + "\"");
         }
         Expect(':');
         out.object.emplace_back(std::move(key), ParseValue());
-        keys.Added();
         if (Consume('}')) {
           break;
         }

@@ -132,7 +132,7 @@ inline constexpr int kMaxNestingDepth = 64;
 // throws std::invalid_argument with a byte position on malformed input,
 // including nesting deeper than kMaxNestingDepth. Duplicate keys are found
 // by comparing a new key with each earlier one in small objects and through
-// a sorted index of the keys in larger ones, so an object of n keys costs
+// a sorted copy of the keys in larger ones, so an object of n keys costs
 // O(n log n) key comparisons, not O(n^2).
 Value Parse(std::string_view text, std::string_view context);
 
