@@ -3,8 +3,9 @@
 // Measures the substrate costs that determine how far the Monte Carlo
 // harness scales: clock-table throughput, end-to-end trial cost (fresh
 // construction vs TrialRunner reuse), CTMC solve time (GTH elimination), the
-// matrix exponential used for mission-loss probabilities, and the shard
-// layer's parse of the frontier's sweep documents.
+// matrix exponential used for mission-loss probabilities, the shard
+// layer's parse of the frontier's sweep documents, and a warm frontier
+// search against a primed in-process service.
 //
 // The whole binary links against a counting global allocator so the
 // steady-state arm/fire path can be asserted allocation-free; run via
@@ -24,6 +25,7 @@
 #include "src/model/replica_ctmc.h"
 #include "src/model/strategies.h"
 #include "src/scenario/media.h"
+#include "src/service/sweep_service.h"
 #include "src/shard/shard.h"
 #include "src/sim/simulator.h"
 #include "src/storage/replicated_system.h"
@@ -360,6 +362,37 @@ void BM_ShardSpecFromJson(benchmark::State& state) {
   state.counters["documents"] = static_cast<double>(documents.size());
 }
 BENCHMARK(BM_ShardSpecFromJson);
+
+// A warm frontier search: the golden-small search against an in-process
+// service primed by one search in setup, so every simulated evaluation is an
+// exact cache hit (perfbench's frontier_warm without its host correction).
+// A fresh evaluator per iteration keeps the evaluator's memo out of it; the
+// search's CTMC screens, sweep documents and the service's read path remain.
+void BM_FrontierWarmSearch(benchmark::State& state) {
+  WorkerPool pool(2);
+  ServiceOptions service_options;
+  service_options.pool = &pool;
+  SweepService service(service_options);
+  ServiceEvalBackend backend(service);
+  {
+    FrontierEvaluator primer(GoldenSmallOptions(), &backend);
+    RunFrontierSearch(GoldenSmallTarget(), GoldenSmallSpace(), primer);
+  }
+  int64_t simulated = 0;
+  for (auto _ : state) {
+    FrontierEvaluator evaluator(GoldenSmallOptions(), &backend);
+    const FrontierResult result =
+        RunFrontierSearch(GoldenSmallTarget(), GoldenSmallSpace(), evaluator);
+    benchmark::DoNotOptimize(result.points.data());
+    simulated = evaluator.stats().simulated_evals;
+    if (evaluator.stats().cache_served != simulated) {
+      state.SkipWithError("a warm search evaluation was not served from the cache");
+      break;
+    }
+  }
+  state.counters["cache_served_evals"] = static_cast<double>(simulated);
+}
+BENCHMARK(BM_FrontierWarmSearch)->Unit(benchmark::kMillisecond);
 
 void BM_RngExponentialDraws(benchmark::State& state) {
   Rng rng(7);

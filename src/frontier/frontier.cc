@@ -1,6 +1,7 @@
 #include "src/frontier/frontier.h"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -151,10 +152,10 @@ FrontierEvaluator::FrontierEvaluator(FrontierOptions options,
 }
 
 FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
-    const Scenario& scenario, Duration mission) {
-  // One hash names the scenario twice: in the memo key and as the label of
-  // a simulated cell.
-  const uint64_t scenario_hash = scenario.CanonicalHash();
+    const Scenario& scenario, uint64_t scenario_hash, std::string scenario_json,
+    Duration mission) {
+  assert(scenario_json == scenario.ToJson() &&
+         scenario_hash == json::Fnv1a64(scenario_json));
   std::string key;
   json::AppendUint64Hex(key, scenario_hash);
   key += '/';
@@ -190,20 +191,21 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
     // Monte Carlo), packaged exactly like a sharded or service request:
     // content-derived seeds and canonical checksummed bytes, with
     // McConfig's default confidence. Every backend therefore produces the
-    // same result bytes for this document.
-    SweepSpec spec;
-    std::string label;
-    json::AppendUint64Hex(label, scenario_hash);
-    spec.AddCell(std::move(label), scenario);
+    // same result bytes for this document. The plan and the document take
+    // the hash and JSON the caller already holds.
+    std::vector<SweepSpec::Cell> cells(1);
+    json::AppendUint64Hex(cells[0].label, scenario_hash);
+    cells[0].scenario = scenario;
     SweepOptions sweep_options;
     sweep_options.estimand = SweepOptions::Estimand::kWeightedLossProbability;
     sweep_options.mission = mission;
     sweep_options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
     sweep_options.mc.trials = options_.trials;
     sweep_options.mc.seed = options_.seed;
-    const ShardPlan plan(spec, sweep_options, 1);
+    const ShardPlan plan({}, sweep_options, std::move(cells), 1,
+                         {&scenario_hash, 1});
     const FrontierEvalBackend::Eval answer =
-        backend_->Evaluate(plan.shards()[0].ToJson());
+        backend_->Evaluate(plan.shards()[0].ToJson({&scenario_json, 1}));
 
     const json::Value result =
         json::Parse(answer.result_json, "frontier result");
@@ -267,7 +269,7 @@ ReplicaCostBreakdown PhaseFleetCost(const FrontierPhase& phase,
 // hash). Independent of enumeration order, media list order (fleets are
 // sorted by model first), and labels.
 uint64_t CandidateId(const FrontierCandidate& candidate,
-                     const std::vector<Scenario>& phase_scenarios) {
+                     const std::vector<uint64_t>& phase_hashes) {
   std::string key(DeploymentStyleName(candidate.deployment));
   for (size_t i = 0; i < candidate.phases.size(); ++i) {
     key += '|';
@@ -275,7 +277,7 @@ uint64_t CandidateId(const FrontierCandidate& candidate,
     key += ':';
     json::AppendDouble(key, candidate.phases[i].audits_per_year);
     key += ':';
-    json::AppendUint64Hex(key, phase_scenarios[i].CanonicalHash());
+    json::AppendUint64Hex(key, phase_hashes[i]);
   }
   return json::Fnv1a64(key);
 }
@@ -283,7 +285,12 @@ uint64_t CandidateId(const FrontierCandidate& candidate,
 struct BuiltCandidate {
   FrontierCandidate candidate;
   uint64_t id = 0;
+  // Per phase: the scenario, its canonical JSON and its CanonicalHash,
+  // serialized and hashed once for the id, the memo key and the sweep
+  // document. The evaluator takes each JSON and releases it.
   std::vector<Scenario> phase_scenarios;
+  std::vector<std::string> phase_json;
+  std::vector<uint64_t> phase_hashes;
   double annual_cost_usd = 0.0;
   std::vector<ReplicaCostBreakdown> phase_costs;
 };
@@ -413,12 +420,18 @@ FrontierResult RunFrontierSearch(const FrontierTarget& target,
     for (const FrontierPhase& phase : candidate.phases) {
       built.phase_scenarios.push_back(
           PhaseScenario(phase, candidate.deployment, space));
+      // CanonicalHash is FNV-1a over exactly these bytes. The JSON waits
+      // for the candidate's evaluation, so it keeps only its bytes, not
+      // ToJson's grown buffer.
+      built.phase_json.push_back(built.phase_scenarios.back().ToJson());
+      built.phase_json.back().shrink_to_fit();
+      built.phase_hashes.push_back(json::Fnv1a64(built.phase_json.back()));
       built.phase_costs.push_back(
           PhaseFleetCost(phase, space.archive_gb, space.costs));
       built.annual_cost_usd += (phase.years / mission_years) *
                                built.phase_costs.back().total_per_year();
     }
-    built.id = CandidateId(candidate, built.phase_scenarios);
+    built.id = CandidateId(candidate, built.phase_hashes);
     built.candidate = std::move(candidate);
     if (unique.count(built.id) != 0) {
       ++duplicates;
@@ -470,7 +483,8 @@ FrontierResult RunFrontierSearch(const FrontierTarget& target,
     std::vector<std::string> sources;
     for (size_t i = 0; i < built.candidate.phases.size(); ++i) {
       const FrontierEvaluator::ScenarioEval eval = evaluator.EvaluateScenario(
-          built.phase_scenarios[i],
+          built.phase_scenarios[i], built.phase_hashes[i],
+          std::move(built.phase_json[i]),
           Duration::Years(built.candidate.phases[i].years));
       log_survival += std::log1p(-eval.probability);
       log_survival_lo += std::log1p(-eval.ci_lo);

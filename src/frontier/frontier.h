@@ -168,7 +168,13 @@ class FrontierEvaluator {
   FrontierEvaluator(FrontierOptions options, FrontierEvalBackend* backend);
 
   // Loss probability of `scenario` over `mission`, with its CI.
-  ScenarioEval EvaluateScenario(const Scenario& scenario, Duration mission);
+  // `scenario_hash` and `scenario_json` are the scenario's CanonicalHash and
+  // ToJson, which the caller already holds: the memo key and a simulated
+  // cell's label use the hash, and its sweep document splices the JSON and
+  // takes its sweep id from the hash. Builds without NDEBUG assert both
+  // against the scenario.
+  ScenarioEval EvaluateScenario(const Scenario& scenario, uint64_t scenario_hash,
+                                std::string scenario_json, Duration mission);
 
   const Stats& stats() const { return stats_; }
   const FrontierOptions& options() const { return options_; }

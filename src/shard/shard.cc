@@ -1,8 +1,10 @@
 #include "src/shard/shard.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "src/sweep/accumulator.h"
@@ -190,27 +192,31 @@ ShardHeader ReadHeader(json::ObjectReader& reader, const std::string& context) {
   }
 }
 
-// Tracks which grid indices this document has already claimed.
+// Tracks which grid indices this document has already claimed, in memory
+// bounded by the cells it holds: `total_cells` is the sender's claim, so it
+// bounds indices but sizes nothing.
 class CellIndexSet {
  public:
-  CellIndexSet(size_t total_cells, std::string context)
-      : seen_(total_cells, false), context_(std::move(context)) {}
+  CellIndexSet(size_t total_cells, size_t cells_present, std::string context)
+      : total_cells_(total_cells), context_(std::move(context)) {
+    seen_.reserve(cells_present);
+  }
 
   size_t Claim(int64_t index) {
-    if (index < 0 || static_cast<size_t>(index) >= seen_.size()) {
+    if (index < 0 || static_cast<size_t>(index) >= total_cells_) {
       json::Fail(context_, "cell index " + std::to_string(index) +
                                " is outside [0, total_cells)");
     }
     const size_t i = static_cast<size_t>(index);
-    if (seen_[i]) {
+    if (!seen_.insert(i).second) {
       json::Fail(context_, "duplicate cell index " + std::to_string(index));
     }
-    seen_[i] = true;
     return i;
   }
 
  private:
-  std::vector<bool> seen_;
+  size_t total_cells_;
+  std::unordered_set<size_t> seen_;
   std::string context_;
 };
 
@@ -308,6 +314,15 @@ std::optional<std::string> PieceError(const ShardPiece& piece) {
   return std::nullopt;
 }
 
+std::vector<uint64_t> ScenarioHashes(const std::vector<SweepSpec::Cell>& cells) {
+  std::vector<uint64_t> hashes;
+  hashes.reserve(cells.size());
+  for (const SweepSpec::Cell& cell : cells) {
+    hashes.push_back(cell.scenario.CanonicalHash());
+  }
+  return hashes;
+}
+
 }  // namespace
 
 // --- sweep identity --------------------------------------------------------
@@ -315,6 +330,17 @@ std::optional<std::string> PieceError(const ShardPiece& piece) {
 uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
                         const SweepOptions& options,
                         const std::vector<SweepSpec::Cell>& cells) {
+  return ComputeSweepId(axis_names, options, cells, ScenarioHashes(cells));
+}
+
+uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
+                        const SweepOptions& options,
+                        const std::vector<SweepSpec::Cell>& cells,
+                        std::span<const uint64_t> scenario_hashes) {
+  if (scenario_hashes.size() != cells.size()) {
+    throw std::invalid_argument(
+        "ComputeSweepId: scenario hashes must match cells one to one");
+  }
   std::string id;
   id.reserve(256 + cells.size() * 64);
   id += "{\"total_cells\":";
@@ -333,7 +359,8 @@ uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
     id += ",\"label\":";
     json::AppendEscaped(id, cells[i].label);
     id += ",\"scenario\":";
-    json::AppendUint64Hex(id, cells[i].scenario.CanonicalHash());
+    assert(scenario_hashes[i] == cells[i].scenario.CanonicalHash());
+    json::AppendUint64Hex(id, scenario_hashes[i]);
     id += '}';
   }
   id += "]}";
@@ -343,9 +370,22 @@ uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
 // --- ShardSpec -------------------------------------------------------------
 
 std::string ShardSpec::ToJson() const {
+  std::vector<std::string> scenario_json;
+  scenario_json.reserve(cells.size());
+  for (const SweepSpec::Cell& cell : cells) {
+    scenario_json.push_back(cell.scenario.ToJson());
+  }
+  return ToJson(scenario_json);
+}
+
+std::string ShardSpec::ToJson(std::span<const std::string> scenario_json) const {
   if (ranges.size() != cells.size()) {
     throw std::invalid_argument(
         "ShardSpec::ToJson: ranges must match cells one to one");
+  }
+  if (scenario_json.size() != cells.size()) {
+    throw std::invalid_argument(
+        "ShardSpec::ToJson: scenario JSON must match cells one to one");
   }
   std::string body;
   body.reserve(512 + cells.size() * 1024);
@@ -374,7 +414,8 @@ std::string ShardSpec::ToJson() const {
     // subtree's bytes — and therefore CanonicalHash and kScenarioDerived
     // seeds — are exactly the driver's.
     body += "},\"scenario\":";
-    body += cell.scenario.ToJson();
+    assert(scenario_json[i] == cell.scenario.ToJson());
+    body += scenario_json[i];
     body += '}';
   }
   body += "]}";
@@ -431,8 +472,9 @@ ShardSpec ShardSpec::FromJsonUntagged(std::string_view text,
   shard.options.max_trials = reader.GetInt64("max_trials");
   shard.axis_names = ReadAxes(reader, kSpecContext);
 
-  CellIndexSet seen(header.total_cells, kSpecContext);
-  for (const json::Value& entry : reader.GetArray("cells")) {
+  const std::vector<json::Value>& entries = reader.GetArray("cells");
+  CellIndexSet seen(header.total_cells, entries.size(), kSpecContext);
+  for (const json::Value& entry : entries) {
     json::ObjectReader cell(entry, "cell", kSpecContext);
     SweepSpec::Cell out;
     out.index = seen.Claim(cell.GetInt64("index"));
@@ -511,9 +553,18 @@ ShardPlan::ShardPlan(const SweepSpec& spec, const SweepOptions& options,
                      int shard_count)
     : ShardPlan(spec.AxisNames(), options, spec.BuildCells(), shard_count) {}
 
+// `cells` binds to the delegate's reference parameter, so it is hashed
+// while the arguments are evaluated, before anything moves from it.
 ShardPlan::ShardPlan(std::vector<std::string> axis_names,
                      const SweepOptions& options,
-                     std::vector<SweepSpec::Cell> cells, int shard_count) {
+                     std::vector<SweepSpec::Cell> cells, int shard_count)
+    : ShardPlan(std::move(axis_names), options, std::move(cells), shard_count,
+                ScenarioHashes(cells)) {}
+
+ShardPlan::ShardPlan(std::vector<std::string> axis_names,
+                     const SweepOptions& options,
+                     std::vector<SweepSpec::Cell>&& cells, int shard_count,
+                     std::span<const uint64_t> scenario_hashes) {
   if (shard_count < 1) {
     throw std::invalid_argument("ShardPlan: shard_count must be >= 1");
   }
@@ -527,7 +578,7 @@ ShardPlan::ShardPlan(std::vector<std::string> axis_names,
 
   ShardSpec whole;
   whole.total_cells = cells.size();
-  whole.sweep_id = ComputeSweepId(axis_names, options, cells);
+  whole.sweep_id = ComputeSweepId(axis_names, options, cells, scenario_hashes);
   whole.axis_names = std::move(axis_names);
   whole.options = options;
   whole.ranges.assign(cells.size(), ShardCellRange{0, options.mc.trials});
@@ -659,8 +710,9 @@ ShardResult ShardResult::FromJsonUntagged(std::string_view text,
   result.confidence = reader.GetNumber("confidence");
   result.axis_names = ReadAxes(reader, kResultContext);
 
-  CellIndexSet seen(header.total_cells, kResultContext);
-  for (const json::Value& entry : reader.GetArray("cells")) {
+  const std::vector<json::Value>& entries = reader.GetArray("cells");
+  CellIndexSet seen(header.total_cells, entries.size(), kResultContext);
+  for (const json::Value& entry : entries) {
     json::ObjectReader cell(entry, "cell", kResultContext);
     ShardPiece piece;
     piece.index = seen.Claim(cell.GetInt64("index"));

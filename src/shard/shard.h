@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -71,6 +72,14 @@ inline constexpr int kShardProtocolVersion = 4;
 uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
                         const SweepOptions& options,
                         const std::vector<SweepSpec::Cell>& cells);
+// The same identity from hashes the caller already holds:
+// `scenario_hashes[i]` must be cells[i].scenario.CanonicalHash(). Throws
+// std::invalid_argument on a length mismatch; builds without NDEBUG also
+// assert every hash.
+uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
+                        const SweepOptions& options,
+                        const std::vector<SweepSpec::Cell>& cells,
+                        std::span<const uint64_t> scenario_hashes);
 
 // Trials [begin, end) of one shard cell; a whole cell is [0, mc.trials).
 struct ShardCellRange {
@@ -103,6 +112,11 @@ struct ShardSpec {
   // Canonical JSON: the body (fixed key order, exact doubles, hex seed)
   // wrapped in the checksummed envelope.
   std::string ToJson() const;
+  // The same bytes from scenario JSON the caller already holds:
+  // `scenario_json[i]` is spliced as cells[i]'s scenario and must be
+  // cells[i].scenario.ToJson(). Throws std::invalid_argument on a length
+  // mismatch; builds without NDEBUG also assert every JSON.
+  std::string ToJson(std::span<const std::string> scenario_json) const;
   // Strict inverse; rejects unknown/missing/mistyped keys, version
   // mismatches, envelope length/checksum mismatches (json::IntegrityError),
   // duplicate or out-of-range cell indices, coordinate rows that do not
@@ -150,6 +164,12 @@ class ShardPlan {
   // originating spec.
   ShardPlan(std::vector<std::string> axis_names, const SweepOptions& options,
             std::vector<SweepSpec::Cell> cells, int shard_count);
+  // The same plan from hashes the caller already holds, passed to
+  // ComputeSweepId: `scenario_hashes[i]` must be
+  // cells[i].scenario.CanonicalHash() (same checks).
+  ShardPlan(std::vector<std::string> axis_names, const SweepOptions& options,
+            std::vector<SweepSpec::Cell>&& cells, int shard_count,
+            std::span<const uint64_t> scenario_hashes);
 
   const std::vector<ShardSpec>& shards() const { return shards_; }
 

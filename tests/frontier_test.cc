@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/frontier/eval_backend.h"
 #include "src/scenario/media.h"
@@ -116,6 +119,44 @@ TEST(FrontierTest, BothBackendsRefuseDocumentsTheServiceRefuses) {
     EXPECT_THROW(service_backend.Evaluate(bytes), std::runtime_error);
   }
   EXPECT_EQ(service.cache_size(), 0u);
+}
+
+// Forwards to the pool backend and keeps every sweep document it was sent.
+class RecordingBackend : public FrontierEvalBackend {
+ public:
+  explicit RecordingBackend(WorkerPool* pool) : inner_(pool) {}
+  Eval Evaluate(const std::string& sweep_document) override {
+    documents.push_back(sweep_document);
+    return inner_.Evaluate(sweep_document);
+  }
+  std::vector<std::string> documents;
+
+ private:
+  PoolEvalBackend inner_;
+};
+
+// The search hashes and serializes each scenario once and builds its sweep
+// documents from those; every document must be the one a ShardPlan over a
+// one-cell SweepSpec builds, hashing and serializing the scenario itself.
+TEST(FrontierTest, SweepDocumentsAreShardPlanDocuments) {
+  WorkerPool pool(2);
+  RecordingBackend backend(&pool);
+  FrontierEvaluator evaluator(GoldenSmallOptions(), &backend);
+  RunFrontierSearch(GoldenSmallTarget(), GoldenSmallSpace(), evaluator);
+  ASSERT_GT(evaluator.stats().simulated_evals, 0);
+  ASSERT_EQ(backend.documents.size(),
+            static_cast<size_t>(evaluator.stats().simulated_evals));
+  for (const std::string& document : backend.documents) {
+    const ShardSpec shard = ShardSpec::FromJson(document);
+    ASSERT_EQ(shard.cells.size(), 1u);
+    SweepSpec spec;
+    spec.AddCell(shard.cells[0].label, shard.cells[0].scenario);
+    EXPECT_EQ(ShardPlan(spec, shard.options, /*shard_count=*/1).shards()[0].ToJson(),
+              document);
+    const uint64_t hashes[] = {shard.cells[0].scenario.CanonicalHash()};
+    EXPECT_EQ(ComputeSweepId(shard.axis_names, shard.options, shard.cells, hashes),
+              ComputeSweepId(shard.axis_names, shard.options, shard.cells));
+  }
 }
 
 TEST(FrontierTest, ByteIdenticalAcrossEnumerationOrder) {
@@ -281,14 +322,18 @@ TEST(FrontierTest, EvaluatorMemoServesRepeats) {
       ScenarioBuilder().Replicas(2, std::move(spec)).Correlation(params.alpha).Build();
   ASSERT_TRUE(CtmcIncompatibility(scenario).has_value());
 
-  const auto first = evaluator.EvaluateScenario(scenario, Duration::Years(50));
-  const auto second = evaluator.EvaluateScenario(scenario, Duration::Years(50));
+  const uint64_t hash = scenario.CanonicalHash();
+  const auto first =
+      evaluator.EvaluateScenario(scenario, hash, scenario.ToJson(), Duration::Years(50));
+  const auto second =
+      evaluator.EvaluateScenario(scenario, hash, scenario.ToJson(), Duration::Years(50));
   EXPECT_EQ(first.source, "computed");
   EXPECT_EQ(second.source, "memo");
   EXPECT_EQ(second.probability, first.probability);
   EXPECT_EQ(evaluator.stats().memo_hits, 1);
   // A different mission is a different estimand — not a memo hit.
-  const auto other = evaluator.EvaluateScenario(scenario, Duration::Years(20));
+  const auto other =
+      evaluator.EvaluateScenario(scenario, hash, scenario.ToJson(), Duration::Years(20));
   EXPECT_EQ(other.source, "computed");
   EXPECT_EQ(evaluator.stats().memo_hits, 1);
 }

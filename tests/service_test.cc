@@ -331,6 +331,28 @@ TEST(SweepServiceTest, NanCommonModeProbabilitiesAreRejected) {
   EXPECT_EQ(service.cache_size(), 0u);
 }
 
+TEST(SweepServiceTest, ClaimedCellCountIsCheckedNotAllocated) {
+  // total_cells is the client's claim. A one-cell document claiming 2^53 + 1
+  // cells must meet the service's count check, not an allocation sized by
+  // the claim, and nothing is cached.
+  ShardSpec spec = ShardSpec::FromJson(
+      Document(SweepSpec(FastScenario()), FixedOptions()));
+  spec.total_cells = (size_t{1} << 53) + 1;
+  ServiceRequest request;
+  request.kind = ServiceRequest::Kind::kSweep;
+  request.sweep_document = spec.ToJson();
+
+  SweepService service{ServiceOptions{}};
+  const ServiceResponse response =
+      ServiceResponse::FromJson(service.HandleRequestBytes(request.ToJson()));
+  EXPECT_FALSE(response.ok);
+  EXPECT_FALSE(response.retryable);
+  EXPECT_NE(response.message.find("total_cells"), std::string::npos)
+      << response.message;
+  EXPECT_EQ(service.cache_stats().insertions, 0);
+  EXPECT_EQ(service.cache_size(), 0u);
+}
+
 TEST(SweepServiceTest, StaleSweepIdIsRejected) {
   // A document whose stamped sweep_id no longer matches its own content
   // (mutated after planning, then re-serialized) must be refused: trusting

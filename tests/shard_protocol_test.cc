@@ -6,8 +6,11 @@
 // enforced, not asserted.
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,6 +272,63 @@ TEST(ShardProtocolTest, SpecRejectsBadCellGeometry) {
                 "names axis \"other\"");
   ExpectRejects(kParseSpec, Doctored(valid, "\"axes\":[\"mv_hours\"]", "\"axes\":[]"),
                 "coordinates for 0 axes");
+}
+
+// total_cells is the sender's claim: it bounds the indices a document may
+// use but sizes no memory. A document claiming 2^53 + 1 cells parses at the
+// cost of the cells it holds, and an index at or past the claim is refused.
+TEST(ShardProtocolTest, ClaimedCellCountBoundsIndicesButSizesNoMemory) {
+  const std::string huge = "\"total_cells\":9007199254740993";
+  const std::string spec_json = Doctored(ValidSpecJson(), "\"total_cells\":2", huge);
+  const std::string result_json =
+      Doctored(ValidResultJson(), "\"total_cells\":2", huge);
+  EXPECT_EQ(ShardSpec::FromJson(spec_json).cells.size(), 2u);
+  EXPECT_EQ(ShardResult::FromJson(result_json).cells.size(), 2u);
+
+  const std::string past_claim = "\"index\":9007199254740992";
+  ExpectRejects(kParseSpec, Doctored(spec_json, "\"index\":1", past_claim),
+                "outside [0, total_cells)");
+  ExpectRejects(kParseResult, Doctored(result_json, "\"index\":1", past_claim),
+                "outside [0, total_cells)");
+  ExpectRejects(kParseSpec, Doctored(ValidSpecJson(), "\"index\":1", "\"index\":2"),
+                "outside [0, total_cells)");
+  ExpectRejects(kParseResult, Doctored(ValidResultJson(), "\"index\":1", "\"index\":2"),
+                "outside [0, total_cells)");
+}
+
+// The overloads that take a caller's scenario hashes or JSON give the
+// computing overloads' identity and bytes. They refuse a length mismatch in
+// every build, and a wrong hash or JSON fails an assertion in builds
+// without NDEBUG.
+TEST(ShardProtocolTest, SuppliedScenarioHashesAndJsonGiveTheSameDocument) {
+  const ShardPlan plan = ValidPlan();
+  const ShardSpec& shard = plan.shards()[0];
+  ASSERT_EQ(shard.cells.size(), 2u);
+  std::vector<uint64_t> hashes;
+  std::vector<std::string> json;
+  for (const SweepSpec::Cell& cell : shard.cells) {
+    hashes.push_back(cell.scenario.CanonicalHash());
+    json.push_back(cell.scenario.ToJson());
+  }
+  EXPECT_EQ(ComputeSweepId(shard.axis_names, shard.options, shard.cells, hashes),
+            shard.sweep_id);
+  EXPECT_EQ(shard.ToJson(json), shard.ToJson());
+  std::vector<SweepSpec::Cell> cells = shard.cells;
+  EXPECT_EQ(ShardPlan(shard.axis_names, shard.options, std::move(cells), 1, hashes)
+                .shards()[0]
+                .ToJson(),
+            shard.ToJson());
+
+  EXPECT_THROW(ComputeSweepId(shard.axis_names, shard.options, shard.cells,
+                              std::span(hashes).first(1)),
+               std::invalid_argument);
+  EXPECT_THROW(shard.ToJson(std::span(json).first(1)), std::invalid_argument);
+  std::swap(hashes[0], hashes[1]);
+  std::swap(json[0], json[1]);
+  EXPECT_DEBUG_DEATH(
+      ComputeSweepId(shard.axis_names, shard.options, shard.cells, hashes),
+      "CanonicalHash");
+  EXPECT_DEBUG_DEATH(shard.ToJson(json), "ToJson");
 }
 
 TEST(ShardProtocolTest, ResultRejectsMalformedDocuments) {
