@@ -337,6 +337,10 @@ std::map<size_t, std::string> SuperviseUnits(
     }
     unit.started_at = MonotonicSeconds();
     const int64_t spawn_start = now_ns();
+    if (obs::Enabled()) {
+      // The worker times its start-up (worker.startup_ns) from this stamp.
+      argv.push_back("--spawn-ns=" + std::to_string(spawn_start));
+    }
     try {
       unit.child = Subprocess::Spawn(argv, /*log_path=*/"");
     } catch (const SpawnError& e) {

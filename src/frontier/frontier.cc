@@ -420,11 +420,9 @@ FrontierResult RunFrontierSearch(const FrontierTarget& target,
     for (const FrontierPhase& phase : candidate.phases) {
       built.phase_scenarios.push_back(
           PhaseScenario(phase, candidate.deployment, space));
-      // CanonicalHash is FNV-1a over exactly these bytes. The JSON waits
-      // for the candidate's evaluation, so it keeps only its bytes, not
-      // ToJson's grown buffer.
+      // CanonicalHash is FNV-1a over exactly these bytes, which wait for the
+      // candidate's evaluation.
       built.phase_json.push_back(built.phase_scenarios.back().ToJson());
-      built.phase_json.back().shrink_to_fit();
       built.phase_hashes.push_back(json::Fnv1a64(built.phase_json.back()));
       built.phase_costs.push_back(
           PhaseFleetCost(phase, space.archive_gb, space.costs));

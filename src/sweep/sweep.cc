@@ -29,40 +29,50 @@ Duration SweepHorizon(const SweepOptions& options) {
   }
 }
 
+// Folds one censored trial (no loss within the horizon) into the block
+// accumulator under the configured estimand, metrics aside.
+void AccumulateCensored(SweepOptions::Estimand estimand, Duration horizon,
+                        TrialAccumulator& acc) {
+  using Estimand = SweepOptions::Estimand;
+  switch (estimand) {
+    case Estimand::kMttdl:
+      acc.censored++;
+      break;
+    case Estimand::kLossProbability:
+      break;
+    case Estimand::kCensoredMttdl:
+      acc.observed_years += horizon.years();
+      break;
+    case Estimand::kWeightedLossProbability:
+      acc.weighted.Add(0.0);
+      break;
+  }
+}
+
 // Folds one trial's outcome into the block accumulator under the configured
 // estimand.
 void AccumulateOutcome(SweepOptions::Estimand estimand, Duration horizon,
                        const RunOutcome& outcome, TrialAccumulator& acc) {
   using Estimand = SweepOptions::Estimand;
-  switch (estimand) {
-    case Estimand::kMttdl:
-      if (outcome.loss_time) {
+  if (!outcome.loss_time) {
+    AccumulateCensored(estimand, horizon, acc);
+  } else {
+    switch (estimand) {
+      case Estimand::kMttdl:
         acc.loss_years.Add(outcome.loss_time->years());
-      } else {
-        acc.censored++;
-      }
-      break;
-    case Estimand::kLossProbability:
-      if (outcome.loss_time) {
+        break;
+      case Estimand::kLossProbability:
         acc.losses++;
-      }
-      break;
-    case Estimand::kCensoredMttdl:
-      if (outcome.loss_time) {
+        break;
+      case Estimand::kCensoredMttdl:
         acc.losses++;
         acc.observed_years += outcome.loss_time->years();
-      } else {
-        acc.observed_years += horizon.years();
-      }
-      break;
-    case Estimand::kWeightedLossProbability:
-      if (outcome.loss_time) {
+        break;
+      case Estimand::kWeightedLossProbability:
         acc.losses++;
         acc.weighted.Add(std::exp(outcome.log_weight));
-      } else {
-        acc.weighted.Add(0.0);
-      }
-      break;
+        break;
+    }
   }
   acc.metrics.Merge(outcome.metrics);
 }
@@ -72,8 +82,9 @@ void AccumulateOutcome(SweepOptions::Estimand estimand, Duration horizon,
 // `acc`. The counter path is the batched SoA kernel: one prefilter pass
 // reads the block's initial draws straight from CounterMix and decides,
 // exactly as the engine would, which trials process no event within the
-// horizon; those contribute their (censored, zero-metric) outcome without
-// touching the event loop.
+// horizon; those fold in as censored without touching the event loop. Their
+// metrics are all zero, and merging zeros moves no bit, so they skip the
+// metrics merge too.
 void RunTrialBlock(TrialRunner& runner, const SweepOptions& options,
                    Duration horizon, uint64_t seed, int64_t begin, int64_t end,
                    TrialAccumulator& acc) {
@@ -82,10 +93,9 @@ void RunTrialBlock(TrialRunner& runner, const SweepOptions& options,
     uint8_t skip[kTrialPrefilterMaxBlock];
     const bool prefiltered = runner.PrefilterCensoredBlock(
         seed, begin, static_cast<int>(end - begin), horizon, skip);
-    const RunOutcome censored;
     for (int64_t t = begin; t < end; ++t) {
       if (prefiltered && skip[t - begin] != 0) {
-        AccumulateOutcome(estimand, horizon, censored, acc);
+        AccumulateCensored(estimand, horizon, acc);
       } else {
         AccumulateOutcome(
             estimand, horizon,
@@ -586,8 +596,12 @@ std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
 
   if (!units.empty()) {
     const Duration horizon = SweepHorizon(options);
+    // An identity bias draws the engine's own uniforms and weighs every
+    // trial exactly 1 (src/rare/biased_sampler.h), so it runs without a
+    // sampler, and the counter prefilter serves it.
     const FaultBias* bias =
-        options.estimand == SweepOptions::Estimand::kWeightedLossProbability
+        options.estimand == SweepOptions::Estimand::kWeightedLossProbability &&
+                !options.bias.is_identity()
             ? &options.bias
             : nullptr;
     const int lanes = std::min(pool.size(), static_cast<int>(units.size()));

@@ -1,8 +1,9 @@
 // SeedMode::kCounterV1 execution contract (src/sweep/sweep.h):
 //
 //   * the batched SoA kernel (block prefilter + RunCounter) must fold to
-//     exactly the accumulator of a naive per-trial RunCounter loop — the
-//     prefilter is an optimization, never an approximation;
+//     exactly the accumulator of a naive per-trial RunCounter loop under
+//     every estimand — the prefilter is an optimization, never an
+//     approximation;
 //   * RunCellTrialRanges over any contiguous block-aligned tiling of
 //     [0, N) must concatenate to the whole-run block list bit for bit, under
 //     every seed mode (the primitive behind shards and fleet rounds);
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -83,14 +85,25 @@ SweepOptions CounterOptions(SweepOptions::Estimand estimand, int64_t trials) {
 // prefilter, no lanes — folded with the same block structure the engine
 // uses (one accumulator per 256-trial block, blocks merged in trial order).
 // Welford folds are not bitwise-associative, so the block structure is part
-// of the determinism contract, not an implementation detail.
+// of the determinism contract, not an implementation detail. A weighted
+// sweep's runner carries a sampler for the sweep's bias even when it is the
+// identity, which the engine runs without one, so the fold also proves that
+// dropping an identity sampler moves no bit.
 TrialAccumulator PerTrialFold(const SweepSpec::Cell& cell,
                               const SweepOptions& options) {
+  using Estimand = SweepOptions::Estimand;
   const uint64_t key = SweepCellSeed(options, cell);
-  const Duration horizon = options.estimand == SweepOptions::Estimand::kMttdl
-                               ? options.mc.max_trial_time
-                               : options.mission;
-  TrialRunner runner(cell.scenario);
+  Duration horizon = options.mission;
+  if (options.estimand == Estimand::kMttdl) {
+    horizon = options.mc.max_trial_time;
+  } else if (options.estimand == Estimand::kCensoredMttdl) {
+    horizon = options.window;
+  }
+  const std::unique_ptr<TrialRunner> runner =
+      options.estimand == Estimand::kWeightedLossProbability
+          ? std::make_unique<TrialRunner>(cell.scenario, ConfigValidation::kValidate,
+                                          options.bias)
+          : std::make_unique<TrialRunner>(cell.scenario);
   TrialAccumulator folded;
   for (int64_t block_begin = 0; block_begin < options.mc.trials;
        block_begin += kTrialBlockSize) {
@@ -99,17 +112,36 @@ TrialAccumulator PerTrialFold(const SweepSpec::Cell& cell,
     TrialAccumulator acc;
     for (int64_t t = block_begin; t < block_end; ++t) {
       const RunOutcome outcome =
-          runner.RunCounter(key, static_cast<uint64_t>(t), horizon);
-      if (options.estimand == SweepOptions::Estimand::kMttdl) {
-        if (outcome.loss_time) {
-          acc.loss_years.Add(outcome.loss_time->years());
-        } else {
-          acc.censored++;
-        }
-      } else {
-        if (outcome.loss_time) {
-          acc.losses++;
-        }
+          runner->RunCounter(key, static_cast<uint64_t>(t), horizon);
+      switch (options.estimand) {
+        case Estimand::kMttdl:
+          if (outcome.loss_time) {
+            acc.loss_years.Add(outcome.loss_time->years());
+          } else {
+            acc.censored++;
+          }
+          break;
+        case Estimand::kLossProbability:
+          if (outcome.loss_time) {
+            acc.losses++;
+          }
+          break;
+        case Estimand::kCensoredMttdl:
+          if (outcome.loss_time) {
+            acc.losses++;
+            acc.observed_years += outcome.loss_time->years();
+          } else {
+            acc.observed_years += horizon.years();
+          }
+          break;
+        case Estimand::kWeightedLossProbability:
+          if (outcome.loss_time) {
+            acc.losses++;
+            acc.weighted.Add(std::exp(outcome.log_weight));
+          } else {
+            acc.weighted.Add(0.0);
+          }
+          break;
       }
       acc.metrics.Merge(outcome.metrics);
     }
@@ -118,19 +150,63 @@ TrialAccumulator PerTrialFold(const SweepSpec::Cell& cell,
   return folded;
 }
 
+// The skip bytes (0 or 1, in trial order) the batched kernel sees for trials
+// [0, trials) of one cell, asked for in the sweep's 256-trial blocks.
+std::string PrefilterSkipBytes(const Scenario& scenario, uint64_t key,
+                               Duration horizon, int64_t trials) {
+  TrialRunner runner(scenario);
+  std::string bytes;
+  uint8_t skip[kTrialPrefilterMaxBlock];
+  for (int64_t begin = 0; begin < trials; begin += kTrialPrefilterMaxBlock) {
+    const int count = static_cast<int>(
+        std::min<int64_t>(kTrialPrefilterMaxBlock, trials - begin));
+    if (!runner.PrefilterCensoredBlock(key, begin, count, horizon, skip)) {
+      ADD_FAILURE() << "prefilter declined block " << begin;
+      return bytes;
+    }
+    for (int i = 0; i < count; ++i) {
+      bytes.push_back(static_cast<char>(skip[i]));
+    }
+  }
+  return bytes;
+}
+
+// Every estimand, the weighted one under the identity FaultBias{}. The
+// 30-hour mission and window let the prefilter skip some of each cell's
+// trials and run the rest, which lose data or survive, so every censored
+// fold is checked against trials the engine ran.
 TEST(CounterSweepTest, BatchedKernelMatchesPerTrialRunCounterFold) {
-  const SweepOptions options =
-      CounterOptions(SweepOptions::Estimand::kMttdl, 600);
+  using Estimand = SweepOptions::Estimand;
   std::vector<SweepSpec::Cell> cells = VariedSpec().BuildCells();
-  ValidateSweepOptions(options);
   ValidateSweepCells(cells);
-  const std::vector<SweepCellExecution> executions =
-      RunSweepCells(SweepRunner().pool(), cells, options);
-  ASSERT_EQ(executions.size(), cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    SCOPED_TRACE(cells[i].label);
-    EXPECT_EQ(AccJson(executions[i].acc), AccJson(PerTrialFold(cells[i], options)));
-    EXPECT_EQ(executions[i].trials, options.mc.trials);
+  const std::pair<Estimand, const char*> estimands[] = {
+      {Estimand::kMttdl, "mttdl"},
+      {Estimand::kLossProbability, "loss_probability"},
+      {Estimand::kCensoredMttdl, "censored_mttdl"},
+      {Estimand::kWeightedLossProbability, "weighted_loss_probability"}};
+  for (const auto& [estimand, name] : estimands) {
+    SweepOptions options = CounterOptions(estimand, 600);
+    options.mission = Duration::Hours(30.0);
+    options.window = Duration::Hours(30.0);
+    ValidateSweepOptions(options);
+    ASSERT_TRUE(options.bias.is_identity());
+    const std::vector<SweepCellExecution> executions =
+        RunSweepCells(SweepRunner().pool(), cells, options);
+    ASSERT_EQ(executions.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      SCOPED_TRACE(std::string(name) + " " + cells[i].label);
+      EXPECT_EQ(AccJson(executions[i].acc),
+                AccJson(PerTrialFold(cells[i], options)));
+      EXPECT_EQ(executions[i].trials, options.mc.trials);
+      if (estimand != Estimand::kMttdl) {
+        const std::string skips =
+            PrefilterSkipBytes(cells[i].scenario, SweepCellSeed(options, cells[i]),
+                               options.mission, options.mc.trials);
+        const auto skipped = std::count(skips.begin(), skips.end(), 1);
+        EXPECT_GT(skipped, 0);
+        EXPECT_LT(skipped, options.mc.trials);
+      }
+    }
   }
 }
 
@@ -170,27 +246,6 @@ TEST(CounterSweepTest, PrefilterSkipsAreExactlyCensoredTrials) {
     SCOPED_TRACE(cells[i].label);
     EXPECT_EQ(AccJson(executions[i].acc), AccJson(PerTrialFold(cells[i], options)));
   }
-}
-
-// The skip bytes (0 or 1, in trial order) the batched kernel sees for trials
-// [0, trials) of one cell, asked for in the sweep's 256-trial blocks.
-std::string PrefilterSkipBytes(const Scenario& scenario, uint64_t key,
-                               Duration horizon, int64_t trials) {
-  TrialRunner runner(scenario);
-  std::string bytes;
-  uint8_t skip[kTrialPrefilterMaxBlock];
-  for (int64_t begin = 0; begin < trials; begin += kTrialPrefilterMaxBlock) {
-    const int count = static_cast<int>(
-        std::min<int64_t>(kTrialPrefilterMaxBlock, trials - begin));
-    if (!runner.PrefilterCensoredBlock(key, begin, count, horizon, skip)) {
-      ADD_FAILURE() << "prefilter declined block " << begin;
-      return bytes;
-    }
-    for (int i = 0; i < count; ++i) {
-      bytes.push_back(static_cast<char>(skip[i]));
-    }
-  }
-  return bytes;
 }
 
 // The archival loss grid of the perfbench archive_fleet workload: long fault

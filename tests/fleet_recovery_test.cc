@@ -249,6 +249,40 @@ TEST(FleetRecoveryTest, AggregatesWorkerMetricsAcrossTheFleet) {
   EXPECT_GT(trials->second, 0);
 }
 
+// Each worker times its phases (tools/sweep_worker.cc) and ships them in the
+// snapshot beside its result: start-up from the supervisor's --spawn-ns
+// stamp, then the shard's parse, run and emit, one sample per attempt.
+// --spawn-ns is parsed as strictly as every other numeric flag.
+TEST(FleetRecoveryTest, WorkersReportTheirPhaseTimesOncePerAttempt) {
+  if (!obs::Enabled()) {
+    GTEST_SKIP() << "telemetry disabled in the environment";
+  }
+  TempDir dir;
+  const FleetReport report = RunFleet(BaseOptions(dir));
+  ASSERT_TRUE(report.complete);
+  ASSERT_EQ(report.stats.spawned, 2);
+  for (const char* name : {"worker.startup_ns", "worker.parse_ns",
+                           "worker.run_ns", "worker.emit_ns"}) {
+    const auto timer = report.worker_metrics.histograms.find(name);
+    ASSERT_NE(timer, report.worker_metrics.histograms.end()) << name;
+    EXPECT_EQ(timer->second.count, report.stats.spawned) << name;
+    EXPECT_GT(timer->second.sum, 0) << name;
+  }
+
+  const std::string spec_path = WriteWholeSweepShard(dir);
+  for (const char* bad : {"abc", "", "3x", "-1", "1.5", "99999999999999999999"}) {
+    Subprocess refused = Subprocess::Spawn(
+        {LONGSTORE_SWEEP_WORKER, "--shard=" + spec_path, "--metrics-out=-",
+         std::string("--spawn-ns=") + bad},
+        dir.path() + "/refused.log");
+    refused.Await();
+    EXPECT_EQ(refused.DescribeExit(), "exit status 1") << bad;
+    EXPECT_TRUE(refused.output().empty()) << bad;
+  }
+  EXPECT_NE(ReadAll(dir.path() + "/refused.log").find("usage:"),
+            std::string::npos);
+}
+
 // flaky / crash / corrupt all follow the same seeded failure schedule (three
 // failed attempts across the two units), differ only in *how* the attempt
 // fails, and must all converge to the byte-identical figure.

@@ -2,7 +2,7 @@
 // cells — and emits the raw accumulators of those trials, the worker half of
 // the sharded fan-out protocol (src/shard/README.md).
 //
-//   sweep_worker --shard=FILE [--metrics-out=-] [--threads=N]
+//   sweep_worker --shard=FILE [--metrics-out=-] [--threads=N] [--spawn-ns=NS]
 //                [--fail-mode=crash|hang|corrupt|flaky
 //                 --fail-prob=P --fail-seed=S --fail-nonce=N]
 //
@@ -16,6 +16,14 @@
 // line after the result, once the shard completes; "-" is its only value.
 // That is how the fleet supervisor (src/fleet/) collects both: over its pipe
 // on the worker's stdout.
+//
+// The snapshot carries the attempt's phase timers (src/fleet/README.md, "The
+// cost of an attempt"): worker.parse_ns (read and parse the shard),
+// worker.run_ns (the pool and its trials) and worker.emit_ns (the result
+// document), and, given --spawn-ns, worker.startup_ns: from the
+// CLOCK_MONOTONIC nanosecond the supervisor stamped before spawning this
+// process to the start of main. Telemetry only: with telemetry off the clock
+// is never read, and no timer reaches the result.
 //
 // A worker killed mid-write leaves a torn line, never a whole document: its
 // exit status fails it first, and the envelope (length + FNV-1a) rejects the
@@ -38,9 +46,9 @@
 // scenario, I/O failure), with a one-line diagnostic on stderr — shard
 // drivers treat a non-zero worker as a failed shard and may reassign it.
 // Numeric flags are parsed strictly (tools/numeric_flags.h): a value that
-// is not wholly a number in range ("abc", "3x", a negative --threads or
-// --fail-seed, a --fail-prob outside [0, 1] or NaN) prints the usage and
-// exits 1.
+// is not wholly a number in range ("abc", "3x", a negative --threads,
+// --spawn-ns or --fail-seed, a --fail-prob outside [0, 1] or NaN) prints the
+// usage and exits 1.
 
 #include <unistd.h>
 
@@ -65,7 +73,7 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --shard=FILE [--metrics-out=-] [--threads=N]\n"
+      "usage: %s --shard=FILE [--metrics-out=-] [--threads=N] [--spawn-ns=NS]\n"
       "          [--fail-mode=crash|hang|corrupt|flaky] [--fail-prob=P]\n"
       "          [--fail-seed=S] [--fail-nonce=N]\n"
       "  --shard=FILE   shard spec JSON (\"-\" = stdin); the result JSON goes\n"
@@ -75,6 +83,8 @@ int Usage(const char* argv0) {
       "  --metrics-out=-  after the shard completes, write this process's\n"
       "                 MetricsSnapshot JSON to stdout as the line after the\n"
       "                 result (telemetry; never affects results)\n"
+      "  --spawn-ns=NS  CLOCK_MONOTONIC ns just before the supervisor spawned\n"
+      "                 this process, from which worker.startup_ns is timed\n"
       "  --fail-*       deterministic fault injection for supervisor tests;\n"
       "                 the fault fires when hash(S, shard_index, N) < P\n",
       argv0);
@@ -115,12 +125,27 @@ bool DecideFault(const FailPlan& plan, int shard_index) {
   return u < plan.prob;
 }
 
+// The phase timers' clock: CLOCK_MONOTONIC ns, read only while telemetry is
+// on (0 otherwise).
+int64_t PhaseClock() {
+  return longstore::obs::Enabled() ? longstore::obs::MonotonicNanos() : 0;
+}
+
+// Records the phase [start_ns, end_ns) in the histogram `name`.
+void RecordPhase(const char* name, int64_t start_ns, int64_t end_ns) {
+  if (longstore::obs::Enabled()) {
+    longstore::obs::Registry::Global().histogram(name).Record(end_ns - start_ns);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int64_t main_ns = PhaseClock();
   const char* shard_path = nullptr;
   bool metrics_to_stdout = false;
   int threads = 0;
+  int64_t spawn_ns = -1;  // -1 = not given
   FailPlan fail;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -130,6 +155,10 @@ int main(int argc, char** argv) {
       metrics_to_stdout = true;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
       if (!longstore::ParseIntFlag(arg + 10, 0, &threads)) {
+        return Usage(argv[0]);
+      }
+    } else if (std::strncmp(arg, "--spawn-ns=", 11) == 0) {
+      if (!longstore::ParseIntFlag(arg + 11, int64_t{0}, &spawn_ns)) {
         return Usage(argv[0]);
       }
     } else if (std::strncmp(arg, "--fail-mode=", 12) == 0) {
@@ -159,8 +188,12 @@ int main(int argc, char** argv) {
   if (shard_path == nullptr) {
     return Usage(argv[0]);
   }
+  if (spawn_ns >= 0) {
+    RecordPhase("worker.startup_ns", spawn_ns, main_ns);
+  }
 
   try {
+    const int64_t parse_start = PhaseClock();
     std::string text;
     std::string error;
     if (!longstore::obs::ReadWholeFile(
@@ -171,6 +204,8 @@ int main(int argc, char** argv) {
 
     const longstore::ShardSpec shard =
         longstore::ShardSpec::FromJson(text, shard_path);
+    const int64_t run_start = PhaseClock();
+    RecordPhase("worker.parse_ns", parse_start, run_start);
     fail.armed = fail.mode != nullptr && DecideFault(fail, shard.shard_index);
 
     if (fail.armed && std::strcmp(fail.mode, "flaky") == 0) {
@@ -188,6 +223,8 @@ int main(int argc, char** argv) {
 
     longstore::WorkerPool pool(threads);
     const longstore::ShardResult result = longstore::RunShard(shard, &pool);
+    const int64_t emit_start = PhaseClock();
+    RecordPhase("worker.run_ns", run_start, emit_start);
     std::string json = result.ToJson();
 
     if (fail.armed && std::strcmp(fail.mode, "corrupt") == 0) {
@@ -209,12 +246,14 @@ int main(int argc, char** argv) {
     }
 
     // The whole answer leaves in one write: the result line, then, with
-    // --metrics-out=-, the snapshot line.
-    std::string answer = json + '\n';
+    // --metrics-out=-, the snapshot line, which holds every phase timer.
+    json += '\n';
+    RecordPhase("worker.emit_ns", emit_start, PhaseClock());
     if (metrics_to_stdout) {
-      answer += longstore::obs::Registry::Global().SnapshotJson() + '\n';
+      json += longstore::obs::Registry::Global().SnapshotJson();
+      json += '\n';
     }
-    if (!WriteStdout(answer)) {
+    if (!WriteStdout(json)) {
       throw std::runtime_error("failed to write to stdout");
     }
   } catch (const std::exception& e) {
