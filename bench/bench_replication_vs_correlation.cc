@@ -33,7 +33,6 @@ void PrintGrid(const char* title, const FaultParams& base,
   SweepSpec spec(ScenarioBuilder()
                      .Replicas(2, SpecFromParams(base).ScrubWith(ScrubPolicy::None()))
                      .Correlation(base.alpha)
-                     .Convention(convention)
                      .Build());
   spec.AddAxis("replicas");
   for (int r = 1; r <= 6; ++r) {

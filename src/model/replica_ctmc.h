@@ -14,10 +14,12 @@
 //              forms in their validity regime.
 //  kPhysical — each healthy replica has its own fault clock (rate scales with
 //              the number of healthy replicas) and failed replicas repair in
-//              parallel. This is what a real mirrored system experiences and
-//              what the discrete-event simulator implements.
+//              parallel. This is what a real mirrored system experiences.
 //
-// bench_model_validation prints the gap between the two conventions.
+// kPaper exists only here: the discrete-event simulator and Scenario (and so
+// ScenarioCtmcMttdl) are physical. bench_model_validation,
+// bench_scrubbing_effect and bench_replication_vs_correlation print the
+// paper convention's values from this chain beside the physical ones.
 
 #ifndef LONGSTORE_SRC_MODEL_REPLICA_CTMC_H_
 #define LONGSTORE_SRC_MODEL_REPLICA_CTMC_H_

@@ -51,15 +51,6 @@ ReplicaSpec& ReplicaSpec::ScrubEvery(Duration interval) {
   return *this;
 }
 
-bool operator==(const ReplicaSpec& a, const ReplicaSpec& b) {
-  return a.media == b.media && a.fault_distribution == b.fault_distribution &&
-         a.mv == b.mv && a.ml == b.ml && a.weibull_shape == b.weibull_shape &&
-         a.initial_age_hours == b.initial_age_hours &&
-         a.repair_distribution == b.repair_distribution && a.mrv == b.mrv &&
-         a.mrl == b.mrl && a.scrub.kind == b.scrub.kind &&
-         a.scrub.interval == b.scrub.interval;
-}
-
 std::optional<std::string> ReplicaSpec::Validate() const {
   if (!(mv.hours() > 0.0)) {
     return "mv must be positive (Duration::Infinite() means no visible faults)";
@@ -118,36 +109,12 @@ std::optional<std::string> Scenario::Validate() const {
     if (auto error = spec.Validate()) {
       return ReplicaError(i, *error);
     }
-    if (spec.fault_distribution == FaultDistribution::kWeibull) {
-      if (alpha < 1.0) {
-        return ReplicaError(
-            i,
-            "hazard-multiplier correlation (alpha < 1) requires exponential "
-            "faults; Weibull fault clocks are age-based and cannot be rescaled "
-            "memorylessly");
-      }
-      if (convention == RateConvention::kPaper) {
-        return ReplicaError(
-            i, "Weibull faults are only supported under the physical convention");
-      }
-    }
-  }
-  if (convention == RateConvention::kPaper) {
-    for (int i = 1; i < replica_count(); ++i) {
-      if (!(replicas[static_cast<size_t>(i)] == replicas[0])) {
-        return "the paper rate convention models system-level fault clocks at "
-               "single-unit rates and cannot express a heterogeneous fleet "
-               "(replica " +
-               std::to_string(i) +
-               " differs from replica 0); use the physical convention";
-      }
-    }
-    if (replicas[0].scrub.kind == ScrubPolicy::Kind::kPeriodic) {
-      return "the paper rate convention pairs with memoryless detection; use an "
-             "exponential or on-access scrub policy (or the physical convention)";
-    }
-    if (!common_mode.empty()) {
-      return "common-mode sources are only supported under the physical convention";
+    if (spec.fault_distribution == FaultDistribution::kWeibull && alpha < 1.0) {
+      return ReplicaError(
+          i,
+          "hazard-multiplier correlation (alpha < 1) requires exponential "
+          "faults; Weibull fault clocks are age-based and cannot be rescaled "
+          "memorylessly");
     }
   }
   for (const CommonModeSource& source : common_mode) {
@@ -199,11 +166,6 @@ ScenarioBuilder& ScenarioBuilder::RequiredIntact(int required_intact) {
 
 ScenarioBuilder& ScenarioBuilder::Correlation(double alpha) {
   scenario_.alpha = alpha;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::Convention(RateConvention convention) {
-  scenario_.convention = convention;
   return *this;
 }
 

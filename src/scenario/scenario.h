@@ -1,8 +1,8 @@
 // Composable system-description API: one Scenario type describes the whole
 // archive — a ReplicaSpec per replica (media, fault distribution, repair,
 // scrub cadence, initial age) plus the shared structure (redundancy
-// threshold, hazard-multiplier correlation, rate convention, common-mode
-// sources) — and every subsystem consumes it:
+// threshold, hazard-multiplier correlation, common-mode sources) — and
+// every subsystem consumes it:
 //
 //   * the discrete-event engine (src/storage) resolves the specs to flat
 //     per-replica arrays at construction and never touches them in the event
@@ -36,8 +36,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/model/replica_ctmc.h"  // RateConvention
-#include "src/model/strategies.h"    // ScrubPolicy
+#include "src/model/strategies.h"  // ScrubPolicy
 #include "src/util/units.h"
 
 namespace longstore {
@@ -114,12 +113,8 @@ struct ReplicaSpec {
   ReplicaSpec& ScrubEvery(Duration interval);  // shorthand: periodic policy
 
   // Error message if the spec is inconsistent on its own (scenario-level
-  // constraints — convention, correlation — are checked by
-  // Scenario::Validate).
+  // constraints such as correlation are checked by Scenario::Validate).
   std::optional<std::string> Validate() const;
-
-  // Field-wise identity, media label included.
-  friend bool operator==(const ReplicaSpec& a, const ReplicaSpec& b);
 };
 
 // A complete, self-describing system description: per-replica specs plus
@@ -141,12 +136,6 @@ struct Scenario {
   // not a per-replica property.
   double alpha = 1.0;
 
-  // kPhysical: each healthy replica runs its own fault clock and repairs
-  // proceed in parallel. kPaper: system-level fault clocks at the
-  // single-unit rates and serial repair, the convention of equations 7-12
-  // (homogeneous fleets only).
-  RateConvention convention = RateConvention::kPhysical;
-
   // Periodic scrub phases: staggered spreads replica audit times evenly
   // across each replica's period (what operators do); aligned audits all
   // replicas at once (worst case for simultaneous latent faults).
@@ -157,8 +146,8 @@ struct Scenario {
   int replica_count() const { return static_cast<int>(replicas.size()); }
 
   // Centralized validation: per-replica consistency plus every cross-field
-  // constraint (convention vs heterogeneity, correlation vs Weibull,
-  // common-mode membership, ...). Returns an error message, or nullopt.
+  // constraint (correlation vs Weibull, common-mode membership, ...).
+  // Returns an error message, or nullopt.
   std::optional<std::string> Validate() const;
 
   // --- serialization & identity (scenario_json.cc) ------------------------
@@ -166,8 +155,10 @@ struct Scenario {
   // Canonical compact JSON: fixed key order, every field emitted,
   // round-trip-exact doubles ("inf"/"-inf"/"nan" as strings). Two scenarios
   // are field-wise identical iff their canonical JSON strings are equal.
-  // Three keys of retired modes stay at their one value so that no hash
-  // moves (scenario_json.cc).
+  // Four retired keys stay at their one value so that no hash moves:
+  // "convention" ("physical"; the simulator runs no other rate convention),
+  // "record_scrub_passes", "visible_fault_surfaces_latent" and each
+  // replica's "scrub_phase_hours" (scenario_json.cc).
   std::string ToJson() const;
 
   // Strict parser for the ToJson schema (unknown keys, missing keys, type
@@ -214,7 +205,6 @@ class ScenarioBuilder {
 
   ScenarioBuilder& RequiredIntact(int required_intact);
   ScenarioBuilder& Correlation(double alpha);
-  ScenarioBuilder& Convention(RateConvention convention);
   // Scrubs are staggered by default (Scenario::scrub_staggered); this
   // aligns every replica's scrub phase instead.
   ScenarioBuilder& AlignedScrubs();

@@ -101,7 +101,7 @@ ReplicatedChainBuilder ChainFor(const Scenario& scenario) {
     throw std::invalid_argument("Scenario CTMC: " + *reason);
   }
   return ReplicatedChainBuilder(ScenarioFaultParams(scenario),
-                                scenario.replica_count(), scenario.convention,
+                                scenario.replica_count(), RateConvention::kPhysical,
                                 scenario.required_intact);
 }
 

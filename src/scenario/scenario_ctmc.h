@@ -35,7 +35,8 @@ std::optional<std::string> CtmcIncompatibility(const Scenario& scenario);
 FaultParams ScenarioFaultParams(const Scenario& scenario, int index = 0);
 
 // Exact MTTDL / mission-loss probability from the all-healthy state, under
-// the scenario's own rate convention and redundancy threshold. Throws
+// the physical rate convention the simulator runs and the scenario's
+// redundancy threshold. Throws
 // std::invalid_argument carrying the CtmcIncompatibility reason when the
 // scenario is outside the chain's state space; returns nullopt only when
 // data loss is unreachable (the underlying chain solvers' contract).

@@ -41,10 +41,6 @@ const char* ScrubKindName(ScrubPolicy::Kind kind) {
   return "none";
 }
 
-const char* ConventionName(RateConvention convention) {
-  return convention == RateConvention::kPaper ? "paper" : "physical";
-}
-
 FaultDistribution ParseFaultDistribution(const std::string& name) {
   if (name == "exponential") {
     return FaultDistribution::kExponential;
@@ -81,25 +77,29 @@ ScrubPolicy::Kind ParseScrubKind(const std::string& name) {
   json::Fail(kContext, "unknown scrub_kind \"" + name + "\"");
 }
 
-RateConvention ParseConvention(const std::string& name) {
-  if (name == "physical") {
-    return RateConvention::kPhysical;
-  }
-  if (name == "paper") {
-    return RateConvention::kPaper;
-  }
-  json::Fail(kContext, "unknown convention \"" + name + "\"");
-}
-
-// Keys of three retired modes: the scrub-tick trace loop, latent surfacing
-// by a visible fault, and explicit scrub phases. ToJson writes each at the
-// one value it can still hold, because dropping a key would move every
-// CanonicalHash and with it every content-derived seed, sweep_id and cache
-// key. FromJson accepts nothing else.
+// Keys of four retired modes: the paper's rate convention in the
+// simulator, the scrub-tick trace loop, latent surfacing by a visible fault,
+// and explicit scrub phases. ToJson writes each at the one value it can
+// still hold, because dropping a key would move every CanonicalHash and with
+// it every content-derived seed, sweep_id and cache key. FromJson accepts
+// nothing else.
 void RequireRetired(bool holds, const std::string& key, const char* value) {
   if (!holds) {
     json::Fail(kContext,
                key + " is a retired mode; only " + value + " is accepted");
+  }
+}
+
+void RequirePhysicalConvention(const std::string& name) {
+  if (name == "paper") {
+    json::Fail(kContext,
+               "convention \"paper\" is retired: the simulator runs the "
+               "physical convention only, and the paper's convention "
+               "(equations 7-12) is computed by the exact chain "
+               "(ReplicatedChainBuilder, MirroredMttdl)");
+  }
+  if (name != "physical") {
+    json::Fail(kContext, "unknown convention \"" + name + "\"");
   }
 }
 
@@ -116,11 +116,10 @@ std::string Scenario::ToJson() const {
   AppendDouble(out, static_cast<double>(required_intact));
   out += ",\"alpha\":";
   AppendDouble(out, alpha);
-  out += ",\"convention\":\"";
-  out += ConventionName(convention);
-  out += "\",\"scrub_staggered\":";
+  // Retired modes ("convention" here, two keys below and each replica's
+  // scrub phase): fixed text that keeps every hash (see RequireRetired).
+  out += ",\"convention\":\"physical\",\"scrub_staggered\":";
   out += scrub_staggered ? "true" : "false";
-  // Retired modes: fixed text that keeps every hash (see RequireRetired).
   out += ",\"record_scrub_passes\":false,\"visible_fault_surfaces_latent\":false";
   out += ",\"replicas\":[";
   for (size_t i = 0; i < replicas.size(); ++i) {
@@ -189,7 +188,7 @@ Scenario Scenario::FromJsonValue(const json::Value& root) {
   Scenario scenario;
   scenario.required_intact = reader.GetInt("required_intact");
   scenario.alpha = reader.GetNumber("alpha");
-  scenario.convention = ParseConvention(reader.GetString("convention"));
+  RequirePhysicalConvention(reader.GetString("convention"));
   scenario.scrub_staggered = reader.GetBool("scrub_staggered");
   RequireRetired(!reader.GetBool("record_scrub_passes"), "record_scrub_passes",
                  "false");

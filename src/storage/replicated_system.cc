@@ -29,14 +29,8 @@ ReplicatedStorageSystem::ReplicatedStorageSystem(Simulator* sim, Rng* rng,
   replica_count_ = scenario_.replica_count();
   required_intact_ = scenario_.required_intact;
   alpha_ = scenario_.alpha;
-  convention_ = scenario_.convention;
-  system_fault_clock_ =
-      replica_count_ + static_cast<int>(scenario_.common_mode.size());
-  system_detect_clock_ = system_fault_clock_ + 1;
-  sim_->Attach(this, convention_ == RateConvention::kPaper ? system_detect_clock_ + 1
-                                                           : system_fault_clock_);
+  sim_->Attach(this, replica_count_ + static_cast<int>(scenario_.common_mode.size()));
   replicas_.resize(static_cast<size_t>(replica_count_));
-  repair_ring_.resize(static_cast<size_t>(replica_count_), 0);
   ResolveSpecs();
   InitializeState();
   BuildInitialDrawPlan();
@@ -90,9 +84,6 @@ void ReplicatedStorageSystem::InitializeState() {
   metrics_ = SimMetrics{};
   window_open_ = false;
   window_first_fault_ = FaultKind::kVisible;
-  repair_head_ = 0;
-  repair_queued_ = 0;
-  repair_active_ = false;
   started_ = false;
 }
 
@@ -129,17 +120,9 @@ void ReplicatedStorageSystem::BuildInitialDrawPlan() {
     site.age0_pow_shape = std::pow(site.age0, rp.weibull_shape);
     initial_draw_sites_.push_back(site);
   };
-  if (convention_ == RateConvention::kPaper) {
-    // System-level clocks on replica 0's rates; always exponential
-    // (validation rejects kPaper + Weibull).
-    add_exponential(resolved_[0].mv);
-    add_exponential(resolved_[0].ml);
-  } else {
-    for (int i = 0; i < replica_count_; ++i) {
-      const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
-      add_fault_site(rp, FaultKind::kVisible);
-      add_fault_site(rp, FaultKind::kLatent);
-    }
+  for (const ResolvedReplica& rp : resolved_) {
+    add_fault_site(rp, FaultKind::kVisible);
+    add_fault_site(rp, FaultKind::kLatent);
   }
   for (const CommonModeSource& source : scenario_.common_mode) {
     add_exponential(source.event_rate.MeanInterval());
@@ -190,12 +173,8 @@ void ReplicatedStorageSystem::Start() {
     throw std::logic_error("ReplicatedStorageSystem::Start called twice");
   }
   started_ = true;
-  if (convention_ == RateConvention::kPaper) {
-    ScheduleSystemFaultClocks();
-  } else {
-    for (int i = 0; i < replica_count_; ++i) {
-      ScheduleReplicaFaults(i);
-    }
+  for (int i = 0; i < replica_count_; ++i) {
+    ScheduleReplicaFaults(i);
   }
   for (size_t s = 0; s < scenario_.common_mode.size(); ++s) {
     ScheduleCommonModeSource(s);
@@ -215,15 +194,6 @@ void ReplicatedStorageSystem::OnSimEvent(uint16_t tag, int clock) {
       return;
     case kEvRepairComplete:
       OnRepairComplete(clock);
-      return;
-    case kEvSystemVisibleFault:
-      OnSystemFault(FaultKind::kVisible);
-      return;
-    case kEvSystemLatentFault:
-      OnSystemFault(FaultKind::kLatent);
-      return;
-    case kEvSystemDetect:
-      OnSystemDetect();
       return;
     case kEvCommonMode:
       OnCommonModeEvent(static_cast<size_t>(clock - replica_count_));
@@ -325,44 +295,8 @@ void ReplicatedStorageSystem::RescheduleFaultsForCorrelationChange() {
   if (alpha_ >= 1.0) {
     return;  // no hazard change; exponential clocks stay valid (memoryless)
   }
-  if (convention_ == RateConvention::kPaper) {
-    ScheduleSystemFaultClocks();
-    return;
-  }
   for (int i = 0; i < replica_count_; ++i) {
     ScheduleReplicaFaults(i);
-  }
-}
-
-void ReplicatedStorageSystem::ScheduleSystemFaultClocks() {
-  if (lost_ || intact_count() == 0) {
-    sim_->Disarm(system_fault_clock_);
-    return;
-  }
-  // As with the per-replica clocks, the pair is always redrawn together
-  // after either fires, so only the earlier one arms the clock. kPaper
-  // fleets are homogeneous; replica 0 carries the system-level rates.
-  const ResolvedReplica& rp = resolved_[0];
-  const double mult = CorrelationMultiplier();
-  const bool has_visible = !rp.mv.is_infinite();
-  const bool has_latent = !rp.ml.is_infinite();
-  const bool forcing_eligible = sim_->now().is_zero();
-  const auto draw = [&](Duration mean, FaultKind kind) {
-    return fault_sampler_ != nullptr
-               ? fault_sampler_->DrawExponentialFault(*rng_, mean, kind,
-                                                      forcing_eligible)
-               : rng_->NextExponential(mean);
-  };
-  const Duration visible_delay =
-      has_visible ? draw(rp.mv / mult, FaultKind::kVisible) : Duration::Zero();
-  const Duration latent_delay =
-      has_latent ? draw(rp.ml / mult, FaultKind::kLatent) : Duration::Zero();
-  if (has_visible && (!has_latent || visible_delay <= latent_delay)) {
-    sim_->ArmAfter(system_fault_clock_, visible_delay, kEvSystemVisibleFault);
-  } else if (has_latent) {
-    sim_->ArmAfter(system_fault_clock_, latent_delay, kEvSystemLatentFault);
-  } else {
-    sim_->Disarm(system_fault_clock_);
   }
 }
 
@@ -451,15 +385,7 @@ void ReplicatedStorageSystem::InflictFault(int i, FaultKind kind, bool detected)
   if (detected) {
     StartRepair(i);
   } else {
-    if (convention_ == RateConvention::kPaper) {
-      if (!sim_->armed(system_detect_clock_) &&
-          resolved_[0].scrub.kind != ScrubPolicy::Kind::kNone) {
-        const Duration delay = rng_->NextExponential(resolved_[0].scrub.interval);
-        sim_->ArmAfter(system_detect_clock_, delay, kEvSystemDetect);
-      }
-    } else {
-      ScheduleDetection(i);
-    }
+    ScheduleDetection(i);
   }
 
   if (previously_faulty == 0) {
@@ -468,29 +394,6 @@ void ReplicatedStorageSystem::InflictFault(int i, FaultKind kind, bool detected)
 }
 
 void ReplicatedStorageSystem::StartRepair(int i) {
-  if (convention_ == RateConvention::kPaper) {
-    repair_ring_[(repair_head_ + repair_queued_) % repair_ring_.size()] = i;
-    ++repair_queued_;
-    if (!repair_active_) {
-      BeginNextSerialRepair();
-    }
-    return;
-  }
-  const Duration duration =
-      DrawRepairDuration(i, replicas_[static_cast<size_t>(i)].current_fault);
-  RecordTrace(TraceEventKind::kRepairStarted, i);
-  sim_->ArmAfter(i, duration, kEvRepairComplete);
-}
-
-void ReplicatedStorageSystem::BeginNextSerialRepair() {
-  if (repair_queued_ == 0) {
-    repair_active_ = false;
-    return;
-  }
-  repair_active_ = true;
-  const int i = repair_ring_[repair_head_];
-  repair_head_ = (repair_head_ + 1) % repair_ring_.size();
-  --repair_queued_;
   const Duration duration =
       DrawRepairDuration(i, replicas_[static_cast<size_t>(i)].current_fault);
   RecordTrace(TraceEventKind::kRepairStarted, i);
@@ -512,54 +415,11 @@ void ReplicatedStorageSystem::OnRepairComplete(int i) {
     window_open_ = false;
   }
 
-  if (convention_ == RateConvention::kPaper) {
-    BeginNextSerialRepair();
-    if (faulty_count_ == 0) {
-      RescheduleFaultsForCorrelationChange();
-    }
-    return;
-  }
-
   if (faulty_count_ == 0 && alpha_ < 1.0) {
     // Correlation relaxes: redraw every healthy replica, including this one.
     RescheduleFaultsForCorrelationChange();
   } else {
     ScheduleReplicaFaults(i);
-  }
-}
-
-void ReplicatedStorageSystem::OnSystemFault(FaultKind kind) {
-  if (lost_ || intact_count() == 0) {
-    return;
-  }
-  const int target = PickRandomHealthyReplica();
-  if (kind == FaultKind::kVisible) {
-    metrics_.visible_faults++;
-    RecordTrace(TraceEventKind::kVisibleFault, target);
-    InflictFault(target, kind, /*detected=*/true);
-  } else {
-    metrics_.latent_faults++;
-    RecordTrace(TraceEventKind::kLatentFault, target);
-    InflictFault(target, kind, /*detected=*/false);
-  }
-  if (!lost_) {
-    ScheduleSystemFaultClocks();
-  }
-}
-
-void ReplicatedStorageSystem::OnSystemDetect() {
-  if (lost_) {
-    return;
-  }
-  const std::optional<int> target = OldestUndetectedLatent();
-  if (!target) {
-    return;
-  }
-  OnDetect(*target);
-  // Another undetected latent fault keeps the serial audit busy.
-  if (OldestUndetectedLatent().has_value()) {
-    const Duration delay = rng_->NextExponential(resolved_[0].scrub.interval);
-    sim_->ArmAfter(system_detect_clock_, delay, kEvSystemDetect);
   }
 }
 
@@ -596,37 +456,6 @@ void ReplicatedStorageSystem::OnCommonModeEvent(size_t source_index) {
   if (!lost_) {
     ScheduleCommonModeSource(source_index);
   }
-}
-
-int ReplicatedStorageSystem::PickRandomHealthyReplica() {
-  // Single bounded draw, then a scan for the k-th healthy replica: same
-  // distribution (and same rng consumption) as materializing the healthy
-  // list, without the per-call vector.
-  uint64_t k = rng_->NextBounded(static_cast<uint64_t>(intact_count()));
-  for (int i = 0; i < replica_count_; ++i) {
-    if (replicas_[static_cast<size_t>(i)].state == ReplicaState::kHealthy) {
-      if (k == 0) {
-        return i;
-      }
-      --k;
-    }
-  }
-  throw std::logic_error("PickRandomHealthyReplica: no healthy replica");
-}
-
-std::optional<int> ReplicatedStorageSystem::OldestUndetectedLatent() const {
-  std::optional<int> best;
-  for (int i = 0; i < replica_count_; ++i) {
-    const auto& replica = replicas_[static_cast<size_t>(i)];
-    if (replica.state != ReplicaState::kLatentFaulty) {
-      continue;
-    }
-    if (!best ||
-        replica.fault_time < replicas_[static_cast<size_t>(*best)].fault_time) {
-      best = i;
-    }
-  }
-  return best;
 }
 
 void ReplicatedStorageSystem::RecordTraceImpl(TraceEventKind kind, int replica,

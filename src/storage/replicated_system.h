@@ -15,8 +15,13 @@
 // a visible fault goes straight to repair. A replica never has more than one
 // event pending, so it owns one simulator clock: its fault clock while
 // healthy (the earlier of the visible and latent draws), its detection while
-// latent, its repair while detected. Each common-mode source owns one clock,
-// and under kPaper so do the system fault clock and the system detect clock.
+// latent, its repair while detected. Each common-mode source owns one clock.
+//
+// The simulator runs the physical rate convention only: every healthy
+// replica has its own fault clock and repairs proceed in parallel. The
+// paper's convention of equations 7-12 (system-level fault clocks at
+// single-unit rates, serial repair) exists only in the exact chain
+// (src/model/replica_ctmc.h), whose values the paper-figure benches print.
 //
 // Data loss (the paper's "double-fault" generalized to r replicas) occurs the
 // moment no intact replica remains — whether or not the outstanding faults
@@ -81,11 +86,11 @@ class ReplicatedStorageSystem : public SimClient {
   void Reset();
 
   // Attaches an importance-sampling fault sampler: all *fault-time* draws
-  // (per-replica and system-level, exponential and Weibull) go through it
-  // and accumulate the trial's likelihood ratio; repair, scrub/detection,
-  // and common-mode draws stay unbiased. Must be set before Start();
-  // nullptr (the default) keeps the unbiased path, bit for bit. The sampler
-  // must outlive the system; the caller resets it per trial.
+  // (exponential and Weibull) go through it and accumulate the trial's
+  // likelihood ratio; repair, scrub/detection, and common-mode draws stay
+  // unbiased. Must be set before Start(); nullptr (the default) keeps the
+  // unbiased path, bit for bit. The sampler must outlive the system; the
+  // caller resets it per trial.
   void set_fault_sampler(BiasedFaultSampler* sampler) { fault_sampler_ = sampler; }
 
   // Event dispatch from the simulator; not for direct use.
@@ -100,9 +105,8 @@ class ReplicatedStorageSystem : public SimClient {
 
   // One uniform draw Start() consumes, with the parameters needed to map
   // that uniform to the initial event delay using the engine's exact
-  // arithmetic. Built once at construction, in draw order: per-replica (or
-  // system-level under kPaper) visible then latent fault clocks, then one
-  // per common-mode source. Sites whose process never fires (infinite mean)
+  // arithmetic. Built once at construction, in draw order: per-replica
+  // visible then latent fault clocks, then one per common-mode source. Sites whose process never fires (infinite mean)
   // consume no draw and are omitted, mirroring the scheduling guards.
   struct InitialDrawSite {
     bool weibull = false;
@@ -188,16 +192,12 @@ class ReplicatedStorageSystem : public SimClient {
   };
 
   // Simulator event tags. Clock i < replica_count_ is replica i's; clock
-  // replica_count_ + s is common-mode source s's; under kPaper the system
-  // fault and detect clocks follow.
+  // replica_count_ + s is common-mode source s's.
   enum EventTag : uint16_t {
     kEvVisibleFault,
     kEvLatentFault,
     kEvDetect,
     kEvRepairComplete,
-    kEvSystemVisibleFault,  // kPaper convention
-    kEvSystemLatentFault,   // kPaper convention
-    kEvSystemDetect,        // kPaper convention
     kEvCommonMode,
   };
 
@@ -213,7 +213,6 @@ class ReplicatedStorageSystem : public SimClient {
   Duration NextScrubTick(int i) const;
   void ScheduleReplicaFaults(int i);
   void RescheduleFaultsForCorrelationChange();
-  void ScheduleSystemFaultClocks();  // kPaper convention
   void ScheduleDetection(int i);
   void ScheduleCommonModeSource(size_t source_index);
 
@@ -222,16 +221,11 @@ class ReplicatedStorageSystem : public SimClient {
   void OnLatentFault(int i);
   void OnDetect(int i);
   void OnRepairComplete(int i);
-  void OnSystemFault(FaultKind kind);  // kPaper convention
-  void OnSystemDetect();               // kPaper convention
   void OnCommonModeEvent(size_t source_index);
 
   // --- state transitions ---
   void InflictFault(int i, FaultKind kind, bool detected);
   void StartRepair(int i);
-  void BeginNextSerialRepair();
-  int PickRandomHealthyReplica();
-  std::optional<int> OldestUndetectedLatent() const;
   // Inline null check: Monte Carlo trials run without a recorder, and the
   // hot path must not pay for a std::string argument per event.
   void RecordTrace(TraceEventKind kind, int replica) {
@@ -256,7 +250,6 @@ class ReplicatedStorageSystem : public SimClient {
   int replica_count_ = 0;
   int required_intact_ = 1;
   double alpha_ = 1.0;
-  RateConvention convention_ = RateConvention::kPhysical;
 
   std::vector<ResolvedReplica> resolved_;
   std::vector<InitialDrawSite> initial_draw_sites_;
@@ -269,18 +262,6 @@ class ReplicatedStorageSystem : public SimClient {
   // Window-of-vulnerability bookkeeping (Figure 2 measurements).
   bool window_open_ = false;
   FaultKind window_first_fault_ = FaultKind::kVisible;
-
-  // kPaper-convention machinery: system-level clocks and serial repair. The
-  // repair queue is a fixed-capacity ring over replica indices (each replica
-  // is queued at most once), so enqueue/dequeue never allocate or shift.
-  // kPaper requires a homogeneous fleet (Scenario::Validate enforces it), so
-  // the system-level clocks read resolved_[0].
-  int system_fault_clock_ = 0;
-  int system_detect_clock_ = 0;
-  std::vector<int> repair_ring_;
-  size_t repair_head_ = 0;
-  size_t repair_queued_ = 0;
-  bool repair_active_ = false;
 
   bool started_ = false;
 };

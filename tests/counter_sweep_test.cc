@@ -404,10 +404,6 @@ TEST(CounterSweepTest, PrefilterVerdictsMatchMinDelayRuleWhenBothAreCommon) {
   weibull.Weibull(1.4).InitialAge(Duration::Hours(1e4));
   const std::pair<const char*, Scenario> cells[] = {
       {"physical", ScenarioBuilder().Replicas(2, exponential).Build()},
-      {"paper", ScenarioBuilder()
-                    .Replicas(3, exponential)
-                    .Convention(RateConvention::kPaper)
-                    .Build()},
       {"common_mode", ScenarioBuilder()
                           .Replicas(2, exponential)
                           .CommonModeAll("machine room", Rate::PerYear(0.1))

@@ -110,24 +110,6 @@ TEST(ClockTableTest, EachClockHoldsItsPendingEvent) {
   EXPECT_GT(correlated_redraws, 100);
 }
 
-TEST(ClockTableTest, PaperConventionAddsTheSystemClocks) {
-  const Scenario scenario =
-      ScenarioBuilder()
-          .Replicas(3, ReplicaSpec()
-                           .FaultTimes(Duration::Hours(1500.0), Duration::Hours(500.0))
-                           .RepairTimes(Duration::Hours(10.0), Duration::Hours(10.0))
-                           .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(60.0))))
-          .Convention(RateConvention::kPaper)
-          .Build();
-  Simulator sim;
-  Rng rng(5);
-  ReplicatedStorageSystem system(&sim, &rng, scenario);
-  EXPECT_EQ(sim.clock_count(), 5);  // three replicas, system fault, system detect
-  system.Start();
-  EXPECT_EQ(sim.pending_count(), 1u);  // only the system fault clock
-  EXPECT_TRUE(sim.armed(3));
-}
-
 // --- trial reuse ---------------------------------------------------------
 
 void ExpectSameOutcome(const RunOutcome& a, const RunOutcome& b) {
@@ -179,23 +161,6 @@ TEST(TrialRunnerTest, SameSeedIsDeterministicAcrossReuse) {
   (void)runner.Run(99, Duration::Years(500.0));
   const RunOutcome replay = runner.Run(42, Duration::Years(500.0));
   ExpectSameOutcome(first, replay);
-}
-
-TEST(TrialRunnerTest, PaperConventionReuseMatchesFresh) {
-  const Scenario scenario =
-      ScenarioBuilder()
-          .Replicas(3, ReplicaSpec()
-                           .FaultTimes(Duration::Hours(1500.0), Duration::Hours(500.0))
-                           .RepairTimes(Duration::Hours(10.0), Duration::Hours(10.0))
-                           .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(60.0))))
-          .Convention(RateConvention::kPaper)
-          .Build();
-  TrialRunner runner(scenario);
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const RunOutcome reused = runner.Run(seed, Duration::Years(300.0));
-    const RunOutcome fresh = RunToLossOrHorizon(scenario, seed, Duration::Years(300.0));
-    ExpectSameOutcome(reused, fresh);
-  }
 }
 
 TEST(TrialRunnerTest, CommonModeReuseMatchesFresh) {

@@ -27,13 +27,8 @@ namespace {
 
 // A mirrored pair with `p`'s fault and repair times, audited exponentially
 // with mean MDL — the process ReplicaCtmc solves exactly.
-Scenario MirrorOf(const FaultParams& p,
-                  RateConvention convention = RateConvention::kPhysical) {
-  return ScenarioBuilder()
-      .Replicas(2, SpecFromParams(p))
-      .Correlation(p.alpha)
-      .Convention(convention)
-      .Build();
+Scenario MirrorOf(const FaultParams& p) {
+  return ScenarioBuilder().Replicas(2, SpecFromParams(p)).Correlation(p.alpha).Build();
 }
 
 // Calibration config: mission-loss probability ~6e-5 over one year: rare
@@ -109,12 +104,6 @@ TEST(RareEventTest, ZeroBiasBitIdenticalExponential) {
   FaultParams p = BusyParams(Duration::Hours(40.0));
   p.alpha = 0.3;
   CheckZeroBiasBitIdentical(MirrorOf(p), Duration::Hours(20000.0));
-}
-
-TEST(RareEventTest, ZeroBiasBitIdenticalPaperConvention) {
-  CheckZeroBiasBitIdentical(
-      MirrorOf(BusyParams(Duration::Hours(40.0)), RateConvention::kPaper),
-      Duration::Hours(20000.0));
 }
 
 TEST(RareEventTest, ZeroBiasBitIdenticalWeibull) {

@@ -114,31 +114,27 @@ TEST(MirroredCtmcTest, LossPathBreakdownSumsToOne) {
 
 // The mirrored API is the r-way chain at r = 2, so a system has one exact
 // answer: the mirrored functions and the Scenario CTMC of the same two-replica
-// scenario agree to the last bit.
+// scenario agree to the last bit. A Scenario is always physical; the
+// chain's kPaper answers are covered by the cases around this one.
 TEST(ReplicatedChainTest, MirroredPairIsTheScenarioChainBitForBit) {
   const FaultParams unscrubbed = FaultParams::PaperCheetahExample();
   const FaultParams scrubbed = ScrubbedCheetah();
   const FaultParams correlated = WithCorrelation(scrubbed, 0.1);
   const Duration mission = Duration::Years(50.0);
   for (const FaultParams& p : {unscrubbed, scrubbed, correlated}) {
-    for (auto convention : {RateConvention::kPaper, RateConvention::kPhysical}) {
-      SCOPED_TRACE("alpha " + std::to_string(p.alpha) + ", MDL " +
-                   std::to_string(p.mdl.hours()) + " h, " +
-                   (convention == RateConvention::kPaper ? "paper" : "physical"));
-      const Scenario scenario = ScenarioBuilder()
-                                    .Replicas(2, SpecFromParams(p))
-                                    .Correlation(p.alpha)
-                                    .Convention(convention)
-                                    .Build();
-      const auto mirrored_mttdl = MirroredMttdl(p, convention);
-      const auto scenario_mttdl = ScenarioCtmcMttdl(scenario);
-      ASSERT_TRUE(mirrored_mttdl.has_value() && scenario_mttdl.has_value());
-      EXPECT_EQ(mirrored_mttdl->hours(), scenario_mttdl->hours());
-      const auto mirrored_loss = MirroredLossProbability(p, mission, convention);
-      const auto scenario_loss = ScenarioCtmcLossProbability(scenario, mission);
-      ASSERT_TRUE(mirrored_loss.has_value() && scenario_loss.has_value());
-      EXPECT_EQ(*mirrored_loss, *scenario_loss);
-    }
+    SCOPED_TRACE("alpha " + std::to_string(p.alpha) + ", MDL " +
+                 std::to_string(p.mdl.hours()) + " h");
+    const Scenario scenario =
+        ScenarioBuilder().Replicas(2, SpecFromParams(p)).Correlation(p.alpha).Build();
+    const auto mirrored_mttdl = MirroredMttdl(p, RateConvention::kPhysical);
+    const auto scenario_mttdl = ScenarioCtmcMttdl(scenario);
+    ASSERT_TRUE(mirrored_mttdl.has_value() && scenario_mttdl.has_value());
+    EXPECT_EQ(mirrored_mttdl->hours(), scenario_mttdl->hours());
+    const auto mirrored_loss =
+        MirroredLossProbability(p, mission, RateConvention::kPhysical);
+    const auto scenario_loss = ScenarioCtmcLossProbability(scenario, mission);
+    ASSERT_TRUE(mirrored_loss.has_value() && scenario_loss.has_value());
+    EXPECT_EQ(*mirrored_loss, *scenario_loss);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/scenario/media.h"
 
@@ -134,34 +135,30 @@ TEST(ScenarioValidationTest, RejectsWeibullWithHazardCorrelation) {
       "Weibull fault clocks are age-based");
 }
 
-TEST(ScenarioValidationTest, RejectsWeibullUnderPaperConvention) {
-  ExpectBuildError(ScenarioBuilder()
-                       .Replicas(2, DiskLike().Weibull(2.0))
-                       .Convention(RateConvention::kPaper),
-                   "physical convention");
-}
-
-TEST(ScenarioValidationTest, RejectsHeterogeneousPaperConvention) {
-  ExpectBuildError(ScenarioBuilder()
-                       .AddReplica(DiskLike())
-                       .AddReplica(TapeLike())
-                       .Convention(RateConvention::kPaper),
-                   "heterogeneous");
-}
-
-TEST(ScenarioValidationTest, RejectsPeriodicScrubUnderPaperConvention) {
-  ExpectBuildError(ScenarioBuilder()
-                       .Replicas(2, TapeLike())
-                       .Convention(RateConvention::kPaper),
-                   "memoryless detection");
-}
-
-TEST(ScenarioValidationTest, RejectsCommonModeUnderPaperConvention) {
-  ExpectBuildError(ScenarioBuilder()
-                       .Replicas(2, DiskLike())
-                       .Convention(RateConvention::kPaper)
-                       .CommonModeAll("site", Rate::PerYear(1.0)),
-                   "common-mode");
+// The simulator runs the physical rate convention only; the paper's lives
+// in the exact chain. A scenario document asking for "paper" is refused with
+// a message saying so, any other value is an unknown convention, and ToJson
+// keeps writing the key so that no hash moves.
+TEST(ScenarioValidationTest, RejectsThePaperConvention) {
+  const std::string json = ScenarioBuilder().Replicas(2, DiskLike()).Build().ToJson();
+  const std::string physical = "\"convention\":\"physical\"";
+  ASSERT_NE(json.find(physical), std::string::npos) << json;
+  const auto expect_refused = [&](const std::string& value,
+                                  const std::vector<std::string>& wanted) {
+    std::string edited = json;
+    edited.replace(edited.find(physical), physical.size(),
+                   "\"convention\":\"" + value + "\"");
+    try {
+      Scenario::FromJson(edited);
+      ADD_FAILURE() << "accepted convention " << value;
+    } catch (const std::invalid_argument& e) {
+      for (const std::string& part : wanted) {
+        EXPECT_NE(std::string(e.what()).find(part), std::string::npos) << e.what();
+      }
+    }
+  };
+  expect_refused("paper", {"physical convention", "exact chain"});
+  expect_refused("quantum", {"unknown convention \"quantum\""});
 }
 
 TEST(ScenarioValidationTest, RejectsNonPositiveScrubInterval) {

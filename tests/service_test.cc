@@ -331,6 +331,33 @@ TEST(SweepServiceTest, NanCommonModeProbabilitiesAreRejected) {
   EXPECT_EQ(service.cache_size(), 0u);
 }
 
+TEST(SweepServiceTest, PaperConventionScenarioIsRejected) {
+  // The simulator runs the physical rate convention only. A well-sealed
+  // document whose scenario asks for the paper's convention is a permanent
+  // error that points to the exact chain, and nothing is computed or cached.
+  const std::string document = Document(SweepSpec(FastScenario()), FixedOptions());
+  std::string body(
+      json::OpenChecksummedDocument(document, "shard_version", "test").body);
+  const std::string physical = "\"convention\":\"physical\"";
+  const size_t at = body.find(physical);
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, physical.size(), "\"convention\":\"paper\"");
+  ServiceRequest request;
+  request.kind = ServiceRequest::Kind::kSweep;
+  request.sweep_document =
+      json::WrapChecksummedBody("shard_version", kShardProtocolVersion, body);
+
+  SweepService service{ServiceOptions{}};
+  const ServiceResponse response =
+      ServiceResponse::FromJson(service.HandleRequestBytes(request.ToJson()));
+  EXPECT_FALSE(response.ok);
+  EXPECT_FALSE(response.retryable) << response.message;
+  EXPECT_NE(response.message.find("exact chain"), std::string::npos)
+      << response.message;
+  EXPECT_EQ(service.cache_stats().insertions, 0);
+  EXPECT_EQ(service.cache_size(), 0u);
+}
+
 TEST(SweepServiceTest, ClaimedCellCountIsCheckedNotAllocated) {
   // total_cells is the client's claim. A one-cell document claiming 2^53 + 1
   // cells must meet the service's count check, not an allocation sized by

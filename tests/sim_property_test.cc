@@ -17,8 +17,9 @@
 namespace longstore {
 namespace {
 
-// Axes: replica count, ml/mv ratio, alpha, convention.
-using SimSweepParam = std::tuple<int, double, double, RateConvention>;
+// Axes: replica count, ml/mv ratio, alpha. The simulator runs the physical
+// convention, so the chain it must match is the physical one.
+using SimSweepParam = std::tuple<int, double, double>;
 
 class SimSweepTest : public ::testing::TestWithParam<SimSweepParam> {
  protected:
@@ -33,21 +34,19 @@ class SimSweepTest : public ::testing::TestWithParam<SimSweepParam> {
     return p;
   }
   int Replicas() const { return std::get<0>(GetParam()); }
-  RateConvention Convention() const { return std::get<3>(GetParam()); }
   // The simulated fleet; exponential audits with mean MDL match the chain.
   Scenario SimScenario() const {
     const FaultParams p = Params();
     return ScenarioBuilder()
         .Replicas(Replicas(), SpecFromParams(p))
         .Correlation(p.alpha)
-        .Convention(Convention())
         .Build();
   }
 };
 
 TEST_P(SimSweepTest, McMttdlMatchesExactChain) {
   const FaultParams p = Params();
-  const ReplicatedChainBuilder chain(p, Replicas(), Convention());
+  const ReplicatedChainBuilder chain(p, Replicas(), RateConvention::kPhysical);
   const auto exact = chain.Mttdl();
   ASSERT_TRUE(exact.has_value());
   ASSERT_FALSE(exact->is_infinite());
@@ -89,16 +88,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         /*replicas=*/::testing::Values(2, 3),
         /*ml ratio=*/::testing::Values(0.25, 2.0),
-        /*alpha=*/::testing::Values(1.0, 0.3),
-        /*convention=*/
-        ::testing::Values(RateConvention::kPhysical, RateConvention::kPaper)),
+        /*alpha=*/::testing::Values(1.0, 0.3)),
     [](const ::testing::TestParamInfo<SimSweepParam>& param_info) {
       char name[96];
-      std::snprintf(name, sizeof(name), "r%d_mlr%03.0f_a%03.0f_%s",
+      std::snprintf(name, sizeof(name), "r%d_mlr%03.0f_a%03.0f_phys",
                     std::get<0>(param_info.param), std::get<1>(param_info.param) * 100.0,
-                    std::get<2>(param_info.param) * 100.0,
-                    std::get<3>(param_info.param) == RateConvention::kPhysical ? "phys"
-                                                                         : "paper");
+                    std::get<2>(param_info.param) * 100.0);
       return std::string(name);
     });
 

@@ -30,11 +30,10 @@ FaultParams FastParams(double alpha = 1.0) {
 
 // SpecFromParams realizes MDL as exponential audits with mean = MDL, which
 // match the CTMC's detection rate.
-Scenario ScenarioFor(const FaultParams& p, int replicas, RateConvention convention) {
+Scenario ScenarioFor(const FaultParams& p, int replicas) {
   return ScenarioBuilder()
       .Replicas(replicas, SpecFromParams(p))
       .Correlation(p.alpha)
-      .Convention(convention)
       .Build();
 }
 
@@ -51,17 +50,8 @@ TEST(SimVsModelTest, MirroredPhysicalConventionMatchesCtmc) {
   const FaultParams p = FastParams();
   const auto ctmc = MirroredMttdl(p, RateConvention::kPhysical);
   ASSERT_TRUE(ctmc.has_value());
-  const double mc =
-      McMttdlHours(ScenarioFor(p, 2, RateConvention::kPhysical), 6000, 101);
+  const double mc = McMttdlHours(ScenarioFor(p, 2), 6000, 101);
   // 6000 trials of an ~exponential time: SE ~ 1.3%; 5 sigma ~ 6.5%.
-  EXPECT_NEAR(mc / ctmc->hours(), 1.0, 0.065);
-}
-
-TEST(SimVsModelTest, MirroredPaperConventionMatchesCtmc) {
-  const FaultParams p = FastParams();
-  const auto ctmc = MirroredMttdl(p, RateConvention::kPaper);
-  ASSERT_TRUE(ctmc.has_value());
-  const double mc = McMttdlHours(ScenarioFor(p, 2, RateConvention::kPaper), 6000, 103);
   EXPECT_NEAR(mc / ctmc->hours(), 1.0, 0.065);
 }
 
@@ -69,8 +59,7 @@ TEST(SimVsModelTest, CorrelatedMirrorMatchesCtmc) {
   const FaultParams p = FastParams(/*alpha=*/0.2);
   const auto ctmc = MirroredMttdl(p, RateConvention::kPhysical);
   ASSERT_TRUE(ctmc.has_value());
-  const double mc =
-      McMttdlHours(ScenarioFor(p, 2, RateConvention::kPhysical), 6000, 107);
+  const double mc = McMttdlHours(ScenarioFor(p, 2), 6000, 107);
   EXPECT_NEAR(mc / ctmc->hours(), 1.0, 0.065);
 }
 
@@ -83,8 +72,7 @@ TEST(SimVsModelTest, ThreeWayReplicationMatchesCtmc) {
   const ReplicatedChainBuilder chain(p, 3, RateConvention::kPhysical);
   const auto ctmc = chain.Mttdl();
   ASSERT_TRUE(ctmc.has_value());
-  const double mc =
-      McMttdlHours(ScenarioFor(p, 3, RateConvention::kPhysical), 4000, 109);
+  const double mc = McMttdlHours(ScenarioFor(p, 3), 4000, 109);
   EXPECT_NEAR(mc / ctmc->hours(), 1.0, 0.08);
 }
 
@@ -102,7 +90,7 @@ TEST(SimVsModelTest, MissionLossProbabilityMatchesCtmc) {
   options.seed_mode = SweepOptions::SeedMode::kSharedRoot;
   const LossProbabilityEstimate estimate =
       *SweepRunner()
-           .Run(SweepSpec(ScenarioFor(p, 2, RateConvention::kPhysical)), options)
+           .Run(SweepSpec(ScenarioFor(p, 2)), options)
            .cells.front()
            .loss;
   EXPECT_TRUE(estimate.wilson_ci.lo <= *exact && *exact <= estimate.wilson_ci.hi)
@@ -122,8 +110,7 @@ TEST(SimVsModelTest, PeriodicScrubBeatsExponentialAuditSlightly) {
                            ScrubPolicy::Periodic(p.mdl * 2.0)))  // same mean latency
           .Build();
   const double mttdl_periodic = McMttdlHours(periodic, 6000, 127);
-  const double mttdl_exponential =
-      McMttdlHours(ScenarioFor(p, 2, RateConvention::kPhysical), 6000, 127);
+  const double mttdl_exponential = McMttdlHours(ScenarioFor(p, 2), 6000, 127);
   EXPECT_GT(mttdl_periodic, mttdl_exponential * 0.95);
 }
 
@@ -132,8 +119,7 @@ TEST(SimVsModelTest, PaperClosedFormWithinConventionFactorOfSimulation) {
   // simulation (the replica-count factor), preserving the paper's shape.
   const FaultParams p = FastParams();
   const double eq8 = MttdlClosedForm(p).hours();
-  const double mc =
-      McMttdlHours(ScenarioFor(p, 2, RateConvention::kPhysical), 4000, 131);
+  const double mc = McMttdlHours(ScenarioFor(p, 2), 4000, 131);
   EXPECT_GT(eq8 / mc, 1.5);
   EXPECT_LT(eq8 / mc, 2.6);
 }
@@ -145,10 +131,8 @@ TEST(SimVsModelTest, HazardMultiplierMeasuredInWindows) {
   McConfig mc;
   mc.trials = 3000;
   mc.seed = 137;
-  const MttdlEstimate a =
-      EstimateMttdl(ScenarioFor(independent, 2, RateConvention::kPhysical), mc);
-  const MttdlEstimate b =
-      EstimateMttdl(ScenarioFor(correlated, 2, RateConvention::kPhysical), mc);
+  const MttdlEstimate a = EstimateMttdl(ScenarioFor(independent, 2), mc);
+  const MttdlEstimate b = EstimateMttdl(ScenarioFor(correlated, 2), mc);
   auto window_loss_rate = [](const SimMetrics& m) {
     const double opened = static_cast<double>(m.windows_opened[0] + m.windows_opened[1]);
     const double second =

@@ -1,5 +1,5 @@
 // Edge-path tests for the storage simulator: periodic-scrub phase
-// alignment, paper-convention detection queueing, and horizon semantics.
+// alignment and horizon semantics.
 
 #include <gtest/gtest.h>
 
@@ -59,24 +59,6 @@ TEST(ScrubPhaseTest, StaggeredPhasesDifferAcrossReplicas) {
   }
   ASSERT_GE(detections.size(), 2u);
   EXPECT_NE(detections[0].hours(), detections[1].hours());
-}
-
-TEST(PaperConventionTest, SerialDetectionDrainsBacklog) {
-  const Scenario scenario =
-      ScenarioBuilder()
-          .Replicas(4, LatentHeavy()
-                           .FaultTimes(Duration::Hours(1e12),
-                                       Duration::Hours(150.0))  // build a backlog quickly
-                           .ScrubWith(ScrubPolicy::Exponential(Duration::Hours(30.0))))
-          .Convention(RateConvention::kPaper)
-          .Build();
-  // A run ends at data loss; with a serial audit draining a four-deep
-  // backlog, dozens of detections still complete before the fatal pile-up.
-  const RunOutcome outcome = RunToLossOrHorizon(scenario, 29, Duration::Years(30.0));
-  EXPECT_GT(outcome.metrics.latent_detections, 20);
-  // Queueing can only lengthen the realized latency beyond the audit mean
-  // (modulo loss-censoring of the longest waits).
-  EXPECT_GE(outcome.metrics.detection_latency_hours.mean(), 30.0 * 0.8);
 }
 
 TEST(HorizonTest, OutcomeCensoredExactlyAtHorizon) {

@@ -162,20 +162,6 @@ TEST(StorageSystemTest, CommonModeHitProbabilityScalesImpact) {
   EXPECT_NEAR(hits_per_event, 6.0, 0.6);
 }
 
-TEST(StorageSystemTest, PaperConventionRunsSerialRepair) {
-  const Scenario scenario =
-      ScenarioBuilder()
-          .Replicas(3,
-                    Aggressive().ScrubWith(ScrubPolicy::Exponential(Duration::Hours(50.0))))
-          .Convention(RateConvention::kPaper)
-          .Build();
-  const RunOutcome outcome = RunToLossOrHorizon(scenario, 41, Duration::Years(500.0));
-  // Exercises the serial path: faults occur, repairs complete, audits detect.
-  EXPECT_GT(outcome.metrics.visible_faults, 0);
-  EXPECT_GT(outcome.metrics.latent_detections, 0);
-  EXPECT_GT(outcome.metrics.repairs_completed, 0);
-}
-
 TEST(StorageSystemTest, ReproducibleAcrossIdenticalSeeds) {
   const Scenario scenario = Fleet(2, Aggressive().ScrubEvery(Duration::Hours(120.0)));
   const RunOutcome a = RunToLossOrHorizon(scenario, 99, Duration::Years(300.0));
