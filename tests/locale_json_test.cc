@@ -13,8 +13,9 @@
 //
 // Finding a comma-decimal locale: the test tries the usual installed names
 // first, then (glibc) compiles de_DE.UTF-8 into a temp directory with
-// localedef and points LOCPATH at it. If no comma-decimal locale can be
-// arranged, the locale-dependent assertions are skipped — unless
+// localedef and points LOCPATH at it; the directory is removed when the
+// program ends. If no comma-decimal locale can be arranged, the
+// locale-dependent assertions are skipped — unless
 // LONGSTORE_REQUIRE_COMMA_LOCALE is set (the CI locale job sets it, so CI
 // can never silently skip the regression).
 //
@@ -26,9 +27,11 @@
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
+#include <filesystem>
 #include <locale>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +65,41 @@ class DotGroupingNumpunct : public std::numpunct<char> {
   std::string do_grouping() const override { return "\3"; }
 };
 
+// Owns the scratch directory that the glibc fallback below compiles
+// de_DE.UTF-8 into. It is made once per process (LOCPATH then keeps the
+// compiled locale loadable by name) and removed when the test program ends,
+// after the "C" locale is restored and LOCPATH is unset.
+class CompiledLocaleDir : public ::testing::Environment {
+ public:
+  // Makes the directory on first use; "" if that fails.
+  const std::string& Path() {
+    if (path_.empty()) {
+      char dir_template[] = "/tmp/longstore_locale.XXXXXX";
+      if (::mkdtemp(dir_template) != nullptr) {
+        path_ = dir_template;
+      }
+    }
+    return path_;
+  }
+
+  void TearDown() override {
+    if (path_.empty()) {
+      return;
+    }
+    std::setlocale(LC_ALL, "C");
+    ::unsetenv("LOCPATH");
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+    path_.clear();
+  }
+
+ private:
+  std::string path_;
+};
+
+CompiledLocaleDir* const compiled_locale_dir = static_cast<CompiledLocaleDir*>(
+    ::testing::AddGlobalTestEnvironment(new CompiledLocaleDir));
+
 // Tries to switch the process to a locale whose decimal separator is ','.
 // Returns the locale name that took effect, or "" if none could be arranged.
 std::string ActivateCommaDecimalLocale() {
@@ -80,11 +118,10 @@ std::string ActivateCommaDecimalLocale() {
   // glibc fallback: compile de_DE.UTF-8 into a scratch directory and load it
   // via LOCPATH. localedef only writes under the -o path, so this leaves the
   // system's locale archive untouched.
-  char dir_template[] = "/tmp/longstore_locale.XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) {
+  const std::string dir = compiled_locale_dir->Path();
+  if (dir.empty()) {
     return "";
   }
-  const std::string dir = dir_template;
   const std::string command =
       "localedef -i de_DE -f UTF-8 '" + dir + "/de_DE.UTF-8' >/dev/null 2>&1";
   if (std::system(command.c_str()) != 0) {
