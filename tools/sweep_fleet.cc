@@ -332,21 +332,32 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
+  // A directory this run makes goes on every exit path, a FleetError
+  // included, unless --keep-files keeps it; a --tmp directory is the
+  // caller's.
   char made_tmp[] = "/tmp/sweep_fleet.XXXXXX";
+  struct RemoveMadeDir {
+    const char* path = nullptr;
+    ~RemoveMadeDir() {
+      if (path != nullptr) {
+        ::rmdir(path);
+      }
+    }
+  } remove_made_dir;
   if (tmp_dir.empty()) {
     if (::mkdtemp(made_tmp) == nullptr) {
       std::fprintf(stderr, "%s: mkdtemp failed\n", argv[0]);
       return 1;
     }
     tmp_dir = made_tmp;
+    if (!fleet.keep_files) {
+      remove_made_dir.path = made_tmp;
+    }
   }
   fleet.temp_dir = tmp_dir;
   fleet.journal = &journal;
 
   const FleetReport report = FleetSupervisor(fleet).Run(spec, options);
-  if (tmp_dir == made_tmp && !fleet.keep_files) {
-    ::rmdir(made_tmp);
-  }
   WriteTelemetry(metrics_out, journal, &report.worker_metrics);
   std::fprintf(stderr,
                "[fleet] stats: %d spawned, %d succeeded, %d crashed, "
